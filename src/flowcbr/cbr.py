@@ -83,12 +83,17 @@ class Verdict:
 
 @dataclass
 class ClassRegistry:
-    """Known labels plus the buffer of would-be new-class samples."""
+    """Known labels plus the buffer of would-be new-class samples.
+
+    ``evictions`` counts buffered samples dropped because the buffer was
+    full; it lives in memory only and is not saved.
+    """
 
     labels: dict[str, str] = field(default_factory=dict)
     pending: deque = field(default_factory=lambda: deque(maxlen=PENDING_CAPACITY))
     novel_count: int = 0
     stream_pos: int = 0
+    evictions: int = 0
 
     @classmethod
     def from_training_labels(cls, labels: list[str]) -> ClassRegistry:
@@ -107,7 +112,7 @@ class ClassRegistry:
 
     def clone(self) -> ClassRegistry:
         reg = ClassRegistry(labels=dict(self.labels), novel_count=self.novel_count,
-                            stream_pos=self.stream_pos)
+                            stream_pos=self.stream_pos, evictions=self.evictions)
         reg.pending.extend((v.copy(), t) for v, t in self.pending)
         return reg
 
@@ -174,6 +179,8 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     if d1 > th.theta_ood:
         return Verdict(VerdictKind.OOD, None, votes, d1)
 
+    if len(registry.pending) == registry.pending.maxlen:
+        registry.evictions += 1
     registry.pending.append((q.copy(), registry.stream_pos))
     cohort = _cohesive_cohort(registry, q, th.r_cohesion)
     if len(cohort) < th.c_min:
@@ -198,15 +205,21 @@ def _cohesive_cohort(registry: ClassRegistry, q: np.ndarray,
     r_cohesion of every sample already kept, which guarantees the returned
     set is mutually cohesive. The newest sample (q, just appended) is the
     anchor and always belongs.
+
+    A sample farther than r_cohesion from any kept sample can never join, so
+    one distance call per kept sample prunes the surviving candidates: the
+    cost is the cohort size in kernel calls, not the buffer size.
     """
-    anchor = registry.pending[-1]
+    *older, anchor = registry.pending
     kept = [anchor]
-    kept_matrix = [anchor[0]]
-    for item in list(registry.pending)[:-1]:
-        dists = row_distances(np.stack(kept_matrix), item[0])
-        if np.all(dists <= r_cohesion):
-            kept.append(item)
-            kept_matrix.append(item[0])
+    if not older:
+        return kept
+    matrix = np.stack([v for v, _ in older])
+    candidates = np.flatnonzero(row_distances(matrix, anchor[0]) <= r_cohesion)
+    while candidates.size:
+        first, rest = candidates[0], candidates[1:]
+        kept.append(older[first])
+        candidates = rest[row_distances(matrix[rest], matrix[first]) <= r_cohesion]
     return kept
 
 

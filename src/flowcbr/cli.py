@@ -25,7 +25,7 @@ from .features import (Normalizer, extract_matrix, fit_normalizer,
 from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
                       packet_sweep, run_ann_benchmark, run_eval)
-from .index import IndexConfig, IndexEntry, NNIndex
+from .index import BACKENDS, IndexConfig, IndexEntry, NNIndex
 from .selection import SelectionMask, apply_mask
 from .synth import default_templates, sweep_templates, synth_generate
 
@@ -73,14 +73,61 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int_ge_1(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+def _positive(v) -> bool:
+    return _is_real(v) and v > 0
+
+
+def _quantile(v) -> bool:
+    return _is_real(v) and 0 < v <= 1
+
+
+# Setting -> (check, what it must be). Range tests are written so NaN fails.
+_CHECKS = {
+    "seed": (_is_int, "an integer"),
+    "backend": (lambda v: v in BACKENDS, f"one of {', '.join(BACKENDS)}"),
+    "leaf_size": (_int_ge_1, "an integer >= 1"),
+    "k": (_int_ge_1, "an integer >= 1"),
+    "c_min": (_int_ge_1, "an integer >= 1"),
+    "n_trees": (_int_ge_1, "an integer >= 1"),
+    "n_packets": (lambda v: v is None or _int_ge_1(v), "null or an integer >= 1"),
+    "max_depth": (lambda v: v is None or _int_ge_1(v), "null or an integer >= 1"),
+    "r_cohesion": (lambda v: v is None or _positive(v), "null or a number > 0"),
+    "quantile_new": (_quantile, "a number in (0, 1]"),
+    "quantile_ood": (_quantile, "a number in (0, 1]"),
+    "ood_margin": (_positive, "a number > 0"),
+    "train_fraction": (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "idle_timeout": (_positive, "a number > 0"),
+}
+
+
 def _settings(args: argparse.Namespace) -> dict:
-    """Resolve effective settings: flags > config file > defaults."""
+    """Resolve effective settings: flags > config file > defaults.
+
+    Every merged value is checked for type and range, so a bad flag or
+    config entry is a ValidationError (exit 2), not a failure deep inside
+    the pipeline.
+    """
     merged = dict(DEFAULTS)
     merged.update(_load_config_file(args.config))
     for key in DEFAULTS:
         flag = getattr(args, key, None)
         if flag is not None:
             merged[key] = flag
+    for key, (allowed, description) in _CHECKS.items():
+        if not allowed(merged[key]):
+            raise ValidationError(f"setting {key}={merged[key]!r} must be {description}")
     return merged
 
 
@@ -192,7 +239,11 @@ def cmd_classify(args: argparse.Namespace) -> int:
             counts[verdict.kind.value] = counts.get(verdict.kind.value, 0) + 1
             fh.write(verdict_to_json(fid, verdict) + "\n")
     log.info("verdicts: %s", counts)
-    print(f"{len(flow_ids)} verdicts -> {out}  {counts}")
+    if registry.evictions:
+        log.warning("pending buffer full: %d buffered samples evicted, oldest first",
+                    registry.evictions)
+    print(f"{len(flow_ids)} verdicts -> {out}  {counts}  "
+          f"pending evictions {registry.evictions}")
     return 0
 
 

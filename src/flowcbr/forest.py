@@ -141,18 +141,6 @@ class RandomForest:
         self.trees = trees
         self.oob_score = oob_score
 
-    @property
-    def dimension_hint(self) -> int | None:
-        for tree in self.trees:
-            def max_slot(node: _Node) -> int:
-                if node.counts is not None:
-                    return -1
-                return max(node.slot, max_slot(node.left), max_slot(node.right))
-            s = max_slot(tree)
-            if s >= 0:
-                return s + 1
-        return None
-
     def predict_batch(self, X: np.ndarray) -> tuple[list[str], np.ndarray]:
         """(labels, vote fractions) for each row by majority over trees."""
         if X.ndim != 2:

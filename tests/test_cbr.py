@@ -6,8 +6,12 @@ off the page, so each verdict regime is pinned by construction.
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flowcbr.cbr as cbr_mod
 from flowcbr.cbr import (
+    PENDING_CAPACITY,
     ClassRegistry,
     Thresholds,
     Verdict,
@@ -19,7 +23,7 @@ from flowcbr.cbr import (
     vote,
     write_verdicts,
 )
-from flowcbr.index import IndexConfig, IndexEntry, Neighbor, NNIndex
+from flowcbr.index import IndexConfig, IndexEntry, Neighbor, NNIndex, row_distances
 
 
 def nb(label, distance, entry_id=0):
@@ -172,6 +176,106 @@ def test_second_registration_increments_label():
     assert index2_query.kind is VerdictKind.REGISTERED
     assert index2_query.label == "novel-2"
     assert set(registry.labels) == {"base", "novel-1", "novel-2"}
+
+
+def greedy_cohort_oracle(pending, r_cohesion):
+    """The original cohort loop: every older buffered sample, oldest first,
+    is checked against the whole kept set with one distance call."""
+    anchor = pending[-1]
+    kept = [anchor]
+    kept_matrix = [anchor[0]]
+    for item in list(pending)[:-1]:
+        dists = row_distances(np.stack(kept_matrix), item[0])
+        if np.all(dists <= r_cohesion):
+            kept.append(item)
+            kept_matrix.append(item[0])
+    return kept
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1, 2, 8, 183]),
+       st.integers(min_value=1, max_value=300),
+       st.integers(min_value=1, max_value=300),
+       st.booleans(),
+       st.sampled_from([0.5, 1.0, 1.0, 2.0]),
+       st.data())
+def test_cohort_search_matches_greedy_oracle(seed, d, n, n_distinct, lattice,
+                                             scale, data):
+    """Same samples in the same order, by identity. Drawing from fewer
+    distinct vectors than samples gives duplicates; lattice points give
+    many tied distances; scale 1.0 puts r_cohesion exactly on a realised
+    pairwise distance."""
+    rng = np.random.default_rng(seed)
+    n_distinct = min(n_distinct, n)
+    if lattice:
+        pool = rng.integers(0, 3, size=(n_distinct, d)) * 0.25
+    else:
+        pool = rng.normal(size=(n_distinct, d)) * 10.0 ** rng.integers(-2, 3)
+    registry = ClassRegistry()
+    for t in range(n):
+        registry.pending.append((pool[rng.integers(n_distinct)].copy(), t))
+    vectors = [v for v, _ in registry.pending]
+    i = data.draw(st.integers(min_value=0, max_value=n - 1))
+    j = data.draw(st.integers(min_value=0, max_value=n - 1))
+    r_cohesion = scale * float(row_distances(vectors[i][None, :], vectors[j])[0])
+
+    got = cbr_mod._cohesive_cohort(registry, vectors[-1], r_cohesion)
+    want = greedy_cohort_oracle(registry.pending, r_cohesion)
+    assert [id(v) for v, _ in got] == [id(v) for v, _ in want]
+
+
+@pytest.mark.parametrize("radius", [0.95, 3.0])
+def test_cohort_search_cost_is_bounded(monkeypatch, radius):
+    """A full buffer of 1000 mutually non-cohesive samples, each at `radius`
+    from the newest one (inside r_cohesion at 0.95, outside at 3.0): one
+    more Pending sample costs at most c_min distance calls, not one per
+    buffered sample."""
+    d = 183
+    rng = np.random.default_rng(7)
+    centre = np.zeros(d)
+    centre[0] = 10.0
+    dirs = rng.normal(size=(PENDING_CAPACITY, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    cos = dirs @ dirs.T
+    np.fill_diagonal(cos, -1.0)
+    assert radius * np.sqrt(2.0 - 2.0 * cos.max()) > 1.05  # pairwise beyond r_cohesion
+
+    index = NNIndex.build([IndexEntry(0, np.zeros(d), "base")], IndexConfig("brute"))
+    registry = ClassRegistry.from_training_labels(["base"])
+    th = Thresholds(theta_new=1.0, theta_ood=100.0, k=1, c_min=5, r_cohesion=1.0)
+    for t, v in enumerate(centre + radius * dirs):
+        registry.pending.append((v, t))
+
+    calls = []
+
+    def counting_row_distances(matrix, q):
+        calls.append(matrix.shape[0])
+        return row_distances(matrix, q)
+
+    monkeypatch.setattr(cbr_mod, "row_distances", counting_row_distances)
+    verdict = classify(index, registry, centre, th)
+    assert verdict.kind is VerdictKind.PENDING
+    assert len(calls) <= th.c_min, calls
+    assert registry.evictions == 1
+
+
+def test_full_buffer_counts_evictions(tmp_path):
+    index, registry, th = one_point_setup(theta_new=0.1, theta_ood=1e6,
+                                          c_min=3, r_cohesion=1.0)
+    for t in range(PENDING_CAPACITY - 1):
+        registry.pending.append((np.array([10.0 * (t + 1)]), t))
+    classify(index, registry, np.array([-10.0]), th)  # fills the last slot
+    assert registry.evictions == 0
+    for x in (-20.0, -30.0, -40.0):
+        assert classify(index, registry, np.array([x]), th).kind is VerdictKind.PENDING
+    assert len(registry.pending) == PENDING_CAPACITY
+    assert registry.evictions == 3
+    assert registry.pending[0][0][0] == 40.0  # the three oldest went
+
+    assert registry.clone().evictions == 3
+    registry.save(tmp_path / "registry.json")
+    assert ClassRegistry.load(tmp_path / "registry.json").evictions == 0
 
 
 def loo_same_class_nn(X, y):

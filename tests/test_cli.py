@@ -194,6 +194,84 @@ def test_config_file_missing(tmp_path, capsys):
     assert "config file not found" in capsys.readouterr().err
 
 
+@pytest.fixture(scope="module")
+def data_dir(tmp_path_factory):
+    """Labeled flows and their features, shared by the settings tests."""
+    root = tmp_path_factory.mktemp("settings")
+    assert run("--seed", "3", "--out", str(root), "synth",
+               "--classes", "2", "--flows-per-class", "6") == 0
+    assert run("--out", str(root), "extract", str(root / "flows.csv")) == 0
+    return root
+
+
+@pytest.mark.parametrize("argv,config,key", [
+    (["extract", "{flows}", "--n-packets", "0"], None, "n_packets"),
+    (["extract", "{flows}", "--idle-timeout", "0"], None, "idle_timeout"),
+    (["index", "{features}", "--k", "0"], None, "k"),
+    (["index", "{features}", "--c-min", "0"], None, "c_min"),
+    (["index", "{features}", "--leaf-size", "0"], None, "leaf_size"),
+    (["eval", "{flows}", "--n-trees", "0"], None, "n_trees"),
+    (["eval", "{flows}", "--train-fraction", "1.0"], None, "train_fraction"),
+    (["index", "{features}"], {"r_cohesion": -1}, "r_cohesion"),
+    (["index", "{features}"], {"k": "5"}, "k"),
+    (["index", "{features}"], {"seed": 1.5}, "seed"),
+    (["index", "{features}"], {"seed": True}, "seed"),
+    (["index", "{features}"], {"backend": "octree"}, "backend"),
+    (["index", "{features}"], {"quantile_new": 0}, "quantile_new"),
+    (["index", "{features}"], {"quantile_new": float("nan")}, "quantile_new"),
+    (["index", "{features}"], {"quantile_ood": 1.5}, "quantile_ood"),
+    (["index", "{features}"], {"ood_margin": 0}, "ood_margin"),
+    (["index", "{features}"], {"max_depth": 0}, "max_depth"),
+    (["index", "{features}"], {"train_fraction": 0}, "train_fraction"),
+    (["index", "{features}"], {"idle_timeout": -1}, "idle_timeout"),
+    (["index", "{features}"], {"n_packets": 2.5}, "n_packets"),
+])
+def test_bad_settings_exit_two(data_dir, tmp_path, capsys, argv, config, key):
+    argv = [a.format(flows=data_dir / "flows.csv", features=data_dir / "features.csv")
+            for a in argv]
+    head = ["--out", str(tmp_path / "out")]
+    if config is not None:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        head += ["--config", str(cfg)]
+    assert run(*head, *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: setting {key}=" in err
+    assert "Traceback" not in err
+
+
+def test_boundary_settings_accepted(data_dir, tmp_path):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"quantile_new": 1, "quantile_ood": 1.0, "r_cohesion": 2,
+                               "max_depth": None, "n_packets": None}))
+    assert run("--config", str(cfg), "--out", str(tmp_path / "model"), "index",
+               str(data_dir / "features.csv")) == 0
+
+
+def test_classify_reports_pending_evictions(data_dir, tmp_path, capsys, caplog):
+    """A registry whose buffer is already full evicts one sample per Pending
+    verdict; the summary prints the count and a warning names it."""
+    model = tmp_path / "model"
+    assert run("--out", str(model), "index", str(data_dir / "features.csv")) == 0
+    (model / "thresholds.json").write_text(json.dumps(
+        {"theta_new": 1e-12, "theta_ood": 1e12, "k": 1, "c_min": 1000,
+         "r_cohesion": 1e-9}))
+    registry = json.loads((model / "registry.json").read_text())
+    registry["pending"] = [{"vector": [1e6] * 183, "stream_pos": 0}] * 1000
+    (model / "registry.json").write_text(json.dumps(registry))
+    other = tmp_path / "other"
+    assert run("--seed", "4", "--out", str(other), "synth",
+               "--classes", "2", "--flows-per-class", "2") == 0
+    capsys.readouterr()
+
+    assert run("--out", str(tmp_path / "v"), "classify", str(model),
+               "--input", str(other / "flows.csv")) == 0
+    out = capsys.readouterr().out
+    assert "{'NewClassPending': 4}  pending evictions 4" in out
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert any("4 buffered samples evicted" in w for w in warnings)
+
+
 def _run_subprocess(argv, flowcbr_log):
     """Run main() in a fresh interpreter with FLOWCBR_LOG set or unset.
 
