@@ -19,9 +19,8 @@ from .forest import (EnsembleVerdict, ForestConfig, RandomForest,
                      ensemble_classify, train_forest)
 from .harness import (Metrics, PipelineConfig, SplitSpec, compute_metrics,
                       find_plateau, new_class_protocol, packet_sweep,
-                      run_ann_benchmark, run_eval, stratified_split)
-from .index import (IndexConfig, IndexEntry, Neighbor, NNIndex,
-                    benchmark_backend, row_distances)
+                      run_eval, stratified_split)
+from .index import IndexEntry, Neighbor, NNIndex, row_distances
 from .selection import (FeatureScore, SelectionMask, apply_mask,
                         compose_masks, score_features, select_minimal)
 from .synth import ClassTemplate, default_templates, sweep_templates, synth_generate
@@ -40,7 +39,6 @@ __all__ = [
     "FlowKey",
     "FlowPacket",
     "ForestConfig",
-    "IndexConfig",
     "IndexEntry",
     "Metrics",
     "NNIndex",
@@ -59,7 +57,6 @@ __all__ = [
     "add_labeled_sample",
     "apply_mask",
     "assemble_flows",
-    "benchmark_backend",
     "calibrate_thresholds",
     "classify",
     "compose_masks",
@@ -75,7 +72,6 @@ __all__ = [
     "packet_sweep",
     "parse_pcap",
     "row_distances",
-    "run_ann_benchmark",
     "run_eval",
     "save_flows_csv",
     "score_features",

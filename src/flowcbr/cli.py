@@ -2,11 +2,11 @@
 
 Subcommands wire the pipeline end to end: extract features from captures or
 flow CSVs, build a self-contained model directory, classify new flows,
-evaluate, sweep packet prefixes, benchmark index backends, and generate
-synthetic datasets. Settings resolve as flags > config file > defaults; the
-config file is JSON holding any subset of the default keys, and unknown
-keys are rejected. FLOWCBR_LOG sets the log level by its standard name, in
-any case; an unknown name exits 2.
+evaluate, sweep packet prefixes, and generate synthetic datasets. Settings
+resolve as flags > config file > defaults; the config file is JSON holding
+any subset of the default keys, and unknown keys are rejected. FLOWCBR_LOG
+sets the log level by its standard name, in any case; an unknown name
+exits 2.
 """
 
 from __future__ import annotations
@@ -24,8 +24,8 @@ from .features import (Normalizer, extract_matrix, fit_normalizer,
                        load_matrix_csv, save_matrix_csv)
 from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
-                      packet_sweep, run_ann_benchmark, run_eval)
-from .index import BACKENDS, IndexConfig, IndexEntry, NNIndex
+                      packet_sweep, run_eval)
+from .index import IndexEntry, NNIndex
 from .selection import SelectionMask, apply_mask
 from .synth import default_templates, sweep_templates, synth_generate
 
@@ -33,8 +33,6 @@ log = logging.getLogger("flowcbr")
 
 DEFAULTS = {
     "seed": 0,
-    "backend": "brute",
-    "leaf_size": 32,
     "k": 5,
     "quantile_new": 0.99,
     "quantile_ood": 0.999,
@@ -96,8 +94,6 @@ def _quantile(v) -> bool:
 # Setting -> (check, what it must be). Range tests are written so NaN fails.
 _CHECKS = {
     "seed": (_is_int, "an integer"),
-    "backend": (lambda v: v in BACKENDS, f"one of {', '.join(BACKENDS)}"),
-    "leaf_size": (_int_ge_1, "an integer >= 1"),
     "k": (_int_ge_1, "an integer >= 1"),
     "c_min": (_int_ge_1, "an integer >= 1"),
     "n_trees": (_int_ge_1, "an integer >= 1"),
@@ -133,10 +129,10 @@ def _settings(args: argparse.Namespace) -> dict:
 
 def _pipeline_config(s: dict, mask: SelectionMask | None = None) -> PipelineConfig:
     return PipelineConfig(
-        n_packets=s["n_packets"], backend=s["backend"], leaf_size=s["leaf_size"],
-        k=s["k"], quantile_new=s["quantile_new"], quantile_ood=s["quantile_ood"],
-        ood_margin=s["ood_margin"], c_min=s["c_min"], r_cohesion=s["r_cohesion"],
-        train_fraction=s["train_fraction"], seed=s["seed"], n_trees=s["n_trees"],
+        n_packets=s["n_packets"], k=s["k"], quantile_new=s["quantile_new"],
+        quantile_ood=s["quantile_ood"], ood_margin=s["ood_margin"], c_min=s["c_min"],
+        r_cohesion=s["r_cohesion"], train_fraction=s["train_fraction"],
+        seed=s["seed"], n_trees=s["n_trees"],
         max_depth=s["max_depth"], mask=mask)
 
 
@@ -190,7 +186,7 @@ def cmd_index(args: argparse.Namespace) -> int:
         mask = SelectionMask.load(args.mask)
         Xn = apply_mask(Xn, mask)
     entries = [IndexEntry(i, Xn[i], labels[i]) for i in range(Xn.shape[0])]
-    index = NNIndex.build(entries, IndexConfig(s["backend"], s["leaf_size"]))
+    index = NNIndex.build(entries)
     thresholds = calibrate_thresholds(
         Xn, labels, quantile_new=s["quantile_new"], quantile_ood=s["quantile_ood"],
         ood_margin=s["ood_margin"], k=s["k"], c_min=s["c_min"],
@@ -284,20 +280,12 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_bench(args: argparse.Namespace) -> int:
-    s = _settings(args)
-    out = _out_dir(args) / "benchmark.csv"
-    rows = run_ann_benchmark(n=args.n, d=args.d, n_queries=args.queries,
-                             k=s["k"], seed=s["seed"], leaf_size=s["leaf_size"],
-                             out_path=out)
-    for r in rows:
-        print(f"{r.backend:9s} build {r.build_s:8.3f}s  {r.qps:10.1f} q/s  "
-              f"recall@{s['k']} {r.recall_at_k:.3f}")
-    return 0
-
-
 def cmd_synth(args: argparse.Namespace) -> int:
     s = _settings(args)
+    if not 2 <= args.classes <= 8:
+        raise ValidationError(f"--classes {args.classes} must be in [2, 8]")
+    if args.flows_per_class < 1:
+        raise ValidationError(f"--flows-per-class {args.flows_per_class} must be >= 1")
     if args.profile == "default":
         templates = default_templates(args.classes)
     else:
@@ -327,8 +315,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="build a model directory from features")
     p.add_argument("features", help="feature matrix CSV with labels")
-    p.add_argument("--backend", choices=("brute", "kdtree", "balltree"), default=None)
-    p.add_argument("--leaf-size", dest="leaf_size", type=int, default=None)
     p.add_argument("--mask", default=None, help="selection mask JSON to apply")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--c-min", dest="c_min", type=int, default=None)
@@ -345,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("eval", help="split, train, classify, report metrics")
     p.add_argument("flows", help="labeled flow CSV")
-    p.add_argument("--backend", choices=("brute", "kdtree", "balltree"), default=None)
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--n-trees", dest="n_trees", type=int, default=None)
     p.add_argument("--n-packets", dest="n_packets", type=int, default=None)
@@ -360,14 +345,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated ascending packet counts")
     p.add_argument("--k", type=int, default=None)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("bench", help="compare index backends on random data")
-    p.add_argument("--n", type=int, default=5000)
-    p.add_argument("--d", type=int, default=183)
-    p.add_argument("--queries", type=int, default=100)
-    p.add_argument("--k", type=int, default=None)
-    p.add_argument("--leaf-size", dest="leaf_size", type=int, default=None)
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser("synth", help="generate labeled synthetic flows")
     p.add_argument("--classes", type=int, default=5)

@@ -19,8 +19,7 @@ from .features import Normalizer, extract_matrix, fit_normalizer
 from .flows import Flow, truncate_flow
 from .forest import (EnsembleVerdict, ForestConfig, RandomForest,
                      ensemble_classify, train_forest)
-from .index import (BenchmarkRow, IndexConfig, IndexEntry, NNIndex,
-                    benchmark_backend)
+from .index import IndexEntry, NNIndex
 from .selection import SelectionMask, apply_mask
 
 OOD_LABEL = "__ood__"
@@ -132,8 +131,6 @@ def write_metrics_csv(path: str | Path, metrics: Metrics) -> None:
 @dataclass
 class PipelineConfig:
     n_packets: int | None = None
-    backend: str = "brute"
-    leaf_size: int = 32
     k: int = 5
     quantile_new: float = 0.99
     quantile_ood: float = 0.999
@@ -180,7 +177,7 @@ def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
     X_test, y_test = Xn[test_idx], [labels[i] for i in test_idx]
     entries = [IndexEntry(int(i), X_train[row], y_train[row])
                for row, i in enumerate(train_idx)]
-    index = NNIndex.build(entries, IndexConfig(config.backend, config.leaf_size))
+    index = NNIndex.build(entries)
     thresholds = calibrate_thresholds(
         X_train, y_train,
         quantile_new=config.quantile_new, quantile_ood=config.quantile_ood,
@@ -447,23 +444,3 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
             json.dump(doc, fh, sort_keys=True, indent=2)
             fh.write("\n")
     return report
-
-
-def run_ann_benchmark(n: int = 5000, d: int = 183, n_queries: int = 100,
-                      k: int = 5, seed: int = 0, leaf_size: int = 32,
-                      out_path: str | Path | None = None) -> list[BenchmarkRow]:
-    """Seeded random-data benchmark of all backends, written as CSV."""
-    rng = np.random.default_rng(seed)
-    vectors = rng.random((n, d))
-    labels = [f"c{i % 7}" for i in range(n)]
-    entries = [IndexEntry(i, vectors[i], labels[i]) for i in range(n)]
-    queries = rng.random((n_queries, d))
-    rows = benchmark_backend(entries, queries, k, leaf_size=leaf_size)
-    if out_path is not None:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["backend", "build_s", "qps", "recall_at_k"])
-            for r in rows:
-                writer.writerow([r.backend, repr(r.build_s), repr(r.qps),
-                                 repr(r.recall_at_k)])
-    return rows

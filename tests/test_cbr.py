@@ -23,7 +23,7 @@ from flowcbr.cbr import (
     vote,
     write_verdicts,
 )
-from flowcbr.index import IndexConfig, IndexEntry, Neighbor, NNIndex, row_distances
+from flowcbr.index import IndexEntry, Neighbor, NNIndex, row_distances
 
 
 def nb(label, distance, entry_id=0):
@@ -70,8 +70,7 @@ def test_thresholds_round_trip(tmp_path):
 
 def one_point_setup(theta_new=1.0, theta_ood=2.0, **kw):
     """A single training point at the origin of a 1-D line."""
-    index = NNIndex.build([IndexEntry(0, np.array([0.0]), "base")],
-                          IndexConfig("brute"))
+    index = NNIndex.build([IndexEntry(0, np.array([0.0]), "base")])
     registry = ClassRegistry.from_training_labels(["base"])
     th = Thresholds(theta_new=theta_new, theta_ood=theta_ood, k=1, **kw)
     return index, registry, th
@@ -241,7 +240,7 @@ def test_cohort_search_cost_is_bounded(monkeypatch, radius):
     np.fill_diagonal(cos, -1.0)
     assert radius * np.sqrt(2.0 - 2.0 * cos.max()) > 1.05  # pairwise beyond r_cohesion
 
-    index = NNIndex.build([IndexEntry(0, np.zeros(d), "base")], IndexConfig("brute"))
+    index = NNIndex.build([IndexEntry(0, np.zeros(d), "base")])
     registry = ClassRegistry.from_training_labels(["base"])
     th = Thresholds(theta_new=1.0, theta_ood=100.0, k=1, c_min=5, r_cohesion=1.0)
     for t, v in enumerate(centre + radius * dirs):

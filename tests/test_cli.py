@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import flowcbr
-from flowcbr.cli import main
+from flowcbr.cli import DEFAULTS, main
 from flowcbr.features import load_matrix_csv, save_matrix_csv
 from flowcbr.flows import load_flows_csv
 from flowcbr.selection import SelectionMask
@@ -52,7 +52,7 @@ def test_extract_index_classify_chain(tmp_path, flows_csv, capsys):
 
     model = tmp_path / "model"
     assert run("--out", str(model), "index", str(feat_dir / "features.csv"),
-               "--backend", "kdtree", "--k", "3") == 0
+               "--k", "3") == 0
     for name in ("index.json", "normalizer.json", "thresholds.json", "registry.json"):
         assert (model / name).exists(), name
 
@@ -125,15 +125,6 @@ def test_sweep_rejects_bad_counts(flows_csv, capsys):
     assert run("sweep", str(flows_csv), "--counts", "5,2") == 2
 
 
-def test_bench_small(tmp_path, capsys):
-    out = tmp_path / "bench"
-    assert run("--out", str(out), "bench", "--n", "40", "--d", "7",
-               "--queries", "5", "--k", "2") == 0
-    text = capsys.readouterr().out
-    assert text.count("recall@2 1.000") == 3
-    assert (out / "benchmark.csv").exists()
-
-
 def test_missing_input_exits_two(tmp_path, capsys):
     assert run("--out", str(tmp_path), "extract", str(tmp_path / "nope.csv")) == 2
     assert "not found" in capsys.readouterr().err
@@ -190,7 +181,7 @@ def test_config_file_rejections(tmp_path, capsys, content, fragment):
 
 
 def test_config_file_missing(tmp_path, capsys):
-    assert run("--config", str(tmp_path / "nope.json"), "bench", "--n", "5") == 2
+    assert run("--config", str(tmp_path / "nope.json"), "synth") == 2
     assert "config file not found" in capsys.readouterr().err
 
 
@@ -209,14 +200,14 @@ def data_dir(tmp_path_factory):
     (["extract", "{flows}", "--idle-timeout", "0"], None, "idle_timeout"),
     (["index", "{features}", "--k", "0"], None, "k"),
     (["index", "{features}", "--c-min", "0"], None, "c_min"),
-    (["index", "{features}", "--leaf-size", "0"], None, "leaf_size"),
+    (["index", "{features}"], {"leaf_size": 8}, "leaf_size"),
     (["eval", "{flows}", "--n-trees", "0"], None, "n_trees"),
     (["eval", "{flows}", "--train-fraction", "1.0"], None, "train_fraction"),
     (["index", "{features}"], {"r_cohesion": -1}, "r_cohesion"),
     (["index", "{features}"], {"k": "5"}, "k"),
     (["index", "{features}"], {"seed": 1.5}, "seed"),
     (["index", "{features}"], {"seed": True}, "seed"),
-    (["index", "{features}"], {"backend": "octree"}, "backend"),
+    (["index", "{features}"], {"backend": "kdtree"}, "backend"),
     (["index", "{features}"], {"quantile_new": 0}, "quantile_new"),
     (["index", "{features}"], {"quantile_new": float("nan")}, "quantile_new"),
     (["index", "{features}"], {"quantile_ood": 1.5}, "quantile_ood"),
@@ -236,8 +227,26 @@ def test_bad_settings_exit_two(data_dir, tmp_path, capsys, argv, config, key):
         head += ["--config", str(cfg)]
     assert run(*head, *argv) == 2
     err = capsys.readouterr().err
-    assert f"error: setting {key}=" in err
+    # backend and leaf_size were settings once; a config file naming them
+    # now fails as any unknown key does.
+    if key in DEFAULTS:
+        assert f"error: setting {key}=" in err
+    else:
+        assert f"error: unknown config keys: ['{key}']" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--classes", "0"],
+    ["--classes", "99"],
+    ["--flows-per-class", "0"],
+])
+def test_synth_bad_flags_exit_two(tmp_path, capsys, argv):
+    assert run("--out", str(tmp_path), "synth", *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {argv[0]} {argv[1]} must be" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "flows.csv").exists()
 
 
 def test_boundary_settings_accepted(data_dir, tmp_path):

@@ -18,7 +18,7 @@ from flowcbr.forest import (
     ensemble_classify,
     train_forest,
 )
-from flowcbr.index import IndexConfig, IndexEntry, NNIndex
+from flowcbr.index import IndexEntry, NNIndex
 
 MIN_IMPROVEMENT = 1e-12
 
@@ -268,8 +268,7 @@ def test_predict_batch_requires_matrix():
 
 def ensemble_setup():
     """1-D world: retrieval point at 0, forest trained on two blobs."""
-    index = NNIndex.build([IndexEntry(0, np.array([0.0]), "base")],
-                          IndexConfig("brute"))
+    index = NNIndex.build([IndexEntry(0, np.array([0.0]), "base")])
     registry = ClassRegistry.from_training_labels(["base"])
     th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1)
     Xf = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])

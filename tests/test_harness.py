@@ -21,7 +21,6 @@ from flowcbr.harness import (
     fit_pipeline,
     new_class_protocol,
     packet_sweep,
-    run_ann_benchmark,
     run_cbr_stream,
     run_eval,
     stratified_split,
@@ -310,17 +309,3 @@ def test_new_class_protocol_end_to_end(tmp_path):
     assert doc["registered_label"] == report.registered_label
     assert (tmp_path / "metrics_before.csv").exists()
     assert (tmp_path / "metrics_after.csv").exists()
-
-
-# ---------------------------------------------------------------- ann bench
-
-
-def test_ann_benchmark_reports_all_backends(tmp_path):
-    path = tmp_path / "bench.csv"
-    rows = run_ann_benchmark(n=60, d=11, n_queries=10, k=3, seed=0, out_path=path)
-    assert [r.backend for r in rows] == ["brute", "kdtree", "balltree"]
-    assert all(r.recall_at_k == 1.0 for r in rows)
-    assert all(r.qps > 0 for r in rows)
-    lines = list(csv.reader(open(path)))
-    assert lines[0] == ["backend", "build_s", "qps", "recall_at_k"]
-    assert len(lines) == 4

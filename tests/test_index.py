@@ -1,8 +1,8 @@
 """Nearest-neighbor index tests.
 
 The reference answer for every query is an independent full-distance-matrix
-scan written here, not the index's own brute path. Backend results must match
-it exactly: same ids, bit-identical distance floats.
+scan written here, not the index's own code path. The index must match it
+exactly: same ids, bit-identical distance floats.
 """
 
 import json
@@ -10,14 +10,7 @@ import json
 import numpy as np
 import pytest
 
-from flowcbr.index import (
-    BACKENDS,
-    IndexConfig,
-    IndexEntry,
-    NNIndex,
-    benchmark_backend,
-    row_distances,
-)
+from flowcbr.index import IndexEntry, NNIndex, row_distances
 
 
 def reference_knn(vectors, ids, q, k):
@@ -32,63 +25,82 @@ def make_entries(rng, n, d, scale=1.0):
     return [IndexEntry(i, vectors[i], f"c{i % 4}") for i in range(n)], vectors
 
 
-def build(entries, backend, leaf_size=8):
-    return NNIndex.build(entries, IndexConfig(backend, leaf_size))
+def pairs(index, q, k):
+    return [(nb.distance, nb.entry_id) for nb in index.query_knn(q, k)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+# Every backend a version-1 snapshot could name. The index is one exact scan
+# now, but model directories written when it could be a tree still hold
+# these names and must load and answer like the brute-force index.
+LEGACY_BACKENDS = ("brute", "kdtree", "balltree")
+
+
+def legacy_snapshot(index, backend, path):
+    """Write ``index`` as a version-1 snapshot naming ``backend``, in the
+    layout that carried ``backend`` and ``leaf_size``, and load it back."""
+    index.save(path)
+    doc = json.loads(path.read_text())
+    doc["config"] = {"backend": backend, "dimension": index.dimension, "leaf_size": 8}
+    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
+    return NNIndex.load(path)
+
+
+@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 @pytest.mark.parametrize("n,d,k", [(1, 3, 1), (17, 2, 5), (100, 11, 10), (300, 20, 3)])
-def test_backends_match_reference_exactly(backend, n, d, k):
+def test_backends_match_reference_exactly(backend, n, d, k, tmp_path):
+    """The built index, and the same index loaded from a version-1 snapshot
+    naming ``backend``, both match the reference scan exactly."""
     rng = np.random.default_rng(n * 100 + d)
     entries, vectors = make_entries(rng, n, d)
-    index = build(entries, backend)
+    index = NNIndex.build(entries)
+    loaded = legacy_snapshot(index, backend, tmp_path / "index.json")
     ids = [e.id for e in entries]
     for q in rng.normal(size=(25, d)):
         want = reference_knn(vectors, ids, q, k)
-        got = [(nb.distance, nb.entry_id) for nb in index.query_knn(q, k)]
-        assert got == want
+        assert pairs(index, q, k) == want
+        assert pairs(loaded, q, k) == want
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_duplicate_points_tie_break_by_id(backend):
-    """Several entries at the same point: ascending ids win the tie."""
+@pytest.mark.parametrize("seed", range(4))
+def test_ties_across_the_kth_distance_go_to_lower_ids(seed):
+    """Lattice points in shuffled id order: many rows share the k-th
+    distance, and every k must keep the lowest ids among them."""
+    rng = np.random.default_rng(seed)
+    n, d = 60, 3
+    vectors = rng.integers(0, 3, size=(n, d)).astype(np.float64)
+    ids = rng.permutation(1000)[:n].tolist()
+    index = NNIndex.build([IndexEntry(i, v, "x") for i, v in zip(ids, vectors)])
+    for q in rng.integers(0, 3, size=(5, d)).astype(np.float64):
+        for k in range(1, n + 1):
+            assert pairs(index, q, k) == reference_knn(vectors, ids, q, k), k
+
+
+@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
+def test_duplicate_points_tie_break_by_id(backend, tmp_path):
+    """Several entries at the same point: ascending ids win the tie, also
+    after a version-1 snapshot naming ``backend`` is loaded."""
     point = np.array([1.0, 2.0])
     entries = [IndexEntry(i, point.copy(), "x") for i in (9, 3, 7, 5)]
     entries.append(IndexEntry(1, np.array([50.0, 50.0]), "y"))
-    index = build(entries, backend, leaf_size=2)
-    got = index.query_knn(np.array([1.0, 2.0]), 3)
-    assert [nb.entry_id for nb in got] == [3, 5, 7]
-    assert [nb.distance for nb in got] == [0.0, 0.0, 0.0]
-
-
-@pytest.mark.parametrize("backend", ("kdtree", "balltree"))
-def test_tree_handles_all_identical_points(backend):
-    entries = [IndexEntry(i, np.ones(4), "x") for i in range(40)]
-    index = build(entries, backend, leaf_size=4)
-    got = index.query_knn(np.ones(4), 5)
-    assert [nb.entry_id for nb in got] == [0, 1, 2, 3, 4]
-
-
-@pytest.mark.parametrize("backend", ("kdtree", "balltree"))
-def test_tree_depth_is_logarithmic(backend):
-    rng = np.random.default_rng(0)
-    entries, _ = make_entries(rng, 512, 6)
-    index = build(entries, backend, leaf_size=8)
-    # 512 points, leaves of 8: a balanced split tree has depth 6
-    assert index.depth() <= int(np.ceil(np.log2(512 / 8))) + 1
+    index = NNIndex.build(entries)
+    loaded = legacy_snapshot(index, backend, tmp_path / "index.json")
+    for idx in (index, loaded):
+        got = idx.query_knn(np.array([1.0, 2.0]), 3)
+        assert [nb.entry_id for nb in got] == [3, 5, 7]
+        assert [nb.distance for nb in got] == [0.0, 0.0, 0.0]
 
 
 def test_query_k_clamps_to_size():
     rng = np.random.default_rng(1)
     entries, vectors = make_entries(rng, 4, 3)
-    index = build(entries, "brute")
+    index = NNIndex.build(entries)
     assert len(index.query_knn(vectors[0], 10)) == 4
 
 
 def test_query_validation_errors():
     rng = np.random.default_rng(2)
     entries, vectors = make_entries(rng, 5, 3)
-    index = build(entries, "kdtree")
+    index = NNIndex.build(entries)
     with pytest.raises(ValueError):
         index.query_knn(vectors[0], 0)
     with pytest.raises(ValueError):
@@ -97,26 +109,23 @@ def test_query_validation_errors():
 
 def test_build_validation_errors():
     with pytest.raises(ValueError):
-        NNIndex.build([], IndexConfig("brute"))
+        NNIndex.build([])
     dup = [IndexEntry(1, np.zeros(2), "a"), IndexEntry(1, np.ones(2), "b")]
     with pytest.raises(ValueError, match="unique"):
-        NNIndex.build(dup, IndexConfig("brute"))
+        NNIndex.build(dup)
     ragged = [IndexEntry(1, np.zeros(2), "a"), IndexEntry(2, np.ones(3), "b")]
     with pytest.raises(ValueError, match="dimension"):
-        NNIndex.build(ragged, IndexConfig("brute"))
-    with pytest.raises(ValueError, match="backend"):
-        IndexConfig("quadtree")
-    with pytest.raises(ValueError):
-        IndexConfig("brute", leaf_size=0)
+        NNIndex.build(ragged)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_insert_stays_exact(backend):
-    """Grow an index well past the rebuild threshold, checking after every
-    insert that queries still match the reference scan."""
+@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
+def test_insert_stays_exact(backend, tmp_path):
+    """Load a version-1 snapshot naming ``backend`` and grow the index to
+    2.5x its size, checking after every insert that queries still match
+    the reference scan."""
     rng = np.random.default_rng(7)
     entries, _ = make_entries(rng, 20, 5)
-    index = build(entries, backend, leaf_size=4)
+    index = legacy_snapshot(NNIndex.build(entries), backend, tmp_path / "index.json")
     vectors = [e.vector for e in entries]
     ids = [e.id for e in entries]
     for step in range(30):
@@ -126,16 +135,15 @@ def test_insert_stays_exact(backend):
         vectors.append(v)
         ids.append(new_id)
         q = rng.normal(size=5)
-        want = reference_knn(np.stack(vectors), ids, q, 5)
-        got = [(nb.distance, nb.entry_id) for nb in index.query_knn(q, 5)]
-        assert got == want, f"step {step}"
+        assert pairs(index, q, 5) == reference_knn(np.stack(vectors), ids, q, 5), \
+            f"step {step}"
     assert index.size == 50
 
 
 def test_insert_rejects_duplicates_and_bad_shape():
     rng = np.random.default_rng(3)
     entries, _ = make_entries(rng, 5, 3)
-    index = build(entries, "balltree")
+    index = NNIndex.build(entries)
     with pytest.raises(ValueError, match="duplicate"):
         index.insert(IndexEntry(0, np.zeros(3), "x"))
     with pytest.raises(ValueError, match="dimension"):
@@ -144,7 +152,7 @@ def test_insert_rejects_duplicates_and_bad_shape():
 
 def test_next_id_follows_max():
     entries = [IndexEntry(5, np.zeros(2), "a"), IndexEntry(2, np.ones(2), "b")]
-    index = build(entries, "brute")
+    index = NNIndex.build(entries)
     assert index.next_id() == 6
     index.insert(IndexEntry(10, np.full(2, 2.0), "c"))
     assert index.next_id() == 11
@@ -153,7 +161,7 @@ def test_next_id_follows_max():
 def test_clone_is_independent():
     rng = np.random.default_rng(4)
     entries, _ = make_entries(rng, 6, 3)
-    index = build(entries, "kdtree")
+    index = NNIndex.build(entries)
     copy = index.clone()
     copy.insert(IndexEntry(copy.next_id(), np.zeros(3), "later"))
     assert copy.size == 7 and index.size == 6
@@ -162,24 +170,50 @@ def test_clone_is_independent():
 def test_labels_travel_with_neighbors():
     entries = [IndexEntry(0, np.array([0.0]), "near"),
                IndexEntry(1, np.array([9.0]), "far")]
-    index = build(entries, "brute")
+    index = NNIndex.build(entries)
     got = index.query_knn(np.array([1.0]), 2)
     assert [nb.label for nb in got] == ["near", "far"]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 def test_snapshot_round_trip_query_identical(backend, tmp_path):
+    """A version-1 snapshot naming ``backend`` loads, saves again without
+    the tree keys, and both copies answer like the original index."""
     rng = np.random.default_rng(11)
     entries, _ = make_entries(rng, 60, 7)
-    index = build(entries, backend)
+    index = NNIndex.build(entries)
+    legacy = legacy_snapshot(index, backend, tmp_path / "legacy.json")
     path = tmp_path / "index.json"
-    index.save(path)
+    legacy.save(path)
+    assert json.loads(path.read_text())["config"] == {"dimension": 7}
     back = NNIndex.load(path)
-    assert back.config.backend == backend
+    assert back.dimension == 7
     for q in rng.normal(size=(20, 7)):
         a = [(nb.distance, nb.entry_id, nb.label) for nb in index.query_knn(q, 5)]
-        b = [(nb.distance, nb.entry_id, nb.label) for nb in back.query_knn(q, 5)]
-        assert a == b
+        for other in (legacy, back):
+            b = [(nb.distance, nb.entry_id, nb.label) for nb in other.query_knn(q, 5)]
+            assert a == b
+
+
+def test_v1_snapshot_naming_a_tree_backend_loads(tmp_path):
+    """A version-1 snapshot from when the index could be a kd-tree still
+    loads: its backend and leaf_size keys are ignored."""
+    rng = np.random.default_rng(12)
+    vectors = rng.normal(size=(40, 4))
+    ids = [int(i) for i in rng.permutation(100)[:40]]
+    path = tmp_path / "index.json"
+    path.write_text(json.dumps({
+        "format_version": 1,
+        "config": {"backend": "kdtree", "dimension": 4, "leaf_size": 8},
+        "entries": [{"id": i, "label": f"c{i % 3}", "vector": v.tolist()}
+                    for i, v in zip(ids, vectors)],
+    }))
+    index = NNIndex.load(path)
+    assert index.size == 40 and index.dimension == 4
+    for q in rng.normal(size=(20, 4)):
+        got = index.query_knn(q, 6)
+        assert [(nb.distance, nb.entry_id) for nb in got] == reference_knn(vectors, ids, q, 6)
+        assert all(nb.label == f"c{nb.entry_id % 3}" for nb in got)
 
 
 def test_snapshot_rejects_corrupt_and_mismatched(tmp_path):
@@ -196,21 +230,11 @@ def test_snapshot_rejects_corrupt_and_mismatched(tmp_path):
     bad_entry = tmp_path / "entry.json"
     bad_entry.write_text(json.dumps({
         "format_version": 1,
-        "config": {"backend": "brute", "leaf_size": 32, "dimension": 3},
+        "config": {"dimension": 3},
         "entries": [{"id": 0, "label": "a", "vector": [1.0, 2.0]}],
     }))
     with pytest.raises(ValueError, match="dimension"):
         NNIndex.load(bad_entry)
-
-
-def test_stats_reports_counts_and_bytes():
-    rng = np.random.default_rng(5)
-    entries, _ = make_entries(rng, 10, 4)
-    index = build(entries, "kdtree")
-    stats = index.stats
-    assert stats.entry_count == 10
-    assert stats.build_time >= 0.0
-    assert stats.bytes_estimate >= 10 * 4 * 8
 
 
 def test_row_distances_matches_norm():
@@ -219,20 +243,3 @@ def test_row_distances_matches_norm():
     q = rng.normal(size=9)
     np.testing.assert_array_equal(row_distances(m, q),
                                   np.sqrt(np.einsum("ij,ij->i", m - q, m - q)))
-
-
-def test_benchmark_reports_unit_recall_for_exact_backends():
-    rng = np.random.default_rng(8)
-    entries, _ = make_entries(rng, 200, 10)
-    queries = rng.normal(size=(10, 10))
-    rows = benchmark_backend(entries, queries, k=5)
-    assert [r.backend for r in rows] == list(BACKENDS)
-    for row in rows:
-        assert row.recall_at_k == 1.0
-        assert row.build_s >= 0.0 and row.qps > 0.0
-        assert row.median_query_s <= row.mean_query_s * 10
-
-
-def test_benchmark_rejects_empty():
-    with pytest.raises(ValueError):
-        benchmark_backend([], np.zeros((1, 2)), 1)
