@@ -223,6 +223,26 @@ def _cohesive_cohort(registry: ClassRegistry, q: np.ndarray,
     return kept
 
 
+def _loo_nn_distances(X: np.ndarray, y: list[str] | np.ndarray) -> list[float]:
+    """Each row's nearest same-class distance, the row itself left out."""
+    y_arr = np.asarray(y)
+    nn_dists: list[float] = []
+    skipped = []
+    for label in np.unique(y_arr):
+        block = X[y_arr == label]
+        if block.shape[0] < 2:
+            skipped.append(str(label))
+            continue
+        for i in range(block.shape[0]):
+            d = row_distances(block, block[i])
+            d[i] = np.inf
+            nn_dists.append(float(d.min()))
+    if skipped:
+        warnings.warn(f"classes with one sample skipped in calibration: {skipped}",
+                      stacklevel=3)
+    return nn_dists
+
+
 def calibrate_thresholds(X: np.ndarray, y: list[str] | np.ndarray,
                          quantile_new: float = DEFAULT_QUANTILE_NEW,
                          quantile_ood: float = DEFAULT_QUANTILE_OOD,
@@ -236,20 +256,7 @@ def calibrate_thresholds(X: np.ndarray, y: list[str] | np.ndarray,
     tiny epsilon), theta_ood the quantile_ood quantile scaled by ood_margin.
     Classes with a single sample are skipped with a warning.
     """
-    y_arr = np.asarray(y)
-    nn_dists: list[float] = []
-    skipped = []
-    for label in np.unique(y_arr):
-        block = X[y_arr == label]
-        if block.shape[0] < 2:
-            skipped.append(str(label))
-            continue
-        for i in range(block.shape[0]):
-            d = row_distances(np.delete(block, i, axis=0), block[i])
-            nn_dists.append(float(d.min()))
-    if skipped:
-        warnings.warn(f"classes with one sample skipped in calibration: {skipped}",
-                      stacklevel=2)
+    nn_dists = _loo_nn_distances(X, y)
     if not nn_dists:
         raise ValueError("calibration needs at least one class with >= 2 samples")
     arr = np.array(nn_dists)

@@ -1,10 +1,11 @@
 """Random-forest baseline, built from scratch on CART trees.
 
 Trees grow on bootstrap samples with Gini-impurity splits over a random
-subset of feature slots per node (ceil(sqrt(d)) by default). Everything is
-seeded: the same config and data always produce the same forest. The
-ensemble combiner at the bottom routes retrieval verdicts: rejection and
-new-class outcomes pass through, everything recognized goes to the forest.
+subset of feature slots per node (ceil(sqrt(d)) by default), all scored in
+one vectorized pass. Everything is seeded: the same config and data always
+produce the same forest. The ensemble rule (``route_verdict``) passes
+rejection and new-class verdicts through and gives recognized samples the
+forest's label; it serves one sample or a batch of reused verdicts alike.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -51,43 +53,43 @@ class _Node:
 
 
 def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
-                candidates: np.ndarray, n_classes: int,
+                candidates: np.ndarray, counts: np.ndarray,
                 min_samples_leaf: int) -> tuple[float, int, float] | None:
     """Best (score, slot, threshold) over candidate slots, or None.
 
     The score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right;
     maximizing it minimizes the weighted Gini impurity of the children.
-    Counts are integers, so the score is exact float arithmetic.
+    All slots are scored in one pass from integer counts (one class of the
+    node's ``counts`` at a time), so the score is exact float arithmetic.
+    Ties go to a slot's first split point, then to the first slot.
     """
     n = positions.size
-    sub_codes = codes[positions]
-    best: tuple[float, int, float] | None = None
-    for slot in candidates:
-        col = X[positions, slot]
-        order = np.argsort(col, kind="stable")
-        sorted_vals = col[order]
-        onehot = np.zeros((n, n_classes))
-        onehot[np.arange(n), sub_codes[order]] = 1.0
-        cum = onehot.cumsum(axis=0)
-        total = cum[-1]
-        left_counts = cum[:-1]
-        left_n = np.arange(1, n, dtype=np.float64)
-        right_n = n - left_n
-        valid = ((sorted_vals[:-1] < sorted_vals[1:])
-                 & (left_n >= min_samples_leaf)
-                 & (right_n >= min_samples_leaf))
-        if not valid.any():
-            continue
-        score = ((left_counts ** 2).sum(axis=1) / left_n
-                 + ((total - left_counts) ** 2).sum(axis=1) / right_n)
-        score = np.where(valid, score, -np.inf)
-        i = int(np.argmax(score))
-        if best is None or score[i] > best[0]:
-            threshold = (sorted_vals[i] + sorted_vals[i + 1]) / 2.0
-            if threshold >= sorted_vals[i + 1]:
-                threshold = float(sorted_vals[i])
-            best = (float(score[i]), int(slot), float(threshold))
-    return best
+    block = X.T[np.ix_(candidates, positions)]  # (m, n): one row per slot
+    order = np.argsort(block, axis=1, kind="stable")
+    sorted_vals = np.take_along_axis(block, order, axis=1)
+    sorted_codes = codes[positions][order[:, :-1]]
+    left_sq = np.zeros((candidates.size, n - 1), dtype=np.int64)
+    right_sq = np.zeros_like(left_sq)
+    for c in np.flatnonzero(counts):
+        left = np.cumsum(sorted_codes == c, axis=1)
+        left_sq += left * left
+        right = counts[c] - left
+        right_sq += right * right
+    left_n = np.arange(1, n, dtype=np.float64)
+    right_n = n - left_n
+    valid = ((sorted_vals[:, :-1] < sorted_vals[:, 1:])
+             & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
+    score = np.where(valid, left_sq / left_n + right_sq / right_n, -np.inf)
+    cols = score.argmax(axis=1)
+    slot_best = score[np.arange(candidates.size), cols]
+    j = int(np.argmax(slot_best))
+    if slot_best[j] == -np.inf:
+        return None
+    lo, hi = sorted_vals[j, cols[j]], sorted_vals[j, cols[j] + 1]
+    threshold = (lo + hi) / 2.0
+    if threshold >= hi:
+        threshold = float(lo)
+    return float(slot_best[j]), int(candidates[j]), float(threshold)
 
 
 def _build_tree(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
@@ -100,7 +102,7 @@ def _build_tree(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
             or (config.max_depth is not None and depth >= config.max_depth)):
         return _Node(counts=counts)
     candidates = np.sort(rng.choice(X.shape[1], size=fps, replace=False))
-    best = _best_split(X, codes, positions, candidates, n_classes, config.min_samples_leaf)
+    best = _best_split(X, codes, positions, candidates, counts, config.min_samples_leaf)
     if best is None:
         return _Node(counts=counts)
     score, slot, threshold = best
@@ -266,15 +268,15 @@ class EnsembleVerdict:
     verdict: Verdict | str
 
 
+def route_verdict(verdict: Verdict, forest_label: Callable[[], str]) -> EnsembleVerdict:
+    """A Known verdict takes the forest's label (source "Forest", and only
+    then is ``forest_label`` called); others pass through (source "CBR")."""
+    if verdict.kind is VerdictKind.KNOWN:
+        return EnsembleVerdict(source="Forest", verdict=forest_label())
+    return EnsembleVerdict(source="CBR", verdict=verdict)
+
+
 def ensemble_classify(index: NNIndex, registry: ClassRegistry, forest: RandomForest,
                       q: np.ndarray, th: Thresholds) -> EnsembleVerdict:
-    """Retrieval screens the sample; the forest labels what it recognizes.
-
-    Rejected (OOD) and new-class outcomes are returned as-is with source
-    "CBR"; recognized samples get the forest's label with source "Forest".
-    """
-    verdict = classify(index, registry, q, th)
-    if verdict.kind is VerdictKind.KNOWN:
-        label, _ = forest.predict(q)
-        return EnsembleVerdict(source="Forest", verdict=label)
-    return EnsembleVerdict(source="CBR", verdict=verdict)
+    """Retrieval screens one sample; the forest labels it if it is recognized."""
+    return route_verdict(classify(index, registry, q, th), lambda: forest.predict(q)[0])

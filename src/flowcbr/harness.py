@@ -17,8 +17,7 @@ from .cbr import (ClassRegistry, Thresholds, Verdict, VerdictKind,
                   calibrate_thresholds, classify, vote, write_verdicts)
 from .features import Normalizer, extract_matrix, fit_normalizer
 from .flows import Flow, truncate_flow
-from .forest import (EnsembleVerdict, ForestConfig, RandomForest,
-                     ensemble_classify, train_forest)
+from .forest import EnsembleVerdict, ForestConfig, route_verdict, train_forest
 from .index import IndexEntry, NNIndex
 from .selection import SelectionMask, apply_mask
 
@@ -241,14 +240,10 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
     forest_preds, _ = forest.predict_batch(fitted.X_test)
     metrics_forest = compute_metrics(fitted.y_test, forest_preds, class_set)
 
-    ens_index = fitted.index.clone()
-    ens_registry = fitted.registry.clone()
-    ensemble_records = []
-    ens_preds = []
-    for flow_id, row in zip(fitted.test_ids, fitted.X_test):
-        ev = ensemble_classify(ens_index, ens_registry, forest, row, fitted.thresholds)
-        ensemble_records.append((flow_id, ev))
-        ens_preds.append(ev.verdict if ev.source == "Forest" else verdict_label(ev.verdict))
+    ensemble_records = [(flow_id, route_verdict(v, lambda label=label: label))
+                        for (flow_id, v), label in zip(verdicts, forest_preds)]
+    ens_preds = [ev.verdict if ev.source == "Forest" else verdict_label(ev.verdict)
+                 for _, ev in ensemble_records]
     metrics_ensemble = compute_metrics(fitted.y_test, ens_preds, class_set)
 
     report = EvalReport(metrics_cbr=metrics_cbr, metrics_forest=metrics_forest,

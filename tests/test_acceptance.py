@@ -6,7 +6,6 @@ measured numbers, so a plain pytest run doubles as an acceptance report.
 """
 
 import time
-from pathlib import Path
 
 import numpy as np
 import pytest

@@ -303,6 +303,45 @@ def test_calibration_matches_hand_quantiles():
     assert th.r_cohesion == pytest.approx(2.0 * th.theta_ood)
 
 
+def delete_loop_nn_distances(X, y):
+    """The original calibration loop: one copy of the class block per row,
+    with the row deleted, and the minimum distance over that copy."""
+    y_arr = np.asarray(y)
+    out = []
+    for label in np.unique(y_arr):
+        block = X[y_arr == label]
+        if block.shape[0] < 2:
+            continue
+        for i in range(block.shape[0]):
+            out.append(float(row_distances(np.delete(block, i, axis=0), block[i]).min()))
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.sampled_from([1, 2, 7, 183]),
+       st.lists(st.integers(min_value=2, max_value=40), min_size=1, max_size=5),
+       st.integers(min_value=1, max_value=40),
+       st.booleans())
+def test_calibration_distances_match_delete_loop(seed, d, class_sizes, n_distinct,
+                                                 lattice):
+    """Bit-identical leave-one-out distances, in the same order. Drawing rows
+    from fewer distinct vectors than rows gives duplicates (distance 0 to a
+    twin); classes of size 2 leave exactly one other row; lattice points
+    give many tied distances."""
+    rng = np.random.default_rng(seed)
+    n = sum(class_sizes)
+    if lattice:
+        pool = rng.integers(0, 3, size=(n_distinct, d)) * 0.25
+    else:
+        pool = rng.normal(size=(n_distinct, d)) * 10.0 ** rng.integers(-2, 3)
+    X = pool[rng.integers(n_distinct, size=n)]
+    y = rng.permutation(np.repeat([f"c{i}" for i in range(len(class_sizes))],
+                                  class_sizes))
+    got = cbr_mod._loo_nn_distances(X, y)
+    assert got == delete_loop_nn_distances(X, y)
+
+
 def test_calibration_margin_and_quantiles_are_knobs():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(60, 4))

@@ -9,7 +9,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from flowcbr import forest as forest_mod
 from flowcbr.cbr import ClassRegistry, Thresholds, VerdictKind
 from flowcbr.forest import (
     EnsembleVerdict,
@@ -56,6 +59,51 @@ def ref_best_split(X, codes, positions, n_classes, msl):
                 threshold = float(vals[i])
             best = (score, slot, threshold)
     return best
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=0, max_value=2 ** 32 - 1),
+       st.integers(min_value=2, max_value=60),
+       st.integers(min_value=1, max_value=12),
+       st.integers(min_value=2, max_value=5),
+       st.sampled_from([None, 1, 2, 4]),
+       st.integers(min_value=1, max_value=8),
+       st.data())
+def test_best_split_matches_reference_on_candidate_subset(seed, n, d, n_classes,
+                                                          n_values, msl, data):
+    """The vectorized search over a random candidate subset equals the
+    exhaustive reference run on those slots alone. Few distinct values
+    (n_values) make tied split points, None draws continuous values;
+    duplicated columns make slots tie, mirrored codes make split points of
+    one slot tie; constant columns and large min_samples_leaf leave slots,
+    or the whole node, without a valid split."""
+    rng = np.random.default_rng(seed)
+    if n_values is None:
+        X = rng.normal(size=(n, d))
+    else:
+        X = rng.integers(0, n_values, size=(n, d)) * 0.5
+    codes = rng.integers(0, n_classes, size=n)
+    positions = np.sort(rng.choice(n, size=data.draw(st.integers(2, n)), replace=False))
+    kind = data.draw(st.sampled_from(["plain", "duplicate", "constant", "mirror"]))
+    if kind == "duplicate" and d > 1:
+        X[:, rng.integers(d, size=d)] = X[:, [rng.integers(d)]]
+    elif kind == "constant":
+        X[:, rng.integers(d, size=d // 2 + 1)] = 1.0
+    elif kind == "mirror":  # a symmetric code sequence: split points i and n-2-i tie
+        X[:] = np.arange(n)[:, None]
+        codes = codes[np.minimum(np.arange(n), n - 1 - np.arange(n))]
+        positions = np.arange(n)
+    m = data.draw(st.integers(min_value=1, max_value=d))
+    candidates = np.sort(rng.choice(d, size=m, replace=False))
+    counts = np.bincount(codes[positions], minlength=n_classes)
+
+    got = forest_mod._best_split(X, codes, positions, candidates, counts, msl)
+    want = ref_best_split(X[:, candidates], codes, positions, n_classes, msl)
+    if want is None:
+        assert got is None
+    else:
+        score, slot, threshold = want
+        assert got == (score, int(candidates[slot]), threshold)
 
 
 def ref_build_tree(X, codes, positions, n_classes, msl, max_depth, depth=0):

@@ -9,10 +9,10 @@ import pytest
 
 from flowcbr.cbr import Verdict, VerdictKind
 from flowcbr.features import extract_matrix, fit_normalizer
+from flowcbr.forest import ForestConfig, ensemble_classify, train_forest
 from flowcbr.harness import (
     OOD_LABEL,
     PENDING_LABEL,
-    Metrics,
     PipelineConfig,
     SplitSpec,
     SweepPoint,
@@ -231,6 +231,40 @@ def test_run_eval_writes_artifacts(tmp_path):
     lines = (tmp_path / "verdicts.jsonl").read_text().splitlines()
     assert len(lines) == report.n_test
     assert {"flow_id", "kind", "label", "min_distance", "votes"} == set(json.loads(lines[0]))
+
+
+def per_row_ensemble_oracle(flows, config):
+    """The original combined stage: fresh clones of the fitted index and
+    registry, then one ensemble_classify (a second retrieval pass and a
+    one-row forest prediction) per test row."""
+    fitted = fit_pipeline(flows, config)
+    forest = train_forest(fitted.X_train, fitted.y_train,
+                          ForestConfig(n_trees=config.n_trees, max_depth=config.max_depth,
+                                       seed=config.seed))
+    index, registry = fitted.index.clone(), fitted.registry.clone()
+    records, preds = [], []
+    for flow_id, row in zip(fitted.test_ids, fitted.X_test):
+        ev = ensemble_classify(index, registry, forest, row, fitted.thresholds)
+        records.append((flow_id, ev))
+        preds.append(ev.verdict if ev.source == "Forest" else verdict_label(ev.verdict))
+    return records, compute_metrics(fitted.y_test, preds, sorted(set(fitted.y_train)))
+
+
+def test_run_eval_ensemble_matches_per_row_oracle():
+    """Tight thresholds and c_min=2 give a stream with every verdict kind;
+    the reused verdicts and batch labels must reproduce the per-row stage."""
+    flows = flows_small(n_per_class=30)
+    config = PipelineConfig(seed=0, n_trees=10, quantile_new=0.3, quantile_ood=0.6,
+                            ood_margin=1.0, c_min=2)
+    report = run_eval(flows, config)
+    assert {v.kind for _, v in report.verdicts} == set(VerdictKind)
+
+    records, metrics = per_row_ensemble_oracle(flows, config)
+    assert report.ensemble_records == records
+    got = report.metrics_ensemble
+    assert (got.accuracy, got.per_class, got.labels) == \
+        (metrics.accuracy, metrics.per_class, metrics.labels)
+    np.testing.assert_array_equal(got.confusion, metrics.confusion)
 
 
 def test_run_eval_reruns_byte_identical(tmp_path):
