@@ -21,8 +21,6 @@ from .harness import (Metrics, PipelineConfig, SplitSpec, compute_metrics,
                       find_plateau, new_class_protocol, packet_sweep,
                       run_eval, stratified_split)
 from .index import IndexEntry, Neighbor, NNIndex, row_distances
-from .selection import (FeatureScore, SelectionMask, apply_mask,
-                        compose_masks, score_features, select_minimal)
 from .synth import ClassTemplate, default_templates, sweep_templates, synth_generate
 
 __version__ = "0.1.0"
@@ -34,7 +32,6 @@ __all__ = [
     "Direction",
     "EnsembleVerdict",
     "FeatureSchema",
-    "FeatureScore",
     "Flow",
     "FlowKey",
     "FlowPacket",
@@ -48,18 +45,15 @@ __all__ = [
     "PipelineConfig",
     "Protocol",
     "RandomForest",
-    "SelectionMask",
     "SplitSpec",
     "TcpFlags",
     "Thresholds",
     "Verdict",
     "VerdictKind",
     "add_labeled_sample",
-    "apply_mask",
     "assemble_flows",
     "calibrate_thresholds",
     "classify",
-    "compose_masks",
     "compute_metrics",
     "default_templates",
     "ensemble_classify",
@@ -74,8 +68,6 @@ __all__ = [
     "row_distances",
     "run_eval",
     "save_flows_csv",
-    "score_features",
-    "select_minimal",
     "stratified_split",
     "sweep_templates",
     "synth_generate",

@@ -26,7 +26,6 @@ from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
                       packet_sweep, run_eval)
 from .index import IndexEntry, NNIndex
-from .selection import SelectionMask, apply_mask
 from .synth import default_templates, sweep_templates, synth_generate
 
 log = logging.getLogger("flowcbr")
@@ -127,13 +126,13 @@ def _settings(args: argparse.Namespace) -> dict:
     return merged
 
 
-def _pipeline_config(s: dict, mask: SelectionMask | None = None) -> PipelineConfig:
+def _pipeline_config(s: dict) -> PipelineConfig:
     return PipelineConfig(
         n_packets=s["n_packets"], k=s["k"], quantile_new=s["quantile_new"],
         quantile_ood=s["quantile_ood"], ood_margin=s["ood_margin"], c_min=s["c_min"],
         r_cohesion=s["r_cohesion"], train_fraction=s["train_fraction"],
         seed=s["seed"], n_trees=s["n_trees"],
-        max_depth=s["max_depth"], mask=mask)
+        max_depth=s["max_depth"])
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -181,10 +180,6 @@ def cmd_index(args: argparse.Namespace) -> int:
         raise ValidationError("indexing needs a label on every row")
     normalizer = fit_normalizer(matrix)
     Xn = normalizer.transform(matrix)
-    mask = None
-    if args.mask:
-        mask = SelectionMask.load(args.mask)
-        Xn = apply_mask(Xn, mask)
     entries = [IndexEntry(i, Xn[i], labels[i]) for i in range(Xn.shape[0])]
     index = NNIndex.build(entries)
     thresholds = calibrate_thresholds(
@@ -197,27 +192,44 @@ def cmd_index(args: argparse.Namespace) -> int:
     normalizer.save(out / "normalizer.json")
     thresholds.save(out / "thresholds.json")
     registry.save(out / "registry.json")
-    if mask is not None:
-        mask.save(out / "mask.json")
     log.info("indexed %d vectors into %s", len(entries), out)
     print(f"{len(entries)} vectors -> {out}")
     return 0
 
 
-def cmd_classify(args: argparse.Namespace) -> int:
-    s = _settings(args)
-    model = Path(args.model)
-    for name in ("index.json", "normalizer.json", "thresholds.json", "registry.json"):
+def _load_model(model: Path) -> tuple[NNIndex, Normalizer, Thresholds, ClassRegistry]:
+    """Read a model directory; a malformed one is a ValidationError."""
+    if (model / "mask.json").exists():
+        # A mask may permute all 183 slots, so its model cannot be read as plain slots.
+        raise ValidationError(f"{model / 'mask.json'}: masked models are no longer "
+                              "supported; rebuild the model with the index command")
+    parts = []
+    for name, cls in (("index.json", NNIndex), ("normalizer.json", Normalizer),
+                      ("thresholds.json", Thresholds), ("registry.json", ClassRegistry)):
         if not (model / name).exists():
             raise ValidationError(f"model directory is missing {name}")
-    index = NNIndex.load(model / "index.json")
-    normalizer = Normalizer.load(model / "normalizer.json")
-    thresholds = Thresholds.load(model / "thresholds.json")
-    registry = ClassRegistry.load(model / "registry.json")
-    mask = SelectionMask.load(model / "mask.json") if (model / "mask.json").exists() else None
+        try:
+            parts.append(cls.load(model / name))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise ValidationError(f"malformed {model / name}: {exc!r}") from None
+    index, normalizer, thresholds, registry = parts
+    width = normalizer.mins.size
+    if index.dimension != width:
+        raise ValidationError(f"{model / 'index.json'} has dimension {index.dimension}, not {width}")
+    if any(v.shape != (width,) for v, _ in registry.pending):
+        raise ValidationError(f"{model / 'registry.json'} has pending vectors not {width} wide")
+    return index, normalizer, thresholds, registry
+
+
+def cmd_classify(args: argparse.Namespace) -> int:
+    s = _settings(args)
+    index, normalizer, thresholds, registry = _load_model(Path(args.model))
 
     if args.features:
         matrix, flow_ids, _ = load_matrix_csv(args.features)
+        if matrix.shape[1] != index.dimension:
+            raise ValidationError(f"{args.features} has {matrix.shape[1]} feature columns, "
+                                  f"the model has {index.dimension}")
     else:
         flows = _read_flows(args.input, args.format, s["idle_timeout"])
         if s["n_packets"] is not None:
@@ -225,8 +237,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
         matrix = extract_matrix(flows)
         flow_ids = [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)]
     Xn = normalizer.transform(matrix)
-    if mask is not None:
-        Xn = apply_mask(Xn, mask)
     out = _out_dir(args) / "verdicts.jsonl"
     counts: dict[str, int] = {}
     with open(out, "w") as fh:
@@ -246,6 +256,8 @@ def cmd_classify(args: argparse.Namespace) -> int:
 def cmd_eval(args: argparse.Namespace) -> int:
     s = _settings(args)
     flows = load_flows_csv(args.flows)
+    if args.held_out and args.held_out not in {f.label for f in flows}:
+        raise ValidationError(f"--held-out {args.held_out} is not present in {args.flows}")
     out = _out_dir(args)
     if args.held_out:
         report = new_class_protocol(flows, args.held_out, _pipeline_config(s), out_dir=out)
@@ -271,6 +283,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("--counts must name at least one packet count")
     if counts != sorted(set(counts)):
         raise ValidationError("--counts must be strictly ascending")
+    if counts[0] < 1:
+        raise ValidationError(f"--counts {args.counts} must hold packet counts >= 1")
     out = _out_dir(args) / "sweep.csv"
     points = packet_sweep(flows, counts, _pipeline_config(s), out_path=out)
     plateau = find_plateau(points)
@@ -315,7 +329,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("index", help="build a model directory from features")
     p.add_argument("features", help="feature matrix CSV with labels")
-    p.add_argument("--mask", default=None, help="selection mask JSON to apply")
     p.add_argument("--k", type=int, default=None)
     p.add_argument("--c-min", dest="c_min", type=int, default=None)
     p.set_defaults(func=cmd_index)
@@ -366,10 +379,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FlowCsvError, PcapFormatError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, FlowCsvError, PcapFormatError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

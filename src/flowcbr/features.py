@@ -295,8 +295,6 @@ class Normalizer:
     maxs: np.ndarray
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
-        if matrix.ndim == 1:
-            return self.transform(matrix[None, :])[0]
         if matrix.shape[1] != self.mins.size:
             raise ValueError(f"matrix has {matrix.shape[1]} slots, normalizer has {self.mins.size}")
         span = self.maxs - self.mins

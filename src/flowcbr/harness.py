@@ -19,7 +19,6 @@ from .features import Normalizer, extract_matrix, fit_normalizer
 from .flows import Flow, truncate_flow
 from .forest import EnsembleVerdict, ForestConfig, route_verdict, train_forest
 from .index import IndexEntry, NNIndex
-from .selection import SelectionMask, apply_mask
 
 OOD_LABEL = "__ood__"
 PENDING_LABEL = "__pending__"
@@ -140,7 +139,6 @@ class PipelineConfig:
     seed: int = 0
     n_trees: int = 100
     max_depth: int | None = None
-    mask: SelectionMask | None = None
 
 
 @dataclass
@@ -170,8 +168,6 @@ def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
         labels, SplitSpec(train_fraction=config.train_fraction, seed=config.seed))
     normalizer = fit_normalizer(X[train_idx])
     Xn = normalizer.transform(X)
-    if config.mask is not None:
-        Xn = apply_mask(Xn, config.mask)
     X_train, y_train = Xn[train_idx], [labels[i] for i in train_idx]
     X_test, y_test = Xn[test_idx], [labels[i] for i in test_idx]
     entries = [IndexEntry(int(i), X_train[row], y_train[row])
@@ -370,8 +366,7 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     held_test = [held_flows[i] for i in held_test_idx]
     if config.n_packets is not None:
         held_test = [truncate_flow(f, config.n_packets) for f in held_test]
-    X_held = apply_mask(fitted.normalizer.transform(extract_matrix(held_test)), config.mask) \
-        if config.mask is not None else fitted.normalizer.transform(extract_matrix(held_test))
+    X_held = fitted.normalizer.transform(extract_matrix(held_test))
     held_ids = [f.flow_id or f"h{i}" for i, f in enumerate(held_test)]
 
     # Interleave deterministically: alternate base and held-out samples.

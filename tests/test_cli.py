@@ -12,7 +12,6 @@ import flowcbr
 from flowcbr.cli import DEFAULTS, main
 from flowcbr.features import load_matrix_csv, save_matrix_csv
 from flowcbr.flows import load_flows_csv
-from flowcbr.selection import SelectionMask
 
 
 def run(*argv):
@@ -76,17 +75,16 @@ def test_classify_straight_from_flow_csv(tmp_path, flows_csv):
     assert len((out / "verdicts.jsonl").read_text().splitlines()) == 12
 
 
-def test_index_applies_mask(tmp_path, flows_csv):
-    feat_dir, model = tmp_path / "feat", tmp_path / "model"
+def test_index_mask_flag_is_gone(tmp_path, flows_csv, capsys):
+    feat_dir = tmp_path / "feat"
     run("--out", str(feat_dir), "extract", str(flows_csv))
-    mask_path = tmp_path / "mask.json"
-    SelectionMask("1", tuple(range(0, 50))).save(mask_path)
-    assert run("--out", str(model), "index", str(feat_dir / "features.csv"),
-               "--mask", str(mask_path)) == 0
-    assert (model / "mask.json").exists()
-    out = tmp_path / "v"
-    assert run("--out", str(out), "classify", str(model),
-               "--features", str(feat_dir / "features.csv")) == 0
+    (tmp_path / "m.json").write_text('{"schema_version": "stat183.v1", "slots": [0]}')
+    with pytest.raises(SystemExit) as exc:
+        run("--out", str(tmp_path / "model"), "index", str(feat_dir / "features.csv"),
+            "--mask", str(tmp_path / "m.json"))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --mask" in capsys.readouterr().err
+    assert not (tmp_path / "model").exists()
 
 
 def test_index_rejects_unlabeled_rows(tmp_path, capsys):
@@ -135,12 +133,6 @@ def test_model_dir_missing_piece_exits_two(tmp_path, capsys):
     assert run("classify", str(tmp_path / "model"),
                "--features", "whatever.csv") == 2
     assert "missing" in capsys.readouterr().err
-
-
-def test_held_out_class_absent_is_runtime_error(flows_csv, capsys):
-    assert run("--out", str(flows_csv.parent), "eval", str(flows_csv),
-               "--held-out", "ghost") == 1
-    assert "not present" in capsys.readouterr().err
 
 
 def test_config_file_settings_apply(tmp_path):
@@ -247,6 +239,65 @@ def test_synth_bad_flags_exit_two(tmp_path, capsys, argv):
     assert f"error: {argv[0]} {argv[1]} must be" in err
     assert "Traceback" not in err
     assert not (tmp_path / "flows.csv").exists()
+
+
+@pytest.mark.parametrize("argv,fragment", [
+    pytest.param(["eval", "{flows}", "--held-out", "nope"], "not present", id="held-out"),
+    pytest.param(["sweep", "{flows}", "--counts", "0,2"], "must hold packet counts >= 1",
+                 id="counts"),
+])
+def test_eval_sweep_bad_args_exit_two(data_dir, tmp_path, capsys, argv, fragment):
+    argv = [a.format(flows=data_dir / "flows.csv") for a in argv]
+    assert run("--out", str(tmp_path / "out"), *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {argv[2]} {argv[3]} " in err and fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture()
+def model_dir(data_dir, tmp_path):
+    """A fresh model directory built from the shared features."""
+    model = tmp_path / "model"
+    assert run("--out", str(model), "index", str(data_dir / "features.csv")) == 0
+    return model
+
+
+_NARROW_HEADER = ",".join(["flow_id", "label"] + [f"f{i:03d}" for i in range(178)]) + "\n"
+_BAD_REGISTRY = json.dumps({"labels": {}, "novel_count": 0, "stream_pos": 0,
+                            "pending": [{"vector": [0.5, 0.5], "stream_pos": 0}]})
+_NARROW_INDEX = json.dumps({"format_version": 1, "config": {"dimension": 2},
+                            "entries": [{"id": 0, "label": "a", "vector": [0.5, 0.5]}]})
+# A mask that permutes all 183 slots has the right width and the wrong order.
+_MASK = json.dumps({"schema_version": "stat183.v1", "slots": list(range(183))[::-1]})
+
+
+@pytest.mark.parametrize("name,content,fragment", [
+    ("mask.json", _MASK, "masked models are no longer supported"),
+    ("index.json", "{", "corrupt index snapshot"),
+    ("index.json", _NARROW_INDEX, "has dimension 2, not 183"),
+    ("normalizer.json", '{"mean": [1, 2]}', "normalizer schema None does not match"),
+    ("thresholds.json", "[]", "TypeError"),
+    ("registry.json", _BAD_REGISTRY, "has pending vectors not 183 wide"),
+    ("features.csv", _NARROW_HEADER, "has 178 feature columns, the model has 183"),
+], ids=["mask", "index", "index-width", "normalizer", "thresholds", "registry", "features"])
+def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys,
+                                          name, content, fragment):
+    """Each malformed model file, a leftover slot mask, or an input of the
+    wrong width is named in an error line and exits 2 before any verdict is
+    written."""
+    features = data_dir / "features.csv"
+    target = model_dir / name
+    if name == "features.csv":
+        target = features = tmp_path / name
+    target.write_text(content)
+    capsys.readouterr()
+    assert run("--out", str(tmp_path / "v"), "classify", str(model_dir),
+               "--features", str(features)) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and name in err and fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "v").exists()
 
 
 def test_boundary_settings_accepted(data_dir, tmp_path):

@@ -27,7 +27,6 @@ from flowcbr.harness import (
     verdict_label,
     write_metrics_csv,
 )
-from flowcbr.selection import SelectionMask, apply_mask
 from flowcbr.synth import default_templates, fewshot_templates, synth_generate
 
 
@@ -187,15 +186,6 @@ def test_fit_pipeline_requires_labels():
                               packets=flows[0].packets, label=None)
     with pytest.raises(ValueError, match="label"):
         fit_pipeline(flows, PipelineConfig())
-
-
-def test_fit_pipeline_applies_mask():
-    flows = flows_small()
-    mask = SelectionMask("1", tuple(range(0, 183, 3)))
-    fitted = fit_pipeline(flows, PipelineConfig(seed=2, mask=mask))
-    assert fitted.X_train.shape[1] == len(mask.slots)
-    full = fit_pipeline(flows, PipelineConfig(seed=2))
-    np.testing.assert_array_equal(fitted.X_train, apply_mask(full.X_train, mask))
 
 
 def test_fit_pipeline_truncation_changes_features():
