@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import flows as flows_mod
 from .cbr import ClassRegistry, Thresholds, calibrate_thresholds, classify, verdict_to_json
-from .features import (Normalizer, extract_matrix, fit_normalizer,
+from .features import (SCHEMA, Normalizer, extract_matrix, fit_normalizer,
                        load_matrix_csv, save_matrix_csv)
 from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
@@ -171,13 +171,24 @@ def cmd_extract(args: argparse.Namespace) -> int:
     return 0
 
 
+def _read_matrix(path: str) -> tuple:
+    """load_matrix_csv, with a malformed file as a ValidationError."""
+    try:
+        return load_matrix_csv(path)
+    except ValueError as exc:
+        raise ValidationError(f"malformed {path}: {exc}") from None
+
+
 def cmd_index(args: argparse.Namespace) -> int:
     s = _settings(args)
-    matrix, flow_ids, labels = load_matrix_csv(args.features)
+    matrix, flow_ids, labels = _read_matrix(args.features)
     if matrix.shape[0] == 0:
         raise ValidationError("cannot index an empty feature matrix")
     if any(not lbl for lbl in labels):
         raise ValidationError("indexing needs a label on every row")
+    if matrix.shape[1] != SCHEMA.width:
+        raise ValidationError(f"{args.features} has {matrix.shape[1]} feature columns, "
+                              f"the schema has {SCHEMA.width}")
     normalizer = fit_normalizer(matrix)
     Xn = normalizer.transform(matrix)
     entries = [IndexEntry(i, Xn[i], labels[i]) for i in range(Xn.shape[0])]
@@ -226,7 +237,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     index, normalizer, thresholds, registry = _load_model(Path(args.model))
 
     if args.features:
-        matrix, flow_ids, _ = load_matrix_csv(args.features)
+        matrix, flow_ids, _ = _read_matrix(args.features)
         if matrix.shape[1] != index.dimension:
             raise ValidationError(f"{args.features} has {matrix.shape[1]} feature columns, "
                                   f"the model has {index.dimension}")

@@ -1,4 +1,4 @@
-"""Per-flow statistical feature extraction.
+"""Statistical feature extraction, batched over flows.
 
 Every flow maps to one fixed 183-slot vector laid out by ``FeatureSchema``.
 Slot groups, in order:
@@ -18,6 +18,14 @@ Slot groups, in order:
 
 Sizes are signed by direction where noted: initiator-to-responder positive,
 responder-to-initiator negative.
+
+``extract_matrix`` reads the packets of all its flows once into flat columns
+and computes each group for the whole batch with one kernel. A row does not
+depend on the other flows of its batch: integer-valued sums (below 2**53)
+are exact in any order, and every other float reduction runs the same numpy
+call on each row as the per-flow definition, so each slot has the same bits
+as extracting the flow alone. The per-group extractors (``bits_per_peak``
+... ``wavelet_coeffs``) run their group's kernel on a batch of one.
 """
 
 from __future__ import annotations
@@ -85,205 +93,297 @@ SCHEMA = FeatureSchema(
 )
 
 
-def _signed_sizes(flow: Flow) -> np.ndarray:
-    return np.array(
-        [p.total_length if p.direction == Direction.FWD else -p.total_length
-         for p in flow.packets],
-        dtype=np.float64,
+@dataclass(frozen=True)
+class _Batch:
+    """The packets of a batch of flows as flat columns, flow after flow.
+
+    ``window`` is the 5 s window of each packet, counted from the first
+    packet of its flow and truncated toward zero, then clipped to [-1, 20]:
+    no group reads a window outside [0, 20).
+    """
+
+    lengths: np.ndarray     # packets per flow
+    flow: np.ndarray        # flow index of each packet
+    pos: np.ndarray         # position of each packet in its flow
+    ts: np.ndarray
+    size: np.ndarray        # total_length
+    fwd: np.ndarray         # sent by the initiator
+    payload: np.ndarray
+    flags: np.ndarray
+    tcp_window: np.ndarray  # 0 where the packet has none
+    has_tcp_window: np.ndarray
+    window: np.ndarray
+
+    @property
+    def n_flows(self) -> int:
+        return self.lengths.size
+
+
+def _batch(flows: list[Flow]) -> _Batch:
+    """Read the packets of ``flows`` into columns; timestamps must be finite."""
+    packets = [p for f in flows for p in f.packets]
+    n = len(packets)
+    lengths = np.array([len(f.packets) for f in flows], dtype=np.int64)
+    flow = np.repeat(np.arange(lengths.size), lengths)
+    pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+
+    def column(values, dtype):
+        return np.fromiter(values, dtype=dtype, count=n)
+
+    forward = Direction.FWD  # looked up once, not once per packet
+    ts = column((p.timestamp for p in packets), np.float64)
+    since = (ts - ts[pos == 0][flow]) / WINDOW_SECONDS
+    if not np.isfinite(since).all():
+        raise ValueError("flow timestamps must be finite")
+    return _Batch(
+        lengths=lengths, flow=flow, pos=pos, ts=ts,
+        size=column((p.total_length for p in packets), np.int64),
+        fwd=column((p.direction is forward for p in packets), bool),
+        payload=column((p.payload_length for p in packets), np.int64),
+        flags=column((p.tcp_flags for p in packets), np.int64),
+        tcp_window=column((p.tcp_window or 0 for p in packets), np.int64),
+        has_tcp_window=column((p.tcp_window is not None for p in packets), bool),
+        window=np.clip(since, -1.0, 20.0).astype(np.int64),
     )
 
 
-def _window_index(flow: Flow) -> np.ndarray:
-    """5-second window index of each packet, anchored at the first packet."""
-    t0 = flow.packets[0].timestamp
-    return np.array(
-        [int((p.timestamp - t0) / WINDOW_SECONDS) for p in flow.packets],
-        dtype=np.int64,
-    )
+def _counts(b: _Batch, mask: np.ndarray) -> np.ndarray:
+    """Per-flow number of packets where ``mask`` holds."""
+    return np.bincount(b.flow[mask], minlength=b.n_flows)
 
 
-def bits_per_peak(flow: Flow) -> np.ndarray:
+def _row_blocks(values: np.ndarray, lengths: np.ndarray):
+    """Yield (rows, block) for each distinct non-zero row length L.
+
+    ``values`` holds the rows back to back; ``block`` is the (rows, L)
+    matrix of the rows of length L. numpy reduces each row of a C-ordered
+    block along axis 1 exactly as it reduces that row alone, so an
+    order-sensitive float reduction over a block rounds as the per-row call.
+    """
+    starts = np.cumsum(lengths) - lengths
+    for length in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == length)
+        yield rows, values[starts[rows, None] + np.arange(length)]
+
+
+def _gaps(b: _Batch, values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Differences of consecutive masked values within each flow, flow
+    after flow, and how many each flow has."""
+    v, f = values[mask], b.flow[mask]
+    same = f[1:] == f[:-1]
+    return (v[1:] - v[:-1])[same], np.bincount(f[1:][same], minlength=b.n_flows)
+
+
+def _bits_per_peak(b: _Batch) -> np.ndarray:
     """Top-3 sizes, in bits, of maximal runs of consecutive received packets."""
-    peaks = []
-    run = 0
-    for p in flow.packets:
-        if p.direction == Direction.BWD:
-            run += p.total_length
-        elif run:
-            peaks.append(run)
-            run = 0
-    if run:
-        peaks.append(run)
-    peaks.sort(reverse=True)
-    out = np.zeros(3)
-    for i, v in enumerate(peaks[:3]):
-        out[i] = 8.0 * v
+    bwd = ~b.fwd
+    follows_bwd = np.zeros_like(bwd)
+    follows_bwd[1:] = bwd[:-1] & (b.pos[1:] > 0)
+    starts = bwd & ~follows_bwd
+    run = np.cumsum(starts) - 1
+    totals = np.bincount(run[bwd], weights=b.size[bwd], minlength=int(starts.sum()))
+    owner = b.flow[starts]
+    kept = totals != 0  # a run whose sizes sum to 0 is not a peak
+    totals, owner = totals[kept], owner[kept]
+    order = np.lexsort((-totals, owner))
+    totals, owner = totals[order], owner[order]
+    rank = np.arange(owner.size) - np.searchsorted(owner, owner)
+    top = rank < 3
+    out = np.zeros((b.n_flows, 3))
+    out[owner[top], rank[top]] = 8.0 * totals[top]
     return out
 
 
-def first_packet_sizes(flow: Flow) -> np.ndarray:
-    sizes = _signed_sizes(flow)[:N_FIRST_SIZES]
-    return np.pad(sizes, (0, N_FIRST_SIZES - sizes.size))
+def _signed_prefix(b: _Batch, width: int) -> np.ndarray:
+    """Signed sizes of the first ``width`` packets of each flow, zero-padded."""
+    out = np.zeros((b.n_flows, width))
+    first = b.pos < width
+    out[b.flow[first], b.pos[first]] = np.where(b.fwd, b.size, -b.size)[first]
+    return out
 
 
-def beaconing_windows(flow: Flow) -> np.ndarray:
+def _first_packet_sizes(b: _Batch) -> np.ndarray:
+    """Signed sizes of the first 30 packets, zero-padded."""
+    return _signed_prefix(b, N_FIRST_SIZES)
+
+
+def _beaconing(b: _Batch) -> np.ndarray:
     """Traffic total per 5 s window where the initiator sent strictly more.
 
     The first 100 seconds are split into 20 windows. A window where forward
     packets outnumber backward ones records the byte sum of every packet in
     it; other windows, and windows past the flow end, stay 0.
     """
-    out = np.zeros(20)
-    win = _window_index(flow)
-    for w in range(20):
-        fwd = bwd = total = 0
-        for p, pw in zip(flow.packets, win):
-            if pw != w:
-                continue
-            total += p.total_length
-            if p.direction == Direction.FWD:
-                fwd += 1
-            else:
-                bwd += 1
-        if fwd > bwd:
-            out[w] = float(total)
-    return out
+    n = b.n_flows * 20
+    inside = (b.window >= 0) & (b.window < 20)
+    key = b.flow * 20 + b.window
+    total = np.bincount(key[inside], weights=b.size[inside], minlength=n)
+    n_fwd = np.bincount(key[inside & b.fwd], minlength=n)
+    n_bwd = np.bincount(key[inside & ~b.fwd], minlength=n)
+    return np.where(n_fwd > n_bwd, total, 0.0).reshape(b.n_flows, 20)
 
 
-def bandwidth_windows(flow: Flow) -> np.ndarray:
+def _bandwidth(b: _Batch) -> np.ndarray:
     """(min, max) TCP window delta per 5 s window, 10 windows, interleaved.
 
     Deltas are between consecutive TCP packets that fall inside the same
     window, in arrival order, both directions mixed. Windows holding fewer
     than two TCP packets emit (0, 0).
     """
-    out = np.zeros(20)
-    win = _window_index(flow)
-    for w in range(10):
-        values = [p.tcp_window for p, pw in zip(flow.packets, win)
-                  if pw == w and p.tcp_window is not None]
-        if len(values) < 2:
-            continue
-        deltas = np.diff(np.array(values, dtype=np.float64))
-        out[2 * w] = deltas.min()
-        out[2 * w + 1] = deltas.max()
+    inside = b.has_tcp_window & (b.window >= 0) & (b.window < 10)
+    key = (b.flow * 10 + b.window)[inside]
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    values = b.tcp_window[inside][order].astype(np.float64)
+    same = key[1:] == key[:-1]
+    deltas, key = (values[1:] - values[:-1])[same], key[1:][same]
+    out = np.zeros((b.n_flows * 10, 2))
+    if deltas.size:
+        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
+        out[key[starts], 0] = np.minimum.reduceat(deltas, starts)
+        out[key[starts], 1] = np.maximum.reduceat(deltas, starts)
+    return out.reshape(b.n_flows, 20)
+
+
+def _packet_size_stats(b: _Batch) -> np.ndarray:
+    """(min, max, mean, population std) of sizes over all packets."""
+    out = np.zeros((b.n_flows, 4))
+    for rows, sizes in _row_blocks(b.size.astype(np.float64), b.lengths):
+        out[rows] = np.stack(
+            [sizes.min(axis=1), sizes.max(axis=1), sizes.mean(axis=1), sizes.std(axis=1)],
+            axis=1)
     return out
 
 
-def packet_size_stats(flow: Flow) -> np.ndarray:
-    """(min, max, mean, population std) of sizes over all packets."""
-    sizes = np.array([p.total_length for p in flow.packets], dtype=np.float64)
-    return np.array([sizes.min(), sizes.max(), sizes.mean(), sizes.std()])
-
-
-def size_delta_stats(flow: Flow) -> np.ndarray:
+def _size_delta_stats(b: _Batch) -> np.ndarray:
     """Mean and population std of consecutive size differences."""
-    sizes = np.array([p.total_length for p in flow.packets], dtype=np.float64)
-    if sizes.size < 2:
-        return np.zeros(2)
-    deltas = np.diff(sizes)
-    return np.array([deltas.mean(), deltas.std()])
+    out = np.zeros((b.n_flows, 2))
+    deltas, lengths = _gaps(b, b.size.astype(np.float64), np.ones_like(b.fwd))
+    for rows, block in _row_blocks(deltas, lengths):
+        out[rows] = np.stack([block.mean(axis=1), block.std(axis=1)], axis=1)
+    return out
 
 
-def packets_per_second(flow: Flow) -> np.ndarray:
+def _packets_per_second(b: _Batch) -> np.ndarray:
     """Packet rate per direction; zero-duration flows report (0, 0)."""
-    d = flow.duration
-    if d <= 0:
-        return np.zeros(2)
-    n_fwd = sum(1 for p in flow.packets if p.direction == Direction.FWD)
-    return np.array([n_fwd / d, (len(flow.packets) - n_fwd) / d])
+    last = np.cumsum(b.lengths) - 1
+    duration = b.ts[last] - b.ts[last - b.lengths + 1]
+    n_fwd = _counts(b, b.fwd)
+    out = np.zeros((b.n_flows, 2))
+    ok = duration > 0
+    out[ok, 0] = n_fwd[ok] / duration[ok]
+    out[ok, 1] = (b.lengths - n_fwd)[ok] / duration[ok]
+    return out
 
 
-def inter_arrival_stats(flow: Flow) -> np.ndarray:
+def _inter_arrival(b: _Batch) -> np.ndarray:
     """(min, max, mean) of time gaps: both directions, forward, backward.
 
     A stream with fewer than two packets contributes (0, 0, 0).
     """
-    out = np.zeros(9)
-    times = np.array([p.timestamp for p in flow.packets])
-    fwd = np.array([p.timestamp for p in flow.packets if p.direction == Direction.FWD])
-    bwd = np.array([p.timestamp for p in flow.packets if p.direction == Direction.BWD])
-    for i, series in enumerate((times, fwd, bwd)):
-        if series.size < 2:
-            continue
-        gaps = np.diff(series)
-        out[3 * i:3 * i + 3] = (gaps.min(), gaps.max(), gaps.mean())
+    out = np.zeros((b.n_flows, 9))
+    for i, mask in enumerate((np.ones_like(b.fwd), b.fwd, ~b.fwd)):
+        gaps, lengths = _gaps(b, b.ts, mask)
+        for rows, block in _row_blocks(gaps, lengths):
+            out[rows, 3 * i:3 * i + 3] = np.stack(
+                [block.min(axis=1), block.max(axis=1), block.mean(axis=1)], axis=1)
     return out
 
 
-def silence_windows(flow: Flow) -> np.ndarray:
+def _silence_windows(b: _Batch) -> np.ndarray:
     """Count of consecutive-packet gaps of at least one second."""
-    times = np.array([p.timestamp for p in flow.packets])
-    if times.size < 2:
-        return np.zeros(1)
-    return np.array([float(np.sum(np.diff(times) >= SILENCE_GAP_SECONDS))])
+    follows = b.pos[1:] > 0
+    long_gap = np.zeros_like(b.fwd)
+    long_gap[1:] = follows & (b.ts[1:] - b.ts[:-1] >= SILENCE_GAP_SECONDS)
+    return _counts(b, long_gap).astype(np.float64)[:, None]
 
 
-def ack_count(flow: Flow) -> np.ndarray:
-    n = sum(1 for p in flow.packets if p.tcp_flags & TcpFlags.ACK)
-    return np.array([float(n)])
+def _ack_count(b: _Batch) -> np.ndarray:
+    """Packets carrying ACK, both directions."""
+    return _counts(b, (b.flags & TcpFlags.ACK) != 0).astype(np.float64)[:, None]
 
 
-def big_requests(flow: Flow) -> np.ndarray:
+def _big_requests(b: _Batch) -> np.ndarray:
     """Outbound packets with payload above 200 bytes and a later outbound one."""
-    fwd_positions = [i for i, p in enumerate(flow.packets) if p.direction == Direction.FWD]
-    if not fwd_positions:
-        return np.zeros(1)
-    last_fwd = fwd_positions[-1]
-    n = sum(
-        1 for i in fwd_positions
-        if i < last_fwd and flow.packets[i].payload_length > BIG_REQUEST_PAYLOAD
-    )
-    return np.array([float(n)])
+    fwd_flow, fwd_pos = b.flow[b.fwd], b.pos[b.fwd]
+    last = np.ones(fwd_flow.size, dtype=bool)
+    last[:-1] = fwd_flow[1:] != fwd_flow[:-1]
+    last_fwd = np.full(b.n_flows, -1)
+    last_fwd[fwd_flow[last]] = fwd_pos[last]
+    big = b.fwd & (b.payload > BIG_REQUEST_PAYLOAD) & (b.pos < last_fwd[b.flow])
+    return _counts(b, big).astype(np.float64)[:, None]
 
 
-def wavelet_coeffs(flow: Flow) -> np.ndarray:
+def _wavelet(b: _Batch) -> np.ndarray:
     """Magnitudes of the discrete spectrum of the first 90 signed sizes.
 
     Shorter flows are zero-padded to 90 samples before the transform, so the
     output width is always 90.
     """
-    sizes = _signed_sizes(flow)[:N_SPECTRUM]
-    padded = np.pad(sizes, (0, N_SPECTRUM - sizes.size))
-    return np.abs(np.fft.fft(padded))
+    return np.abs(np.fft.fft(_signed_prefix(b, N_SPECTRUM), axis=1))
 
 
-_EXTRACTORS = (
-    ("bits_per_peak", bits_per_peak),
-    ("first_packet_sizes", first_packet_sizes),
-    ("beaconing", beaconing_windows),
-    ("bandwidth", bandwidth_windows),
-    ("packet_size_stats", packet_size_stats),
-    ("size_delta_stats", size_delta_stats),
-    ("packets_per_second", packets_per_second),
-    ("inter_arrival", inter_arrival_stats),
-    ("silence_windows", silence_windows),
-    ("ack_count", ack_count),
-    ("big_requests", big_requests),
-    ("wavelet", wavelet_coeffs),
-)
+_KERNELS = {
+    "bits_per_peak": _bits_per_peak,
+    "first_packet_sizes": _first_packet_sizes,
+    "beaconing": _beaconing,
+    "bandwidth": _bandwidth,
+    "packet_size_stats": _packet_size_stats,
+    "size_delta_stats": _size_delta_stats,
+    "packets_per_second": _packets_per_second,
+    "inter_arrival": _inter_arrival,
+    "silence_windows": _silence_windows,
+    "ack_count": _ack_count,
+    "big_requests": _big_requests,
+    "wavelet": _wavelet,
+}
 
 
-def extract_features(flow: Flow, schema: FeatureSchema = SCHEMA) -> np.ndarray:
-    """Extract the full feature vector for one flow."""
-    parts = []
-    for (group, width), (name, fn) in zip(schema.groups, _EXTRACTORS):
-        if group != name:
-            raise ValueError(f"schema group {group!r} does not match extractor {name!r}")
-        vec = fn(flow)
-        if vec.shape != (width,):
-            raise ValueError(f"extractor {name!r} produced shape {vec.shape}, wanted ({width},)")
-        parts.append(vec)
-    out = np.concatenate(parts)
-    if not np.all(np.isfinite(out)):
+def _per_flow(group: str):
+    """The extractor of one group for one flow: its kernel on a batch of one."""
+    kernel = _KERNELS[group]
+
+    def extractor(flow: Flow) -> np.ndarray:
+        return kernel(_batch([flow]))[0]
+
+    extractor.__doc__ = kernel.__doc__
+    return extractor
+
+
+bits_per_peak = _per_flow("bits_per_peak")
+first_packet_sizes = _per_flow("first_packet_sizes")
+beaconing_windows = _per_flow("beaconing")
+bandwidth_windows = _per_flow("bandwidth")
+packet_size_stats = _per_flow("packet_size_stats")
+size_delta_stats = _per_flow("size_delta_stats")
+packets_per_second = _per_flow("packets_per_second")
+inter_arrival_stats = _per_flow("inter_arrival")
+silence_windows = _per_flow("silence_windows")
+ack_count = _per_flow("ack_count")
+big_requests = _per_flow("big_requests")
+wavelet_coeffs = _per_flow("wavelet")
+
+
+def extract_matrix(flows: list[Flow]) -> np.ndarray:
+    """Feature vectors of a batch of flows, one row per flow."""
+    if not flows:
+        return np.zeros((0, SCHEMA.width))
+    # Allocated before the group temporaries, so that the result, which
+    # outlives them, does not split the free heap they leave behind.
+    out = np.empty((len(flows), SCHEMA.width))
+    batch = _batch(flows)
+    start = 0
+    for group, width in SCHEMA.groups:
+        out[:, start:start + width] = _KERNELS[group](batch)
+        start += width
+    if not np.isfinite(out).all():
         raise ValueError("feature vector contains non-finite values")
     return out
 
 
-def extract_matrix(flows: list[Flow], schema: FeatureSchema = SCHEMA) -> np.ndarray:
-    if not flows:
-        return np.zeros((0, schema.width))
-    return np.stack([extract_features(f, schema) for f in flows])
+def extract_features(flow: Flow) -> np.ndarray:
+    """Extract the full feature vector for one flow."""
+    return extract_matrix([flow])[0]
 
 
 @dataclass

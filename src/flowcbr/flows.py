@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import struct
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -23,6 +24,10 @@ ETHERTYPE_IPV4 = 0x0800
 ETHERTYPE_VLAN = 0x8100
 
 DEFAULT_IDLE_TIMEOUT = 60.0
+# Upper bound (exclusive) of the integer fields of a flow CSV row. It holds
+# any IPv4 length and any scaled TCP window, and keeps every per-flow sum of
+# them exact in float64.
+_CSV_FIELD_LIMIT = 2 ** 32
 
 FLOW_CSV_HEADER = [
     "flow_id",
@@ -163,10 +168,6 @@ class Flow:
         if not self.packets:
             raise ValueError("a flow needs at least one packet")
         self.packets = tuple(self.packets)
-
-    @property
-    def duration(self) -> float:
-        return self.packets[-1].timestamp - self.packets[0].timestamp
 
 
 @dataclass
@@ -382,6 +383,7 @@ def load_flows_csv(path: str | Path) -> list[Flow]:
             raise FlowCsvError(f"bad header: expected {FLOW_CSV_HEADER}, got {header}")
 
         seen: set[str] = set()
+        flags_of: dict[str, TcpFlags] = {}
         current_id: str | None = None
         current_label: str | None = None
         current_packets: list[FlowPacket] = []
@@ -418,13 +420,26 @@ def load_flows_csv(path: str | Path) -> list[Flow]:
             if direction not in _DIRECTION_TOKENS:
                 raise FlowCsvError(f"row {row_no}: unknown direction token {direction!r}")
             try:
+                ts = float(timestamp)
+                if not math.isfinite(ts):
+                    raise FlowCsvError(f"row {row_no}: non-finite timestamp {timestamp!r}")
+                total, payload = int(total_length), int(payload_length)
+                flags = flags_of.get(tcp_flags)
+                if flags is None:
+                    flags = flags_of[tcp_flags] = flags_from_token(tcp_flags)
+                window = None if tcp_window == "" else int(tcp_window)
+                if not (0 <= total < _CSV_FIELD_LIMIT and 0 <= payload < _CSV_FIELD_LIMIT
+                        and (window is None or 0 <= window < _CSV_FIELD_LIMIT)):
+                    raise FlowCsvError(
+                        f"row {row_no}: total_length, payload_length and tcp_window "
+                        f"must be in [0, 2**32), got {total}, {payload}, {window}")
                 current_packets.append(FlowPacket(
-                    timestamp=float(timestamp),
+                    timestamp=ts,
                     direction=_DIRECTION_TOKENS[direction],
-                    total_length=int(total_length),
-                    payload_length=int(payload_length),
-                    tcp_flags=flags_from_token(tcp_flags),
-                    tcp_window=None if tcp_window == "" else int(tcp_window),
+                    total_length=total,
+                    payload_length=payload,
+                    tcp_flags=flags,
+                    tcp_window=window,
                 ))
             except FlowCsvError:
                 raise

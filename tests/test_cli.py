@@ -264,6 +264,8 @@ def model_dir(data_dir, tmp_path):
 
 
 _NARROW_HEADER = ",".join(["flow_id", "label"] + [f"f{i:03d}" for i in range(178)]) + "\n"
+_BAD_CELL = (",".join(["flow_id", "label"] + [f"f{i:03d}" for i in range(183)]) + "\n"
+             + ",".join(["a", ""] + ["0.5"] * 182 + ["oops"]) + "\n")
 _BAD_REGISTRY = json.dumps({"labels": {}, "novel_count": 0, "stream_pos": 0,
                             "pending": [{"vector": [0.5, 0.5], "stream_pos": 0}]})
 _NARROW_INDEX = json.dumps({"format_version": 1, "config": {"dimension": 2},
@@ -280,7 +282,9 @@ _MASK = json.dumps({"schema_version": "stat183.v1", "slots": list(range(183))[::
     ("thresholds.json", "[]", "TypeError"),
     ("registry.json", _BAD_REGISTRY, "has pending vectors not 183 wide"),
     ("features.csv", _NARROW_HEADER, "has 178 feature columns, the model has 183"),
-], ids=["mask", "index", "index-width", "normalizer", "thresholds", "registry", "features"])
+    ("features.csv", _BAD_CELL, "could not convert string to float: 'oops'"),
+], ids=["mask", "index", "index-width", "normalizer", "thresholds", "registry", "features",
+        "features-cell"])
 def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys,
                                           name, content, fragment):
     """Each malformed model file, a leftover slot mask, or an input of the
@@ -298,6 +302,40 @@ def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys,
     assert "error: " in err and name in err and fragment in err
     assert "Traceback" not in err
     assert not (tmp_path / "v").exists()
+
+
+@pytest.mark.parametrize("width,cell,fragment", [
+    (178, "0.25", "has 178 feature columns, the schema has 183"),
+    (183, "oops", "could not convert string to float: 'oops'"),
+], ids=["narrow", "non-numeric"])
+def test_index_malformed_features_exit_two(tmp_path, capsys, width, cell, fragment):
+    """``index`` on a two-row CSV of ``width`` slots whose last cell is
+    ``cell`` exits 2, names the file and writes nothing."""
+    header = ["flow_id", "label"] + [f"f{i:03d}" for i in range(width)]
+    rows = [["a", "x"] + ["0.5"] * width, ["b", "y"] + ["0.25"] * (width - 1) + [cell]]
+    path = tmp_path / "bad_features.csv"
+    path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
+    assert run("--out", str(tmp_path / "model"), "index", str(path)) == 2
+    err = capsys.readouterr().err
+    assert "error: " in err and str(path) in err and fragment in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "model").exists()
+
+
+@pytest.mark.parametrize("stamp", ["inf", "nan", "1e400"])
+@pytest.mark.parametrize("command", ["extract", "eval"])
+def test_non_finite_timestamp_exits_two(data_dir, tmp_path, capsys, command, stamp):
+    lines = (data_dir / "flows.csv").read_text().splitlines()
+    fields = lines[5].split(",")
+    fields[4] = stamp
+    lines[5] = ",".join(fields)
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join(lines) + "\n")
+    assert run("--out", str(tmp_path / "out"), command, str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"error: row 6: non-finite timestamp '{stamp}'" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_boundary_settings_accepted(data_dir, tmp_path):

@@ -1,10 +1,12 @@
 """Feature extraction tests.
 
 Group extractors are checked against values computed by hand on tiny flows,
-and the spectrum slots against a naive O(n^2) DFT written independently of
-numpy's FFT.
+the spectrum slots against a naive O(n^2) DFT written independently of
+numpy's FFT, and whole batches bit for bit against the per-flow extractors
+kept in ``feature_oracle``.
 """
 
+import feature_oracle
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -292,6 +294,70 @@ def test_extract_matrix_stacks_and_handles_empty():
     assert m.shape == (2, 183)
     np.testing.assert_array_equal(m[0], extract_features(flows[0]))
     assert extract_matrix([]).shape == (0, 183)
+
+
+LENGTHS = (1, 2, 3, 7, 8, 9, 17, 64, 129, 200)
+
+
+@st.composite
+def random_flow(draw):
+    """A flow of one of LENGTHS packets. The drawn modes cover sorted, tied
+    and unsorted timestamps; gaps from milliseconds to past the 100 s the
+    window groups read; all-forward and all-backward flows; TCP windows
+    absent, present or mixed; and payloads either side of 200 bytes."""
+    n = draw(st.sampled_from(LENGTHS))
+    order = draw(st.sampled_from(("sorted", "tied", "unsorted")))
+    mean_gap = draw(st.sampled_from((0.001, 0.4, 3.0, 40.0)))
+    start = draw(st.sampled_from((0.0, 1.7e9 + 0.123456)))
+    directions = draw(st.sampled_from(("mixed", "fwd", "bwd")))
+    windows = draw(st.sampled_from(("none", "all", "mixed")))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    ts = start + np.cumsum(rng.exponential(mean_gap, n))
+    if order == "tied":
+        ts = ts[np.sort(rng.integers(0, n, n))]
+    elif order == "unsorted":
+        ts = ts[rng.permutation(n)]
+    fwd = {"mixed": rng.integers(0, 2, n) == 1, "fwd": np.ones(n, bool),
+           "bwd": np.zeros(n, bool)}[directions]
+    sizes = rng.integers(40, 1501, n)
+    payloads = np.where(rng.random(n) < 0.5, rng.choice([0, 200, 201], n),
+                        rng.integers(0, 1461, n))
+    flags = rng.integers(0, 32, n)
+    has_window = {"none": np.zeros(n, bool), "all": np.ones(n, bool),
+                  "mixed": rng.random(n) < 0.7}[windows]
+    tcp_windows = rng.integers(0, 65536, n)
+    return Flow(key=None, flow_id="r", packets=tuple(
+        FlowPacket(float(ts[i]), F if fwd[i] else B, int(sizes[i]), int(payloads[i]),
+                   TcpFlags(int(flags[i])), int(tcp_windows[i]) if has_window[i] else None)
+        for i in range(n)))
+
+
+flow_batches = st.lists(random_flow(), min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(flow_batches)
+def test_extract_matrix_is_bit_identical_to_per_flow_oracle(flows):
+    want = np.stack([feature_oracle.extract(f) for f in flows])
+    got = extract_matrix(flows)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+@settings(max_examples=30, deadline=None)
+@given(flow_batches)
+def test_rows_do_not_depend_on_the_rest_of_the_batch(flows):
+    m = extract_matrix(flows)
+    for i, f in enumerate(flows):
+        np.testing.assert_array_equal(m[i].view(np.uint64),
+                                      extract_matrix([f])[0].view(np.uint64))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_extract_rejects_non_finite_timestamps(bad):
+    with pytest.raises(ValueError, match="finite"):
+        extract_matrix([flow([(0.0, F, 60)]), flow([(0.0, F, 60), (bad, B, 60)])])
 
 
 def test_normalizer_scales_clamps_and_zeroes_constants():

@@ -410,3 +410,39 @@ def test_flow_csv_reports_row_numbers(tmp_path):
     ])
     with pytest.raises(FlowCsvError, match="row 3"):
         load_flows_csv(path)
+
+
+@pytest.mark.parametrize("stamp", ["inf", "-inf", "nan", "1e400"])
+def test_flow_csv_rejects_non_finite_timestamps(tmp_path, stamp):
+    path = tmp_path / "ts.csv"
+    write_rows(path, [
+        ["f0", "", 0, "out", "1.0", 60, 0, "", ""],
+        ["f0", "", 1, "out", stamp, 60, 0, "", ""],
+    ])
+    with pytest.raises(FlowCsvError, match=f"row 3: non-finite timestamp '{stamp}'"):
+        load_flows_csv(path)
+
+
+def test_flow_csv_flag_tokens_parse_per_row(tmp_path):
+    """Repeated flag tokens map to the same flags; an unknown one still fails."""
+    path = tmp_path / "flags.csv"
+    rows = [["f0", "", i, "out", f"{i}.0", 60, 0, token, ""]
+            for i, token in enumerate(["SYN", "ACK", "SYN", "", "PSH|ACK", "ACK"])]
+    write_rows(path, rows)
+    flags = [p.tcp_flags for p in load_flows_csv(path)[0].packets]
+    assert flags == [TcpFlags.SYN, TcpFlags.ACK, TcpFlags.SYN, TcpFlags.NONE,
+                     TcpFlags.PSH | TcpFlags.ACK, TcpFlags.ACK]
+    write_rows(path, rows + [["f0", "", 9, "out", "9.0", 60, 0, "ACK|URG", ""]])
+    with pytest.raises(FlowCsvError, match="unknown TCP flag token: 'URG'"):
+        load_flows_csv(path)
+
+
+@pytest.mark.parametrize("field,value", [(5, "-1"), (6, "-3"), (8, "-5"),
+                                         (5, str(2 ** 32)), (8, "99999999999999999999")])
+def test_flow_csv_rejects_out_of_range_integers(tmp_path, field, value):
+    row = ["f0", "", 1, "out", "1.0", 60, 0, "", 1024]
+    row[field] = value
+    path = tmp_path / "range.csv"
+    write_rows(path, [["f0", "", 0, "out", "0.5", 60, 0, "", ""], row])
+    with pytest.raises(FlowCsvError, match=r"row 3: .* must be in \[0, 2\*\*32\)"):
+        load_flows_csv(path)
