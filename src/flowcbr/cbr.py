@@ -57,21 +57,6 @@ class Thresholds:
         if self.r_cohesion <= 0:
             raise ValueError("r_cohesion must be positive")
 
-    def save(self, path: str | Path) -> None:
-        doc = {"theta_new": self.theta_new, "theta_ood": self.theta_ood,
-               "k": self.k, "c_min": self.c_min, "r_cohesion": self.r_cohesion}
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> Thresholds:
-        with open(path) as fh:
-            doc = json.load(fh)
-        return cls(theta_new=doc["theta_new"], theta_ood=doc["theta_ood"],
-                   k=int(doc["k"]), c_min=int(doc["c_min"]),
-                   r_cohesion=doc["r_cohesion"])
-
 
 @dataclass(frozen=True)
 class Verdict:
@@ -86,7 +71,8 @@ class ClassRegistry:
     """Known labels plus the buffer of would-be new-class samples.
 
     ``evictions`` counts buffered samples dropped because the buffer was
-    full; it lives in memory only and is not saved.
+    full. A registry lives in memory only: a loaded model starts one from
+    its training labels.
     """
 
     labels: dict[str, str] = field(default_factory=dict)
@@ -114,27 +100,6 @@ class ClassRegistry:
         reg = ClassRegistry(labels=dict(self.labels), novel_count=self.novel_count,
                             stream_pos=self.stream_pos, evictions=self.evictions)
         reg.pending.extend((v.copy(), t) for v, t in self.pending)
-        return reg
-
-    def save(self, path: str | Path) -> None:
-        doc = {
-            "labels": self.labels,
-            "novel_count": self.novel_count,
-            "stream_pos": self.stream_pos,
-            "pending": [{"vector": v.tolist(), "stream_pos": t} for v, t in self.pending],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> ClassRegistry:
-        with open(path) as fh:
-            doc = json.load(fh)
-        reg = cls(labels=dict(doc["labels"]), novel_count=int(doc["novel_count"]),
-                  stream_pos=int(doc["stream_pos"]))
-        reg.pending.extend((np.array(p["vector"], dtype=np.float64), int(p["stream_pos"]))
-                           for p in doc["pending"])
         return reg
 
 

@@ -12,38 +12,27 @@ exits 2.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import os
 import sys
+from collections import Counter
 from pathlib import Path
 
 from . import flows as flows_mod
-from .cbr import ClassRegistry, Thresholds, calibrate_thresholds, classify, verdict_to_json
-from .features import (SCHEMA, Normalizer, extract_matrix, fit_normalizer,
-                       load_matrix_csv, save_matrix_csv)
+from .cbr import classify, verdict_to_json
+from .features import SCHEMA, extract_matrix, load_matrix_csv, save_matrix_csv
 from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
                       packet_sweep, run_eval)
-from .index import IndexEntry, NNIndex
+from .model import ModelFormatError, fit_model, load_model, save_model
 from .synth import default_templates, sweep_templates, synth_generate
 
 log = logging.getLogger("flowcbr")
 
-DEFAULTS = {
-    "seed": 0,
-    "k": 5,
-    "quantile_new": 0.99,
-    "quantile_ood": 0.999,
-    "ood_margin": 1.5,
-    "c_min": 5,
-    "r_cohesion": None,
-    "train_fraction": 0.70,
-    "n_trees": 100,
-    "max_depth": None,
-    "n_packets": None,
-    "idle_timeout": 60.0,
-}
+DEFAULTS = {**dataclasses.asdict(PipelineConfig()),
+            "idle_timeout": flows_mod.DEFAULT_IDLE_TIMEOUT}
 
 SWEEP_DEFAULT_COUNTS = "2,4,6,8,10,15,20,30"
 
@@ -127,12 +116,7 @@ def _settings(args: argparse.Namespace) -> dict:
 
 
 def _pipeline_config(s: dict) -> PipelineConfig:
-    return PipelineConfig(
-        n_packets=s["n_packets"], k=s["k"], quantile_new=s["quantile_new"],
-        quantile_ood=s["quantile_ood"], ood_margin=s["ood_margin"], c_min=s["c_min"],
-        r_cohesion=s["r_cohesion"], train_fraction=s["train_fraction"],
-        seed=s["seed"], n_trees=s["n_trees"],
-        max_depth=s["max_depth"])
+    return PipelineConfig(**{f.name: s[f.name] for f in dataclasses.fields(PipelineConfig)})
 
 
 def _out_dir(args: argparse.Namespace) -> Path:
@@ -181,7 +165,7 @@ def _read_matrix(path: str) -> tuple:
 
 def cmd_index(args: argparse.Namespace) -> int:
     s = _settings(args)
-    matrix, flow_ids, labels = _read_matrix(args.features)
+    matrix, _, labels = _read_matrix(args.features)
     if matrix.shape[0] == 0:
         raise ValidationError("cannot index an empty feature matrix")
     if any(not lbl for lbl in labels):
@@ -189,78 +173,46 @@ def cmd_index(args: argparse.Namespace) -> int:
     if matrix.shape[1] != SCHEMA.width:
         raise ValidationError(f"{args.features} has {matrix.shape[1]} feature columns, "
                               f"the schema has {SCHEMA.width}")
-    normalizer = fit_normalizer(matrix)
-    Xn = normalizer.transform(matrix)
-    entries = [IndexEntry(i, Xn[i], labels[i]) for i in range(Xn.shape[0])]
-    index = NNIndex.build(entries)
-    thresholds = calibrate_thresholds(
-        Xn, labels, quantile_new=s["quantile_new"], quantile_ood=s["quantile_ood"],
-        ood_margin=s["ood_margin"], k=s["k"], c_min=s["c_min"],
-        r_cohesion=s["r_cohesion"])
-    registry = ClassRegistry.from_training_labels(labels)
+    if max(Counter(labels).values()) < 2:
+        raise ValidationError(f"{args.features}: every class has one row; calibrating "
+                              "the thresholds needs a class with at least two")
+    model = fit_model(matrix, labels, _pipeline_config(s))
     out = _out_dir(args)
-    index.save(out / "index.json")
-    normalizer.save(out / "normalizer.json")
-    thresholds.save(out / "thresholds.json")
-    registry.save(out / "registry.json")
-    log.info("indexed %d vectors into %s", len(entries), out)
-    print(f"{len(entries)} vectors -> {out}")
+    save_model(out, model)
+    log.info("indexed %d vectors into %s", len(labels), out)
+    print(f"{len(labels)} vectors -> {out}")
     return 0
-
-
-def _load_model(model: Path) -> tuple[NNIndex, Normalizer, Thresholds, ClassRegistry]:
-    """Read a model directory; a malformed one is a ValidationError."""
-    if (model / "mask.json").exists():
-        # A mask may permute all 183 slots, so its model cannot be read as plain slots.
-        raise ValidationError(f"{model / 'mask.json'}: masked models are no longer "
-                              "supported; rebuild the model with the index command")
-    parts = []
-    for name, cls in (("index.json", NNIndex), ("normalizer.json", Normalizer),
-                      ("thresholds.json", Thresholds), ("registry.json", ClassRegistry)):
-        if not (model / name).exists():
-            raise ValidationError(f"model directory is missing {name}")
-        try:
-            parts.append(cls.load(model / name))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise ValidationError(f"malformed {model / name}: {exc!r}") from None
-    index, normalizer, thresholds, registry = parts
-    width = normalizer.mins.size
-    if index.dimension != width:
-        raise ValidationError(f"{model / 'index.json'} has dimension {index.dimension}, not {width}")
-    if any(v.shape != (width,) for v, _ in registry.pending):
-        raise ValidationError(f"{model / 'registry.json'} has pending vectors not {width} wide")
-    return index, normalizer, thresholds, registry
 
 
 def cmd_classify(args: argparse.Namespace) -> int:
     s = _settings(args)
-    index, normalizer, thresholds, registry = _load_model(Path(args.model))
+    model = load_model(args.model)
 
     if args.features:
         matrix, flow_ids, _ = _read_matrix(args.features)
-        if matrix.shape[1] != index.dimension:
+        if matrix.shape[1] != model.index.dimension:
             raise ValidationError(f"{args.features} has {matrix.shape[1]} feature columns, "
-                                  f"the model has {index.dimension}")
+                                  f"the model has {model.index.dimension}")
     else:
         flows = _read_flows(args.input, args.format, s["idle_timeout"])
         if s["n_packets"] is not None:
             flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
         matrix = extract_matrix(flows)
         flow_ids = [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)]
-    Xn = normalizer.transform(matrix)
+    Xn = model.normalizer.transform(matrix)
     out = _out_dir(args) / "verdicts.jsonl"
     counts: dict[str, int] = {}
     with open(out, "w") as fh:
         for fid, row in zip(flow_ids, Xn):
-            verdict = classify(index, registry, row, thresholds)
+            verdict = classify(model.index, model.registry, row, model.thresholds)
             counts[verdict.kind.value] = counts.get(verdict.kind.value, 0) + 1
             fh.write(verdict_to_json(fid, verdict) + "\n")
     log.info("verdicts: %s", counts)
-    if registry.evictions:
+    if model.registry.evictions:
         log.warning("pending buffer full: %d buffered samples evicted, oldest first",
-                    registry.evictions)
+                    model.registry.evictions)
     print(f"{len(flow_ids)} verdicts -> {out}  {counts}  "
-          f"pending evictions {registry.evictions}")
+          f"pending evictions {model.registry.evictions}")
     return 0
 
 
@@ -390,7 +342,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FlowCsvError, PcapFormatError, FileNotFoundError) as exc:
+    except (ValidationError, FlowCsvError, PcapFormatError, ModelFormatError,
+            FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

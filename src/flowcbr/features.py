@@ -31,7 +31,6 @@ as extracting the flow alone. The per-group extractors (``bits_per_peak``
 from __future__ import annotations
 
 import csv
-import json
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -403,29 +402,6 @@ class Normalizer:
         scaled = np.where(span > 0, scaled, 0.0)
         return np.clip(scaled, 0.0, 1.0)
 
-    def save(self, path: str | Path) -> None:
-        doc = {
-            "schema_version": self.schema_version,
-            "mins": self.mins.tolist(),
-            "maxs": self.maxs.tolist(),
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path, schema: FeatureSchema = SCHEMA) -> Normalizer:
-        with open(path) as fh:
-            doc = json.load(fh)
-        if doc.get("schema_version") != schema.version:
-            raise ValueError(
-                f"normalizer schema {doc.get('schema_version')!r} does not match {schema.version!r}")
-        mins = np.array([float(v) for v in doc["mins"]])
-        maxs = np.array([float(v) for v in doc["maxs"]])
-        if mins.size != schema.width or maxs.size != schema.width:
-            raise ValueError("normalizer parameter width does not match schema")
-        return cls(doc["schema_version"], mins, maxs)
-
 
 def fit_normalizer(matrix: np.ndarray, schema: FeatureSchema = SCHEMA) -> Normalizer:
     if matrix.ndim != 2 or matrix.shape[0] == 0:
@@ -448,7 +424,8 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
 
 
 def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
-    """Read a feature matrix CSV back as (matrix, flow_ids, labels)."""
+    """Read a feature matrix CSV back as (matrix, flow_ids, labels); a bad
+    header, row or cell (not a finite number) is a ValueError."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -465,4 +442,9 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
             labels.append(row[1])
             rows.append([float(v) for v in row[2:]])
     matrix = np.array(rows) if rows else np.zeros((0, width))
+    bad = np.argwhere(~np.isfinite(matrix))
+    if bad.size:
+        r, c = bad[0]
+        raise ValueError(f"row for {flow_ids[r]} has a non-finite {header[c + 2]} "
+                         f"value {float(matrix[r, c])}")
     return matrix, flow_ids, labels

@@ -23,11 +23,12 @@ from .index import NNIndex
 
 SNAPSHOT_VERSION = 1
 MIN_IMPROVEMENT = 1e-12
+DEFAULT_N_TREES = 100
 
 
 @dataclass
 class ForestConfig:
-    n_trees: int = 100
+    n_trees: int = DEFAULT_N_TREES
     max_depth: int | None = None
     min_samples_leaf: int = 1
     features_per_split: int | None = None

@@ -13,21 +13,25 @@ from pathlib import Path
 
 import numpy as np
 
-from .cbr import (ClassRegistry, Thresholds, Verdict, VerdictKind,
-                  calibrate_thresholds, classify, vote, write_verdicts)
-from .features import Normalizer, extract_matrix, fit_normalizer
+from .cbr import (DEFAULT_C_MIN, DEFAULT_K, DEFAULT_OOD_MARGIN, DEFAULT_QUANTILE_NEW,
+                  DEFAULT_QUANTILE_OOD, ClassRegistry, Thresholds, Verdict, VerdictKind,
+                  classify, vote, write_verdicts)
+from .features import Normalizer, extract_matrix
 from .flows import Flow, truncate_flow
-from .forest import EnsembleVerdict, ForestConfig, route_verdict, train_forest
-from .index import IndexEntry, NNIndex
+from .forest import (DEFAULT_N_TREES, EnsembleVerdict, ForestConfig, route_verdict,
+                     train_forest)
+from .index import NNIndex
+from .model import fit_model
 
 OOD_LABEL = "__ood__"
 PENDING_LABEL = "__pending__"
 PLATEAU_EPS = 0.005
+DEFAULT_TRAIN_FRACTION = 0.70
 
 
 @dataclass
 class SplitSpec:
-    train_fraction: float = 0.70
+    train_fraction: float = DEFAULT_TRAIN_FRACTION
     seed: int = 0
     stratified: bool = True
 
@@ -129,15 +133,15 @@ def write_metrics_csv(path: str | Path, metrics: Metrics) -> None:
 @dataclass
 class PipelineConfig:
     n_packets: int | None = None
-    k: int = 5
-    quantile_new: float = 0.99
-    quantile_ood: float = 0.999
-    ood_margin: float = 1.5
-    c_min: int = 5
+    k: int = DEFAULT_K
+    quantile_new: float = DEFAULT_QUANTILE_NEW
+    quantile_ood: float = DEFAULT_QUANTILE_OOD
+    ood_margin: float = DEFAULT_OOD_MARGIN
+    c_min: int = DEFAULT_C_MIN
     r_cohesion: float | None = None
-    train_fraction: float = 0.70
+    train_fraction: float = DEFAULT_TRAIN_FRACTION
     seed: int = 0
-    n_trees: int = 100
+    n_trees: int = DEFAULT_N_TREES
     max_depth: int | None = None
 
 
@@ -166,23 +170,14 @@ def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
     X = extract_matrix(flows)
     train_idx, test_idx = stratified_split(
         labels, SplitSpec(train_fraction=config.train_fraction, seed=config.seed))
-    normalizer = fit_normalizer(X[train_idx])
-    Xn = normalizer.transform(X)
-    X_train, y_train = Xn[train_idx], [labels[i] for i in train_idx]
-    X_test, y_test = Xn[test_idx], [labels[i] for i in test_idx]
-    entries = [IndexEntry(int(i), X_train[row], y_train[row])
-               for row, i in enumerate(train_idx)]
-    index = NNIndex.build(entries)
-    thresholds = calibrate_thresholds(
-        X_train, y_train,
-        quantile_new=config.quantile_new, quantile_ood=config.quantile_ood,
-        ood_margin=config.ood_margin, k=config.k, c_min=config.c_min,
-        r_cohesion=config.r_cohesion)
-    registry = ClassRegistry.from_training_labels(y_train)
+    y_train = [labels[i] for i in train_idx]
+    model = fit_model(X[train_idx], y_train, config)
     test_ids = [flows[i].flow_id or f"t{i}" for i in test_idx]
-    return FittedPipeline(index=index, registry=registry, thresholds=thresholds,
-                          normalizer=normalizer, X_train=X_train, y_train=y_train,
-                          X_test=X_test, y_test=y_test, train_idx=train_idx,
+    return FittedPipeline(index=model.index, registry=model.registry,
+                          thresholds=model.thresholds, normalizer=model.normalizer,
+                          X_train=model.vectors, y_train=y_train,
+                          X_test=model.normalizer.transform(X[test_idx]),
+                          y_test=[labels[i] for i in test_idx], train_idx=train_idx,
                           test_idx=test_idx, test_ids=test_ids)
 
 

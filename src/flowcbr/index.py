@@ -3,8 +3,8 @@
 One brute-force index: every query computes the distance to every stored
 row and returns the k smallest, ties broken by entry id, so results are
 deterministic. Rows can be inserted one at a time (new classes register
-without a rebuild), and the index round-trips through a JSON snapshot and
-an independent clone.
+without a rebuild), and the index has an independent clone. Saving and
+loading belong to the model directory (``flowcbr.model``).
 
 Every distance is computed by ``row_distances``, so the same float comes out
 wherever it is used.
@@ -12,13 +12,9 @@ wherever it is used.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
-
-SNAPSHOT_VERSION = 1
 
 
 def row_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -47,10 +43,8 @@ class NNIndex:
     def __init__(self, matrix: np.ndarray, ids: list[int], labels: list[str]) -> None:
         self._matrix = matrix
         self._ids = np.array(ids, dtype=np.int64)
-        self._labels = labels
-        # Fresh ints: holding the caller's (say, those parsed from a snapshot)
-        # would pin their memory pools: about 10 MB more peak RSS when
-        # classify loads a 3200-row snapshot.
+        # A copy: insert appends to it, and the caller's list stays as given.
+        self._labels = list(labels)
         self._id_set = set(self._ids.tolist())
         self._next_auto_id = max(ids) + 1
 
@@ -116,37 +110,3 @@ class NNIndex:
         return [Neighbor(entry_id=int(self._ids[p]), label=self._labels[p],
                          distance=float(dists[p]))
                 for p in order]
-
-    def save(self, path: str | Path) -> None:
-        doc = {
-            "format_version": SNAPSHOT_VERSION,
-            "config": {"dimension": self.dimension},
-            "entries": [
-                {"id": int(i), "label": self._labels[p], "vector": self._matrix[p].tolist()}
-                for p, i in enumerate(self._ids)
-            ],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> NNIndex:
-        """Read a snapshot; config keys other than ``dimension`` are ignored,
-        so snapshots that still name a search backend load unchanged."""
-        try:
-            with open(path) as fh:
-                doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"corrupt index snapshot {path}: {exc}") from None
-        if doc.get("format_version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {doc.get('format_version')!r}")
-        dim = int(doc["config"]["dimension"])
-        entries = []
-        for e in doc["entries"]:
-            v = np.array(e["vector"], dtype=np.float64)
-            if v.shape != (dim,):
-                raise ValueError(f"entry {e['id']} dimension {v.shape} does not match "
-                                 f"snapshot dimension {dim}")
-            entries.append(IndexEntry(int(e["id"]), v, e["label"]))
-        return cls.build(entries)

@@ -1,0 +1,136 @@
+"""The retrieval model: one fit, and the only code that knows its layout.
+
+A model is the normalized training rows (row i is index entry i) plus the
+min-max normalizer and the five thresholds around them. A model directory
+holds exactly ``vectors.npy``, the rows as float64 in ``np.save`` format,
+and ``model.json``: the format and schema versions, the normalizer's mins
+and maxs, the thresholds, one label per row, the row count and the sha256
+of ``vectors.npy``. Each file is written under a temporary name and moved
+into place with ``os.replace``, vectors first; a ``model.json`` left from an
+earlier model then fails the sha256 check against the new vectors.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import io
+import json
+import os
+from dataclasses import dataclass, field
+from pathlib import Path
+from typing import TYPE_CHECKING
+
+import numpy as np
+
+from .cbr import ClassRegistry, Thresholds, calibrate_thresholds
+from .features import SCHEMA, FeatureSchema, Normalizer, fit_normalizer
+from .index import NNIndex
+
+if TYPE_CHECKING:
+    from .harness import PipelineConfig
+
+FORMAT_VERSION = 2
+# Files of the layouts before model.json. The index command wrote them and
+# nothing updated them, so a rebuild from the same features restores them. A
+# slot mask may permute all 183 slots, so its model cannot be read as plain slots.
+OLD_LAYOUT = ("mask.json", "index.json", "normalizer.json", "thresholds.json",
+              "registry.json")
+REBUILD = "rebuild the model with the index command"
+
+
+class ModelFormatError(ValueError):
+    """A model directory that is missing, malformed, or in an old layout."""
+
+
+@dataclass
+class Model:
+    """A fitted model. ``index`` and ``registry`` start from the fitted rows
+    and grow as classifying registers classes; only the fitted rows are saved."""
+
+    normalizer: Normalizer
+    thresholds: Thresholds
+    vectors: np.ndarray
+    labels: list[str]
+    index: NNIndex = field(init=False, repr=False)
+    registry: ClassRegistry = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self.index = NNIndex(self.vectors, list(range(len(self.labels))), self.labels)
+        self.registry = ClassRegistry.from_training_labels(self.labels)
+
+
+def fit_model(X: np.ndarray, labels: list[str], config: PipelineConfig) -> Model:
+    """Fit the normalizer on X, then index and calibrate the normalized rows."""
+    normalizer = fit_normalizer(X)
+    vectors = normalizer.transform(X)
+    thresholds = calibrate_thresholds(
+        vectors, labels, quantile_new=config.quantile_new, quantile_ood=config.quantile_ood,
+        ood_margin=config.ood_margin, k=config.k, c_min=config.c_min,
+        r_cohesion=config.r_cohesion)
+    return Model(normalizer, thresholds, vectors, list(labels))
+
+
+def save_model(directory: str | Path, model: Model) -> None:
+    """Write ``vectors.npy``, then ``model.json``. The same model always
+    gives the same bytes (``np.save`` stamps no time, unlike ``np.savez``)."""
+    buf = io.BytesIO()
+    np.save(buf, model.vectors)
+    doc = {"format_version": FORMAT_VERSION,
+           "schema_version": model.normalizer.schema_version,
+           "mins": model.normalizer.mins.tolist(), "maxs": model.normalizer.maxs.tolist(),
+           "thresholds": dataclasses.asdict(model.thresholds),
+           "labels": model.labels, "rows": len(model.labels),
+           "vectors_sha256": hashlib.sha256(buf.getvalue()).hexdigest()}
+    text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
+    out = Path(directory)
+    for name, data in (("vectors.npy", buf.getvalue()), ("model.json", text.encode())):
+        (out / f"{name}.tmp").write_bytes(data)
+        os.replace(out / f"{name}.tmp", out / name)
+
+
+def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
+    """Read a model directory, checking every part against ``schema`` before
+    returning; every fault is a ``ModelFormatError`` naming the file."""
+    d = Path(directory)
+    doc_path, vectors_path = d / "model.json", d / "vectors.npy"
+    old = [d / name for name in OLD_LAYOUT if (d / name).exists()]
+    if old and (old[0].name == "mask.json" or not doc_path.exists()):
+        raise ModelFormatError(f"{old[0]} is from an old model layout, which no longer "
+                               f"loads; {REBUILD} into an empty directory")
+    if not doc_path.exists():
+        raise ModelFormatError(f"model directory {d} is missing model.json")
+    try:
+        doc = json.loads(doc_path.read_bytes())
+        for key, want in (("format_version", FORMAT_VERSION), ("schema_version", schema.version)):
+            if doc[key] != want:
+                raise ValueError(f"{key} {doc[key]!r} is not {want!r}; {REBUILD}")
+        mins, maxs = (np.array(doc[key], dtype=np.float64) for key in ("mins", "maxs"))
+        if not (mins.shape == maxs.shape == (schema.width,) and np.isfinite(mins).all()
+                and np.isfinite(maxs).all()):
+            raise ValueError(f"mins and maxs must each hold {schema.width} finite numbers")
+        th = doc["thresholds"]
+        if type(th["k"]) is not int or type(th["c_min"]) is not int:
+            raise ValueError("thresholds k and c_min must be integers")
+        thresholds = Thresholds(**th)
+        labels, rows, sha256 = doc["labels"], doc["rows"], doc["vectors_sha256"]
+        if not (isinstance(labels, list) and labels and len(labels) == rows
+                and all(isinstance(lbl, str) and lbl for lbl in labels)):
+            raise ValueError(f"labels must be {rows!r} non-empty strings, one per row")
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"malformed {doc_path}: {exc!r}") from None
+    data = vectors_path.read_bytes()
+    if hashlib.sha256(data).hexdigest() != sha256:
+        raise ModelFormatError(f"{vectors_path} does not match the sha256 in {doc_path}, "
+                               f"as after an interrupted write; {REBUILD}")
+    try:
+        vectors = np.load(io.BytesIO(data), allow_pickle=False)
+    except (ValueError, EOFError) as exc:
+        raise ModelFormatError(f"malformed {vectors_path}: {exc}") from None
+    if vectors.dtype != np.float64 or vectors.shape != (rows, schema.width):
+        raise ModelFormatError(f"{vectors_path} holds {vectors.dtype} {vectors.shape}, "
+                               f"expected float64 {(rows, schema.width)}")
+    if not np.isfinite(vectors).all():
+        raise ModelFormatError(f"{vectors_path} holds non-finite values")
+    return Model(Normalizer(schema.version, mins, maxs), thresholds,
+                 np.ascontiguousarray(vectors), labels)

@@ -23,6 +23,7 @@ from flowcbr.harness import (
     run_eval,
 )
 from flowcbr.index import IndexEntry, NNIndex, row_distances
+from flowcbr.model import fit_model, load_model, save_model
 from flowcbr.synth import (
     default_templates,
     fewshot_templates,
@@ -251,15 +252,14 @@ def test_criterion_09_determinism_and_snapshots(capsys, tmp_path):
                     for n in names)
 
     rng = np.random.default_rng(9)
-    vectors = rng.random((1000, 50))
-    entries = [IndexEntry(i, vectors[i], f"c{i % 4}") for i in range(1000)]
-    queries = rng.random((100, 50))
-    index = NNIndex.build(entries)
-    index.save(tmp_path / "index.json")
-    restored = NNIndex.load(tmp_path / "index.json")
-    index_ok = all(
-        [(nb.entry_id, nb.distance) for nb in index.query_knn(q, 5)]
-        == [(nb.entry_id, nb.distance) for nb in restored.query_knn(q, 5)]
+    model = fit_model(rng.random((1000, SCHEMA.width)),
+                      [f"c{i % 4}" for i in range(1000)], PipelineConfig())
+    save_model(tmp_path, model)
+    restored = load_model(tmp_path)
+    queries = rng.random((100, SCHEMA.width))
+    index_ok = restored.vectors.tobytes() == model.vectors.tobytes() and all(
+        [(nb.entry_id, nb.distance) for nb in model.index.query_knn(q, 5)]
+        == [(nb.entry_id, nb.distance) for nb in restored.index.query_knn(q, 5)]
         for q in queries)
 
     X = rng.random((300, 20))
@@ -274,8 +274,8 @@ def test_criterion_09_determinism_and_snapshots(capsys, tmp_path):
 
     ok = identical and index_ok and forest_ok
     report(capsys, 9, ok,
-           f"re-run reports byte-identical: {identical}; index snapshots "
-           f"query-identical (100 queries): {index_ok}; forest "
+           f"re-run reports byte-identical: {identical}; saved model "
+           f"bit-identical and query-identical (100 queries): {index_ok}; forest "
            f"snapshot prediction-identical (100 probes): {forest_ok}")
 
 

@@ -23,7 +23,9 @@ from flowcbr.cbr import (
     vote,
     write_verdicts,
 )
+from flowcbr.features import SCHEMA, Normalizer
 from flowcbr.index import IndexEntry, Neighbor, NNIndex, row_distances
+from flowcbr.model import Model, load_model, save_model
 
 
 def nb(label, distance, entry_id=0):
@@ -61,11 +63,16 @@ def test_thresholds_validation_and_cohesion_default():
         Thresholds(1.0, 2.0, c_min=0)
 
 
+def unit_model(th, labels):
+    """A model holding ``th`` and one zero row per label."""
+    normalizer = Normalizer(SCHEMA.version, np.zeros(SCHEMA.width), np.ones(SCHEMA.width))
+    return Model(normalizer, th, np.zeros((len(labels), SCHEMA.width)), labels)
+
+
 def test_thresholds_round_trip(tmp_path):
     th = Thresholds(theta_new=0.75, theta_ood=1.5, k=3, c_min=4, r_cohesion=2.25)
-    path = tmp_path / "thresholds.json"
-    th.save(path)
-    assert Thresholds.load(path) == th
+    save_model(tmp_path, unit_model(th, ["a"]))
+    assert load_model(tmp_path).thresholds == th
 
 
 def one_point_setup(theta_new=1.0, theta_ood=2.0, **kw):
@@ -259,7 +266,7 @@ def test_cohort_search_cost_is_bounded(monkeypatch, radius):
     assert registry.evictions == 1
 
 
-def test_full_buffer_counts_evictions(tmp_path):
+def test_full_buffer_counts_evictions():
     index, registry, th = one_point_setup(theta_new=0.1, theta_ood=1e6,
                                           c_min=3, r_cohesion=1.0)
     for t in range(PENDING_CAPACITY - 1):
@@ -273,8 +280,6 @@ def test_full_buffer_counts_evictions(tmp_path):
     assert registry.pending[0][0][0] == 40.0  # the three oldest went
 
     assert registry.clone().evictions == 3
-    registry.save(tmp_path / "registry.json")
-    assert ClassRegistry.load(tmp_path / "registry.json").evictions == 0
 
 
 def loo_same_class_nn(X, y):
@@ -386,18 +391,18 @@ def test_registry_clone_is_deep_for_pending():
 
 
 def test_registry_round_trip(tmp_path):
-    reg = ClassRegistry.from_training_labels(["a", "b", "a"])
-    reg.pending.append((np.array([1.5, 2.5]), 7))
-    reg.novel_count = 2
-    reg.stream_pos = 40
-    path = tmp_path / "registry.json"
-    reg.save(path)
-    back = ClassRegistry.load(path)
-    assert back.labels == reg.labels
-    assert back.novel_count == 2 and back.stream_pos == 40
-    assert len(back.pending) == 1
-    np.testing.assert_array_equal(back.pending[0][0], [1.5, 2.5])
-    assert back.pending[0][1] == 7
+    """A model saves its training labels, not its registry: the loaded
+    registry holds those labels as trained, with an empty buffer and every
+    counter at zero, whatever the registry held before the save."""
+    model = unit_model(Thresholds(theta_new=0.75, theta_ood=1.5), ["a", "b", "a"])
+    model.registry.pending.append((np.full(SCHEMA.width, 0.5), 7))
+    model.registry.novel_count = 2
+    model.registry.stream_pos = 40
+    save_model(tmp_path, model)
+    back = load_model(tmp_path).registry
+    assert back.labels == {"a": "trained", "b": "trained"}
+    assert back.novel_count == 0 and back.stream_pos == 0 and back.evictions == 0
+    assert len(back.pending) == 0
 
 
 def test_pending_buffer_is_bounded():

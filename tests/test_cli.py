@@ -1,11 +1,14 @@
 """Command-line interface tests, run in process through main()."""
 
+import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import flowcbr
@@ -52,8 +55,7 @@ def test_extract_index_classify_chain(tmp_path, flows_csv, capsys):
     model = tmp_path / "model"
     assert run("--out", str(model), "index", str(feat_dir / "features.csv"),
                "--k", "3") == 0
-    for name in ("index.json", "normalizer.json", "thresholds.json", "registry.json"):
-        assert (model / name).exists(), name
+    assert sorted(p.name for p in model.iterdir()) == ["model.json", "vectors.npy"]
 
     out = tmp_path / "verdicts"
     assert run("--out", str(out), "classify", str(model),
@@ -88,7 +90,6 @@ def test_index_mask_flag_is_gone(tmp_path, flows_csv, capsys):
 
 
 def test_index_rejects_unlabeled_rows(tmp_path, capsys):
-    import numpy as np
     path = tmp_path / "f.csv"
     save_matrix_csv(path, np.zeros((2, 183)), ["a", "b"], ["x", ""])
     assert run("--out", str(tmp_path / "m"), "index", str(path)) == 2
@@ -263,38 +264,121 @@ def model_dir(data_dir, tmp_path):
     return model
 
 
-_NARROW_HEADER = ",".join(["flow_id", "label"] + [f"f{i:03d}" for i in range(178)]) + "\n"
-_BAD_CELL = (",".join(["flow_id", "label"] + [f"f{i:03d}" for i in range(183)]) + "\n"
-             + ",".join(["a", ""] + ["0.5"] * 182 + ["oops"]) + "\n")
-_BAD_REGISTRY = json.dumps({"labels": {}, "novel_count": 0, "stream_pos": 0,
-                            "pending": [{"vector": [0.5, 0.5], "stream_pos": 0}]})
-_NARROW_INDEX = json.dumps({"format_version": 1, "config": {"dimension": 2},
-                            "entries": [{"id": 0, "label": "a", "vector": [0.5, 0.5]}]})
+def test_index_twice_writes_identical_model_dirs(data_dir, tmp_path):
+    """Two index runs on one CSV write the same two files, byte for byte."""
+    dirs = [tmp_path / "a", tmp_path / "b"]
+    for d in dirs:
+        assert run("--out", str(d), "index", str(data_dir / "features.csv")) == 0
+    names = ["model.json", "vectors.npy"]
+    for d in dirs:
+        assert sorted(p.name for p in d.iterdir()) == names
+    for name in names:
+        assert (dirs[0] / name).read_bytes() == (dirs[1] / name).read_bytes()
+
+
+_HEADER = ["flow_id", "label"] + [f"f{i:03d}" for i in range(183)]
+_NARROW_HEADER = ",".join(_HEADER[:-5]) + "\n"
+
+
+def _last_cell(cell):
+    """A one-row feature CSV whose last cell is ``cell``."""
+    return ",".join(_HEADER) + "\n" + ",".join(["a", ""] + ["0.5"] * 182 + [cell]) + "\n"
+
+
+def _edit_model_json(**changes):
+    """A change to a model directory: set keys of model.json, each to a
+    value or to a function of the old document."""
+    def change(model):
+        path = model / "model.json"
+        doc = json.loads(path.read_text())
+        doc.update({k: v(doc) if callable(v) else v for k, v in changes.items()})
+        path.write_text(json.dumps(doc))
+    return change
+
+
+def _npy(array):
+    buf = io.BytesIO()
+    np.save(buf, array)
+    return buf.getvalue()
+
+
+def _replace_vectors(make, record_sha=True):
+    """A change to a model directory: write ``make(vectors)`` as vectors.npy,
+    and record its sha256 in model.json unless ``record_sha`` is false, as
+    after a rewrite cut off between the two files."""
+    def change(model):
+        data = make(np.load(model / "vectors.npy"))
+        (model / "vectors.npy").write_bytes(data)
+        if record_sha:
+            _edit_model_json(vectors_sha256=hashlib.sha256(data).hexdigest())(model)
+    return change
+
+
+def _old_layout(model):
+    """The four JSON files the index command wrote before model.json."""
+    for name in ("model.json", "vectors.npy"):
+        (model / name).unlink()
+    for name in ("index.json", "normalizer.json", "thresholds.json", "registry.json"):
+        (model / name).write_text("{}")
+
+
 # A mask that permutes all 183 slots has the right width and the wrong order.
 _MASK = json.dumps({"schema_version": "stat183.v1", "slots": list(range(183))[::-1]})
 
 
-@pytest.mark.parametrize("name,content,fragment", [
-    ("mask.json", _MASK, "masked models are no longer supported"),
-    ("index.json", "{", "corrupt index snapshot"),
-    ("index.json", _NARROW_INDEX, "has dimension 2, not 183"),
-    ("normalizer.json", '{"mean": [1, 2]}', "normalizer schema None does not match"),
-    ("thresholds.json", "[]", "TypeError"),
-    ("registry.json", _BAD_REGISTRY, "has pending vectors not 183 wide"),
-    ("features.csv", _NARROW_HEADER, "has 178 feature columns, the model has 183"),
-    ("features.csv", _BAD_CELL, "could not convert string to float: 'oops'"),
-], ids=["mask", "index", "index-width", "normalizer", "thresholds", "registry", "features",
-        "features-cell"])
-def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys,
-                                          name, content, fragment):
-    """Each malformed model file, a leftover slot mask, or an input of the
-    wrong width is named in an error line and exits 2 before any verdict is
-    written."""
+_OLD = "is from an old model layout, which no longer loads; rebuild the model"
+_BAD_INPUTS = {
+    "mask": ("mask.json", _MASK, _OLD),
+    "index": ("index.json", _old_layout, _OLD),
+    "model-json": ("model.json", "{", "malformed"),
+    "format-version": ("model.json", _edit_model_json(format_version=1),
+                       "format_version 1 is not 2"),
+    "schema-version": ("model.json", _edit_model_json(schema_version="stat178.v1"),
+                       "schema_version 'stat178.v1' is not 'stat183.v1'"),
+    "normalizer": ("model.json", _edit_model_json(mins=lambda doc: doc["mins"][:178]),
+                   "mins and maxs must each hold 183 finite numbers"),
+    "thresholds": ("model.json",
+                   _edit_model_json(thresholds=lambda doc: {**doc["thresholds"], "k": "5"}),
+                   "thresholds k and c_min must be integers"),
+    "registry": ("model.json", _edit_model_json(labels=lambda doc: doc["labels"][1:]),
+                 "labels must be 12 non-empty strings, one per row"),
+    "index-width": ("vectors.npy", _replace_vectors(lambda v: _npy(v[:, :178])),
+                    "holds float64 (12, 178), expected float64 (12, 183)"),
+    "vectors-rows": ("vectors.npy", _replace_vectors(lambda v: _npy(v[1:])),
+                     "holds float64 (11, 183), expected float64 (12, 183)"),
+    "vectors-dtype": ("vectors.npy", _replace_vectors(lambda v: _npy(v.astype(np.float32))),
+                      "holds float32 (12, 183)"),
+    "vectors-truncated": ("vectors.npy", _replace_vectors(lambda v: _npy(v)[:-8]),
+                          "EOF: reading array data"),
+    "vectors-sha256": ("vectors.npy",
+                       _replace_vectors(lambda v: _npy(v[::-1]), record_sha=False),
+                       "does not match the sha256 in"),
+    "vectors-missing": ("vectors.npy", lambda model: (model / "vectors.npy").unlink(),
+                        "No such file or directory"),
+    "features": ("features.csv", _NARROW_HEADER, "has 178 feature columns, the model has 183"),
+    "features-cell": ("features.csv", _last_cell("oops"),
+                      "could not convert string to float: 'oops'"),
+    "features-nan": ("features.csv", _last_cell("nan"),
+                     "row for a has a non-finite f182 value nan"),
+    "features-inf": ("features.csv", _last_cell("-inf"),
+                     "row for a has a non-finite f182 value -inf"),
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_INPUTS))
+def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys, case):
+    """Each malformed or old-layout model directory, a leftover slot mask,
+    and an input feature CSV of the wrong width or with a bad cell is named
+    in an error line and exits 2 before any verdict is written."""
+    name, change, fragment = _BAD_INPUTS[case]
     features = data_dir / "features.csv"
-    target = model_dir / name
     if name == "features.csv":
-        target = features = tmp_path / name
-    target.write_text(content)
+        features = tmp_path / name
+        features.write_text(change)
+    elif callable(change):
+        change(model_dir)
+    else:
+        (model_dir / name).write_text(change)
     capsys.readouterr()
     assert run("--out", str(tmp_path / "v"), "classify", str(model_dir),
                "--features", str(features)) == 2
@@ -307,10 +391,15 @@ def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys,
 @pytest.mark.parametrize("width,cell,fragment", [
     (178, "0.25", "has 178 feature columns, the schema has 183"),
     (183, "oops", "could not convert string to float: 'oops'"),
-], ids=["narrow", "non-numeric"])
+    (183, "nan", "row for b has a non-finite f182 value nan"),
+    (183, "inf", "row for b has a non-finite f182 value inf"),
+    (183, "0.25", "every class has one row"),
+], ids=["narrow", "non-numeric", "nan", "inf", "singletons"])
 def test_index_malformed_features_exit_two(tmp_path, capsys, width, cell, fragment):
     """``index`` on a two-row CSV of ``width`` slots whose last cell is
-    ``cell`` exits 2, names the file and writes nothing."""
+    ``cell`` exits 2, names the file and writes nothing. Each row has its
+    own label, so a well-formed file fails calibration, which needs a class
+    with two rows."""
     header = ["flow_id", "label"] + [f"f{i:03d}" for i in range(width)]
     rows = [["a", "x"] + ["0.5"] * width, ["b", "y"] + ["0.25"] * (width - 1) + [cell]]
     path = tmp_path / "bad_features.csv"
@@ -347,25 +436,23 @@ def test_boundary_settings_accepted(data_dir, tmp_path):
 
 
 def test_classify_reports_pending_evictions(data_dir, tmp_path, capsys, caplog):
-    """A registry whose buffer is already full evicts one sample per Pending
-    verdict; the summary prints the count and a warning names it."""
+    """With thresholds that put every sample in between, the pending buffer
+    fills after 1000 samples and then evicts one per Pending verdict; the
+    summary prints the count and a warning names it."""
     model = tmp_path / "model"
     assert run("--out", str(model), "index", str(data_dir / "features.csv")) == 0
-    (model / "thresholds.json").write_text(json.dumps(
-        {"theta_new": 1e-12, "theta_ood": 1e12, "k": 1, "c_min": 1000,
-         "r_cohesion": 1e-9}))
-    registry = json.loads((model / "registry.json").read_text())
-    registry["pending"] = [{"vector": [1e6] * 183, "stream_pos": 0}] * 1000
-    (model / "registry.json").write_text(json.dumps(registry))
-    other = tmp_path / "other"
-    assert run("--seed", "4", "--out", str(other), "synth",
-               "--classes", "2", "--flows-per-class", "2") == 0
+    _edit_model_json(thresholds={"theta_new": 1e-12, "theta_ood": 1e12, "k": 1,
+                                 "c_min": 1000, "r_cohesion": 1e-9})(model)
+    n = 1004
+    stream = tmp_path / "stream.csv"
+    save_matrix_csv(stream, np.random.default_rng(4).random((n, 183)),
+                    [f"s{i}" for i in range(n)], [""] * n)
     capsys.readouterr()
 
     assert run("--out", str(tmp_path / "v"), "classify", str(model),
-               "--input", str(other / "flows.csv")) == 0
+               "--features", str(stream)) == 0
     out = capsys.readouterr().out
-    assert "{'NewClassPending': 4}  pending evictions 4" in out
+    assert "{'NewClassPending': 1004}  pending evictions 4" in out
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert any("4 buffered samples evicted" in w for w in warnings)
 

@@ -35,7 +35,10 @@ from flowcbr.features import (
     size_delta_stats,
     wavelet_coeffs,
 )
+from flowcbr.cbr import Thresholds
 from flowcbr.flows import Direction, Flow, FlowPacket, TcpFlags
+from flowcbr.harness import PipelineConfig
+from flowcbr.model import Model, ModelFormatError, fit_model, load_model, save_model
 
 F = Direction.FWD
 B = Direction.BWD
@@ -382,12 +385,12 @@ def test_normalizer_output_always_in_unit_box(rows, cols, seed):
 
 
 def test_fit_normalizer_round_trips_through_json(tmp_path):
+    """The normalizer a model fits comes back from model.json bit for bit."""
     rng = np.random.default_rng(11)
     m = rng.normal(size=(6, 183)) * 37.5
-    norm = fit_normalizer(m)
-    path = tmp_path / "norm.json"
-    norm.save(path)
-    back = Normalizer.load(path)
+    model = fit_model(m, ["a", "a", "b", "b", "c", "c"], PipelineConfig())
+    save_model(tmp_path, model)
+    norm, back = model.normalizer, load_model(tmp_path).normalizer
     np.testing.assert_array_equal(back.mins, norm.mins)
     np.testing.assert_array_equal(back.maxs, norm.maxs)
     q = rng.normal(size=(4, 183))
@@ -396,10 +399,9 @@ def test_fit_normalizer_round_trips_through_json(tmp_path):
 
 def test_normalizer_load_rejects_wrong_version(tmp_path):
     norm = Normalizer("someone.else", np.zeros(183), np.ones(183))
-    path = tmp_path / "bad.json"
-    norm.save(path)
-    with pytest.raises(ValueError, match="schema"):
-        Normalizer.load(path)
+    save_model(tmp_path, Model(norm, Thresholds(1.0, 2.0), np.zeros((1, 183)), ["a"]))
+    with pytest.raises(ModelFormatError, match="schema"):
+        load_model(tmp_path)
 
 
 def test_fit_normalizer_rejects_empty_or_misshaped():

@@ -5,12 +5,17 @@ scan written here, not the index's own code path. The index must match it
 exactly: same ids, bit-identical distance floats.
 """
 
+import hashlib
+import io
 import json
 
 import numpy as np
 import pytest
 
+from flowcbr.cbr import Thresholds
+from flowcbr.features import FeatureSchema, Normalizer
 from flowcbr.index import IndexEntry, NNIndex, row_distances
+from flowcbr.model import Model, ModelFormatError, load_model, save_model
 
 
 def reference_knn(vectors, ids, q, k):
@@ -29,31 +34,52 @@ def pairs(index, q, k):
     return [(nb.distance, nb.entry_id) for nb in index.query_knn(q, k)]
 
 
-# Every backend a version-1 snapshot could name. The index is one exact scan
-# now, but model directories written when it could be a tree still hold
-# these names and must load and answer like the brute-force index.
+# Every backend a version-1 index snapshot could name. A directory holding
+# such a snapshot is in the old layout and no longer loads, whichever backend
+# it names; its rows are rebuilt into a model directory instead.
 LEGACY_BACKENDS = ("brute", "kdtree", "balltree")
 
 
-def legacy_snapshot(index, backend, path):
-    """Write ``index`` as a version-1 snapshot naming ``backend``, in the
-    layout that carried ``backend`` and ``leaf_size``, and load it back."""
-    index.save(path)
-    doc = json.loads(path.read_text())
-    doc["config"] = {"backend": backend, "dimension": index.dimension, "leaf_size": 8}
-    path.write_text(json.dumps(doc, sort_keys=True) + "\n")
-    return NNIndex.load(path)
+def schema_of(d):
+    return FeatureSchema(version=f"test{d}.v1", groups=(("x", d),))
+
+
+def save_test_model(directory, vectors, labels):
+    """Save rows of any width as a model directory, row i as entry i."""
+    d = vectors.shape[1]
+    normalizer = Normalizer(schema_of(d).version, np.zeros(d), np.ones(d))
+    save_model(directory, Model(normalizer, Thresholds(1.0, 2.0), vectors, labels))
+
+
+def rebuilt(vectors, labels, backend, tmp_path):
+    """Refuse a version-1 directory whose ``index.json`` names ``backend``,
+    then save the same rows as a model and return the index loaded from it."""
+    old = tmp_path / "v1"
+    old.mkdir()
+    (old / "index.json").write_text(json.dumps({
+        "format_version": 1,
+        "config": {"backend": backend, "dimension": vectors.shape[1], "leaf_size": 8},
+        "entries": [{"id": i, "label": lbl, "vector": v.tolist()}
+                    for i, (v, lbl) in enumerate(zip(vectors, labels))],
+    }))
+    with pytest.raises(ModelFormatError, match="old model layout, which no longer loads"):
+        load_model(old)
+    model_dir = tmp_path / "model"
+    model_dir.mkdir()
+    save_test_model(model_dir, vectors, labels)
+    return load_model(model_dir, schema_of(vectors.shape[1])).index
 
 
 @pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 @pytest.mark.parametrize("n,d,k", [(1, 3, 1), (17, 2, 5), (100, 11, 10), (300, 20, 3)])
 def test_backends_match_reference_exactly(backend, n, d, k, tmp_path):
-    """The built index, and the same index loaded from a version-1 snapshot
-    naming ``backend``, both match the reference scan exactly."""
+    """The built index, and the index rebuilt from a version-1 directory
+    naming ``backend`` into a model directory, both match the reference
+    scan exactly."""
     rng = np.random.default_rng(n * 100 + d)
     entries, vectors = make_entries(rng, n, d)
     index = NNIndex.build(entries)
-    loaded = legacy_snapshot(index, backend, tmp_path / "index.json")
+    loaded = rebuilt(vectors, [e.label for e in entries], backend, tmp_path)
     ids = [e.id for e in entries]
     for q in rng.normal(size=(25, d)):
         want = reference_knn(vectors, ids, q, k)
@@ -78,16 +104,19 @@ def test_ties_across_the_kth_distance_go_to_lower_ids(seed):
 @pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 def test_duplicate_points_tie_break_by_id(backend, tmp_path):
     """Several entries at the same point: ascending ids win the tie, also
-    after a version-1 snapshot naming ``backend`` is loaded."""
+    in the model rebuilt from a version-1 directory naming ``backend``,
+    whose ids are its row numbers."""
     point = np.array([1.0, 2.0])
     entries = [IndexEntry(i, point.copy(), "x") for i in (9, 3, 7, 5)]
     entries.append(IndexEntry(1, np.array([50.0, 50.0]), "y"))
     index = NNIndex.build(entries)
-    loaded = legacy_snapshot(index, backend, tmp_path / "index.json")
-    for idx in (index, loaded):
-        got = idx.query_knn(np.array([1.0, 2.0]), 3)
-        assert [nb.entry_id for nb in got] == [3, 5, 7]
-        assert [nb.distance for nb in got] == [0.0, 0.0, 0.0]
+    by_id = sorted(entries, key=lambda e: e.id)
+    loaded = rebuilt(np.stack([e.vector for e in by_id]), [e.label for e in by_id],
+                     backend, tmp_path)
+    q = np.array([1.0, 2.0])
+    got = [(nb.entry_id, nb.distance) for nb in index.query_knn(q, 3)]
+    assert got == [(3, 0.0), (5, 0.0), (7, 0.0)]
+    assert [(by_id[nb.entry_id].id, nb.distance) for nb in loaded.query_knn(q, 3)] == got
 
 
 def test_query_k_clamps_to_size():
@@ -120,13 +149,13 @@ def test_build_validation_errors():
 
 @pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 def test_insert_stays_exact(backend, tmp_path):
-    """Load a version-1 snapshot naming ``backend`` and grow the index to
-    2.5x its size, checking after every insert that queries still match
-    the reference scan."""
+    """Rebuild a version-1 directory naming ``backend`` into a model, load
+    it, and grow its index to 2.5x its size, checking after every insert
+    that queries still match the reference scan."""
     rng = np.random.default_rng(7)
-    entries, _ = make_entries(rng, 20, 5)
-    index = legacy_snapshot(NNIndex.build(entries), backend, tmp_path / "index.json")
-    vectors = [e.vector for e in entries]
+    entries, vectors = make_entries(rng, 20, 5)
+    index = rebuilt(vectors, [e.label for e in entries], backend, tmp_path)
+    vectors = list(vectors)
     ids = [e.id for e in entries]
     for step in range(30):
         v = rng.normal(size=5)
@@ -177,64 +206,57 @@ def test_labels_travel_with_neighbors():
 
 @pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 def test_snapshot_round_trip_query_identical(backend, tmp_path):
-    """A version-1 snapshot naming ``backend`` loads, saves again without
-    the tree keys, and both copies answer like the original index."""
+    """The rows of a version-1 directory naming ``backend``, rebuilt into a
+    model directory, load back with bit-identical vectors; saved again,
+    they give the same bytes, and every copy answers like the original
+    index."""
     rng = np.random.default_rng(11)
-    entries, _ = make_entries(rng, 60, 7)
+    entries, vectors = make_entries(rng, 60, 7)
+    labels = [e.label for e in entries]
     index = NNIndex.build(entries)
-    legacy = legacy_snapshot(index, backend, tmp_path / "legacy.json")
-    path = tmp_path / "index.json"
-    legacy.save(path)
-    assert json.loads(path.read_text())["config"] == {"dimension": 7}
-    back = NNIndex.load(path)
+    loaded_index = rebuilt(vectors, labels, backend, tmp_path)
+    model = load_model(tmp_path / "model", schema_of(7))
+    assert model.vectors.tobytes() == vectors.tobytes() and model.labels == labels
+    again = tmp_path / "again"
+    again.mkdir()
+    save_model(again, model)
+    for name in ("model.json", "vectors.npy"):
+        assert (again / name).read_bytes() == (tmp_path / "model" / name).read_bytes()
+    back = load_model(again, schema_of(7)).index
     assert back.dimension == 7
     for q in rng.normal(size=(20, 7)):
         a = [(nb.distance, nb.entry_id, nb.label) for nb in index.query_knn(q, 5)]
-        for other in (legacy, back):
+        for other in (loaded_index, back):
             b = [(nb.distance, nb.entry_id, nb.label) for nb in other.query_knn(q, 5)]
             assert a == b
 
 
-def test_v1_snapshot_naming_a_tree_backend_loads(tmp_path):
-    """A version-1 snapshot from when the index could be a kd-tree still
-    loads: its backend and leaf_size keys are ignored."""
-    rng = np.random.default_rng(12)
-    vectors = rng.normal(size=(40, 4))
-    ids = [int(i) for i in rng.permutation(100)[:40]]
-    path = tmp_path / "index.json"
-    path.write_text(json.dumps({
-        "format_version": 1,
-        "config": {"backend": "kdtree", "dimension": 4, "leaf_size": 8},
-        "entries": [{"id": i, "label": f"c{i % 3}", "vector": v.tolist()}
-                    for i, v in zip(ids, vectors)],
-    }))
-    index = NNIndex.load(path)
-    assert index.size == 40 and index.dimension == 4
-    for q in rng.normal(size=(20, 4)):
-        got = index.query_knn(q, 6)
-        assert [(nb.distance, nb.entry_id) for nb in got] == reference_knn(vectors, ids, q, 6)
-        assert all(nb.label == f"c{nb.entry_id % 3}" for nb in got)
-
-
 def test_snapshot_rejects_corrupt_and_mismatched(tmp_path):
-    garbled = tmp_path / "garbled.json"
-    garbled.write_text("{not json")
-    with pytest.raises(ValueError, match="corrupt"):
-        NNIndex.load(garbled)
+    """A model directory whose model.json is garbled or of another format
+    version, or whose vectors have another width, does not load."""
+    rng = np.random.default_rng(13)
+    vectors = rng.normal(size=(4, 3))
+    save_test_model(tmp_path, vectors, ["a", "b", "a", "b"])
+    good = (tmp_path / "model.json").read_text()
+    doc = json.loads(good)
 
-    wrong_version = tmp_path / "version.json"
-    wrong_version.write_text(json.dumps({"format_version": 99}))
-    with pytest.raises(ValueError, match="version"):
-        NNIndex.load(wrong_version)
+    (tmp_path / "model.json").write_text("{not json")
+    with pytest.raises(ModelFormatError, match="malformed"):
+        load_model(tmp_path, schema_of(3))
 
-    bad_entry = tmp_path / "entry.json"
-    bad_entry.write_text(json.dumps({
-        "format_version": 1,
-        "config": {"dimension": 3},
-        "entries": [{"id": 0, "label": "a", "vector": [1.0, 2.0]}],
-    }))
-    with pytest.raises(ValueError, match="dimension"):
-        NNIndex.load(bad_entry)
+    (tmp_path / "model.json").write_text(json.dumps({**doc, "format_version": 99}))
+    with pytest.raises(ModelFormatError, match="format_version 99"):
+        load_model(tmp_path, schema_of(3))
+
+    (tmp_path / "model.json").write_text(good)
+    assert load_model(tmp_path, schema_of(3)).index.size == 4
+    buf = io.BytesIO()
+    np.save(buf, vectors[:, :2])
+    (tmp_path / "vectors.npy").write_bytes(buf.getvalue())
+    doc["vectors_sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    with pytest.raises(ModelFormatError, match=r"expected float64 \(4, 3\)"):
+        load_model(tmp_path, schema_of(3))
 
 
 def test_row_distances_matches_norm():
