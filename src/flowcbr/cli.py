@@ -17,7 +17,7 @@ import json
 import logging
 import os
 import sys
-from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 from . import flows as flows_mod
@@ -26,7 +26,7 @@ from .features import SCHEMA, extract_matrix, load_matrix_csv, save_matrix_csv
 from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
                       packet_sweep, run_eval)
-from .model import ModelFormatError, fit_model, load_model, save_model
+from .model import FitError, ModelFormatError, fit_model, load_model, save_model
 from .synth import default_templates, sweep_templates, synth_generate
 
 log = logging.getLogger("flowcbr")
@@ -125,6 +125,16 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
+@contextmanager
+def _fitting(path: str):
+    """Report a fit that fails on the training rows read from ``path`` as
+    bad input. The commands that fit write nothing until the fit is done."""
+    try:
+        yield
+    except FitError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _read_flows(path: str, fmt: str, idle_timeout: float) -> list:
     p = Path(path)
     if not p.exists():
@@ -173,10 +183,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     if matrix.shape[1] != SCHEMA.width:
         raise ValidationError(f"{args.features} has {matrix.shape[1]} feature columns, "
                               f"the schema has {SCHEMA.width}")
-    if max(Counter(labels).values()) < 2:
-        raise ValidationError(f"{args.features}: every class has one row; calibrating "
-                              "the thresholds needs a class with at least two")
-    model = fit_model(matrix, labels, _pipeline_config(s))
+    with _fitting(args.features):
+        model = fit_model(matrix, labels, _pipeline_config(s))
     out = _out_dir(args)
     save_model(out, model)
     log.info("indexed %d vectors into %s", len(labels), out)
@@ -221,14 +229,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
     flows = load_flows_csv(args.flows)
     if args.held_out and args.held_out not in {f.label for f in flows}:
         raise ValidationError(f"--held-out {args.held_out} is not present in {args.flows}")
-    out = _out_dir(args)
+    out = Path(args.out or ".")
     if args.held_out:
-        report = new_class_protocol(flows, args.held_out, _pipeline_config(s), out_dir=out)
+        with _fitting(args.flows):
+            report = new_class_protocol(flows, args.held_out, _pipeline_config(s),
+                                        out_dir=out)
         print(f"held-out {args.held_out}: registered as {report.registered_label} "
               f"after {report.samples_consumed} samples, "
               f"recall {report.held_out_recall:.3f} on {report.n_post_registration} later samples")
         return 0
-    report = run_eval(flows, _pipeline_config(s), out_dir=out)
+    with _fitting(args.flows):
+        report = run_eval(flows, _pipeline_config(s), out_dir=out)
     print(f"macro-F1 retrieval {report.metrics_cbr.macro_f1():.3f}, "
           f"forest {report.metrics_forest.macro_f1():.3f}, "
           f"combined {report.metrics_ensemble.macro_f1():.3f} -> {out}")
@@ -248,8 +259,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ValidationError("--counts must be strictly ascending")
     if counts[0] < 1:
         raise ValidationError(f"--counts {args.counts} must hold packet counts >= 1")
-    out = _out_dir(args) / "sweep.csv"
-    points = packet_sweep(flows, counts, _pipeline_config(s), out_path=out)
+    with _fitting(args.flows):
+        points = packet_sweep(flows, counts, _pipeline_config(s),
+                              out_path=Path(args.out or ".") / "sweep.csv")
     plateau = find_plateau(points)
     for p in points:
         print(f"n={p.n_packets:3d}  accuracy={p.accuracy:.4f}")

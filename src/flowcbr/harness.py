@@ -296,6 +296,7 @@ def packet_sweep(flows: list[Flow], packet_counts: list[int],
             correct += int(label == truth)
         points.append(SweepPoint(n_packets=n, accuracy=correct / len(fitted.y_test)))
     if out_path is not None:
+        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
         with open(out_path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["n_packets", "accuracy"])

@@ -1,13 +1,17 @@
 """Exact nearest-neighbor store over feature vectors.
 
-One brute-force index: every query computes the distance to every stored
-row and returns the k smallest, ties broken by entry id, so results are
-deterministic. Rows can be inserted one at a time (new classes register
-without a rebuild), and the index has an independent clone. Saving and
-loading belong to the model directory (``flowcbr.model``).
+One exact index: a query returns the k stored rows nearest to it, ties broken
+by entry id, so results are deterministic. Rows can be inserted one at a time
+(new classes register without a rebuild), and the index has an independent
+clone. Saving and loading belong to the model directory (``flowcbr.model``).
 
-Every distance is computed by ``row_distances``, so the same float comes out
-wherever it is used.
+Every distance a caller sees is computed by ``row_distances``, so the same
+float comes out wherever it is used. A query first screens all rows with
+one matrix-vector product, which only decides which rows cannot make the
+top k (``NNIndex._screen`` proves its bound); the rows left are then ranked
+by ``row_distances`` exactly as a scan of every row would rank them.
+``row_distances`` reduces each row on its own, so a row's distance has the
+same bits whether it is computed alone or with the whole matrix.
 """
 
 from __future__ import annotations
@@ -16,11 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
+U = 2.0 ** -53  # unit roundoff of float64
+TINY = 2.0 ** -1074  # smallest positive float64 (subnormal)
+
 
 def row_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     """Euclidean distance from q to every row of matrix."""
     diff = matrix - q
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def _squared_norms(matrix: np.ndarray) -> np.ndarray:
+    """Squared norm of every row, for the screen in ``NNIndex._screen``.
+    A norm that overflows is inf, and the screen keeps its row."""
+    with np.errstate(over="ignore"):
+        return np.einsum("ij,ij->i", matrix, matrix)
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,6 +56,7 @@ class NNIndex:
 
     def __init__(self, matrix: np.ndarray, ids: list[int], labels: list[str]) -> None:
         self._matrix = matrix
+        self._sq = _squared_norms(matrix)
         self._ids = np.array(ids, dtype=np.int64)
         # A copy: insert appends to it, and the caller's list stays as given.
         self._labels = list(labels)
@@ -88,6 +103,7 @@ class NNIndex:
         if v.shape != (self.dimension,):
             raise ValueError(f"entry has dimension {v.shape}, expected ({self.dimension},)")
         self._matrix = np.vstack([self._matrix, v[None, :]])
+        self._sq = np.append(self._sq, _squared_norms(v[None, :]))
         self._ids = np.append(self._ids, entry.id)
         self._labels.append(entry.label)
         self._id_set.add(entry.id)
@@ -100,13 +116,64 @@ class NNIndex:
         if q.shape != (self.dimension,):
             raise ValueError(f"query has dimension {q.shape}, expected ({self.dimension},)")
         k = min(k, self.size)
-        dists = row_distances(self._matrix, q)
+        rows = self._screen(q, k)
+        dists = row_distances(self._matrix[rows], q)
         # Sort only the rows that can make the top k: every row not farther
         # than the k-th smallest distance, so ties at the boundary still go
         # to the lower id. (A NaN k-th distance keeps every row.)
         kth = np.partition(dists, k - 1)[k - 1]
-        cand = np.flatnonzero(~(dists > kth))
-        order = cand[np.lexsort((self._ids[cand], dists[cand]))[:k]]
+        keep = ~(dists > kth)
+        rows, dists = rows[keep], dists[keep]
+        order = np.lexsort((self._ids[rows], dists))[:k]
         return [Neighbor(entry_id=int(self._ids[p]), label=self._labels[p],
-                         distance=float(dists[p]))
-                for p in order]
+                         distance=float(d))
+                for p, d in zip(rows[order], dists[order])]
+
+    def _screen(self, q: np.ndarray, k: int) -> np.ndarray:
+        """Positions, ascending, of the rows that may be among the k nearest
+        to q: every row except those proved farther than k rows already are.
+
+        For a row x let a = |x|^2, b = |q|^2 and D = a + b - 2 x.q, the exact
+        squared distance. The screen computes s = fl(sq + fl(q.q)) and
+        approx = fl(s - 2 fl(M @ q)). Let u = 2^-53, and eta = 2^-1075, the
+        most one product loses to gradual underflow (a sum or a difference
+        loses nothing to it). A dot product of length d, summed in any order,
+        with or without FMA, is off by at most g sum|x_j y_j| + 2d eta, where
+        g = du / (1 - du) (Higham, "Accuracy and Stability of Numerical
+        Algorithms", ch. 3). With sum|x_j q_j| <= (a + b) / 2 and
+        a + b <= (s / (1 - u) + 4d eta) / (1 - g), for du <= 2^-30:
+
+            |approx - D| <= u (s + |approx|) / (1 - u) + 2g (a + b) + 8d eta
+                         <= 2(d + 1) u (s + |approx|) + 9d eta = E.
+
+        ``err`` is 2E, so after its own rounding it is at least E with 7d eta
+        to spare. ``row_distances`` sums squares P >= (1 - g') D - 2d eta,
+        where g' = (d + 2)u / (1 - (d + 2)u), and returns fl(sqrt(P)).
+
+        Let T be the largest distance to the k rows of smallest approx. k rows
+        lie within T, so T is at least the k-th distance. A row is dropped
+        only if fl(approx - err) > fl(fl(T T) (1 + delta)). Undo the rounding
+        of each operation in that test; fl(sqrt(P)) > T holds once
+        sqrt(P) > (1 + u) T. Both together need 1 + delta >= (1 + u)^3 /
+        ((1 - u)^3 (1 - g')), which is delta >= (d + 8) u to first order; the
+        spare 7d eta covers the underflow terms and a subnormal T. ``delta``
+        is 4(d + 8) u. So a dropped row is strictly farther than the k-th
+        distance, and the top k, the ties at the k-th distance and their
+        order come out as a scan of every row gives them.
+
+        An overflow or a NaN anywhere makes a comparison false, which keeps
+        the row, so the screen silences the warnings they raise; a NaN or
+        infinite T keeps every row.
+        """
+        n, d = self._matrix.shape
+        if k >= n:
+            return np.arange(n)
+        with np.errstate(over="ignore", invalid="ignore"):
+            s = self._sq + q @ q
+            approx = s - 2.0 * (self._matrix @ q)
+            first = np.argpartition(approx, k - 1)[:k]
+            t = row_distances(self._matrix[first], q).max()
+            err = 4 * (d + 1) * U * (s + np.abs(approx)) + 9 * d * TINY
+            keep = ~(approx - err > t * t * (1 + 4 * (d + 8) * U))
+        keep[first] = True
+        return np.flatnonzero(keep)

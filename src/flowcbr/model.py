@@ -43,6 +43,10 @@ class ModelFormatError(ValueError):
     """A model directory that is missing, malformed, or in an old layout."""
 
 
+class FitError(ValueError):
+    """Training rows that no model can be fitted to."""
+
+
 @dataclass
 class Model:
     """A fitted model. ``index`` and ``registry`` start from the fitted rows
@@ -61,7 +65,11 @@ class Model:
 
 
 def fit_model(X: np.ndarray, labels: list[str], config: PipelineConfig) -> Model:
-    """Fit the normalizer on X, then index and calibrate the normalized rows."""
+    """Fit the normalizer on X, then index and calibrate the normalized rows.
+    Calibration needs a class with two rows; without one this is a FitError."""
+    if len(set(labels)) == len(labels):
+        raise FitError("every class has one row to train on; calibrating the thresholds "
+                       "needs a class with at least two")
     normalizer = fit_normalizer(X)
     vectors = normalizer.transform(X)
     thresholds = calibrate_thresholds(

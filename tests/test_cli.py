@@ -242,16 +242,42 @@ def test_synth_bad_flags_exit_two(tmp_path, capsys, argv):
     assert not (tmp_path / "flows.csv").exists()
 
 
+@pytest.fixture(scope="module")
+def singletons_dir(tmp_path_factory):
+    """Flows and features of three classes with one flow each: no class
+    has the two rows that calibrating the thresholds needs."""
+    root = tmp_path_factory.mktemp("singletons")
+    assert run("--out", str(root), "synth", "--classes", "3", "--flows-per-class", "1") == 0
+    assert run("--out", str(root), "extract", str(root / "flows.csv")) == 0
+    return root
+
+
+_SINGLETONS = ": every class has one row to train on"
+
+
 @pytest.mark.parametrize("argv,fragment", [
-    pytest.param(["eval", "{flows}", "--held-out", "nope"], "not present", id="held-out"),
-    pytest.param(["sweep", "{flows}", "--counts", "0,2"], "must hold packet counts >= 1",
-                 id="counts"),
+    pytest.param(["eval", "{flows}", "--held-out", "nope"], "--held-out nope is not present",
+                 id="held-out"),
+    pytest.param(["sweep", "{flows}", "--counts", "0,2"],
+                 "--counts 0,2 must hold packet counts >= 1", id="counts"),
+    pytest.param(["index", "{singletons}/features.csv"], "{singletons}/features.csv" + _SINGLETONS,
+                 id="index-singletons"),
+    pytest.param(["eval", "{singletons}/flows.csv"], "{singletons}/flows.csv" + _SINGLETONS,
+                 id="eval-singletons"),
+    pytest.param(["eval", "{singletons}/flows.csv", "--held-out", "class-a"],
+                 "{singletons}/flows.csv" + _SINGLETONS, id="held-out-singletons"),
+    pytest.param(["sweep", "{singletons}/flows.csv"], "{singletons}/flows.csv" + _SINGLETONS,
+                 id="sweep-singletons"),
 ])
-def test_eval_sweep_bad_args_exit_two(data_dir, tmp_path, capsys, argv, fragment):
-    argv = [a.format(flows=data_dir / "flows.csv") for a in argv]
+def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, tmp_path, capsys, argv,
+                                      fragment):
+    """Bad arguments, and training rows with no class of two (for all four
+    commands that fit), exit 2 with an error line and write nothing."""
+    names = {"flows": data_dir / "flows.csv", "singletons": singletons_dir}
+    argv = [a.format(**names) for a in argv]
     assert run("--out", str(tmp_path / "out"), *argv) == 2
     err = capsys.readouterr().err
-    assert f"error: {argv[2]} {argv[3]} " in err and fragment in err
+    assert f"error: {fragment.format(**names)}" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

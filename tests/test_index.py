@@ -7,11 +7,15 @@ exactly: same ids, bit-identical distance floats.
 
 import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import flowcbr.index as index_mod
 from flowcbr.cbr import Thresholds
 from flowcbr.features import FeatureSchema, Normalizer
 from flowcbr.index import IndexEntry, NNIndex, row_distances
@@ -23,6 +27,18 @@ def reference_knn(vectors, ids, q, k):
     dists = np.sqrt(np.einsum("ij,ij->i", vectors - q, vectors - q))
     order = sorted(range(len(ids)), key=lambda p: (dists[p], ids[p]))
     return [(float(dists[p]), int(ids[p])) for p in order[:k]]
+
+
+def full_scan_knn(vectors, ids, q, k):
+    """k nearest (distance bits, id) pairs from the distances to every row,
+    ranked as a scan of every row ranks them: NaN distances last, then ids.
+    Unlike ``reference_knn`` it is defined for NaN distances too."""
+    ids = np.asarray(ids)
+    dists = np.sqrt(np.einsum("ij,ij->i", vectors - q, vectors - q))
+    kth = np.partition(dists, k - 1)[k - 1]
+    cand = np.flatnonzero(~(dists > kth))
+    order = cand[np.lexsort((ids[cand], dists[cand]))[:k]]
+    return [(dists[p].tobytes(), int(ids[p])) for p in order]
 
 
 def make_entries(rng, n, d, scale=1.0):
@@ -265,3 +281,94 @@ def test_row_distances_matches_norm():
     q = rng.normal(size=9)
     np.testing.assert_array_equal(row_distances(m, q),
                                   np.sqrt(np.einsum("ij,ij->i", m - q, m - q)))
+
+
+@st.composite
+def knn_case(draw):
+    """Rows at scales from 1e-160 to 1e160 (so squares underflow or
+    overflow), integer lattices with many tied distances, duplicate rows
+    and shuffled ids, plus rows to insert and queries near stored rows."""
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    d = draw(st.sampled_from([1, 2, 3, 183]))
+    n = draw(st.integers(1, 40))
+    # Squares of rows at 1e-155 or below are subnormal; at 1e155 or above
+    # they overflow.
+    exponent = (st.sampled_from([-160, -157, -155, -1, 0, 1, 155, 157, 160])
+                | st.integers(-160, 160))
+    exponents = draw(st.lists(exponent, min_size=1, max_size=3))
+
+    def rows(m):
+        if draw(st.booleans()):
+            block = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+        else:
+            block = rng.normal(size=(m, d))
+        block *= 10.0 ** rng.choice(exponents, size=(m, 1))
+        # About a third of the rows repeat another row.
+        dup = rng.random(m) < 0.3
+        if dup.any():
+            block[dup] = block[rng.integers(0, m, size=int(dup.sum()))]
+        return block
+
+    inserts = draw(st.integers(0, 4))
+    return d, n, rows(n + inserts), rng.permutation(10 * (n + inserts)).tolist(), rng, inserts
+
+
+def case_queries(rng, stored, d):
+    """A stored row, a stored row nudged, a fresh point, and each of those
+    with one slot set to NaN, +inf or -inf."""
+    row = stored[rng.integers(0, len(stored))]
+    nudged = row * (1 + rng.normal(size=d) * 1e-12)
+    fresh = rng.normal(size=d) * np.abs(stored).max()
+    queries = [row.copy(), nudged, fresh]
+    for bad in (np.nan, np.inf, -np.inf):
+        q = queries[rng.integers(0, 3)].copy()
+        q[rng.integers(0, d)] = bad
+        queries.append(q)
+    return queries
+
+
+@settings(deadline=None)
+@given(knn_case())
+def test_screened_query_matches_full_scan_bit_for_bit(case):
+    """query_knn against the scan of every row, for every k up to the index
+    size, with rows inserted between query rounds: same ids, same distance
+    bits. Where no distance is NaN it also matches the sorted reference.
+    Rows near 1e160 overflow the exact kernel too, so its warnings are
+    silenced here."""
+    d, n, vectors, ids, rng, inserts = case
+    index = NNIndex.build([IndexEntry(i, v, "x") for i, v in zip(ids[:n], vectors[:n])])
+    for size in range(n, n + inserts + 1):
+        if size > n:
+            index.insert(IndexEntry(ids[size - 1], vectors[size - 1], "x"))
+        stored, stored_ids = vectors[:size], ids[:size]
+        for q, k in itertools.product(case_queries(rng, stored, d), range(1, size + 1)):
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = index.query_knn(q, k)
+                want = full_scan_knn(stored, stored_ids, q, k)
+                reference = (reference_knn(stored, stored_ids, q, k)
+                             if not np.isnan(q).any() else None)
+            assert [(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in got] == want
+            if reference is not None:
+                assert [(nb.distance, nb.entry_id) for nb in got] == reference
+
+
+def test_screen_prunes_to_2k_distance_rows_per_query(monkeypatch):
+    """On 8 well-separated clusters of 3200 x 183 rows, each k = 5 query
+    passes at most 2k rows to row_distances (the k rows that set the bound,
+    then the rows left after the screen) and still matches the full scan."""
+    rng = np.random.default_rng(21)
+    n, d, k = 3200, 183, 5
+    centres = rng.normal(size=(8, d)) * 10
+    vectors = centres[rng.integers(0, 8, size=n)] + rng.normal(size=(n, d))
+    index = NNIndex.build([IndexEntry(i, v, "x") for i, v in enumerate(vectors)])
+    rows = []
+
+    def counting_row_distances(matrix, q):
+        rows.append(matrix.shape[0])
+        return row_distances(matrix, q)
+
+    monkeypatch.setattr(index_mod, "row_distances", counting_row_distances)
+    for q in centres[rng.integers(0, 8, size=40)] + rng.normal(size=(40, d)):
+        rows.clear()
+        assert pairs(index, q, k) == reference_knn(vectors, list(range(n)), q, k)
+        assert sum(rows) <= 2 * k, rows
