@@ -12,7 +12,7 @@ from .cbr import (ClassRegistry, Thresholds, Verdict, VerdictKind,
                   add_labeled_sample, calibrate_thresholds, classify, vote)
 from .features import (SCHEMA, FeatureSchema, Normalizer, extract_features,
                        extract_matrix, fit_normalizer)
-from .flows import (Direction, Flow, FlowKey, FlowPacket, PacketRecord,
+from .flows import (Direction, Flow, FlowKey, FlowPacket, PacketColumns,
                     Protocol, TcpFlags, assemble_flows, load_flows_csv,
                     parse_pcap, save_flows_csv, truncate_flow)
 from .forest import (EnsembleVerdict, ForestConfig, RandomForest,
@@ -41,7 +41,7 @@ __all__ = [
     "NNIndex",
     "Neighbor",
     "Normalizer",
-    "PacketRecord",
+    "PacketColumns",
     "PipelineConfig",
     "Protocol",
     "RandomForest",

@@ -49,6 +49,8 @@ def _load_config_file(path: str | None) -> dict:
             doc = json.load(fh)
     except FileNotFoundError:
         raise ValidationError(f"config file not found: {path}") from None
+    except OSError as exc:
+        raise ValidationError(f"{exc.filename or path}: {exc.strerror or exc}") from None
     except json.JSONDecodeError as exc:
         raise ValidationError(f"config file is not valid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -135,6 +137,16 @@ def _fitting(path: str):
         raise ValidationError(f"{path}: {exc}") from None
 
 
+@contextmanager
+def _reading(path: str):
+    """Report an input under ``path`` that cannot be read (absent, a
+    directory, no read permission) as bad input, naming the file."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"{exc.filename or path}: {exc.strerror or exc}") from None
+
+
 def _read_flows(path: str, fmt: str, idle_timeout: float) -> list:
     p = Path(path)
     if not p.exists():
@@ -142,12 +154,33 @@ def _read_flows(path: str, fmt: str, idle_timeout: float) -> list:
     if fmt == "auto":
         fmt = "csv" if p.suffix.lower() == ".csv" else "pcap"
     if fmt == "csv":
-        return load_flows_csv(p)
-    result = flows_mod.parse_pcap(p.read_bytes())
+        return _read_flow_csv(path)
+    with _reading(path):
+        data = p.read_bytes()
+    result = flows_mod.parse_pcap(data)
     if result.skipped or result.truncated:
         log.warning("capture: %d frames skipped, %d truncated records",
                     result.skipped, result.truncated)
     return flows_mod.assemble_flows(result.records, idle_timeout=idle_timeout)
+
+
+def _read_flow_csv(path: str, labeled: bool = False) -> list:
+    """load_flows_csv; with ``labeled`` (the commands that train), a file
+    without flows is bad input too."""
+    with _reading(path):
+        flows = load_flows_csv(path)
+    if labeled and not flows:
+        raise ValidationError(f"{path} holds no flows")
+    return flows
+
+
+def _extract(flows: list, source: str):
+    """extract_matrix, with flows whose features are not finite (such as
+    timestamps too far apart to subtract) as bad input."""
+    try:
+        return extract_matrix(flows)
+    except ValueError as exc:
+        raise ValidationError(f"{source}: {exc}") from None
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -155,7 +188,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
     flows = _read_flows(args.input, args.format, s["idle_timeout"])
     if s["n_packets"] is not None:
         flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
-    matrix = extract_matrix(flows)
+    matrix = _extract(flows, args.input)
     out = _out_dir(args) / "features.csv"
     save_matrix_csv(out, matrix,
                     [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)],
@@ -168,7 +201,8 @@ def cmd_extract(args: argparse.Namespace) -> int:
 def _read_matrix(path: str) -> tuple:
     """load_matrix_csv, with a malformed file as a ValidationError."""
     try:
-        return load_matrix_csv(path)
+        with _reading(path):
+            return load_matrix_csv(path)
     except ValueError as exc:
         raise ValidationError(f"malformed {path}: {exc}") from None
 
@@ -194,7 +228,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     s = _settings(args)
-    model = load_model(args.model)
+    with _reading(args.model):
+        model = load_model(args.model)
 
     if args.features:
         matrix, flow_ids, _ = _read_matrix(args.features)
@@ -205,7 +240,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         flows = _read_flows(args.input, args.format, s["idle_timeout"])
         if s["n_packets"] is not None:
             flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
-        matrix = extract_matrix(flows)
+        matrix = _extract(flows, args.input)
         flow_ids = [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)]
     Xn = model.normalizer.transform(matrix)
     out = _out_dir(args) / "verdicts.jsonl"
@@ -226,7 +261,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     s = _settings(args)
-    flows = load_flows_csv(args.flows)
+    flows = _read_flow_csv(args.flows, labeled=True)
     if args.held_out and args.held_out not in {f.label for f in flows}:
         raise ValidationError(f"--held-out {args.held_out} is not present in {args.flows}")
     out = Path(args.out or ".")
@@ -248,7 +283,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     s = _settings(args)
-    flows = load_flows_csv(args.flows)
+    flows = _read_flow_csv(args.flows, labeled=True)
     try:
         counts = [int(c) for c in args.counts.split(",") if c.strip()]
     except ValueError:

@@ -36,7 +36,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import Direction, Flow, TcpFlags
+from .flows import Flow, TcpFlags
 
 SCHEMA_VERSION = "stat183.v1"
 WINDOW_SECONDS = 5.0
@@ -119,29 +119,30 @@ class _Batch:
 
 
 def _batch(flows: list[Flow]) -> _Batch:
-    """Read the packets of ``flows`` into columns; timestamps must be finite."""
-    packets = [p for f in flows for p in f.packets]
-    n = len(packets)
-    lengths = np.array([len(f.packets) for f in flows], dtype=np.int64)
+    """Concatenate the packet columns of ``flows``; timestamps must be finite."""
+    lengths = np.array([f.timestamp.size for f in flows], dtype=np.int64)
+    n = int(lengths.sum())
     flow = np.repeat(np.arange(lengths.size), lengths)
     pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
 
-    def column(values, dtype):
-        return np.fromiter(values, dtype=dtype, count=n)
+    def column(name):
+        return np.concatenate([getattr(f, name) for f in flows])
 
-    forward = Direction.FWD  # looked up once, not once per packet
-    ts = column((p.timestamp for p in packets), np.float64)
-    since = (ts - ts[pos == 0][flow]) / WINDOW_SECONDS
+    ts = column("timestamp")
+    with np.errstate(over="ignore"):  # an overflow gives inf, rejected here
+        since = (ts - ts[pos == 0][flow]) / WINDOW_SECONDS
     if not np.isfinite(since).all():
         raise ValueError("flow timestamps must be finite")
+    tcp_window = column("tcp_window")
+    has_tcp_window = tcp_window >= 0
     return _Batch(
         lengths=lengths, flow=flow, pos=pos, ts=ts,
-        size=column((p.total_length for p in packets), np.int64),
-        fwd=column((p.direction is forward for p in packets), bool),
-        payload=column((p.payload_length for p in packets), np.int64),
-        flags=column((p.tcp_flags for p in packets), np.int64),
-        tcp_window=column((p.tcp_window or 0 for p in packets), np.int64),
-        has_tcp_window=column((p.tcp_window is not None for p in packets), bool),
+        size=column("total_length"),
+        fwd=column("fwd"),
+        payload=column("payload_length"),
+        flags=column("tcp_flags"),
+        tcp_window=np.where(has_tcp_window, tcp_window, 0),
+        has_tcp_window=has_tcp_window,
         window=np.clip(since, -1.0, 20.0).astype(np.int64),
     )
 
@@ -264,14 +265,18 @@ def _size_delta_stats(b: _Batch) -> np.ndarray:
 
 
 def _packets_per_second(b: _Batch) -> np.ndarray:
-    """Packet rate per direction; zero-duration flows report (0, 0)."""
+    """Packet rate per direction. Flows with no finite rate report (0, 0):
+    zero-duration flows, and flows so short (a subnormal number of seconds)
+    that a rate overflows."""
     last = np.cumsum(b.lengths) - 1
     duration = b.ts[last] - b.ts[last - b.lengths + 1]
     n_fwd = _counts(b, b.fwd)
     out = np.zeros((b.n_flows, 2))
     ok = duration > 0
-    out[ok, 0] = n_fwd[ok] / duration[ok]
-    out[ok, 1] = (b.lengths - n_fwd)[ok] / duration[ok]
+    with np.errstate(over="ignore"):
+        out[ok, 0] = n_fwd[ok] / duration[ok]
+        out[ok, 1] = (b.lengths - n_fwd)[ok] / duration[ok]
+    out[~np.isfinite(out).all(axis=1)] = 0.0
     return out
 
 
@@ -372,9 +377,12 @@ def extract_matrix(flows: list[Flow]) -> np.ndarray:
     out = np.empty((len(flows), SCHEMA.width))
     batch = _batch(flows)
     start = 0
-    for group, width in SCHEMA.groups:
-        out[:, start:start + width] = _KERNELS[group](batch)
-        start += width
+    # Finite timestamps can still be far enough apart, or close enough, for
+    # a rate or a sum to overflow; the check below rejects such rows.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group, width in SCHEMA.groups:
+            out[:, start:start + width] = _KERNELS[group](batch)
+            start += width
     if not np.isfinite(out).all():
         raise ValueError("feature vector contains non-finite values")
     return out

@@ -1,9 +1,16 @@
-"""Capture parsing and connection assembly.
+"""Capture parsing and connection assembly, on packet columns.
 
 Turns classic capture files (or flow CSV exports) into direction-annotated
 flows grouped by their connection 5-tuple. Only Ethernet/IPv4 with TCP or UDP
-is parsed; everything else is skipped and counted. All functions here are
-pure and safe to call concurrently.
+is parsed; everything else is skipped and counted.
+
+Packets stay numpy columns from the capture bytes to the feature matrix:
+``parse_pcap`` decodes every frame at once into a ``PacketColumns`` table,
+``assemble_flows`` groups that table by connection with one sort, and each
+``Flow`` holds one array per packet field, which feature extraction
+concatenates. The flow CSV reader and the synthetic generator fill the same
+columns. ``Flow.packets`` is a read-only per-packet view, built on demand.
+All functions here are pure and safe to call concurrently.
 """
 
 from __future__ import annotations
@@ -12,8 +19,12 @@ import csv
 import enum
 import math
 import struct
+from array import array
 from dataclasses import dataclass, replace
+from itertools import repeat
 from pathlib import Path
+
+import numpy as np
 
 PCAP_MAGIC_BE = b"\xa1\xb2\xc3\xd4"
 PCAP_MAGIC_LE = b"\xd4\xc3\xb2\xa1"
@@ -90,24 +101,10 @@ class Direction(enum.Enum):
     BWD = "bwd"
 
 
-_DIRECTION_TOKENS = {"out": Direction.FWD, "in": Direction.BWD}
-_DIRECTION_TO_TOKEN = {Direction.FWD: "out", Direction.BWD: "in"}
-
-
-@dataclass(frozen=True)
-class PacketRecord:
-    """One parsed TCP/UDP packet, header fields only."""
-
-    timestamp: float
-    src_ip: str
-    dst_ip: str
-    src_port: int
-    dst_port: int
-    protocol: Protocol
-    total_length: int
-    payload_length: int
-    tcp_flags: TcpFlags = TcpFlags.NONE
-    tcp_window: int | None = None
+# CSV direction token -> sent by the initiator, and back.
+_DIRECTION_TOKENS = {"out": True, "in": False}
+_DIRECTION_TO_TOKEN = {True: "out", False: "in"}
+_FLAG_TOKENS = [flags_to_token(TcpFlags(bits)) for bits in range(32)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -143,6 +140,8 @@ class FlowKey:
 
 @dataclass(frozen=True)
 class FlowPacket:
+    """One packet of a flow, as the ``Flow.packets`` view shows it."""
+
     timestamp: float
     direction: Direction
     total_length: int
@@ -151,34 +150,92 @@ class FlowPacket:
     tcp_window: int | None = None
 
 
-@dataclass
+# The per-packet columns of a Flow, and their dtypes.
+FLOW_COLUMNS = {
+    "timestamp": np.float64,
+    "fwd": np.bool_,
+    "total_length": np.int64,
+    "payload_length": np.int64,
+    "tcp_flags": np.int64,
+    "tcp_window": np.int64,
+}
+
+
+@dataclass(eq=False)
 class Flow:
-    """Time-ordered bidirectional packet sequence of one connection.
+    """Time-ordered bidirectional packet sequence of one connection, held as
+    one array per packet field (``FLOW_COLUMNS``).
 
     ``key`` is None for flows loaded from CSV exports, which do not carry
-    the 5-tuple. ``fwd`` is the initiator-to-responder direction.
+    the 5-tuple. ``fwd`` marks the packets sent by the initiator.
+    ``tcp_window`` is -1 where a packet carries none (UDP, or an empty CSV
+    cell). Columns may be views of arrays shared with other flows, so treat
+    them as read-only.
     """
 
     key: FlowKey | None
-    packets: tuple[FlowPacket, ...]
+    timestamp: np.ndarray
+    fwd: np.ndarray
+    total_length: np.ndarray
+    payload_length: np.ndarray
+    tcp_flags: np.ndarray
+    tcp_window: np.ndarray
     label: str | None = None
     flow_id: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.packets:
+        if self.timestamp.size == 0:
             raise ValueError("a flow needs at least one packet")
-        self.packets = tuple(self.packets)
+
+    @property
+    def packets(self) -> tuple[FlowPacket, ...]:
+        """The packets as read-only records, built on each access."""
+        rows = zip(*(getattr(self, name).tolist() for name in FLOW_COLUMNS))
+        return tuple(
+            FlowPacket(ts, Direction.FWD if fwd else Direction.BWD, total, payload,
+                       TcpFlags(flags), None if window < 0 else window)
+            for ts, fwd, total, payload, flags, window in rows)
+
+
+def _cut(columns: dict[str, np.ndarray], sizes: list[int]):
+    """Yield the columns of each flow, from columns that hold flows of
+    ``sizes`` packets back to back."""
+    start = 0
+    for n in sizes:
+        yield {name: col[start:start + n] for name, col in columns.items()}
+        start += n
+
+
+@dataclass(frozen=True, eq=False)
+class PacketColumns:
+    """Parsed TCP/UDP packets, header fields only: one array per field, in
+    capture order. Addresses are uint32 (10.0.0.1 is 0x0A000001);
+    ``tcp_window`` is -1 for UDP packets."""
+
+    timestamp: np.ndarray
+    src_ip: np.ndarray
+    dst_ip: np.ndarray
+    src_port: np.ndarray
+    dst_port: np.ndarray
+    protocol: np.ndarray
+    total_length: np.ndarray
+    payload_length: np.ndarray
+    tcp_flags: np.ndarray
+    tcp_window: np.ndarray
+
+    def __len__(self) -> int:
+        return self.timestamp.size
 
 
 @dataclass
 class PcapParseResult:
-    records: list[PacketRecord]
+    records: PacketColumns
     skipped: int = 0
     truncated: int = 0
 
 
 def parse_pcap(data: bytes) -> PcapParseResult:
-    """Parse a classic capture file into packet records.
+    """Parse a classic capture file into packet columns.
 
     Non-IPv4 and non-TCP/UDP frames are skipped and counted. A record header
     promising more bytes than remain stops parsing with ``truncated`` set.
@@ -196,152 +253,170 @@ def parse_pcap(data: bytes) -> PcapParseResult:
         raise PcapFormatError(f"not a classic capture file (magic {magic.hex() or 'empty'})")
     if len(data) < 24:
         raise PcapFormatError("global header truncated")
-    _, _, _, _, _, _, network = struct.unpack(endian + "IHHiIII", data[:24])
+    (network,) = struct.unpack_from(endian + "I", data, 20)
     if network != LINKTYPE_ETHERNET:
         raise PcapFormatError(f"unsupported link type {network} (only Ethernet/1)")
 
-    result = PcapParseResult(records=[])
-    offset = 24
-    total = len(data)
+    # Each record starts where the one before ends, so this loop reads only
+    # the captured lengths; the frames are decoded all at once below.
+    incl_len = struct.Struct(endian + "I").unpack_from
+    starts = []
+    offset, total, truncated = 24, len(data), 0
     while offset < total:
         if total - offset < 16:
-            result.truncated += 1
+            truncated = 1
             break
-        ts_sec, ts_usec, incl_len, _ = struct.unpack(endian + "IIII", data[offset:offset + 16])
+        (length,) = incl_len(data, offset + 8)
         offset += 16
-        if total - offset < incl_len:
-            result.truncated += 1
+        if total - offset < length:
+            truncated = 1
             break
-        frame = data[offset:offset + incl_len]
-        offset += incl_len
-        record = _parse_frame(frame, ts_sec + ts_usec * 1e-6)
-        if record is None:
-            result.skipped += 1
-        else:
-            result.records.append(record)
-    return result
+        starts.append(offset)
+        offset += length
+
+    buf = np.frombuffer(data, dtype=np.uint8)
+    start = np.array(starts, dtype=np.int64)
+    header = buf[start[:, None] - 16 + np.arange(16)].view(endian + "u4")
+    # The same float operations as ts_sec + ts_usec * 1e-6 on Python numbers.
+    ts = header[:, 0].astype(np.float64) + header[:, 1].astype(np.float64) * 1e-6
+    records = _decode_frames(buf, start, start + header[:, 2].astype(np.int64), ts)
+    return PcapParseResult(records, skipped=start.size - len(records), truncated=truncated)
 
 
-def _parse_frame(frame: bytes, timestamp: float) -> PacketRecord | None:
-    """Decode Ethernet/IPv4/{TCP,UDP}; return None for anything else."""
-    if len(frame) < 14:
-        return None
-    ethertype = int.from_bytes(frame[12:14], "big")
-    ip_off = 14
+def _be(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
+    """The big-endian unsigned integers of ``width`` bytes at offsets ``at``."""
+    value = np.zeros(at.shape, dtype=np.int64)
+    for k in range(width):
+        value = (value << 8) | buf[at + k]
+    return value
+
+
+def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
+                   ts: np.ndarray) -> PacketColumns:
+    """Decode the Ethernet/IPv4/{TCP,UDP} frames at ``buf[start:end]``; drop
+    every other frame.
+
+    ``f`` holds the frames still in the running. Each step keeps only those
+    whose bytes hold the next header before it reads that header, so no
+    read goes past the end of a frame.
+    """
+    f = np.flatnonzero(end - start >= 14)
+    ethertype = np.zeros(start.size, dtype=np.int64)
+    ethertype[f] = _be(buf, start[f] + 12, 2)
+    ip = start + 14
     # 802.1Q tags sit between the MAC header and the payload ethertype.
-    while ethertype == ETHERTYPE_VLAN and len(frame) >= ip_off + 4:
-        ethertype = int.from_bytes(frame[ip_off + 2:ip_off + 4], "big")
-        ip_off += 4
-    if ethertype != ETHERTYPE_IPV4:
-        return None
-    ip = frame[ip_off:]
-    if len(ip) < 20:
-        return None
-    if ip[0] >> 4 != 4:
-        return None
-    ihl = (ip[0] & 0x0F) * 4
-    if ihl < 20 or len(ip) < ihl:
-        return None
-    total_length = int.from_bytes(ip[2:4], "big")
-    proto = ip[9]
-    if proto not in (Protocol.TCP, Protocol.UDP):
-        return None
-    src_ip = ".".join(str(b) for b in ip[12:16])
-    dst_ip = ".".join(str(b) for b in ip[16:20])
-    l4 = ip[ihl:]
-    if proto == Protocol.TCP:
-        if len(l4) < 20:
-            return None
-        src_port, dst_port = struct.unpack(">HH", l4[:4])
-        data_offset = (l4[12] >> 4) * 4
-        if data_offset < 20:
-            return None
-        flags = TcpFlags(l4[13] & 0x1F)
-        window = int.from_bytes(l4[14:16], "big")
-        payload_length = max(0, total_length - ihl - data_offset)
-        return PacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port,
-                            Protocol.TCP, total_length, payload_length, flags, window)
-    if len(l4) < 8:
-        return None
-    src_port, dst_port, udp_len = struct.unpack(">HHH", l4[:6])
-    payload_length = max(0, min(udp_len - 8, total_length - ihl - 8))
-    return PacketRecord(timestamp, src_ip, dst_ip, src_port, dst_port,
-                        Protocol.UDP, total_length, payload_length)
+    tagged = f[(ethertype[f] == ETHERTYPE_VLAN) & (ip[f] + 4 <= end[f])]
+    while tagged.size:
+        ethertype[tagged] = _be(buf, ip[tagged] + 2, 2)
+        ip[tagged] += 4
+        tagged = tagged[(ethertype[tagged] == ETHERTYPE_VLAN) & (ip[tagged] + 4 <= end[tagged])]
+
+    f = f[(ethertype[f] == ETHERTYPE_IPV4) & (ip[f] + 20 <= end[f])]
+    first, proto = buf[ip[f]], buf[ip[f] + 9]
+    ihl = (first & 0x0F).astype(np.int64) * 4
+    keep = ((first >> 4 == 4) & (ihl >= 20) & (ip[f] + ihl <= end[f])
+            & ((proto == Protocol.TCP) | (proto == Protocol.UDP)))
+    f, ihl, tcp = f[keep], ihl[keep], proto[keep] == Protocol.TCP
+    l4 = ip[f] + ihl
+    keep = l4 + np.where(tcp, 20, 8) <= end[f]
+    f, ihl, tcp, l4 = f[keep], ihl[keep], tcp[keep], l4[keep]
+    # Data offset, flags and window of TCP; a UDP row reads its ports instead
+    # and ignores the values.
+    th = np.where(tcp, l4 + 12, l4)
+    data_offset = (buf[th] >> 4).astype(np.int64) * 4
+    keep = ~tcp | (data_offset >= 20)
+    f, ihl, tcp, l4, th, data_offset = (
+        a[keep] for a in (f, ihl, tcp, l4, th, data_offset))
+
+    ip = ip[f]
+    total_length = _be(buf, ip + 2, 2)
+    udp_payload = np.minimum(_be(buf, l4 + 4, 2) - 8, total_length - ihl - 8)
+    payload = np.maximum(0, np.where(tcp, total_length - ihl - data_offset, udp_payload))
+    return PacketColumns(
+        timestamp=ts[f],
+        src_ip=_be(buf, ip + 12, 4).astype(np.uint32),
+        dst_ip=_be(buf, ip + 16, 4).astype(np.uint32),
+        src_port=_be(buf, l4, 2),
+        dst_port=_be(buf, l4 + 2, 2),
+        protocol=np.where(tcp, int(Protocol.TCP), int(Protocol.UDP)),
+        total_length=total_length,
+        payload_length=payload,
+        tcp_flags=np.where(tcp, buf[th + 1] & 0x1F, 0).astype(np.int64),
+        tcp_window=np.where(tcp, _be(buf, th + 2, 2), -1),
+    )
 
 
-def _endpoint(record: PacketRecord) -> tuple[str, int]:
-    return (record.src_ip, record.src_port)
+def _dotted(ip: int) -> str:
+    return f"{ip >> 24}.{ip >> 16 & 0xFF}.{ip >> 8 & 0xFF}.{ip & 0xFF}"
 
 
-def assemble_flows(packets: list[PacketRecord],
+def assemble_flows(records: PacketColumns,
                    idle_timeout: float = DEFAULT_IDLE_TIMEOUT) -> list[Flow]:
     """Group packets into flows by canonical 5-tuple, splitting at idle gaps.
 
     A gap of at least ``idle_timeout`` seconds between consecutive packets of
     one connection starts a new flow. The initiator is the sender of the
     first packet of each flow; a bare SYN seen anywhere overrides that, since
-    its sender opened the connection. Output is sorted by first timestamp.
+    its sender opened the connection (the first bare SYN, if several).
+    Output is sorted by first timestamp, then by the capture position of
+    the first packet.
     """
     if idle_timeout <= 0:
         raise ValueError("idle_timeout must be positive")
-    groups: dict[tuple, list[tuple[int, PacketRecord]]] = {}
-    for pos, rec in enumerate(packets):
-        a, b = (rec.src_ip, rec.src_port), (rec.dst_ip, rec.dst_port)
-        ukey = (int(rec.protocol), a, b) if a <= b else (int(rec.protocol), b, a)
-        groups.setdefault(ukey, []).append((pos, rec))
+    r = records
+    if len(r) == 0:
+        return []
+    # An endpoint is ip << 16 | port; a connection is its protocol and its
+    # two endpoints, lower first.
+    src = (r.src_ip.astype(np.int64) << 16) | r.src_port
+    dst = (r.dst_ip.astype(np.int64) << 16) | r.dst_port
+    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    # lexsort is stable: packets of one connection with equal timestamps
+    # keep their capture order.
+    order = np.lexsort((r.timestamp, hi, lo, r.protocol))
+    proto, lo, hi, src, ts, flags = (
+        a[order] for a in (r.protocol, lo, hi, src, r.timestamp, r.tcp_flags))
+    new = np.ones(order.size, dtype=bool)
+    new[1:] = ((proto[1:] != proto[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+               | (ts[1:] - ts[:-1] >= idle_timeout))
+    seg = np.cumsum(new) - 1
+    first = np.flatnonzero(new)
 
-    flows: list[tuple[float, int, Flow]] = []
-    for members in groups.values():
-        members.sort(key=lambda item: (item[1].timestamp, item[0]))
-        segment: list[tuple[int, PacketRecord]] = []
-        for item in members:
-            if segment and item[1].timestamp - segment[-1][1].timestamp >= idle_timeout:
-                flows.append(_finish_segment(segment))
-                segment = []
-            segment.append(item)
-        if segment:
-            flows.append(_finish_segment(segment))
+    # The initiator of a segment is the sender of its first bare SYN, else
+    # of its first packet.
+    initiator = src[first]
+    bare_syn = np.flatnonzero((proto == Protocol.TCP) & (flags & TcpFlags.SYN != 0)
+                              & (flags & TcpFlags.ACK == 0))
+    with_syn, at = np.unique(seg[bare_syn], return_index=True)
+    initiator[with_syn] = src[bare_syn[at]]
+    fwd = src == initiator[seg]
 
-    flows.sort(key=lambda item: (item[0], item[1]))
-    out = []
-    for i, (_, _, flow) in enumerate(flows):
-        flow.flow_id = f"f{i:06d}"
-        out.append(flow)
-    return out
+    # Flows in order of first timestamp, then capture position; packets
+    # regrouped flow after flow.
+    by_start = np.lexsort((order[first], ts[first]))
+    rank = np.empty_like(by_start)
+    rank[by_start] = np.arange(by_start.size)
+    in_flow_order = np.argsort(rank[seg], kind="stable")
+    take = order[in_flow_order]
+    columns = {name: getattr(r, name)[take]
+               for name in FLOW_COLUMNS if name != "fwd"}
+    columns["fwd"] = fwd[in_flow_order]
 
-
-def _finish_segment(segment: list[tuple[int, PacketRecord]]) -> tuple[float, int, Flow]:
-    initiator = _endpoint(segment[0][1])
-    for _, rec in segment:
-        if rec.protocol == Protocol.TCP and (rec.tcp_flags & TcpFlags.SYN) and not (rec.tcp_flags & TcpFlags.ACK):
-            initiator = _endpoint(rec)
-            break
-    first = segment[0][1]
-    if _endpoint(first) == initiator:
-        key = FlowKey(first.src_ip, first.dst_ip, first.protocol, first.src_port, first.dst_port)
-    else:
-        key = FlowKey(first.dst_ip, first.src_ip, first.protocol, first.dst_port, first.src_port)
-    pkts = tuple(
-        FlowPacket(
-            timestamp=rec.timestamp,
-            direction=Direction.FWD if _endpoint(rec) == initiator else Direction.BWD,
-            total_length=rec.total_length,
-            payload_length=rec.payload_length,
-            tcp_flags=rec.tcp_flags,
-            tcp_window=rec.tcp_window,
-        )
-        for _, rec in segment
-    )
-    return (first.timestamp, segment[0][0], Flow(key=key, packets=pkts))
+    sizes = np.diff(np.append(first, order.size))[by_start]
+    first = first[by_start]
+    ends = initiator[by_start]
+    others = np.where(ends == lo[first], hi[first], lo[first])
+    keys = [FlowKey(_dotted(a >> 16), _dotted(b >> 16), Protocol(p), a & 0xFFFF, b & 0xFFFF)
+            for a, b, p in zip(ends.tolist(), others.tolist(), proto[first].tolist())]
+    return [Flow(key, **cols, flow_id=f"f{i:06d}")
+            for i, (key, cols) in enumerate(zip(keys, _cut(columns, sizes.tolist())))]
 
 
 def truncate_flow(flow: Flow, n_packets: int) -> Flow:
     """Return a copy keeping only the first ``n_packets`` packets."""
     if n_packets < 1:
         raise ValueError("n_packets must be >= 1")
-    if n_packets >= len(flow.packets):
-        return replace(flow)
-    return replace(flow, packets=flow.packets[:n_packets])
+    return replace(flow, **{name: getattr(flow, name)[:n_packets] for name in FLOW_COLUMNS})
 
 
 def save_flows_csv(flows: list[Flow], path: str | Path) -> None:
@@ -352,18 +427,18 @@ def save_flows_csv(flows: list[Flow], path: str | Path) -> None:
         for flow in flows:
             if flow.flow_id is None:
                 raise ValueError("flows written to CSV need a flow_id")
-            for i, p in enumerate(flow.packets):
-                writer.writerow([
-                    flow.flow_id,
-                    flow.label or "",
-                    i,
-                    _DIRECTION_TO_TOKEN[p.direction],
-                    repr(p.timestamp),
-                    p.total_length,
-                    p.payload_length,
-                    flags_to_token(p.tcp_flags),
-                    "" if p.tcp_window is None else p.tcp_window,
-                ])
+            n = flow.timestamp.size
+            writer.writerows(zip(
+                repeat(flow.flow_id, n),
+                repeat(flow.label or "", n),
+                range(n),
+                [_DIRECTION_TO_TOKEN[fwd] for fwd in flow.fwd.tolist()],
+                map(repr, flow.timestamp.tolist()),
+                flow.total_length.tolist(),
+                flow.payload_length.tolist(),
+                [_FLAG_TOKENS[flags & 0x1F] for flags in flow.tcp_flags.tolist()],
+                ["" if window < 0 else window for window in flow.tcp_window.tolist()],
+            ))
 
 
 def load_flows_csv(path: str | Path) -> list[Flow]:
@@ -372,78 +447,89 @@ def load_flows_csv(path: str | Path) -> list[Flow]:
     Rows must be grouped by flow_id with ascending packet_index; schema
     violations raise FlowCsvError naming the offending row.
     """
-    flows: list[Flow] = []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise FlowCsvError("empty file: missing header") from None
-        if header != FLOW_CSV_HEADER:
-            raise FlowCsvError(f"bad header: expected {FLOW_CSV_HEADER}, got {header}")
+            return _read_flow_rows(reader)
+        except csv.Error as exc:
+            raise FlowCsvError(f"line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError as exc:
+            raise FlowCsvError(f"not a text file: {exc}") from None
 
-        seen: set[str] = set()
-        flags_of: dict[str, TcpFlags] = {}
-        current_id: str | None = None
-        current_label: str | None = None
-        current_packets: list[FlowPacket] = []
-        last_index = -1
 
-        def finish() -> None:
-            if current_id is not None:
-                flows.append(Flow(key=None, packets=tuple(current_packets),
-                                  label=current_label, flow_id=current_id))
+def _read_flow_rows(reader) -> list[Flow]:
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise FlowCsvError("empty file: missing header") from None
+    if header != FLOW_CSV_HEADER:
+        raise FlowCsvError(f"bad header: expected {FLOW_CSV_HEADER}, got {header}")
 
-        for row_no, row in enumerate(reader, start=2):
-            if len(row) != len(FLOW_CSV_HEADER):
-                raise FlowCsvError(f"row {row_no}: expected {len(FLOW_CSV_HEADER)} columns, got {len(row)}")
-            (flow_id, label, packet_index, direction, timestamp,
-             total_length, payload_length, tcp_flags, tcp_window) = row
-            if flow_id != current_id:
-                if flow_id in seen:
-                    raise FlowCsvError(f"row {row_no}: flow_id {flow_id!r} rows are not contiguous")
-                finish()
-                seen.add(flow_id)
-                current_id = flow_id
-                current_label = label or None
-                current_packets = []
-                last_index = -1
-            elif (label or None) != current_label:
-                raise FlowCsvError(f"row {row_no}: label changed within flow {flow_id!r}")
-            try:
-                idx = int(packet_index)
-            except ValueError:
-                raise FlowCsvError(f"row {row_no}: bad packet_index {packet_index!r}") from None
-            if idx <= last_index:
-                raise FlowCsvError(f"row {row_no}: packet_index not increasing in flow {flow_id!r}")
-            last_index = idx
-            if direction not in _DIRECTION_TOKENS:
-                raise FlowCsvError(f"row {row_no}: unknown direction token {direction!r}")
-            try:
-                ts = float(timestamp)
-                if not math.isfinite(ts):
-                    raise FlowCsvError(f"row {row_no}: non-finite timestamp {timestamp!r}")
-                total, payload = int(total_length), int(payload_length)
-                flags = flags_of.get(tcp_flags)
-                if flags is None:
-                    flags = flags_of[tcp_flags] = flags_from_token(tcp_flags)
-                window = None if tcp_window == "" else int(tcp_window)
-                if not (0 <= total < _CSV_FIELD_LIMIT and 0 <= payload < _CSV_FIELD_LIMIT
-                        and (window is None or 0 <= window < _CSV_FIELD_LIMIT)):
-                    raise FlowCsvError(
-                        f"row {row_no}: total_length, payload_length and tcp_window "
-                        f"must be in [0, 2**32), got {total}, {payload}, {window}")
-                current_packets.append(FlowPacket(
-                    timestamp=ts,
-                    direction=_DIRECTION_TOKENS[direction],
-                    total_length=total,
-                    payload_length=payload,
-                    tcp_flags=flags,
-                    tcp_window=window,
-                ))
-            except FlowCsvError:
-                raise
-            except ValueError as exc:
-                raise FlowCsvError(f"row {row_no}: {exc}") from None
-        finish()
-    return flows
+    # File-wide columns, appended row by row and converted once at the end.
+    ts, fwd = array("d"), bytearray()
+    total_length, payload_length, tcp_flags, tcp_window = (array("q") for _ in range(4))
+    seen: set[str] = set()
+    flow_ids: list[str] = []
+    labels: list[str | None] = []
+    starts: list[int] = []
+    flags_of: dict[str, int] = {}
+    current_id: str | None = None
+    current_label: str | None = None
+    last_index = -1
+
+    for row_no, row in enumerate(reader, start=2):
+        if len(row) != len(FLOW_CSV_HEADER):
+            raise FlowCsvError(f"row {row_no}: expected {len(FLOW_CSV_HEADER)} columns, got {len(row)}")
+        (flow_id, label, packet_index, direction, timestamp,
+         total, payload, flags_token, window_cell) = row
+        if flow_id != current_id:
+            if flow_id in seen:
+                raise FlowCsvError(f"row {row_no}: flow_id {flow_id!r} rows are not contiguous")
+            seen.add(flow_id)
+            current_id = flow_id
+            current_label = label or None
+            flow_ids.append(flow_id)
+            labels.append(current_label)
+            starts.append(len(ts))
+            last_index = -1
+        elif (label or None) != current_label:
+            raise FlowCsvError(f"row {row_no}: label changed within flow {flow_id!r}")
+        try:
+            idx = int(packet_index)
+        except ValueError:
+            raise FlowCsvError(f"row {row_no}: bad packet_index {packet_index!r}") from None
+        if idx <= last_index:
+            raise FlowCsvError(f"row {row_no}: packet_index not increasing in flow {flow_id!r}")
+        last_index = idx
+        if direction not in _DIRECTION_TOKENS:
+            raise FlowCsvError(f"row {row_no}: unknown direction token {direction!r}")
+        try:
+            t = float(timestamp)
+            if not math.isfinite(t):
+                raise FlowCsvError(f"row {row_no}: non-finite timestamp {timestamp!r}")
+            size, data = int(total), int(payload)
+            flags = flags_of.get(flags_token)
+            if flags is None:
+                flags = flags_of[flags_token] = int(flags_from_token(flags_token))
+            window = None if window_cell == "" else int(window_cell)
+            if not (0 <= size < _CSV_FIELD_LIMIT and 0 <= data < _CSV_FIELD_LIMIT
+                    and (window is None or 0 <= window < _CSV_FIELD_LIMIT)):
+                raise FlowCsvError(
+                    f"row {row_no}: total_length, payload_length and tcp_window "
+                    f"must be in [0, 2**32), got {size}, {data}, {window}")
+        except FlowCsvError:
+            raise
+        except ValueError as exc:
+            raise FlowCsvError(f"row {row_no}: {exc}") from None
+        ts.append(t)
+        fwd.append(_DIRECTION_TOKENS[direction])
+        total_length.append(size)
+        payload_length.append(data)
+        tcp_flags.append(flags)
+        tcp_window.append(-1 if window is None else window)
+
+    columns = {name: np.frombuffer(values, dtype=dtype) for (name, dtype), values in zip(
+        FLOW_COLUMNS.items(), (ts, fwd, total_length, payload_length, tcp_flags, tcp_window))}
+    sizes = np.diff(np.append(starts, len(ts))).tolist()
+    return [Flow(None, **cols, label=label, flow_id=flow_id)
+            for flow_id, label, cols in zip(flow_ids, labels, _cut(columns, sizes))]

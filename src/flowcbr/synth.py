@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .flows import Direction, Flow, FlowPacket, TcpFlags
+from .flows import FLOW_COLUMNS, Flow, TcpFlags
 
 MIN_PACKET = 60
 MAX_PACKET = 1500
@@ -78,13 +78,11 @@ def _synth_flow(template: ClassTemplate, seed: int, class_idx: int,
         return float(min(max(rng.lognormal(mu, template.gap_sigma), 1e-4), 30.0))
 
     window = float(template.window_base)
-    packets = [FlowPacket(timestamp=0.0, direction=Direction.FWD, total_length=MIN_PACKET,
-                          payload_length=0, tcp_flags=TcpFlags.SYN,
-                          tcp_window=int(window))]
+    # One (timestamp, fwd, total_length, payload_length, tcp_flags,
+    # tcp_window) tuple per packet, in FLOW_COLUMNS order.
+    rows = [(0.0, True, MIN_PACKET, 0, TcpFlags.SYN, int(window))]
     t = gap()
-    packets.append(FlowPacket(timestamp=t, direction=Direction.BWD, total_length=MIN_PACKET,
-                              payload_length=0, tcp_flags=TcpFlags.SYN | TcpFlags.ACK,
-                              tcp_window=int(window)))
+    rows.append((t, False, MIN_PACKET, 0, TcpFlags.SYN | TcpFlags.ACK, int(window)))
     for i in range(2, n):
         t += gap()
         window = float(min(max(window + rng.normal(0.0, template.window_step_std), 1024), 65535))
@@ -105,11 +103,10 @@ def _synth_flow(template: ClassTemplate, seed: int, class_idx: int,
             size = _draw_size(rng, TAIL_SIZE_MEAN, TAIL_SIZE_STD)
         payload = max(0, size - HEADER_BYTES)
         flags = TcpFlags.ACK | (TcpFlags.PSH if payload > 0 else TcpFlags.NONE)
-        packets.append(FlowPacket(timestamp=t,
-                                  direction=Direction.FWD if fwd else Direction.BWD,
-                                  total_length=size, payload_length=payload,
-                                  tcp_flags=flags, tcp_window=int(window)))
-    return Flow(key=None, packets=tuple(packets), label=template.name,
+        rows.append((t, fwd, size, payload, flags, int(window)))
+    columns = {name: np.array(values, dtype=dtype)
+               for (name, dtype), values in zip(FLOW_COLUMNS.items(), zip(*rows))}
+    return Flow(key=None, **columns, label=template.name,
                 flow_id=f"{template.name}-{flow_idx:04d}")
 
 

@@ -134,7 +134,9 @@ def test_criterion_02_spectrum_matches_naive_dft(capsys):
 
 
 def _flow_with_signal(signal):
-    from flowcbr.flows import Direction, Flow, FlowKey, FlowPacket, Protocol
+    from pcap_oracle import flow_from_packets
+
+    from flowcbr.flows import Direction, FlowKey, FlowPacket, Protocol
 
     packets = []
     for i, v in enumerate(signal):
@@ -148,7 +150,7 @@ def _flow_with_signal(signal):
             tcp_window=8192,
         ))
     key = FlowKey("10.0.0.1", "10.0.0.2", Protocol.TCP, 1111, 443)
-    return Flow(flow_id="sig", key=key, packets=packets, label=None)
+    return flow_from_packets(packets, key=key, flow_id="sig")
 
 
 def test_criterion_03_feature_vector_is_183_slots(capsys):

@@ -1,20 +1,27 @@
 """Command-line interface tests, run in process through main()."""
 
+import contextlib
+import functools
 import hashlib
 import io
 import json
 import os
+import struct
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import flowcbr
 from flowcbr.cli import DEFAULTS, main
 from flowcbr.features import load_matrix_csv, save_matrix_csv
-from flowcbr.flows import load_flows_csv
+from flowcbr.flows import FLOW_CSV_HEADER, load_flows_csv, save_flows_csv, truncate_flow
+from flowcbr.synth import default_templates, synth_generate
 
 
 def run(*argv):
@@ -252,6 +259,14 @@ def singletons_dir(tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def empty_csv(tmp_path_factory):
+    """A flow CSV holding the header and no rows."""
+    path = tmp_path_factory.mktemp("empty") / "flows.csv"
+    path.write_text(",".join(FLOW_CSV_HEADER) + "\n")
+    return path
+
+
 _SINGLETONS = ": every class has one row to train on"
 
 
@@ -268,12 +283,18 @@ _SINGLETONS = ": every class has one row to train on"
                  "{singletons}/flows.csv" + _SINGLETONS, id="held-out-singletons"),
     pytest.param(["sweep", "{singletons}/flows.csv"], "{singletons}/flows.csv" + _SINGLETONS,
                  id="sweep-singletons"),
+    pytest.param(["eval", "{empty}"], "{empty} holds no flows", id="eval-empty"),
+    pytest.param(["eval", "{empty}", "--held-out", "class-a"], "{empty} holds no flows",
+                 id="held-out-empty"),
+    pytest.param(["sweep", "{empty}"], "{empty} holds no flows", id="sweep-empty"),
 ])
-def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, tmp_path, capsys, argv,
-                                      fragment):
-    """Bad arguments, and training rows with no class of two (for all four
-    commands that fit), exit 2 with an error line and write nothing."""
-    names = {"flows": data_dir / "flows.csv", "singletons": singletons_dir}
+def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, empty_csv, tmp_path, capsys,
+                                      argv, fragment):
+    """Bad arguments, training rows with no class of two (for all four
+    commands that fit), and a flow CSV with no rows exit 2 with an error
+    line and write nothing."""
+    names = {"flows": data_dir / "flows.csv", "singletons": singletons_dir,
+             "empty": empty_csv}
     argv = [a.format(**names) for a in argv]
     assert run("--out", str(tmp_path / "out"), *argv) == 2
     err = capsys.readouterr().err
@@ -481,6 +502,141 @@ def test_classify_reports_pending_evictions(data_dir, tmp_path, capsys, caplog):
     assert "{'NewClassPending': 1004}  pending evictions 4" in out
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert any("4 buffered samples evicted" in w for w in warnings)
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["extract", "{dir}"], id="extract"),
+    pytest.param(["index", "{dir}"], id="index"),
+    pytest.param(["classify", "{model}", "--input", "{dir}"], id="classify-input"),
+    pytest.param(["classify", "{model}", "--features", "{dir}"], id="classify-features"),
+    pytest.param(["eval", "{dir}"], id="eval"),
+    pytest.param(["sweep", "{dir}"], id="sweep"),
+    pytest.param(["--config", "{dir}", "synth"], id="config"),
+])
+def test_unreadable_input_exits_two(model_dir, tmp_path, capsys, argv):
+    """An input path that exists but cannot be read exits 2 naming it."""
+    directory = tmp_path / "input"
+    directory.mkdir()
+    argv = [a.format(dir=directory, model=model_dir) for a in argv]
+    assert run("--out", str(tmp_path / "out"), *argv) == 2
+    err = capsys.readouterr().err
+    assert f"error: {directory}: Is a directory" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("stamps,fragment", [
+    (["-1e308", "1e308"], "flow timestamps must be finite"),
+    (["-8e307", "8e307"] * 9, "feature vector contains non-finite values"),
+])
+def test_overflowing_timestamps_exit_two(tmp_path, capsys, stamps, fragment):
+    """Finite timestamps too far apart to subtract, or whose gaps overflow
+    when summed, are bad input, not a crash."""
+    rows = [f"f0,,{i},out,{t},60,0,," for i, t in enumerate(stamps)]
+    path = tmp_path / "flows.csv"
+    path.write_text("\n".join([",".join(FLOW_CSV_HEADER)] + rows) + "\n")
+    assert run("--out", str(tmp_path / "out"), "extract", str(path)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {path}: {fragment}" in err
+    assert not (tmp_path / "out").exists()
+
+
+@functools.cache
+def _tiny_pcap() -> tuple[bytes, list[int]]:
+    """A little-endian capture of six TCP frames on two connections, and
+    the offset of each record header."""
+    out = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+    offsets = []
+    for i in range(6):
+        client, server = (b"\x0a\x00\x00\x01", 1234 + i // 4), (b"\x0a\x00\x00\x02", 443)
+        (src, sport), (dst, dport) = (server, client) if i % 2 else (client, server)
+        ip = struct.pack(">BBHHHBBH4s4s", 0x45, 0, 40 + i, 0, 0, 64, 6, 0, src, dst)
+        tcp = struct.pack(">HHIIBBHHH", sport, dport, 0, 0, 0x50, 0x12 if i else 0x02,
+                          8192, 0, 0)
+        frame = b"\xaa" * 6 + b"\xbb" * 6 + b"\x08\x00" + ip + tcp + b"x" * i
+        offsets.append(len(out))
+        out += struct.pack("<IIII", 7, 1000 * i, len(frame), len(frame)) + frame
+    return out, offsets
+
+
+@functools.cache
+def _tiny_flow_csv() -> str:
+    flows = [truncate_flow(f, 4) for f in synth_generate(default_templates(2), 1, seed=2)]
+    with tempfile.TemporaryDirectory() as d:
+        save_flows_csv(flows, Path(d) / "flows.csv")
+        return (Path(d) / "flows.csv").read_text()
+
+
+@st.composite
+def corrupted_pcap(draw):
+    """The tiny capture with bits flipped, cuts anywhere and random captured
+    lengths in its record headers."""
+    data, offsets = _tiny_pcap()
+    data = bytearray(data)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["flip", "cut", "incl_len"]))
+        if kind == "flip" and data:
+            data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "cut":
+            del data[draw(st.integers(0, len(data))):]
+        else:
+            at = draw(st.sampled_from(offsets)) + 8
+            if at + 4 <= len(data):
+                struct.pack_into("<I", data, at, draw(st.integers(0, 2 ** 32 - 1)))
+    return bytes(data)
+
+
+@st.composite
+def mutated_flow_csv(draw):
+    """The tiny flow CSV with characters replaced, spans deleted, text
+    inserted and lines repeated."""
+    text = _tiny_flow_csv()
+    pieces = st.text(alphabet=',"\n\r\x00 |-.e0123456789xnafiOUTSYNACK', max_size=6)
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(["replace", "delete", "insert", "repeat-line"]))
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 12)))
+        if kind == "replace":
+            text = text[:i] + draw(pieces) + text[j:]
+        elif kind == "delete":
+            text = text[:i] + text[j:]
+        elif kind == "insert":
+            text = text[:i] + draw(pieces) + text[i:]
+        else:
+            lines = text.split("\n")
+            k = draw(st.integers(0, len(lines) - 1))
+            lines.insert(draw(st.integers(0, len(lines))), lines[k])
+            text = "\n".join(lines)
+    return text.encode()
+
+
+def _extract_exits_cleanly(name: str, data: bytes) -> None:
+    with tempfile.TemporaryDirectory() as d:
+        path, out, err = Path(d) / name, Path(d) / "out", io.StringIO()
+        path.write_bytes(data)
+        with contextlib.redirect_stderr(err):
+            rc = run("--out", str(out), "extract", str(path))
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert (out / "features.csv").exists() == (rc == 0)
+        if rc == 2:
+            assert err.getvalue().startswith("error: ")
+
+
+@settings(deadline=None)
+@given(corrupted_pcap())
+def test_extract_survives_corrupted_pcap(data):
+    """Corrupted capture bytes give features (exit 0) or an error line
+    (exit 2), never a crash, and no features.csv on exit 2."""
+    _extract_exits_cleanly("capture.pcap", data)
+
+
+@settings(deadline=None)
+@given(mutated_flow_csv())
+def test_extract_survives_mutated_flow_csv(data):
+    """Mutated flow CSV text gives features (exit 0) or an error line
+    (exit 2), never a crash, and no features.csv on exit 2."""
+    _extract_exits_cleanly("flows.csv", data)
 
 
 def _run_subprocess(argv, flowcbr_log):

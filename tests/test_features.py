@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pcap_oracle import flow_from_packets
 
 from flowcbr.features import (
     N_SPECTRUM,
@@ -36,7 +37,7 @@ from flowcbr.features import (
     wavelet_coeffs,
 )
 from flowcbr.cbr import Thresholds
-from flowcbr.flows import Direction, Flow, FlowPacket, TcpFlags
+from flowcbr.flows import Direction, FlowPacket, TcpFlags
 from flowcbr.harness import PipelineConfig
 from flowcbr.model import Model, ModelFormatError, fit_model, load_model, save_model
 
@@ -54,7 +55,7 @@ def flow(spec, flow_id="f0", label=None):
         flags = item[4] if len(item) > 4 else TcpFlags.NONE
         window = item[5] if len(item) > 5 else None
         pkts.append(FlowPacket(float(ts), d, total, payload, flags, window))
-    return Flow(key=None, packets=tuple(pkts), label=label, flow_id=flow_id)
+    return flow_from_packets(pkts, label=label, flow_id=flow_id)
 
 
 def test_schema_widths():
@@ -173,6 +174,14 @@ def test_packets_per_second_hand_case():
     f = flow([(0.0, F, 60), (1.0, F, 60), (2.0, B, 60)])
     assert packets_per_second(f).tolist() == [1.0, 0.5]
     assert packets_per_second(flow([(5.0, F, 60)])).tolist() == [0.0, 0.0]
+
+
+def test_packets_per_second_without_a_finite_rate():
+    """A flow lasting a subnormal number of seconds reports (0, 0), as a
+    zero-duration flow does, instead of an infinite rate."""
+    f = flow([(0.0, F, 60), (5e-324, B, 60)])
+    assert packets_per_second(f).tolist() == [0.0, 0.0]
+    assert np.isfinite(extract_features(f)).all()
 
 
 def test_inter_arrival_hand_case():
@@ -330,10 +339,10 @@ def random_flow(draw):
     has_window = {"none": np.zeros(n, bool), "all": np.ones(n, bool),
                   "mixed": rng.random(n) < 0.7}[windows]
     tcp_windows = rng.integers(0, 65536, n)
-    return Flow(key=None, flow_id="r", packets=tuple(
+    return flow_from_packets((
         FlowPacket(float(ts[i]), F if fwd[i] else B, int(sizes[i]), int(payloads[i]),
                    TcpFlags(int(flags[i])), int(tcp_windows[i]) if has_window[i] else None)
-        for i in range(n)))
+        for i in range(n)), flow_id="r")
 
 
 flow_batches = st.lists(random_flow(), min_size=1, max_size=12)

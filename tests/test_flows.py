@@ -1,23 +1,30 @@
 """Capture parsing and flow assembly tests.
 
 The pcap bytes used here are built by hand with struct.pack, so every field
-the parser reports can be checked against values worked out by hand.
+the parser reports can be checked against values worked out by hand. A
+property test also compares the columnar parser and assembly with the
+per-frame definitions kept verbatim in ``pcap_oracle``, on generated
+captures full of the frames they must skip.
 """
 
 import struct
 
+import numpy as np
+import pcap_oracle
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from pcap_oracle import flow_from_packets
 
 from flowcbr.flows import (
     DEFAULT_IDLE_TIMEOUT,
+    FLOW_COLUMNS,
     Direction,
     Flow,
     FlowCsvError,
     FlowKey,
     FlowPacket,
-    PacketRecord,
+    PacketColumns,
     PcapFormatError,
     Protocol,
     TcpFlags,
@@ -31,10 +38,15 @@ from flowcbr.flows import (
 )
 
 
-def ipv4_header(src, dst, proto, total_length, ihl_words=5):
+def ip_value(dotted):
+    """An IPv4 address as the parser stores it: 10.0.0.1 is 0x0A000001."""
+    return int.from_bytes(bytes(int(x) for x in dotted.split(".")), "big")
+
+
+def ipv4_header(src, dst, proto, total_length, ihl_words=5, version=4):
     header = struct.pack(
         ">BBHHHBBH4s4s",
-        (4 << 4) | ihl_words,
+        (version << 4) | ihl_words,
         0,
         total_length,
         0x1234,
@@ -97,48 +109,61 @@ def test_parse_single_tcp_packet_every_field():
                                           flags=TcpFlags.PSH | TcpFlags.ACK))])
     result = parse_pcap(data)
     assert result.skipped == 0 and result.truncated == 0
-    (rec,) = result.records
-    assert rec.timestamp == pytest.approx(1000.25)
-    assert rec.src_ip == "10.0.0.1" and rec.dst_ip == "10.0.0.2"
-    assert rec.src_port == 1234 and rec.dst_port == 443
-    assert rec.protocol == Protocol.TCP
+    rec = result.records
+    assert len(rec) == 1
+    assert rec.timestamp[0] == pytest.approx(1000.25)
+    assert rec.src_ip[0] == ip_value("10.0.0.1") and rec.dst_ip[0] == ip_value("10.0.0.2")
+    assert rec.src_port[0] == 1234 and rec.dst_port[0] == 443
+    assert rec.protocol[0] == Protocol.TCP
     # IP total: 20 + 20 + 5 payload bytes
-    assert rec.total_length == 45
-    assert rec.payload_length == 5
-    assert rec.tcp_flags == TcpFlags.PSH | TcpFlags.ACK
-    assert rec.tcp_window == 4096
+    assert rec.total_length[0] == 45
+    assert rec.payload_length[0] == 5
+    assert rec.tcp_flags[0] == TcpFlags.PSH | TcpFlags.ACK
+    assert rec.tcp_window[0] == 4096
+
+
+def same_columns(a, b, names):
+    return all(np.array_equal(getattr(a, name), getattr(b, name)) for name in names)
+
+
+RECORD_COLUMNS = ("timestamp", "src_ip", "dst_ip", "src_port", "dst_port", "protocol",
+                  "total_length", "payload_length", "tcp_flags", "tcp_window")
 
 
 def test_parse_big_endian_equals_little_endian():
     frames = [(7, 0, tcp_frame()), (8, 0, udp_frame(payload=b"x" * 9))]
     le = parse_pcap(pcap(frames, little=True))
     be = parse_pcap(pcap(frames, little=False))
-    assert le.records == be.records
+    assert len(le.records) == 2
+    assert same_columns(le.records, be.records, RECORD_COLUMNS)
 
 
 def test_parse_udp_packet():
     data = pcap([(5, 0, udp_frame(payload=b"q" * 30))])
-    (rec,) = parse_pcap(data).records
-    assert rec.protocol == Protocol.UDP
-    assert rec.src_port == 5000 and rec.dst_port == 53
-    assert rec.payload_length == 30
-    assert rec.tcp_window is None
-    assert rec.tcp_flags == TcpFlags.NONE
+    rec = parse_pcap(data).records
+    assert len(rec) == 1
+    assert rec.protocol[0] == Protocol.UDP
+    assert rec.src_port[0] == 5000 and rec.dst_port[0] == 53
+    assert rec.payload_length[0] == 30
+    assert rec.tcp_window[0] == -1  # UDP carries no window
+    assert rec.tcp_flags[0] == TcpFlags.NONE
 
 
 def test_udp_payload_clamped_by_ip_length():
     # udp_len promises 100 payload bytes but IP total only covers 30
     data = pcap([(5, 0, udp_frame(payload=b"q" * 30, udp_len=108))])
-    (rec,) = parse_pcap(data).records
-    assert rec.payload_length == 30
+    rec = parse_pcap(data).records
+    assert len(rec) == 1
+    assert rec.payload_length[0] == 30
 
 
 def test_tcp_payload_accounts_for_options():
     # ihl 6 words (24 bytes) and data offset 8 words (32 bytes)
     frame = tcp_frame(payload=b"abc", ihl_words=6, offset_words=8)
-    (rec,) = parse_pcap(pcap([(1, 0, frame)])).records
-    assert rec.total_length == 24 + 32 + 3
-    assert rec.payload_length == 3
+    rec = parse_pcap(pcap([(1, 0, frame)])).records
+    assert len(rec) == 1
+    assert rec.total_length[0] == 24 + 32 + 3
+    assert rec.payload_length[0] == 3
 
 
 def test_vlan_tags_are_skipped():
@@ -146,7 +171,7 @@ def test_vlan_tags_are_skipped():
         data = pcap([(1, 0, tcp_frame(tags=tags))])
         result = parse_pcap(data)
         assert len(result.records) == 1, f"tags={tags}"
-        assert result.records[0].dst_port == 443
+        assert result.records.dst_port[0] == 443
 
 
 def test_non_ipv4_frames_are_counted_not_raised():
@@ -160,7 +185,7 @@ def test_non_ipv4_frames_are_counted_not_raised():
 def test_icmp_is_skipped():
     ip = ipv4_header("10.0.0.1", "10.0.0.2", 1, 28) + b"\x00" * 8
     result = parse_pcap(pcap([(1, 0, ether(ip))]))
-    assert result.skipped == 1 and not result.records
+    assert result.skipped == 1 and len(result.records) == 0
 
 
 def test_truncated_record_stops_parsing():
@@ -213,6 +238,119 @@ def test_parser_total_on_corrupted_valid_prefix(tail):
         pass
 
 
+CONNECTIONS = [(("10.0.0.1", 1234), ("10.0.0.2", 443)),
+               (("10.0.0.2", 443), ("10.0.0.10", 443)),
+               (("192.168.7.9", 5000), ("192.168.7.9", 5000))]
+FLAG_CHOICES = [TcpFlags.SYN, TcpFlags.SYN | TcpFlags.ACK, TcpFlags.ACK,
+                TcpFlags.PSH | TcpFlags.ACK, TcpFlags.FIN | TcpFlags.ACK, TcpFlags.RST,
+                TcpFlags.NONE]
+# Most frames are valid TCP or UDP; the rest break one rule each.
+FAULTS = [None] * 10 + ["short", "bytes", "ethertype", "version", "ihl", "ip-options",
+                        "protocol", "tcp-offset", "tcp-options", "udp-length", "total",
+                        "cut", "cut-tag"]
+
+
+@st.composite
+def capture_frame(draw):
+    """One frame of any kind the parser must decode or skip.
+
+    Endpoints come from three connections, one of them talking to itself,
+    in either direction. A fault, if drawn, sets a header field past its
+    valid range, cuts the frame anywhere (inside a VLAN tag too), or
+    replaces the frame with bytes that are no Ethernet frame at all.
+    """
+    fault = draw(st.sampled_from(FAULTS))
+    if fault == "short":
+        return draw(st.binary(max_size=13))
+    if fault == "bytes":
+        return draw(st.binary(max_size=80))
+    (src, sport), (dst, dport) = draw(st.sampled_from(CONNECTIONS))
+    if draw(st.booleans()):
+        (src, sport), (dst, dport) = (dst, dport), (src, sport)
+    payload = draw(st.binary(max_size=24))
+    if draw(st.integers(0, 3)) > 0:
+        flags = draw(st.sampled_from(FLAG_CHOICES) | st.integers(0, 255))
+        offset_words = {"tcp-offset": draw(st.integers(0, 4)),
+                        "tcp-options": draw(st.integers(6, 15))}.get(fault, 5)
+        window = draw(st.integers(0, 0xFFFF))
+        l4, proto = tcp_header(sport, dport, flags, window, offset_words) + payload, 6
+    else:
+        udp_len = draw(st.integers(0, 7)) if fault == "udp-length" else 8 + len(payload)
+        l4, proto = udp_header(sport, dport, udp_len) + payload, 17
+    if fault == "protocol":
+        proto = draw(st.sampled_from([0, 1, 47, 58, 132]))
+    ihl_words = {"ihl": draw(st.integers(0, 4)), "ip-options": draw(st.integers(6, 15))}.get(
+        fault, 5)
+    version = draw(st.sampled_from([0, 6, 15])) if fault == "version" else 4
+    total = max(20, ihl_words * 4) + len(l4)
+    if fault == "total":
+        total = draw(st.integers(0, 0xFFFF))
+    ethertype = draw(st.sampled_from([0x86DD, 0x0806, 0x8100])) if fault == "ethertype" else 0x0800
+    tags = draw(st.sampled_from([0, 0, 1, 2, 3]))
+    frame = ether(ipv4_header(src, dst, proto, total, ihl_words, version) + l4, ethertype, tags)
+    if fault == "cut":
+        frame = frame[:draw(st.integers(0, len(frame)))]
+    elif fault == "cut-tag":
+        frame = frame[:12 + 4 * draw(st.integers(0, tags)) + draw(st.integers(0, 5))]
+    return frame
+
+
+@st.composite
+def capture(draw):
+    """(pcap bytes, idle timeout): frames on a half-second grid, so gaps of
+    exactly the timeout occur, and an optional cut record at the end."""
+    little = draw(st.booleans())
+    endian = "<" if little else ">"
+    out = struct.pack(endian + "IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1)
+    for _ in range(draw(st.integers(0, 25))):
+        frame = draw(capture_frame())
+        ts_sec = draw(st.integers(0, 2))
+        ts_usec = draw(st.sampled_from([0, 0, 500000, 250000, 999999, None]))
+        if ts_usec is None:
+            ts_usec = draw(st.integers(0, 2 ** 32 - 1))
+        out += struct.pack(endian + "IIII", ts_sec, ts_usec, len(frame), len(frame)) + frame
+    tail = draw(st.sampled_from(["none", "header", "frame"]))
+    if tail == "header":
+        out += draw(st.binary(min_size=1, max_size=15))
+    elif tail == "frame":
+        body = draw(st.binary(max_size=30))
+        out += struct.pack(endian + "IIII", 9, 0, len(body) + 1, 60) + body
+    return out, draw(st.sampled_from([0.5, 1.0, DEFAULT_IDLE_TIMEOUT]))
+
+
+def dotted(value):
+    return ".".join(str(b) for b in int(value).to_bytes(4, "big"))
+
+
+@settings(deadline=None)
+@given(capture())
+def test_columns_match_per_frame_oracle(case):
+    """Parsing and assembly agree with the per-frame oracle on every field,
+    count, flow id, key, packet column and direction."""
+    data, idle_timeout = case
+    want = pcap_oracle.parse_pcap(data)
+    got = parse_pcap(data)
+    assert (got.skipped, got.truncated) == (want.skipped, want.truncated)
+    assert len(got.records) == len(want.records)
+    r = got.records
+    for i, w in enumerate(want.records):
+        assert (r.timestamp[i], dotted(r.src_ip[i]), dotted(r.dst_ip[i]), r.src_port[i],
+                r.dst_port[i], r.protocol[i], r.total_length[i], r.payload_length[i],
+                r.tcp_flags[i], r.tcp_window[i]) == (
+            w.timestamp, w.src_ip, w.dst_ip, w.src_port, w.dst_port, w.protocol,
+            w.total_length, w.payload_length, w.tcp_flags,
+            -1 if w.tcp_window is None else w.tcp_window)
+
+    want_flows = pcap_oracle.assemble_flows(want.records, idle_timeout)
+    got_flows = assemble_flows(got.records, idle_timeout)
+    assert [f.flow_id for f in got_flows] == [f.flow_id for f in want_flows]
+    for g, w in zip(got_flows, want_flows):
+        assert (g.key.src_ip, g.key.dst_ip, g.key.protocol, g.key.src_port, g.key.dst_port) == (
+            w.key.src_ip, w.key.dst_ip, w.key.protocol, w.key.src_port, w.key.dst_port)
+        assert same_columns(g, w, FLOW_COLUMNS)
+        assert g.packets == w.packets
+
+
 def test_flow_key_symmetric():
     k1 = FlowKey("10.0.0.1", "10.0.0.2", Protocol.TCP, 1234, 443)
     k2 = k1.reversed()
@@ -223,7 +361,15 @@ def test_flow_key_symmetric():
 
 
 def rec(ts, src, dst, sport, dport, flags=TcpFlags.ACK, proto=Protocol.TCP):
-    return PacketRecord(ts, src, dst, sport, dport, proto, 60, 0, flags, 1024)
+    """One packet as a tuple of RECORD_COLUMNS values."""
+    return (ts, ip_value(src), ip_value(dst), sport, dport, proto, 60, 0, flags, 1024)
+
+
+def records(packets):
+    """PacketColumns holding ``packets``, tuples from ``rec``."""
+    values = list(zip(*packets)) or [()] * len(RECORD_COLUMNS)
+    dtypes = [np.float64, np.uint32, np.uint32] + [np.int64] * 7
+    return PacketColumns(*(np.array(v, dtype=d) for v, d in zip(values, dtypes)))
 
 
 def test_assemble_groups_both_directions():
@@ -232,7 +378,7 @@ def test_assemble_groups_both_directions():
         rec(1.1, "10.0.0.2", "10.0.0.1", 443, 1234),
         rec(1.2, "10.0.0.1", "10.0.0.2", 1234, 443),
     ]
-    (flow,) = assemble_flows(packets)
+    (flow,) = assemble_flows(records(packets))
     assert [p.direction for p in flow.packets] == [Direction.FWD, Direction.BWD, Direction.FWD]
     assert flow.key.src_ip == "10.0.0.1"
     assert flow.flow_id == "f000000"
@@ -246,7 +392,7 @@ def test_assemble_syn_overrides_first_sender():
         rec(1.01, "10.0.0.1", "10.0.0.2", 1234, 443, flags=TcpFlags.SYN),
         rec(1.02, "10.0.0.1", "10.0.0.2", 1234, 443),
     ]
-    (flow,) = assemble_flows(packets)
+    (flow,) = assemble_flows(records(packets))
     assert flow.key.src_ip == "10.0.0.1" and flow.key.src_port == 1234
     assert [p.direction for p in flow.packets] == [Direction.BWD, Direction.FWD, Direction.FWD]
 
@@ -256,7 +402,7 @@ def test_assemble_udp_initiator_is_first_sender():
         rec(2.0, "10.0.0.9", "10.0.0.8", 5000, 53, proto=Protocol.UDP),
         rec(2.1, "10.0.0.8", "10.0.0.9", 53, 5000, proto=Protocol.UDP),
     ]
-    (flow,) = assemble_flows(packets)
+    (flow,) = assemble_flows(records(packets))
     assert flow.key.src_ip == "10.0.0.9"
     assert flow.packets[1].direction == Direction.BWD
 
@@ -267,10 +413,10 @@ def test_assemble_idle_timeout_splits():
         rec(10.0, "10.0.0.1", "10.0.0.2", 1234, 443),
         rec(10.0 + DEFAULT_IDLE_TIMEOUT, "10.0.0.1", "10.0.0.2", 1234, 443),
     ]
-    flows = assemble_flows(packets)
+    flows = assemble_flows(records(packets))
     assert [len(f.packets) for f in flows] == [2, 1]
     # a gap just under the timeout keeps one flow
-    flows = assemble_flows(packets, idle_timeout=DEFAULT_IDLE_TIMEOUT + 0.001)
+    flows = assemble_flows(records(packets), idle_timeout=DEFAULT_IDLE_TIMEOUT + 0.001)
     assert len(flows) == 1
 
 
@@ -279,19 +425,19 @@ def test_assemble_sorts_flows_by_first_timestamp():
         rec(5.0, "10.0.0.3", "10.0.0.4", 1111, 80),
         rec(1.0, "10.0.0.1", "10.0.0.2", 2222, 80),
     ]
-    flows = assemble_flows(packets)
+    flows = assemble_flows(records(packets))
     assert [f.packets[0].timestamp for f in flows] == [1.0, 5.0]
     assert [f.flow_id for f in flows] == ["f000000", "f000001"]
 
 
 def test_assemble_rejects_bad_timeout():
     with pytest.raises(ValueError):
-        assemble_flows([], idle_timeout=0.0)
+        assemble_flows(records([]), idle_timeout=0.0)
 
 
 def test_flow_requires_packets():
     with pytest.raises(ValueError):
-        Flow(key=None, packets=())
+        Flow(key=None, **{name: np.zeros(0, dtype=d) for name, d in FLOW_COLUMNS.items()})
 
 
 def make_flow(n, label=None, flow_id="f0"):
@@ -300,7 +446,7 @@ def make_flow(n, label=None, flow_id="f0"):
                    60 + i, i, TcpFlags.ACK, 1000 + i)
         for i in range(n)
     )
-    return Flow(key=None, packets=pkts, label=label, flow_id=flow_id)
+    return flow_from_packets(pkts, label=label, flow_id=flow_id)
 
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
@@ -341,7 +487,7 @@ def test_flow_csv_round_trip(tmp_path):
 def test_flow_csv_timestamps_survive_exactly(tmp_path):
     pkts = (FlowPacket(1699999999.123456789, Direction.FWD, 60, 0),)
     path = tmp_path / "one.csv"
-    save_flows_csv([Flow(key=None, packets=pkts, flow_id="f0")], path)
+    save_flows_csv([flow_from_packets(pkts, flow_id="f0")], path)
     (back,) = load_flows_csv(path)
     assert back.packets[0].timestamp == pkts[0].timestamp
 
@@ -434,6 +580,19 @@ def test_flow_csv_flag_tokens_parse_per_row(tmp_path):
                      TcpFlags.PSH | TcpFlags.ACK, TcpFlags.ACK]
     write_rows(path, rows + [["f0", "", 9, "out", "9.0", 60, 0, "ACK|URG", ""]])
     with pytest.raises(FlowCsvError, match="unknown TCP flag token: 'URG'"):
+        load_flows_csv(path)
+
+
+def test_flow_csv_reader_errors_are_flow_csv_errors(tmp_path):
+    """A field the csv module refuses (longer than its field size limit) or
+    bytes that are not text are schema errors, not crashes."""
+    path = tmp_path / "long.csv"
+    write_rows(path, [["f" * 200_000, "", 0, "out", "1.0", 60, 0, "", ""]])
+    with pytest.raises(FlowCsvError, match="line 2: field larger than field limit"):
+        load_flows_csv(path)
+    write_rows(path, [])
+    path.write_bytes(path.read_bytes() + b"f0,,0,out,1.0,60,0,,\xff\n")
+    with pytest.raises(FlowCsvError, match="not a text file"):
         load_flows_csv(path)
 
 

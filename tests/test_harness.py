@@ -1,6 +1,7 @@
 """Evaluation harness tests: splits, metrics, pipeline wiring, sweeps."""
 
 import csv
+import dataclasses
 import json
 from collections import Counter
 
@@ -182,8 +183,7 @@ def test_fit_pipeline_matches_manual_assembly():
 
 def test_fit_pipeline_requires_labels():
     flows = flows_small(n_per_class=2)
-    flows[0] = type(flows[0])(flow_id=flows[0].flow_id, key=flows[0].key,
-                              packets=flows[0].packets, label=None)
+    flows[0] = dataclasses.replace(flows[0], label=None)
     with pytest.raises(ValueError, match="label"):
         fit_pipeline(flows, PipelineConfig())
 
