@@ -9,18 +9,17 @@ second stage of the combined pipeline.
 """
 
 from .cbr import (ClassRegistry, Thresholds, Verdict, VerdictKind,
-                  add_labeled_sample, calibrate_thresholds, classify, vote)
+                  calibrate_thresholds, classify, vote)
 from .features import (SCHEMA, FeatureSchema, Normalizer, extract_features,
                        extract_matrix, fit_normalizer)
 from .flows import (Direction, Flow, FlowKey, FlowPacket, PacketColumns,
                     Protocol, TcpFlags, assemble_flows, load_flows_csv,
                     parse_pcap, save_flows_csv, truncate_flow)
-from .forest import (EnsembleVerdict, ForestConfig, RandomForest,
-                     ensemble_classify, train_forest)
+from .forest import EnsembleVerdict, ForestConfig, RandomForest, train_forest
 from .harness import (Metrics, PipelineConfig, SplitSpec, compute_metrics,
                       find_plateau, new_class_protocol, packet_sweep,
                       run_eval, stratified_split)
-from .index import IndexEntry, Neighbor, NNIndex, row_distances
+from .index import Neighbor, NNIndex, row_distances
 from .synth import ClassTemplate, default_templates, sweep_templates, synth_generate
 
 __version__ = "0.1.0"
@@ -36,7 +35,6 @@ __all__ = [
     "FlowKey",
     "FlowPacket",
     "ForestConfig",
-    "IndexEntry",
     "Metrics",
     "NNIndex",
     "Neighbor",
@@ -50,13 +48,11 @@ __all__ = [
     "Thresholds",
     "Verdict",
     "VerdictKind",
-    "add_labeled_sample",
     "assemble_flows",
     "calibrate_thresholds",
     "classify",
     "compute_metrics",
     "default_templates",
-    "ensemble_classify",
     "extract_features",
     "extract_matrix",
     "find_plateau",

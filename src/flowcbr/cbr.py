@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 import json
+import math
 import warnings
 from collections import deque
 from dataclasses import dataclass, field
@@ -18,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .index import IndexEntry, Neighbor, NNIndex, row_distances
+from .index import Neighbor, NNIndex, row_distances
 
 PENDING_CAPACITY = 1000
 DEFAULT_K = 5
@@ -47,15 +48,16 @@ class Thresholds:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError("k must be >= 1")
-        if not (0 < self.theta_new <= self.theta_ood):
-            raise ValueError("need 0 < theta_new <= theta_ood")
+        # Range tests are written so NaN fails them.
+        if not 0 < self.theta_new <= self.theta_ood < math.inf:
+            raise ValueError("need 0 < theta_new <= theta_ood, both finite")
         if self.c_min < 1:
             raise ValueError("c_min must be >= 1")
         if self.r_cohesion is None:
             # Default: candidates must sit within one rejection diameter.
             object.__setattr__(self, "r_cohesion", 2.0 * self.theta_ood)
-        if self.r_cohesion <= 0:
-            raise ValueError("r_cohesion must be positive")
+        if not 0 < self.r_cohesion < math.inf:
+            raise ValueError("r_cohesion must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     registry.add_label(label, origin="registered")
     founders = {id(v) for v, _ in cohort}
     for v, _ in cohort:
-        index.insert(IndexEntry(index.next_id(), v, label))
+        index.insert(v, label)
     remaining = [(v, t) for v, t in registry.pending if id(v) not in founders]
     registry.pending.clear()
     registry.pending.extend(remaining)
@@ -229,14 +231,6 @@ def calibrate_thresholds(X: np.ndarray, y: list[str] | np.ndarray,
     theta_ood = max(theta_new, float(np.quantile(arr, quantile_ood)) * ood_margin)
     return Thresholds(theta_new=theta_new, theta_ood=theta_ood, k=k,
                       c_min=c_min, r_cohesion=r_cohesion)
-
-
-def add_labeled_sample(index: NNIndex, registry: ClassRegistry,
-                       vector: np.ndarray, label: str) -> None:
-    """Insert one labeled vector; registers the label if it is new."""
-    v = np.asarray(vector, dtype=np.float64)
-    index.insert(IndexEntry(index.next_id(), v, label))
-    registry.add_label(label, origin="registered")
 
 
 def verdict_to_json(flow_id: str, verdict: Verdict) -> str:

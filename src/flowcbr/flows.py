@@ -107,35 +107,15 @@ _DIRECTION_TO_TOKEN = {True: "out", False: "in"}
 _FLAG_TOKENS = [flags_to_token(TcpFlags(bits)) for bits in range(32)]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class FlowKey:
-    """Connection 5-tuple, stored initiator side first.
-
-    Equality and hashing are symmetric under direction reversal, so the
-    forward and reverse packet streams of one connection map to one key.
-    """
+    """Connection 5-tuple, stored initiator side first."""
 
     src_ip: str
     dst_ip: str
     protocol: Protocol
     src_port: int
     dst_port: int
-
-    def _unordered(self) -> tuple:
-        a = (self.src_ip, self.src_port)
-        b = (self.dst_ip, self.dst_port)
-        return (int(self.protocol), a, b) if a <= b else (int(self.protocol), b, a)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, FlowKey):
-            return NotImplemented
-        return self._unordered() == other._unordered()
-
-    def __hash__(self) -> int:
-        return hash(self._unordered())
-
-    def reversed(self) -> FlowKey:
-        return FlowKey(self.dst_ip, self.src_ip, self.protocol, self.dst_port, self.src_port)
 
 
 @dataclass(frozen=True)

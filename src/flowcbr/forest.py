@@ -5,7 +5,7 @@ subset of feature slots per node (ceil(sqrt(d)) by default), all scored in
 one vectorized pass. Everything is seeded: the same config and data always
 produce the same forest. The ensemble rule (``route_verdict``) passes
 rejection and new-class verdicts through and gives recognized samples the
-forest's label; it serves one sample or a batch of reused verdicts alike.
+forest's label.
 """
 
 from __future__ import annotations
@@ -18,8 +18,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cbr import ClassRegistry, Thresholds, Verdict, VerdictKind, classify
-from .index import NNIndex
+from .cbr import Verdict, VerdictKind
 
 SNAPSHOT_VERSION = 1
 MIN_IMPROVEMENT = 1e-12
@@ -156,10 +155,6 @@ class RandomForest:
         fractions = tally[np.arange(X.shape[0]), winners] / len(self.trees)
         return [str(self.classes[w]) for w in winners], fractions
 
-    def predict(self, v: np.ndarray) -> tuple[str, float]:
-        labels, fractions = self.predict_batch(np.asarray(v, dtype=np.float64)[None, :])
-        return labels[0], float(fractions[0])
-
     def save(self, path: str | Path) -> None:
         doc = {
             "format_version": SNAPSHOT_VERSION,
@@ -276,8 +271,3 @@ def route_verdict(verdict: Verdict, forest_label: Callable[[], str]) -> Ensemble
         return EnsembleVerdict(source="Forest", verdict=forest_label())
     return EnsembleVerdict(source="CBR", verdict=verdict)
 
-
-def ensemble_classify(index: NNIndex, registry: ClassRegistry, forest: RandomForest,
-                      q: np.ndarray, th: Thresholds) -> EnsembleVerdict:
-    """Retrieval screens one sample; the forest labels it if it is recognized."""
-    return route_verdict(classify(index, registry, q, th), lambda: forest.predict(q)[0])

@@ -14,14 +14,13 @@ from pathlib import Path
 import numpy as np
 
 from .cbr import (DEFAULT_C_MIN, DEFAULT_K, DEFAULT_OOD_MARGIN, DEFAULT_QUANTILE_NEW,
-                  DEFAULT_QUANTILE_OOD, ClassRegistry, Thresholds, Verdict, VerdictKind,
-                  classify, vote, write_verdicts)
-from .features import Normalizer, extract_matrix
+                  DEFAULT_QUANTILE_OOD, Thresholds, Verdict, VerdictKind, classify, vote,
+                  write_verdicts)
+from .features import extract_matrix
 from .flows import Flow, truncate_flow
 from .forest import (DEFAULT_N_TREES, EnsembleVerdict, ForestConfig, route_verdict,
                      train_forest)
-from .index import NNIndex
-from .model import fit_model
+from .model import Model, fit_model
 
 OOD_LABEL = "__ood__"
 PENDING_LABEL = "__pending__"
@@ -33,7 +32,6 @@ DEFAULT_TRAIN_FRACTION = 0.70
 class SplitSpec:
     train_fraction: float = DEFAULT_TRAIN_FRACTION
     seed: int = 0
-    stratified: bool = True
 
     def __post_init__(self) -> None:
         if not 0 < self.train_fraction < 1:
@@ -47,20 +45,13 @@ def _train_count(n: int, fraction: float) -> int:
 
 def stratified_split(labels: list[str] | np.ndarray,
                      spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Index split into (train, test); per-class 70/30 when stratified."""
+    """Index split into (train, test), per class (70/30 by default)."""
     labels = np.asarray(labels)
     rng = np.random.default_rng(spec.seed)
     train: list[int] = []
     test: list[int] = []
-    if spec.stratified:
-        for label in np.unique(labels):
-            idx = np.flatnonzero(labels == label)
-            rng.shuffle(idx)
-            cut = _train_count(idx.size, spec.train_fraction)
-            train.extend(idx[:cut].tolist())
-            test.extend(idx[cut:].tolist())
-    else:
-        idx = np.arange(labels.size)
+    for label in np.unique(labels):
+        idx = np.flatnonzero(labels == label)
         rng.shuffle(idx)
         cut = _train_count(idx.size, spec.train_fraction)
         train.extend(idx[:cut].tolist())
@@ -147,16 +138,12 @@ class PipelineConfig:
 
 @dataclass
 class FittedPipeline:
-    index: NNIndex
-    registry: ClassRegistry
-    thresholds: Thresholds
-    normalizer: Normalizer
-    X_train: np.ndarray
-    y_train: list[str]
+    """The model fitted on the training split (its rows and labels are the
+    training set) and the normalized test split."""
+
+    model: Model
     X_test: np.ndarray
     y_test: list[str]
-    train_idx: np.ndarray
-    test_idx: np.ndarray
     test_ids: list[str]
 
 
@@ -170,15 +157,10 @@ def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
     X = extract_matrix(flows)
     train_idx, test_idx = stratified_split(
         labels, SplitSpec(train_fraction=config.train_fraction, seed=config.seed))
-    y_train = [labels[i] for i in train_idx]
-    model = fit_model(X[train_idx], y_train, config)
-    test_ids = [flows[i].flow_id or f"t{i}" for i in test_idx]
-    return FittedPipeline(index=model.index, registry=model.registry,
-                          thresholds=model.thresholds, normalizer=model.normalizer,
-                          X_train=model.vectors, y_train=y_train,
-                          X_test=model.normalizer.transform(X[test_idx]),
-                          y_test=[labels[i] for i in test_idx], train_idx=train_idx,
-                          test_idx=test_idx, test_ids=test_ids)
+    model = fit_model(X[train_idx], [labels[i] for i in train_idx], config)
+    return FittedPipeline(model=model, X_test=model.normalizer.transform(X[test_idx]),
+                          y_test=[labels[i] for i in test_idx],
+                          test_ids=[flows[i].flow_id or f"t{i}" for i in test_idx])
 
 
 def verdict_label(verdict: Verdict) -> str:
@@ -192,13 +174,14 @@ def run_cbr_stream(fitted: FittedPipeline,
                    X: np.ndarray | None = None,
                    ids: list[str] | None = None) -> list[tuple[str, Verdict]]:
     """Classify a stream (default: the fitted test set) on isolated clones."""
-    index = fitted.index.clone()
-    registry = fitted.registry.clone()
+    model = fitted.model
+    index = model.index.clone()
+    registry = model.registry.clone()
     X = fitted.X_test if X is None else X
     ids = fitted.test_ids if ids is None else ids
     out = []
     for flow_id, row in zip(ids, X):
-        out.append((flow_id, classify(index, registry, row, fitted.thresholds)))
+        out.append((flow_id, classify(index, registry, row, model.thresholds)))
     return out
 
 
@@ -219,13 +202,14 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
              out_dir: str | Path | None = None) -> EvalReport:
     """Full evaluation: retrieval pass, forest pass, and the combined stage."""
     fitted = fit_pipeline(flows, config)
-    class_set = sorted(set(fitted.y_train))
+    model = fitted.model
+    class_set = sorted(set(model.labels))
 
     verdicts = run_cbr_stream(fitted)
     cbr_preds = [verdict_label(v) for _, v in verdicts]
     metrics_cbr = compute_metrics(fitted.y_test, cbr_preds, class_set)
 
-    forest = train_forest(fitted.X_train, fitted.y_train,
+    forest = train_forest(model.vectors, model.labels,
                           ForestConfig(n_trees=config.n_trees, max_depth=config.max_depth,
                                        seed=config.seed))
     forest_preds, _ = forest.predict_batch(fitted.X_test)
@@ -238,9 +222,9 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
     metrics_ensemble = compute_metrics(fitted.y_test, ens_preds, class_set)
 
     report = EvalReport(metrics_cbr=metrics_cbr, metrics_forest=metrics_forest,
-                        metrics_ensemble=metrics_ensemble, thresholds=fitted.thresholds,
+                        metrics_ensemble=metrics_ensemble, thresholds=model.thresholds,
                         verdicts=verdicts, ensemble_records=ensemble_records,
-                        n_train=len(fitted.y_train), n_test=len(fitted.y_test),
+                        n_train=len(model.labels), n_test=len(fitted.y_test),
                         forest_oob=forest.oob_score)
     if out_dir is not None:
         out = Path(out_dir)
@@ -260,8 +244,8 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
             "n_test": report.n_test,
             "n_train": report.n_train,
             "seed": config.seed,
-            "theta_new": fitted.thresholds.theta_new,
-            "theta_ood": fitted.thresholds.theta_ood,
+            "theta_new": model.thresholds.theta_new,
+            "theta_ood": model.thresholds.theta_ood,
         }
         with open(out / "summary.json", "w") as fh:
             json.dump(summary, fh, sort_keys=True, indent=2)
@@ -292,7 +276,7 @@ def packet_sweep(flows: list[Flow], packet_counts: list[int],
         fitted = fit_pipeline(flows, cfg)
         correct = 0
         for truth, row in zip(fitted.y_test, fitted.X_test):
-            label, _ = vote(fitted.index.query_knn(row, fitted.thresholds.k))
+            label, _ = vote(fitted.model.index.query_knn(row, fitted.model.thresholds.k))
             correct += int(label == truth)
         points.append(SweepPoint(n_packets=n, accuracy=correct / len(fitted.y_test)))
     if out_path is not None:
@@ -349,7 +333,7 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     held_flows = [f for f in flows if f.label == held_out_class]
 
     fitted = fit_pipeline(base_flows, config)
-    class_set = sorted(set(fitted.y_train))
+    class_set = sorted(set(fitted.model.labels))
 
     before = run_cbr_stream(fitted)
     metrics_before = compute_metrics(fitted.y_test, [verdict_label(v) for _, v in before],
@@ -362,7 +346,7 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     held_test = [held_flows[i] for i in held_test_idx]
     if config.n_packets is not None:
         held_test = [truncate_flow(f, config.n_packets) for f in held_test]
-    X_held = fitted.normalizer.transform(extract_matrix(held_test))
+    X_held = fitted.model.normalizer.transform(extract_matrix(held_test))
     held_ids = [f.flow_id or f"h{i}" for i, f in enumerate(held_test)]
 
     # Interleave deterministically: alternate base and held-out samples.
@@ -380,8 +364,8 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
             stream.append(held_items[hi])
             hi += 1
 
-    index = fitted.index.clone()
-    registry = fitted.registry.clone()
+    index = fitted.model.index.clone()
+    registry = fitted.model.registry.clone()
     registered_label: str | None = None
     samples_consumed = 0
     held_seen = 0
@@ -390,7 +374,7 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     base_true: list[str] = []
     base_pred: list[str] = []
     for flow_id, row, truth in stream:
-        verdict = classify(index, registry, row, fitted.thresholds)
+        verdict = classify(index, registry, row, fitted.model.thresholds)
         pred = verdict_label(verdict)
         if truth == held_out_class:
             held_seen += 1

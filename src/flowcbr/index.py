@@ -1,9 +1,11 @@
 """Exact nearest-neighbor store over feature vectors.
 
-One exact index: a query returns the k stored rows nearest to it, ties broken
-by entry id, so results are deterministic. Rows can be inserted one at a time
-(new classes register without a rebuild), and the index has an independent
-clone. Saving and loading belong to the model directory (``flowcbr.model``).
+One exact index: a query returns the k stored rows nearest to it, and ties
+go to the earlier row, so results are deterministic. A neighbor's entry id
+is its row: the rows the index was made from first, then inserted rows in
+insertion order. Rows can be inserted one at a time (new classes register
+without a rebuild), and the index has an independent clone. Saving and
+loading belong to the model directory (``flowcbr.model``).
 
 Every distance a caller sees is computed by ``row_distances``, so the same
 float comes out wherever it is used. A query first screens all rows with
@@ -37,13 +39,6 @@ def _squared_norms(matrix: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", matrix, matrix)
 
 
-@dataclass(frozen=True, eq=False)
-class IndexEntry:
-    id: int
-    vector: np.ndarray
-    label: str
-
-
 @dataclass(frozen=True)
 class Neighbor:
     entry_id: int
@@ -52,31 +47,13 @@ class Neighbor:
 
 
 class NNIndex:
-    """Exact k-NN index over labeled vectors; see module docstring."""
+    """Exact k-NN index over labeled rows; see module docstring."""
 
-    def __init__(self, matrix: np.ndarray, ids: list[int], labels: list[str]) -> None:
+    def __init__(self, matrix: np.ndarray, labels: list[str]) -> None:
         self._matrix = matrix
         self._sq = _squared_norms(matrix)
-        self._ids = np.array(ids, dtype=np.int64)
         # A copy: insert appends to it, and the caller's list stays as given.
         self._labels = list(labels)
-        self._id_set = set(self._ids.tolist())
-        self._next_auto_id = max(ids) + 1
-
-    @classmethod
-    def build(cls, entries: list[IndexEntry]) -> NNIndex:
-        if not entries:
-            raise ValueError("cannot build an index from zero entries")
-        dim = entries[0].vector.shape[0]
-        vectors = []
-        for e in entries:
-            if e.vector.ndim != 1 or e.vector.shape[0] != dim:
-                raise ValueError(f"entry {e.id} has dimension {e.vector.shape}, expected ({dim},)")
-            vectors.append(np.asarray(e.vector, dtype=np.float64))
-        ids = [e.id for e in entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("entry ids must be unique")
-        return cls(np.stack(vectors), ids, [e.label for e in entries])
 
     @property
     def size(self) -> int:
@@ -86,28 +63,17 @@ class NNIndex:
     def dimension(self) -> int:
         return self._matrix.shape[1]
 
-    def next_id(self) -> int:
-        return self._next_auto_id
-
-    def entries(self) -> list[IndexEntry]:
-        return [IndexEntry(int(i), self._matrix[p].copy(), self._labels[p])
-                for p, i in enumerate(self._ids)]
-
     def clone(self) -> NNIndex:
-        return NNIndex.build(self.entries())
+        return NNIndex(self._matrix.copy(), self._labels)
 
-    def insert(self, entry: IndexEntry) -> None:
-        if entry.id in self._id_set:
-            raise ValueError(f"duplicate entry id {entry.id}")
-        v = np.asarray(entry.vector, dtype=np.float64)
+    def insert(self, vector: np.ndarray, label: str) -> None:
+        """Append one row; its entry id is its position, ``size`` before."""
+        v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dimension,):
-            raise ValueError(f"entry has dimension {v.shape}, expected ({self.dimension},)")
+            raise ValueError(f"row has dimension {v.shape}, expected ({self.dimension},)")
         self._matrix = np.vstack([self._matrix, v[None, :]])
         self._sq = np.append(self._sq, _squared_norms(v[None, :]))
-        self._ids = np.append(self._ids, entry.id)
-        self._labels.append(entry.label)
-        self._id_set.add(entry.id)
-        self._next_auto_id = max(self._next_auto_id, entry.id + 1)
+        self._labels.append(label)
 
     def query_knn(self, q: np.ndarray, k: int) -> list[Neighbor]:
         if k < 1:
@@ -119,14 +85,14 @@ class NNIndex:
         rows = self._screen(q, k)
         dists = row_distances(self._matrix[rows], q)
         # Sort only the rows that can make the top k: every row not farther
-        # than the k-th smallest distance, so ties at the boundary still go
-        # to the lower id. (A NaN k-th distance keeps every row.)
+        # than the k-th smallest distance. The rows are ascending, so the
+        # stable sort gives ties at the boundary to the earlier row. (A NaN
+        # k-th distance keeps every row.)
         kth = np.partition(dists, k - 1)[k - 1]
         keep = ~(dists > kth)
         rows, dists = rows[keep], dists[keep]
-        order = np.lexsort((self._ids[rows], dists))[:k]
-        return [Neighbor(entry_id=int(self._ids[p]), label=self._labels[p],
-                         distance=float(d))
+        order = np.argsort(dists, kind="stable")[:k]
+        return [Neighbor(entry_id=int(p), label=self._labels[p], distance=float(d))
                 for p, d in zip(rows[order], dists[order])]
 
     def _screen(self, q: np.ndarray, k: int) -> np.ndarray:

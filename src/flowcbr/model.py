@@ -60,22 +60,26 @@ class Model:
     registry: ClassRegistry = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self.index = NNIndex(self.vectors, list(range(len(self.labels))), self.labels)
+        self.index = NNIndex(self.vectors, self.labels)
         self.registry = ClassRegistry.from_training_labels(self.labels)
 
 
 def fit_model(X: np.ndarray, labels: list[str], config: PipelineConfig) -> Model:
     """Fit the normalizer on X, then index and calibrate the normalized rows.
-    Calibration needs a class with two rows; without one this is a FitError."""
+    Calibration needs a class with two rows and gives finite thresholds;
+    anything else is a FitError."""
     if len(set(labels)) == len(labels):
         raise FitError("every class has one row to train on; calibrating the thresholds "
                        "needs a class with at least two")
     normalizer = fit_normalizer(X)
     vectors = normalizer.transform(X)
-    thresholds = calibrate_thresholds(
-        vectors, labels, quantile_new=config.quantile_new, quantile_ood=config.quantile_ood,
-        ood_margin=config.ood_margin, k=config.k, c_min=config.c_min,
-        r_cohesion=config.r_cohesion)
+    try:
+        thresholds = calibrate_thresholds(
+            vectors, labels, quantile_new=config.quantile_new,
+            quantile_ood=config.quantile_ood, ood_margin=config.ood_margin, k=config.k,
+            c_min=config.c_min, r_cohesion=config.r_cohesion)
+    except ValueError as exc:
+        raise FitError(f"the settings give unusable thresholds: {exc}") from None
     return Model(normalizer, thresholds, vectors, list(labels))
 
 

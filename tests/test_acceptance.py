@@ -12,7 +12,7 @@ import pytest
 
 from flowcbr.cbr import VerdictKind
 from flowcbr.features import SCHEMA, extract_features, extract_matrix
-from flowcbr.forest import ForestConfig, RandomForest, ensemble_classify, train_forest
+from flowcbr.forest import ForestConfig, RandomForest, route_verdict, train_forest
 from flowcbr.harness import (
     PipelineConfig,
     find_plateau,
@@ -22,7 +22,7 @@ from flowcbr.harness import (
     run_cbr_stream,
     run_eval,
 )
-from flowcbr.index import IndexEntry, NNIndex, row_distances
+from flowcbr.index import NNIndex, row_distances
 from flowcbr.model import fit_model, load_model, save_model
 from flowcbr.synth import (
     default_templates,
@@ -55,8 +55,8 @@ def fitted5(flows5):
 def far_samples(fitted5):
     """100 vectors at >= 2x theta_ood from every training sample."""
     rng = np.random.default_rng(7)
-    X = fitted5.X_train
-    target = 2.0 * fitted5.thresholds.theta_ood
+    X = fitted5.model.vectors
+    target = 2.0 * fitted5.model.thresholds.theta_ood
     out = []
     for _ in range(20000):
         if len(out) == 100:
@@ -87,9 +87,8 @@ def test_criterion_01_index_matches_exhaustive_scan(capsys):
         n, d = sizes[seed % len(sizes)]
         rng = np.random.default_rng(seed)
         vectors = rng.random((n, d))
-        entries = [IndexEntry(i, vectors[i], f"c{i % 5}") for i in range(n)]
         queries = rng.random((15, d))
-        index = NNIndex.build(entries)
+        index = NNIndex(vectors, [f"c{i % 5}" for i in range(n)])
         for k in (1, 5, 10):
             for q in queries:
                 got = [(nb.entry_id, nb.distance) for nb in index.query_knn(q, k)]
@@ -189,11 +188,11 @@ def test_criterion_05_few_shot_registration(capsys):
 
 
 def test_criterion_06_distance_threshold_rejection(capsys, fitted5, far_samples):
-    index = fitted5.index.clone()
-    registry = fitted5.registry.clone()
+    index = fitted5.model.index.clone()
+    registry = fitted5.model.registry.clone()
     from flowcbr.cbr import classify
 
-    flagged = sum(classify(index, registry, row, fitted5.thresholds).kind
+    flagged = sum(classify(index, registry, row, fitted5.model.thresholds).kind
                   is VerdictKind.OOD for row in far_samples)
     far_rate = flagged / len(far_samples)
 
@@ -203,7 +202,7 @@ def test_criterion_06_distance_threshold_rejection(capsys, fitted5, far_samples)
     report(capsys, 6, ok,
            f"far samples flagged {far_rate:.3f} (>= 0.95), in-distribution "
            f"flagged {in_rate:.3f} (<= 0.05), theta_ood "
-           f"{fitted5.thresholds.theta_ood:.3f}")
+           f"{fitted5.model.thresholds.theta_ood:.3f}")
 
 
 def test_criterion_07_packet_sweep_plateau(capsys):
@@ -222,17 +221,18 @@ def test_criterion_08_rejected_samples_never_get_forest_labels(capsys, fitted5,
     identical state; whatever the first rejects, the second must too."""
     from flowcbr.cbr import classify
 
-    forest = train_forest(fitted5.X_train, fitted5.y_train,
+    model = fitted5.model
+    forest = train_forest(model.vectors, model.labels,
                           ForestConfig(n_trees=30, seed=42))
-    idx_solo, reg_solo = fitted5.index.clone(), fitted5.registry.clone()
-    idx_both, reg_both = fitted5.index.clone(), fitted5.registry.clone()
+    idx_solo, reg_solo = model.index.clone(), model.registry.clone()
+    idx_both, reg_both = model.index.clone(), model.registry.clone()
     stream = np.vstack([fitted5.X_test, far_samples])
     ood_total = 0
     violations = 0
     for row in stream:
-        solo = classify(idx_solo, reg_solo, row, fitted5.thresholds)
-        combined = ensemble_classify(idx_both, reg_both, forest, row,
-                                     fitted5.thresholds)
+        solo = classify(idx_solo, reg_solo, row, model.thresholds)
+        combined = route_verdict(classify(idx_both, reg_both, row, model.thresholds),
+                                 lambda: forest.predict_batch(row[None])[0][0])
         if solo.kind is VerdictKind.OOD:
             ood_total += 1
             if combined.source == "Forest":
@@ -285,10 +285,10 @@ def test_criterion_10_exact_knn_report(capsys):
     n, d, k = 5000, 183, 5
     rng = np.random.default_rng(0)
     vectors = rng.random((n, d))
-    entries = [IndexEntry(i, vectors[i], f"c{i % 7}") for i in range(n)]
+    labels = [f"c{i % 7}" for i in range(n)]
     queries = rng.random((100, d))
     t0 = time.perf_counter()
-    index = NNIndex.build(entries)
+    index = NNIndex(vectors, labels)
     build_s = time.perf_counter() - t0
     t0 = time.perf_counter()
     results = [[(nb.entry_id, nb.distance) for nb in index.query_knn(q, k)]

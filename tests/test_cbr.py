@@ -16,7 +16,6 @@ from flowcbr.cbr import (
     Thresholds,
     Verdict,
     VerdictKind,
-    add_labeled_sample,
     calibrate_thresholds,
     classify,
     verdict_to_json,
@@ -24,8 +23,9 @@ from flowcbr.cbr import (
     write_verdicts,
 )
 from flowcbr.features import SCHEMA, Normalizer
-from flowcbr.index import IndexEntry, Neighbor, NNIndex, row_distances
-from flowcbr.model import Model, load_model, save_model
+from flowcbr.harness import PipelineConfig
+from flowcbr.index import Neighbor, NNIndex, row_distances
+from flowcbr.model import Model, fit_model, load_model, save_model
 
 
 def nb(label, distance, entry_id=0):
@@ -61,6 +61,11 @@ def test_thresholds_validation_and_cohesion_default():
         Thresholds(1.0, 2.0, k=0)
     with pytest.raises(ValueError):
         Thresholds(1.0, 2.0, c_min=0)
+    for bad in ({"theta_new": np.nan}, {"theta_ood": np.nan}, {"theta_ood": np.inf},
+                {"theta_new": np.inf, "theta_ood": np.inf}, {"r_cohesion": np.nan},
+                {"r_cohesion": np.inf}):
+        with pytest.raises(ValueError, match="finite"):
+            Thresholds(**{"theta_new": 1.0, "theta_ood": 2.0, **bad})
 
 
 def unit_model(th, labels):
@@ -77,7 +82,7 @@ def test_thresholds_round_trip(tmp_path):
 
 def one_point_setup(theta_new=1.0, theta_ood=2.0, **kw):
     """A single training point at the origin of a 1-D line."""
-    index = NNIndex.build([IndexEntry(0, np.array([0.0]), "base")])
+    index = NNIndex(np.array([[0.0]]), ["base"])
     registry = ClassRegistry.from_training_labels(["base"])
     th = Thresholds(theta_new=theta_new, theta_ood=theta_ood, k=1, **kw)
     return index, registry, th
@@ -141,6 +146,32 @@ def test_scripted_registration_scenario():
     follow_up = classify(index, registry, np.array([1.5002]), th)
     assert follow_up.kind is VerdictKind.KNOWN
     assert follow_up.label == "novel-1"
+
+
+def test_founders_take_the_next_ids_in_insertion_order():
+    """From fit to registration an entry id is a row: the fitted rows are
+    ids 0 .. n_train - 1, and the c_min founders of a new class follow in
+    the order they are inserted: the sample that completes the cohort
+    first, then the buffered ones oldest first."""
+    rng = np.random.default_rng(5)
+    X = np.concatenate([rng.random((6, SCHEMA.width)) * 0.01,
+                        1 + rng.random((6, SCHEMA.width)) * 0.01])
+    labels = ["a"] * 6 + ["b"] * 6
+    model = fit_model(X, labels, PipelineConfig())
+    model = Model(model.normalizer, Thresholds(theta_new=1.0, theta_ood=100.0, k=1,
+                                               c_min=3, r_cohesion=1.0),
+                  model.vectors, model.labels)
+    index, registry, th = model.index, model.registry, model.thresholds
+    n_train = index.size
+    for p, row in enumerate(model.vectors):
+        assert index.query_knn(row, 1)[0].entry_id == p
+    founders = [np.full(SCHEMA.width, 0.5) + 0.001 * i for i in range(3)]
+    kinds = [classify(index, registry, v, th).kind for v in founders]
+    assert kinds == [VerdictKind.PENDING] * 2 + [VerdictKind.REGISTERED]
+    inserted = [founders[2], founders[0], founders[1]]
+    got = [index.query_knn(v, 1)[0] for v in inserted]
+    assert [(nb.entry_id, nb.label, nb.distance) for nb in got] == [
+        (n_train + i, "novel-1", 0.0) for i in range(3)]
 
 
 def test_registration_counts_step_by_step():
@@ -247,7 +278,7 @@ def test_cohort_search_cost_is_bounded(monkeypatch, radius):
     np.fill_diagonal(cos, -1.0)
     assert radius * np.sqrt(2.0 - 2.0 * cos.max()) > 1.05  # pairwise beyond r_cohesion
 
-    index = NNIndex.build([IndexEntry(0, np.zeros(d), "base")])
+    index = NNIndex(np.zeros((1, d)), ["base"])
     registry = ClassRegistry.from_training_labels(["base"])
     th = Thresholds(theta_new=1.0, theta_ood=100.0, k=1, c_min=5, r_cohesion=1.0)
     for t, v in enumerate(centre + radius * dirs):
@@ -414,11 +445,15 @@ def test_pending_buffer_is_bounded():
 
 
 def test_add_labeled_sample_registers_and_inserts():
+    """A labeled row joins by hand through the two calls a registration
+    makes: ``index.insert``, then ``registry.add_label``."""
     index, registry, _ = one_point_setup()
-    add_labeled_sample(index, registry, np.array([4.0]), "manual")
+    index.insert(np.array([4.0]), "manual")
+    registry.add_label("manual", origin="registered")
     assert index.size == 2
     assert registry.labels["manual"] == "registered"
-    assert index.query_knn(np.array([4.0]), 1)[0].label == "manual"
+    nb = index.query_knn(np.array([4.0]), 1)[0]
+    assert (nb.entry_id, nb.label) == (1, "manual")
 
 
 def test_verdict_json_shape_and_jsonl(tmp_path):

@@ -303,6 +303,24 @@ def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, empty_csv, tmp_p
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["index", "eval"])
+@pytest.mark.parametrize("config,fragment", [
+    ('{"r_cohesion": Infinity}', "r_cohesion must be positive and finite"),
+    ('{"ood_margin": 1e308}', "need 0 < theta_new <= theta_ood, both finite"),
+], ids=["r_cohesion-inf", "theta_ood-overflow"])
+def test_infinite_thresholds_exit_two(data_dir, tmp_path, capsys, command, config, fragment):
+    """Settings that make a threshold infinite fail the fit: exit 2 with an
+    error line, and nothing is written."""
+    cfg = tmp_path / "config.json"
+    cfg.write_text(config)
+    data = data_dir / ("features.csv" if command == "index" else "flows.csv")
+    assert run("--config", str(cfg), "--out", str(tmp_path / "out"), command, str(data)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {data}: the settings give unusable thresholds: {fragment}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.fixture()
 def model_dir(data_dir, tmp_path):
     """A fresh model directory built from the shared features."""
@@ -387,6 +405,12 @@ _BAD_INPUTS = {
     "thresholds": ("model.json",
                    _edit_model_json(thresholds=lambda doc: {**doc["thresholds"], "k": "5"}),
                    "thresholds k and c_min must be integers"),
+    "thresholds-nan": ("model.json", _edit_model_json(
+        thresholds=lambda doc: {**doc["thresholds"], "r_cohesion": float("nan")}),
+        "r_cohesion must be positive and finite"),
+    "thresholds-inf": ("model.json", _edit_model_json(
+        thresholds=lambda doc: {**doc["thresholds"], "theta_ood": float("inf")}),
+        "need 0 < theta_new <= theta_ood, both finite"),
     "registry": ("model.json", _edit_model_json(labels=lambda doc: doc["labels"][1:]),
                  "labels must be 12 non-empty strings, one per row"),
     "index-width": ("vectors.npy", _replace_vectors(lambda v: _npy(v[:, :178])),

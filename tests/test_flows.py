@@ -22,7 +22,6 @@ from flowcbr.flows import (
     Direction,
     Flow,
     FlowCsvError,
-    FlowKey,
     FlowPacket,
     PacketColumns,
     PcapFormatError,
@@ -345,19 +344,9 @@ def test_columns_match_per_frame_oracle(case):
     got_flows = assemble_flows(got.records, idle_timeout)
     assert [f.flow_id for f in got_flows] == [f.flow_id for f in want_flows]
     for g, w in zip(got_flows, want_flows):
-        assert (g.key.src_ip, g.key.dst_ip, g.key.protocol, g.key.src_port, g.key.dst_port) == (
-            w.key.src_ip, w.key.dst_ip, w.key.protocol, w.key.src_port, w.key.dst_port)
+        assert g.key == w.key
         assert same_columns(g, w, FLOW_COLUMNS)
         assert g.packets == w.packets
-
-
-def test_flow_key_symmetric():
-    k1 = FlowKey("10.0.0.1", "10.0.0.2", Protocol.TCP, 1234, 443)
-    k2 = k1.reversed()
-    assert k1 == k2
-    assert hash(k1) == hash(k2)
-    assert k1 != FlowKey("10.0.0.1", "10.0.0.2", Protocol.UDP, 1234, 443)
-    assert k1 != FlowKey("10.0.0.1", "10.0.0.2", Protocol.TCP, 1234, 444)
 
 
 def rec(ts, src, dst, sport, dport, flags=TcpFlags.ACK, proto=Protocol.TCP):

@@ -13,15 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcbr import forest as forest_mod
-from flowcbr.cbr import ClassRegistry, Thresholds, VerdictKind
+from flowcbr.cbr import ClassRegistry, Thresholds, VerdictKind, classify
 from flowcbr.forest import (
     EnsembleVerdict,
     ForestConfig,
     RandomForest,
-    ensemble_classify,
+    route_verdict,
     train_forest,
 )
-from flowcbr.index import IndexEntry, NNIndex
+from flowcbr.index import NNIndex
 
 MIN_IMPROVEMENT = 1e-12
 
@@ -234,9 +234,9 @@ def test_classes_sorted_and_ties_go_first():
     y = ["zeta", "alpha", "zeta", "alpha"]
     forest = train_forest(X, y, ForestConfig(n_trees=5, bootstrap=False, max_depth=0))
     assert list(forest.classes) == ["alpha", "zeta"]
-    label, fraction = forest.predict(np.array([1.0, 2.0]))
-    assert label == "alpha"
-    assert fraction == 1.0
+    labels, fractions = forest.predict_batch(np.array([[1.0, 2.0]]))
+    assert labels == ["alpha"]
+    assert fractions.tolist() == [1.0]
 
 
 def test_min_samples_leaf_respected_in_saved_trees(tmp_path):
@@ -314,9 +314,16 @@ def test_predict_batch_requires_matrix():
         forest.predict_batch(X[0])
 
 
+def ensemble_classify(index, registry, forest, q, th):
+    """The combined stage on one sample: retrieval screens it, and only a
+    Known verdict asks the forest for a label."""
+    return route_verdict(classify(index, registry, q, th),
+                         lambda: forest.predict_batch(q[None])[0][0])
+
+
 def ensemble_setup():
     """1-D world: retrieval point at 0, forest trained on two blobs."""
-    index = NNIndex.build([IndexEntry(0, np.array([0.0]), "base")])
+    index = NNIndex(np.array([[0.0]]), ["base"])
     registry = ClassRegistry.from_training_labels(["base"])
     th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1)
     Xf = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])

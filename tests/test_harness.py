@@ -8,9 +8,9 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flowcbr.cbr import Verdict, VerdictKind
+from flowcbr.cbr import Verdict, VerdictKind, classify
 from flowcbr.features import extract_matrix, fit_normalizer
-from flowcbr.forest import ForestConfig, ensemble_classify, train_forest
+from flowcbr.forest import ForestConfig, route_verdict, train_forest
 from flowcbr.harness import (
     OOD_LABEL,
     PENDING_LABEL,
@@ -64,13 +64,6 @@ def test_split_deterministic_and_sorted():
     assert list(a[1]) == sorted(a[1])
     c = stratified_split(labels, SplitSpec(seed=9))
     assert list(a[0]) != list(c[0])
-
-
-def test_split_unstratified_ignores_labels():
-    labels = ["a"] * 3 + ["b"] * 17
-    train, test = stratified_split(
-        labels, SplitSpec(train_fraction=0.5, seed=1, stratified=False))
-    assert train.size == 10 and test.size == 10
 
 
 def test_split_fraction_bounds():
@@ -173,12 +166,12 @@ def test_fit_pipeline_matches_manual_assembly():
     train_idx, test_idx = stratified_split(
         [f.label for f in flows], SplitSpec(train_fraction=0.70, seed=4))
     norm = fit_normalizer(X[train_idx])
-    np.testing.assert_array_equal(fitted.X_train, norm.transform(X)[train_idx])
+    np.testing.assert_array_equal(fitted.model.vectors, norm.transform(X)[train_idx])
     np.testing.assert_array_equal(fitted.X_test, norm.transform(X)[test_idx])
-    assert fitted.y_train == [flows[i].label for i in train_idx]
-    assert fitted.index.size == train_idx.size
+    assert fitted.model.labels == [flows[i].label for i in train_idx]
+    assert fitted.model.index.size == train_idx.size
     assert fitted.test_ids == [flows[i].flow_id for i in test_idx]
-    assert fitted.thresholds.theta_ood >= fitted.thresholds.theta_new
+    assert fitted.model.thresholds.theta_ood >= fitted.model.thresholds.theta_new
 
 
 def test_fit_pipeline_requires_labels():
@@ -192,18 +185,18 @@ def test_fit_pipeline_truncation_changes_features():
     flows = flows_small()
     full = fit_pipeline(flows, PipelineConfig(seed=0))
     cut = fit_pipeline(flows, PipelineConfig(seed=0, n_packets=4))
-    assert cut.X_train.shape == full.X_train.shape
-    assert not np.array_equal(cut.X_train, full.X_train)
+    assert cut.model.vectors.shape == full.model.vectors.shape
+    assert not np.array_equal(cut.model.vectors, full.model.vectors)
 
 
 def test_run_cbr_stream_leaves_fitted_state_alone():
     flows = flows_small()
     fitted = fit_pipeline(flows, PipelineConfig(seed=1, c_min=2))
-    size_before = fitted.index.size
+    size_before = fitted.model.index.size
     first = run_cbr_stream(fitted)
     second = run_cbr_stream(fitted)
-    assert fitted.index.size == size_before
-    assert len(fitted.registry.pending) == 0
+    assert fitted.model.index.size == size_before
+    assert len(fitted.model.registry.pending) == 0
     assert [(fid, v.kind, v.label) for fid, v in first] == \
         [(fid, v.kind, v.label) for fid, v in second]
 
@@ -225,19 +218,21 @@ def test_run_eval_writes_artifacts(tmp_path):
 
 def per_row_ensemble_oracle(flows, config):
     """The original combined stage: fresh clones of the fitted index and
-    registry, then one ensemble_classify (a second retrieval pass and a
-    one-row forest prediction) per test row."""
+    registry, then per test row a second retrieval pass and, for a Known
+    verdict only, a one-row forest prediction."""
     fitted = fit_pipeline(flows, config)
-    forest = train_forest(fitted.X_train, fitted.y_train,
+    model = fitted.model
+    forest = train_forest(model.vectors, model.labels,
                           ForestConfig(n_trees=config.n_trees, max_depth=config.max_depth,
                                        seed=config.seed))
-    index, registry = fitted.index.clone(), fitted.registry.clone()
+    index, registry = model.index.clone(), model.registry.clone()
     records, preds = [], []
     for flow_id, row in zip(fitted.test_ids, fitted.X_test):
-        ev = ensemble_classify(index, registry, forest, row, fitted.thresholds)
+        ev = route_verdict(classify(index, registry, row, model.thresholds),
+                           lambda: forest.predict_batch(row[None])[0][0])
         records.append((flow_id, ev))
         preds.append(ev.verdict if ev.source == "Forest" else verdict_label(ev.verdict))
-    return records, compute_metrics(fitted.y_test, preds, sorted(set(fitted.y_train)))
+    return records, compute_metrics(fitted.y_test, preds, sorted(set(model.labels)))
 
 
 def test_run_eval_ensemble_matches_per_row_oracle():

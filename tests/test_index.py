@@ -2,7 +2,8 @@
 
 The reference answer for every query is an independent full-distance-matrix
 scan written here, not the index's own code path. The index must match it
-exactly: same ids, bit-identical distance floats.
+exactly: same ids, bit-identical distance floats. An entry id is its row, so
+the scans rank rows by (distance, position).
 """
 
 import hashlib
@@ -18,32 +19,31 @@ from hypothesis import strategies as st
 import flowcbr.index as index_mod
 from flowcbr.cbr import Thresholds
 from flowcbr.features import FeatureSchema, Normalizer
-from flowcbr.index import IndexEntry, NNIndex, row_distances
+from flowcbr.index import NNIndex, row_distances
 from flowcbr.model import Model, ModelFormatError, load_model, save_model
 
 
-def reference_knn(vectors, ids, q, k):
-    """k nearest (distance, id) pairs by exhaustive scan, ties by id."""
+def reference_knn(vectors, q, k):
+    """k nearest (distance, row) pairs by exhaustive scan, ties by row."""
     dists = np.sqrt(np.einsum("ij,ij->i", vectors - q, vectors - q))
-    order = sorted(range(len(ids)), key=lambda p: (dists[p], ids[p]))
-    return [(float(dists[p]), int(ids[p])) for p in order[:k]]
+    order = sorted(range(len(vectors)), key=lambda p: (dists[p], p))
+    return [(float(dists[p]), p) for p in order[:k]]
 
 
-def full_scan_knn(vectors, ids, q, k):
-    """k nearest (distance bits, id) pairs from the distances to every row,
-    ranked as a scan of every row ranks them: NaN distances last, then ids.
+def full_scan_knn(vectors, q, k):
+    """k nearest (distance bits, row) pairs from the distances to every row,
+    ranked as a scan of every row ranks them: NaN distances last, then rows.
     Unlike ``reference_knn`` it is defined for NaN distances too."""
-    ids = np.asarray(ids)
     dists = np.sqrt(np.einsum("ij,ij->i", vectors - q, vectors - q))
     kth = np.partition(dists, k - 1)[k - 1]
     cand = np.flatnonzero(~(dists > kth))
-    order = cand[np.lexsort((ids[cand], dists[cand]))[:k]]
-    return [(dists[p].tobytes(), int(ids[p])) for p in order]
+    order = cand[np.lexsort((cand, dists[cand]))[:k]]
+    return [(dists[p].tobytes(), int(p)) for p in order]
 
 
-def make_entries(rng, n, d, scale=1.0):
-    vectors = rng.normal(size=(n, d)) * scale
-    return [IndexEntry(i, vectors[i], f"c{i % 4}") for i in range(n)], vectors
+def make_rows(rng, n, d):
+    """n random rows and their labels."""
+    return rng.normal(size=(n, d)), [f"c{i % 4}" for i in range(n)]
 
 
 def pairs(index, q, k):
@@ -93,74 +93,62 @@ def test_backends_match_reference_exactly(backend, n, d, k, tmp_path):
     naming ``backend`` into a model directory, both match the reference
     scan exactly."""
     rng = np.random.default_rng(n * 100 + d)
-    entries, vectors = make_entries(rng, n, d)
-    index = NNIndex.build(entries)
-    loaded = rebuilt(vectors, [e.label for e in entries], backend, tmp_path)
-    ids = [e.id for e in entries]
+    vectors, labels = make_rows(rng, n, d)
+    index = NNIndex(vectors, labels)
+    loaded = rebuilt(vectors, labels, backend, tmp_path)
     for q in rng.normal(size=(25, d)):
-        want = reference_knn(vectors, ids, q, k)
+        want = reference_knn(vectors, q, k)
         assert pairs(index, q, k) == want
         assert pairs(loaded, q, k) == want
 
 
 @pytest.mark.parametrize("seed", range(4))
 def test_ties_across_the_kth_distance_go_to_lower_ids(seed):
-    """Lattice points in shuffled id order: many rows share the k-th
-    distance, and every k must keep the lowest ids among them."""
+    """The points of a small lattice, each twice, in shuffled row order:
+    many rows share the k-th distance, and every k must keep the earliest
+    rows among them (the lowest ids, as an id is its row)."""
     rng = np.random.default_rng(seed)
-    n, d = 60, 3
-    vectors = rng.integers(0, 3, size=(n, d)).astype(np.float64)
-    ids = rng.permutation(1000)[:n].tolist()
-    index = NNIndex.build([IndexEntry(i, v, "x") for i, v in zip(ids, vectors)])
+    d = 3
+    lattice = np.array(list(itertools.product(range(3), repeat=d)), dtype=np.float64)
+    vectors = np.concatenate([lattice, lattice])[rng.permutation(2 * len(lattice))]
+    n = len(vectors)
+    index = NNIndex(vectors, ["x"] * n)
     for q in rng.integers(0, 3, size=(5, d)).astype(np.float64):
         for k in range(1, n + 1):
-            assert pairs(index, q, k) == reference_knn(vectors, ids, q, k), k
+            assert pairs(index, q, k) == reference_knn(vectors, q, k), k
 
 
 @pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 def test_duplicate_points_tie_break_by_id(backend, tmp_path):
-    """Several entries at the same point: ascending ids win the tie, also
-    in the model rebuilt from a version-1 directory naming ``backend``,
-    whose ids are its row numbers."""
-    point = np.array([1.0, 2.0])
-    entries = [IndexEntry(i, point.copy(), "x") for i in (9, 3, 7, 5)]
-    entries.append(IndexEntry(1, np.array([50.0, 50.0]), "y"))
-    index = NNIndex.build(entries)
-    by_id = sorted(entries, key=lambda e: e.id)
-    loaded = rebuilt(np.stack([e.vector for e in by_id]), [e.label for e in by_id],
-                     backend, tmp_path)
-    q = np.array([1.0, 2.0])
+    """Several rows at the same point: the earliest rows (lowest ids) win
+    the tie, also in the model rebuilt from a version-1 directory naming
+    ``backend``."""
+    point, far = [1.0, 2.0], [50.0, 50.0]
+    vectors = np.array([far, point, point, far, point, point])
+    labels = ["y", "x", "x", "y", "x", "x"]
+    index = NNIndex(vectors, labels)
+    loaded = rebuilt(vectors, labels, backend, tmp_path)
+    q = np.array(point)
     got = [(nb.entry_id, nb.distance) for nb in index.query_knn(q, 3)]
-    assert got == [(3, 0.0), (5, 0.0), (7, 0.0)]
-    assert [(by_id[nb.entry_id].id, nb.distance) for nb in loaded.query_knn(q, 3)] == got
+    assert got == [(1, 0.0), (2, 0.0), (4, 0.0)]
+    assert [(nb.entry_id, nb.distance) for nb in loaded.query_knn(q, 3)] == got
 
 
 def test_query_k_clamps_to_size():
     rng = np.random.default_rng(1)
-    entries, vectors = make_entries(rng, 4, 3)
-    index = NNIndex.build(entries)
+    vectors, labels = make_rows(rng, 4, 3)
+    index = NNIndex(vectors, labels)
     assert len(index.query_knn(vectors[0], 10)) == 4
 
 
 def test_query_validation_errors():
     rng = np.random.default_rng(2)
-    entries, vectors = make_entries(rng, 5, 3)
-    index = NNIndex.build(entries)
+    vectors, labels = make_rows(rng, 5, 3)
+    index = NNIndex(vectors, labels)
     with pytest.raises(ValueError):
         index.query_knn(vectors[0], 0)
     with pytest.raises(ValueError):
         index.query_knn(np.zeros(7), 1)
-
-
-def test_build_validation_errors():
-    with pytest.raises(ValueError):
-        NNIndex.build([])
-    dup = [IndexEntry(1, np.zeros(2), "a"), IndexEntry(1, np.ones(2), "b")]
-    with pytest.raises(ValueError, match="unique"):
-        NNIndex.build(dup)
-    ragged = [IndexEntry(1, np.zeros(2), "a"), IndexEntry(2, np.ones(3), "b")]
-    with pytest.raises(ValueError, match="dimension"):
-        NNIndex.build(ragged)
 
 
 @pytest.mark.parametrize("backend", LEGACY_BACKENDS)
@@ -169,53 +157,61 @@ def test_insert_stays_exact(backend, tmp_path):
     it, and grow its index to 2.5x its size, checking after every insert
     that queries still match the reference scan."""
     rng = np.random.default_rng(7)
-    entries, vectors = make_entries(rng, 20, 5)
-    index = rebuilt(vectors, [e.label for e in entries], backend, tmp_path)
+    vectors, labels = make_rows(rng, 20, 5)
+    index = rebuilt(vectors, labels, backend, tmp_path)
     vectors = list(vectors)
-    ids = [e.id for e in entries]
     for step in range(30):
         v = rng.normal(size=5)
-        new_id = index.next_id()
-        index.insert(IndexEntry(new_id, v, "new"))
+        index.insert(v, "new")
         vectors.append(v)
-        ids.append(new_id)
         q = rng.normal(size=5)
-        assert pairs(index, q, 5) == reference_knn(np.stack(vectors), ids, q, 5), \
-            f"step {step}"
+        assert pairs(index, q, 5) == reference_knn(np.stack(vectors), q, 5), f"step {step}"
     assert index.size == 50
 
 
 def test_insert_rejects_duplicates_and_bad_shape():
+    """A row of another width is refused and leaves the index as it was;
+    a repeated row is a new entry with the next id."""
     rng = np.random.default_rng(3)
-    entries, _ = make_entries(rng, 5, 3)
-    index = NNIndex.build(entries)
-    with pytest.raises(ValueError, match="duplicate"):
-        index.insert(IndexEntry(0, np.zeros(3), "x"))
+    vectors, labels = make_rows(rng, 5, 3)
+    index = NNIndex(vectors, labels)
     with pytest.raises(ValueError, match="dimension"):
-        index.insert(IndexEntry(99, np.zeros(4), "x"))
+        index.insert(np.zeros(4), "x")
+    assert index.size == 5
+    index.insert(vectors[0], "again")
+    assert [(nb.entry_id, nb.label) for nb in index.query_knn(vectors[0], 2)] == [
+        (0, "c0"), (5, "again")]
 
 
 def test_next_id_follows_max():
-    entries = [IndexEntry(5, np.zeros(2), "a"), IndexEntry(2, np.ones(2), "b")]
-    index = NNIndex.build(entries)
-    assert index.next_id() == 6
-    index.insert(IndexEntry(10, np.full(2, 2.0), "c"))
-    assert index.next_id() == 11
+    """An inserted row's entry id is the size before the insert, one past
+    the highest id, and the caller's labels list stays as given."""
+    labels = ["a", "b"]
+    index = NNIndex(np.array([[0.0, 0.0], [1.0, 1.0]]), labels)
+    for new_id, v in enumerate((np.full(2, 2.0), np.full(2, 3.0)), start=2):
+        index.insert(v, "c")
+        assert index.size == new_id + 1
+        assert index.query_knn(v, 1)[0].entry_id == new_id
+    assert labels == ["a", "b"]
 
 
 def test_clone_is_independent():
+    """Inserts into a clone reach neither the original's rows nor its
+    labels, and the clone answers like the original before them."""
     rng = np.random.default_rng(4)
-    entries, _ = make_entries(rng, 6, 3)
-    index = NNIndex.build(entries)
+    vectors, labels = make_rows(rng, 6, 3)
+    index = NNIndex(vectors, labels)
     copy = index.clone()
-    copy.insert(IndexEntry(copy.next_id(), np.zeros(3), "later"))
+    q = np.zeros(3)
+    assert copy.query_knn(q, 6) == index.query_knn(q, 6)
+    copy.insert(q, "later")
     assert copy.size == 7 and index.size == 6
+    assert copy.query_knn(q, 1)[0].label == "later"
+    assert index.query_knn(q, 1)[0].label != "later"
 
 
 def test_labels_travel_with_neighbors():
-    entries = [IndexEntry(0, np.array([0.0]), "near"),
-               IndexEntry(1, np.array([9.0]), "far")]
-    index = NNIndex.build(entries)
+    index = NNIndex(np.array([[0.0], [9.0]]), ["near", "far"])
     got = index.query_knn(np.array([1.0]), 2)
     assert [nb.label for nb in got] == ["near", "far"]
 
@@ -227,9 +223,8 @@ def test_snapshot_round_trip_query_identical(backend, tmp_path):
     they give the same bytes, and every copy answers like the original
     index."""
     rng = np.random.default_rng(11)
-    entries, vectors = make_entries(rng, 60, 7)
-    labels = [e.label for e in entries]
-    index = NNIndex.build(entries)
+    vectors, labels = make_rows(rng, 60, 7)
+    index = NNIndex(vectors, labels)
     loaded_index = rebuilt(vectors, labels, backend, tmp_path)
     model = load_model(tmp_path / "model", schema_of(7))
     assert model.vectors.tobytes() == vectors.tobytes() and model.labels == labels
@@ -286,8 +281,8 @@ def test_row_distances_matches_norm():
 @st.composite
 def knn_case(draw):
     """Rows at scales from 1e-160 to 1e160 (so squares underflow or
-    overflow), integer lattices with many tied distances, duplicate rows
-    and shuffled ids, plus rows to insert and queries near stored rows."""
+    overflow), integer lattices with many tied distances and duplicate rows,
+    plus rows to insert and queries near stored rows."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = draw(st.sampled_from([1, 2, 3, 183]))
     n = draw(st.integers(1, 40))
@@ -310,7 +305,7 @@ def knn_case(draw):
         return block
 
     inserts = draw(st.integers(0, 4))
-    return d, n, rows(n + inserts), rng.permutation(10 * (n + inserts)).tolist(), rng, inserts
+    return d, n, rows(n + inserts), rng, inserts
 
 
 def case_queries(rng, stored, d):
@@ -331,22 +326,21 @@ def case_queries(rng, stored, d):
 @given(knn_case())
 def test_screened_query_matches_full_scan_bit_for_bit(case):
     """query_knn against the scan of every row, for every k up to the index
-    size, with rows inserted between query rounds: same ids, same distance
-    bits. Where no distance is NaN it also matches the sorted reference.
-    Rows near 1e160 overflow the exact kernel too, so its warnings are
-    silenced here."""
-    d, n, vectors, ids, rng, inserts = case
-    index = NNIndex.build([IndexEntry(i, v, "x") for i, v in zip(ids[:n], vectors[:n])])
+    size, with rows inserted between query rounds: same ids (rows), same
+    distance bits. Where no distance is NaN it also matches the sorted
+    reference. Rows near 1e160 overflow the exact kernel too, so its
+    warnings are silenced here."""
+    d, n, vectors, rng, inserts = case
+    index = NNIndex(vectors[:n], ["x"] * n)
     for size in range(n, n + inserts + 1):
         if size > n:
-            index.insert(IndexEntry(ids[size - 1], vectors[size - 1], "x"))
-        stored, stored_ids = vectors[:size], ids[:size]
+            index.insert(vectors[size - 1], "x")
+        stored = vectors[:size]
         for q, k in itertools.product(case_queries(rng, stored, d), range(1, size + 1)):
             with np.errstate(over="ignore", invalid="ignore"):
                 got = index.query_knn(q, k)
-                want = full_scan_knn(stored, stored_ids, q, k)
-                reference = (reference_knn(stored, stored_ids, q, k)
-                             if not np.isnan(q).any() else None)
+                want = full_scan_knn(stored, q, k)
+                reference = reference_knn(stored, q, k) if not np.isnan(q).any() else None
             assert [(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in got] == want
             if reference is not None:
                 assert [(nb.distance, nb.entry_id) for nb in got] == reference
@@ -360,7 +354,7 @@ def test_screen_prunes_to_2k_distance_rows_per_query(monkeypatch):
     n, d, k = 3200, 183, 5
     centres = rng.normal(size=(8, d)) * 10
     vectors = centres[rng.integers(0, 8, size=n)] + rng.normal(size=(n, d))
-    index = NNIndex.build([IndexEntry(i, v, "x") for i, v in enumerate(vectors)])
+    index = NNIndex(vectors, ["x"] * n)
     rows = []
 
     def counting_row_distances(matrix, q):
@@ -370,5 +364,5 @@ def test_screen_prunes_to_2k_distance_rows_per_query(monkeypatch):
     monkeypatch.setattr(index_mod, "row_distances", counting_row_distances)
     for q in centres[rng.integers(0, 8, size=40)] + rng.normal(size=(40, d)):
         rows.clear()
-        assert pairs(index, q, k) == reference_knn(vectors, list(range(n)), q, k)
+        assert pairs(index, q, k) == reference_knn(vectors, q, k)
         assert sum(rows) <= 2 * k, rows
