@@ -9,12 +9,13 @@ a brand-new class, inserted into the live index without any retraining.
 
 from __future__ import annotations
 
+import copy
 import enum
 import json
 import math
 import warnings
-from collections import deque
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,61 +69,64 @@ class Verdict:
     min_distance: float
 
 
-@dataclass
 class ClassRegistry:
-    """Known labels plus the buffer of would-be new-class samples.
+    """The pending buffer of would-be new-class samples, and two counters.
 
-    ``evictions`` counts buffered samples dropped because the buffer was
-    full. A registry lives in memory only: a loaded model starts one from
-    its training labels.
+    ``pending`` views the used rows, oldest first, of one float64 matrix of
+    PENDING_CAPACITY rows allocated on the first in-between sample. A full
+    buffer drops its oldest row to take a new one; ``evictions`` counts the
+    drops. A registry lives in memory only: a loaded model starts empty.
     """
 
-    labels: dict[str, str] = field(default_factory=dict)
-    pending: deque = field(default_factory=lambda: deque(maxlen=PENDING_CAPACITY))
-    novel_count: int = 0
-    stream_pos: int = 0
-    evictions: int = 0
+    def __init__(self) -> None:
+        self.novel_count = 0
+        self.evictions = 0
+        self._rows = np.empty((0, 0))
+        self._used = 0
 
-    @classmethod
-    def from_training_labels(cls, labels: list[str]) -> ClassRegistry:
-        reg = cls()
-        for label in labels:
-            reg.labels.setdefault(label, "trained")
-        return reg
+    @property
+    def pending(self) -> np.ndarray:
+        return self._rows[:self._used]
 
-    def add_label(self, label: str, origin: str) -> None:
-        if label not in self.labels:
-            self.labels[label] = origin
+    def add_pending(self, q: np.ndarray) -> None:
+        """Buffer q as the newest row; a full buffer first drops its oldest."""
+        if not len(self._rows):
+            self._rows = np.empty((PENDING_CAPACITY, len(q)))
+        if self._used == PENDING_CAPACITY:
+            self.evictions += 1
+            self._rows[:-1] = self._rows[1:]
+            self._used -= 1
+        self._rows[self._used] = q
+        self._used += 1
+
+    def drop_pending(self, rows: list[int]) -> None:
+        """Remove the given rows; the others move up in their order."""
+        kept = np.delete(self.pending, rows, axis=0)
+        self._rows[:len(kept)] = kept
+        self._used = len(kept)
 
     def next_novel_label(self) -> str:
         self.novel_count += 1
         return f"novel-{self.novel_count}"
 
     def clone(self) -> ClassRegistry:
-        reg = ClassRegistry(labels=dict(self.labels), novel_count=self.novel_count,
-                            stream_pos=self.stream_pos, evictions=self.evictions)
-        reg.pending.extend((v.copy(), t) for v, t in self.pending)
-        return reg
+        return copy.deepcopy(self)
 
 
 def vote(neighbors: list[Neighbor]) -> tuple[str, int]:
     """Majority label; ties go to the smaller summed distance, then name."""
     if not neighbors:
         raise ValueError("vote needs at least one neighbor")
-    counts: dict[str, int] = {}
+    counts = _neighbor_votes(neighbors)
     sums: dict[str, float] = {}
     for n in neighbors:
-        counts[n.label] = counts.get(n.label, 0) + 1
         sums[n.label] = sums.get(n.label, 0.0) + n.distance
     winner = min(counts, key=lambda lbl: (-counts[lbl], sums[lbl], lbl))
     return winner, counts[winner]
 
 
 def _neighbor_votes(neighbors: list[Neighbor]) -> dict[str, int]:
-    counts: dict[str, int] = {}
-    for n in neighbors:
-        counts[n.label] = counts.get(n.label, 0) + 1
-    return counts
+    return dict(Counter(n.label for n in neighbors))
 
 
 def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
@@ -139,54 +143,48 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     neighbors = index.query_knn(q, th.k)
     d1 = neighbors[0].distance
     votes = _neighbor_votes(neighbors)
-    registry.stream_pos += 1
     if d1 <= th.theta_new:
         label, _ = vote(neighbors)
         return Verdict(VerdictKind.KNOWN, label, votes, d1)
     if d1 > th.theta_ood:
         return Verdict(VerdictKind.OOD, None, votes, d1)
 
-    if len(registry.pending) == registry.pending.maxlen:
-        registry.evictions += 1
-    registry.pending.append((q.copy(), registry.stream_pos))
-    cohort = _cohesive_cohort(registry, q, th.r_cohesion)
+    registry.add_pending(q)
+    cohort = _cohesive_cohort(registry.pending, th.r_cohesion)
     if len(cohort) < th.c_min:
         return Verdict(VerdictKind.PENDING, None, votes, d1)
 
     label = registry.next_novel_label()
-    registry.add_label(label, origin="registered")
-    founders = {id(v) for v, _ in cohort}
-    for v, _ in cohort:
-        index.insert(v, label)
-    remaining = [(v, t) for v, t in registry.pending if id(v) not in founders]
-    registry.pending.clear()
-    registry.pending.extend(remaining)
+    while index.has_label(label):  # a trained class may be named novel-N
+        label = registry.next_novel_label()
+    for row in registry.pending[cohort]:
+        index.insert(row, label)
+    registry.drop_pending(cohort)
     return Verdict(VerdictKind.REGISTERED, label, votes, d1)
 
 
-def _cohesive_cohort(registry: ClassRegistry, q: np.ndarray,
-                     r_cohesion: float) -> list[tuple[np.ndarray, int]]:
-    """Greedy pairwise-close subset of the buffer around the newest sample.
+def _cohesive_cohort(pending: np.ndarray, r_cohesion: float) -> list[int]:
+    """Greedy pairwise-close subset of the buffer, as row positions: the
+    newest row (the anchor) first, then the kept rows oldest first.
 
-    Buffered samples are taken oldest first and kept only if within
-    r_cohesion of every sample already kept, which guarantees the returned
-    set is mutually cohesive. The newest sample (q, just appended) is the
-    anchor and always belongs.
+    Buffered rows are taken oldest first and kept only if within r_cohesion
+    of every row already kept, which guarantees the returned set is mutually
+    cohesive. The anchor always belongs.
 
-    A sample farther than r_cohesion from any kept sample can never join, so
-    one distance call per kept sample prunes the surviving candidates: the
-    cost is the cohort size in kernel calls, not the buffer size.
+    A row farther than r_cohesion from any kept row can never join, so one
+    distance call per kept row prunes the surviving candidates: the cost is
+    the cohort size in kernel calls, not the buffer size.
     """
-    *older, anchor = registry.pending
+    anchor = len(pending) - 1
     kept = [anchor]
-    if not older:
+    if not anchor:
         return kept
-    matrix = np.stack([v for v, _ in older])
-    candidates = np.flatnonzero(row_distances(matrix, anchor[0]) <= r_cohesion)
+    candidates = np.flatnonzero(row_distances(pending[:anchor], pending[anchor])
+                                <= r_cohesion)
     while candidates.size:
         first, rest = candidates[0], candidates[1:]
-        kept.append(older[first])
-        candidates = rest[row_distances(matrix[rest], matrix[first]) <= r_cohesion]
+        kept.append(int(first))
+        candidates = rest[row_distances(pending[rest], pending[first]) <= r_cohesion]
     return kept
 
 

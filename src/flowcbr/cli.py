@@ -21,7 +21,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import flows as flows_mod
-from .cbr import classify, verdict_to_json
+from .cbr import VerdictKind, classify, verdict_to_json
 from .features import SCHEMA, extract_matrix, load_matrix_csv, save_matrix_csv
 from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
@@ -254,8 +254,12 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if model.registry.evictions:
         log.warning("pending buffer full: %d buffered samples evicted, oldest first",
                     model.registry.evictions)
+    registered = counts.get(VerdictKind.REGISTERED.value, 0)
+    if registered:
+        log.warning("%d new classes registered, not saved to %s", registered, args.model)
     print(f"{len(flow_ids)} verdicts -> {out}  {counts}  "
-          f"pending evictions {model.registry.evictions}")
+          f"pending evictions {model.registry.evictions}"
+          + (f"  registered {registered} (not saved)" if registered else ""))
     return 0
 
 

@@ -170,19 +170,13 @@ def verdict_label(verdict: Verdict) -> str:
     return OOD_LABEL if verdict.kind is VerdictKind.OOD else PENDING_LABEL
 
 
-def run_cbr_stream(fitted: FittedPipeline,
-                   X: np.ndarray | None = None,
-                   ids: list[str] | None = None) -> list[tuple[str, Verdict]]:
-    """Classify a stream (default: the fitted test set) on isolated clones."""
+def run_cbr_stream(fitted: FittedPipeline) -> list[tuple[str, Verdict]]:
+    """Classify the fitted test set on isolated clones."""
     model = fitted.model
     index = model.index.clone()
     registry = model.registry.clone()
-    X = fitted.X_test if X is None else X
-    ids = fitted.test_ids if ids is None else ids
-    out = []
-    for flow_id, row in zip(ids, X):
-        out.append((flow_id, classify(index, registry, row, model.thresholds)))
-    return out
+    return [(flow_id, classify(index, registry, row, model.thresholds))
+            for flow_id, row in zip(fitted.test_ids, fitted.X_test)]
 
 
 @dataclass

@@ -63,6 +63,9 @@ class NNIndex:
     def dimension(self) -> int:
         return self._matrix.shape[1]
 
+    def has_label(self, label: str) -> bool:
+        return label in self._labels
+
     def clone(self) -> NNIndex:
         return NNIndex(self._matrix.copy(), self._labels)
 

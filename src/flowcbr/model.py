@@ -49,19 +49,18 @@ class FitError(ValueError):
 
 @dataclass
 class Model:
-    """A fitted model. ``index`` and ``registry`` start from the fitted rows
-    and grow as classifying registers classes; only the fitted rows are saved."""
+    """A fitted model. ``index`` starts from the fitted rows, ``registry`` empty;
+    both grow as classifying registers classes. Only the fitted rows are saved."""
 
     normalizer: Normalizer
     thresholds: Thresholds
     vectors: np.ndarray
     labels: list[str]
     index: NNIndex = field(init=False, repr=False)
-    registry: ClassRegistry = field(init=False, repr=False)
+    registry: ClassRegistry = field(init=False, repr=False, default_factory=ClassRegistry)
 
     def __post_init__(self) -> None:
         self.index = NNIndex(self.vectors, self.labels)
-        self.registry = ClassRegistry.from_training_labels(self.labels)
 
 
 def fit_model(X: np.ndarray, labels: list[str], config: PipelineConfig) -> Model:

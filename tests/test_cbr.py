@@ -4,6 +4,8 @@ Most tests use tiny 1-D or 2-D geometries where every distance can be read
 off the page, so each verdict regime is pinned by construction.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -83,9 +85,8 @@ def test_thresholds_round_trip(tmp_path):
 def one_point_setup(theta_new=1.0, theta_ood=2.0, **kw):
     """A single training point at the origin of a 1-D line."""
     index = NNIndex(np.array([[0.0]]), ["base"])
-    registry = ClassRegistry.from_training_labels(["base"])
     th = Thresholds(theta_new=theta_new, theta_ood=theta_ood, k=1, **kw)
-    return index, registry, th
+    return index, ClassRegistry(), th
 
 
 @pytest.mark.parametrize("x,kind", [
@@ -130,6 +131,29 @@ def test_ood_is_never_buffered():
     assert index.size == 1
 
 
+def test_known_verdicts_allocate_no_buffer():
+    """The pending buffer is allocated on the first in-between sample, so a
+    stream of Known and OOD verdicts allocates nothing beside the queries."""
+    d = 183
+    buffer_bytes = PENDING_CAPACITY * d * 8
+    index = NNIndex(np.zeros((1, d)), ["base"])
+    registry = ClassRegistry()
+    th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1)
+    tracemalloc.start()
+    try:
+        for x in (0.1, 0.5, 0.9, 5.0):
+            classify(index, registry, np.full(d, x / np.sqrt(d)), th)
+        _, peak_known = tracemalloc.get_traced_memory()
+        assert classify(index, registry, np.full(d, 1.5 / np.sqrt(d)),
+                        th).kind is VerdictKind.PENDING
+        _, peak_pending = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak_known < buffer_bytes / 10
+    assert peak_pending >= buffer_bytes
+    assert registry.pending.shape == (1, d)
+
+
 def test_scripted_registration_scenario():
     """Five mutually close in-band samples arrive; the fifth registers the
     class, founders enter the index, and a sixth nearby query is Known."""
@@ -140,7 +164,6 @@ def test_scripted_registration_scenario():
         kinds.append(classify(index, registry, v, th).kind)
     assert kinds == [VerdictKind.PENDING] * 4 + [VerdictKind.REGISTERED]
     assert index.size == 6
-    assert registry.labels.get("novel-1") == "registered"
     assert len(registry.pending) == 0
 
     follow_up = classify(index, registry, np.array([1.5002]), th)
@@ -192,13 +215,13 @@ def test_cohort_requires_mutual_cohesion():
         assert verdict.kind is VerdictKind.PENDING
     assert len(registry.pending) == 4
 
-    # now three samples within r_cohesion of each other register,
-    # and the stragglers stay buffered
-    for x in (50.0, 50.1):
+    # now three samples within r_cohesion of each other register, and the
+    # stragglers between them stay buffered, in their order
+    for x in (50.0, 60.0, 50.1, 70.0):
         assert classify(index, registry, np.array([x]), th).kind is VerdictKind.PENDING
     verdict = classify(index, registry, np.array([50.2]), th)
     assert verdict.kind is VerdictKind.REGISTERED
-    assert len(registry.pending) == 4  # the four scattered ones survive
+    assert registry.pending[:, 0].tolist() == [10.0, 20.0, 30.0, 40.0, 60.0, 70.0]
     assert index.size == 4
 
 
@@ -212,20 +235,30 @@ def test_second_registration_increments_label():
         index2_query = classify(index, registry, np.array([-x]), th)
     assert index2_query.kind is VerdictKind.REGISTERED
     assert index2_query.label == "novel-2"
-    assert set(registry.labels) == {"base", "novel-1", "novel-2"}
+    assert registry.novel_count == 2
+
+
+def test_new_class_label_skips_trained_labels():
+    """A trained class may already be called novel-N; a registration takes
+    the next number no row of the index holds, so its founders never merge
+    into that class."""
+    index = NNIndex(np.array([[0.0], [0.1]]), ["novel-1", "novel-1"])
+    th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1, c_min=3)
+    registry = ClassRegistry()
+    verdicts = [classify(index, registry, np.array([1.5 + 0.001 * i]), th)
+                for i in range(3)]
+    assert verdicts[-1].kind is VerdictKind.REGISTERED
+    assert verdicts[-1].label == "novel-2"
+    assert [n.label for n in index.query_knn(np.array([1.5]), 3)] == ["novel-2"] * 3
 
 
 def greedy_cohort_oracle(pending, r_cohesion):
-    """The original cohort loop: every older buffered sample, oldest first,
-    is checked against the whole kept set with one distance call."""
-    anchor = pending[-1]
-    kept = [anchor]
-    kept_matrix = [anchor[0]]
-    for item in list(pending)[:-1]:
-        dists = row_distances(np.stack(kept_matrix), item[0])
-        if np.all(dists <= r_cohesion):
-            kept.append(item)
-            kept_matrix.append(item[0])
+    """The original cohort loop: every older buffered row, oldest first, is
+    checked against the whole kept set with one distance call."""
+    kept = [len(pending) - 1]
+    for p in range(len(pending) - 1):
+        if np.all(row_distances(pending[kept], pending[p]) <= r_cohesion):
+            kept.append(p)
     return kept
 
 
@@ -239,7 +272,7 @@ def greedy_cohort_oracle(pending, r_cohesion):
        st.data())
 def test_cohort_search_matches_greedy_oracle(seed, d, n, n_distinct, lattice,
                                              scale, data):
-    """Same samples in the same order, by identity. Drawing from fewer
+    """Same rows in the same order, by position. Drawing from fewer
     distinct vectors than samples gives duplicates; lattice points give
     many tied distances; scale 1.0 puts r_cohesion exactly on a realised
     pairwise distance."""
@@ -250,16 +283,15 @@ def test_cohort_search_matches_greedy_oracle(seed, d, n, n_distinct, lattice,
     else:
         pool = rng.normal(size=(n_distinct, d)) * 10.0 ** rng.integers(-2, 3)
     registry = ClassRegistry()
-    for t in range(n):
-        registry.pending.append((pool[rng.integers(n_distinct)].copy(), t))
-    vectors = [v for v, _ in registry.pending]
+    for _ in range(n):
+        registry.add_pending(pool[rng.integers(n_distinct)])
+    pending = registry.pending
     i = data.draw(st.integers(min_value=0, max_value=n - 1))
     j = data.draw(st.integers(min_value=0, max_value=n - 1))
-    r_cohesion = scale * float(row_distances(vectors[i][None, :], vectors[j])[0])
+    r_cohesion = scale * float(row_distances(pending[i][None, :], pending[j])[0])
 
-    got = cbr_mod._cohesive_cohort(registry, vectors[-1], r_cohesion)
-    want = greedy_cohort_oracle(registry.pending, r_cohesion)
-    assert [id(v) for v, _ in got] == [id(v) for v, _ in want]
+    got = cbr_mod._cohesive_cohort(pending, r_cohesion)
+    assert got == greedy_cohort_oracle(pending, r_cohesion)
 
 
 @pytest.mark.parametrize("radius", [0.95, 3.0])
@@ -279,10 +311,11 @@ def test_cohort_search_cost_is_bounded(monkeypatch, radius):
     assert radius * np.sqrt(2.0 - 2.0 * cos.max()) > 1.05  # pairwise beyond r_cohesion
 
     index = NNIndex(np.zeros((1, d)), ["base"])
-    registry = ClassRegistry.from_training_labels(["base"])
+    registry = ClassRegistry()
     th = Thresholds(theta_new=1.0, theta_ood=100.0, k=1, c_min=5, r_cohesion=1.0)
-    for t, v in enumerate(centre + radius * dirs):
-        registry.pending.append((v, t))
+    buffered = centre + radius * dirs
+    for v in buffered:
+        registry.add_pending(v)
 
     calls = []
 
@@ -295,20 +328,23 @@ def test_cohort_search_cost_is_bounded(monkeypatch, radius):
     assert verdict.kind is VerdictKind.PENDING
     assert len(calls) <= th.c_min, calls
     assert registry.evictions == 1
+    assert np.array_equal(registry.pending, np.vstack([buffered[1:], centre]))
 
 
 def test_full_buffer_counts_evictions():
     index, registry, th = one_point_setup(theta_new=0.1, theta_ood=1e6,
                                           c_min=3, r_cohesion=1.0)
     for t in range(PENDING_CAPACITY - 1):
-        registry.pending.append((np.array([10.0 * (t + 1)]), t))
+        registry.add_pending(np.array([10.0 * (t + 1)]))
     classify(index, registry, np.array([-10.0]), th)  # fills the last slot
     assert registry.evictions == 0
     for x in (-20.0, -30.0, -40.0):
         assert classify(index, registry, np.array([x]), th).kind is VerdictKind.PENDING
     assert len(registry.pending) == PENDING_CAPACITY
     assert registry.evictions == 3
-    assert registry.pending[0][0][0] == 40.0  # the three oldest went
+    # the three oldest went; the others kept their order, the newest last
+    assert registry.pending[0, 0] == 40.0
+    assert list(registry.pending[-5:, 0]) == [9990.0, -10.0, -20.0, -30.0, -40.0]
 
     assert registry.clone().evictions == 3
 
@@ -412,48 +448,36 @@ def test_calibration_floors_zero_distances():
 
 
 def test_registry_clone_is_deep_for_pending():
-    reg = ClassRegistry.from_training_labels(["a"])
-    reg.pending.append((np.array([1.0]), 1))
+    reg = ClassRegistry()
+    reg.add_pending(np.array([1.0]))
     copy = reg.clone()
-    copy.pending.append((np.array([2.0]), 2))
-    copy.pending[0][0][0] = 99.0
-    assert len(reg.pending) == 1
-    assert reg.pending[0][0][0] == 1.0
+    copy.add_pending(np.array([2.0]))
+    copy.pending[0, 0] = 99.0
+    assert len(copy.pending) == 2
+    assert reg.pending.tolist() == [[1.0]]
 
 
 def test_registry_round_trip(tmp_path):
-    """A model saves its training labels, not its registry: the loaded
-    registry holds those labels as trained, with an empty buffer and every
-    counter at zero, whatever the registry held before the save."""
+    """A model saves its training rows, not its registry: the loaded
+    registry has an empty buffer and every counter at zero, whatever the
+    registry held before the save."""
     model = unit_model(Thresholds(theta_new=0.75, theta_ood=1.5), ["a", "b", "a"])
-    model.registry.pending.append((np.full(SCHEMA.width, 0.5), 7))
+    model.registry.add_pending(np.full(SCHEMA.width, 0.5))
     model.registry.novel_count = 2
-    model.registry.stream_pos = 40
     save_model(tmp_path, model)
     back = load_model(tmp_path).registry
-    assert back.labels == {"a": "trained", "b": "trained"}
-    assert back.novel_count == 0 and back.stream_pos == 0 and back.evictions == 0
+    assert back.novel_count == 0 and back.evictions == 0
     assert len(back.pending) == 0
 
 
 def test_pending_buffer_is_bounded():
     reg = ClassRegistry()
     for i in range(1100):
-        reg.pending.append((np.array([float(i)]), i))
+        reg.add_pending(np.array([float(i)]))
     assert len(reg.pending) == 1000
-    assert reg.pending[0][1] == 100  # oldest entries fell off
-
-
-def test_add_labeled_sample_registers_and_inserts():
-    """A labeled row joins by hand through the two calls a registration
-    makes: ``index.insert``, then ``registry.add_label``."""
-    index, registry, _ = one_point_setup()
-    index.insert(np.array([4.0]), "manual")
-    registry.add_label("manual", origin="registered")
-    assert index.size == 2
-    assert registry.labels["manual"] == "registered"
-    nb = index.query_knn(np.array([4.0]), 1)[0]
-    assert (nb.entry_id, nb.label) == (1, "manual")
+    assert reg.evictions == 100
+    # the oldest rows fell off; the rest kept their order
+    assert reg.pending[:, 0].tolist() == [float(i) for i in range(100, 1100)]
 
 
 def test_verdict_json_shape_and_jsonl(tmp_path):

@@ -524,8 +524,32 @@ def test_classify_reports_pending_evictions(data_dir, tmp_path, capsys, caplog):
                "--features", str(stream)) == 0
     out = capsys.readouterr().out
     assert "{'NewClassPending': 1004}  pending evictions 4" in out
+    assert "registered" not in out
     warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
     assert any("4 buffered samples evicted" in w for w in warnings)
+    assert not any("registered" in w for w in warnings)
+
+
+def test_classify_reports_unsaved_registrations(data_dir, tmp_path, capsys, caplog):
+    """Classes registered while classifying live in memory only: the summary
+    counts them as not saved and a warning says the model directory lacks
+    them."""
+    model = tmp_path / "model"
+    assert run("--out", str(model), "index", str(data_dir / "features.csv")) == 0
+    _edit_model_json(thresholds={"theta_new": 1e-12, "theta_ood": 1e12, "k": 1,
+                                 "c_min": 2, "r_cohesion": 1e12})(model)
+    stream = tmp_path / "stream.csv"
+    save_matrix_csv(stream, np.random.default_rng(5).random((6, 183)),
+                    [f"s{i}" for i in range(6)], [""] * 6)
+    capsys.readouterr()
+
+    assert run("--out", str(tmp_path / "v"), "classify", str(model),
+               "--features", str(stream)) == 0
+    out = capsys.readouterr().out
+    assert "'NewClassRegistered': 3}  pending evictions 0  registered 3 (not saved)" in out
+    warnings = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+    assert any("3 new classes registered" in w and "not saved" in w and str(model) in w
+               for w in warnings)
 
 
 @pytest.mark.parametrize("argv", [

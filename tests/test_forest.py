@@ -324,7 +324,7 @@ def ensemble_classify(index, registry, forest, q, th):
 def ensemble_setup():
     """1-D world: retrieval point at 0, forest trained on two blobs."""
     index = NNIndex(np.array([[0.0]]), ["base"])
-    registry = ClassRegistry.from_training_labels(["base"])
+    registry = ClassRegistry()
     th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1)
     Xf = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])
     yf = ["low", "low", "low", "high", "high", "high"]
