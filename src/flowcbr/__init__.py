@@ -15,10 +15,10 @@ from .features import (SCHEMA, FeatureSchema, Normalizer, extract_features,
 from .flows import (Direction, Flow, FlowKey, FlowPacket, PacketColumns,
                     Protocol, TcpFlags, assemble_flows, load_flows_csv,
                     parse_pcap, save_flows_csv, truncate_flow)
-from .forest import EnsembleVerdict, ForestConfig, RandomForest, train_forest
-from .harness import (Metrics, PipelineConfig, SplitSpec, compute_metrics,
-                      find_plateau, new_class_protocol, packet_sweep,
-                      run_eval, stratified_split)
+from .forest import ForestConfig, RandomForest, train_forest
+from .harness import (Metrics, PipelineConfig, compute_metrics, find_plateau,
+                      new_class_protocol, packet_sweep, run_eval,
+                      stratified_split)
 from .index import Neighbor, NNIndex, row_distances
 from .synth import ClassTemplate, default_templates, sweep_templates, synth_generate
 
@@ -29,7 +29,6 @@ __all__ = [
     "ClassRegistry",
     "ClassTemplate",
     "Direction",
-    "EnsembleVerdict",
     "FeatureSchema",
     "Flow",
     "FlowKey",
@@ -43,7 +42,6 @@ __all__ = [
     "PipelineConfig",
     "Protocol",
     "RandomForest",
-    "SplitSpec",
     "TcpFlags",
     "Thresholds",
     "Verdict",

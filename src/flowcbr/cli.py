@@ -17,11 +17,12 @@ import json
 import logging
 import os
 import sys
+from collections import Counter
 from contextlib import contextmanager
 from pathlib import Path
 
 from . import flows as flows_mod
-from .cbr import VerdictKind, classify, verdict_to_json
+from .cbr import VerdictKind, classify, write_verdicts
 from .features import SCHEMA, extract_matrix, load_matrix_csv, save_matrix_csv
 from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
@@ -243,13 +244,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
         matrix = _extract(flows, args.input)
         flow_ids = [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)]
     Xn = model.normalizer.transform(matrix)
+    verdicts = [classify(model.index, model.registry, row, model.thresholds) for row in Xn]
     out = _out_dir(args) / "verdicts.jsonl"
-    counts: dict[str, int] = {}
-    with open(out, "w") as fh:
-        for fid, row in zip(flow_ids, Xn):
-            verdict = classify(model.index, model.registry, row, model.thresholds)
-            counts[verdict.kind.value] = counts.get(verdict.kind.value, 0) + 1
-            fh.write(verdict_to_json(fid, verdict) + "\n")
+    write_verdicts(out, list(zip(flow_ids, verdicts)))
+    counts = dict(Counter(v.kind.value for v in verdicts))
     log.info("verdicts: %s", counts)
     if model.registry.evictions:
         log.warning("pending buffer full: %d buffered samples evicted, oldest first",

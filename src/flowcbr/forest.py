@@ -3,9 +3,7 @@
 Trees grow on bootstrap samples with Gini-impurity splits over a random
 subset of feature slots per node (ceil(sqrt(d)) by default), all scored in
 one vectorized pass. Everything is seeded: the same config and data always
-produce the same forest. The ensemble rule (``route_verdict``) passes
-rejection and new-class verdicts through and gives recognized samples the
-forest's label.
+produce the same forest.
 """
 
 from __future__ import annotations
@@ -14,11 +12,8 @@ import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
 
 import numpy as np
-
-from .cbr import Verdict, VerdictKind
 
 SNAPSHOT_VERSION = 1
 MIN_IMPROVEMENT = 1e-12
@@ -256,18 +251,4 @@ def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
             hits = oob_tally[covered].argmax(axis=1) == codes[covered]
             oob_score = float(hits.mean())
     return RandomForest(config, classes, trees, oob_score)
-
-
-@dataclass(frozen=True)
-class EnsembleVerdict:
-    source: str
-    verdict: Verdict | str
-
-
-def route_verdict(verdict: Verdict, forest_label: Callable[[], str]) -> EnsembleVerdict:
-    """A Known verdict takes the forest's label (source "Forest", and only
-    then is ``forest_label`` called); others pass through (source "CBR")."""
-    if verdict.kind is VerdictKind.KNOWN:
-        return EnsembleVerdict(source="Forest", verdict=forest_label())
-    return EnsembleVerdict(source="CBR", verdict=verdict)
 

@@ -7,6 +7,7 @@ CSV/JSON reports so results can be diffed byte for byte.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,9 +19,8 @@ from .cbr import (DEFAULT_C_MIN, DEFAULT_K, DEFAULT_OOD_MARGIN, DEFAULT_QUANTILE
                   write_verdicts)
 from .features import extract_matrix
 from .flows import Flow, truncate_flow
-from .forest import (DEFAULT_N_TREES, EnsembleVerdict, ForestConfig, route_verdict,
-                     train_forest)
-from .model import Model, fit_model
+from .forest import DEFAULT_N_TREES, ForestConfig, train_forest
+from .model import FitError, Model, fit_model
 
 OOD_LABEL = "__ood__"
 PENDING_LABEL = "__pending__"
@@ -28,32 +28,25 @@ PLATEAU_EPS = 0.005
 DEFAULT_TRAIN_FRACTION = 0.70
 
 
-@dataclass
-class SplitSpec:
-    train_fraction: float = DEFAULT_TRAIN_FRACTION
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if not 0 < self.train_fraction < 1:
-            raise ValueError("train_fraction must be in (0, 1)")
-
-
 def _train_count(n: int, fraction: float) -> int:
     # Round half up, keep at least one sample in train, never exceed n.
     return min(n, max(1, int(np.floor(n * fraction + 0.5 + 1e-9))))
 
 
-def stratified_split(labels: list[str] | np.ndarray,
-                     spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
-    """Index split into (train, test), per class (70/30 by default)."""
+def stratified_split(labels: list[str] | np.ndarray, train_fraction: float,
+                     seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Index split into (train, test), per class; each class keeps at least
+    one training row."""
+    if not 0 < train_fraction < 1:
+        raise ValueError("train_fraction must be in (0, 1)")
     labels = np.asarray(labels)
-    rng = np.random.default_rng(spec.seed)
+    rng = np.random.default_rng(seed)
     train: list[int] = []
     test: list[int] = []
     for label in np.unique(labels):
         idx = np.flatnonzero(labels == label)
         rng.shuffle(idx)
-        cut = _train_count(idx.size, spec.train_fraction)
+        cut = _train_count(idx.size, train_fraction)
         train.extend(idx[:cut].tolist())
         test.extend(idx[cut:].tolist())
     return np.sort(np.array(train, dtype=np.int64)), np.sort(np.array(test, dtype=np.int64))
@@ -147,17 +140,25 @@ class FittedPipeline:
     test_ids: list[str]
 
 
-def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
-    """Extract, split, normalize, index, and calibrate; nothing is classified."""
+def _split_rows(flows: list[Flow], config: PipelineConfig
+                ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
+    """(raw feature rows, labels, train indices, test indices) of the flows
+    cut to ``config.n_packets``; every flow needs a label."""
     if config.n_packets is not None:
         flows = [truncate_flow(f, config.n_packets) for f in flows]
     labels = [f.label or "" for f in flows]
     if any(not lbl for lbl in labels):
         raise ValueError("every flow needs a label for evaluation")
-    X = extract_matrix(flows)
-    train_idx, test_idx = stratified_split(
-        labels, SplitSpec(train_fraction=config.train_fraction, seed=config.seed))
+    return (extract_matrix(flows), labels,
+            *stratified_split(labels, config.train_fraction, config.seed))
+
+
+def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
+    """Extract, split, normalize, index, and calibrate; nothing is classified."""
+    X, labels, train_idx, test_idx = _split_rows(flows, config)
     model = fit_model(X[train_idx], [labels[i] for i in train_idx], config)
+    if not test_idx.size:
+        raise FitError(f"train_fraction {config.train_fraction} leaves no test rows")
     return FittedPipeline(model=model, X_test=model.normalizer.transform(X[test_idx]),
                           y_test=[labels[i] for i in test_idx],
                           test_ids=[flows[i].flow_id or f"t{i}" for i in test_idx])
@@ -170,13 +171,17 @@ def verdict_label(verdict: Verdict) -> str:
     return OOD_LABEL if verdict.kind is VerdictKind.OOD else PENDING_LABEL
 
 
-def run_cbr_stream(fitted: FittedPipeline) -> list[tuple[str, Verdict]]:
-    """Classify the fitted test set on isolated clones."""
-    model = fitted.model
-    index = model.index.clone()
-    registry = model.registry.clone()
-    return [(flow_id, classify(index, registry, row, model.thresholds))
-            for flow_id, row in zip(fitted.test_ids, fitted.X_test)]
+def combined_label(verdict: Verdict, forest_label: str) -> str:
+    """The ensemble rule: a Known verdict takes the forest's label; rejection
+    and new-class verdicts keep their own."""
+    return forest_label if verdict.kind is VerdictKind.KNOWN else verdict_label(verdict)
+
+
+def run_cbr_stream(model: Model, rows: np.ndarray) -> list[Verdict]:
+    """Classify ``rows`` in order on clones of the model's index and registry,
+    so the stream may register classes without touching the model."""
+    index, registry = model.index.clone(), model.registry.clone()
+    return [classify(index, registry, row, model.thresholds) for row in rows]
 
 
 @dataclass
@@ -186,7 +191,7 @@ class EvalReport:
     metrics_ensemble: Metrics
     thresholds: Thresholds
     verdicts: list[tuple[str, Verdict]]
-    ensemble_records: list[tuple[str, EnsembleVerdict]]
+    ensemble_labels: list[str]
     n_train: int
     n_test: int
     forest_oob: float | None
@@ -198,9 +203,11 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
     fitted = fit_pipeline(flows, config)
     model = fitted.model
     class_set = sorted(set(model.labels))
+    if len(class_set) < 2:
+        raise FitError(f"the forest needs two classes to train on; every row is {class_set[0]}")
 
-    verdicts = run_cbr_stream(fitted)
-    cbr_preds = [verdict_label(v) for _, v in verdicts]
+    verdicts = run_cbr_stream(model, fitted.X_test)
+    cbr_preds = [verdict_label(v) for v in verdicts]
     metrics_cbr = compute_metrics(fitted.y_test, cbr_preds, class_set)
 
     forest = train_forest(model.vectors, model.labels,
@@ -209,15 +216,13 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
     forest_preds, _ = forest.predict_batch(fitted.X_test)
     metrics_forest = compute_metrics(fitted.y_test, forest_preds, class_set)
 
-    ensemble_records = [(flow_id, route_verdict(v, lambda label=label: label))
-                        for (flow_id, v), label in zip(verdicts, forest_preds)]
-    ens_preds = [ev.verdict if ev.source == "Forest" else verdict_label(ev.verdict)
-                 for _, ev in ensemble_records]
-    metrics_ensemble = compute_metrics(fitted.y_test, ens_preds, class_set)
+    ensemble_labels = [combined_label(v, label) for v, label in zip(verdicts, forest_preds)]
+    metrics_ensemble = compute_metrics(fitted.y_test, ensemble_labels, class_set)
 
     report = EvalReport(metrics_cbr=metrics_cbr, metrics_forest=metrics_forest,
                         metrics_ensemble=metrics_ensemble, thresholds=model.thresholds,
-                        verdicts=verdicts, ensemble_records=ensemble_records,
+                        verdicts=list(zip(fitted.test_ids, verdicts)),
+                        ensemble_labels=ensemble_labels,
                         n_train=len(model.labels), n_test=len(fitted.y_test),
                         forest_oob=forest.oob_score)
     if out_dir is not None:
@@ -226,7 +231,7 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
         write_metrics_csv(out / "metrics_cbr.csv", metrics_cbr)
         write_metrics_csv(out / "metrics_forest.csv", metrics_forest)
         write_metrics_csv(out / "metrics_ensemble.csv", metrics_ensemble)
-        write_verdicts(out / "verdicts.jsonl", verdicts)
+        write_verdicts(out / "verdicts.jsonl", report.verdicts)
         summary = {
             "accuracy_cbr": metrics_cbr.accuracy,
             "accuracy_ensemble": metrics_ensemble.accuracy,
@@ -266,8 +271,7 @@ def packet_sweep(flows: list[Flow], packet_counts: list[int],
         raise ValueError("packet_counts must be strictly ascending")
     points = []
     for n in packet_counts:
-        cfg = PipelineConfig(**{**config.__dict__, "n_packets": n})
-        fitted = fit_pipeline(flows, cfg)
+        fitted = fit_pipeline(flows, dataclasses.replace(config, n_packets=n))
         correct = 0
         for truth, row in zip(fitted.y_test, fitted.X_test):
             label, _ = vote(fitted.model.index.query_knn(row, fitted.model.thresholds.k))
@@ -308,6 +312,17 @@ class NewClassReport:
                 if lbl in self.metrics_before.per_class}
 
 
+def _interleave(n_base: int, n_held: int) -> np.ndarray:
+    """The streaming order of base rows 0..n_base-1 and held-out rows
+    n_base..n_base+n_held-1. With ratio = n_base // n_held (at least 1),
+    round r holds base rows r*ratio .. r*ratio+ratio-1, then held-out row r;
+    once one side runs out, the other fills the later rounds."""
+    ratio = max(1, n_base // max(1, n_held))
+    rounds = np.concatenate([np.arange(n_base) // ratio, np.arange(n_held)])
+    is_held = np.arange(n_base + n_held) >= n_base
+    return np.lexsort((is_held, rounds))
+
+
 def new_class_protocol(flows: list[Flow], held_out_class: str,
                        config: PipelineConfig,
                        out_dir: str | Path | None = None) -> NewClassReport:
@@ -323,65 +338,43 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     labels = {f.label for f in flows}
     if held_out_class not in labels:
         raise ValueError(f"class {held_out_class!r} not present")
-    base_flows = [f for f in flows if f.label != held_out_class]
-    held_flows = [f for f in flows if f.label == held_out_class]
+    if labels == {held_out_class}:
+        raise FitError(f"every flow is {held_out_class}, so holding it out leaves "
+                       f"no rows to train on")
+    fitted = fit_pipeline([f for f in flows if f.label != held_out_class], config)
+    model = fitted.model
+    # The held-out test rows, chosen with the same split rule.
+    X_held, _, _, held_test = _split_rows([f for f in flows if f.label == held_out_class],
+                                          config)
+    if not held_test.size:
+        raise FitError(f"train_fraction {config.train_fraction} leaves no test rows "
+                       f"of the held-out class {held_out_class}")
+    class_set = sorted(set(model.labels))
 
-    fitted = fit_pipeline(base_flows, config)
-    class_set = sorted(set(fitted.model.labels))
-
-    before = run_cbr_stream(fitted)
-    metrics_before = compute_metrics(fitted.y_test, [verdict_label(v) for _, v in before],
+    before = run_cbr_stream(model, fitted.X_test)
+    metrics_before = compute_metrics(fitted.y_test, [verdict_label(v) for v in before],
                                      class_set)
+    rows = np.vstack([fitted.X_test, model.normalizer.transform(X_held[held_test])])
+    truths = fitted.y_test + [held_out_class] * held_test.size
+    order = _interleave(len(fitted.y_test), held_test.size)
 
-    # Held-out test portion, chosen with the same split rule.
-    held_train_idx, held_test_idx = stratified_split(
-        [f.label for f in held_flows],
-        SplitSpec(train_fraction=config.train_fraction, seed=config.seed))
-    held_test = [held_flows[i] for i in held_test_idx]
-    if config.n_packets is not None:
-        held_test = [truncate_flow(f, config.n_packets) for f in held_test]
-    X_held = fitted.model.normalizer.transform(extract_matrix(held_test))
-    held_ids = [f.flow_id or f"h{i}" for i, f in enumerate(held_test)]
-
-    # Interleave deterministically: alternate base and held-out samples.
-    stream: list[tuple[str, np.ndarray, str]] = []
-    base_items = list(zip(fitted.test_ids, fitted.X_test, fitted.y_test))
-    held_items = [(fid, row, held_out_class) for fid, row in zip(held_ids, X_held)]
-    ratio = max(1, len(base_items) // max(1, len(held_items)))
-    bi = hi = 0
-    while bi < len(base_items) or hi < len(held_items):
-        for _ in range(ratio):
-            if bi < len(base_items):
-                stream.append(base_items[bi])
-                bi += 1
-        if hi < len(held_items):
-            stream.append(held_items[hi])
-            hi += 1
-
-    index = fitted.model.index.clone()
-    registry = fitted.model.registry.clone()
     registered_label: str | None = None
-    samples_consumed = 0
-    held_seen = 0
-    post_total = 0
-    post_hits = 0
+    samples_consumed = held_seen = post_total = post_hits = 0
     base_true: list[str] = []
     base_pred: list[str] = []
-    for flow_id, row, truth in stream:
-        verdict = classify(index, registry, row, fitted.model.thresholds)
+    for truth, verdict in zip([truths[i] for i in order],
+                              run_cbr_stream(model, rows[order])):
         pred = verdict_label(verdict)
-        if truth == held_out_class:
-            held_seen += 1
-            if registered_label is None:
-                if verdict.kind is VerdictKind.REGISTERED:
-                    registered_label = verdict.label
-                    samples_consumed = held_seen
-            else:
-                post_total += 1
-                post_hits += int(pred == registered_label)
-        else:
+        if truth != held_out_class:
             base_true.append(truth)
             base_pred.append(pred)
+        elif registered_label is not None:
+            post_total += 1
+            post_hits += int(pred == registered_label)
+        else:
+            held_seen += 1
+            if verdict.kind is VerdictKind.REGISTERED:
+                registered_label, samples_consumed = verdict.label, held_seen
     metrics_after = compute_metrics(base_true, base_pred, class_set)
     report = NewClassReport(
         held_out_class=held_out_class,

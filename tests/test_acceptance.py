@@ -12,9 +12,11 @@ import pytest
 
 from flowcbr.cbr import VerdictKind
 from flowcbr.features import SCHEMA, extract_features, extract_matrix
-from flowcbr.forest import ForestConfig, RandomForest, route_verdict, train_forest
+from flowcbr.forest import ForestConfig, RandomForest, train_forest
 from flowcbr.harness import (
+    OOD_LABEL,
     PipelineConfig,
+    combined_label,
     find_plateau,
     fit_pipeline,
     new_class_protocol,
@@ -196,8 +198,8 @@ def test_criterion_06_distance_threshold_rejection(capsys, fitted5, far_samples)
                   is VerdictKind.OOD for row in far_samples)
     far_rate = flagged / len(far_samples)
 
-    verdicts = run_cbr_stream(fitted5)
-    in_rate = sum(v.kind is VerdictKind.OOD for _, v in verdicts) / len(verdicts)
+    verdicts = run_cbr_stream(fitted5.model, fitted5.X_test)
+    in_rate = sum(v.kind is VerdictKind.OOD for v in verdicts) / len(verdicts)
     ok = far_rate >= 0.95 and in_rate <= 0.05
     report(capsys, 6, ok,
            f"far samples flagged {far_rate:.3f} (>= 0.95), in-distribution "
@@ -231,16 +233,16 @@ def test_criterion_08_rejected_samples_never_get_forest_labels(capsys, fitted5,
     violations = 0
     for row in stream:
         solo = classify(idx_solo, reg_solo, row, model.thresholds)
-        combined = route_verdict(classify(idx_both, reg_both, row, model.thresholds),
-                                 lambda: forest.predict_batch(row[None])[0][0])
+        combined = combined_label(classify(idx_both, reg_both, row, model.thresholds),
+                                  forest.predict_batch(row[None])[0][0])
         if solo.kind is VerdictKind.OOD:
             ood_total += 1
-            if combined.source == "Forest":
+            if combined != OOD_LABEL:
                 violations += 1
     ok = violations == 0 and ood_total >= 100
     report(capsys, 8, ok,
            f"{len(stream)} samples streamed, {ood_total} rejected by retrieval, "
-           f"{violations} of them forest-labeled (= 0)")
+           f"{violations} of them labeled otherwise by the combined pass (= 0)")
 
 
 def test_criterion_09_determinism_and_snapshots(capsys, tmp_path):

@@ -267,7 +267,21 @@ def empty_csv(tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def one_class_dir(data_dir, tmp_path_factory):
+    """From the shared flows: ``one-class.csv`` holds only the class-a flows,
+    ``lone-a.csv`` every class-b flow and one class-a flow."""
+    root = tmp_path_factory.mktemp("one-class")
+    flows = load_flows_csv(data_dir / "flows.csv")
+    class_a = [f for f in flows if f.label == "class-a"]
+    save_flows_csv(class_a, root / "one-class.csv")
+    save_flows_csv([f for f in flows if f.label != "class-a"] + class_a[:1],
+                   root / "lone-a.csv")
+    return root
+
+
 _SINGLETONS = ": every class has one row to train on"
+_NO_TEST = ": train_fraction 0.99 leaves no test rows"
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -287,14 +301,31 @@ _SINGLETONS = ": every class has one row to train on"
     pytest.param(["eval", "{empty}", "--held-out", "class-a"], "{empty} holds no flows",
                  id="held-out-empty"),
     pytest.param(["sweep", "{empty}"], "{empty} holds no flows", id="sweep-empty"),
+    pytest.param(["eval", "{flows}", "--train-fraction", "0.99"], "{flows}" + _NO_TEST,
+                 id="eval-no-test-rows"),
+    pytest.param(["--config", "{config}", "sweep", "{flows}"], "{flows}" + _NO_TEST,
+                 id="sweep-no-test-rows"),
+    pytest.param(["eval", "{flows}", "--held-out", "class-a", "--train-fraction", "0.99"],
+                 "{flows}" + _NO_TEST, id="held-out-no-test-rows"),
+    pytest.param(["eval", "{one}/lone-a.csv", "--held-out", "class-a"],
+                 "{one}/lone-a.csv: train_fraction 0.7 leaves no test rows of the held-out "
+                 "class class-a", id="held-out-class-no-test-rows"),
+    pytest.param(["eval", "{one}/one-class.csv"], "{one}/one-class.csv: the forest needs "
+                 "two classes to train on; every row is class-a", id="eval-one-class"),
+    pytest.param(["eval", "{one}/one-class.csv", "--held-out", "class-a"],
+                 "{one}/one-class.csv: every flow is class-a, so holding it out leaves no "
+                 "rows to train on", id="held-out-only-class"),
 ])
-def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, empty_csv, tmp_path, capsys,
-                                      argv, fragment):
+def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, empty_csv, one_class_dir,
+                                      tmp_path, capsys, argv, fragment):
     """Bad arguments, training rows with no class of two (for all four
-    commands that fit), and a flow CSV with no rows exit 2 with an error
-    line and write nothing."""
+    commands that fit), a flow CSV with no rows, a split that leaves no
+    test rows, and flows of a single class exit 2 with an error line and
+    write nothing."""
+    config = tmp_path / "config.json"
+    config.write_text('{"train_fraction": 0.99}')
     names = {"flows": data_dir / "flows.csv", "singletons": singletons_dir,
-             "empty": empty_csv}
+             "empty": empty_csv, "one": one_class_dir, "config": config}
     argv = [a.format(**names) for a in argv]
     assert run("--out", str(tmp_path / "out"), *argv) == 2
     err = capsys.readouterr().err

@@ -14,13 +14,8 @@ from hypothesis import strategies as st
 
 from flowcbr import forest as forest_mod
 from flowcbr.cbr import ClassRegistry, Thresholds, VerdictKind, classify
-from flowcbr.forest import (
-    EnsembleVerdict,
-    ForestConfig,
-    RandomForest,
-    route_verdict,
-    train_forest,
-)
+from flowcbr.forest import ForestConfig, RandomForest, train_forest
+from flowcbr.harness import OOD_LABEL, PENDING_LABEL, combined_label
 from flowcbr.index import NNIndex
 
 MIN_IMPROVEMENT = 1e-12
@@ -315,10 +310,10 @@ def test_predict_batch_requires_matrix():
 
 
 def ensemble_classify(index, registry, forest, q, th):
-    """The combined stage on one sample: retrieval screens it, and only a
-    Known verdict asks the forest for a label."""
-    return route_verdict(classify(index, registry, q, th),
-                         lambda: forest.predict_batch(q[None])[0][0])
+    """The combined stage on one sample: (retrieval verdict, combined label);
+    only a Known verdict takes the forest's label."""
+    verdict = classify(index, registry, q, th)
+    return verdict, combined_label(verdict, forest.predict_batch(q[None])[0][0])
 
 
 def ensemble_setup():
@@ -334,21 +329,20 @@ def ensemble_setup():
 
 def test_ensemble_known_goes_to_forest():
     index, registry, forest, th = ensemble_setup()
-    out = ensemble_classify(index, registry, forest, np.array([0.3]), th)
-    assert isinstance(out, EnsembleVerdict)
-    assert out.source == "Forest"
-    assert out.verdict == "low"
+    verdict, label = ensemble_classify(index, registry, forest, np.array([0.3]), th)
+    assert verdict.kind is VerdictKind.KNOWN and verdict.label == "base"
+    assert label == "low"
 
 
 def test_ensemble_ood_and_pending_pass_through():
     index, registry, forest, th = ensemble_setup()
-    ood = ensemble_classify(index, registry, forest, np.array([9.0]), th)
-    assert ood.source == "CBR"
-    assert ood.verdict.kind is VerdictKind.OOD
+    verdict, label = ensemble_classify(index, registry, forest, np.array([9.0]), th)
+    assert verdict.kind is VerdictKind.OOD
+    assert label == OOD_LABEL
 
-    pending = ensemble_classify(index, registry, forest, np.array([1.5]), th)
-    assert pending.source == "CBR"
-    assert pending.verdict.kind is VerdictKind.PENDING
+    verdict, label = ensemble_classify(index, registry, forest, np.array([1.5]), th)
+    assert verdict.kind is VerdictKind.PENDING
+    assert label == PENDING_LABEL
 
 
 def test_ensemble_never_forest_labels_an_ood_sample():
@@ -359,6 +353,6 @@ def test_ensemble_never_forest_labels_an_ood_sample():
     rng = np.random.default_rng(0)
     for _ in range(200):
         q = np.array([rng.uniform(-10, 10)])
-        out = ensemble_classify(index, registry, forest, q, th)
+        verdict, label = ensemble_classify(index, registry, forest, q, th)
         if abs(q[0]) > th.theta_ood:
-            assert out.source == "CBR" and out.verdict.kind is VerdictKind.OOD
+            assert verdict.kind is VerdictKind.OOD and label == OOD_LABEL

@@ -10,13 +10,14 @@ import pytest
 
 from flowcbr.cbr import Verdict, VerdictKind, classify
 from flowcbr.features import extract_matrix, fit_normalizer
-from flowcbr.forest import ForestConfig, route_verdict, train_forest
+from flowcbr.forest import ForestConfig, train_forest
 from flowcbr.harness import (
     OOD_LABEL,
     PENDING_LABEL,
     PipelineConfig,
-    SplitSpec,
     SweepPoint,
+    _interleave,
+    combined_label,
     compute_metrics,
     find_plateau,
     fit_pipeline,
@@ -36,41 +37,41 @@ from flowcbr.synth import default_templates, fewshot_templates, synth_generate
 
 def test_split_is_a_disjoint_cover():
     labels = ["a"] * 11 + ["b"] * 7 + ["c"] * 23
-    train, test = stratified_split(labels, SplitSpec(seed=3))
+    train, test = stratified_split(labels, 0.70, seed=3)
     assert set(train) | set(test) == set(range(len(labels)))
     assert set(train) & set(test) == set()
 
 
 def test_split_per_class_counts_round_half_up():
     labels = ["a"] * 4 + ["b"] * 7
-    train, _ = stratified_split(labels, SplitSpec(train_fraction=0.70, seed=0))
+    train, _ = stratified_split(labels, 0.70, seed=0)
     counts = Counter(labels[i] for i in train)
     # 4 * 0.7 = 2.8 rounds to 3; 7 * 0.7 = 4.9 rounds to 5.
     assert counts == {"a": 3, "b": 5}
 
 
 def test_split_keeps_at_least_one_training_sample():
-    train, test = stratified_split(["a", "b", "b"], SplitSpec(train_fraction=0.1))
+    train, test = stratified_split(["a", "b", "b"], 0.1, seed=0)
     assert Counter(["a", "b", "b"][i] for i in train)["a"] == 1
 
 
 def test_split_deterministic_and_sorted():
     labels = ["x", "y"] * 20
-    a = stratified_split(labels, SplitSpec(seed=8))
-    b = stratified_split(labels, SplitSpec(seed=8))
+    a = stratified_split(labels, 0.70, seed=8)
+    b = stratified_split(labels, 0.70, seed=8)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[1], b[1])
     assert list(a[0]) == sorted(a[0])
     assert list(a[1]) == sorted(a[1])
-    c = stratified_split(labels, SplitSpec(seed=9))
+    c = stratified_split(labels, 0.70, seed=9)
     assert list(a[0]) != list(c[0])
 
 
 def test_split_fraction_bounds():
-    with pytest.raises(ValueError):
-        SplitSpec(train_fraction=0.0)
-    with pytest.raises(ValueError):
-        SplitSpec(train_fraction=1.0)
+    with pytest.raises(ValueError, match="train_fraction"):
+        stratified_split(["a", "a"], 0.0, seed=0)
+    with pytest.raises(ValueError, match="train_fraction"):
+        stratified_split(["a", "a"], 1.0, seed=0)
 
 
 # ---------------------------------------------------------------- metrics
@@ -149,6 +150,16 @@ def test_verdict_label_mapping():
     assert verdict_label(v(VerdictKind.PENDING)) == PENDING_LABEL
 
 
+def test_combined_label_takes_the_forest_label_only_for_known():
+    def v(kind, label=None):
+        return Verdict(kind=kind, label=label, votes={}, min_distance=0.5)
+
+    assert combined_label(v(VerdictKind.KNOWN, "web"), "video") == "video"
+    assert combined_label(v(VerdictKind.REGISTERED, "novel-1"), "video") == "novel-1"
+    assert combined_label(v(VerdictKind.OOD), "video") == OOD_LABEL
+    assert combined_label(v(VerdictKind.PENDING), "video") == PENDING_LABEL
+
+
 # ---------------------------------------------------------------- pipeline
 
 
@@ -163,8 +174,7 @@ def test_fit_pipeline_matches_manual_assembly():
     fitted = fit_pipeline(flows, cfg)
 
     X = extract_matrix(flows)
-    train_idx, test_idx = stratified_split(
-        [f.label for f in flows], SplitSpec(train_fraction=0.70, seed=4))
+    train_idx, test_idx = stratified_split([f.label for f in flows], 0.70, seed=4)
     norm = fit_normalizer(X[train_idx])
     np.testing.assert_array_equal(fitted.model.vectors, norm.transform(X)[train_idx])
     np.testing.assert_array_equal(fitted.X_test, norm.transform(X)[test_idx])
@@ -193,12 +203,12 @@ def test_run_cbr_stream_leaves_fitted_state_alone():
     flows = flows_small()
     fitted = fit_pipeline(flows, PipelineConfig(seed=1, c_min=2))
     size_before = fitted.model.index.size
-    first = run_cbr_stream(fitted)
-    second = run_cbr_stream(fitted)
+    first = run_cbr_stream(fitted.model, fitted.X_test)
+    second = run_cbr_stream(fitted.model, fitted.X_test)
     assert fitted.model.index.size == size_before
     assert len(fitted.model.registry.pending) == 0
-    assert [(fid, v.kind, v.label) for fid, v in first] == \
-        [(fid, v.kind, v.label) for fid, v in second]
+    assert len(first) == len(fitted.y_test)
+    assert [(v.kind, v.label) for v in first] == [(v.kind, v.label) for v in second]
 
 
 def test_run_eval_writes_artifacts(tmp_path):
@@ -218,21 +228,18 @@ def test_run_eval_writes_artifacts(tmp_path):
 
 def per_row_ensemble_oracle(flows, config):
     """The original combined stage: fresh clones of the fitted index and
-    registry, then per test row a second retrieval pass and, for a Known
-    verdict only, a one-row forest prediction."""
+    registry, then per test row a second retrieval pass and a one-row
+    forest prediction, combined by the ensemble rule."""
     fitted = fit_pipeline(flows, config)
     model = fitted.model
     forest = train_forest(model.vectors, model.labels,
                           ForestConfig(n_trees=config.n_trees, max_depth=config.max_depth,
                                        seed=config.seed))
     index, registry = model.index.clone(), model.registry.clone()
-    records, preds = [], []
-    for flow_id, row in zip(fitted.test_ids, fitted.X_test):
-        ev = route_verdict(classify(index, registry, row, model.thresholds),
-                           lambda: forest.predict_batch(row[None])[0][0])
-        records.append((flow_id, ev))
-        preds.append(ev.verdict if ev.source == "Forest" else verdict_label(ev.verdict))
-    return records, compute_metrics(fitted.y_test, preds, sorted(set(model.labels)))
+    labels = [combined_label(classify(index, registry, row, model.thresholds),
+                             forest.predict_batch(row[None])[0][0])
+              for row in fitted.X_test]
+    return labels, compute_metrics(fitted.y_test, labels, sorted(set(model.labels)))
 
 
 def test_run_eval_ensemble_matches_per_row_oracle():
@@ -244,8 +251,8 @@ def test_run_eval_ensemble_matches_per_row_oracle():
     report = run_eval(flows, config)
     assert {v.kind for _, v in report.verdicts} == set(VerdictKind)
 
-    records, metrics = per_row_ensemble_oracle(flows, config)
-    assert report.ensemble_records == records
+    labels, metrics = per_row_ensemble_oracle(flows, config)
+    assert report.ensemble_labels == labels
     got = report.metrics_ensemble
     assert (got.accuracy, got.per_class, got.labels) == \
         (metrics.accuracy, metrics.per_class, metrics.labels)
@@ -303,6 +310,29 @@ def test_find_plateau_drop_counts_as_plateau():
 
 
 # ---------------------------------------------------------------- new class
+
+
+def interleave_loop(n_base, n_held):
+    """The stream order as a loop: up to ``ratio`` base rows, then one
+    held-out row, until both run out."""
+    ratio = max(1, n_base // max(1, n_held))
+    order, bi, hi = [], 0, 0
+    while bi < n_base or hi < n_held:
+        for _ in range(ratio):
+            if bi < n_base:
+                order.append(bi)
+                bi += 1
+        if hi < n_held:
+            order.append(n_base + hi)
+            hi += 1
+    return order
+
+
+def test_interleave_matches_the_loop():
+    for n_base in range(60):
+        for n_held in range(60):
+            assert _interleave(n_base, n_held).tolist() == interleave_loop(n_base, n_held), \
+                (n_base, n_held)
 
 
 def test_new_class_protocol_requires_present_class():
