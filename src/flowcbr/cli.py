@@ -167,11 +167,17 @@ def _read_flows(path: str, fmt: str, idle_timeout: float) -> list:
 
 def _read_flow_csv(path: str, labeled: bool = False) -> list:
     """load_flows_csv; with ``labeled`` (the commands that train), a file
-    without flows is bad input too."""
+    without flows, or with a flow without a label, is bad input too."""
     with _reading(path):
         flows = load_flows_csv(path)
-    if labeled and not flows:
+    if not labeled:
+        return flows
+    if not flows:
         raise ValidationError(f"{path} holds no flows")
+    unlabeled = [f.flow_id for f in flows if not f.label]
+    if unlabeled:
+        raise ValidationError(f"{path}: flow {unlabeled[0]} has no label, and every flow "
+                              "needs one to train and score")
     return flows
 
 

@@ -4,13 +4,18 @@ Trees grow on bootstrap samples with Gini-impurity splits over a random
 subset of feature slots per node (ceil(sqrt(d)) by default), all scored in
 one vectorized pass. Everything is seeded: the same config and data always
 produce the same forest.
+
+A tree has one form, which the JSON snapshot also stores as it is: a list
+of node dicts, root first, in pre-order. A leaf is ``{"counts": [...]}``, one
+count per class; a split is ``{"slot", "value", "left", "right"}``, where
+rows with ``row[slot] <= value`` go to ``left``, a position in the list.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -34,17 +39,6 @@ class ForestConfig:
             raise ValueError("n_trees must be >= 1")
         if self.min_samples_leaf < 1:
             raise ValueError("min_samples_leaf must be >= 1")
-
-
-class _Node:
-    __slots__ = ("slot", "value", "left", "right", "counts")
-
-    def __init__(self, slot=None, value=None, left=None, right=None, counts=None):
-        self.slot = slot
-        self.value = value
-        self.left = left
-        self.right = right
-        self.counts = counts
 
 
 def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
@@ -87,56 +81,80 @@ def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
     return float(slot_best[j]), int(candidates[j]), float(threshold)
 
 
-def _build_tree(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
-                n_classes: int, config: ForestConfig, fps: int,
-                rng: np.random.Generator, depth: int) -> _Node:
+def _grow(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
+          n_classes: int, config: ForestConfig, fps: int,
+          rng: np.random.Generator, depth: int, nodes: list[dict]) -> int:
+    """Append the subtree of ``positions`` to ``nodes`` in pre-order; return its root's position."""
+    at = len(nodes)
     counts = np.bincount(codes[positions], minlength=n_classes)
+    nodes.append({"counts": counts.tolist()})
     n = positions.size
     if (np.count_nonzero(counts) == 1
             or n < 2 * config.min_samples_leaf
             or (config.max_depth is not None and depth >= config.max_depth)):
-        return _Node(counts=counts)
+        return at
     candidates = np.sort(rng.choice(X.shape[1], size=fps, replace=False))
     best = _best_split(X, codes, positions, candidates, counts, config.min_samples_leaf)
     if best is None:
-        return _Node(counts=counts)
+        return at
     score, slot, threshold = best
     parent_score = float((counts.astype(np.float64) ** 2).sum()) / n
     if (score - parent_score) / n <= MIN_IMPROVEMENT:
-        return _Node(counts=counts)
+        return at
     mask = X[positions, slot] <= threshold
-    return _Node(
-        slot=slot, value=threshold,
-        left=_build_tree(X, codes, positions[mask], n_classes, config, fps, rng, depth + 1),
-        right=_build_tree(X, codes, positions[~mask], n_classes, config, fps, rng, depth + 1),
-    )
+    left = _grow(X, codes, positions[mask], n_classes, config, fps, rng, depth + 1, nodes)
+    right = _grow(X, codes, positions[~mask], n_classes, config, fps, rng, depth + 1, nodes)
+    nodes[at] = {"slot": slot, "value": threshold, "left": left, "right": right}
+    return at
 
 
-def _tree_votes(root: _Node, X: np.ndarray) -> np.ndarray:
+def _tree_votes(nodes: list[dict], X: np.ndarray) -> np.ndarray:
     """Per-row class code voted by this tree (leaf majority, first on ties)."""
     out = np.empty(X.shape[0], dtype=np.int64)
 
-    def walk(node: _Node, idx: np.ndarray) -> None:
+    def walk(at: int, idx: np.ndarray) -> None:
         if idx.size == 0:
             return
-        if node.counts is not None:
-            out[idx] = int(np.argmax(node.counts))
+        node = nodes[at]
+        if "counts" in node:
+            out[idx] = node["counts"].index(max(node["counts"]))
             return
-        mask = X[idx, node.slot] <= node.value
-        walk(node.left, idx[mask])
-        walk(node.right, idx[~mask])
+        mask = X[idx, node["slot"]] <= node["value"]
+        walk(node["left"], idx[mask])
+        walk(node["right"], idx[~mask])
 
-    walk(root, np.arange(X.shape[0]))
+    walk(0, np.arange(X.shape[0]))
     return out
 
 
+def _well_formed(nodes: object, n_classes: int) -> bool:
+    """Whether ``nodes`` is a non-empty node list whose leaves count
+    ``n_classes`` classes and whose every child lies after its parent and
+    inside the list; that rule also makes every walk end."""
+    if not isinstance(nodes, list) or not nodes:
+        return False
+    for at, node in enumerate(nodes):
+        keys = node.keys() if isinstance(node, dict) else set()
+        if keys == {"counts"}:
+            ints, width = node["counts"], n_classes
+        elif keys == {"slot", "value", "left", "right"} and type(node["value"]) in (int, float):
+            ints, width = [node["slot"], node["left"], node["right"]], 3
+        else:
+            return False
+        if not (isinstance(ints, list) and len(ints) == width
+                and all(type(i) is int and i >= 0 for i in ints)):
+            return False
+        if "slot" in node and not at < min(ints[1:]) <= max(ints[1:]) < len(nodes):
+            return False
+    return True
+
+
+@dataclass(eq=False)
 class RandomForest:
-    def __init__(self, config: ForestConfig, classes: np.ndarray,
-                 trees: list[_Node], oob_score: float | None = None) -> None:
-        self.config = config
-        self.classes = classes
-        self.trees = trees
-        self.oob_score = oob_score
+    config: ForestConfig
+    classes: np.ndarray
+    trees: list[list[dict]]  # node lists, see the module docstring
+    oob_score: float | None = None
 
     def predict_batch(self, X: np.ndarray) -> tuple[list[str], np.ndarray]:
         """(labels, vote fractions) for each row by majority over trees."""
@@ -144,73 +162,39 @@ class RandomForest:
             raise ValueError("predict_batch expects a 2-D matrix")
         tally = np.zeros((X.shape[0], self.classes.size), dtype=np.int64)
         for tree in self.trees:
-            votes = _tree_votes(tree, X)
-            tally[np.arange(X.shape[0]), votes] += 1
+            tally[np.arange(X.shape[0]), _tree_votes(tree, X)] += 1
         winners = tally.argmax(axis=1)
         fractions = tally[np.arange(X.shape[0]), winners] / len(self.trees)
         return [str(self.classes[w]) for w in winners], fractions
 
     def save(self, path: str | Path) -> None:
-        doc = {
-            "format_version": SNAPSHOT_VERSION,
-            "config": {
-                "n_trees": self.config.n_trees,
-                "max_depth": self.config.max_depth,
-                "min_samples_leaf": self.config.min_samples_leaf,
-                "features_per_split": self.config.features_per_split,
-                "bootstrap": self.config.bootstrap,
-                "seed": self.config.seed,
-            },
-            "classes": [str(c) for c in self.classes],
-            "oob_score": self.oob_score,
-            "trees": [_serialize_tree(t) for t in self.trees],
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, sort_keys=True)
-            fh.write("\n")
+        doc = {"format_version": SNAPSHOT_VERSION, "config": asdict(self.config),
+               "classes": [str(c) for c in self.classes], "oob_score": self.oob_score,
+               "trees": self.trees}
+        Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> RandomForest:
+        """Read what ``save`` wrote; anything else is a ValueError naming ``path``."""
         try:
-            with open(path) as fh:
-                doc = json.load(fh)
+            doc = json.loads(Path(path).read_text())
         except json.JSONDecodeError as exc:
             raise ValueError(f"corrupt forest snapshot {path}: {exc}") from None
-        if doc.get("format_version") != SNAPSHOT_VERSION:
-            raise ValueError(f"unsupported snapshot version {doc.get('format_version')!r}")
-        config = ForestConfig(**doc["config"])
-        classes = np.array(doc["classes"])
-        trees = [_deserialize_tree(t) for t in doc["trees"]]
-        return cls(config, classes, trees, doc.get("oob_score"))
-
-
-def _serialize_tree(root: _Node) -> list[dict]:
-    nodes: list[dict] = []
-
-    def walk(node: _Node) -> int:
-        slot = len(nodes)
-        if node.counts is not None:
-            nodes.append({"counts": [int(c) for c in node.counts]})
-            return slot
-        nodes.append({})
-        left = walk(node.left)
-        right = walk(node.right)
-        nodes[slot] = {"slot": node.slot, "value": node.value, "left": left, "right": right}
-        return slot
-
-    walk(root)
-    return nodes
-
-
-def _deserialize_tree(nodes: list[dict]) -> _Node:
-    def build(i: int) -> _Node:
-        doc = nodes[i]
-        if "counts" in doc:
-            return _Node(counts=np.array(doc["counts"], dtype=np.int64))
-        return _Node(slot=int(doc["slot"]), value=float(doc["value"]),
-                     left=build(int(doc["left"])), right=build(int(doc["right"])))
-
-    return build(0)
+        if (not isinstance(doc, dict) or doc.get("format_version") != SNAPSHOT_VERSION
+                or doc.keys() != {"format_version", "config", "classes", "oob_score", "trees"}):
+            raise ValueError(f"{path}: not a version {SNAPSHOT_VERSION} forest snapshot")
+        try:
+            config = ForestConfig(**doc["config"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{path}: bad forest config: {exc}") from None
+        classes, trees, oob_score = doc["classes"], doc["trees"], doc["oob_score"]
+        if not (isinstance(classes, list) and classes and all(type(c) is str for c in classes)
+                and (oob_score is None or type(oob_score) in (int, float))
+                and isinstance(trees, list) and len(trees) == config.n_trees
+                and all(_well_formed(t, len(classes)) for t in trees)):
+            raise ValueError(f"{path}: want class names, a numeric or null oob_score and "
+                             f"{config.n_trees} trees of well-formed nodes")
+        return cls(config, np.array(classes), trees, oob_score)
 
 
 def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
@@ -229,26 +213,17 @@ def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
         raise ValueError(f"features_per_split must be in [1, {d}]")
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.n_trees)]
-    trees = []
+    trees: list[list[dict]] = []
     oob_tally = np.zeros((n, classes.size), dtype=np.int64)
     for rng in rngs:
-        if config.bootstrap:
-            sample = rng.integers(0, n, size=n)
-            oob = np.setdiff1d(np.arange(n), sample)
-        else:
-            sample = np.arange(n)
-            oob = np.zeros(0, dtype=np.int64)
-        tree = _build_tree(X, codes, sample, classes.size, config, fps, rng, depth=0)
-        trees.append(tree)
+        sample = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        oob = np.setdiff1d(np.arange(n), sample)
+        trees.append([])
+        _grow(X, codes, sample, classes.size, config, fps, rng, 0, trees[-1])
         if oob.size:
-            votes = _tree_votes(tree, X[oob])
-            oob_tally[oob, votes] += 1
+            oob_tally[oob, _tree_votes(trees[-1], X[oob])] += 1
 
-    oob_score = None
-    if config.bootstrap:
-        covered = oob_tally.sum(axis=1) > 0
-        if covered.any():
-            hits = oob_tally[covered].argmax(axis=1) == codes[covered]
-            oob_score = float(hits.mean())
+    covered = oob_tally.sum(axis=1) > 0
+    hits = oob_tally[covered].argmax(axis=1) == codes[covered]
+    oob_score = float(hits.mean()) if covered.any() else None
     return RandomForest(config, classes, trees, oob_score)
-

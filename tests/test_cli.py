@@ -10,6 +10,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -280,8 +281,19 @@ def one_class_dir(data_dir, tmp_path_factory):
     return root
 
 
+@pytest.fixture(scope="module")
+def unlabeled_csv(data_dir, tmp_path_factory):
+    """The shared flows with the label of the third flow blanked."""
+    flows = load_flows_csv(data_dir / "flows.csv")
+    flows[2] = replace(flows[2], label=None)
+    path = tmp_path_factory.mktemp("unlabeled") / "flows.csv"
+    save_flows_csv(flows, path)
+    return path
+
+
 _SINGLETONS = ": every class has one row to train on"
 _NO_TEST = ": train_fraction 0.99 leaves no test rows"
+_UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to train and score"
 
 
 @pytest.mark.parametrize("argv,fragment", [
@@ -315,17 +327,23 @@ _NO_TEST = ": train_fraction 0.99 leaves no test rows"
     pytest.param(["eval", "{one}/one-class.csv", "--held-out", "class-a"],
                  "{one}/one-class.csv: every flow is class-a, so holding it out leaves no "
                  "rows to train on", id="held-out-only-class"),
+    pytest.param(["eval", "{unlabeled}"], "{unlabeled}" + _UNLABELED, id="eval-unlabeled"),
+    pytest.param(["eval", "{unlabeled}", "--held-out", "class-b"], "{unlabeled}" + _UNLABELED,
+                 id="held-out-unlabeled"),
+    pytest.param(["sweep", "{unlabeled}", "--counts", "2,4"], "{unlabeled}" + _UNLABELED,
+                 id="sweep-unlabeled"),
 ])
 def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, empty_csv, one_class_dir,
-                                      tmp_path, capsys, argv, fragment):
+                                      unlabeled_csv, tmp_path, capsys, argv, fragment):
     """Bad arguments, training rows with no class of two (for all four
     commands that fit), a flow CSV with no rows, a split that leaves no
-    test rows, and flows of a single class exit 2 with an error line and
-    write nothing."""
+    test rows, flows of a single class and a flow without a label exit 2
+    with an error line and write nothing."""
     config = tmp_path / "config.json"
     config.write_text('{"train_fraction": 0.99}')
     names = {"flows": data_dir / "flows.csv", "singletons": singletons_dir,
-             "empty": empty_csv, "one": one_class_dir, "config": config}
+             "empty": empty_csv, "one": one_class_dir, "config": config,
+             "unlabeled": unlabeled_csv}
     argv = [a.format(**names) for a in argv]
     assert run("--out", str(tmp_path / "out"), *argv) == 2
     err = capsys.readouterr().err

@@ -6,6 +6,7 @@ the package's vectorized one node for node, threshold for threshold.
 """
 
 import json
+import re
 
 import numpy as np
 import pytest
@@ -286,6 +287,47 @@ def test_snapshot_rejects_corrupt_and_wrong_version(tmp_path):
     versioned.write_text(json.dumps({"format_version": 42}))
     with pytest.raises(ValueError, match="version"):
         RandomForest.load(versioned)
+
+
+def test_snapshot_save_load_save_is_byte_identical(tmp_path):
+    X, y = blobs(5, n=80, d=5)
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    train_forest(X, y, ForestConfig(n_trees=7, seed=4)).save(first)
+    RandomForest.load(first).save(second)
+    assert first.read_bytes() == second.read_bytes()
+
+
+def _without(mapping, key):
+    del mapping[key]
+
+
+@pytest.mark.parametrize("edit", [
+    pytest.param(lambda doc, tree: [doc], id="json-list"),
+    pytest.param(lambda doc, tree: _without(doc, "config"), id="no-config"),
+    pytest.param(lambda doc, tree: _without(doc, "trees"), id="no-trees"),
+    pytest.param(lambda doc, tree: doc["config"].update(depth=3), id="unknown-config-key"),
+    pytest.param(lambda doc, tree: _without(tree[0], "value"), id="split-without-value"),
+    pytest.param(lambda doc, tree: tree[0].update(left=0), id="child-is-itself"),
+    pytest.param(lambda doc, tree: tree[0].update(right=len(tree)), id="child-past-end"),
+    pytest.param(lambda doc, tree: tree.clear(), id="empty-tree"),
+    pytest.param(lambda doc, tree: tree[-1]["counts"].append(0), id="counts-too-wide"),
+    pytest.param(lambda doc, tree: doc.update(trees=[]), id="no-tree"),
+    pytest.param(lambda doc, tree: tree[0].update(value="low"), id="threshold-not-a-number"),
+    pytest.param(lambda doc, tree: doc.update(classes="ab"), id="classes-not-a-list"),
+])
+def test_snapshot_load_rejects_malformed(tmp_path, edit):
+    """Every malformed snapshot fails in load with a ValueError naming the
+    file. ``edit`` changes a saved snapshot in place, or returns the
+    document to write instead."""
+    X, y = blobs(2, n=60, d=4)
+    path = tmp_path / "forest.json"
+    train_forest(X, y, ForestConfig(n_trees=3, max_depth=3, seed=1)).save(path)
+    doc = json.loads(path.read_text())
+    tree = doc["trees"][0]
+    assert "slot" in tree[0] and "counts" in tree[-1]
+    path.write_text(json.dumps(edit(doc, tree) or doc))
+    with pytest.raises(ValueError, match=re.escape(str(path))):
+        RandomForest.load(path)
 
 
 def test_training_validation_errors():
