@@ -9,7 +9,7 @@ second stage of the combined pipeline.
 """
 
 from .cbr import (ClassRegistry, Thresholds, Verdict, VerdictKind,
-                  calibrate_thresholds, classify, vote)
+                  calibrate_thresholds, classify, classify_stream, vote)
 from .features import (SCHEMA, FeatureSchema, Normalizer, extract_features,
                        extract_matrix, fit_normalizer)
 from .flows import (Direction, Flow, FlowKey, FlowPacket, PacketColumns,
@@ -49,6 +49,7 @@ __all__ = [
     "assemble_flows",
     "calibrate_thresholds",
     "classify",
+    "classify_stream",
     "compute_metrics",
     "default_templates",
     "extract_features",

@@ -72,10 +72,11 @@ class Verdict:
 class ClassRegistry:
     """The pending buffer of would-be new-class samples, and two counters.
 
-    ``pending`` views the used rows, oldest first, of one float64 matrix of
-    PENDING_CAPACITY rows allocated on the first in-between sample. A full
-    buffer drops its oldest row to take a new one; ``evictions`` counts the
-    drops. A registry lives in memory only: a loaded model starts empty.
+    ``pending`` views the used rows, oldest first, of one float64 matrix
+    that starts with one row on the first in-between sample and doubles when
+    full, up to PENDING_CAPACITY rows. A buffer of PENDING_CAPACITY rows
+    drops its oldest row to take a new one; ``evictions`` counts the drops.
+    A registry lives in memory only: a loaded model starts empty.
     """
 
     def __init__(self) -> None:
@@ -89,13 +90,17 @@ class ClassRegistry:
         return self._rows[:self._used]
 
     def add_pending(self, q: np.ndarray) -> None:
-        """Buffer q as the newest row; a full buffer first drops its oldest."""
-        if not len(self._rows):
-            self._rows = np.empty((PENDING_CAPACITY, len(q)))
+        """Buffer q as the newest row; a buffer at capacity first drops its
+        oldest, a smaller full one doubles."""
         if self._used == PENDING_CAPACITY:
             self.evictions += 1
             self._rows[:-1] = self._rows[1:]
             self._used -= 1
+        elif self._used == len(self._rows):
+            grown = np.empty((min(2 * self._used, PENDING_CAPACITY) or 1, len(q)))
+            if self._used:
+                grown[:self._used] = self._rows
+            self._rows = grown
         self._rows[self._used] = q
         self._used += 1
 
@@ -130,7 +135,7 @@ def _neighbor_votes(neighbors: list[Neighbor]) -> dict[str, int]:
 
 
 def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
-             th: Thresholds) -> Verdict:
+             th: Thresholds, neighbors: list[Neighbor] | None = None) -> Verdict:
     """One retrieval decision; may buffer the sample or register a class.
 
     The nearest distance d1 picks the regime: at most theta_new means a known
@@ -138,9 +143,12 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     and the sample is not buffered; in between the sample joins the pending
     buffer, and once c_min buffered samples sit pairwise within r_cohesion a
     new class is registered from them and inserted into the index.
+    ``neighbors``, when given, are q's k nearest in the index as it stands
+    (``classify_stream`` ranks them); otherwise they are queried here.
     """
     q = np.asarray(q, dtype=np.float64)
-    neighbors = index.query_knn(q, th.k)
+    if neighbors is None:
+        neighbors = index.query_knn(q, th.k)
     d1 = neighbors[0].distance
     votes = _neighbor_votes(neighbors)
     if d1 <= th.theta_new:
@@ -161,6 +169,27 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
         index.insert(row, label)
     registry.drop_pending(cohort)
     return Verdict(VerdictKind.REGISTERED, label, votes, d1)
+
+
+def classify_stream(index: NNIndex, registry: ClassRegistry, X: np.ndarray,
+                    th: Thresholds) -> list[Verdict]:
+    """``classify`` on each row of X in order, with the same verdicts, index
+    and registry as that loop, and one screen product per chunk of rows.
+
+    A chunk is screened against the index as it stands. A row is ranked at
+    its turn over its survivors plus every row inserted since the screen:
+    registrations only append rows, so those ids are larger than every
+    screened one, the set stays ascending, and it holds the row's k nearest
+    in the index as it is by then. A row costs one screen row and a rank set
+    of its survivors and at most one chunk's registrations.
+    """
+    verdicts = []
+    for block in index.chunks(np.asarray(X, dtype=np.float64)):
+        screened = index.size
+        for q, rows in zip(block, index.screen(block, th.k)):
+            rows = np.concatenate([rows, np.arange(screened, index.size)])
+            verdicts.append(classify(index, registry, q, th, index.rank(q, rows, th.k)))
+    return verdicts
 
 
 def _cohesive_cohort(pending: np.ndarray, r_cohesion: float) -> list[int]:
@@ -189,7 +218,9 @@ def _cohesive_cohort(pending: np.ndarray, r_cohesion: float) -> list[int]:
 
 
 def _loo_nn_distances(X: np.ndarray, y: list[str] | np.ndarray) -> list[float]:
-    """Each row's nearest same-class distance, the row itself left out."""
+    """Each row's nearest same-class distance, the row itself left out: the
+    second of its two nearest in its class, as its distance to itself is
+    exactly 0."""
     y_arr = np.asarray(y)
     nn_dists: list[float] = []
     skipped = []
@@ -198,10 +229,8 @@ def _loo_nn_distances(X: np.ndarray, y: list[str] | np.ndarray) -> list[float]:
         if block.shape[0] < 2:
             skipped.append(str(label))
             continue
-        for i in range(block.shape[0]):
-            d = row_distances(block, block[i])
-            d[i] = np.inf
-            nn_dists.append(float(d.min()))
+        index = NNIndex(block, [str(label)] * block.shape[0])
+        nn_dists.extend(two[1].distance for two in index.query_knn_batch(block, 2))
     if skipped:
         warnings.warn(f"classes with one sample skipped in calibration: {skipped}",
                       stacklevel=3)

@@ -22,7 +22,7 @@ from contextlib import contextmanager
 from pathlib import Path
 
 from . import flows as flows_mod
-from .cbr import VerdictKind, classify, write_verdicts
+from .cbr import VerdictKind, classify_stream, write_verdicts
 from .features import SCHEMA, extract_matrix, load_matrix_csv, save_matrix_csv
 from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
@@ -250,7 +250,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         matrix = _extract(flows, args.input)
         flow_ids = [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)]
     Xn = model.normalizer.transform(matrix)
-    verdicts = [classify(model.index, model.registry, row, model.thresholds) for row in Xn]
+    verdicts = classify_stream(model.index, model.registry, Xn, model.thresholds)
     out = _out_dir(args) / "verdicts.jsonl"
     write_verdicts(out, list(zip(flow_ids, verdicts)))
     counts = dict(Counter(v.kind.value for v in verdicts))

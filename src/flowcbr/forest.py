@@ -160,6 +160,10 @@ class RandomForest:
         """(labels, vote fractions) for each row by majority over trees."""
         if X.ndim != 2:
             raise ValueError("predict_batch expects a 2-D matrix")
+        top = max((node["slot"] for tree in self.trees for node in tree if "slot" in node),
+                  default=-1)
+        if top >= X.shape[1]:
+            raise ValueError(f"a split reads slot {top}, but the rows have {X.shape[1]} slots")
         tally = np.zeros((X.shape[0], self.classes.size), dtype=np.int64)
         for tree in self.trees:
             tally[np.arange(X.shape[0]), _tree_votes(tree, X)] += 1

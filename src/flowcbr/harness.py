@@ -15,8 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .cbr import (DEFAULT_C_MIN, DEFAULT_K, DEFAULT_OOD_MARGIN, DEFAULT_QUANTILE_NEW,
-                  DEFAULT_QUANTILE_OOD, Thresholds, Verdict, VerdictKind, classify, vote,
-                  write_verdicts)
+                  DEFAULT_QUANTILE_OOD, Thresholds, Verdict, VerdictKind, classify_stream,
+                  vote, write_verdicts)
 from .features import extract_matrix
 from .flows import Flow, truncate_flow
 from .forest import DEFAULT_N_TREES, ForestConfig, train_forest
@@ -180,8 +180,8 @@ def combined_label(verdict: Verdict, forest_label: str) -> str:
 def run_cbr_stream(model: Model, rows: np.ndarray) -> list[Verdict]:
     """Classify ``rows`` in order on clones of the model's index and registry,
     so the stream may register classes without touching the model."""
-    index, registry = model.index.clone(), model.registry.clone()
-    return [classify(index, registry, row, model.thresholds) for row in rows]
+    return classify_stream(model.index.clone(), model.registry.clone(), rows,
+                           model.thresholds)
 
 
 @dataclass
@@ -272,10 +272,9 @@ def packet_sweep(flows: list[Flow], packet_counts: list[int],
     points = []
     for n in packet_counts:
         fitted = fit_pipeline(flows, dataclasses.replace(config, n_packets=n))
-        correct = 0
-        for truth, row in zip(fitted.y_test, fitted.X_test):
-            label, _ = vote(fitted.model.index.query_knn(row, fitted.model.thresholds.k))
-            correct += int(label == truth)
+        neighbors = fitted.model.index.query_knn_batch(fitted.X_test,
+                                                       fitted.model.thresholds.k)
+        correct = sum(vote(nbrs)[0] == truth for nbrs, truth in zip(neighbors, fitted.y_test))
         points.append(SweepPoint(n_packets=n, accuracy=correct / len(fitted.y_test)))
     if out_path is not None:
         Path(out_path).parent.mkdir(parents=True, exist_ok=True)

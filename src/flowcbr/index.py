@@ -8,22 +8,30 @@ without a rebuild), and the index has an independent clone. Saving and
 loading belong to the model directory (``flowcbr.model``).
 
 Every distance a caller sees is computed by ``row_distances``, so the same
-float comes out wherever it is used. A query first screens all rows with
-one matrix-vector product, which only decides which rows cannot make the
-top k (``NNIndex._screen`` proves its bound); the rows left are then ranked
-by ``row_distances`` exactly as a scan of every row would rank them.
-``row_distances`` reduces each row on its own, so a row's distance has the
-same bits whether it is computed alone or with the whole matrix.
+float comes out wherever it is used. Queries come in chunks (``chunks``),
+and one GEMM ``B @ M.T`` screens a whole chunk: it reads the stored matrix
+once per chunk, not once per query. The screen only decides which rows
+cannot make a query's top k (``NNIndex.screen`` proves its bound, which
+holds entry by entry whatever order the GEMM sums in); the rows left are
+then ranked by ``row_distances`` exactly as a scan of every row would rank
+them (``NNIndex.rank``). ``row_distances`` reduces each row on its own, so
+a row's distance has the same bits whether it is computed alone or with the
+whole matrix. ``query_knn`` is the batch of one, and a caller that inserts
+rows between queries (``cbr.classify_stream``) screens a chunk once and
+adds the inserted rows to each later query's rank set.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
 U = 2.0 ** -53  # unit roundoff of float64
 TINY = 2.0 ** -1074  # smallest positive float64 (subnormal)
+# Bytes of one screen product, chunk rows x index rows float64s.
+CHUNK_BYTES = 2 ** 20
 
 
 def row_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -33,7 +41,7 @@ def row_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _squared_norms(matrix: np.ndarray) -> np.ndarray:
-    """Squared norm of every row, for the screen in ``NNIndex._screen``.
+    """Squared norm of every row, for the screen in ``NNIndex.screen``.
     A norm that overflows is inf, and the screen keeps its row."""
     with np.errstate(over="ignore"):
         return np.einsum("ij,ij->i", matrix, matrix)
@@ -79,13 +87,36 @@ class NNIndex:
         self._labels.append(label)
 
     def query_knn(self, q: np.ndarray, k: int) -> list[Neighbor]:
-        if k < 1:
-            raise ValueError("k must be >= 1")
+        """The k nearest rows to q: the batch of one."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dimension,):
             raise ValueError(f"query has dimension {q.shape}, expected ({self.dimension},)")
-        k = min(k, self.size)
-        rows = self._screen(q, k)
+        return self.query_knn_batch(q[None, :], k)[0]
+
+    def query_knn_batch(self, Q: np.ndarray, k: int) -> list[list[Neighbor]]:
+        """The k nearest rows to each row of Q, one screen product per chunk."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        Q = np.asarray(Q, dtype=np.float64)
+        if Q.ndim != 2 or Q.shape[1] != self.dimension:
+            raise ValueError(f"queries have shape {Q.shape}, expected (m, {self.dimension})")
+        return [self.rank(q, rows, k) for block in self.chunks(Q)
+                for q, rows in zip(block, self.screen(block, k))]
+
+    def chunks(self, Q: np.ndarray) -> Iterator[np.ndarray]:
+        """Q in runs of rows whose screen product, run rows x index rows
+        float64s, fits in CHUNK_BYTES at the index size when the run is
+        taken."""
+        start = 0
+        while start < len(Q):
+            step = max(1, CHUNK_BYTES // (8 * self.size))
+            yield Q[start:start + step]
+            start += step
+
+    def rank(self, q: np.ndarray, rows: np.ndarray, k: int) -> list[Neighbor]:
+        """The k nearest to q of the given rows (ascending positions, which
+        must hold the k nearest of the index), by ``row_distances``."""
+        k = min(k, len(rows))
         dists = row_distances(self._matrix[rows], q)
         # Sort only the rows that can make the top k: every row not farther
         # than the k-th smallest distance. The rows are ascending, so the
@@ -98,18 +129,22 @@ class NNIndex:
         return [Neighbor(entry_id=int(p), label=self._labels[p], distance=float(d))
                 for p, d in zip(rows[order], dists[order])]
 
-    def _screen(self, q: np.ndarray, k: int) -> np.ndarray:
-        """Positions, ascending, of the rows that may be among the k nearest
-        to q: every row except those proved farther than k rows already are.
+    def screen(self, Q: np.ndarray, k: int) -> list[np.ndarray]:
+        """For each query of Q, the positions, ascending, of the rows that
+        may be among its k nearest: every row except those proved farther
+        than k rows already are. One product ``Q @ M.T`` serves all of Q,
+        so callers pass a run from ``chunks``.
 
-        For a row x let a = |x|^2, b = |q|^2 and D = a + b - 2 x.q, the exact
-        squared distance. The screen computes s = fl(sq + fl(q.q)) and
-        approx = fl(s - 2 fl(M @ q)). Let u = 2^-53, and eta = 2^-1075, the
-        most one product loses to gradual underflow (a sum or a difference
-        loses nothing to it). A dot product of length d, summed in any order,
-        with or without FMA, is off by at most g sum|x_j y_j| + 2d eta, where
-        g = du / (1 - du) (Higham, "Accuracy and Stability of Numerical
-        Algorithms", ch. 3). With sum|x_j q_j| <= (a + b) / 2 and
+        For a query q and a row x let a = |x|^2, b = |q|^2 and
+        D = a + b - 2 x.q, the exact squared distance. The screen computes
+        s = fl(sq + fl(q.q)) and approx = fl(s - 2 G), where G is the entry
+        of the product for q and x, a dot product of length d. Let u = 2^-53,
+        and eta = 2^-1075, the most one product loses to gradual underflow (a
+        sum or a difference loses nothing to it). A dot product of length d,
+        summed in any order, with or without FMA, is off by at most
+        g sum|x_j y_j| + 2d eta, where g = du / (1 - du) (Higham, "Accuracy
+        and Stability of Numerical Algorithms", ch. 3). With
+        sum|x_j q_j| <= (a + b) / 2 and
         a + b <= (s / (1 - u) + 4d eta) / (1 - g), for du <= 2^-30:
 
             |approx - D| <= u (s + |approx|) / (1 - u) + 2g (a + b) + 8d eta
@@ -128,7 +163,9 @@ class NNIndex:
         spare 7d eta covers the underflow terms and a subnormal T. ``delta``
         is 4(d + 8) u. So a dropped row is strictly farther than the k-th
         distance, and the top k, the ties at the k-th distance and their
-        order come out as a scan of every row gives them.
+        order come out as a scan of every row gives them. No step links one
+        query or one row to another, so the bound holds for each entry of
+        the product, however the GEMM blocks and orders its sums.
 
         An overflow or a NaN anywhere makes a comparison false, which keeps
         the row, so the screen silences the warnings they raise; a NaN or
@@ -136,13 +173,16 @@ class NNIndex:
         """
         n, d = self._matrix.shape
         if k >= n:
-            return np.arange(n)
+            return [np.arange(n) for _ in Q]
+        survivors = []
         with np.errstate(over="ignore", invalid="ignore"):
-            s = self._sq + q @ q
-            approx = s - 2.0 * (self._matrix @ q)
-            first = np.argpartition(approx, k - 1)[:k]
-            t = row_distances(self._matrix[first], q).max()
-            err = 4 * (d + 1) * U * (s + np.abs(approx)) + 9 * d * TINY
-            keep = ~(approx - err > t * t * (1 + 4 * (d + 8) * U))
-        keep[first] = True
-        return np.flatnonzero(keep)
+            for q, g in zip(Q, Q @ self._matrix.T):
+                s = self._sq + q @ q
+                approx = s - 2.0 * g
+                first = np.argpartition(approx, k - 1)[:k]
+                t = row_distances(self._matrix[first], q).max()
+                err = 4 * (d + 1) * U * (s + np.abs(approx)) + 9 * d * TINY
+                keep = ~(approx - err > t * t * (1 + 4 * (d + 8) * U))
+                keep[first] = True
+                survivors.append(np.flatnonzero(keep))
+        return survivors

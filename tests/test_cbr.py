@@ -5,6 +5,7 @@ off the page, so each verdict regime is pinned by construction.
 """
 
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowcbr.cbr as cbr_mod
+import flowcbr.index as index_mod
 from flowcbr.cbr import (
     PENDING_CAPACITY,
     ClassRegistry,
@@ -20,6 +22,7 @@ from flowcbr.cbr import (
     VerdictKind,
     calibrate_thresholds,
     classify,
+    classify_stream,
     verdict_to_json,
     vote,
     write_verdicts,
@@ -132,8 +135,10 @@ def test_ood_is_never_buffered():
 
 
 def test_known_verdicts_allocate_no_buffer():
-    """The pending buffer is allocated on the first in-between sample, so a
-    stream of Known and OOD verdicts allocates nothing beside the queries."""
+    """The pending buffer starts on the first in-between sample with one row,
+    so a stream of Known and OOD verdicts allocates nothing beside the
+    queries, and the first Pending one allocates far less than a full
+    buffer."""
     d = 183
     buffer_bytes = PENDING_CAPACITY * d * 8
     index = NNIndex(np.zeros((1, d)), ["base"])
@@ -150,8 +155,20 @@ def test_known_verdicts_allocate_no_buffer():
     finally:
         tracemalloc.stop()
     assert peak_known < buffer_bytes / 10
-    assert peak_pending >= buffer_bytes
+    assert peak_pending < buffer_bytes / 10
     assert registry.pending.shape == (1, d)
+
+
+def test_pending_buffer_grows_by_doubling():
+    """The buffer matrix holds 1, 2, 4, ... rows, the next power of two at
+    or above the rows buffered, up to PENDING_CAPACITY; each growth keeps the
+    rows in their order."""
+    reg = ClassRegistry()
+    for m in range(1, PENDING_CAPACITY + 1):
+        reg.add_pending(np.array([float(m), -float(m)]))
+        assert reg._rows.shape == (min(1 << (m - 1).bit_length(), PENDING_CAPACITY), 2)
+    assert reg.pending[:, 0].tolist() == [float(m) for m in range(1, PENDING_CAPACITY + 1)]
+    assert reg.evictions == 0
 
 
 def test_scripted_registration_scenario():
@@ -495,3 +512,106 @@ def test_verdict_json_shape_and_jsonl(tmp_path):
     assert len(lines) == 2
     assert json.loads(lines[1])["kind"] == "OOD"
     assert json.loads(lines[1])["label"] is None
+
+
+def mixed_stream(rng, d, n, m, lattice):
+    """n training rows near the origin and a stream of m rows: Known ones
+    near training rows, OOD ones far out, and in-between ones in tight
+    groups around three points at distance 2.5, so c_min of a group found a
+    class and the group's later rows come out Known. With ``lattice`` every
+    row sits on a grid, which ties many distances."""
+    scale = 1 / np.sqrt(d)
+    base = rng.normal(size=(n, d)) * 0.3 * scale
+    dirs = rng.normal(size=(4, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    kind = rng.choice(3, size=m, p=[0.3, 0.6, 0.1])
+    noise = rng.normal(size=(m, d)) * 0.2 * scale
+    X = np.where((kind == 0)[:, None], base[rng.integers(0, n, size=m)] + noise,
+                 np.where((kind == 1)[:, None], 2.5 * dirs[rng.integers(0, 3, size=m)] + noise,
+                          10.0 * dirs[3] + noise))
+    if lattice:
+        step = 0.5 * scale
+        base, X = np.round(base / step) * step, np.round(X / step) * step
+    return base, X
+
+
+def stream_and_loop(base, X, th, capacity, chunk_rows):
+    """(verdicts, index, registry) of classify_stream and of the classify
+    loop on fresh copies of the same index, with a pending buffer of
+    ``capacity`` rows and screen chunks of ``chunk_rows`` rows."""
+    out = []
+    with mock.patch.object(cbr_mod, "PENDING_CAPACITY", capacity), \
+            mock.patch.object(index_mod, "CHUNK_BYTES", 8 * len(base) * chunk_rows):
+        for run in (lambda i, r: classify_stream(i, r, X, th),
+                    lambda i, r: [classify(i, r, q, th) for q in X]):
+            index = NNIndex(base, [f"c{i % 2}" for i in range(len(base))])
+            registry = ClassRegistry()
+            out.append((run(index, registry), index, registry))
+    return out
+
+
+def assert_same_runs(stream, loop):
+    (got, index, registry), (want, index_l, registry_l) = stream, loop
+    assert got == want
+    assert index._matrix.tobytes() == index_l._matrix.tobytes()
+    assert index._labels == index_l._labels
+    assert registry.pending.tobytes() == registry_l.pending.tobytes()
+    assert (registry.evictions, registry.novel_count) == (
+        registry_l.evictions, registry_l.novel_count)
+
+
+@settings(deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 7, 183]), st.integers(1, 30),
+       st.integers(1, 80), st.booleans(), st.integers(1, 5), st.integers(1, 4),
+       st.integers(1, 6), st.integers(1, 8))
+def test_classify_stream_matches_the_classify_loop(seed, d, n, m, lattice, k, c_min,
+                                                   capacity, chunk_rows):
+    """classify_stream gives the verdicts, the grown index and the registry
+    of one classify call per row, on streams that register classes partway
+    through a chunk and evict from a small pending buffer; the chunk and
+    the buffer are cut small here."""
+    base, X = mixed_stream(np.random.default_rng(seed), d, n, m, lattice)
+    th = Thresholds(theta_new=1.0, theta_ood=4.0, k=k, c_min=c_min, r_cohesion=1.0)
+    assert_same_runs(*stream_and_loop(base, X, th, capacity, chunk_rows))
+
+
+def test_classify_stream_registers_and_evicts_mid_chunk():
+    """One fixed stream of the property above does what it is for: classes
+    register at rows that are not the first of their chunk, and the buffer
+    evicts."""
+    base, X = mixed_stream(np.random.default_rng(5), 7, 12, 80, False)
+    th = Thresholds(theta_new=1.0, theta_ood=4.0, k=3, c_min=3, r_cohesion=1.0)
+    stream, loop = stream_and_loop(base, X, th, capacity=4, chunk_rows=6)
+    assert_same_runs(stream, loop)
+    registered = [i for i, v in enumerate(stream[0]) if v.kind is VerdictKind.REGISTERED]
+    assert len(registered) >= 2 and any(i % 6 for i in registered), registered
+    assert stream[2].evictions > 0
+
+
+def test_classify_stream_rank_sets_stay_bounded(monkeypatch):
+    """c_min = 1 and only in-between traffic, so every row registers one
+    row: each row is ranked over its survivors and the rows its chunk
+    inserted before it, at most 2k + one chunk, never the whole stream."""
+    rng = np.random.default_rng(25)
+    n, d, k = 3200, 183, 5
+    centres = rng.normal(size=(8, d)) * 10
+    vectors = centres[rng.integers(0, 8, size=n)] + rng.normal(size=(n, d))
+    dirs = rng.normal(size=(200, d))
+    dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
+    X = centres[rng.integers(0, 8, size=200)] + 30 * dirs
+    th = Thresholds(theta_new=20.0, theta_ood=33.0, k=k, c_min=1)
+    index = NNIndex(vectors, ["x"] * n)
+    chunk_rows = len(next(index.chunks(X)))
+    ranked = []
+    rank = NNIndex.rank
+
+    def counting_rank(self, q, rows, k):
+        ranked.append(len(rows))
+        return rank(self, q, rows, k)
+
+    monkeypatch.setattr(NNIndex, "rank", counting_rank)
+    verdicts = classify_stream(index, ClassRegistry(), X, th)
+    assert all(v.kind is VerdictKind.REGISTERED for v in verdicts)
+    assert index.size == n + len(X) and len(ranked) == len(X)
+    assert max(ranked) <= 2 * k + chunk_rows, (max(ranked), chunk_rows)
+    assert max(ranked) >= chunk_rows - 1

@@ -351,6 +351,22 @@ def test_predict_batch_requires_matrix():
         forest.predict_batch(X[0])
 
 
+def test_predict_batch_rejects_a_slot_past_the_row_width(tmp_path):
+    """A snapshot does not record the row width, so a split slot past it
+    loads; predict_batch then refuses the rows with a ValueError naming the
+    slot and the width, not an IndexError from the walk."""
+    X, y = blobs(2, n=60, d=4)
+    path = tmp_path / "forest.json"
+    train_forest(X, y, ForestConfig(n_trees=3, max_depth=3, seed=1)).save(path)
+    doc = json.loads(path.read_text())
+    assert "slot" in doc["trees"][0][0]
+    doc["trees"][0][0]["slot"] = 99
+    path.write_text(json.dumps(doc))
+    forest = RandomForest.load(path)
+    with pytest.raises(ValueError, match="slot 99, but the rows have 4 slots"):
+        forest.predict_batch(X)
+
+
 def ensemble_classify(index, registry, forest, q, th):
     """The combined stage on one sample: (retrieval verdict, combined label);
     only a Known verdict takes the forest's label."""

@@ -10,6 +10,7 @@ import hashlib
 import io
 import itertools
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -346,14 +347,19 @@ def test_screened_query_matches_full_scan_bit_for_bit(case):
                 assert [(nb.distance, nb.entry_id) for nb in got] == reference
 
 
+def clustered_rows(rng, n, d):
+    """n rows around 8 well-separated centres, and the centres."""
+    centres = rng.normal(size=(8, d)) * 10
+    return centres[rng.integers(0, 8, size=n)] + rng.normal(size=(n, d)), centres
+
+
 def test_screen_prunes_to_2k_distance_rows_per_query(monkeypatch):
     """On 8 well-separated clusters of 3200 x 183 rows, each k = 5 query
     passes at most 2k rows to row_distances (the k rows that set the bound,
     then the rows left after the screen) and still matches the full scan."""
     rng = np.random.default_rng(21)
     n, d, k = 3200, 183, 5
-    centres = rng.normal(size=(8, d)) * 10
-    vectors = centres[rng.integers(0, 8, size=n)] + rng.normal(size=(n, d))
+    vectors, centres = clustered_rows(rng, n, d)
     index = NNIndex(vectors, ["x"] * n)
     rows = []
 
@@ -366,3 +372,78 @@ def test_screen_prunes_to_2k_distance_rows_per_query(monkeypatch):
         rows.clear()
         assert pairs(index, q, k) == reference_knn(vectors, q, k)
         assert sum(rows) <= 2 * k, rows
+
+
+@settings(deadline=None)
+@given(knn_case(), st.integers(1, 4))
+def test_batched_query_matches_full_scan_bit_for_bit(case, chunk_rows):
+    """query_knn_batch over more queries than one chunk (the chunk is cut
+    to ``chunk_rows`` rows here), each round's queries holding stored rows,
+    nudged rows, fresh points and NaN and +-inf slots, with rows inserted
+    between rounds: every query gets the ids and distance bits of the scan
+    of every row, for every k up to the index size."""
+    d, n, vectors, rng, inserts = case
+    index = NNIndex(vectors[:n], ["x"] * n)
+    for size in range(n, n + inserts + 1):
+        if size > n:
+            index.insert(vectors[size - 1], "x")
+        stored = vectors[:size]
+        queries = np.stack(case_queries(rng, stored, d) + case_queries(rng, stored, d))
+        with mock.patch.object(index_mod, "CHUNK_BYTES", 8 * size * chunk_rows):
+            assert len(next(index.chunks(queries))) == chunk_rows
+            for k in range(1, size + 1):
+                with np.errstate(over="ignore", invalid="ignore"):
+                    got = index.query_knn_batch(queries, k)
+                    want = [full_scan_knn(stored, q, k) for q in queries]
+                assert [[(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in nbrs]
+                        for nbrs in got] == want
+
+
+def test_batch_covers_several_chunks_at_the_real_chunk_size():
+    """At the module's chunk size a 3200 x 183 index screens 40 queries per
+    product; 100 queries span three chunks and all match the scan."""
+    rng = np.random.default_rng(22)
+    n, d, k = 3200, 183, 5
+    vectors, centres = clustered_rows(rng, n, d)
+    index = NNIndex(vectors, ["x"] * n)
+    queries = centres[rng.integers(0, 8, size=100)] + rng.normal(size=(100, d))
+    blocks = [len(b) for b in index.chunks(queries)]
+    assert blocks == [40, 40, 20] and 40 * n * 8 <= index_mod.CHUNK_BYTES
+    got = index.query_knn_batch(queries, k)
+    assert [[(nb.distance, nb.entry_id) for nb in nbrs] for nbrs in got] == [
+        reference_knn(vectors, q, k) for q in queries]
+
+
+def test_batch_prunes_to_2k_distance_rows_per_query(monkeypatch):
+    """The batched form of the 2k guard: over 100 queries (three chunks),
+    row_distances sees at most 2k rows per query, the k that set its bound
+    and the rows left after the screen."""
+    rng = np.random.default_rng(23)
+    n, d, k = 3200, 183, 5
+    vectors, centres = clustered_rows(rng, n, d)
+    index = NNIndex(vectors, ["x"] * n)
+    queries = centres[rng.integers(0, 8, size=100)] + rng.normal(size=(100, d))
+    rows = {}
+
+    def counting_row_distances(matrix, q):
+        rows[q.tobytes()] = rows.get(q.tobytes(), 0) + matrix.shape[0]
+        return row_distances(matrix, q)
+
+    monkeypatch.setattr(index_mod, "row_distances", counting_row_distances)
+    got = index.query_knn_batch(queries, k)
+    assert len(rows) == len(queries)
+    assert max(rows.values()) <= 2 * k, sorted(rows.values())[-5:]
+    assert [[(nb.distance, nb.entry_id) for nb in nbrs] for nbrs in got] == [
+        reference_knn(vectors, q, k) for q in queries]
+
+
+def test_batch_validation_errors():
+    rng = np.random.default_rng(24)
+    vectors, labels = make_rows(rng, 5, 3)
+    index = NNIndex(vectors, labels)
+    with pytest.raises(ValueError, match="k must be"):
+        index.query_knn_batch(vectors, 0)
+    for bad in (np.zeros((2, 4)), np.zeros(3)):
+        with pytest.raises(ValueError, match="queries have shape"):
+            index.query_knn_batch(bad, 1)
+    assert index.query_knn_batch(np.zeros((0, 3)), 2) == []
