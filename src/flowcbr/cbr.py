@@ -52,8 +52,11 @@ class Thresholds:
         # Range tests are written so NaN fails them.
         if not 0 < self.theta_new <= self.theta_ood < math.inf:
             raise ValueError("need 0 < theta_new <= theta_ood, both finite")
-        if self.c_min < 1:
-            raise ValueError("c_min must be >= 1")
+        # A cohort is drawn from the pending buffer, so a larger c_min could
+        # never register a class.
+        if not 1 <= self.c_min <= PENDING_CAPACITY:
+            raise ValueError(f"c_min must be >= 1 and <= {PENDING_CAPACITY}, "
+                             f"the pending buffer's capacity")
         if self.r_cohesion is None:
             # Default: candidates must sit within one rejection diameter.
             object.__setattr__(self, "r_cohesion", 2.0 * self.theta_ood)
@@ -144,7 +147,7 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     buffer, and once c_min buffered samples sit pairwise within r_cohesion a
     new class is registered from them and inserted into the index.
     ``neighbors``, when given, are q's k nearest in the index as it stands
-    (``classify_stream`` ranks them); otherwise they are queried here.
+    (``classify_stream`` takes them from ``NNIndex.knn``); else they are queried.
     """
     q = np.asarray(q, dtype=np.float64)
     if neighbors is None:
@@ -174,22 +177,9 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
 def classify_stream(index: NNIndex, registry: ClassRegistry, X: np.ndarray,
                     th: Thresholds) -> list[Verdict]:
     """``classify`` on each row of X in order, with the same verdicts, index
-    and registry as that loop, and one screen product per chunk of rows.
-
-    A chunk is screened against the index as it stands. A row is ranked at
-    its turn over its survivors plus every row inserted since the screen:
-    registrations only append rows, so those ids are larger than every
-    screened one, the set stays ascending, and it holds the row's k nearest
-    in the index as it is by then. A row costs one screen row and a rank set
-    of its survivors and at most one chunk's registrations.
-    """
-    verdicts = []
-    for block in index.chunks(np.asarray(X, dtype=np.float64)):
-        screened = index.size
-        for q, rows in zip(block, index.screen(block, th.k)):
-            rows = np.concatenate([rows, np.arange(screened, index.size)])
-            verdicts.append(classify(index, registry, q, th, index.rank(q, rows, th.k)))
-    return verdicts
+    and registry as that loop: ``NNIndex.knn`` ranks each row against the
+    index as the rows before it left it, one screen product per chunk."""
+    return [classify(index, registry, q, th, nbrs) for q, nbrs in zip(X, index.knn(X, th.k))]
 
 
 def _cohesive_cohort(pending: np.ndarray, r_cohesion: float) -> list[int]:
@@ -230,7 +220,7 @@ def _loo_nn_distances(X: np.ndarray, y: list[str] | np.ndarray) -> list[float]:
             skipped.append(str(label))
             continue
         index = NNIndex(block, [str(label)] * block.shape[0])
-        nn_dists.extend(two[1].distance for two in index.query_knn_batch(block, 2))
+        nn_dists.extend(two[1].distance for two in index.knn(block, 2))
     if skipped:
         warnings.warn(f"classes with one sample skipped in calibration: {skipped}",
                       stacklevel=3)

@@ -272,8 +272,7 @@ def packet_sweep(flows: list[Flow], packet_counts: list[int],
     points = []
     for n in packet_counts:
         fitted = fit_pipeline(flows, dataclasses.replace(config, n_packets=n))
-        neighbors = fitted.model.index.query_knn_batch(fitted.X_test,
-                                                       fitted.model.thresholds.k)
+        neighbors = fitted.model.index.knn(fitted.X_test, fitted.model.thresholds.k)
         correct = sum(vote(nbrs)[0] == truth for nbrs, truth in zip(neighbors, fitted.y_test))
         points.append(SweepPoint(n_packets=n, accuracy=correct / len(fitted.y_test)))
     if out_path is not None:

@@ -8,17 +8,19 @@ without a rebuild), and the index has an independent clone. Saving and
 loading belong to the model directory (``flowcbr.model``).
 
 Every distance a caller sees is computed by ``row_distances``, so the same
-float comes out wherever it is used. Queries come in chunks (``chunks``),
-and one GEMM ``B @ M.T`` screens a whole chunk: it reads the stored matrix
+float comes out wherever it is used. ``NNIndex.knn`` is the one k-NN pass:
+it cuts the queries into chunks of about CHUNK_BYTES of screen product, and
+one GEMM ``B @ M.T`` screens a whole chunk, so it reads the stored matrix
 once per chunk, not once per query. The screen only decides which rows
-cannot make a query's top k (``NNIndex.screen`` proves its bound, which
+cannot make a query's top k (``NNIndex._screen`` proves its bound, which
 holds entry by entry whatever order the GEMM sums in); the rows left are
 then ranked by ``row_distances`` exactly as a scan of every row would rank
-them (``NNIndex.rank``). ``row_distances`` reduces each row on its own, so
+them (``NNIndex._rank``). ``row_distances`` reduces each row on its own, so
 a row's distance has the same bits whether it is computed alone or with the
-whole matrix. ``query_knn`` is the batch of one, and a caller that inserts
-rows between queries (``cbr.classify_stream``) screens a chunk once and
-adds the inserted rows to each later query's rank set.
+whole matrix. ``knn`` yields one query's neighbors at a time and ranks each
+against the index as it stands then: rows inserted between two steps join
+the rank set of every later query (``cbr.classify_stream`` registers
+classes mid-stream). ``query_knn`` is the stream of one.
 """
 
 from __future__ import annotations
@@ -41,7 +43,7 @@ def row_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _squared_norms(matrix: np.ndarray) -> np.ndarray:
-    """Squared norm of every row, for the screen in ``NNIndex.screen``.
+    """Squared norm of every row, for the screen in ``NNIndex._screen``.
     A norm that overflows is inf, and the screen keeps its row."""
     with np.errstate(over="ignore"):
         return np.einsum("ij,ij->i", matrix, matrix)
@@ -87,53 +89,48 @@ class NNIndex:
         self._labels.append(label)
 
     def query_knn(self, q: np.ndarray, k: int) -> list[Neighbor]:
-        """The k nearest rows to q: the batch of one."""
+        """The k nearest rows to q: the stream of one."""
         q = np.asarray(q, dtype=np.float64)
         if q.shape != (self.dimension,):
             raise ValueError(f"query has dimension {q.shape}, expected ({self.dimension},)")
-        return self.query_knn_batch(q[None, :], k)[0]
+        return next(self.knn(q[None, :], k))
 
-    def query_knn_batch(self, Q: np.ndarray, k: int) -> list[list[Neighbor]]:
-        """The k nearest rows to each row of Q, one screen product per chunk."""
+    def knn(self, Q: np.ndarray, k: int) -> Iterator[list[Neighbor]]:
+        """The k nearest rows to each row of Q, in order, one screen product
+        per chunk. A chunk holds the rows whose product, chunk rows x index
+        rows float64s, fits in CHUNK_BYTES at the index size when the chunk
+        is taken. Each row is ranked when it is asked for, over its
+        survivors plus every row inserted since its chunk was screened:
+        inserts only append, so those ids are larger than every screened
+        one, the set stays ascending, and it holds the row's k nearest in
+        the index as it stands."""
         if k < 1:
             raise ValueError("k must be >= 1")
         Q = np.asarray(Q, dtype=np.float64)
         if Q.ndim != 2 or Q.shape[1] != self.dimension:
             raise ValueError(f"queries have shape {Q.shape}, expected (m, {self.dimension})")
-        return [self.rank(q, rows, k) for block in self.chunks(Q)
-                for q, rows in zip(block, self.screen(block, k))]
-
-    def chunks(self, Q: np.ndarray) -> Iterator[np.ndarray]:
-        """Q in runs of rows whose screen product, run rows x index rows
-        float64s, fits in CHUNK_BYTES at the index size when the run is
-        taken."""
         start = 0
         while start < len(Q):
-            step = max(1, CHUNK_BYTES // (8 * self.size))
-            yield Q[start:start + step]
-            start += step
+            block = Q[start:start + max(1, CHUNK_BYTES // (8 * self.size))]
+            screened = self.size
+            for q, rows in zip(block, self._screen(block, k)):
+                yield self._rank(q, np.concatenate([rows, np.arange(screened, self.size)]), k)
+            start += len(block)
 
-    def rank(self, q: np.ndarray, rows: np.ndarray, k: int) -> list[Neighbor]:
+    def _rank(self, q: np.ndarray, rows: np.ndarray, k: int) -> list[Neighbor]:
         """The k nearest to q of the given rows (ascending positions, which
-        must hold the k nearest of the index), by ``row_distances``."""
-        k = min(k, len(rows))
+        must hold the k nearest of the index), by ``row_distances``. The
+        stable sort gives ties to the earlier row and puts NaN last."""
         dists = row_distances(self._matrix[rows], q)
-        # Sort only the rows that can make the top k: every row not farther
-        # than the k-th smallest distance. The rows are ascending, so the
-        # stable sort gives ties at the boundary to the earlier row. (A NaN
-        # k-th distance keeps every row.)
-        kth = np.partition(dists, k - 1)[k - 1]
-        keep = ~(dists > kth)
-        rows, dists = rows[keep], dists[keep]
         order = np.argsort(dists, kind="stable")[:k]
         return [Neighbor(entry_id=int(p), label=self._labels[p], distance=float(d))
                 for p, d in zip(rows[order], dists[order])]
 
-    def screen(self, Q: np.ndarray, k: int) -> list[np.ndarray]:
+    def _screen(self, Q: np.ndarray, k: int) -> list[np.ndarray]:
         """For each query of Q, the positions, ascending, of the rows that
         may be among its k nearest: every row except those proved farther
         than k rows already are. One product ``Q @ M.T`` serves all of Q,
-        so callers pass a run from ``chunks``.
+        so ``knn`` passes one chunk.
 
         For a query q and a row x let a = |x|^2, b = |q|^2 and
         D = a + b - 2 x.q, the exact squared distance. The screen computes

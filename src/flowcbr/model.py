@@ -120,6 +120,9 @@ def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
         if not (mins.shape == maxs.shape == (schema.width,) and np.isfinite(mins).all()
                 and np.isfinite(maxs).all()):
             raise ValueError(f"mins and maxs must each hold {schema.width} finite numbers")
+        with np.errstate(over="ignore"):
+            if not ((mins <= maxs).all() and np.isfinite(maxs - mins).all()):
+                raise ValueError("every min must be <= its max, with a finite max - min")
         th = doc["thresholds"]
         if type(th["k"]) is not int or type(th["c_min"]) is not int:
             raise ValueError("thresholds k and c_min must be integers")

@@ -66,6 +66,9 @@ def test_thresholds_validation_and_cohesion_default():
         Thresholds(1.0, 2.0, k=0)
     with pytest.raises(ValueError):
         Thresholds(1.0, 2.0, c_min=0)
+    assert Thresholds(1.0, 2.0, c_min=PENDING_CAPACITY).c_min == PENDING_CAPACITY
+    with pytest.raises(ValueError, match="pending buffer's capacity"):
+        Thresholds(1.0, 2.0, c_min=PENDING_CAPACITY + 1)
     for bad in ({"theta_new": np.nan}, {"theta_ood": np.nan}, {"theta_ood": np.inf},
                 {"theta_new": np.inf, "theta_ood": np.inf}, {"r_cohesion": np.nan},
                 {"r_cohesion": np.inf}):
@@ -601,16 +604,23 @@ def test_classify_stream_rank_sets_stay_bounded(monkeypatch):
     X = centres[rng.integers(0, 8, size=200)] + 30 * dirs
     th = Thresholds(theta_new=20.0, theta_ood=33.0, k=k, c_min=1)
     index = NNIndex(vectors, ["x"] * n)
-    chunk_rows = len(next(index.chunks(X)))
-    ranked = []
-    rank = NNIndex.rank
+    blocks, ranked = [], []
+    screen, rank = NNIndex._screen, NNIndex._rank
+
+    def counting_screen(self, Q, k):
+        blocks.append(len(Q))
+        return screen(self, Q, k)
 
     def counting_rank(self, q, rows, k):
         ranked.append(len(rows))
         return rank(self, q, rows, k)
 
-    monkeypatch.setattr(NNIndex, "rank", counting_rank)
+    monkeypatch.setattr(NNIndex, "_screen", counting_screen)
+    monkeypatch.setattr(NNIndex, "_rank", counting_rank)
     verdicts = classify_stream(index, ClassRegistry(), X, th)
+    # The index grows, so later chunks may be smaller, never larger.
+    chunk_rows = blocks[0]
+    assert chunk_rows == 40 and max(blocks) == chunk_rows and sum(blocks) == len(X)
     assert all(v.kind is VerdictKind.REGISTERED for v in verdicts)
     assert index.size == n + len(X) and len(ranked) == len(X)
     assert max(ranked) <= 2 * k + chunk_rows, (max(ranked), chunk_rows)

@@ -293,6 +293,8 @@ def unlabeled_csv(data_dir, tmp_path_factory):
 
 _SINGLETONS = ": every class has one row to train on"
 _NO_TEST = ": train_fraction 0.99 leaves no test rows"
+_C_MIN = (": the settings give unusable thresholds: c_min must be >= 1 and <= 1000, "
+          "the pending buffer's capacity")
 _UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to train and score"
 
 
@@ -309,6 +311,8 @@ _UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to trai
                  "{singletons}/flows.csv" + _SINGLETONS, id="held-out-singletons"),
     pytest.param(["sweep", "{singletons}/flows.csv"], "{singletons}/flows.csv" + _SINGLETONS,
                  id="sweep-singletons"),
+    pytest.param(["index", "{features}", "--c-min", "1001"], "{features}" + _C_MIN,
+                 id="index-c-min"),
     pytest.param(["eval", "{empty}"], "{empty} holds no flows", id="eval-empty"),
     pytest.param(["eval", "{empty}", "--held-out", "class-a"], "{empty} holds no flows",
                  id="held-out-empty"),
@@ -335,15 +339,15 @@ _UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to trai
 ])
 def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, empty_csv, one_class_dir,
                                       unlabeled_csv, tmp_path, capsys, argv, fragment):
-    """Bad arguments, training rows with no class of two (for all four
-    commands that fit), a flow CSV with no rows, a split that leaves no
-    test rows, flows of a single class and a flow without a label exit 2
-    with an error line and write nothing."""
+    """Bad arguments, a c_min no pending buffer can reach, training rows
+    with no class of two (for all four commands that fit), a flow CSV with
+    no rows, a split that leaves no test rows, flows of a single class and a
+    flow without a label exit 2 with an error line and write nothing."""
     config = tmp_path / "config.json"
     config.write_text('{"train_fraction": 0.99}')
-    names = {"flows": data_dir / "flows.csv", "singletons": singletons_dir,
-             "empty": empty_csv, "one": one_class_dir, "config": config,
-             "unlabeled": unlabeled_csv}
+    names = {"flows": data_dir / "flows.csv", "features": data_dir / "features.csv",
+             "singletons": singletons_dir, "empty": empty_csv, "one": one_class_dir,
+             "config": config, "unlabeled": unlabeled_csv}
     argv = [a.format(**names) for a in argv]
     assert run("--out", str(tmp_path / "out"), *argv) == 2
     err = capsys.readouterr().err
@@ -356,10 +360,12 @@ def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, empty_csv, one_c
 @pytest.mark.parametrize("config,fragment", [
     ('{"r_cohesion": Infinity}', "r_cohesion must be positive and finite"),
     ('{"ood_margin": 1e308}', "need 0 < theta_new <= theta_ood, both finite"),
-], ids=["r_cohesion-inf", "theta_ood-overflow"])
+    ('{"c_min": 1001}', "c_min must be >= 1 and <= 1000"),
+], ids=["r_cohesion-inf", "theta_ood-overflow", "c_min-unreachable"])
 def test_infinite_thresholds_exit_two(data_dir, tmp_path, capsys, command, config, fragment):
-    """Settings that make a threshold infinite fail the fit: exit 2 with an
-    error line, and nothing is written."""
+    """Settings that make a threshold infinite, or a c_min that no pending
+    buffer can reach, fail the fit: exit 2 with an error line, and nothing
+    is written."""
     cfg = tmp_path / "config.json"
     cfg.write_text(config)
     data = data_dir / ("features.csv" if command == "index" else "flows.csv")
@@ -460,6 +466,13 @@ _BAD_INPUTS = {
     "thresholds-inf": ("model.json", _edit_model_json(
         thresholds=lambda doc: {**doc["thresholds"], "theta_ood": float("inf")}),
         "need 0 < theta_new <= theta_ood, both finite"),
+    "normalizer-inverted": ("model.json", _edit_model_json(
+        mins=lambda doc: [1e308] * len(doc["mins"]),
+        maxs=lambda doc: [-1e308] * len(doc["maxs"])),
+        "every min must be <= its max, with a finite max - min"),
+    "thresholds-c-min": ("model.json", _edit_model_json(
+        thresholds=lambda doc: {**doc["thresholds"], "c_min": 1001}),
+        "c_min must be >= 1 and <= 1000"),
     "registry": ("model.json", _edit_model_json(labels=lambda doc: doc["labels"][1:]),
                  "labels must be 12 non-empty strings, one per row"),
     "index-width": ("vectors.npy", _replace_vectors(lambda v: _npy(v[:, :178])),

@@ -14,7 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from flowcbr import forest as forest_mod
-from flowcbr.cbr import ClassRegistry, Thresholds, VerdictKind, classify
+from flowcbr.cbr import PENDING_CAPACITY, ClassRegistry, Thresholds, VerdictKind, classify
 from flowcbr.forest import ForestConfig, RandomForest, train_forest
 from flowcbr.harness import OOD_LABEL, PENDING_LABEL, combined_label
 from flowcbr.index import NNIndex
@@ -404,10 +404,11 @@ def test_ensemble_ood_and_pending_pass_through():
 
 
 def test_ensemble_never_forest_labels_an_ood_sample():
-    # c_min is set out of reach so the index stays frozen and distance from
-    # the origin remains the ground truth for the whole stream
+    # c_min is set out of reach of the stream's 200 samples so the index
+    # stays frozen and distance from the origin remains the ground truth for
+    # the whole stream
     index, registry, forest, _ = ensemble_setup()
-    th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1, c_min=10 ** 6)
+    th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1, c_min=PENDING_CAPACITY)
     rng = np.random.default_rng(0)
     for _ in range(200):
         q = np.array([rng.uniform(-10, 10)])

@@ -51,6 +51,18 @@ def pairs(index, q, k):
     return [(nb.distance, nb.entry_id) for nb in index.query_knn(q, k)]
 
 
+def screened_blocks(blocks):
+    """A patch of ``NNIndex._screen`` that appends the row count of every
+    block it screens to ``blocks``."""
+    screen = NNIndex._screen
+
+    def counting_screen(self, Q, k):
+        blocks.append(len(Q))
+        return screen(self, Q, k)
+
+    return mock.patch.object(NNIndex, "_screen", counting_screen)
+
+
 # Every backend a version-1 index snapshot could name. A directory holding
 # such a snapshot is in the old layout and no longer loads, whichever backend
 # it names; its rows are rebuilt into a model directory instead.
@@ -377,7 +389,7 @@ def test_screen_prunes_to_2k_distance_rows_per_query(monkeypatch):
 @settings(deadline=None)
 @given(knn_case(), st.integers(1, 4))
 def test_batched_query_matches_full_scan_bit_for_bit(case, chunk_rows):
-    """query_knn_batch over more queries than one chunk (the chunk is cut
+    """knn over more queries than one chunk (the chunk is cut
     to ``chunk_rows`` rows here), each round's queries holding stored rows,
     nudged rows, fresh points and NaN and +-inf slots, with rows inserted
     between rounds: every query gets the ids and distance bits of the scan
@@ -389,12 +401,14 @@ def test_batched_query_matches_full_scan_bit_for_bit(case, chunk_rows):
             index.insert(vectors[size - 1], "x")
         stored = vectors[:size]
         queries = np.stack(case_queries(rng, stored, d) + case_queries(rng, stored, d))
+        cuts = [min(chunk_rows, len(queries) - s) for s in range(0, len(queries), chunk_rows)]
         with mock.patch.object(index_mod, "CHUNK_BYTES", 8 * size * chunk_rows):
-            assert len(next(index.chunks(queries))) == chunk_rows
             for k in range(1, size + 1):
-                with np.errstate(over="ignore", invalid="ignore"):
-                    got = index.query_knn_batch(queries, k)
+                blocks = []
+                with np.errstate(over="ignore", invalid="ignore"), screened_blocks(blocks):
+                    got = list(index.knn(queries, k))
                     want = [full_scan_knn(stored, q, k) for q in queries]
+                assert blocks == cuts
                 assert [[(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in nbrs]
                         for nbrs in got] == want
 
@@ -407,9 +421,10 @@ def test_batch_covers_several_chunks_at_the_real_chunk_size():
     vectors, centres = clustered_rows(rng, n, d)
     index = NNIndex(vectors, ["x"] * n)
     queries = centres[rng.integers(0, 8, size=100)] + rng.normal(size=(100, d))
-    blocks = [len(b) for b in index.chunks(queries)]
+    blocks = []
+    with screened_blocks(blocks):
+        got = list(index.knn(queries, k))
     assert blocks == [40, 40, 20] and 40 * n * 8 <= index_mod.CHUNK_BYTES
-    got = index.query_knn_batch(queries, k)
     assert [[(nb.distance, nb.entry_id) for nb in nbrs] for nbrs in got] == [
         reference_knn(vectors, q, k) for q in queries]
 
@@ -430,7 +445,7 @@ def test_batch_prunes_to_2k_distance_rows_per_query(monkeypatch):
         return row_distances(matrix, q)
 
     monkeypatch.setattr(index_mod, "row_distances", counting_row_distances)
-    got = index.query_knn_batch(queries, k)
+    got = list(index.knn(queries, k))
     assert len(rows) == len(queries)
     assert max(rows.values()) <= 2 * k, sorted(rows.values())[-5:]
     assert [[(nb.distance, nb.entry_id) for nb in nbrs] for nbrs in got] == [
@@ -442,8 +457,31 @@ def test_batch_validation_errors():
     vectors, labels = make_rows(rng, 5, 3)
     index = NNIndex(vectors, labels)
     with pytest.raises(ValueError, match="k must be"):
-        index.query_knn_batch(vectors, 0)
+        list(index.knn(vectors, 0))
     for bad in (np.zeros((2, 4)), np.zeros(3)):
         with pytest.raises(ValueError, match="queries have shape"):
-            index.query_knn_batch(bad, 1)
-    assert index.query_knn_batch(np.zeros((0, 3)), 2) == []
+            list(index.knn(bad, 1))
+    assert list(index.knn(np.zeros((0, 3)), 2)) == []
+
+
+def test_knn_ranks_rows_inserted_between_steps():
+    """Two queries share one chunk. A copy of the second, inserted after
+    the first step, is the second step's nearest row at distance 0; the
+    stream taken before the insert never saw it."""
+    rng = np.random.default_rng(26)
+    vectors, labels = make_rows(rng, 20, 3)
+    index = NNIndex(vectors, labels)
+    queries = rng.normal(size=(2, 3))
+    blocks = []
+    with mock.patch.object(index_mod, "CHUNK_BYTES", 8 * index.size * 2), \
+            screened_blocks(blocks):
+        before = list(index.knn(queries, 3))
+        steps = index.knn(queries, 3)
+        first = next(steps)
+        index.insert(queries[1], "copy")
+        second = next(steps)
+    assert blocks == [2, 2]
+    assert first == before[0]
+    assert (second[0].entry_id, second[0].label, second[0].distance) == (20, "copy", 0.0)
+    assert second[1:] == before[1][:2]
+    assert all(nb.entry_id != 20 for nbrs in before for nb in nbrs)
