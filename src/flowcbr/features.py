@@ -31,6 +31,7 @@ as extracting the flow alone. The per-group extractors (``bits_per_peak``
 from __future__ import annotations
 
 import csv
+import re
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -419,21 +420,73 @@ def fit_normalizer(matrix: np.ndarray, schema: FeatureSchema = SCHEMA) -> Normal
     return Normalizer(schema.version, matrix.min(axis=0), matrix.max(axis=0))
 
 
+class _Line:
+    """A csv.writer target that hands each line back: writerow returns it."""
+
+    write = staticmethod(str)
+
+
 def save_matrix_csv(path: str | Path, matrix: np.ndarray,
                     flow_ids: list[str], labels: list[str]) -> None:
-    """Write a feature matrix with flow_id/label columns and f000.. headers."""
+    """Write a feature matrix with flow_id/label columns and f000.. headers.
+    csv quotes the flow_id and label of each row; the numbers are their
+    repr; the file is written in one call."""
     if matrix.shape[0] != len(flow_ids) or matrix.shape[0] != len(labels):
         raise ValueError("matrix rows, flow_ids and labels must align")
+    quoted = csv.writer(_Line()).writerow
+    lines = [",".join(["flow_id", "label"] + [f"f{i:03d}" for i in range(matrix.shape[1])])]
+    lines += [",".join([quoted((fid, label))[:-2], *map(repr, row)])
+              for fid, label, row in zip(flow_ids, labels, matrix.tolist())]
+    lines.append("")  # the last row ends with a line end too
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["flow_id", "label"] + [f"f{i:03d}" for i in range(matrix.shape[1])])
-        for fid, label, row in zip(flow_ids, labels, matrix):
-            writer.writerow([fid, label] + [repr(v) for v in row.tolist()])
+        fh.write("\r\n".join(lines))
 
 
-def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
-    """Read a feature matrix CSV back as (matrix, flow_ids, labels); a bad
-    header, row or cell (not a finite number) is a ValueError."""
+_FIELD = r'("(?:[^"]|"")*"|[^",\r\n]*)'
+# A row as save_matrix_csv writes it: flow_id and label, each quoted or not,
+# then unquoted cells, up to a line end.
+_ROW = re.compile(_FIELD + "," + _FIELD + r",([^\"\r\n]*)(?:\r\n|\n|\r|\Z)")
+
+
+def _load_bulk(text: str) -> tuple[np.ndarray, list[str], list[str]] | None:
+    """A features CSV read in bulk, as csv and float would read it: one
+    regex pass finds the rows, ids and labels, and one np.loadtxt parses
+    every number. Both np.loadtxt and float() hand a cell to the same
+    string-to-double routine, so the bits are equal, but np.loadtxt skips
+    blank lines and reads fewer forms (not '1_0'). So only rows of the
+    header's width with ids, labels and cells csv reads the same way are
+    taken here; for any other text, or a cell np.loadtxt rejects, this
+    returns None or raises ValueError."""
+    line = re.match(r"([^\r\n]*)(?:\r\n|\n|\r|\Z)", text)
+    header = line.group(1).split(",")
+    width = len(header) - 2
+    # The csv of Python 3.10 rejects NUL, later ones read it.
+    if header != ["flow_id", "label"] + [f"f{i:03d}" for i in range(width)] \
+            or width < 1 or "\x00" in text:
+        return None
+    pos, fields, cells = line.end(), [], []
+    while pos < len(text):
+        row = _ROW.match(text, pos)
+        if row is None:
+            return None
+        pos = row.end()
+        fields += row.group(1, 2)
+        cells.append(row.group(3))
+    limit = csv.field_size_limit()  # csv rejects a longer field
+    if any(c.count(",") != width - 1 for c in cells) \
+            or any(len(f) > limit for f in fields + cells):
+        return None
+    fields = [f[1:-1].replace('""', '"') if f.startswith('"') else f for f in fields]
+    if not cells:
+        return np.zeros((0, width)), [], []
+    matrix = np.loadtxt(cells, delimiter=",", comments=None, dtype=np.float64, ndmin=2)
+    if matrix.shape != (len(cells), width):
+        return None
+    return matrix, fields[0::2], fields[1::2]
+
+
+def _load_rows(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
+    """A features CSV read row by row with csv and float."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -449,10 +502,27 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
             flow_ids.append(row[0])
             labels.append(row[1])
             rows.append([float(v) for v in row[2:]])
-    matrix = np.array(rows) if rows else np.zeros((0, width))
+    return np.array(rows) if rows else np.zeros((0, width)), flow_ids, labels
+
+
+def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
+    """Read a feature matrix CSV back as (matrix, flow_ids, labels); a bad
+    header, row or cell (not a finite number) is a ValueError. A file as
+    save_matrix_csv writes it is read in bulk (``_load_bulk``); anything
+    else, malformed files included, row by row (``_load_rows``), which
+    gives the result or the error of reading any file that way."""
+    try:
+        with open(path, newline="") as fh:
+            loaded = _load_bulk(fh.read())
+    except ValueError:  # an undecodable file too: the row loop says where
+        loaded = None
+    try:
+        matrix, flow_ids, labels = loaded or _load_rows(path)
+    except csv.Error as exc:
+        raise ValueError(str(exc)) from None
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         r, c = bad[0]
-        raise ValueError(f"row for {flow_ids[r]} has a non-finite {header[c + 2]} "
+        raise ValueError(f"row for {flow_ids[r]} has a non-finite f{c:03d} "
                          f"value {float(matrix[r, c])}")
     return matrix, flow_ids, labels

@@ -594,7 +594,9 @@ def test_classify_stream_registers_and_evicts_mid_chunk():
 def test_classify_stream_rank_sets_stay_bounded(monkeypatch):
     """c_min = 1 and only in-between traffic, so every row registers one
     row: each row is ranked over its survivors and the rows its chunk
-    inserted before it, at most 2k + one chunk, never the whole stream."""
+    inserted before it, at most 2k + one chunk, never the whole stream. The
+    chunk's rank counts each row's survivors; ``_neighbors`` merges the
+    inserted rows as each row is yielded."""
     rng = np.random.default_rng(25)
     n, d, k = 3200, 183, 5
     centres = rng.normal(size=(8, d)) * 10
@@ -604,19 +606,21 @@ def test_classify_stream_rank_sets_stay_bounded(monkeypatch):
     X = centres[rng.integers(0, 8, size=200)] + 30 * dirs
     th = Thresholds(theta_new=20.0, theta_ood=33.0, k=k, c_min=1)
     index = NNIndex(vectors, ["x"] * n)
-    blocks, ranked = [], []
-    screen, rank = NNIndex._screen, NNIndex._rank
+    blocks, survivors, ranked = [], [], []
+    screen, neighbors = NNIndex._screen, NNIndex._neighbors
 
     def counting_screen(self, Q, k):
         blocks.append(len(Q))
-        return screen(self, Q, k)
+        qi, rows = screen(self, Q, k)
+        survivors.extend(np.bincount(qi, minlength=len(Q)).tolist())
+        return qi, rows
 
-    def counting_rank(self, q, rows, k):
-        ranked.append(len(rows))
-        return rank(self, q, rows, k)
+    def counting_neighbors(self, q, rows, dists, screened, k):
+        ranked.append(survivors[len(ranked)] + self.size - screened)
+        return neighbors(self, q, rows, dists, screened, k)
 
     monkeypatch.setattr(NNIndex, "_screen", counting_screen)
-    monkeypatch.setattr(NNIndex, "_rank", counting_rank)
+    monkeypatch.setattr(NNIndex, "_neighbors", counting_neighbors)
     verdicts = classify_stream(index, ClassRegistry(), X, th)
     # The index grows, so later chunks may be smaller, never larger.
     chunk_rows = blocks[0]

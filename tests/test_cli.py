@@ -527,7 +527,8 @@ def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys,
     (183, "nan", "row for b has a non-finite f182 value nan"),
     (183, "inf", "row for b has a non-finite f182 value inf"),
     (183, "0.25", "every class has one row"),
-], ids=["narrow", "non-numeric", "nan", "inf", "singletons"])
+    (183, "1" * 200_000, "field larger than field limit (131072)"),
+], ids=["narrow", "non-numeric", "nan", "inf", "singletons", "oversized-cell"])
 def test_index_malformed_features_exit_two(tmp_path, capsys, width, cell, fragment):
     """``index`` on a two-row CSV of ``width`` slots whose last cell is
     ``cell`` exits 2, names the file and writes nothing. Each row has its

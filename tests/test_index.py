@@ -432,7 +432,8 @@ def test_batch_covers_several_chunks_at_the_real_chunk_size():
 def test_batch_prunes_to_2k_distance_rows_per_query(monkeypatch):
     """The batched form of the 2k guard: over 100 queries (three chunks),
     row_distances sees at most 2k rows per query, the k that set its bound
-    and the rows left after the screen."""
+    and the rows left after the screen. A chunk passes its queries stacked,
+    one paired with each row, so each pair counts for its own query."""
     rng = np.random.default_rng(23)
     n, d, k = 3200, 183, 5
     vectors, centres = clustered_rows(rng, n, d)
@@ -441,7 +442,8 @@ def test_batch_prunes_to_2k_distance_rows_per_query(monkeypatch):
     rows = {}
 
     def counting_row_distances(matrix, q):
-        rows[q.tobytes()] = rows.get(q.tobytes(), 0) + matrix.shape[0]
+        for paired in np.broadcast_to(q, matrix.shape):
+            rows[paired.tobytes()] = rows.get(paired.tobytes(), 0) + 1
         return row_distances(matrix, q)
 
     monkeypatch.setattr(index_mod, "row_distances", counting_row_distances)
@@ -485,3 +487,63 @@ def test_knn_ranks_rows_inserted_between_steps():
     assert (second[0].entry_id, second[0].label, second[0].distance) == (20, "copy", 0.0)
     assert second[1:] == before[1][:2]
     assert all(nb.entry_id != 20 for nbrs in before for nb in nbrs)
+
+
+@pytest.mark.parametrize("points", [1, 2], ids=["equal-rows", "two-points"])
+def test_rank_bounds_the_pair_block_on_a_degenerate_index(monkeypatch, points):
+    """3200 x 183 rows all at one point, or each at one of two points: every
+    row ties with its copies, so the screen keeps every row at a query's
+    nearest point (all 40 x 3200 pairs of a chunk, or about half of them).
+    The rank takes those pairs in slices: no block of rows row_distances
+    sees holds more than SLICE_BYTES, and every query still matches the
+    full scan."""
+    rng = np.random.default_rng(27)
+    n, d, k = 3200, 183, 5
+    vectors = rng.normal(size=(points, d))[rng.integers(0, points, size=n)]
+    index = NNIndex(vectors, ["x"] * n)
+    queries = rng.normal(size=(100, d))
+    survivors, blocks = [], []
+    screen = NNIndex._screen
+
+    def counting_screen(self, Q, k):
+        qi, rows = screen(self, Q, k)
+        survivors.append(len(rows) / len(Q))
+        return qi, rows
+
+    def counting_row_distances(matrix, q):
+        blocks.append(matrix.nbytes)
+        return row_distances(matrix, q)
+
+    monkeypatch.setattr(NNIndex, "_screen", counting_screen)
+    monkeypatch.setattr(index_mod, "row_distances", counting_row_distances)
+    got = list(index.knn(queries, k))
+    assert min(survivors) >= n / 3 and (points == 2 or min(survivors) == n), survivors
+    assert max(blocks) <= index_mod.SLICE_BYTES, max(blocks)
+    assert [[(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in nbrs]
+            for nbrs in got] == [full_scan_knn(vectors, q, k) for q in queries]
+
+
+def test_insert_grows_a_buffer_and_clone_stays_independent():
+    """Inserts fill a buffer that doubles when full: the rows seen are
+    always the used ones, in order, the caller's matrix is never written,
+    and a clone taken between inserts keeps its own rows."""
+    rng = np.random.default_rng(28)
+    vectors, labels = make_rows(rng, 3, 4)
+    given = vectors.copy()
+    index = NNIndex(vectors, labels)
+    extra = rng.normal(size=(9, 4))
+    clones = []
+    for i, v in enumerate(extra):
+        index.insert(v, f"n{i}")
+        clones.append((index.clone(), index.size))
+        assert index._matrix.tobytes() == np.vstack([given, extra[:i + 1]]).tobytes()
+        assert index._sq.tobytes() == np.einsum("ij,ij->i", index._matrix,
+                                                index._matrix).tobytes()
+    assert vectors.tobytes() == given.tobytes()
+    assert len(index._buf) == 12
+    for clone, size in clones:
+        assert clone.size == size
+        assert clone._matrix.tobytes() == np.vstack([given, extra])[:size].tobytes()
+        clone.insert(np.zeros(4), "z")
+    assert index._matrix.tobytes() == np.vstack([given, extra]).tobytes()
+    assert [nb.entry_id for nb in index.query_knn(extra[-1], 1)] == [11]
