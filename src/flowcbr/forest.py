@@ -1,9 +1,10 @@
 """Random-forest baseline, built from scratch on CART trees.
 
 Trees grow on bootstrap samples with Gini-impurity splits over a random
-subset of feature slots per node (ceil(sqrt(d)) by default), all scored in
-one vectorized pass. Everything is seeded: the same config and data always
-produce the same forest.
+subset of feature slots per node (ceil(sqrt(d)) by default). Each slot is
+sorted once per forest; a node scores its distinct rows in that order, each
+weighted by its bootstrap multiplicity. Everything is seeded: the same
+config and data always produce the same forest.
 
 A tree has one form, which the JSON snapshot also stores as it is: a list
 of node dicts, root first, in pre-order. A leaf is ``{"counts": [...]}``, one
@@ -41,47 +42,44 @@ class ForestConfig:
             raise ValueError("min_samples_leaf must be >= 1")
 
 
-def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
+def _best_split(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: np.ndarray,
                 candidates: np.ndarray, counts: np.ndarray,
                 min_samples_leaf: int) -> tuple[float, int, float] | None:
     """Best (score, slot, threshold) over candidate slots, or None.
 
     The score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right;
     maximizing it minimizes the weighted Gini impurity of the children.
-    All slots are scored in one pass from integer counts (one class of the
-    node's ``counts`` at a time), so the score is exact float arithmetic.
-    Ties go to a slot's first split point, then to the first slot.
+    All slots are scored in one pass of exact integer cumsums over the node's
+    distinct rows in ``order`` (X's rows by value, per slot), weighted by their
+    counts in ``positions``. Ties go to the first slot, then its first split.
     """
-    n = positions.size
-    block = X.T[np.ix_(candidates, positions)]  # (m, n): one row per slot
-    order = np.argsort(block, axis=1, kind="stable")
-    sorted_vals = np.take_along_axis(block, order, axis=1)
-    sorted_codes = codes[positions][order[:, :-1]]
-    left_sq = np.zeros((candidates.size, n - 1), dtype=np.int64)
-    right_sq = np.zeros_like(left_sq)
-    for c in np.flatnonzero(counts):
-        left = np.cumsum(sorted_codes == c, axis=1)
-        left_sq += left * left
-        right = counts[c] - left
-        right_sq += right * right
-    left_n = np.arange(1, n, dtype=np.float64)
-    right_n = n - left_n
-    valid = ((sorted_vals[:, :-1] < sorted_vals[:, 1:])
+    mult = np.bincount(positions, minlength=X.shape[0])
+    rows = order[candidates]
+    rows = np.compress(mult.take(rows).ravel() > 0, rows).reshape(candidates.size, -1)  # (m, u)
+    if rows.shape[1] < 2:  # one distinct row has no split point
+        return None
+    vals = X.take(np.multiply(rows, X.shape[1], dtype=np.intp) + candidates[:, None])
+    w, row_codes = mult.take(rows[:, :-1]), codes.take(rows[:, :-1])
+    left_n = np.cumsum(w, axis=1)
+    left = (row_codes == np.flatnonzero(counts)[:, None, None]) * w  # (classes, m, u - 1)
+    np.cumsum(left, axis=2, out=left)  # in place: one such block alive at a time
+    left_sq = np.einsum("cij,cij->ij", left, left)
+    right_sq = counts @ counts - 2 * np.cumsum(w * counts.take(row_codes), axis=1) + left_sq
+    right_n = positions.size - left_n
+    valid = ((vals[:, :-1] < vals[:, 1:])
              & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
     score = np.where(valid, left_sq / left_n + right_sq / right_n, -np.inf)
-    cols = score.argmax(axis=1)
-    slot_best = score[np.arange(candidates.size), cols]
-    j = int(np.argmax(slot_best))
-    if slot_best[j] == -np.inf:
+    j, col = np.unravel_index(score.argmax(), score.shape)  # first max, row-major
+    if score[j, col] == -np.inf:
         return None
-    lo, hi = sorted_vals[j, cols[j]], sorted_vals[j, cols[j] + 1]
+    lo, hi = vals[j, col], vals[j, col + 1]
     threshold = (lo + hi) / 2.0
     if threshold >= hi:
         threshold = float(lo)
-    return float(slot_best[j]), int(candidates[j]), float(threshold)
+    return float(score[j, col]), int(candidates[j]), float(threshold)
 
 
-def _grow(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
+def _grow(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: np.ndarray,
           n_classes: int, config: ForestConfig, fps: int,
           rng: np.random.Generator, depth: int, nodes: list[dict]) -> int:
     """Append the subtree of ``positions`` to ``nodes`` in pre-order; return its root's position."""
@@ -94,7 +92,7 @@ def _grow(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
             or (config.max_depth is not None and depth >= config.max_depth)):
         return at
     candidates = np.sort(rng.choice(X.shape[1], size=fps, replace=False))
-    best = _best_split(X, codes, positions, candidates, counts, config.min_samples_leaf)
+    best = _best_split(X, codes, order, positions, candidates, counts, config.min_samples_leaf)
     if best is None:
         return at
     score, slot, threshold = best
@@ -102,8 +100,8 @@ def _grow(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
     if (score - parent_score) / n <= MIN_IMPROVEMENT:
         return at
     mask = X[positions, slot] <= threshold
-    left = _grow(X, codes, positions[mask], n_classes, config, fps, rng, depth + 1, nodes)
-    right = _grow(X, codes, positions[~mask], n_classes, config, fps, rng, depth + 1, nodes)
+    left = _grow(X, codes, order, positions[mask], n_classes, config, fps, rng, depth + 1, nodes)
+    right = _grow(X, codes, order, positions[~mask], n_classes, config, fps, rng, depth + 1, nodes)
     nodes[at] = {"slot": slot, "value": threshold, "left": left, "right": right}
     return at
 
@@ -203,9 +201,11 @@ class RandomForest:
 
 def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
                  config: ForestConfig) -> RandomForest:
-    X = np.asarray(X, dtype=np.float64)
+    X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split gathers by flat index
     if X.ndim != 2 or X.shape[0] == 0:
         raise ValueError("training needs a non-empty 2-D matrix")
+    if np.shape(y) != X.shape[:1]:
+        raise ValueError(f"training needs one label per row: {np.size(y)} labels, {X.shape[0]} rows")
     classes, codes = np.unique(np.asarray(y), return_inverse=True)
     if classes.size < 2:
         raise ValueError("training needs at least 2 classes")
@@ -216,16 +216,16 @@ def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
     if not 1 <= fps <= d:
         raise ValueError(f"features_per_split must be in [1, {d}]")
 
+    order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)  # (d, n): rows by value
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.n_trees)]
     trees: list[list[dict]] = []
     oob_tally = np.zeros((n, classes.size), dtype=np.int64)
     for rng in rngs:
         sample = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
-        oob = np.setdiff1d(np.arange(n), sample)
+        oob = np.flatnonzero(np.bincount(sample, minlength=n) == 0)
         trees.append([])
-        _grow(X, codes, sample, classes.size, config, fps, rng, 0, trees[-1])
-        if oob.size:
-            oob_tally[oob, _tree_votes(trees[-1], X[oob])] += 1
+        _grow(X, codes, order, sample, classes.size, config, fps, rng, 0, trees[-1])
+        oob_tally[oob, _tree_votes(trees[-1], X[oob])] += 1
 
     covered = oob_tally.sum(axis=1) > 0
     hits = oob_tally[covered].argmax(axis=1) == codes[covered]

@@ -2,22 +2,28 @@
 
 A reference CART builder written with plain scalar loops grows the same
 deterministic tree (no bootstrap, all slots considered) and must agree with
-the package's vectorized one node for node, threshold for threshold.
+the package's vectorized one node for node, threshold for threshold. The
+forest build as first written, which sorted every node from scratch, is kept
+in ``forest_oracle``; the package must save the same bytes as it.
 """
 
+import hashlib
 import json
 import re
 
+import forest_oracle as oracle
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcbr import forest as forest_mod
 from flowcbr.cbr import PENDING_CAPACITY, ClassRegistry, Thresholds, VerdictKind, classify
+from flowcbr.features import extract_matrix, fit_normalizer
 from flowcbr.forest import ForestConfig, RandomForest, train_forest
 from flowcbr.harness import OOD_LABEL, PENDING_LABEL, combined_label
 from flowcbr.index import NNIndex
+from flowcbr.synth import default_templates, synth_generate
 
 MIN_IMPROVEMENT = 1e-12
 
@@ -68,18 +74,20 @@ def ref_best_split(X, codes, positions, n_classes, msl):
 def test_best_split_matches_reference_on_candidate_subset(seed, n, d, n_classes,
                                                           n_values, msl, data):
     """The vectorized search over a random candidate subset equals the
-    exhaustive reference run on those slots alone. Few distinct values
-    (n_values) make tied split points, None draws continuous values;
-    duplicated columns make slots tie, mirrored codes make split points of
-    one slot tie; constant columns and large min_samples_leaf leave slots,
-    or the whole node, without a valid split."""
+    exhaustive reference run on those slots alone. Positions are drawn with
+    replacement, as a bootstrap draws them, so rows come with multiplicities.
+    Few distinct values (n_values) make tied split points, None draws
+    continuous values; duplicated columns make slots tie, mirrored codes
+    make split points of one slot tie; constant columns, large
+    min_samples_leaf and a draw of one row leave slots, or the whole node,
+    without a valid split."""
     rng = np.random.default_rng(seed)
     if n_values is None:
         X = rng.normal(size=(n, d))
     else:
         X = rng.integers(0, n_values, size=(n, d)) * 0.5
     codes = rng.integers(0, n_classes, size=n)
-    positions = np.sort(rng.choice(n, size=data.draw(st.integers(2, n)), replace=False))
+    positions = rng.choice(n, size=data.draw(st.integers(2, n)), replace=True)
     kind = data.draw(st.sampled_from(["plain", "duplicate", "constant", "mirror"]))
     if kind == "duplicate" and d > 1:
         X[:, rng.integers(d, size=d)] = X[:, [rng.integers(d)]]
@@ -92,8 +100,9 @@ def test_best_split_matches_reference_on_candidate_subset(seed, n, d, n_classes,
     m = data.draw(st.integers(min_value=1, max_value=d))
     candidates = np.sort(rng.choice(d, size=m, replace=False))
     counts = np.bincount(codes[positions], minlength=n_classes)
+    order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
 
-    got = forest_mod._best_split(X, codes, positions, candidates, counts, msl)
+    got = forest_mod._best_split(X, codes, order, positions, candidates, counts, msl)
     want = ref_best_split(X[:, candidates], codes, positions, n_classes, msl)
     if want is None:
         assert got is None
@@ -338,10 +347,83 @@ def test_training_validation_errors():
         train_forest(np.zeros((0, 3)), [], ForestConfig())
     with pytest.raises(ValueError, match="features_per_split"):
         train_forest(X, ["a", "a", "b", "b"], ForestConfig(features_per_split=9))
+    with pytest.raises(ValueError, match="4 labels, 6 rows"):
+        train_forest(np.zeros((6, 3)), ["a", "b"] * 2, ForestConfig())
+    with pytest.raises(ValueError, match="8 labels, 6 rows"):
+        train_forest(np.zeros((6, 3)), ["a", "b"] * 4, ForestConfig())
     with pytest.raises(ValueError):
         ForestConfig(n_trees=0)
     with pytest.raises(ValueError):
         ForestConfig(min_samples_leaf=0)
+
+
+# Tie-heavy grids: a case draws its cells from a few of these, so slots tie
+# within and across rows, ±0.0 tie with each other, NaN never splits, and
+# the midpoint of two distinct values near ±1.8e308 overflows. +inf is left
+# out: a split just below it takes the last value of the run beneath as its
+# threshold, and in a run of ±0.0 that zero's sign follows the bootstrap draw
+# order in the oracle but row order here. The split itself is the same.
+GRID = [0.0, -0.0, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, 1.0, -1.0,
+        1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+@st.composite
+def forest_cases(draw):
+    """(X, labels, config) of up to 30 rows, 5 slots and 4 classes."""
+    n, d = draw(st.integers(2, 30)), draw(st.integers(1, 5))
+    pool = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4))
+    X = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * d, max_size=n * d)))
+    codes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+    codes[:2] = [0, 1]
+    config = ForestConfig(n_trees=draw(st.integers(1, 4)), bootstrap=draw(st.booleans()),
+                          min_samples_leaf=draw(st.integers(1, 3)),
+                          max_depth=draw(st.sampled_from([None, 0, 1, 3])),
+                          features_per_split=draw(st.integers(1, d)),
+                          seed=draw(st.integers(0, 2 ** 32 - 1)))
+    return X.reshape(n, d), [f"c{c}" for c in codes], config
+
+
+def saved_bytes(train, X, y, config, path):
+    """The snapshot bytes of ``train``'s forest, or "RecursionError". A
+    midpoint that overflows to -inf makes a split that sends every row
+    right; with every slot a candidate, both builders repeat it until
+    Python's recursion limit."""
+    try:
+        with np.errstate(over="ignore"):  # (lo + hi) / 2 near ±1.8e308
+            train(X, y, config).save(path)
+    except RecursionError:
+        return "RecursionError"
+    return path.read_bytes()
+
+
+ONE_TREE = ForestConfig(n_trees=1, bootstrap=False)
+
+
+@settings(deadline=None)
+@given(forest_cases())
+@example(case=(np.array([[-5e-324], [0.0]]), ["c0", "c1"], ONE_TREE))  # midpoint rounds to hi
+@example(case=(np.array([[1e308], [1.7976931348623157e308]]), ["c0", "c1"], ONE_TREE))
+@example(case=(np.array([[-1.7976931348623157e308], [-1e308], [-1e308], [0.0]]),
+               ["c0", "c1", "c0", "c1"], ONE_TREE))
+def test_forest_saves_the_oracle_bytes(tmp_path_factory, case):
+    out = tmp_path_factory.mktemp("forest")
+    want = saved_bytes(oracle.train_forest, *case, out / "want.json")
+    assert saved_bytes(train_forest, *case, out / "got.json") == want
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_eval_shape_forest_saves_the_oracle_bytes(seed, tmp_path):
+    """The forest ``eval`` trains: 8 classes x 70 normalized rows of 183
+    slots, 100 trees."""
+    flows = synth_generate(default_templates(8), 70, seed=seed)
+    X = extract_matrix(flows)
+    X = fit_normalizer(X).transform(X)
+    y = [f.label for f in flows]
+    config = ForestConfig(n_trees=100, seed=seed)
+    oracle.train_forest(X, y, config).save(tmp_path / "want.json")
+    train_forest(X, y, config).save(tmp_path / "got.json")
+    assert (hashlib.sha256((tmp_path / "got.json").read_bytes()).hexdigest()
+            == hashlib.sha256((tmp_path / "want.json").read_bytes()).hexdigest())
 
 
 def test_predict_batch_requires_matrix():
