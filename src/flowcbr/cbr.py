@@ -126,11 +126,16 @@ def vote(neighbors: list[Neighbor]) -> tuple[str, int]:
     if not neighbors:
         raise ValueError("vote needs at least one neighbor")
     counts = _neighbor_votes(neighbors)
+    winner = _majority(neighbors, counts)
+    return winner, counts[winner]
+
+
+def _majority(neighbors: list[Neighbor], counts: dict[str, int]) -> str:
+    """``vote``'s winner, given the neighbors' label counts."""
     sums: dict[str, float] = {}
     for n in neighbors:
         sums[n.label] = sums.get(n.label, 0.0) + n.distance
-    winner = min(counts, key=lambda lbl: (-counts[lbl], sums[lbl], lbl))
-    return winner, counts[winner]
+    return min(counts, key=lambda lbl: (-counts[lbl], sums[lbl], lbl))
 
 
 def _neighbor_votes(neighbors: list[Neighbor]) -> dict[str, int]:
@@ -155,8 +160,7 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     d1 = neighbors[0].distance
     votes = _neighbor_votes(neighbors)
     if d1 <= th.theta_new:
-        label, _ = vote(neighbors)
-        return Verdict(VerdictKind.KNOWN, label, votes, d1)
+        return Verdict(VerdictKind.KNOWN, _majority(neighbors, votes), votes, d1)
     if d1 > th.theta_ood:
         return Verdict(VerdictKind.OOD, None, votes, d1)
 

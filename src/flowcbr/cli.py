@@ -24,10 +24,10 @@ from pathlib import Path
 from . import flows as flows_mod
 from .cbr import VerdictKind, classify_stream, write_verdicts
 from .features import SCHEMA, extract_matrix, load_matrix_csv, save_matrix_csv
-from .flows import FlowCsvError, PcapFormatError, load_flows_csv, save_flows_csv
+from .flows import InputError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
                       packet_sweep, run_eval)
-from .model import FitError, ModelFormatError, fit_model, load_model, save_model
+from .model import fit_model, load_model, save_model
 from .synth import default_templates, sweep_templates, synth_generate
 
 log = logging.getLogger("flowcbr")
@@ -38,27 +38,36 @@ DEFAULTS = {**dataclasses.asdict(PipelineConfig()),
 SWEEP_DEFAULT_COUNTS = "2,4,6,8,10,15,20,30"
 
 
-class ValidationError(Exception):
-    """Bad inputs or configuration; maps to exit code 2."""
+@contextmanager
+def _input(path: str):
+    """Name ``path`` in front of the InputError raised for what was read
+    from it, and turn a failed read of it, or of a file in it (absent, a
+    directory, no read permission), into an InputError naming that file.
+    An output that cannot be written stays an OSError: a runtime failure."""
+    try:
+        yield
+    except InputError as exc:
+        raise InputError(f"{path}: {exc}") from None
+    except OSError as exc:
+        if exc.filename is not None and not Path(exc.filename).is_relative_to(path):
+            raise
+        raise InputError(f"{exc.filename or path}: {exc.strerror or exc}") from None
 
 
 def _load_config_file(path: str | None) -> dict:
     if path is None:
         return {}
-    try:
-        with open(path) as fh:
-            doc = json.load(fh)
-    except FileNotFoundError:
-        raise ValidationError(f"config file not found: {path}") from None
-    except OSError as exc:
-        raise ValidationError(f"{exc.filename or path}: {exc.strerror or exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ValidationError(f"config file is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ValidationError("config file must hold a JSON object")
-    unknown = sorted(set(doc) - set(DEFAULTS))
-    if unknown:
-        raise ValidationError(f"unknown config keys: {unknown}")
+    with _input(path):
+        try:
+            with open(path) as fh:
+                doc = json.load(fh)
+        except ValueError as exc:  # a file that does not decode too
+            raise InputError(f"not valid JSON: {exc}") from None
+        if not isinstance(doc, dict):
+            raise InputError("must hold a JSON object")
+        unknown = sorted(set(doc) - set(DEFAULTS))
+        if unknown:
+            raise InputError(f"unknown config keys: {unknown}")
     return doc
 
 
@@ -84,7 +93,7 @@ def _quantile(v) -> bool:
 
 # Setting -> (check, what it must be). Range tests are written so NaN fails.
 _CHECKS = {
-    "seed": (_is_int, "an integer"),
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
     "k": (_int_ge_1, "an integer >= 1"),
     "c_min": (_int_ge_1, "an integer >= 1"),
     "n_trees": (_int_ge_1, "an integer >= 1"),
@@ -103,7 +112,7 @@ def _settings(args: argparse.Namespace) -> dict:
     """Resolve effective settings: flags > config file > defaults.
 
     Every merged value is checked for type and range, so a bad flag or
-    config entry is a ValidationError (exit 2), not a failure deep inside
+    config entry is an InputError (exit 2), not a failure deep inside
     the pipeline.
     """
     merged = dict(DEFAULTS)
@@ -114,7 +123,7 @@ def _settings(args: argparse.Namespace) -> dict:
             merged[key] = flag
     for key, (allowed, description) in _CHECKS.items():
         if not allowed(merged[key]):
-            raise ValidationError(f"setting {key}={merged[key]!r} must be {description}")
+            raise InputError(f"setting {key}={merged[key]!r} must be {description}")
     return merged
 
 
@@ -128,103 +137,52 @@ def _out_dir(args: argparse.Namespace) -> Path:
     return out
 
 
-@contextmanager
-def _fitting(path: str):
-    """Report a fit that fails on the training rows read from ``path`` as
-    bad input. The commands that fit write nothing until the fit is done."""
-    try:
-        yield
-    except FitError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
-
-
-@contextmanager
-def _reading(path: str):
-    """Report an input under ``path`` that cannot be read (absent, a
-    directory, no read permission) as bad input, naming the file."""
-    try:
-        yield
-    except OSError as exc:
-        raise ValidationError(f"{exc.filename or path}: {exc.strerror or exc}") from None
-
-
-def _read_flows(path: str, fmt: str, idle_timeout: float) -> list:
-    p = Path(path)
-    if not p.exists():
-        raise ValidationError(f"input not found: {path}")
-    if fmt == "auto":
-        fmt = "csv" if p.suffix.lower() == ".csv" else "pcap"
-    if fmt == "csv":
-        return _read_flow_csv(path)
-    with _reading(path):
-        data = p.read_bytes()
-    result = flows_mod.parse_pcap(data)
+def _read_capture(path: str, idle_timeout: float) -> list:
+    result = flows_mod.parse_pcap(Path(path).read_bytes())
     if result.skipped or result.truncated:
         log.warning("capture: %d frames skipped, %d truncated records",
                     result.skipped, result.truncated)
     return flows_mod.assemble_flows(result.records, idle_timeout=idle_timeout)
 
 
-def _read_flow_csv(path: str, labeled: bool = False) -> list:
-    """load_flows_csv; with ``labeled`` (the commands that train), a file
-    without flows, or with a flow without a label, is bad input too."""
-    with _reading(path):
-        flows = load_flows_csv(path)
-    if not labeled:
-        return flows
-    if not flows:
-        raise ValidationError(f"{path} holds no flows")
-    unlabeled = [f.flow_id for f in flows if not f.label]
-    if unlabeled:
-        raise ValidationError(f"{path}: flow {unlabeled[0]} has no label, and every flow "
-                              "needs one to train and score")
-    return flows
-
-
-def _extract(flows: list, source: str):
-    """extract_matrix, with flows whose features are not finite (such as
-    timestamps too far apart to subtract) as bad input."""
-    try:
-        return extract_matrix(flows)
-    except ValueError as exc:
-        raise ValidationError(f"{source}: {exc}") from None
+def _read_flows(args: argparse.Namespace, s: dict) -> tuple:
+    """(feature rows, flow ids, labels) of the flows in the capture or flow
+    CSV ``args.input``, each cut to ``n_packets``: what load_matrix_csv
+    gives for a features CSV."""
+    fmt = args.format
+    if fmt == "auto":
+        fmt = "csv" if Path(args.input).suffix.lower() == ".csv" else "pcap"
+    with _input(args.input):
+        # The capture's packet columns are freed before extraction.
+        flows = (load_flows_csv(args.input) if fmt == "csv"
+                 else _read_capture(args.input, s["idle_timeout"]))
+        if s["n_packets"] is not None:
+            flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
+        matrix = extract_matrix(flows)
+    return (matrix, [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)],
+            [f.label or "" for f in flows])
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    s = _settings(args)
-    flows = _read_flows(args.input, args.format, s["idle_timeout"])
-    if s["n_packets"] is not None:
-        flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
-    matrix = _extract(flows, args.input)
+    matrix, flow_ids, labels = _read_flows(args, _settings(args))
     out = _out_dir(args) / "features.csv"
-    save_matrix_csv(out, matrix,
-                    [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)],
-                    [f.label or "" for f in flows])
+    save_matrix_csv(out, matrix, flow_ids, labels)
     log.info("wrote %d feature rows to %s", matrix.shape[0], out)
     print(f"{matrix.shape[0]} flows -> {out}")
     return 0
 
 
-def _read_matrix(path: str) -> tuple:
-    """load_matrix_csv, with a malformed file as a ValidationError."""
-    try:
-        with _reading(path):
-            return load_matrix_csv(path)
-    except ValueError as exc:
-        raise ValidationError(f"malformed {path}: {exc}") from None
-
-
 def cmd_index(args: argparse.Namespace) -> int:
     s = _settings(args)
-    matrix, _, labels = _read_matrix(args.features)
-    if matrix.shape[0] == 0:
-        raise ValidationError("cannot index an empty feature matrix")
-    if any(not lbl for lbl in labels):
-        raise ValidationError("indexing needs a label on every row")
-    if matrix.shape[1] != SCHEMA.width:
-        raise ValidationError(f"{args.features} has {matrix.shape[1]} feature columns, "
-                              f"the schema has {SCHEMA.width}")
-    with _fitting(args.features):
+    with _input(args.features):
+        matrix, _, labels = load_matrix_csv(args.features)
+        if matrix.shape[0] == 0:
+            raise InputError("no rows to index")
+        if any(not lbl for lbl in labels):
+            raise InputError("indexing needs a label on every row")
+        if matrix.shape[1] != SCHEMA.width:
+            raise InputError(f"has {matrix.shape[1]} feature columns, "
+                             f"the schema has {SCHEMA.width}")
         model = fit_model(matrix, labels, _pipeline_config(s))
     out = _out_dir(args)
     save_model(out, model)
@@ -235,20 +193,16 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     s = _settings(args)
-    with _reading(args.model):
+    with _input(args.model):
         model = load_model(args.model)
-
     if args.features:
-        matrix, flow_ids, _ = _read_matrix(args.features)
-        if matrix.shape[1] != model.index.dimension:
-            raise ValidationError(f"{args.features} has {matrix.shape[1]} feature columns, "
-                                  f"the model has {model.index.dimension}")
+        with _input(args.features):
+            matrix, flow_ids, _ = load_matrix_csv(args.features)
+            if matrix.shape[1] != model.index.dimension:
+                raise InputError(f"has {matrix.shape[1]} feature columns, "
+                                 f"the model has {model.index.dimension}")
     else:
-        flows = _read_flows(args.input, args.format, s["idle_timeout"])
-        if s["n_packets"] is not None:
-            flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
-        matrix = _extract(flows, args.input)
-        flow_ids = [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)]
+        matrix, flow_ids, _ = _read_flows(args, s)
     Xn = model.normalizer.transform(matrix)
     verdicts = classify_stream(model.index, model.registry, Xn, model.thresholds)
     out = _out_dir(args) / "verdicts.jsonl"
@@ -268,21 +222,18 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    s = _settings(args)
-    flows = _read_flow_csv(args.flows, labeled=True)
-    if args.held_out and args.held_out not in {f.label for f in flows}:
-        raise ValidationError(f"--held-out {args.held_out} is not present in {args.flows}")
-    out = Path(args.out or ".")
+    config, out = _pipeline_config(_settings(args)), Path(args.out or ".")
+    with _input(args.flows):
+        flows = load_flows_csv(args.flows)
+        if args.held_out:
+            report = new_class_protocol(flows, args.held_out, config, out_dir=out)
+        else:
+            report = run_eval(flows, config, out_dir=out)
     if args.held_out:
-        with _fitting(args.flows):
-            report = new_class_protocol(flows, args.held_out, _pipeline_config(s),
-                                        out_dir=out)
         print(f"held-out {args.held_out}: registered as {report.registered_label} "
               f"after {report.samples_consumed} samples, "
               f"recall {report.held_out_recall:.3f} on {report.n_post_registration} later samples")
         return 0
-    with _fitting(args.flows):
-        report = run_eval(flows, _pipeline_config(s), out_dir=out)
     print(f"macro-F1 retrieval {report.metrics_cbr.macro_f1():.3f}, "
           f"forest {report.metrics_forest.macro_f1():.3f}, "
           f"combined {report.metrics_ensemble.macro_f1():.3f} -> {out}")
@@ -291,19 +242,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     s = _settings(args)
-    flows = _read_flow_csv(args.flows, labeled=True)
     try:
         counts = [int(c) for c in args.counts.split(",") if c.strip()]
     except ValueError:
-        raise ValidationError(f"bad --counts value: {args.counts!r}") from None
+        raise InputError(f"bad --counts value: {args.counts!r}") from None
     if not counts:
-        raise ValidationError("--counts must name at least one packet count")
+        raise InputError("--counts must name at least one packet count")
     if counts != sorted(set(counts)):
-        raise ValidationError("--counts must be strictly ascending")
+        raise InputError("--counts must be strictly ascending")
     if counts[0] < 1:
-        raise ValidationError(f"--counts {args.counts} must hold packet counts >= 1")
-    with _fitting(args.flows):
-        points = packet_sweep(flows, counts, _pipeline_config(s),
+        raise InputError(f"--counts {args.counts} must hold packet counts >= 1")
+    with _input(args.flows):
+        points = packet_sweep(load_flows_csv(args.flows), counts, _pipeline_config(s),
                               out_path=Path(args.out or ".") / "sweep.csv")
     plateau = find_plateau(points)
     for p in points:
@@ -315,9 +265,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 def cmd_synth(args: argparse.Namespace) -> int:
     s = _settings(args)
     if not 2 <= args.classes <= 8:
-        raise ValidationError(f"--classes {args.classes} must be in [2, 8]")
+        raise InputError(f"--classes {args.classes} must be in [2, 8]")
     if args.flows_per_class < 1:
-        raise ValidationError(f"--flows-per-class {args.flows_per_class} must be >= 1")
+        raise InputError(f"--flows-per-class {args.flows_per_class} must be >= 1")
     if args.profile == "default":
         templates = default_templates(args.classes)
     else:
@@ -397,8 +347,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FlowCsvError, PcapFormatError, ModelFormatError,
-            FileNotFoundError) as exc:
+    except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # runtime failure

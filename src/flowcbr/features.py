@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import Flow, TcpFlags
+from .flows import Flow, InputError, TcpFlags
 
 SCHEMA_VERSION = "stat183.v1"
 WINDOW_SECONDS = 5.0
@@ -133,7 +133,7 @@ def _batch(flows: list[Flow]) -> _Batch:
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected here
         since = (ts - ts[pos == 0][flow]) / WINDOW_SECONDS
     if not np.isfinite(since).all():
-        raise ValueError("flow timestamps must be finite")
+        raise InputError("flow timestamps must be finite")
     tcp_window = column("tcp_window")
     has_tcp_window = tcp_window >= 0
     return _Batch(
@@ -370,7 +370,9 @@ wavelet_coeffs = _per_flow("wavelet")
 
 
 def extract_matrix(flows: list[Flow]) -> np.ndarray:
-    """Feature vectors of a batch of flows, one row per flow."""
+    """Feature vectors of a batch of flows, one row per flow. Flows whose
+    features are not finite (such as timestamps too far apart to subtract)
+    are an InputError."""
     if not flows:
         return np.zeros((0, SCHEMA.width))
     # Allocated before the group temporaries, so that the result, which
@@ -385,7 +387,7 @@ def extract_matrix(flows: list[Flow]) -> np.ndarray:
             out[:, start:start + width] = _KERNELS[group](batch)
             start += width
     if not np.isfinite(out).all():
-        raise ValueError("feature vector contains non-finite values")
+        raise InputError("feature vector contains non-finite values")
     return out
 
 
@@ -417,7 +419,13 @@ def fit_normalizer(matrix: np.ndarray, schema: FeatureSchema = SCHEMA) -> Normal
         raise ValueError("need a non-empty 2-D matrix to fit a normalizer")
     if matrix.shape[1] != schema.width:
         raise ValueError(f"matrix has {matrix.shape[1]} slots, schema has {schema.width}")
-    return Normalizer(schema.version, matrix.min(axis=0), matrix.max(axis=0))
+    mins, maxs = matrix.min(axis=0), matrix.max(axis=0)
+    with np.errstate(over="ignore"):
+        wide = np.flatnonzero(~np.isfinite(maxs - mins))
+    if wide.size:  # load_model would refuse such a normalizer
+        raise InputError(f"f{wide[0]:03d} spans more than the largest float; "
+                         "min-max scaling needs a finite max - min")
+    return Normalizer(schema.version, mins, maxs)
 
 
 class _Line:
@@ -491,14 +499,14 @@ def _load_rows(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["flow_id", "label"]:
-            raise ValueError("bad feature matrix header")
+            raise InputError("bad feature matrix header")
         width = len(header) - 2
         if [f"f{i:03d}" for i in range(width)] != header[2:]:
-            raise ValueError("bad feature column names")
+            raise InputError("bad feature column names")
         flow_ids, labels, rows = [], [], []
         for row in reader:
             if len(row) != len(header):
-                raise ValueError(f"row for {row[0] if row else '?'} has wrong width")
+                raise InputError(f"row for {row[0] if row else '?'} has wrong width")
             flow_ids.append(row[0])
             labels.append(row[1])
             rows.append([float(v) for v in row[2:]])
@@ -507,7 +515,7 @@ def _load_rows(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
 
 def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
     """Read a feature matrix CSV back as (matrix, flow_ids, labels); a bad
-    header, row or cell (not a finite number) is a ValueError. A file as
+    header, row or cell (not a finite number) is an InputError. A file as
     save_matrix_csv writes it is read in bulk (``_load_bulk``); anything
     else, malformed files included, row by row (``_load_rows``), which
     gives the result or the error of reading any file that way."""
@@ -518,11 +526,11 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
         loaded = None
     try:
         matrix, flow_ids, labels = loaded or _load_rows(path)
-    except csv.Error as exc:
-        raise ValueError(str(exc)) from None
+    except (csv.Error, ValueError) as exc:  # float() and the decoder too
+        raise InputError(str(exc)) from None
     bad = np.argwhere(~np.isfinite(matrix))
     if bad.size:
         r, c = bad[0]
-        raise ValueError(f"row for {flow_ids[r]} has a non-finite f{c:03d} "
+        raise InputError(f"row for {flow_ids[r]} has a non-finite f{c:03d} "
                          f"value {float(matrix[r, c])}")
     return matrix, flow_ids, labels

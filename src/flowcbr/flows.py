@@ -53,12 +53,11 @@ FLOW_CSV_HEADER = [
 ]
 
 
-class PcapFormatError(ValueError):
-    """The capture file cannot be interpreted (bad magic, link type, header)."""
-
-
-class FlowCsvError(ValueError):
-    """A flow CSV file violates the expected schema."""
+class InputError(ValueError):
+    """Outside input that breaks a rule: a malformed capture, flow CSV,
+    features CSV, config or model directory, or rows no model can be fitted
+    to. The message says what is wrong and where inside the input (``row 4``,
+    ``model.json``); the command line puts the file's path in front."""
 
 
 class Protocol(enum.IntEnum):
@@ -92,7 +91,7 @@ def flags_from_token(token: str) -> TcpFlags:
         try:
             flags |= _FLAG_NAMES[part]
         except KeyError:
-            raise FlowCsvError(f"unknown TCP flag token: {part!r}") from None
+            raise InputError(f"unknown TCP flag token: {part!r}") from None
     return flags
 
 
@@ -219,23 +218,23 @@ def parse_pcap(data: bytes) -> PcapParseResult:
 
     Non-IPv4 and non-TCP/UDP frames are skipped and counted. A record header
     promising more bytes than remain stops parsing with ``truncated`` set.
-    Raises PcapFormatError for a bad magic, a nanosecond-resolution capture,
+    Raises InputError for a bad magic, a nanosecond-resolution capture,
     a short global header, or a non-Ethernet link type.
     """
     magic = bytes(data[:4])
     if magic in PCAP_MAGIC_NANO:
-        raise PcapFormatError("nanosecond-resolution captures are not supported")
+        raise InputError("nanosecond-resolution captures are not supported")
     if magic == PCAP_MAGIC_BE:
         endian = ">"
     elif magic == PCAP_MAGIC_LE:
         endian = "<"
     else:
-        raise PcapFormatError(f"not a classic capture file (magic {magic.hex() or 'empty'})")
+        raise InputError(f"not a classic capture file (magic {magic.hex() or 'empty'})")
     if len(data) < 24:
-        raise PcapFormatError("global header truncated")
+        raise InputError("global header truncated")
     (network,) = struct.unpack_from(endian + "I", data, 20)
     if network != LINKTYPE_ETHERNET:
-        raise PcapFormatError(f"unsupported link type {network} (only Ethernet/1)")
+        raise InputError(f"unsupported link type {network} (only Ethernet/1)")
 
     # Each record starts where the one before ends, so this loop reads only
     # the captured lengths; the frames are decoded all at once below.
@@ -425,25 +424,25 @@ def load_flows_csv(path: str | Path) -> list[Flow]:
     """Read flows from the one-packet-per-row CSV schema.
 
     Rows must be grouped by flow_id with ascending packet_index; schema
-    violations raise FlowCsvError naming the offending row.
+    violations raise InputError naming the offending row.
     """
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
             return _read_flow_rows(reader)
         except csv.Error as exc:
-            raise FlowCsvError(f"line {reader.line_num}: {exc}") from None
+            raise InputError(f"line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError as exc:
-            raise FlowCsvError(f"not a text file: {exc}") from None
+            raise InputError(f"not a text file: {exc}") from None
 
 
 def _read_flow_rows(reader) -> list[Flow]:
     try:
         header = next(reader)
     except StopIteration:
-        raise FlowCsvError("empty file: missing header") from None
+        raise InputError("empty file: missing header") from None
     if header != FLOW_CSV_HEADER:
-        raise FlowCsvError(f"bad header: expected {FLOW_CSV_HEADER}, got {header}")
+        raise InputError(f"bad header: expected {FLOW_CSV_HEADER}, got {header}")
 
     # File-wide columns, appended row by row and converted once at the end.
     ts, fwd = array("d"), bytearray()
@@ -459,12 +458,12 @@ def _read_flow_rows(reader) -> list[Flow]:
 
     for row_no, row in enumerate(reader, start=2):
         if len(row) != len(FLOW_CSV_HEADER):
-            raise FlowCsvError(f"row {row_no}: expected {len(FLOW_CSV_HEADER)} columns, got {len(row)}")
+            raise InputError(f"row {row_no}: expected {len(FLOW_CSV_HEADER)} columns, got {len(row)}")
         (flow_id, label, packet_index, direction, timestamp,
          total, payload, flags_token, window_cell) = row
         if flow_id != current_id:
             if flow_id in seen:
-                raise FlowCsvError(f"row {row_no}: flow_id {flow_id!r} rows are not contiguous")
+                raise InputError(f"row {row_no}: flow_id {flow_id!r} rows are not contiguous")
             seen.add(flow_id)
             current_id = flow_id
             current_label = label or None
@@ -473,20 +472,20 @@ def _read_flow_rows(reader) -> list[Flow]:
             starts.append(len(ts))
             last_index = -1
         elif (label or None) != current_label:
-            raise FlowCsvError(f"row {row_no}: label changed within flow {flow_id!r}")
+            raise InputError(f"row {row_no}: label changed within flow {flow_id!r}")
         try:
             idx = int(packet_index)
         except ValueError:
-            raise FlowCsvError(f"row {row_no}: bad packet_index {packet_index!r}") from None
+            raise InputError(f"row {row_no}: bad packet_index {packet_index!r}") from None
         if idx <= last_index:
-            raise FlowCsvError(f"row {row_no}: packet_index not increasing in flow {flow_id!r}")
+            raise InputError(f"row {row_no}: packet_index not increasing in flow {flow_id!r}")
         last_index = idx
         if direction not in _DIRECTION_TOKENS:
-            raise FlowCsvError(f"row {row_no}: unknown direction token {direction!r}")
+            raise InputError(f"row {row_no}: unknown direction token {direction!r}")
         try:
             t = float(timestamp)
             if not math.isfinite(t):
-                raise FlowCsvError(f"row {row_no}: non-finite timestamp {timestamp!r}")
+                raise InputError(f"row {row_no}: non-finite timestamp {timestamp!r}")
             size, data = int(total), int(payload)
             flags = flags_of.get(flags_token)
             if flags is None:
@@ -494,13 +493,13 @@ def _read_flow_rows(reader) -> list[Flow]:
             window = None if window_cell == "" else int(window_cell)
             if not (0 <= size < _CSV_FIELD_LIMIT and 0 <= data < _CSV_FIELD_LIMIT
                     and (window is None or 0 <= window < _CSV_FIELD_LIMIT)):
-                raise FlowCsvError(
+                raise InputError(
                     f"row {row_no}: total_length, payload_length and tcp_window "
                     f"must be in [0, 2**32), got {size}, {data}, {window}")
-        except FlowCsvError:
+        except InputError:
             raise
         except ValueError as exc:
-            raise FlowCsvError(f"row {row_no}: {exc}") from None
+            raise InputError(f"row {row_no}: {exc}") from None
         ts.append(t)
         fwd.append(_DIRECTION_TOKENS[direction])
         total_length.append(size)

@@ -73,9 +73,9 @@ def _best_split(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: 
     if score[j, col] == -np.inf:
         return None
     lo, hi = vals[j, col], vals[j, col + 1]
-    threshold = (lo + hi) / 2.0
-    if threshold >= hi:
-        threshold = float(lo)
+    threshold = (lo + hi) / 2.0  # may round to hi, or overflow to -inf
+    if not lo <= threshold < hi:
+        threshold = lo
     return float(score[j, col]), int(candidates[j]), float(threshold)
 
 
@@ -109,19 +109,15 @@ def _grow(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: np.nda
 def _tree_votes(nodes: list[dict], X: np.ndarray) -> np.ndarray:
     """Per-row class code voted by this tree (leaf majority, first on ties)."""
     out = np.empty(X.shape[0], dtype=np.int64)
-
-    def walk(at: int, idx: np.ndarray) -> None:
-        if idx.size == 0:
-            return
+    stack = [(0, np.arange(X.shape[0]))]  # (node, the rows that reach it)
+    while stack:
+        at, idx = stack.pop()
         node = nodes[at]
         if "counts" in node:
             out[idx] = node["counts"].index(max(node["counts"]))
-            return
-        mask = X[idx, node["slot"]] <= node["value"]
-        walk(node["left"], idx[mask])
-        walk(node["right"], idx[~mask])
-
-    walk(0, np.arange(X.shape[0]))
+        elif idx.size:
+            mask = X[idx, node["slot"]] <= node["value"]
+            stack += [(node["left"], idx[mask]), (node["right"], idx[~mask])]
     return out
 
 

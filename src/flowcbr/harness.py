@@ -18,9 +18,9 @@ from .cbr import (DEFAULT_C_MIN, DEFAULT_K, DEFAULT_OOD_MARGIN, DEFAULT_QUANTILE
                   DEFAULT_QUANTILE_OOD, Thresholds, Verdict, VerdictKind, classify_stream,
                   vote, write_verdicts)
 from .features import extract_matrix
-from .flows import Flow, truncate_flow
+from .flows import Flow, InputError, truncate_flow
 from .forest import DEFAULT_N_TREES, ForestConfig, train_forest
-from .model import FitError, Model, fit_model
+from .model import Model, fit_model
 
 OOD_LABEL = "__ood__"
 PENDING_LABEL = "__pending__"
@@ -140,15 +140,24 @@ class FittedPipeline:
     test_ids: list[str]
 
 
+def _labels(flows: list[Flow]) -> list[str]:
+    """The flows' labels; training and scoring need flows, each with a label."""
+    if not flows:
+        raise InputError("no flows to train on")
+    for f in flows:
+        if not f.label:
+            raise InputError(f"flow {f.flow_id} has no label, and every flow needs one "
+                             "to train and score")
+    return [f.label for f in flows]
+
+
 def _split_rows(flows: list[Flow], config: PipelineConfig
                 ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
     """(raw feature rows, labels, train indices, test indices) of the flows
-    cut to ``config.n_packets``; every flow needs a label."""
+    cut to ``config.n_packets``."""
+    labels = _labels(flows)
     if config.n_packets is not None:
         flows = [truncate_flow(f, config.n_packets) for f in flows]
-    labels = [f.label or "" for f in flows]
-    if any(not lbl for lbl in labels):
-        raise ValueError("every flow needs a label for evaluation")
     return (extract_matrix(flows), labels,
             *stratified_split(labels, config.train_fraction, config.seed))
 
@@ -158,7 +167,7 @@ def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
     X, labels, train_idx, test_idx = _split_rows(flows, config)
     model = fit_model(X[train_idx], [labels[i] for i in train_idx], config)
     if not test_idx.size:
-        raise FitError(f"train_fraction {config.train_fraction} leaves no test rows")
+        raise InputError(f"train_fraction {config.train_fraction} leaves no test rows")
     return FittedPipeline(model=model, X_test=model.normalizer.transform(X[test_idx]),
                           y_test=[labels[i] for i in test_idx],
                           test_ids=[flows[i].flow_id or f"t{i}" for i in test_idx])
@@ -204,7 +213,7 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
     model = fitted.model
     class_set = sorted(set(model.labels))
     if len(class_set) < 2:
-        raise FitError(f"the forest needs two classes to train on; every row is {class_set[0]}")
+        raise InputError(f"the forest needs two classes to train on; every row is {class_set[0]}")
 
     verdicts = run_cbr_stream(model, fitted.X_test)
     cbr_preds = [verdict_label(v) for v in verdicts]
@@ -333,11 +342,11 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     report compares pre-existing-class F1 across the two passes and measures
     recall on held-out samples that arrive after registration.
     """
-    labels = {f.label for f in flows}
+    labels = set(_labels(flows))
     if held_out_class not in labels:
-        raise ValueError(f"class {held_out_class!r} not present")
+        raise InputError(f"held-out class {held_out_class!r} is not present")
     if labels == {held_out_class}:
-        raise FitError(f"every flow is {held_out_class}, so holding it out leaves "
+        raise InputError(f"every flow is {held_out_class}, so holding it out leaves "
                        f"no rows to train on")
     fitted = fit_pipeline([f for f in flows if f.label != held_out_class], config)
     model = fitted.model
@@ -345,7 +354,7 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     X_held, _, _, held_test = _split_rows([f for f in flows if f.label == held_out_class],
                                           config)
     if not held_test.size:
-        raise FitError(f"train_fraction {config.train_fraction} leaves no test rows "
+        raise InputError(f"train_fraction {config.train_fraction} leaves no test rows "
                        f"of the held-out class {held_out_class}")
     class_set = sorted(set(model.labels))
 

@@ -25,6 +25,7 @@ import numpy as np
 
 from .cbr import ClassRegistry, Thresholds, calibrate_thresholds
 from .features import SCHEMA, FeatureSchema, Normalizer, fit_normalizer
+from .flows import InputError
 from .index import NNIndex
 
 if TYPE_CHECKING:
@@ -37,14 +38,6 @@ FORMAT_VERSION = 2
 OLD_LAYOUT = ("mask.json", "index.json", "normalizer.json", "thresholds.json",
               "registry.json")
 REBUILD = "rebuild the model with the index command"
-
-
-class ModelFormatError(ValueError):
-    """A model directory that is missing, malformed, or in an old layout."""
-
-
-class FitError(ValueError):
-    """Training rows that no model can be fitted to."""
 
 
 @dataclass
@@ -66,9 +59,9 @@ class Model:
 def fit_model(X: np.ndarray, labels: list[str], config: PipelineConfig) -> Model:
     """Fit the normalizer on X, then index and calibrate the normalized rows.
     Calibration needs a class with two rows and gives finite thresholds;
-    anything else is a FitError."""
+    anything else is an InputError."""
     if len(set(labels)) == len(labels):
-        raise FitError("every class has one row to train on; calibrating the thresholds "
+        raise InputError("every class has one row to train on; calibrating the thresholds "
                        "needs a class with at least two")
     normalizer = fit_normalizer(X)
     vectors = normalizer.transform(X)
@@ -78,7 +71,7 @@ def fit_model(X: np.ndarray, labels: list[str], config: PipelineConfig) -> Model
             quantile_ood=config.quantile_ood, ood_margin=config.ood_margin, k=config.k,
             c_min=config.c_min, r_cohesion=config.r_cohesion)
     except ValueError as exc:
-        raise FitError(f"the settings give unusable thresholds: {exc}") from None
+        raise InputError(f"the settings give unusable thresholds: {exc}") from None
     return Model(normalizer, thresholds, vectors, list(labels))
 
 
@@ -102,15 +95,16 @@ def save_model(directory: str | Path, model: Model) -> None:
 
 def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
     """Read a model directory, checking every part against ``schema`` before
-    returning; every fault is a ``ModelFormatError`` naming the file."""
+    returning; every fault is an ``InputError`` naming the file in it."""
     d = Path(directory)
     doc_path, vectors_path = d / "model.json", d / "vectors.npy"
     old = [d / name for name in OLD_LAYOUT if (d / name).exists()]
     if old and (old[0].name == "mask.json" or not doc_path.exists()):
-        raise ModelFormatError(f"{old[0]} is from an old model layout, which no longer "
-                               f"loads; {REBUILD} into an empty directory")
-    if not doc_path.exists():
-        raise ModelFormatError(f"model directory {d} is missing model.json")
+        raise InputError(f"{old[0].name} is from an old model layout, which no longer "
+                         f"loads; {REBUILD} into an empty directory")
+    for part in (doc_path, vectors_path):
+        if not part.exists():
+            raise InputError(f"missing {part.name}")
     try:
         doc = json.loads(doc_path.read_bytes())
         for key, want in (("format_version", FORMAT_VERSION), ("schema_version", schema.version)):
@@ -132,19 +126,19 @@ def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
                 and all(isinstance(lbl, str) and lbl for lbl in labels)):
             raise ValueError(f"labels must be {rows!r} non-empty strings, one per row")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"malformed {doc_path}: {exc!r}") from None
+        raise InputError(f"malformed model.json: {exc!r}") from None
     data = vectors_path.read_bytes()
     if hashlib.sha256(data).hexdigest() != sha256:
-        raise ModelFormatError(f"{vectors_path} does not match the sha256 in {doc_path}, "
-                               f"as after an interrupted write; {REBUILD}")
+        raise InputError("vectors.npy does not match the sha256 in model.json, "
+                         f"as after an interrupted write; {REBUILD}")
     try:
         vectors = np.load(io.BytesIO(data), allow_pickle=False)
     except (ValueError, EOFError) as exc:
-        raise ModelFormatError(f"malformed {vectors_path}: {exc}") from None
+        raise InputError(f"malformed vectors.npy: {exc}") from None
     if vectors.dtype != np.float64 or vectors.shape != (rows, schema.width):
-        raise ModelFormatError(f"{vectors_path} holds {vectors.dtype} {vectors.shape}, "
-                               f"expected float64 {(rows, schema.width)}")
+        raise InputError(f"vectors.npy holds {vectors.dtype} {vectors.shape}, "
+                         f"expected float64 {(rows, schema.width)}")
     if not np.isfinite(vectors).all():
-        raise ModelFormatError(f"{vectors_path} holds non-finite values")
+        raise InputError("vectors.npy holds non-finite values")
     return Model(Normalizer(schema.version, mins, maxs), thresholds,
                  np.ascontiguousarray(vectors), labels)

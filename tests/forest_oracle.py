@@ -49,9 +49,9 @@ def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
     if slot_best[j] == -np.inf:
         return None
     lo, hi = sorted_vals[j, cols[j]], sorted_vals[j, cols[j] + 1]
-    threshold = (lo + hi) / 2.0
-    if threshold >= hi:
-        threshold = float(lo)
+    threshold = (lo + hi) / 2.0  # may round to hi, or overflow to -inf
+    if not lo <= threshold < hi:
+        threshold = lo
     return float(slot_best[j]), int(candidates[j]), float(threshold)
 
 

@@ -28,7 +28,7 @@ from flowcbr.flows import (
     Flow,
     FlowKey,
     FlowPacket,
-    PcapFormatError,
+    InputError,
     Protocol,
     TcpFlags,
 )
@@ -73,23 +73,23 @@ def parse_pcap(data: bytes) -> PcapParseResult:
 
     Non-IPv4 and non-TCP/UDP frames are skipped and counted. A record header
     promising more bytes than remain stops parsing with ``truncated`` set.
-    Raises PcapFormatError for a bad magic, a nanosecond-resolution capture,
+    Raises InputError for a bad magic, a nanosecond-resolution capture,
     a short global header, or a non-Ethernet link type.
     """
     magic = bytes(data[:4])
     if magic in PCAP_MAGIC_NANO:
-        raise PcapFormatError("nanosecond-resolution captures are not supported")
+        raise InputError("nanosecond-resolution captures are not supported")
     if magic == PCAP_MAGIC_BE:
         endian = ">"
     elif magic == PCAP_MAGIC_LE:
         endian = "<"
     else:
-        raise PcapFormatError(f"not a classic capture file (magic {magic.hex() or 'empty'})")
+        raise InputError(f"not a classic capture file (magic {magic.hex() or 'empty'})")
     if len(data) < 24:
-        raise PcapFormatError("global header truncated")
+        raise InputError("global header truncated")
     _, _, _, _, _, _, network = struct.unpack(endian + "IHHiIII", data[:24])
     if network != LINKTYPE_ETHERNET:
-        raise PcapFormatError(f"unsupported link type {network} (only Ethernet/1)")
+        raise InputError(f"unsupported link type {network} (only Ethernet/1)")
 
     result = PcapParseResult(records=[])
     offset = 24

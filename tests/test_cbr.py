@@ -127,6 +127,23 @@ def test_known_verdict_carries_vote_and_votes_dict():
     assert verdict.votes == {"base": 1}
 
 
+def test_classify_tallies_a_known_row_once(monkeypatch):
+    """Each row's neighbor labels are counted once, and a Known row still
+    gets vote's label, tie rule included."""
+    rng = np.random.default_rng(0)
+    index = NNIndex(rng.integers(0, 3, size=(40, 2)).astype(float),
+                    [f"c{i % 3}" for i in range(40)])
+    queries = rng.integers(0, 3, size=(25, 2)).astype(float)
+    th = Thresholds(theta_new=10.0, theta_ood=20.0, k=4)
+    tally, calls = cbr_mod._neighbor_votes, []
+    monkeypatch.setattr(cbr_mod, "_neighbor_votes",
+                        lambda neighbors: calls.append(1) or tally(neighbors))
+    verdicts = classify_stream(index, ClassRegistry(), queries, th)
+    assert len(calls) == 25
+    assert all(v.kind is VerdictKind.KNOWN for v in verdicts)
+    assert [v.label for v in verdicts] == [vote(n)[0] for n in index.knn(queries, th.k)]
+
+
 def test_ood_is_never_buffered():
     index, registry, th = one_point_setup()
     for x in (5.0, 6.0, 7.0, 8.0, 9.0):

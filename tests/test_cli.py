@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 
 import flowcbr
 from flowcbr.cli import DEFAULTS, main
-from flowcbr.features import load_matrix_csv, save_matrix_csv
+from flowcbr.features import extract_matrix, load_matrix_csv, save_matrix_csv
 from flowcbr.flows import FLOW_CSV_HEADER, load_flows_csv, save_flows_csv, truncate_flow
+from flowcbr.model import load_model
 from flowcbr.synth import default_templates, synth_generate
 
 
@@ -101,7 +102,18 @@ def test_index_rejects_unlabeled_rows(tmp_path, capsys):
     path = tmp_path / "f.csv"
     save_matrix_csv(path, np.zeros((2, 183)), ["a", "b"], ["x", ""])
     assert run("--out", str(tmp_path / "m"), "index", str(path)) == 2
-    assert "label" in capsys.readouterr().err
+    assert f"error: {path}: indexing needs a label on every row" in capsys.readouterr().err
+
+
+def test_index_rejects_a_slot_range_that_overflows(tmp_path, capsys):
+    """A slot whose max - min overflows cannot be min-max scaled."""
+    path = tmp_path / "f.csv"
+    X = np.zeros((4, 183))
+    X[0, 5], X[1, 5] = 1.7e308, -1.7e308
+    save_matrix_csv(path, X, list("abcd"), ["x", "x", "y", "y"])
+    assert run("--out", str(tmp_path / "m"), "index", str(path)) == 2
+    assert f"error: {path}: f005 spans more than the largest float" in capsys.readouterr().err
+    assert not (tmp_path / "m").exists()
 
 
 def test_eval_writes_reports(tmp_path, capsys):
@@ -134,14 +146,14 @@ def test_sweep_rejects_bad_counts(flows_csv, capsys):
 
 def test_missing_input_exits_two(tmp_path, capsys):
     assert run("--out", str(tmp_path), "extract", str(tmp_path / "nope.csv")) == 2
-    assert "not found" in capsys.readouterr().err
+    assert f"error: {tmp_path / 'nope.csv'}: No such file or directory" in capsys.readouterr().err
 
 
 def test_model_dir_missing_piece_exits_two(tmp_path, capsys):
     (tmp_path / "model").mkdir()
     assert run("classify", str(tmp_path / "model"),
                "--features", "whatever.csv") == 2
-    assert "missing" in capsys.readouterr().err
+    assert f"error: {tmp_path / 'model'}: missing model.json" in capsys.readouterr().err
 
 
 def test_config_file_settings_apply(tmp_path):
@@ -172,18 +184,21 @@ def test_flags_beat_config_file(tmp_path):
     ('{"k": 5, "bogus": 1}', "unknown config keys"),
     ("[1, 2]", "JSON object"),
     ("{not json", "not valid JSON"),
+    (b"\xff{", "not valid JSON: 'utf-8' codec can't decode byte 0xff"),
 ])
 def test_config_file_rejections(tmp_path, capsys, content, fragment):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(content)
+    cfg.write_bytes(content if isinstance(content, bytes) else content.encode())
     assert run("--config", str(cfg), "--out", str(tmp_path / "out"),
                "synth", "--classes", "2", "--flows-per-class", "1") == 2
-    assert fragment in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {cfg}: ") and fragment in err
 
 
 def test_config_file_missing(tmp_path, capsys):
     assert run("--config", str(tmp_path / "nope.json"), "synth") == 2
-    assert "config file not found" in capsys.readouterr().err
+    assert (f"error: {tmp_path / 'nope.json'}: No such file or directory"
+            in capsys.readouterr().err)
 
 
 @pytest.fixture(scope="module")
@@ -217,6 +232,8 @@ def data_dir(tmp_path_factory):
     (["index", "{features}"], {"train_fraction": 0}, "train_fraction"),
     (["index", "{features}"], {"idle_timeout": -1}, "idle_timeout"),
     (["index", "{features}"], {"n_packets": 2.5}, "n_packets"),
+    (["--seed", "-1", "eval", "{flows}"], None, "seed"),
+    (["--seed", "-1", "synth"], None, "seed"),
 ])
 def test_bad_settings_exit_two(data_dir, tmp_path, capsys, argv, config, key):
     argv = [a.format(flows=data_dir / "flows.csv", features=data_dir / "features.csv")
@@ -233,7 +250,7 @@ def test_bad_settings_exit_two(data_dir, tmp_path, capsys, argv, config, key):
     if key in DEFAULTS:
         assert f"error: setting {key}=" in err
     else:
-        assert f"error: unknown config keys: ['{key}']" in err
+        assert f"error: {tmp_path / 'cfg.json'}: unknown config keys: ['{key}']" in err
     assert "Traceback" not in err
 
 
@@ -295,12 +312,13 @@ _SINGLETONS = ": every class has one row to train on"
 _NO_TEST = ": train_fraction 0.99 leaves no test rows"
 _C_MIN = (": the settings give unusable thresholds: c_min must be >= 1 and <= 1000, "
           "the pending buffer's capacity")
+_NO_FLOWS = ": no flows to train on"
 _UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to train and score"
 
 
 @pytest.mark.parametrize("argv,fragment", [
-    pytest.param(["eval", "{flows}", "--held-out", "nope"], "--held-out nope is not present",
-                 id="held-out"),
+    pytest.param(["eval", "{flows}", "--held-out", "nope"],
+                 "{flows}: held-out class 'nope' is not present", id="held-out"),
     pytest.param(["sweep", "{flows}", "--counts", "0,2"],
                  "--counts 0,2 must hold packet counts >= 1", id="counts"),
     pytest.param(["index", "{singletons}/features.csv"], "{singletons}/features.csv" + _SINGLETONS,
@@ -313,10 +331,10 @@ _UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to trai
                  id="sweep-singletons"),
     pytest.param(["index", "{features}", "--c-min", "1001"], "{features}" + _C_MIN,
                  id="index-c-min"),
-    pytest.param(["eval", "{empty}"], "{empty} holds no flows", id="eval-empty"),
-    pytest.param(["eval", "{empty}", "--held-out", "class-a"], "{empty} holds no flows",
+    pytest.param(["eval", "{empty}"], "{empty}" + _NO_FLOWS, id="eval-empty"),
+    pytest.param(["eval", "{empty}", "--held-out", "class-a"], "{empty}" + _NO_FLOWS,
                  id="held-out-empty"),
-    pytest.param(["sweep", "{empty}"], "{empty} holds no flows", id="sweep-empty"),
+    pytest.param(["sweep", "{empty}"], "{empty}" + _NO_FLOWS, id="sweep-empty"),
     pytest.param(["eval", "{flows}", "--train-fraction", "0.99"], "{flows}" + _NO_TEST,
                  id="eval-no-test-rows"),
     pytest.param(["--config", "{config}", "sweep", "{flows}"], "{flows}" + _NO_TEST,
@@ -382,6 +400,18 @@ def model_dir(data_dir, tmp_path):
     model = tmp_path / "model"
     assert run("--out", str(model), "index", str(data_dir / "features.csv")) == 0
     return model
+
+
+def test_k_above_the_index_size_is_valid(data_dir, tmp_path):
+    """A k above the row count is a valid setting: each k-NN returns every
+    row of the index, so each vote counts all 12."""
+    model, out = tmp_path / "model", tmp_path / "v"
+    assert run("--out", str(model), "index", str(data_dir / "features.csv"), "--k", "5000") == 0
+    assert run("--out", str(out), "classify", str(model),
+               "--features", str(data_dir / "features.csv")) == 0
+    verdicts = [json.loads(line) for line in (out / "verdicts.jsonl").read_text().splitlines()]
+    assert len(verdicts) == 12
+    assert all(sum(v["votes"].values()) == 12 for v in verdicts)
 
 
 def test_index_twice_writes_identical_model_dirs(data_dir, tmp_path):
@@ -487,7 +517,7 @@ _BAD_INPUTS = {
                        _replace_vectors(lambda v: _npy(v[::-1]), record_sha=False),
                        "does not match the sha256 in"),
     "vectors-missing": ("vectors.npy", lambda model: (model / "vectors.npy").unlink(),
-                        "No such file or directory"),
+                        "missing vectors.npy"),
     "features": ("features.csv", _NARROW_HEADER, "has 178 feature columns, the model has 183"),
     "features-cell": ("features.csv", _last_cell("oops"),
                       "could not convert string to float: 'oops'"),
@@ -516,7 +546,8 @@ def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys,
     assert run("--out", str(tmp_path / "v"), "classify", str(model_dir),
                "--features", str(features)) == 2
     err = capsys.readouterr().err
-    assert "error: " in err and name in err and fragment in err
+    source = features if name == "features.csv" else model_dir
+    assert err.startswith(f"error: {source}: ") and name in err and fragment in err
     assert "Traceback" not in err
     assert not (tmp_path / "v").exists()
 
@@ -540,7 +571,7 @@ def test_index_malformed_features_exit_two(tmp_path, capsys, width, cell, fragme
     path.write_text("\n".join(",".join(r) for r in [header] + rows) + "\n")
     assert run("--out", str(tmp_path / "model"), "index", str(path)) == 2
     err = capsys.readouterr().err
-    assert "error: " in err and str(path) in err and fragment in err
+    assert err.startswith(f"error: {path}: ") and fragment in err
     assert "Traceback" not in err
     assert not (tmp_path / "model").exists()
 
@@ -556,7 +587,7 @@ def test_non_finite_timestamp_exits_two(data_dir, tmp_path, capsys, command, sta
     path.write_text("\n".join(lines) + "\n")
     assert run("--out", str(tmp_path / "out"), command, str(path)) == 2
     err = capsys.readouterr().err
-    assert f"error: row 6: non-finite timestamp '{stamp}'" in err
+    assert f"error: {path}: row 6: non-finite timestamp '{stamp}'" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
@@ -636,6 +667,15 @@ def test_unreadable_input_exits_two(model_dir, tmp_path, capsys, argv):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["extract", "eval", "sweep"])
+def test_unwritable_output_is_a_runtime_failure(data_dir, tmp_path, capsys, command):
+    """An --out that names a file is no input fault: exit 1, not 2."""
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert run("--out", str(out), command, str(data_dir / "flows.csv")) == 1
+    assert f"error: [Errno 17] File exists: '{out}'" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("stamps,fragment", [
     (["-1e308", "1e308"], "flow timestamps must be finite"),
     (["-8e307", "8e307"] * 9, "feature vector contains non-finite values"),
@@ -676,6 +716,16 @@ def _tiny_flow_csv() -> str:
     with tempfile.TemporaryDirectory() as d:
         save_flows_csv(flows, Path(d) / "flows.csv")
         return (Path(d) / "flows.csv").read_text()
+
+
+@functools.cache
+def _tiny_features_csv() -> str:
+    """The features of two flows of each of two classes, as extract writes them."""
+    flows = [truncate_flow(f, 4) for f in synth_generate(default_templates(2), 2, seed=2)]
+    with tempfile.TemporaryDirectory() as d:
+        save_matrix_csv(Path(d) / "features.csv", extract_matrix(flows),
+                        [f.flow_id for f in flows], [f.label for f in flows])
+        return (Path(d) / "features.csv").read_bytes().decode()
 
 
 @st.composite
@@ -721,17 +771,50 @@ def mutated_flow_csv(draw):
     return text.encode()
 
 
-def _extract_exits_cleanly(name: str, data: bytes) -> None:
+@st.composite
+def mutated_features_csv(draw):
+    """The tiny features CSV with cells (header, ids and labels among them)
+    replaced, then bits flipped, spans cut and bytes inserted."""
+    lines = _tiny_features_csv().split("\r\n")
+    cells = st.one_of(
+        st.sampled_from(["", " 1", "nan", "-inf", "1e400", "1.7e308", "-1.7e308", "5e-324",
+                         "1_0", "0x1", '"2"', "#", "class-a", "f000"]),
+        st.floats().map(repr), st.text(max_size=4))
+    for _ in range(draw(st.integers(0, 3))):
+        r = draw(st.integers(0, len(lines) - 1))
+        row = lines[r].split(",")
+        row[draw(st.integers(0, len(row) - 1))] = draw(cells)
+        lines[r] = ",".join(row)
+    data = bytearray("\r\n".join(lines).encode())
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["flip", "cut", "insert"]))
+        i = draw(st.integers(0, len(data)))
+        if kind == "flip" and i < len(data):
+            data[i] ^= 1 << draw(st.integers(0, 7))
+        elif kind == "cut":
+            del data[i:draw(st.integers(i, len(data)))]
+        else:
+            data[i:i] = draw(st.binary(min_size=1, max_size=4))
+    return bytes(data)
+
+
+def _exits_cleanly(command: str, name: str, data: bytes, written: str,
+                   check=lambda out: None) -> None:
+    """Run ``command`` on ``data`` saved as ``name``. It must write
+    ``written`` and pass ``check`` on the output directory (exit 0), or
+    print an error line that names the file and write nothing (exit 2)."""
     with tempfile.TemporaryDirectory() as d:
         path, out, err = Path(d) / name, Path(d) / "out", io.StringIO()
         path.write_bytes(data)
         with contextlib.redirect_stderr(err):
-            rc = run("--out", str(out), "extract", str(path))
+            rc = run("--out", str(out), command, str(path))
         assert rc in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
-        assert (out / "features.csv").exists() == (rc == 0)
-        if rc == 2:
-            assert err.getvalue().startswith("error: ")
+        assert (out / written).exists() == (rc == 0)
+        if rc == 0:
+            check(out)
+        else:
+            assert err.getvalue().startswith(f"error: {path}: ")
 
 
 @settings(deadline=None)
@@ -739,7 +822,7 @@ def _extract_exits_cleanly(name: str, data: bytes) -> None:
 def test_extract_survives_corrupted_pcap(data):
     """Corrupted capture bytes give features (exit 0) or an error line
     (exit 2), never a crash, and no features.csv on exit 2."""
-    _extract_exits_cleanly("capture.pcap", data)
+    _exits_cleanly("extract", "capture.pcap", data, "features.csv")
 
 
 @settings(deadline=None)
@@ -747,7 +830,16 @@ def test_extract_survives_corrupted_pcap(data):
 def test_extract_survives_mutated_flow_csv(data):
     """Mutated flow CSV text gives features (exit 0) or an error line
     (exit 2), never a crash, and no features.csv on exit 2."""
-    _extract_exits_cleanly("flows.csv", data)
+    _exits_cleanly("extract", "flows.csv", data, "features.csv")
+
+
+@settings(deadline=None)
+@given(mutated_features_csv())
+def test_index_survives_mutated_features_csv(data):
+    """Mutated features CSV bytes and cells give a model that loads (exit 0)
+    or an error line naming the file (exit 2), never a crash, and no
+    model.json on exit 2."""
+    _exits_cleanly("index", "features.csv", data, "model.json", check=load_model)
 
 
 def _run_subprocess(argv, flowcbr_log):

@@ -37,9 +37,9 @@ from flowcbr.features import (
     wavelet_coeffs,
 )
 from flowcbr.cbr import Thresholds
-from flowcbr.flows import Direction, FlowPacket, TcpFlags
+from flowcbr.flows import Direction, FlowPacket, InputError, TcpFlags
 from flowcbr.harness import PipelineConfig
-from flowcbr.model import Model, ModelFormatError, fit_model, load_model, save_model
+from flowcbr.model import Model, fit_model, load_model, save_model
 
 F = Direction.FWD
 B = Direction.BWD
@@ -409,7 +409,7 @@ def test_fit_normalizer_round_trips_through_json(tmp_path):
 def test_normalizer_load_rejects_wrong_version(tmp_path):
     norm = Normalizer("someone.else", np.zeros(183), np.ones(183))
     save_model(tmp_path, Model(norm, Thresholds(1.0, 2.0), np.zeros((1, 183)), ["a"]))
-    with pytest.raises(ModelFormatError, match="schema"):
+    with pytest.raises(InputError, match="schema"):
         load_model(tmp_path)
 
 

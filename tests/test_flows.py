@@ -21,10 +21,9 @@ from flowcbr.flows import (
     FLOW_COLUMNS,
     Direction,
     Flow,
-    FlowCsvError,
     FlowPacket,
     PacketColumns,
-    PcapFormatError,
+    InputError,
     Protocol,
     TcpFlags,
     assemble_flows,
@@ -196,33 +195,33 @@ def test_truncated_record_stops_parsing():
 
 
 def test_bad_magic_rejected():
-    with pytest.raises(PcapFormatError):
+    with pytest.raises(InputError):
         parse_pcap(b"\x00\x01\x02\x03" + b"\x00" * 40)
 
 
 def test_nanosecond_magic_rejected():
     for magic in (b"\xa1\xb2\x3c\x4d", b"\x4d\x3c\xb2\xa1"):
-        with pytest.raises(PcapFormatError):
+        with pytest.raises(InputError):
             parse_pcap(magic + b"\x00" * 40)
 
 
 def test_short_global_header_rejected():
-    with pytest.raises(PcapFormatError):
+    with pytest.raises(InputError):
         parse_pcap(b"\xd4\xc3\xb2\xa1\x00\x00")
 
 
 def test_non_ethernet_link_type_rejected():
-    with pytest.raises(PcapFormatError):
+    with pytest.raises(InputError):
         parse_pcap(pcap([], network=101))
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.binary(max_size=2048))
 def test_parser_total_on_arbitrary_bytes(blob):
-    """Garbage in, PcapFormatError or a result out. Never anything else."""
+    """Garbage in, InputError or a result out. Never anything else."""
     try:
         result = parse_pcap(blob)
-    except PcapFormatError:
+    except InputError:
         return
     assert result.skipped >= 0 and result.truncated >= 0
 
@@ -233,7 +232,7 @@ def test_parser_total_on_corrupted_valid_prefix(tail):
     blob = pcap([(1, 0, tcp_frame())]) + tail
     try:
         parse_pcap(blob)
-    except PcapFormatError:
+    except InputError:
         pass
 
 
@@ -455,7 +454,7 @@ def test_flags_token_round_trip():
     for flags in (TcpFlags.NONE, TcpFlags.SYN, TcpFlags.SYN | TcpFlags.ACK,
                   TcpFlags.FIN | TcpFlags.PSH | TcpFlags.ACK):
         assert flags_from_token(flags_to_token(flags)) == flags
-    with pytest.raises(FlowCsvError):
+    with pytest.raises(InputError):
         flags_from_token("SYN|WAT")
 
 
@@ -495,7 +494,7 @@ def write_rows(path, rows, header=None):
 def test_flow_csv_rejects_bad_header(tmp_path):
     path = tmp_path / "bad.csv"
     write_rows(path, [], header=["a", "b"])
-    with pytest.raises(FlowCsvError, match="header"):
+    with pytest.raises(InputError, match="header"):
         load_flows_csv(path)
 
 
@@ -506,7 +505,7 @@ def test_flow_csv_rejects_split_flow_groups(tmp_path):
         ["f1", "", 0, "out", "2.0", 60, 0, "", ""],
         ["f0", "", 1, "out", "3.0", 60, 0, "", ""],
     ])
-    with pytest.raises(FlowCsvError, match="contiguous"):
+    with pytest.raises(InputError, match="contiguous"):
         load_flows_csv(path)
 
 
@@ -516,7 +515,7 @@ def test_flow_csv_rejects_label_change(tmp_path):
         ["f0", "a", 0, "out", "1.0", 60, 0, "", ""],
         ["f0", "b", 1, "out", "2.0", 60, 0, "", ""],
     ])
-    with pytest.raises(FlowCsvError, match="label"):
+    with pytest.raises(InputError, match="label"):
         load_flows_csv(path)
 
 
@@ -526,14 +525,14 @@ def test_flow_csv_rejects_non_increasing_index(tmp_path):
         ["f0", "", 0, "out", "1.0", 60, 0, "", ""],
         ["f0", "", 0, "in", "2.0", 60, 0, "", ""],
     ])
-    with pytest.raises(FlowCsvError, match="increasing"):
+    with pytest.raises(InputError, match="increasing"):
         load_flows_csv(path)
 
 
 def test_flow_csv_rejects_unknown_direction(tmp_path):
     path = tmp_path / "dir.csv"
     write_rows(path, [["f0", "", 0, "sideways", "1.0", 60, 0, "", ""]])
-    with pytest.raises(FlowCsvError, match="direction"):
+    with pytest.raises(InputError, match="direction"):
         load_flows_csv(path)
 
 
@@ -543,7 +542,7 @@ def test_flow_csv_reports_row_numbers(tmp_path):
         ["f0", "", 0, "out", "1.0", 60, 0, "", ""],
         ["f0", "", 1, "out", "not-a-float", 60, 0, "", ""],
     ])
-    with pytest.raises(FlowCsvError, match="row 3"):
+    with pytest.raises(InputError, match="row 3"):
         load_flows_csv(path)
 
 
@@ -554,7 +553,7 @@ def test_flow_csv_rejects_non_finite_timestamps(tmp_path, stamp):
         ["f0", "", 0, "out", "1.0", 60, 0, "", ""],
         ["f0", "", 1, "out", stamp, 60, 0, "", ""],
     ])
-    with pytest.raises(FlowCsvError, match=f"row 3: non-finite timestamp '{stamp}'"):
+    with pytest.raises(InputError, match=f"row 3: non-finite timestamp '{stamp}'"):
         load_flows_csv(path)
 
 
@@ -568,7 +567,7 @@ def test_flow_csv_flag_tokens_parse_per_row(tmp_path):
     assert flags == [TcpFlags.SYN, TcpFlags.ACK, TcpFlags.SYN, TcpFlags.NONE,
                      TcpFlags.PSH | TcpFlags.ACK, TcpFlags.ACK]
     write_rows(path, rows + [["f0", "", 9, "out", "9.0", 60, 0, "ACK|URG", ""]])
-    with pytest.raises(FlowCsvError, match="unknown TCP flag token: 'URG'"):
+    with pytest.raises(InputError, match="unknown TCP flag token: 'URG'"):
         load_flows_csv(path)
 
 
@@ -577,11 +576,11 @@ def test_flow_csv_reader_errors_are_flow_csv_errors(tmp_path):
     bytes that are not text are schema errors, not crashes."""
     path = tmp_path / "long.csv"
     write_rows(path, [["f" * 200_000, "", 0, "out", "1.0", 60, 0, "", ""]])
-    with pytest.raises(FlowCsvError, match="line 2: field larger than field limit"):
+    with pytest.raises(InputError, match="line 2: field larger than field limit"):
         load_flows_csv(path)
     write_rows(path, [])
     path.write_bytes(path.read_bytes() + b"f0,,0,out,1.0,60,0,,\xff\n")
-    with pytest.raises(FlowCsvError, match="not a text file"):
+    with pytest.raises(InputError, match="not a text file"):
         load_flows_csv(path)
 
 
@@ -592,5 +591,5 @@ def test_flow_csv_rejects_out_of_range_integers(tmp_path, field, value):
     row[field] = value
     path = tmp_path / "range.csv"
     write_rows(path, [["f0", "", 0, "out", "0.5", 60, 0, "", ""], row])
-    with pytest.raises(FlowCsvError, match=r"row 3: .* must be in \[0, 2\*\*32\)"):
+    with pytest.raises(InputError, match=r"row 3: .* must be in \[0, 2\*\*32\)"):
         load_flows_csv(path)

@@ -7,9 +7,11 @@ forest build as first written, which sorted every node from scratch, is kept
 in ``forest_oracle``; the package must save the same bytes as it.
 """
 
+import gc
 import hashlib
 import json
 import re
+import weakref
 
 import forest_oracle as oracle
 import numpy as np
@@ -384,15 +386,9 @@ def forest_cases(draw):
 
 
 def saved_bytes(train, X, y, config, path):
-    """The snapshot bytes of ``train``'s forest, or "RecursionError". A
-    midpoint that overflows to -inf makes a split that sends every row
-    right; with every slot a candidate, both builders repeat it until
-    Python's recursion limit."""
-    try:
-        with np.errstate(over="ignore"):  # (lo + hi) / 2 near ±1.8e308
-            train(X, y, config).save(path)
-    except RecursionError:
-        return "RecursionError"
+    """The snapshot bytes of ``train``'s forest."""
+    with np.errstate(over="ignore"):  # (lo + hi) / 2 near ±1.8e308
+        train(X, y, config).save(path)
     return path.read_bytes()
 
 
@@ -424,6 +420,23 @@ def test_eval_shape_forest_saves_the_oracle_bytes(seed, tmp_path):
     train_forest(X, y, config).save(tmp_path / "got.json")
     assert (hashlib.sha256((tmp_path / "got.json").read_bytes()).hexdigest()
             == hashlib.sha256((tmp_path / "want.json").read_bytes()).hexdigest())
+
+
+def test_tree_votes_keeps_no_reference_to_its_rows():
+    """Its rows die as soon as the caller drops them, with the cyclic
+    garbage collector off: no reference cycle holds them, so train_forest
+    frees each tree's out-of-bag copy at once."""
+    X, y = blobs(0)
+    tree = train_forest(X, y, ForestConfig(n_trees=1, seed=0)).trees[0]
+    rows = X.copy()
+    alive = weakref.ref(rows)
+    gc.disable()
+    try:
+        forest_mod._tree_votes(tree, rows)
+        del rows
+        assert alive() is None
+    finally:
+        gc.enable()
 
 
 def test_predict_batch_requires_matrix():

@@ -10,6 +10,7 @@ import pytest
 
 from flowcbr.cbr import Verdict, VerdictKind, classify
 from flowcbr.features import extract_matrix, fit_normalizer
+from flowcbr.flows import InputError
 from flowcbr.forest import ForestConfig, train_forest
 from flowcbr.harness import (
     OOD_LABEL,
@@ -187,7 +188,7 @@ def test_fit_pipeline_matches_manual_assembly():
 def test_fit_pipeline_requires_labels():
     flows = flows_small(n_per_class=2)
     flows[0] = dataclasses.replace(flows[0], label=None)
-    with pytest.raises(ValueError, match="label"):
+    with pytest.raises(InputError, match="flow .* has no label"):
         fit_pipeline(flows, PipelineConfig())
 
 
@@ -337,7 +338,7 @@ def test_interleave_matches_the_loop():
 
 def test_new_class_protocol_requires_present_class():
     flows = flows_small(n_per_class=3)
-    with pytest.raises(ValueError, match="not present"):
+    with pytest.raises(InputError, match="held-out class 'nope' is not present"):
         new_class_protocol(flows, "nope", PipelineConfig())
 
 

@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 import flowcbr.index as index_mod
 from flowcbr.cbr import Thresholds
 from flowcbr.features import FeatureSchema, Normalizer
+from flowcbr.flows import InputError
 from flowcbr.index import NNIndex, row_distances
-from flowcbr.model import Model, ModelFormatError, load_model, save_model
+from flowcbr.model import Model, load_model, save_model
 
 
 def reference_knn(vectors, q, k):
@@ -91,7 +92,7 @@ def rebuilt(vectors, labels, backend, tmp_path):
         "entries": [{"id": i, "label": lbl, "vector": v.tolist()}
                     for i, (v, lbl) in enumerate(zip(vectors, labels))],
     }))
-    with pytest.raises(ModelFormatError, match="old model layout, which no longer loads"):
+    with pytest.raises(InputError, match="old model layout, which no longer loads"):
         load_model(old)
     model_dir = tmp_path / "model"
     model_dir.mkdir()
@@ -265,11 +266,11 @@ def test_snapshot_rejects_corrupt_and_mismatched(tmp_path):
     doc = json.loads(good)
 
     (tmp_path / "model.json").write_text("{not json")
-    with pytest.raises(ModelFormatError, match="malformed"):
+    with pytest.raises(InputError, match="malformed"):
         load_model(tmp_path, schema_of(3))
 
     (tmp_path / "model.json").write_text(json.dumps({**doc, "format_version": 99}))
-    with pytest.raises(ModelFormatError, match="format_version 99"):
+    with pytest.raises(InputError, match="format_version 99"):
         load_model(tmp_path, schema_of(3))
 
     (tmp_path / "model.json").write_text(good)
@@ -279,7 +280,7 @@ def test_snapshot_rejects_corrupt_and_mismatched(tmp_path):
     (tmp_path / "vectors.npy").write_bytes(buf.getvalue())
     doc["vectors_sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
     (tmp_path / "model.json").write_text(json.dumps(doc))
-    with pytest.raises(ModelFormatError, match=r"expected float64 \(4, 3\)"):
+    with pytest.raises(InputError, match=r"expected float64 \(4, 3\)"):
         load_model(tmp_path, schema_of(3))
 
 
