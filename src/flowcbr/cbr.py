@@ -12,8 +12,8 @@ from __future__ import annotations
 import copy
 import enum
 import json
+import logging
 import math
-import warnings
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +47,8 @@ class Thresholds:
     r_cohesion: float | None = None
 
     def __post_init__(self) -> None:
+        if type(self.k) is not int or type(self.c_min) is not int:
+            raise ValueError("thresholds k and c_min must be integers")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         # Range tests are written so NaN fails them.
@@ -226,8 +228,8 @@ def _loo_nn_distances(X: np.ndarray, y: list[str] | np.ndarray) -> list[float]:
         index = NNIndex(block, [str(label)] * block.shape[0])
         nn_dists.extend(two[1].distance for two in index.knn(block, 2))
     if skipped:
-        warnings.warn(f"classes with one sample skipped in calibration: {skipped}",
-                      stacklevel=3)
+        logging.getLogger("flowcbr").warning(
+            "classes with one sample skipped in calibration: %s", skipped)
     return nn_dists
 
 

@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import flows as flows_mod
 from .cbr import VerdictKind, classify_stream, write_verdicts
-from .features import SCHEMA, extract_matrix, load_matrix_csv, save_matrix_csv
+from .features import extract_matrix, load_matrix_csv, save_matrix_csv
 from .flows import InputError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
                       packet_sweep, run_eval)
@@ -145,26 +145,23 @@ def _read_capture(path: str, idle_timeout: float) -> list:
     return flows_mod.assemble_flows(result.records, idle_timeout=idle_timeout)
 
 
-def _read_flows(args: argparse.Namespace, s: dict) -> tuple:
-    """(feature rows, flow ids, labels) of the flows in the capture or flow
-    CSV ``args.input``, each cut to ``n_packets``: what load_matrix_csv
-    gives for a features CSV."""
-    fmt = args.format
-    if fmt == "auto":
-        fmt = "csv" if Path(args.input).suffix.lower() == ".csv" else "pcap"
-    with _input(args.input):
-        # The capture's packet columns are freed before extraction.
-        flows = (load_flows_csv(args.input) if fmt == "csv"
-                 else _read_capture(args.input, s["idle_timeout"]))
-        if s["n_packets"] is not None:
-            flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
-        matrix = extract_matrix(flows)
-    return (matrix, [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)],
+def _read_flows(path: str, s: dict) -> tuple:
+    """(feature rows, flow ids, labels) of the flows in ``path``, a flow CSV
+    if it ends in ``.csv`` and a capture otherwise, each cut to
+    ``n_packets``: what load_matrix_csv gives for a features CSV."""
+    # The capture's packet columns are freed before extraction.
+    flows = (load_flows_csv(path) if Path(path).suffix.lower() == ".csv"
+             else _read_capture(path, s["idle_timeout"]))
+    if s["n_packets"] is not None:
+        flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
+    return (extract_matrix(flows), [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)],
             [f.label or "" for f in flows])
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
-    matrix, flow_ids, labels = _read_flows(args, _settings(args))
+    s = _settings(args)
+    with _input(args.input):
+        matrix, flow_ids, labels = _read_flows(args.input, s)
     out = _out_dir(args) / "features.csv"
     save_matrix_csv(out, matrix, flow_ids, labels)
     log.info("wrote %d feature rows to %s", matrix.shape[0], out)
@@ -176,13 +173,6 @@ def cmd_index(args: argparse.Namespace) -> int:
     s = _settings(args)
     with _input(args.features):
         matrix, _, labels = load_matrix_csv(args.features)
-        if matrix.shape[0] == 0:
-            raise InputError("no rows to index")
-        if any(not lbl for lbl in labels):
-            raise InputError("indexing needs a label on every row")
-        if matrix.shape[1] != SCHEMA.width:
-            raise InputError(f"has {matrix.shape[1]} feature columns, "
-                             f"the schema has {SCHEMA.width}")
         model = fit_model(matrix, labels, _pipeline_config(s))
     out = _out_dir(args)
     save_model(out, model)
@@ -195,15 +185,10 @@ def cmd_classify(args: argparse.Namespace) -> int:
     s = _settings(args)
     with _input(args.model):
         model = load_model(args.model)
-    if args.features:
-        with _input(args.features):
-            matrix, flow_ids, _ = load_matrix_csv(args.features)
-            if matrix.shape[1] != model.index.dimension:
-                raise InputError(f"has {matrix.shape[1]} feature columns, "
-                                 f"the model has {model.index.dimension}")
-    else:
-        matrix, flow_ids, _ = _read_flows(args, s)
-    Xn = model.normalizer.transform(matrix)
+    with _input(args.features or args.input):
+        matrix, flow_ids, _ = (load_matrix_csv(args.features) if args.features
+                               else _read_flows(args.input, s))
+        Xn = model.normalizer.transform(matrix)
     verdicts = classify_stream(model.index, model.registry, Xn, model.thresholds)
     out = _out_dir(args) / "verdicts.jsonl"
     write_verdicts(out, list(zip(flow_ids, verdicts)))
@@ -289,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("extract", help="flows in, feature matrix CSV out")
-    p.add_argument("input", help="capture file or flow CSV")
-    p.add_argument("--format", choices=("auto", "pcap", "csv"), default="auto")
+    p.add_argument("input", help="flow CSV (.csv) or capture file (any other suffix)")
     p.add_argument("--n-packets", dest="n_packets", type=int, default=None)
     p.add_argument("--idle-timeout", dest="idle_timeout", type=float, default=None)
     p.set_defaults(func=cmd_extract)
@@ -305,8 +289,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model", help="model directory from the index command")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--features", default=None, help="feature matrix CSV")
-    group.add_argument("--input", default=None, help="capture file or flow CSV")
-    p.add_argument("--format", choices=("auto", "pcap", "csv"), default="auto")
+    group.add_argument("--input", default=None,
+                       help="flow CSV (.csv) or capture file (any other suffix)")
     p.add_argument("--n-packets", dest="n_packets", type=int, default=None)
     p.set_defaults(func=cmd_classify)
 

@@ -406,7 +406,8 @@ class Normalizer:
 
     def transform(self, matrix: np.ndarray) -> np.ndarray:
         if matrix.shape[1] != self.mins.size:
-            raise ValueError(f"matrix has {matrix.shape[1]} slots, normalizer has {self.mins.size}")
+            raise InputError(f"has {matrix.shape[1]} feature columns, "
+                             f"the model has {self.mins.size}")
         span = self.maxs - self.mins
         safe = np.where(span > 0, span, 1.0)
         scaled = (matrix - self.mins) / safe
@@ -415,10 +416,10 @@ class Normalizer:
 
 
 def fit_normalizer(matrix: np.ndarray, schema: FeatureSchema = SCHEMA) -> Normalizer:
-    if matrix.ndim != 2 or matrix.shape[0] == 0:
-        raise ValueError("need a non-empty 2-D matrix to fit a normalizer")
+    if matrix.shape[0] == 0:
+        raise InputError("no rows to index")
     if matrix.shape[1] != schema.width:
-        raise ValueError(f"matrix has {matrix.shape[1]} slots, schema has {schema.width}")
+        raise InputError(f"has {matrix.shape[1]} feature columns, the schema has {schema.width}")
     mins, maxs = matrix.min(axis=0), matrix.max(axis=0)
     with np.errstate(over="ignore"):
         wide = np.flatnonzero(~np.isfinite(maxs - mins))

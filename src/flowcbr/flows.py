@@ -485,7 +485,7 @@ def _read_flow_rows(reader) -> list[Flow]:
         try:
             t = float(timestamp)
             if not math.isfinite(t):
-                raise InputError(f"row {row_no}: non-finite timestamp {timestamp!r}")
+                raise InputError(f"non-finite timestamp {timestamp!r}")
             size, data = int(total), int(payload)
             flags = flags_of.get(flags_token)
             if flags is None:
@@ -493,11 +493,8 @@ def _read_flow_rows(reader) -> list[Flow]:
             window = None if window_cell == "" else int(window_cell)
             if not (0 <= size < _CSV_FIELD_LIMIT and 0 <= data < _CSV_FIELD_LIMIT
                     and (window is None or 0 <= window < _CSV_FIELD_LIMIT)):
-                raise InputError(
-                    f"row {row_no}: total_length, payload_length and tcp_window "
-                    f"must be in [0, 2**32), got {size}, {data}, {window}")
-        except InputError:
-            raise
+                raise InputError("total_length, payload_length and tcp_window must be "
+                                 f"in [0, 2**32), got {size}, {data}, {window}")
         except ValueError as exc:
             raise InputError(f"row {row_no}: {exc}") from None
         ts.append(t)

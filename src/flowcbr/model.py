@@ -58,12 +58,14 @@ class Model:
 
 def fit_model(X: np.ndarray, labels: list[str], config: PipelineConfig) -> Model:
     """Fit the normalizer on X, then index and calibrate the normalized rows.
-    Calibration needs a class with two rows and gives finite thresholds;
-    anything else is an InputError."""
+    Every row needs a label, calibration a class with two rows, and the
+    thresholds must come out finite; anything else is an InputError."""
+    normalizer = fit_normalizer(X)
+    if not all(labels):
+        raise InputError("indexing needs a label on every row")
     if len(set(labels)) == len(labels):
         raise InputError("every class has one row to train on; calibrating the thresholds "
-                       "needs a class with at least two")
-    normalizer = fit_normalizer(X)
+                         "needs a class with at least two")
     vectors = normalizer.transform(X)
     try:
         thresholds = calibrate_thresholds(
@@ -117,10 +119,7 @@ def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
         with np.errstate(over="ignore"):
             if not ((mins <= maxs).all() and np.isfinite(maxs - mins).all()):
                 raise ValueError("every min must be <= its max, with a finite max - min")
-        th = doc["thresholds"]
-        if type(th["k"]) is not int or type(th["c_min"]) is not int:
-            raise ValueError("thresholds k and c_min must be integers")
-        thresholds = Thresholds(**th)
+        thresholds = Thresholds(**doc["thresholds"])
         labels, rows, sha256 = doc["labels"], doc["rows"], doc["vectors_sha256"]
         if not (isinstance(labels, list) and labels and len(labels) == rows
                 and all(isinstance(lbl, str) and lbl for lbl in labels)):

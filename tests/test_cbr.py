@@ -74,6 +74,9 @@ def test_thresholds_validation_and_cohesion_default():
                 {"r_cohesion": np.inf}):
         with pytest.raises(ValueError, match="finite"):
             Thresholds(**{"theta_new": 1.0, "theta_ood": 2.0, **bad})
+    for bad in ({"k": 2.5}, {"k": True}, {"c_min": 2.0}, {"c_min": "5"}):
+        with pytest.raises(ValueError, match="thresholds k and c_min must be integers"):
+            Thresholds(**{"theta_new": 1.0, "theta_ood": 2.0, **bad})
 
 
 def unit_model(th, labels):
@@ -461,20 +464,21 @@ def test_calibration_margin_and_quantiles_are_knobs():
     assert loose.theta_new == tight.theta_new
 
 
-def test_calibration_skips_singleton_classes_with_warning():
+def test_calibration_skips_singleton_classes_with_warning(caplog):
     X = np.array([[0.0], [1.0], [99.0]])
     y = ["a", "a", "lonely"]
-    with pytest.warns(UserWarning, match="lonely"):
-        th = calibrate_thresholds(X, y)
+    th = calibrate_thresholds(X, y)
+    assert any(r.levelname == "WARNING" and "lonely" in r.getMessage()
+               for r in caplog.records)
     assert th.theta_new >= 1.0 - 1e-9
 
 
-def test_calibration_fails_when_every_class_is_singleton():
+def test_calibration_fails_when_every_class_is_singleton(caplog):
     X = np.array([[0.0], [1.0]])
     y = ["a", "b"]
-    with pytest.warns(UserWarning):
-        with pytest.raises(ValueError):
-            calibrate_thresholds(X, y)
+    with pytest.raises(ValueError):
+        calibrate_thresholds(X, y)
+    assert any(r.levelname == "WARNING" for r in caplog.records)
 
 
 def test_calibration_floors_zero_distances():

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowcbr
@@ -103,6 +103,14 @@ def test_index_rejects_unlabeled_rows(tmp_path, capsys):
     save_matrix_csv(path, np.zeros((2, 183)), ["a", "b"], ["x", ""])
     assert run("--out", str(tmp_path / "m"), "index", str(path)) == 2
     assert f"error: {path}: indexing needs a label on every row" in capsys.readouterr().err
+
+
+def test_index_rejects_a_header_only_features_csv(tmp_path, capsys):
+    path = tmp_path / "f.csv"
+    save_matrix_csv(path, np.zeros((0, 183)), [], [])
+    assert run("--out", str(tmp_path / "m"), "index", str(path)) == 2
+    assert f"error: {path}: no rows to index" in capsys.readouterr().err
+    assert not (tmp_path / "m" / "model.json").exists()
 
 
 def test_index_rejects_a_slot_range_that_overflows(tmp_path, capsys):
@@ -842,6 +850,47 @@ def test_index_survives_mutated_features_csv(data):
     _exits_cleanly("index", "features.csv", data, "model.json", check=load_model)
 
 
+# Config values of every JSON type. The first two branches lie inside most
+# keys' ranges, so that many runs get past the settings check.
+_CONFIG_VALUES = st.one_of(
+    st.integers(1, 2 ** 70), st.floats(5e-324, 1, exclude_max=True),
+    st.integers(-2, 2 ** 70), st.floats(5e-324, 1e308), st.none(), st.booleans(),
+    st.text(max_size=4), st.lists(st.one_of(st.integers(-2, 2), st.text(max_size=2)),
+                                  max_size=2))
+
+# Command -> (its input in data_dir, its flags, the file it writes). The
+# flags beat the config file and keep each run short.
+_CONFIG_RUNS = {
+    "index": ("features.csv", [], "model.json"),
+    "eval": ("flows.csv", ["--n-trees", "2"], "summary.json"),
+    "sweep": ("flows.csv", ["--counts", "2"], "sweep.csv"),
+}
+
+
+@settings(deadline=None)
+@given(st.dictionaries(st.sampled_from(sorted(DEFAULTS) + ["bogus"]), _CONFIG_VALUES,
+                       max_size=3),
+       st.sampled_from(sorted(_CONFIG_RUNS)))
+@example({"k": 2 ** 70, "seed": 2 ** 70, "n_packets": 2 ** 70, "max_depth": 2 ** 70}, "eval")
+@example({"k": 2 ** 70, "ood_margin": 1e308}, "index")
+@example({"quantile_new": 5e-324, "quantile_ood": 5e-324, "r_cohesion": 5e-324}, "sweep")
+def test_settings_survive_random_config_values(data_dir, config, command):
+    """Any JSON object as the config file gives a run (exit 0) or one error
+    line (exit 2), never a crash, and no output file on exit 2."""
+    name, flags, written = _CONFIG_RUNS[command]
+    with tempfile.TemporaryDirectory() as d:
+        cfg, out, err = Path(d) / "cfg.json", Path(d) / "out", io.StringIO()
+        cfg.write_text(json.dumps(config))
+        with contextlib.redirect_stderr(err):
+            rc = run("--config", str(cfg), "--out", str(out), command,
+                     str(data_dir / name), *flags)
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        assert (out / written).exists() == (rc == 0)
+        errors = [line for line in err.getvalue().splitlines() if line.startswith("error: ")]
+        assert len(errors) == (rc == 2), err.getvalue()
+
+
 def _run_subprocess(argv, flowcbr_log):
     """Run main() in a fresh interpreter with FLOWCBR_LOG set or unset.
 
@@ -878,3 +927,21 @@ def test_log_level_env_var(flows_csv, tmp_path):
     assert bad.returncode == 2
     assert "error: FLOWCBR_LOG=bogus is not a log level" in bad.stderr
     assert "Traceback" not in bad.stderr
+
+
+def test_calibration_warning_is_logged(tmp_path):
+    """A class with one row is skipped in calibration with a flowcbr log
+    line, which FLOWCBR_LOG=ERROR silences."""
+    path = tmp_path / "features.csv"
+    save_matrix_csv(path, np.arange(3 * 183, dtype=np.float64).reshape(3, 183),
+                    ["r0", "r1", "r2"], ["a", "a", "lonely"])
+    argv = ["--out", str(tmp_path / "model"), "index", str(path)]
+
+    default = _run_subprocess(argv, None)
+    assert default.returncode == 0, default.stderr
+    assert ("WARNING flowcbr: classes with one sample skipped in calibration: ['lonely']"
+            in default.stderr)
+
+    quiet = _run_subprocess(argv, "ERROR")
+    assert quiet.returncode == 0, quiet.stderr
+    assert quiet.stderr == ""

@@ -414,10 +414,23 @@ def test_normalizer_load_rejects_wrong_version(tmp_path):
 
 
 def test_fit_normalizer_rejects_empty_or_misshaped():
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="no rows to index"):
         fit_normalizer(np.zeros((0, 183)))
-    with pytest.raises(ValueError):
+    with pytest.raises(InputError, match="has 10 feature columns, the schema has 183"):
         fit_normalizer(np.zeros((3, 10)))
+
+
+def test_transform_rejects_a_matrix_of_another_width():
+    norm = fit_normalizer(np.arange(2 * 183, dtype=np.float64).reshape(2, 183))
+    with pytest.raises(InputError, match="has 178 feature columns, the model has 183"):
+        norm.transform(np.zeros((2, 178)))
+
+
+def test_fit_model_rejects_an_unlabeled_row():
+    """The rule load_model holds a saved model to: every row has a label."""
+    X = np.arange(4 * 183, dtype=np.float64).reshape(4, 183)
+    with pytest.raises(InputError, match="indexing needs a label on every row"):
+        fit_model(X, ["a", "a", "", ""], PipelineConfig())
 
 
 def test_matrix_csv_round_trip_exact(tmp_path):

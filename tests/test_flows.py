@@ -567,7 +567,7 @@ def test_flow_csv_flag_tokens_parse_per_row(tmp_path):
     assert flags == [TcpFlags.SYN, TcpFlags.ACK, TcpFlags.SYN, TcpFlags.NONE,
                      TcpFlags.PSH | TcpFlags.ACK, TcpFlags.ACK]
     write_rows(path, rows + [["f0", "", 9, "out", "9.0", 60, 0, "ACK|URG", ""]])
-    with pytest.raises(InputError, match="unknown TCP flag token: 'URG'"):
+    with pytest.raises(InputError, match="row 8: unknown TCP flag token: 'URG'"):
         load_flows_csv(path)
 
 
