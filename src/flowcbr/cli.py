@@ -145,12 +145,16 @@ def _read_capture(path: str, idle_timeout: float) -> list:
     return flows_mod.assemble_flows(result.records, idle_timeout=idle_timeout)
 
 
+def _is_flow_csv(path: str) -> bool:
+    return Path(path).suffix.lower() == ".csv"
+
+
 def _read_flows(path: str, s: dict) -> tuple:
     """(feature rows, flow ids, labels) of the flows in ``path``, a flow CSV
     if it ends in ``.csv`` and a capture otherwise, each cut to
     ``n_packets``: what load_matrix_csv gives for a features CSV."""
     # The capture's packet columns are freed before extraction.
-    flows = (load_flows_csv(path) if Path(path).suffix.lower() == ".csv"
+    flows = (load_flows_csv(path) if _is_flow_csv(path)
              else _read_capture(path, s["idle_timeout"]))
     if s["n_packets"] is not None:
         flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
@@ -160,6 +164,11 @@ def _read_flows(path: str, s: dict) -> tuple:
 
 def cmd_extract(args: argparse.Namespace) -> int:
     s = _settings(args)
+    # A flag that cannot act is refused; the same key in a config file,
+    # which several commands share, is not.
+    if args.idle_timeout is not None and _is_flow_csv(args.input):
+        raise InputError(f"--idle-timeout splits captures at idle gaps, and {args.input} "
+                         "is a flow CSV, whose flows are already split")
     with _input(args.input):
         matrix, flow_ids, labels = _read_flows(args.input, s)
     out = _out_dir(args) / "features.csv"
@@ -183,6 +192,9 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     s = _settings(args)
+    if args.features and args.n_packets is not None:
+        raise InputError("--n-packets cuts flows before their features are extracted, "
+                         "and --features rows are extracted already")
     with _input(args.model):
         model = load_model(args.model)
     with _input(args.features or args.input):

@@ -410,7 +410,9 @@ class Normalizer:
                              f"the model has {self.mins.size}")
         span = self.maxs - self.mins
         safe = np.where(span > 0, span, 1.0)
-        scaled = (matrix - self.mins) / safe
+        # A value far beyond a tiny span overflows to inf, which clips to 1.
+        with np.errstate(over="ignore"):
+            scaled = (matrix - self.mins) / safe
         scaled = np.where(span > 0, scaled, 0.0)
         return np.clip(scaled, 0.0, 1.0)
 

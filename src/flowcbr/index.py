@@ -1,37 +1,50 @@
 """Exact nearest-neighbor store over feature vectors.
 
 One exact index: a query returns the k stored rows nearest to it, and ties
-go to the earlier row, so results are deterministic. A neighbor's entry id
-is its row: the rows the index was made from first, then inserted rows in
+go to the lower entry id, so results are deterministic. A neighbor's entry
+id is its row in the order the index was made from, then inserted rows in
 insertion order. Rows can be inserted one at a time (new classes register
 without a rebuild) into a buffer that doubles when it is full, so n inserts
 copy the index about log2(n) times, not n; the index has an independent
 clone. Saving and loading belong to the model directory
 (``flowcbr.model``).
 
+The index keeps its rows in blocks, one per label, in the order each label
+first appears; rows that already come grouped so are not copied. Each
+block has a centroid and a radius, the largest ``row_distances`` value from
+it to one of the block's rows. Rows inserted later form one more block, the
+tail, which is always screened.
+
 Every distance a caller sees is computed by ``row_distances``, so the same
 float comes out wherever it is used. ``NNIndex.knn`` is the one k-NN pass:
-it cuts the queries into chunks of about CHUNK_BYTES of screen product and
-handles each chunk as arrays, not one query at a time. One GEMM ``B @ M.T``
-screens the whole chunk, so it reads the stored matrix once per chunk, not
-once per query; the screen then works through the product in slices of
-SLICE_BYTES, a few queries each, which stay in cache and keep its
-temporaries small.
-The screen only decides which rows cannot make a query's top k
-(``NNIndex._screen`` proves its bound, which holds entry by entry whatever
-order the GEMM sums in). The (query, row) pairs left are ranked together by
-``row_distances`` and one lexsort exactly as a scan of every row would rank
-them (``NNIndex._rank``). ``row_distances`` reduces
-each row on its own, so a row's distance has the same bits whether it is
-computed alone, with the whole matrix or paired with other queries' rows.
-``knn`` yields one query's neighbors at a time, against the index as it
-stands then: the k found at the screen are merged with every row inserted
-since (``cbr.classify_stream`` registers classes mid-stream). ``query_knn``
-is the stream of one.
+it cuts the queries into chunks and handles each chunk as arrays, not one
+query at a time. A chunk holds as many queries as keep each product the
+screen takes within CHUNK_BYTES: the product with the largest block, with
+the tail, or with the centroids, one column per block. An index of one
+label is one block of every row. The screen (``NNIndex._screen``) only
+decides which rows cannot make a query's top k. It takes a bound T from
+the query's nearest block, skips every block whose centroid is farther
+than T plus the block's radius (the triangle inequality puts every row
+of it beyond T), and in the blocks left drops each row whose product
+bound puts it beyond T. Both proofs hold entry by entry, whatever order
+the GEMM sums in. One product per block serves every query of the chunk
+that screens the block, so it reads the block once per chunk, and the
+screen works through it in slices of SLICE_BYTES, a few queries each,
+which stay in cache and keep its temporaries small. The (query, row)
+pairs left are ranked together by ``row_distances`` and one lexsort by
+(distance, entry id) exactly as a scan of every row would rank them
+(``NNIndex._rank``). ``row_distances`` reduces each row on its own, so a
+row's distance has the same bits whether it is computed alone, with the
+whole matrix or paired with other queries' rows. ``knn`` yields one
+query's neighbors at a time, against the index as it stands then: the k
+found at the screen are merged with every row inserted since
+(``cbr.classify_stream`` registers classes mid-stream). ``query_knn`` is
+the stream of one.
 """
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Iterator
 from dataclasses import dataclass
 
@@ -39,9 +52,9 @@ import numpy as np
 
 U = 2.0 ** -53  # unit roundoff of float64
 TINY = 2.0 ** -1074  # smallest positive float64 (subnormal)
-# Bytes of one screen product, chunk rows x index rows float64s.
+# Bytes of one screen product, chunk rows x block rows float64s.
 CHUNK_BYTES = 2 ** 20
-# Bytes of one slice of the product that the screen works on, and of one
+# Bytes of one slice of a product that the screen works on, and of one
 # slice of row differences in the rank: small enough to stay in cache, and
 # the most either holds whatever the data.
 SLICE_BYTES = CHUNK_BYTES // 8
@@ -61,6 +74,33 @@ def _squared_norms(matrix: np.ndarray) -> np.ndarray:
         return np.einsum("ij,ij->i", matrix, matrix)
 
 
+def _approx(product: np.ndarray, qq: np.ndarray,
+            sq: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """approx = fl(s - 2 G), written over a slice of a product, and s."""
+    s = sq + qq[:, None]
+    product *= -2.0
+    product += s
+    return product, s
+
+
+def _lower(approx: np.ndarray, s: np.ndarray, d: int) -> np.ndarray:
+    """fl(approx - err) written over approx, a lower bound on the exact
+    squared distance (``NNIndex._screen``); s is overwritten too."""
+    err = s
+    err += np.abs(approx)
+    err *= 4 * (d + 1) * U
+    err += 9 * d * TINY
+    approx -= err
+    return approx
+
+
+def _doubled(a: np.ndarray) -> np.ndarray:
+    """A buffer of twice a's rows, a's rows first."""
+    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    out[:len(a)] = a
+    return out
+
+
 @dataclass(frozen=True)
 class Neighbor:
     entry_id: int
@@ -72,13 +112,37 @@ class NNIndex:
     """Exact k-NN index over labeled rows; see module docstring."""
 
     def __init__(self, matrix: np.ndarray, labels: list[str]) -> None:
-        # _matrix and _sq view the used rows of _buf and _sq_buf. The caller's
-        # matrix is the first buffer: it is full, so the first insert copies
-        # it and never writes to it.
+        matrix = np.asarray(matrix, dtype=np.float64)
+        if matrix.ndim != 2:
+            raise ValueError(f"rows must form a 2-D matrix, not {matrix.ndim}-D")
+        if len(labels) != len(matrix):
+            raise ValueError(f"{len(matrix)} rows but {len(labels)} labels")
+        if not len(labels):
+            raise ValueError("an index needs at least one row")
+        # A copy: insert appends to it, and the caller's list stays as given.
+        # Labels are kept by entry id.
+        self._labels = list(labels)
+        first: dict[str, int] = {}
+        block = np.array([first.setdefault(lbl, len(first)) for lbl in self._labels])
+        ids = np.argsort(block, kind="stable")
+        if (np.diff(block) < 0).any():
+            matrix = matrix[ids]
+        # _matrix, _sq and _ids view the used rows of _buf, _sq_buf and
+        # _id_buf; _ids holds each position's entry id. The caller's matrix,
+        # when grouped, is the first buffer: it is full, so the first insert
+        # copies it and never writes to it.
         self._buf = self._matrix = matrix
         self._sq_buf = self._sq = _squared_norms(matrix)
-        # A copy: insert appends to it, and the caller's list stays as given.
-        self._labels = list(labels)
+        self._id_buf = self._ids = ids
+        # Block b holds positions _bounds[b]:_bounds[b + 1]; the tail starts
+        # at _bounds[-1].
+        self._bounds = np.concatenate([[0], np.cumsum(np.bincount(block))])
+        lo, hi = self._bounds[:-1], self._bounds[1:]
+        with np.errstate(over="ignore", invalid="ignore"):
+            self._centroids = np.add.reduceat(matrix, lo) / (hi - lo)[:, None]
+            self._radii = np.array([row_distances(matrix[a:b], c).max()
+                                    for a, b, c in zip(lo, hi, self._centroids)])
+        self._csq = _squared_norms(self._centroids)
 
     @property
     def size(self) -> int:
@@ -92,7 +156,12 @@ class NNIndex:
         return label in self._labels
 
     def clone(self) -> NNIndex:
-        return NNIndex(self._matrix.copy(), self._labels)
+        other = copy.copy(self)
+        other._matrix, other._sq, other._ids = (
+            a.copy() for a in (self._matrix, self._sq, self._ids))
+        other._buf, other._sq_buf, other._id_buf = other._matrix, other._sq, other._ids
+        other._labels = list(self._labels)
+        return other
 
     def insert(self, vector: np.ndarray, label: str) -> None:
         """Append one row; its entry id is its position, ``size`` before."""
@@ -101,13 +170,12 @@ class NNIndex:
             raise ValueError(f"row has dimension {v.shape}, expected ({self.dimension},)")
         n = self.size
         if n == len(self._buf):
-            self._buf = np.empty((max(2 * n, 1), self.dimension))
-            self._buf[:n] = self._matrix
-            self._sq_buf = np.empty(len(self._buf))
-            self._sq_buf[:n] = self._sq
-        self._buf[n] = v
-        self._sq_buf[n] = _squared_norms(v[None, :])[0]
-        self._matrix, self._sq = self._buf[:n + 1], self._sq_buf[:n + 1]
+            # The new half stays unwritten, so its pages take no memory yet.
+            self._buf, self._sq_buf, self._id_buf = (
+                _doubled(a) for a in (self._matrix, self._sq, self._ids))
+        self._buf[n], self._sq_buf[n], self._id_buf[n] = v, _squared_norms(v[None, :])[0], n
+        self._matrix, self._sq, self._ids = (
+            a[:n + 1] for a in (self._buf, self._sq_buf, self._id_buf))
         self._labels.append(label)
 
     def query_knn(self, q: np.ndarray, k: int) -> list[Neighbor]:
@@ -119,11 +187,11 @@ class NNIndex:
 
     def knn(self, Q: np.ndarray, k: int) -> Iterator[list[Neighbor]]:
         """The k nearest rows to each row of Q, in order. A chunk holds the
-        rows whose screen product, chunk rows x index rows float64s, fits in
-        CHUNK_BYTES at the index size when the chunk is taken; the whole
-        chunk is screened and ranked before its first row is yielded, and
-        each row's k are merged with the rows inserted since then when it
-        is asked for (``_neighbors``)."""
+        rows whose widest screen product (``_width``) fits in CHUNK_BYTES
+        at the index as it stands when the chunk is taken; the whole chunk
+        is screened and ranked before its first row is yielded, and each
+        row's k are merged with the rows inserted since then when it is
+        asked for (``_neighbors``)."""
         if k < 1:
             raise ValueError("k must be >= 1")
         Q = np.asarray(Q, dtype=np.float64)
@@ -131,18 +199,33 @@ class NNIndex:
             raise ValueError(f"queries have shape {Q.shape}, expected (m, {self.dimension})")
         start = 0
         while start < len(Q):
-            block = Q[start:start + max(1, CHUNK_BYTES // (8 * self.size))]
+            chunk = Q[start:start + max(1, CHUNK_BYTES // (8 * self._width(k)))]
             screened = self.size
-            for q, rows, dists in zip(block, *self._rank(block, *self._screen(block, k), k)):
+            for q, rows, dists in zip(chunk, *self._rank(chunk, *self._screen(chunk, k), k)):
                 yield self._neighbors(q, rows, dists, screened, k)
-            start += len(block)
+            start += len(chunk)
+
+    def _blocks(self, k: int) -> np.ndarray:
+        """The bounds of the blocks of fitted rows a k-NN screens: one per
+        label, or all the fitted rows as one block when no label holds k
+        rows, as no label's block could then set a query's bound."""
+        if np.diff(self._bounds).max() >= k:
+            return self._bounds
+        return self._bounds[[0, -1]]
+
+    def _width(self, k: int) -> int:
+        """Rows of the widest product the screen takes: the largest block,
+        the tail, or the centroids, one per block."""
+        sizes = np.diff(self._blocks(k))
+        return int(max(sizes.max(), len(sizes), self.size - self._bounds[-1]))
 
     def _neighbors(self, q: np.ndarray, rows: np.ndarray, dists: np.ndarray,
                    screened: int, k: int) -> list[Neighbor]:
-        """q's neighbors: its ranked rows among the first ``screened``, merged
-        by (distance, row) with every row inserted since. The top k of the
-        union is the top k of q's own top k and the inserted rows, so this
-        is q's k nearest in the index as it stands."""
+        """q's neighbors: its ranked entries among the first ``screened``,
+        merged by (distance, entry id) with every row inserted since, whose
+        id is its position. The top k of the union is the top k of q's own
+        top k and the inserted rows, so this is q's k nearest in the index
+        as it stands."""
         if self.size > screened:
             rows = np.concatenate([rows, np.arange(screened, self.size)])
             dists = np.concatenate([dists, row_distances(self._matrix[screened:], q)])
@@ -154,38 +237,37 @@ class NNIndex:
     def _rank(self, B: np.ndarray, qi: np.ndarray, rows: np.ndarray,
               k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest of each query's survivors, as two (queries x k)
-        arrays of rows and distances (fewer than k columns when the index
-        is smaller). ``row_distances`` takes the (query qi, row rows) pairs
-        stacked, a slice of at most SLICE_BYTES of differences at a time,
-        whatever the screen left. One lexsort by (query, distance, row) then
-        gives ties to the earlier row and puts NaN last, as a scan of every
-        row ranks them; the screen leaves every query at least k pairs."""
+        arrays of entry ids and distances (fewer than k columns when the
+        index is smaller). ``row_distances`` takes the (query qi, position
+        rows) pairs stacked, a slice of at most SLICE_BYTES of differences
+        at a time, whatever the screen left. One lexsort by (query,
+        distance, entry id) then gives ties to the lower id and puts NaN
+        last, as a scan of every row ranks them; the screen leaves every
+        query at least k pairs."""
         dists = np.empty(len(rows))
         step = max(1, SLICE_BYTES // (8 * self.dimension))
         for s in range(0, len(rows), step):
             dists[s:s + step] = row_distances(self._matrix[rows[s:s + step]], B[qi[s:s + step]])
-        order = np.lexsort((rows, dists, qi))
+        ids = self._ids[rows]
+        order = np.lexsort((ids, dists, qi))
         counts = np.bincount(qi, minlength=len(B))
         top = order[(np.cumsum(counts) - counts)[:, None] + np.arange(min(k, self.size))]
-        return rows[top], dists[top]
+        return ids[top], dists[top]
 
     def _screen(self, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The (query, row) pairs, as the arrays (qi, rows) in row-major
-        order, that may be among a query of B's k nearest: every row except
-        those proved farther than k rows already are. One product
-        ``B @ M.T`` serves all of B, so ``knn`` passes one chunk; the steps
-        below run on a slice of its rows at a time, in place where they can,
-        so nothing else the screen holds is larger than SLICE_BYTES.
+        """The (query, position) pairs, as the arrays (qi, rows), that may be
+        among a query of B's k nearest: every row except those proved
+        farther than k rows already are. ``knn`` passes one chunk.
 
-        For a query q and a row x let a = |x|^2, b = |q|^2 and
-        D = a + b - 2 x.q, the exact squared distance. The screen computes
-        s = fl(sq + fl(q.q)) and approx = fl(s - 2 G), where G is the entry
-        of the product for q and x, a dot product of length d. Let u = 2^-53,
-        and eta = 2^-1075, the most one product loses to gradual underflow (a
-        sum or a difference loses nothing to it). A dot product of length d,
-        summed in any order, with or without FMA, is off by at most
-        g sum|x_j y_j| + 2d eta, where g = du / (1 - du) (Higham, "Accuracy
-        and Stability of Numerical Algorithms", ch. 3). With
+        The drop test. For a query q and a row x let a = |x|^2, b = |q|^2
+        and D = a + b - 2 x.q, the exact squared distance. The screen
+        computes s = fl(sq + fl(q.q)) and approx = fl(s - 2G), where G is
+        the entry of the product for q and x, a dot product of length d. Let
+        u = 2^-53, and eta = 2^-1075, the most one product loses to gradual
+        underflow (a sum or a difference loses nothing to it). A dot product
+        of length d, summed in any order, with or without FMA, is off by at
+        most g sum|x_j y_j| + 2d eta, where g = du / (1 - du) (Higham,
+        "Accuracy and Stability of Numerical Algorithms", ch. 3). With
         sum|x_j q_j| <= (a + b) / 2 and
         a + b <= (s / (1 - u) + 4d eta) / (1 - g), for du <= 2^-30:
 
@@ -193,49 +275,116 @@ class NNIndex:
                          <= 2(d + 1) u (s + |approx|) + 9d eta = E.
 
         ``err`` is 2E, so after its own rounding it is at least E with 7d eta
-        to spare. ``row_distances`` sums squares P >= (1 - g') D - 2d eta,
-        where g' = (d + 2)u / (1 - (d + 2)u), and returns fl(sqrt(P)).
+        to spare, and D >= approx - err (``_lower``). ``row_distances`` sums
+        squares P >= (1 - g') D - 2d eta, where g' = (d + 2)u / (1 - (d + 2)u),
+        and returns fl(sqrt(P)).
 
-        Let T be the largest distance to the k rows of smallest approx. k rows
-        lie within T, so T is at least the k-th distance. A row is dropped
-        only if fl(approx - err) > fl(fl(T T) (1 + delta)). Undo the rounding
-        of each operation in that test; fl(sqrt(P)) > T holds once
-        sqrt(P) > (1 + u) T. Both together need 1 + delta >= (1 + u)^3 /
-        ((1 - u)^3 (1 - g')), which is delta >= (d + 8) u to first order; the
-        spare 7d eta covers the underflow terms and a subnormal T. ``delta``
-        is 4(d + 8) u. So a dropped row is strictly farther than the k-th
-        distance, and the top k, the ties at the k-th distance and their
-        order come out as a scan of every row gives them. No step links one
-        query or one row to another, so the bound holds for each entry of
-        the product, however the GEMM blocks and orders its sums, and for
-        each query of the chunk, however it is sliced.
+        Let T be the largest distance to k rows, taken as the k of smallest
+        approx in the query's home block: the block of nearest centroid
+        among those holding k rows. k rows lie within T, so T is at least
+        the k-th distance. A row is dropped only if fl(approx - err) >
+        fl(fl(T T) (1 + delta)). Undo the rounding of each operation in that
+        test; fl(sqrt(P)) > T holds once sqrt(P) > (1 + u) T. Both together
+        need 1 + delta >= (1 + u)^3 / ((1 - u)^3 (1 - g')), which is
+        delta >= (d + 8) u to first order; the spare 7d eta covers the
+        underflow terms and a subnormal T. ``delta`` is 4(d + 8) u. So a
+        dropped row is strictly farther than the k-th distance, and the top
+        k, the ties at the k-th distance and their order come out as a scan
+        of every row gives them. No step links one query or one row to
+        another, so the bound holds for each entry of a product, however
+        the GEMM blocks and orders its sums, for any subset of the rows and
+        for each query of the chunk, however it is sliced.
 
-        An overflow or a NaN anywhere makes a comparison false, which keeps
-        the row, so the screen silences the warnings they raise; a NaN or
-        infinite T keeps every row.
+        The block skip (Elkan, "Using the Triangle Inequality to Accelerate
+        k-Means", ICML 2003). Treat a centroid c as one more row: the same
+        steps give D >= approx - err >= L / (1 + u) for D = |q - c|^2 and
+        L = fl(approx - err) > 0, so |q - c| >= h (1 + u)^(-3/2) for
+        h = fl(sqrt(L)). The block's radius r is the largest fl(sqrt(P))
+        from c to one of its rows x, so
+        |x - c| <= r / ((1 - u) sqrt(1 - g')) + 2 sqrt(d eta), and
+        fl(sqrt(P)) > T holds for a row x once
+        |q - x| > ((1 + u) T + 2^-1074 + 2 sqrt(d eta)) / sqrt(1 - g'). By
+        the triangle inequality |q - x| >= |q - c| - |x - c|, so every row
+        of the block is beyond T once
+
+            h (1 - (d + 5) u) > (1 + 2u)(r + T) + 2^-1074 + 4 sqrt(d eta).
+
+        A block is skipped only if fl(h (1 - delta)) >
+        fl(fl(r + T) (1 + delta)) + A, with A = d 2^-530. Undoing the four
+        roundings there costs at most u on the left, 3u on the right and
+        2 eta, which delta = 4(d + 8) u and A cover with room to spare. So a skipped
+        block holds no row within T, and neither does a dropped row: what
+        is left holds the top k and its ties.
+
+        The home block is never skipped, and its k rows are kept. The tail
+        has no centroid and is never skipped. An overflow or a NaN anywhere
+        makes a comparison false, which keeps the row or the block, so the
+        screen silences the warnings they raise; a NaN or infinite T, h or
+        r keeps every block, and T keeps every row. With no label of k
+        rows the fitted rows are one block (``_blocks``); when no block
+        holds k rows, or k is the index size or more, every pair is kept.
         """
-        n, d = self._matrix.shape
-        if k >= n:
-            return np.repeat(np.arange(len(B)), n), np.tile(np.arange(n), len(B))
-        product, qq, pairs = B @ self._matrix.T, _squared_norms(B), []
-        step = max(1, SLICE_BYTES // (8 * n))
+        n, m, d = self.size, len(B), self.dimension
+        bounds = self._blocks(k)
+        big = np.flatnonzero(np.diff(bounds) >= k)
+        if k >= n or not big.size:
+            return np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+        slack = 4 * (d + 8) * U
+        qq, t, pairs = _squared_norms(B), np.empty(m), []
+        home = np.zeros(m, dtype=np.intp)
         with np.errstate(over="ignore", invalid="ignore"):
-            for lo in range(0, len(B), step):
-                approx = product[lo:lo + step]
-                s = self._sq + qq[lo:lo + step, None]
-                approx *= -2.0
-                approx += s
-                first = np.argpartition(approx, k - 1, axis=1)[:, :k]
-                t = row_distances(self._matrix[first.ravel()],
-                                  np.repeat(B[lo:lo + step], k, axis=0))
-                t = t.reshape(-1, k).max(axis=1)
-                err = s
-                err += np.abs(approx)
-                err *= 4 * (d + 1) * U
-                err += 9 * d * TINY
-                approx -= err
-                keep = ~(approx > (t * t * (1 + 4 * (d + 8) * U))[:, None])
-                keep[np.arange(len(approx))[:, None], first] = True
-                qi, rows = np.nonzero(keep)
-                pairs.append((qi + lo, rows))
+            if len(bounds) > 2:
+                # near[q, b] becomes fl(h (1 - delta)) for q and block b.
+                near = B @ self._centroids.T
+                step = max(1, SLICE_BYTES // (8 * near.shape[1]))
+                for lo in range(0, m, step):
+                    approx, s = _approx(near[lo:lo + step], qq[lo:lo + step], self._csq)
+                    home[lo:lo + step] = big[approx[:, big].argmin(axis=1)]
+                    np.sqrt(_lower(approx, s, d), out=approx)
+                    approx *= 1 - slack
+            for b in np.unique(home):
+                pairs += self._block_pairs(B, qq, np.flatnonzero(home == b),
+                                           bounds[b], bounds[b + 1], t, k)
+            # keep[b, q]: q screens block b besides its home. The tail, the
+            # last block, has no centroid and is screened when it has rows.
+            edges = np.append(bounds, n)
+            keep = np.ones((len(edges) - 1, m), dtype=bool)
+            keep[-1] = n > bounds[-1]
+            if len(bounds) > 2:
+                for lo in range(0, m, step):
+                    reach = self._radii + t[lo:lo + step, None]
+                    reach *= 1 + slack
+                    reach += d * 2.0 ** -530
+                    keep[:-1, lo:lo + step] = ~(near[lo:lo + step] > reach).T
+            keep[home, np.arange(m)] = False
+            for b in np.flatnonzero(keep.any(axis=1)):
+                pairs += self._block_pairs(B, qq, np.flatnonzero(keep[b]),
+                                           edges[b], edges[b + 1], t)
         return np.concatenate([qi for qi, _ in pairs]), np.concatenate([r for _, r in pairs])
+
+    def _block_pairs(self, B: np.ndarray, qq: np.ndarray, qs: np.ndarray, lo: int, hi: int,
+                     t: np.ndarray, k: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+        """The (query, position) pairs of queries qs of B and the rows lo:hi
+        that the drop test of ``_screen`` keeps, one (qi, rows) per slice.
+        One product ``B[qs] @ M[lo:hi].T`` serves them all; the steps run
+        on a slice of its rows at a time, in place where they can, so
+        nothing else held is larger than SLICE_BYTES. With k, this is the
+        home block of qs: the k rows of least approx set t[qs] first, and
+        are kept."""
+        d = self.dimension
+        product = (B if len(qs) == len(B) else B[qs]) @ self._matrix[lo:hi].T
+        step, pairs = max(1, SLICE_BYTES // (8 * (hi - lo))), []
+        for s in range(0, len(qs), step):
+            q = qs[s:s + step]
+            approx, sums = _approx(product[s:s + step], qq[q], self._sq[lo:hi])
+            if k:
+                first = np.argpartition(approx, k - 1, axis=1)[:, :k]
+                dist = row_distances(self._matrix[lo + first.ravel()],
+                                     np.repeat(B[q], k, axis=0))
+                t[q] = dist.reshape(-1, k).max(axis=1)
+            keep = ~(_lower(approx, sums, d) > (t[q] * t[q] * (1 + 4 * (d + 8) * U))[:, None])
+            if k:
+                keep[np.arange(len(q))[:, None], first] = True
+            i, rows = np.nonzero(keep)
+            pairs.append((q[i], rows + lo))
+        return pairs

@@ -19,6 +19,7 @@ import json
 import os
 from dataclasses import dataclass, field
 from pathlib import Path
+from tokenize import TokenError
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -130,13 +131,23 @@ def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
     if hashlib.sha256(data).hexdigest() != sha256:
         raise InputError("vectors.npy does not match the sha256 in model.json, "
                          f"as after an interrupted write; {REBUILD}")
+    # The header is checked before np.load allocates the array it declares.
+    # Its parser raises TokenError, not a ValueError, on some broken headers.
+    fp = io.BytesIO(data)
+    try:
+        read_header = (np.lib.format.read_array_header_1_0
+                       if np.lib.format.read_magic(fp) == (1, 0)
+                       else np.lib.format.read_array_header_2_0)
+        shape, _, dtype = read_header(fp)
+    except (ValueError, TokenError) as exc:
+        raise InputError(f"malformed vectors.npy: {exc}") from None
+    if dtype != np.float64 or shape != (rows, schema.width):
+        raise InputError(f"vectors.npy holds {dtype} {shape}, "
+                         f"expected float64 {(rows, schema.width)}")
     try:
         vectors = np.load(io.BytesIO(data), allow_pickle=False)
     except (ValueError, EOFError) as exc:
         raise InputError(f"malformed vectors.npy: {exc}") from None
-    if vectors.dtype != np.float64 or vectors.shape != (rows, schema.width):
-        raise InputError(f"vectors.npy holds {vectors.dtype} {vectors.shape}, "
-                         f"expected float64 {(rows, schema.width)}")
     if not np.isfinite(vectors).all():
         raise InputError("vectors.npy holds non-finite values")
     return Model(Normalizer(schema.version, mins, maxs), thresholds,

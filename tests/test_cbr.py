@@ -559,17 +559,18 @@ def mixed_stream(rng, d, n, m, lattice):
     return base, X
 
 
-def stream_and_loop(base, X, th, capacity, chunk_rows):
+def stream_and_loop(base, X, th, capacity, chunk_rows, groups=2):
     """(verdicts, index, registry) of classify_stream and of the classify
-    loop on fresh copies of the same index, with a pending buffer of
-    ``capacity`` rows and screen chunks of ``chunk_rows`` rows."""
+    loop on fresh copies of the same index, whose rows take ``groups``
+    labels in turn, with a pending buffer of ``capacity`` rows and screen
+    chunks of ``chunk_rows`` rows at the start."""
     out = []
-    with mock.patch.object(cbr_mod, "PENDING_CAPACITY", capacity), \
-            mock.patch.object(index_mod, "CHUNK_BYTES", 8 * len(base) * chunk_rows):
-        for run in (lambda i, r: classify_stream(i, r, X, th),
-                    lambda i, r: [classify(i, r, q, th) for q in X]):
-            index = NNIndex(base, [f"c{i % 2}" for i in range(len(base))])
-            registry = ClassRegistry()
+    for run in (lambda i, r: classify_stream(i, r, X, th),
+                lambda i, r: [classify(i, r, q, th) for q in X]):
+        index = NNIndex(base, [f"c{i % groups}" for i in range(len(base))])
+        registry = ClassRegistry()
+        with mock.patch.object(cbr_mod, "PENDING_CAPACITY", capacity), \
+                mock.patch.object(index_mod, "CHUNK_BYTES", 8 * index._width(th.k) * chunk_rows):
             out.append((run(index, registry), index, registry))
     return out
 
@@ -587,16 +588,17 @@ def assert_same_runs(stream, loop):
 @settings(deadline=None)
 @given(st.integers(0, 2 ** 32 - 1), st.sampled_from([2, 7, 183]), st.integers(1, 30),
        st.integers(1, 80), st.booleans(), st.integers(1, 5), st.integers(1, 4),
-       st.integers(1, 6), st.integers(1, 8))
+       st.integers(1, 6), st.integers(1, 8), st.integers(1, 5))
 def test_classify_stream_matches_the_classify_loop(seed, d, n, m, lattice, k, c_min,
-                                                   capacity, chunk_rows):
+                                                   capacity, chunk_rows, groups):
     """classify_stream gives the verdicts, the grown index and the registry
     of one classify call per row, on streams that register classes partway
-    through a chunk and evict from a small pending buffer; the chunk and
-    the buffer are cut small here."""
+    through a chunk and evict from a small pending buffer, over an index of
+    one to five interleaved labels; the chunk and the buffer are cut small
+    here."""
     base, X = mixed_stream(np.random.default_rng(seed), d, n, m, lattice)
     th = Thresholds(theta_new=1.0, theta_ood=4.0, k=k, c_min=c_min, r_cohesion=1.0)
-    assert_same_runs(*stream_and_loop(base, X, th, capacity, chunk_rows))
+    assert_same_runs(*stream_and_loop(base, X, th, capacity, chunk_rows, groups))
 
 
 def test_classify_stream_registers_and_evicts_mid_chunk():

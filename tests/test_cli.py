@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 import struct
 import subprocess
 import sys
@@ -316,6 +317,33 @@ def unlabeled_csv(data_dir, tmp_path_factory):
     return path
 
 
+@pytest.fixture(scope="module")
+def shared_model(data_dir, tmp_path_factory):
+    """A model directory built from the shared features."""
+    model = tmp_path_factory.mktemp("shared") / "model"
+    assert run("--out", str(model), "index", str(data_dir / "features.csv")) == 0
+    return model
+
+
+def test_config_keys_that_a_command_cannot_use_are_accepted(data_dir, shared_model, tmp_path):
+    """A config file is shared between commands, so idle_timeout in it does
+    not stop extract from a flow CSV, nor n_packets classify --features; each
+    gives the output of a run without them."""
+    runs = {
+        "extract": ({"idle_timeout": 0.001}, ["extract", str(data_dir / "flows.csv")],
+                    "features.csv"),
+        "classify": ({"n_packets": 3}, ["classify", str(shared_model), "--features",
+                                        str(data_dir / "features.csv")], "verdicts.jsonl"),
+    }
+    for command, (config, argv, written) in runs.items():
+        cfg = tmp_path / f"{command}.json"
+        cfg.write_text(json.dumps(config))
+        for head, out in ((["--config", str(cfg)], "a"), ([], "b")):
+            assert run(*head, "--out", str(tmp_path / command / out), *argv) == 0
+        assert ((tmp_path / command / "a" / written).read_bytes()
+                == (tmp_path / command / "b" / written).read_bytes())
+
+
 _SINGLETONS = ": every class has one row to train on"
 _NO_TEST = ": train_fraction 0.99 leaves no test rows"
 _C_MIN = (": the settings give unusable thresholds: c_min must be >= 1 and <= 1000, "
@@ -329,6 +357,12 @@ _UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to trai
                  "{flows}: held-out class 'nope' is not present", id="held-out"),
     pytest.param(["sweep", "{flows}", "--counts", "0,2"],
                  "--counts 0,2 must hold packet counts >= 1", id="counts"),
+    pytest.param(["extract", "{flows}", "--idle-timeout", "0.001"],
+                 "--idle-timeout splits captures at idle gaps, and {flows} is a flow CSV",
+                 id="extract-idle-timeout"),
+    pytest.param(["classify", "{model}", "--features", "{features}", "--n-packets", "3"],
+                 "--n-packets cuts flows before their features are extracted",
+                 id="classify-features-n-packets"),
     pytest.param(["index", "{singletons}/features.csv"], "{singletons}/features.csv" + _SINGLETONS,
                  id="index-singletons"),
     pytest.param(["eval", "{singletons}/flows.csv"], "{singletons}/flows.csv" + _SINGLETONS,
@@ -364,16 +398,18 @@ _UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to trai
                  id="sweep-unlabeled"),
 ])
 def test_eval_sweep_bad_args_exit_two(data_dir, singletons_dir, empty_csv, one_class_dir,
-                                      unlabeled_csv, tmp_path, capsys, argv, fragment):
-    """Bad arguments, a c_min no pending buffer can reach, training rows
-    with no class of two (for all four commands that fit), a flow CSV with
-    no rows, a split that leaves no test rows, flows of a single class and a
-    flow without a label exit 2 with an error line and write nothing."""
+                                      unlabeled_csv, shared_model, tmp_path, capsys, argv,
+                                      fragment):
+    """Bad arguments, flags that cannot act on their input, a c_min no
+    pending buffer can reach, training rows with no class of two (for all
+    four commands that fit), a flow CSV with no rows, a split that leaves no
+    test rows, flows of a single class and a flow without a label exit 2
+    with an error line and write nothing."""
     config = tmp_path / "config.json"
     config.write_text('{"train_fraction": 0.99}')
     names = {"flows": data_dir / "flows.csv", "features": data_dir / "features.csv",
              "singletons": singletons_dir, "empty": empty_csv, "one": one_class_dir,
-             "config": config, "unlabeled": unlabeled_csv}
+             "config": config, "unlabeled": unlabeled_csv, "model": shared_model}
     argv = [a.format(**names) for a in argv]
     assert run("--out", str(tmp_path / "out"), *argv) == 2
     err = capsys.readouterr().err
@@ -848,6 +884,127 @@ def test_index_survives_mutated_features_csv(data):
     or an error line naming the file (exit 2), never a crash, and no
     model.json on exit 2."""
     _exits_cleanly("index", "features.csv", data, "model.json", check=load_model)
+
+
+def _set_value(path, value, model):
+    """Set the model.json value at ``path``, a key and then a key or an
+    index within it; a path that no longer leads anywhere changes nothing."""
+    doc = json.loads((model / "model.json").read_text())
+    node = doc
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        return
+    (model / "model.json").write_text(json.dumps(doc))
+
+
+def _change_bytes(name, kind, at, arg, model):
+    """Flip bit ``arg`` of the byte at ``at`` of the file ``name``, cut
+    ``arg`` bytes or everything from there, or insert the bytes ``arg``;
+    ``at`` wraps around the file's length."""
+    data = bytearray((model / name).read_bytes())
+    at %= len(data) + 1
+    if kind == "flip" and at < len(data):
+        data[at] ^= 1 << arg
+    elif kind == "cut":
+        del data[at:at + arg]
+    elif kind == "truncate":
+        del data[at:]
+    elif kind == "insert":
+        data[at:at] = arg
+    (model / name).write_bytes(bytes(data))
+
+
+def _record_sha(model):
+    """Record vectors.npy's sha256 in model.json, so that its bytes are read."""
+    sha = hashlib.sha256((model / "vectors.npy").read_bytes()).hexdigest()
+    _set_value(("vectors_sha256",), sha, model)
+
+
+_MODEL_KEYS = ("format_version", "schema_version", "mins", "maxs", "thresholds", "labels",
+               "rows", "vectors_sha256")
+_THRESHOLD_KEYS = ("theta_new", "theta_ood", "k", "c_min", "r_cohesion")
+_MODEL_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 2 ** 70), st.floats(), st.text(max_size=4),
+    st.lists(st.one_of(st.integers(-2, 2), st.floats(), st.text(max_size=2), st.none()),
+             max_size=4),
+    st.dictionaries(st.sampled_from(_THRESHOLD_KEYS + ("x",)), st.floats(), max_size=2))
+
+
+@st.composite
+def model_dir_changes(draw):
+    """Changes to a model directory, applied in order: model.json values
+    replaced key by key (a whole value, a thresholds key, or one slot of
+    mins, maxs or labels; wrong format versions and labels that are not
+    strings among them), then bytes of vectors.npy flipped, cut, truncated
+    or inserted, its sha256 sometimes recorded so that np.load reads them,
+    then bytes of model.json changed the same ways."""
+    changes = []
+    for _ in range(draw(st.integers(0, 3))):
+        path = draw(st.one_of(
+            st.sampled_from(_MODEL_KEYS).map(lambda key: (key,)),
+            st.sampled_from(_THRESHOLD_KEYS).map(lambda key: ("thresholds", key)),
+            st.tuples(st.sampled_from(["mins", "maxs", "labels"]), st.integers(0, 11))))
+        values = (st.sampled_from([1, 2.0, "2", True, 3, None, 2 ** 70])
+                  if path == ("format_version",) else _MODEL_VALUES)
+        changes.append(functools.partial(_set_value, path, draw(values)))
+    for name in ("vectors.npy", "model.json"):
+        for _ in range(draw(st.integers(0, 2))):
+            kind = draw(st.sampled_from(["flip", "cut", "truncate", "insert"]))
+            arg = draw({"flip": st.integers(0, 7), "cut": st.integers(1, 64),
+                        "truncate": st.none(), "insert": st.binary(min_size=1, max_size=4)}[kind])
+            changes.append(functools.partial(_change_bytes, name, kind,
+                                             draw(st.integers(0, 2 ** 16)), arg))
+        if name == "vectors.npy" and draw(st.booleans()):
+            changes.append(_record_sha)
+    return changes
+
+
+def _write_text(name, text, model):
+    (model / name).write_text(text)
+
+
+def _bad_model_examples(test):
+    """Each hand-made bad model directory of ``_BAD_INPUTS`` as an example."""
+    for name, change, _ in _BAD_INPUTS.values():
+        if name != "features.csv":
+            test = example([change if callable(change)
+                            else functools.partial(_write_text, name, change)])(test)
+    return test
+
+
+@settings(deadline=None)
+@given(model_dir_changes())
+@_bad_model_examples
+# A header the parser cannot tokenize, and one declaring 12 x 183 * 10^11
+# float64s, each with its sha256 recorded; and a slot whose span is so small
+# that scaling its values overflows.
+@example([functools.partial(_set_value, ("mins", 138), 0.0),
+          functools.partial(_set_value, ("maxs", 138), 1e-305)])
+@example([functools.partial(_change_bytes, "vectors.npy", "flip", 9, 0), _record_sha])
+@example([functools.partial(_change_bytes, "vectors.npy", "insert", 68, b"0" * 11),
+          _record_sha])
+def test_classify_survives_a_mutated_model_dir(data_dir, shared_model, changes):
+    """A valid model directory, changed: classify exits 0 with a verdict for
+    each of the 12 rows, or 2 with an error line naming the directory and
+    no verdicts.jsonl, never a crash."""
+    with tempfile.TemporaryDirectory() as d:
+        model, out, err = Path(d) / "model", Path(d) / "out", io.StringIO()
+        shutil.copytree(shared_model, model)
+        for change in changes:
+            change(model)
+        with contextlib.redirect_stderr(err):
+            rc = run("--out", str(out), "classify", str(model),
+                     "--features", str(data_dir / "features.csv"))
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+        if rc == 0:
+            assert len((out / "verdicts.jsonl").read_text().splitlines()) == 12
+        else:
+            assert err.getvalue().startswith(f"error: {model}: "), err.getvalue()
+            assert not (out / "verdicts.jsonl").exists()
 
 
 # Config values of every JSON type. The first two branches lie inside most

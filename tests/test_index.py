@@ -2,8 +2,9 @@
 
 The reference answer for every query is an independent full-distance-matrix
 scan written here, not the index's own code path. The index must match it
-exactly: same ids, bit-identical distance floats. An entry id is its row, so
-the scans rank rows by (distance, position).
+exactly: same ids, bit-identical distance floats. An entry id is its row as
+given, however the index groups its rows by label, so the scans rank rows
+by (distance, position in the given matrix).
 """
 
 import hashlib
@@ -296,7 +297,11 @@ def test_row_distances_matches_norm():
 def knn_case(draw):
     """Rows at scales from 1e-160 to 1e160 (so squares underflow or
     overflow), integer lattices with many tied distances and duplicate rows,
-    plus rows to insert and queries near stored rows."""
+    or tight clusters; plus rows to insert and queries near stored rows.
+    The labels are all one, interleaved (so the index permutes its rows),
+    drawn at random (one per cluster in the clustered layout), or one per
+    row, so many blocks hold fewer rows than k; inserted rows take a new
+    label or an existing one."""
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     d = draw(st.sampled_from([1, 2, 3, 183]))
     n = draw(st.integers(1, 40))
@@ -305,21 +310,27 @@ def knn_case(draw):
     exponent = (st.sampled_from([-160, -157, -155, -1, 0, 1, 155, 157, 160])
                 | st.integers(-160, 160))
     exponents = draw(st.lists(exponent, min_size=1, max_size=3))
-
-    def rows(m):
-        if draw(st.booleans()):
-            block = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
-        else:
-            block = rng.normal(size=(m, d))
-        block *= 10.0 ** rng.choice(exponents, size=(m, 1))
-        # About a third of the rows repeat another row.
-        dup = rng.random(m) < 0.3
-        if dup.any():
-            block[dup] = block[rng.integers(0, m, size=int(dup.sum()))]
-        return block
-
     inserts = draw(st.integers(0, 4))
-    return d, n, rows(n + inserts), rng, inserts
+    m = n + inserts
+    groups = draw(st.integers(1, 5))
+    cluster = rng.integers(0, groups, size=m)
+    layout = draw(st.sampled_from(["lattice", "normal", "clusters"]))
+    if layout == "lattice":
+        block = rng.integers(-2, 3, size=(m, d)).astype(np.float64)
+    else:
+        block = rng.normal(size=(m, d))
+    if layout == "clusters":
+        block += rng.normal(size=(groups, d))[cluster] * 20
+    block *= 10.0 ** rng.choice(exponents, size=(m, 1))
+    # About a third of the rows repeat another row.
+    dup = rng.random(m) < 0.3
+    if dup.any():
+        block[dup] = block[rng.integers(0, m, size=int(dup.sum()))]
+    labels = draw(st.sampled_from([
+        ["x"] * m, [f"c{i % groups}" for i in range(m)], [f"c{c}" for c in cluster],
+        [f"r{i}" for i in range(m)]]))
+    labels = labels[:n] + [draw(st.sampled_from(labels[:n] + ["new"])) for _ in range(inserts)]
+    return d, n, block, labels, rng, inserts
 
 
 def case_queries(rng, stored, d):
@@ -340,15 +351,15 @@ def case_queries(rng, stored, d):
 @given(knn_case())
 def test_screened_query_matches_full_scan_bit_for_bit(case):
     """query_knn against the scan of every row, for every k up to the index
-    size, with rows inserted between query rounds: same ids (rows), same
-    distance bits. Where no distance is NaN it also matches the sorted
+    size, with rows inserted between query rounds: same ids (rows), labels
+    and distance bits. Where no distance is NaN it also matches the sorted
     reference. Rows near 1e160 overflow the exact kernel too, so its
     warnings are silenced here."""
-    d, n, vectors, rng, inserts = case
-    index = NNIndex(vectors[:n], ["x"] * n)
+    d, n, vectors, labels, rng, inserts = case
+    index = NNIndex(vectors[:n], labels[:n])
     for size in range(n, n + inserts + 1):
         if size > n:
-            index.insert(vectors[size - 1], "x")
+            index.insert(vectors[size - 1], labels[size - 1])
         stored = vectors[:size]
         for q, k in itertools.product(case_queries(rng, stored, d), range(1, size + 1)):
             with np.errstate(over="ignore", invalid="ignore"):
@@ -356,6 +367,7 @@ def test_screened_query_matches_full_scan_bit_for_bit(case):
                 want = full_scan_knn(stored, q, k)
                 reference = reference_knn(stored, q, k) if not np.isnan(q).any() else None
             assert [(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in got] == want
+            assert [nb.label for nb in got] == [labels[nb.entry_id] for nb in got]
             if reference is not None:
                 assert [(nb.distance, nb.entry_id) for nb in got] == reference
 
@@ -390,28 +402,30 @@ def test_screen_prunes_to_2k_distance_rows_per_query(monkeypatch):
 @settings(deadline=None)
 @given(knn_case(), st.integers(1, 4))
 def test_batched_query_matches_full_scan_bit_for_bit(case, chunk_rows):
-    """knn over more queries than one chunk (the chunk is cut
-    to ``chunk_rows`` rows here), each round's queries holding stored rows,
-    nudged rows, fresh points and NaN and +-inf slots, with rows inserted
-    between rounds: every query gets the ids and distance bits of the scan
-    of every row, for every k up to the index size."""
-    d, n, vectors, rng, inserts = case
-    index = NNIndex(vectors[:n], ["x"] * n)
+    """knn over more queries than one chunk (the chunk is cut to
+    ``chunk_rows`` rows here, whatever the widest product), each round's
+    queries holding stored rows, nudged rows, fresh points and NaN and
+    +-inf slots, with rows inserted between rounds: every query gets the
+    ids, labels and distance bits of the scan of every row, for every k up
+    to the index size."""
+    d, n, vectors, labels, rng, inserts = case
+    index = NNIndex(vectors[:n], labels[:n])
     for size in range(n, n + inserts + 1):
         if size > n:
-            index.insert(vectors[size - 1], "x")
+            index.insert(vectors[size - 1], labels[size - 1])
         stored = vectors[:size]
         queries = np.stack(case_queries(rng, stored, d) + case_queries(rng, stored, d))
         cuts = [min(chunk_rows, len(queries) - s) for s in range(0, len(queries), chunk_rows)]
-        with mock.patch.object(index_mod, "CHUNK_BYTES", 8 * size * chunk_rows):
-            for k in range(1, size + 1):
-                blocks = []
-                with np.errstate(over="ignore", invalid="ignore"), screened_blocks(blocks):
-                    got = list(index.knn(queries, k))
-                    want = [full_scan_knn(stored, q, k) for q in queries]
-                assert blocks == cuts
-                assert [[(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in nbrs]
-                        for nbrs in got] == want
+        for k in range(1, size + 1):
+            blocks = []
+            with mock.patch.object(index_mod, "CHUNK_BYTES", 8 * index._width(k) * chunk_rows), \
+                    np.errstate(over="ignore", invalid="ignore"), screened_blocks(blocks):
+                got = list(index.knn(queries, k))
+                want = [full_scan_knn(stored, q, k) for q in queries]
+            assert blocks == cuts
+            assert [[(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in nbrs]
+                    for nbrs in got] == want
+            assert all(nb.label == labels[nb.entry_id] for nbrs in got for nb in nbrs)
 
 
 def test_batch_covers_several_chunks_at_the_real_chunk_size():
@@ -453,6 +467,88 @@ def test_batch_prunes_to_2k_distance_rows_per_query(monkeypatch):
     assert max(rows.values()) <= 2 * k, sorted(rows.values())[-5:]
     assert [[(nb.distance, nb.entry_id) for nb in nbrs] for nbrs in got] == [
         reference_knn(vectors, q, k) for q in queries]
+
+
+def test_screen_multiplies_one_block_per_query_on_labeled_clusters():
+    """The 8-cluster fixture of 3200 x 183 rows, labeled by cluster in
+    interleaved order so that the index groups its rows: 100 queries fit
+    one chunk, and each k = 5 query multiplies only the rows of its own
+    cluster's block, about 400, as the centroid bound skips the other seven
+    (the full scan multiplies 3200). Every query matches the full scan."""
+    rng = np.random.default_rng(29)
+    n, d, k = 3200, 183, 5
+    centres = rng.normal(size=(8, d)) * 10
+    which = rng.integers(0, 8, size=n)
+    vectors = centres[which] + rng.normal(size=(n, d))
+    index = NNIndex(vectors, [f"c{c}" for c in which])
+    near = rng.integers(0, 8, size=100)
+    queries = centres[near] + rng.normal(size=(100, d))
+    work = []
+    screen, block_pairs = NNIndex._screen, NNIndex._block_pairs
+
+    def counting_screen(self, Q, k):
+        work.append(np.zeros(len(Q), dtype=int))
+        return screen(self, Q, k)
+
+    def counting_block_pairs(self, B, qq, qs, lo, hi, t, k=0):
+        work[-1][qs] += hi - lo
+        return block_pairs(self, B, qq, qs, lo, hi, t, k)
+
+    with mock.patch.object(NNIndex, "_screen", counting_screen), \
+            mock.patch.object(NNIndex, "_block_pairs", counting_block_pairs):
+        got = list(index.knn(queries, k))
+    assert len(work) == 1
+    assert work[0].tolist() == np.bincount(which, minlength=8)[near].tolist()
+    assert [[(nb.distance, nb.entry_id, nb.label) for nb in nbrs] for nbrs in got] == [
+        [(dist, p, f"c{which[p]}") for dist, p in reference_knn(vectors, q, k)]
+        for q in queries]
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-160, 2.0 ** -500, 1e150, 2.0 ** 500])
+@pytest.mark.parametrize("d", [1, 183])
+def test_a_block_with_a_row_at_the_bound_is_screened(scale, d):
+    """Block b (label "b", rows at 2 and 6, centroid 4, radius 2) lies
+    exactly T = 2 beyond its radius from the query at 0, whose home block a
+    (rows at -2 and 2) sets T. Its row at 2 ties the k-th distance with a
+    lower id, so skipping b would lose it: the triangle bound must not
+    skip a block at equality, at any scale."""
+    vectors = np.zeros((4, d))
+    vectors[:, 0] = np.array([2.0, 6.0, -2.0, 2.0]) * scale
+    index = NNIndex(vectors, ["b", "b", "a", "a"])
+    q = np.zeros(d)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = [(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in index.query_knn(q, 2)]
+        assert got == full_scan_knn(vectors, q, 2)
+    assert [p for _, p in got] == [0, 2]
+
+
+@pytest.mark.parametrize("matrix,labels,fragment", [
+    (np.zeros(3), ["a"] * 3, "rows must form a 2-D matrix, not 1-D"),
+    (np.zeros((2, 2, 2)), ["a"] * 2, "rows must form a 2-D matrix, not 3-D"),
+    (np.zeros((3, 3)), ["a", "b"], "3 rows but 2 labels"),
+    (np.zeros((0, 3)), [], "an index needs at least one row"),
+], ids=["1-D", "3-D", "label-count", "empty"])
+def test_index_rejects_bad_rows_and_labels(matrix, labels, fragment):
+    with pytest.raises(ValueError, match=fragment):
+        NNIndex(matrix, labels)
+
+
+def test_grouped_rows_stay_in_place_and_interleaved_rows_are_grouped():
+    """Rows whose labels come grouped are the index's own rows, not a
+    copy; interleaved ones are grouped in a copy, first-seen label first,
+    and every neighbor keeps the entry id and label of its row as given."""
+    rng = np.random.default_rng(30)
+    vectors = rng.normal(size=(6, 3))
+    grouped = NNIndex(vectors, ["b", "b", "a", "a", "a", "c"])
+    assert grouped._matrix is vectors
+    labels = ["b", "a", "b", "c", "a", "a"]
+    index = NNIndex(vectors, labels)
+    assert index._ids.tolist() == [0, 2, 1, 4, 5, 3]
+    assert index._matrix.tobytes() == vectors[[0, 2, 1, 4, 5, 3]].tobytes()
+    for q in rng.normal(size=(10, 3)):
+        got = index.query_knn(q, 6)
+        assert [(nb.distance, nb.entry_id) for nb in got] == reference_knn(vectors, q, 6)
+        assert [nb.label for nb in got] == [labels[nb.entry_id] for nb in got]
 
 
 def test_batch_validation_errors():
