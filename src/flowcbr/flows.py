@@ -239,7 +239,7 @@ def parse_pcap(data: bytes) -> PcapParseResult:
     # Each record starts where the one before ends, so this loop reads only
     # the captured lengths; the frames are decoded all at once below.
     incl_len = struct.Struct(endian + "I").unpack_from
-    starts = []
+    starts = array("q")
     offset, total, truncated = 24, len(data), 0
     while offset < total:
         if total - offset < 16:
@@ -254,20 +254,24 @@ def parse_pcap(data: bytes) -> PcapParseResult:
         offset += length
 
     buf = np.frombuffer(data, dtype=np.uint8)
-    start = np.array(starts, dtype=np.int64)
-    header = buf[start[:, None] - 16 + np.arange(16)].view(endian + "u4")
+    start = np.frombuffer(starts, dtype=np.int64)
+    header = _window(buf, 16)[start - 16].view(endian + "u4")
     # The same float operations as ts_sec + ts_usec * 1e-6 on Python numbers.
     ts = header[:, 0].astype(np.float64) + header[:, 1].astype(np.float64) * 1e-6
     records = _decode_frames(buf, start, start + header[:, 2].astype(np.int64), ts)
     return PcapParseResult(records, skipped=start.size - len(records), truncated=truncated)
 
 
+def _window(buf: np.ndarray, width: int) -> np.ndarray:
+    """Row i is buf[i:i + width], a view: indexing it by offsets gathers
+    their bytes in one step, with no (offsets x width) index."""
+    return np.lib.stride_tricks.sliding_window_view(buf, width)
+
+
 def _be(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
-    """The big-endian unsigned integers of ``width`` bytes at offsets ``at``."""
-    value = np.zeros(at.shape, dtype=np.int64)
-    for k in range(width):
-        value = (value << 8) | buf[at + k]
-    return value
+    """The big-endian unsigned integers of ``width`` (2 or 4) bytes at
+    offsets ``at``."""
+    return _window(buf, width)[at].view(f">u{width}")[:, 0].astype(np.int64)
 
 
 def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray,

@@ -4,9 +4,11 @@ One exact index: a query returns the k stored rows nearest to it, and ties
 go to the lower entry id, so results are deterministic. A neighbor's entry
 id is its row in the order the index was made from, then inserted rows in
 insertion order. Rows can be inserted one at a time (new classes register
-without a rebuild) into a buffer that doubles when it is full, so n inserts
-copy the index about log2(n) times, not n; the index has an independent
-clone. Saving and loading belong to the model directory
+without a rebuild). The index never copies or writes the rows it was made
+from: inserted rows go into a buffer of their own that doubles when it is
+full, so n inserts copy the inserted rows about log2(n) times, not n. A
+clone shares the fitted rows and copies the inserted ones, so it grows
+independently. Saving and loading belong to the model directory
 (``flowcbr.model``).
 
 The index keeps its rows in blocks, one per label, in the order each label
@@ -46,7 +48,7 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Iterator
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,14 +97,14 @@ def _lower(approx: np.ndarray, s: np.ndarray, d: int) -> np.ndarray:
 
 
 def _doubled(a: np.ndarray) -> np.ndarray:
-    """A buffer of twice a's rows, a's rows first."""
-    out = np.empty((2 * len(a),) + a.shape[1:], dtype=a.dtype)
+    """A buffer of twice a's rows (one row when a has none), a's rows
+    first. The new half stays unwritten, so its pages take no memory yet."""
+    out = np.empty((max(1, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
     out[:len(a)] = a
     return out
 
 
-@dataclass(frozen=True)
-class Neighbor:
+class Neighbor(NamedTuple):
     entry_id: int
     label: str
     distance: float
@@ -127,11 +129,13 @@ class NNIndex:
         ids = np.argsort(block, kind="stable")
         if (np.diff(block) < 0).any():
             matrix = matrix[ids]
-        # _matrix, _sq and _ids view the used rows of _buf, _sq_buf and
-        # _id_buf; _ids holds each position's entry id. The caller's matrix,
-        # when grouped, is the first buffer: it is full, so the first insert
-        # copies it and never writes to it.
-        self._buf = self._matrix = matrix
+        # _matrix holds the fitted rows, which are never written: the
+        # caller's matrix itself when it comes grouped. _tail views the
+        # used rows of _tail_buf, the inserted rows, at positions from
+        # len(_matrix) on. _sq and _ids view the used rows of _sq_buf and
+        # _id_buf, one entry per position; _ids holds its entry id.
+        self._matrix = matrix
+        self._tail_buf = self._tail = np.empty((0, matrix.shape[1]))
         self._sq_buf = self._sq = _squared_norms(matrix)
         self._id_buf = self._ids = ids
         # Block b holds positions _bounds[b]:_bounds[b + 1]; the tail starts
@@ -146,7 +150,7 @@ class NNIndex:
 
     @property
     def size(self) -> int:
-        return self._matrix.shape[0]
+        return len(self._ids)
 
     @property
     def dimension(self) -> int:
@@ -156,10 +160,12 @@ class NNIndex:
         return label in self._labels
 
     def clone(self) -> NNIndex:
+        """An index that shares the fitted rows, which neither writes, and
+        has its own copy of everything inserts change."""
         other = copy.copy(self)
-        other._matrix, other._sq, other._ids = (
-            a.copy() for a in (self._matrix, self._sq, self._ids))
-        other._buf, other._sq_buf, other._id_buf = other._matrix, other._sq, other._ids
+        other._tail_buf, other._sq_buf, other._id_buf = (
+            a.copy() for a in (self._tail, self._sq, self._ids))
+        other._tail, other._sq, other._ids = other._tail_buf, other._sq_buf, other._id_buf
         other._labels = list(self._labels)
         return other
 
@@ -168,15 +174,32 @@ class NNIndex:
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dimension,):
             raise ValueError(f"row has dimension {v.shape}, expected ({self.dimension},)")
-        n = self.size
-        if n == len(self._buf):
-            # The new half stays unwritten, so its pages take no memory yet.
-            self._buf, self._sq_buf, self._id_buf = (
-                _doubled(a) for a in (self._matrix, self._sq, self._ids))
-        self._buf[n], self._sq_buf[n], self._id_buf[n] = v, _squared_norms(v[None, :])[0], n
-        self._matrix, self._sq, self._ids = (
-            a[:n + 1] for a in (self._buf, self._sq_buf, self._id_buf))
+        n, t = self.size, len(self._tail)
+        if t == len(self._tail_buf):
+            self._tail_buf = _doubled(self._tail)
+        if n == len(self._sq_buf):
+            self._sq_buf, self._id_buf = _doubled(self._sq), _doubled(self._ids)
+        self._tail_buf[t], self._sq_buf[n], self._id_buf[n] = v, _squared_norms(v[None, :])[0], n
+        self._tail, self._sq, self._ids = (
+            self._tail_buf[:t + 1], self._sq_buf[:n + 1], self._id_buf[:n + 1])
         self._labels.append(label)
+
+    def _span(self, lo: int, hi: int) -> np.ndarray:
+        """The rows at positions lo:hi, all fitted or all inserted, as a
+        view: no block straddles the two."""
+        n = len(self._matrix)
+        return self._matrix[lo:hi] if hi <= n else self._tail[lo - n:hi - n]
+
+    def _take(self, positions: np.ndarray) -> np.ndarray:
+        """The rows at positions, fitted or inserted, in their order."""
+        n = len(self._matrix)
+        late = positions >= n
+        if not late.any():
+            return self._matrix[positions]
+        out = np.empty((len(positions), self.dimension))
+        out[~late] = self._matrix[positions[~late]]
+        out[late] = self._tail[positions[late] - n]
+        return out
 
     def query_knn(self, q: np.ndarray, k: int) -> list[Neighbor]:
         """The k nearest rows to q: the stream of one."""
@@ -228,11 +251,11 @@ class NNIndex:
         as it stands."""
         if self.size > screened:
             rows = np.concatenate([rows, np.arange(screened, self.size)])
-            dists = np.concatenate([dists, row_distances(self._matrix[screened:], q)])
+            dists = np.concatenate([dists, row_distances(self._span(screened, self.size), q)])
             order = np.lexsort((rows, dists))[:k]
             rows, dists = rows[order], dists[order]
-        return [Neighbor(entry_id=p, label=self._labels[p], distance=d)
-                for p, d in zip(rows.tolist(), dists.tolist())]
+        labels = self._labels
+        return [Neighbor(p, labels[p], d) for p, d in zip(rows.tolist(), dists.tolist())]
 
     def _rank(self, B: np.ndarray, qi: np.ndarray, rows: np.ndarray,
               k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -247,7 +270,7 @@ class NNIndex:
         dists = np.empty(len(rows))
         step = max(1, SLICE_BYTES // (8 * self.dimension))
         for s in range(0, len(rows), step):
-            dists[s:s + step] = row_distances(self._matrix[rows[s:s + step]], B[qi[s:s + step]])
+            dists[s:s + step] = row_distances(self._take(rows[s:s + step]), B[qi[s:s + step]])
         ids = self._ids[rows]
         order = np.lexsort((ids, dists, qi))
         counts = np.bincount(qi, minlength=len(B))
@@ -371,20 +394,19 @@ class NNIndex:
         nothing else held is larger than SLICE_BYTES. With k, this is the
         home block of qs: the k rows of least approx set t[qs] first, and
         are kept."""
-        d = self.dimension
-        product = (B if len(qs) == len(B) else B[qs]) @ self._matrix[lo:hi].T
+        d, rows = self.dimension, self._span(lo, hi)
+        product = (B if len(qs) == len(B) else B[qs]) @ rows.T
         step, pairs = max(1, SLICE_BYTES // (8 * (hi - lo))), []
         for s in range(0, len(qs), step):
             q = qs[s:s + step]
             approx, sums = _approx(product[s:s + step], qq[q], self._sq[lo:hi])
             if k:
                 first = np.argpartition(approx, k - 1, axis=1)[:, :k]
-                dist = row_distances(self._matrix[lo + first.ravel()],
-                                     np.repeat(B[q], k, axis=0))
+                dist = row_distances(rows[first.ravel()], np.repeat(B[q], k, axis=0))
                 t[q] = dist.reshape(-1, k).max(axis=1)
             keep = ~(_lower(approx, sums, d) > (t[q] * t[q] * (1 + 4 * (d + 8) * U))[:, None])
             if k:
                 keep[np.arange(len(q))[:, None], first] = True
-            i, rows = np.nonzero(keep)
-            pairs.append((q[i], rows + lo))
+            i, kept = np.nonzero(keep)
+            pairs.append((q[i], kept + lo))
         return pairs

@@ -4,19 +4,22 @@ A model is the normalized training rows (row i is index entry i) plus the
 min-max normalizer and the five thresholds around them. A model directory
 holds exactly ``vectors.npy``, the rows as float64 in ``np.save`` format,
 and ``model.json``: the format and schema versions, the normalizer's mins
-and maxs, the thresholds, one label per row, the row count and the sha256
+and maxs, the thresholds, one label per row, the row count and the crc32
 of ``vectors.npy``. Each file is written under a temporary name and moved
 into place with ``os.replace``, vectors first; a ``model.json`` left from an
-earlier model then fails the sha256 check against the new vectors.
+earlier model then fails the crc32 check against the new vectors. The check
+is there to catch a torn or mismatched pair of files, not tampering, and a
+crc32 catches every burst of up to 32 flipped bits. A loaded model's
+vectors are a read-only view of the bytes read from the file.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
 import io
 import json
 import os
+import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
 from tokenize import TokenError
@@ -32,7 +35,7 @@ from .index import NNIndex
 if TYPE_CHECKING:
     from .harness import PipelineConfig
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 # Files of the layouts before model.json. The index command wrote them and
 # nothing updated them, so a rebuild from the same features restores them. A
 # slot mask may permute all 183 slots, so its model cannot be read as plain slots.
@@ -88,12 +91,16 @@ def save_model(directory: str | Path, model: Model) -> None:
            "mins": model.normalizer.mins.tolist(), "maxs": model.normalizer.maxs.tolist(),
            "thresholds": dataclasses.asdict(model.thresholds),
            "labels": model.labels, "rows": len(model.labels),
-           "vectors_sha256": hashlib.sha256(buf.getvalue()).hexdigest()}
+           "vectors_crc32": _crc32(buf.getvalue())}
     text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
     out = Path(directory)
     for name, data in (("vectors.npy", buf.getvalue()), ("model.json", text.encode())):
         (out / f"{name}.tmp").write_bytes(data)
         os.replace(out / f"{name}.tmp", out / name)
+
+
+def _crc32(data: bytes) -> str:
+    return f"{zlib.crc32(data):08x}"
 
 
 def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
@@ -121,33 +128,36 @@ def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
             if not ((mins <= maxs).all() and np.isfinite(maxs - mins).all()):
                 raise ValueError("every min must be <= its max, with a finite max - min")
         thresholds = Thresholds(**doc["thresholds"])
-        labels, rows, sha256 = doc["labels"], doc["rows"], doc["vectors_sha256"]
+        labels, rows, crc32 = doc["labels"], doc["rows"], doc["vectors_crc32"]
         if not (isinstance(labels, list) and labels and len(labels) == rows
                 and all(isinstance(lbl, str) and lbl for lbl in labels)):
             raise ValueError(f"labels must be {rows!r} non-empty strings, one per row")
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise InputError(f"malformed model.json: {exc!r}") from None
     data = vectors_path.read_bytes()
-    if hashlib.sha256(data).hexdigest() != sha256:
-        raise InputError("vectors.npy does not match the sha256 in model.json, "
+    if _crc32(data) != crc32:
+        raise InputError("vectors.npy does not match the crc32 in model.json, "
                          f"as after an interrupted write; {REBUILD}")
-    # The header is checked before np.load allocates the array it declares.
-    # Its parser raises TokenError, not a ValueError, on some broken headers.
+    # The header is checked before the array it declares is read. Its
+    # parser raises TokenError, not a ValueError, on some broken headers.
     fp = io.BytesIO(data)
     try:
         read_header = (np.lib.format.read_array_header_1_0
                        if np.lib.format.read_magic(fp) == (1, 0)
                        else np.lib.format.read_array_header_2_0)
-        shape, _, dtype = read_header(fp)
+        shape, fortran_order, dtype = read_header(fp)
     except (ValueError, TokenError) as exc:
         raise InputError(f"malformed vectors.npy: {exc}") from None
     if dtype != np.float64 or shape != (rows, schema.width):
         raise InputError(f"vectors.npy holds {dtype} {shape}, "
                          f"expected float64 {(rows, schema.width)}")
-    try:
-        vectors = np.load(io.BytesIO(data), allow_pickle=False)
-    except (ValueError, EOFError) as exc:
-        raise InputError(f"malformed vectors.npy: {exc}") from None
+    # The array is a view of the bytes already read, not a second copy.
+    count, offset = rows * schema.width, fp.tell()
+    if len(data) - offset < 8 * count:
+        raise InputError(f"malformed vectors.npy: EOF: reading array data, "
+                         f"expected {8 * count} bytes got {len(data) - offset}")
+    vectors = np.frombuffer(data, dtype, count, offset).reshape(
+        shape, order="F" if fortran_order else "C")
     if not np.isfinite(vectors).all():
         raise InputError("vectors.npy holds non-finite values")
     return Model(Normalizer(schema.version, mins, maxs), thresholds,

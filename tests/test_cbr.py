@@ -579,6 +579,7 @@ def assert_same_runs(stream, loop):
     (got, index, registry), (want, index_l, registry_l) = stream, loop
     assert got == want
     assert index._matrix.tobytes() == index_l._matrix.tobytes()
+    assert index._tail.tobytes() == index_l._tail.tobytes()
     assert index._labels == index_l._labels
     assert registry.pending.tobytes() == registry_l.pending.tobytes()
     assert (registry.evictions, registry.novel_count) == (

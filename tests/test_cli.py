@@ -11,6 +11,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import zlib
 from dataclasses import replace
 from pathlib import Path
 
@@ -496,16 +497,29 @@ def _npy(array):
     return buf.getvalue()
 
 
-def _replace_vectors(make, record_sha=True):
+def _crc32(data):
+    return f"{zlib.crc32(data):08x}"
+
+
+def _replace_vectors(make, record_crc=True):
     """A change to a model directory: write ``make(vectors)`` as vectors.npy,
-    and record its sha256 in model.json unless ``record_sha`` is false, as
+    and record its crc32 in model.json unless ``record_crc`` is false, as
     after a rewrite cut off between the two files."""
     def change(model):
         data = make(np.load(model / "vectors.npy"))
         (model / "vectors.npy").write_bytes(data)
-        if record_sha:
-            _edit_model_json(vectors_sha256=hashlib.sha256(data).hexdigest())(model)
+        if record_crc:
+            _edit_model_json(vectors_crc32=_crc32(data))(model)
     return change
+
+
+def _format_2(model):
+    """model.json as format 2 wrote it: a sha256 where format 3 has a crc32."""
+    doc = json.loads((model / "model.json").read_text())
+    del doc["vectors_crc32"]
+    doc.update(format_version=2, vectors_sha256=hashlib.sha256(
+        (model / "vectors.npy").read_bytes()).hexdigest())
+    (model / "model.json").write_text(json.dumps(doc))
 
 
 def _old_layout(model):
@@ -526,7 +540,9 @@ _BAD_INPUTS = {
     "index": ("index.json", _old_layout, _OLD),
     "model-json": ("model.json", "{", "malformed"),
     "format-version": ("model.json", _edit_model_json(format_version=1),
-                       "format_version 1 is not 2"),
+                       "format_version 1 is not 3"),
+    "format-2": ("model.json", _format_2,
+                 "format_version 2 is not 3; rebuild the model with the index command"),
     "schema-version": ("model.json", _edit_model_json(schema_version="stat178.v1"),
                        "schema_version 'stat178.v1' is not 'stat183.v1'"),
     "normalizer": ("model.json", _edit_model_json(mins=lambda doc: doc["mins"][:178]),
@@ -557,9 +573,9 @@ _BAD_INPUTS = {
                       "holds float32 (12, 183)"),
     "vectors-truncated": ("vectors.npy", _replace_vectors(lambda v: _npy(v)[:-8]),
                           "EOF: reading array data"),
-    "vectors-sha256": ("vectors.npy",
-                       _replace_vectors(lambda v: _npy(v[::-1]), record_sha=False),
-                       "does not match the sha256 in"),
+    "vectors-crc32": ("vectors.npy",
+                      _replace_vectors(lambda v: _npy(v[::-1]), record_crc=False),
+                      "does not match the crc32 in"),
     "vectors-missing": ("vectors.npy", lambda model: (model / "vectors.npy").unlink(),
                         "missing vectors.npy"),
     "features": ("features.csv", _NARROW_HEADER, "has 178 feature columns, the model has 183"),
@@ -917,14 +933,13 @@ def _change_bytes(name, kind, at, arg, model):
     (model / name).write_bytes(bytes(data))
 
 
-def _record_sha(model):
-    """Record vectors.npy's sha256 in model.json, so that its bytes are read."""
-    sha = hashlib.sha256((model / "vectors.npy").read_bytes()).hexdigest()
-    _set_value(("vectors_sha256",), sha, model)
+def _record_crc32(model):
+    """Record vectors.npy's crc32 in model.json, so that its bytes are read."""
+    _set_value(("vectors_crc32",), _crc32((model / "vectors.npy").read_bytes()), model)
 
 
 _MODEL_KEYS = ("format_version", "schema_version", "mins", "maxs", "thresholds", "labels",
-               "rows", "vectors_sha256")
+               "rows", "vectors_crc32")
 _THRESHOLD_KEYS = ("theta_new", "theta_ood", "k", "c_min", "r_cohesion")
 _MODEL_VALUES = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 2 ** 70), st.floats(), st.text(max_size=4),
@@ -939,7 +954,7 @@ def model_dir_changes(draw):
     replaced key by key (a whole value, a thresholds key, or one slot of
     mins, maxs or labels; wrong format versions and labels that are not
     strings among them), then bytes of vectors.npy flipped, cut, truncated
-    or inserted, its sha256 sometimes recorded so that np.load reads them,
+    or inserted, its crc32 sometimes recorded so that the array is read,
     then bytes of model.json changed the same ways."""
     changes = []
     for _ in range(draw(st.integers(0, 3))):
@@ -958,7 +973,7 @@ def model_dir_changes(draw):
             changes.append(functools.partial(_change_bytes, name, kind,
                                              draw(st.integers(0, 2 ** 16)), arg))
         if name == "vectors.npy" and draw(st.booleans()):
-            changes.append(_record_sha)
+            changes.append(_record_crc32)
     return changes
 
 
@@ -979,13 +994,13 @@ def _bad_model_examples(test):
 @given(model_dir_changes())
 @_bad_model_examples
 # A header the parser cannot tokenize, and one declaring 12 x 183 * 10^11
-# float64s, each with its sha256 recorded; and a slot whose span is so small
+# float64s, each with its crc32 recorded; and a slot whose span is so small
 # that scaling its values overflows.
 @example([functools.partial(_set_value, ("mins", 138), 0.0),
           functools.partial(_set_value, ("maxs", 138), 1e-305)])
-@example([functools.partial(_change_bytes, "vectors.npy", "flip", 9, 0), _record_sha])
+@example([functools.partial(_change_bytes, "vectors.npy", "flip", 9, 0), _record_crc32])
 @example([functools.partial(_change_bytes, "vectors.npy", "insert", 68, b"0" * 11),
-          _record_sha])
+          _record_crc32])
 def test_classify_survives_a_mutated_model_dir(data_dir, shared_model, changes):
     """A valid model directory, changed: classify exits 0 with a verdict for
     each of the 12 rows, or 2 with an error line naming the directory and
@@ -1048,8 +1063,12 @@ def test_settings_survive_random_config_values(data_dir, config, command):
         assert len(errors) == (rc == 2), err.getvalue()
 
 
-def _run_subprocess(argv, flowcbr_log):
-    """Run main() in a fresh interpreter with FLOWCBR_LOG set or unset.
+_MAIN = "import sys; from flowcbr.cli import main; sys.exit(main(sys.argv[1:]))"
+
+
+def _run_subprocess(argv, flowcbr_log, code=_MAIN):
+    """Run main(), or ``code`` given argv, in a fresh interpreter with
+    FLOWCBR_LOG set or unset.
 
     In process, logging.basicConfig does nothing once pytest has put its
     handlers on the root logger, so only a child process shows the level.
@@ -1063,9 +1082,21 @@ def _run_subprocess(argv, flowcbr_log):
     env.pop("FLOWCBR_LOG", None)
     if flowcbr_log is not None:
         env["FLOWCBR_LOG"] = flowcbr_log
-    code = "import sys; from flowcbr.cli import main; sys.exit(main(sys.argv[1:]))"
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env)
+
+
+def test_classify_does_not_load_openssl(data_dir, shared_model, tmp_path):
+    """The model's checksum is zlib's crc32, so importing flowcbr.cli and
+    classifying a flow CSV never loads OpenSSL's hash module, which costs
+    a process about 3.5 MB of memory."""
+    code = ("import sys; from flowcbr.cli import main; rc = main(sys.argv[1:]); "
+            "print('_hashlib' in sys.modules); sys.exit(rc)")
+    argv = ["--out", str(tmp_path / "v"), "classify", str(shared_model),
+            "--input", str(data_dir / "flows.csv")]
+    done = _run_subprocess(argv, None, code)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.splitlines()[-1] == "False"
 
 
 def test_log_level_env_var(flows_csv, tmp_path):

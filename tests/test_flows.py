@@ -593,3 +593,21 @@ def test_flow_csv_rejects_out_of_range_integers(tmp_path, field, value):
     write_rows(path, [["f0", "", 0, "out", "0.5", 60, 0, "", ""], row])
     with pytest.raises(InputError, match=r"row 3: .* must be in \[0, 2\*\*32\)"):
         load_flows_csv(path)
+
+
+def test_parse_pcap_allocates_under_220_bytes_a_record(traced_peak):
+    """A capture of 32 725 TCP, UDP and VLAN-tagged records parses with
+    under 220 bytes a record allocated at the peak, the output columns
+    included: record headers and header fields are gathered from windows
+    of the capture's bytes, with no (records x 16) index and no
+    temporaries per byte."""
+    frames = [tcp_frame(), udp_frame(), tcp_frame(tags=1),
+              tcp_frame(payload=b"x" * 40, offset_words=6)]
+    n = 32_725
+    data = struct.pack("<IHHiIII", 0xA1B2C3D4, 2, 4, 0, 0, 65535, 1) + b"".join(
+        struct.pack("<IIII", i // 1000, i % 1000, len(f), len(f)) + f
+        for i, f in ((i, frames[i % len(frames)]) for i in range(n)))
+    result, peak = traced_peak(parse_pcap, data)
+    assert len(result.records) == n and result.skipped == 0
+    assert result.records.payload_length[3::4].tolist() == [40] * (n // 4)
+    assert peak < 220 * n, peak / n

@@ -7,10 +7,10 @@ given, however the index groups its rows by label, so the scans rank rows
 by (distance, position in the given matrix).
 """
 
-import hashlib
 import io
 import itertools
 import json
+import zlib
 from unittest import mock
 
 import numpy as np
@@ -279,7 +279,7 @@ def test_snapshot_rejects_corrupt_and_mismatched(tmp_path):
     buf = io.BytesIO()
     np.save(buf, vectors[:, :2])
     (tmp_path / "vectors.npy").write_bytes(buf.getvalue())
-    doc["vectors_sha256"] = hashlib.sha256(buf.getvalue()).hexdigest()
+    doc["vectors_crc32"] = f"{zlib.crc32(buf.getvalue()):08x}"
     (tmp_path / "model.json").write_text(json.dumps(doc))
     with pytest.raises(InputError, match=r"expected float64 \(4, 3\)"):
         load_model(tmp_path, schema_of(3))
@@ -620,10 +620,17 @@ def test_rank_bounds_the_pair_block_on_a_degenerate_index(monkeypatch, points):
             for nbrs in got] == [full_scan_knn(vectors, q, k) for q in queries]
 
 
+def rows_of(index):
+    """Every row of an index by position: the fitted rows, then the tail."""
+    return np.vstack([index._matrix, index._tail])
+
+
 def test_insert_grows_a_buffer_and_clone_stays_independent():
-    """Inserts fill a buffer that doubles when full: the rows seen are
-    always the used ones, in order, the caller's matrix is never written,
-    and a clone taken between inserts keeps its own rows."""
+    """Inserts fill a tail buffer of their own that doubles when full: the
+    rows seen are always the fitted ones and then the used inserted ones,
+    in order; the caller's matrix is the index's fitted rows and is never
+    written; and a clone taken between inserts shares the fitted rows and
+    keeps its own inserted ones."""
     rng = np.random.default_rng(28)
     vectors, labels = make_rows(rng, 3, 4)
     given = vectors.copy()
@@ -633,14 +640,78 @@ def test_insert_grows_a_buffer_and_clone_stays_independent():
     for i, v in enumerate(extra):
         index.insert(v, f"n{i}")
         clones.append((index.clone(), index.size))
-        assert index._matrix.tobytes() == np.vstack([given, extra[:i + 1]]).tobytes()
-        assert index._sq.tobytes() == np.einsum("ij,ij->i", index._matrix,
-                                                index._matrix).tobytes()
+        assert index._matrix is vectors
+        assert rows_of(index).tobytes() == np.vstack([given, extra[:i + 1]]).tobytes()
+        assert index._sq.tobytes() == np.einsum("ij,ij->i", rows_of(index),
+                                                rows_of(index)).tobytes()
     assert vectors.tobytes() == given.tobytes()
-    assert len(index._buf) == 12
+    assert (len(index._tail_buf), len(index._sq_buf), len(index._id_buf)) == (16, 12, 12)
     for clone, size in clones:
-        assert clone.size == size
-        assert clone._matrix.tobytes() == np.vstack([given, extra])[:size].tobytes()
+        assert clone.size == size and clone._matrix is vectors
+        assert rows_of(clone).tobytes() == np.vstack([given, extra])[:size].tobytes()
         clone.insert(np.zeros(4), "z")
-    assert index._matrix.tobytes() == np.vstack([given, extra]).tobytes()
+    assert rows_of(index).tobytes() == np.vstack([given, extra]).tobytes()
     assert [nb.entry_id for nb in index.query_knn(extra[-1], 1)] == [11]
+
+
+def grouped_rows(rng, n=3200, labels=8):
+    """n x 183 rows in ``labels`` classes of equal size, grouped by label,
+    as the index command saves them."""
+    return rng.normal(size=(n, 183)), [f"c{i * labels // n}" for i in range(n)]
+
+
+def test_inserts_allocate_only_the_tail(traced_peak):
+    """Ten inserts into a grouped 3200 x 183 index allocate under 1 MB in
+    all: the fitted rows stay the caller's matrix, and only the inserted
+    rows, norms and ids are copied as their buffers double."""
+    rng = np.random.default_rng(32)
+    vectors, labels = grouped_rows(rng)
+    index = NNIndex(vectors, labels)
+    extra = rng.normal(size=(10, 183))
+
+    def insert_all():
+        for i, v in enumerate(extra):
+            index.insert(v, f"novel-{i}")
+
+    _, peak = traced_peak(insert_all)
+    assert peak < 2 ** 20, peak
+    assert np.shares_memory(index._matrix, vectors)
+    assert index.size == 3210 and rows_of(index)[3200:].tobytes() == extra.tobytes()
+
+
+def test_load_model_reads_the_vectors_once(tmp_path, traced_peak):
+    """Loading a 3200-row model holds under 1.3 times the vectors file at
+    its peak: the vectors are a read-only view of the bytes read and
+    checked, and the index's fitted rows are those same bytes."""
+    rng = np.random.default_rng(33)
+    vectors, labels = grouped_rows(rng)
+    save_test_model(tmp_path, vectors, labels)
+    size = (tmp_path / "vectors.npy").stat().st_size
+    model, peak = traced_peak(load_model, tmp_path, schema_of(183))
+    assert peak < 1.3 * size, (peak, size)
+    assert model.vectors.tobytes() == vectors.tobytes()
+    assert not model.vectors.flags.writeable
+    assert model.index._matrix is model.vectors
+
+
+def test_a_fortran_order_vectors_file_loads_the_same_values(tmp_path):
+    """A vectors.npy whose header says Fortran order, as np.save writes a
+    Fortran-ordered array, loads the same C-ordered values as np.load
+    gives, and the index answers as it does from the C-order file."""
+    rng = np.random.default_rng(34)
+    vectors, labels = make_rows(rng, 9, 5)
+    save_test_model(tmp_path, vectors, labels)
+    want = load_model(tmp_path, schema_of(5))
+    buf = io.BytesIO()
+    np.save(buf, np.asfortranarray(vectors))
+    assert b"'fortran_order': True" in buf.getvalue()[:128]
+    (tmp_path / "vectors.npy").write_bytes(buf.getvalue())
+    doc = json.loads((tmp_path / "model.json").read_text())
+    doc["vectors_crc32"] = f"{zlib.crc32(buf.getvalue()):08x}"
+    (tmp_path / "model.json").write_text(json.dumps(doc))
+    got = load_model(tmp_path, schema_of(5))
+    assert got.vectors.flags.c_contiguous
+    assert got.vectors.tobytes() == np.load(io.BytesIO(buf.getvalue())).tobytes()
+    assert got.vectors.tobytes() == vectors.tobytes()
+    for q in rng.normal(size=(5, 5)):
+        assert got.index.query_knn(q, 3) == want.index.query_knn(q, 3)
