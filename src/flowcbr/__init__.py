@@ -10,8 +10,7 @@ second stage of the combined pipeline.
 
 from .cbr import (ClassRegistry, Thresholds, Verdict, VerdictKind,
                   calibrate_thresholds, classify, classify_stream, vote)
-from .features import (SCHEMA, FeatureSchema, Normalizer, extract_features,
-                       extract_matrix, fit_normalizer)
+from .features import SCHEMA, FeatureSchema, Normalizer, extract_matrix, fit_normalizer
 from .flows import (Direction, Flow, FlowKey, FlowPacket, PacketColumns,
                     Protocol, TcpFlags, assemble_flows, load_flows_csv,
                     parse_pcap, save_flows_csv, truncate_flow)
@@ -52,7 +51,6 @@ __all__ = [
     "classify_stream",
     "compute_metrics",
     "default_templates",
-    "extract_features",
     "extract_matrix",
     "find_plateau",
     "fit_normalizer",

@@ -20,6 +20,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .flows import write_atomic
 from .index import Neighbor, NNIndex, row_distances
 
 PENDING_CAPACITY = 1000
@@ -268,6 +269,5 @@ def verdict_to_json(flow_id: str, verdict: Verdict) -> str:
 
 
 def write_verdicts(path: str | Path, items: list[tuple[str, Verdict]]) -> None:
-    with open(path, "w") as fh:
-        for flow_id, verdict in items:
-            fh.write(verdict_to_json(flow_id, verdict) + "\n")
+    write_atomic(path, "".join(verdict_to_json(flow_id, verdict) + "\n"
+                               for flow_id, verdict in items))

@@ -43,15 +43,16 @@ def _input(path: str):
     """Name ``path`` in front of the InputError raised for what was read
     from it, and turn a failed read of it, or of a file in it (absent, a
     directory, no read permission), into an InputError naming that file.
-    An output that cannot be written stays an OSError: a runtime failure."""
+    An output that cannot be written, and an error that names no file (a
+    full disk), stay an OSError: a runtime failure."""
     try:
         yield
     except InputError as exc:
         raise InputError(f"{path}: {exc}") from None
     except OSError as exc:
-        if exc.filename is not None and not Path(exc.filename).is_relative_to(path):
+        if exc.filename is None or not Path(exc.filename).is_relative_to(path):
             raise
-        raise InputError(f"{exc.filename or path}: {exc.strerror or exc}") from None
+        raise InputError(f"{exc.filename}: {exc.strerror or exc}") from None
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -131,12 +132,6 @@ def _pipeline_config(s: dict) -> PipelineConfig:
     return PipelineConfig(**{f.name: s[f.name] for f in dataclasses.fields(PipelineConfig)})
 
 
-def _out_dir(args: argparse.Namespace) -> Path:
-    out = Path(args.out or ".")
-    out.mkdir(parents=True, exist_ok=True)
-    return out
-
-
 def _read_capture(path: str, idle_timeout: float) -> list:
     result = flows_mod.parse_pcap(Path(path).read_bytes())
     if result.skipped or result.truncated:
@@ -171,7 +166,7 @@ def cmd_extract(args: argparse.Namespace) -> int:
                          "is a flow CSV, whose flows are already split")
     with _input(args.input):
         matrix, flow_ids, labels = _read_flows(args.input, s)
-    out = _out_dir(args) / "features.csv"
+    out = Path(args.out or ".") / "features.csv"
     save_matrix_csv(out, matrix, flow_ids, labels)
     log.info("wrote %d feature rows to %s", matrix.shape[0], out)
     print(f"{matrix.shape[0]} flows -> {out}")
@@ -183,7 +178,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     with _input(args.features):
         matrix, _, labels = load_matrix_csv(args.features)
         model = fit_model(matrix, labels, _pipeline_config(s))
-    out = _out_dir(args)
+    out = Path(args.out or ".")
     save_model(out, model)
     log.info("indexed %d vectors into %s", len(labels), out)
     print(f"{len(labels)} vectors -> {out}")
@@ -202,7 +197,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
                                else _read_flows(args.input, s))
         Xn = model.normalizer.transform(matrix)
     verdicts = classify_stream(model.index, model.registry, Xn, model.thresholds)
-    out = _out_dir(args) / "verdicts.jsonl"
+    out = Path(args.out or ".") / "verdicts.jsonl"
     write_verdicts(out, list(zip(flow_ids, verdicts)))
     counts = dict(Counter(v.kind.value for v in verdicts))
     log.info("verdicts: %s", counts)
@@ -270,7 +265,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
     else:
         templates = sweep_templates(args.classes)
     flows = synth_generate(templates, args.flows_per_class, seed=s["seed"])
-    out = _out_dir(args) / "flows.csv"
+    out = Path(args.out or ".") / "flows.csv"
     save_flows_csv(flows, out)
     print(f"{len(flows)} flows ({args.classes} classes) -> {out}")
     return 0

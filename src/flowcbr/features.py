@@ -37,7 +37,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flows import Flow, InputError, TcpFlags
+from .flows import Flow, InputError, TcpFlags, write_atomic
 
 SCHEMA_VERSION = "stat183.v1"
 WINDOW_SECONDS = 5.0
@@ -391,11 +391,6 @@ def extract_matrix(flows: list[Flow]) -> np.ndarray:
     return out
 
 
-def extract_features(flow: Flow) -> np.ndarray:
-    """Extract the full feature vector for one flow."""
-    return extract_matrix([flow])[0]
-
-
 @dataclass
 class Normalizer:
     """Per-slot min-max scaler with clamping, fit on training data only."""
@@ -449,8 +444,7 @@ def save_matrix_csv(path: str | Path, matrix: np.ndarray,
     lines += [",".join([quoted((fid, label))[:-2], *map(repr, row)])
               for fid, label, row in zip(flow_ids, labels, matrix.tolist())]
     lines.append("")  # the last row ends with a line end too
-    with open(path, "w", newline="") as fh:
-        fh.write("\r\n".join(lines))
+    write_atomic(path, "\r\n".join(lines))
 
 
 _FIELD = r'("(?:[^"]|"")*"|[^",\r\n]*)'

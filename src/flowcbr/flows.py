@@ -17,7 +17,9 @@ from __future__ import annotations
 
 import csv
 import enum
+import io
 import math
+import os
 import struct
 from array import array
 from dataclasses import dataclass, replace
@@ -58,6 +60,24 @@ class InputError(ValueError):
     features CSV, config or model directory, or rows no model can be fitted
     to. The message says what is wrong and where inside the input (``row 4``,
     ``model.json``); the command line puts the file's path in front."""
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> None:
+    """The one writer of outputs: ``data``, text or bytes, goes into
+    ``<name>.tmp`` beside ``path`` (its directory made first), which then
+    replaces ``path``. On any failure the temporary file is removed, so
+    ``path`` is whole or as it was. Nothing is fsynced: this guards against
+    a failed or killed process, not a power loss."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with (open(tmp, "wb") if isinstance(data, bytes) else open(tmp, "w", newline="")) as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 class Protocol(enum.IntEnum):
@@ -404,24 +424,25 @@ def truncate_flow(flow: Flow, n_packets: int) -> Flow:
 
 def save_flows_csv(flows: list[Flow], path: str | Path) -> None:
     """Write flows in the one-packet-per-row CSV schema (keys are dropped)."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(FLOW_CSV_HEADER)
-        for flow in flows:
-            if flow.flow_id is None:
-                raise ValueError("flows written to CSV need a flow_id")
-            n = flow.timestamp.size
-            writer.writerows(zip(
-                repeat(flow.flow_id, n),
-                repeat(flow.label or "", n),
-                range(n),
-                [_DIRECTION_TO_TOKEN[fwd] for fwd in flow.fwd.tolist()],
-                map(repr, flow.timestamp.tolist()),
-                flow.total_length.tolist(),
-                flow.payload_length.tolist(),
-                [_FLAG_TOKENS[flags & 0x1F] for flags in flow.tcp_flags.tolist()],
-                ["" if window < 0 else window for window in flow.tcp_window.tolist()],
-            ))
+    fh = io.StringIO()
+    writer = csv.writer(fh)
+    writer.writerow(FLOW_CSV_HEADER)
+    for flow in flows:
+        if flow.flow_id is None:
+            raise ValueError("flows written to CSV need a flow_id")
+        n = flow.timestamp.size
+        writer.writerows(zip(
+            repeat(flow.flow_id, n),
+            repeat(flow.label or "", n),
+            range(n),
+            [_DIRECTION_TO_TOKEN[fwd] for fwd in flow.fwd.tolist()],
+            map(repr, flow.timestamp.tolist()),
+            flow.total_length.tolist(),
+            flow.payload_length.tolist(),
+            [_FLAG_TOKENS[flags & 0x1F] for flags in flow.tcp_flags.tolist()],
+            ["" if window < 0 else window for window in flow.tcp_window.tolist()],
+        ))
+    write_atomic(path, fh.getvalue())
 
 
 def load_flows_csv(path: str | Path) -> list[Flow]:

@@ -21,6 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .flows import write_atomic
+
 SNAPSHOT_VERSION = 1
 MIN_IMPROVEMENT = 1e-12
 DEFAULT_N_TREES = 100
@@ -169,7 +171,7 @@ class RandomForest:
         doc = {"format_version": SNAPSHOT_VERSION, "config": asdict(self.config),
                "classes": [str(c) for c in self.classes], "oob_score": self.oob_score,
                "trees": self.trees}
-        Path(path).write_text(json.dumps(doc, sort_keys=True) + "\n")
+        write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
     @classmethod
     def load(cls, path: str | Path) -> RandomForest:

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -18,7 +19,7 @@ from .cbr import (DEFAULT_C_MIN, DEFAULT_K, DEFAULT_OOD_MARGIN, DEFAULT_QUANTILE
                   DEFAULT_QUANTILE_OOD, Thresholds, Verdict, VerdictKind, classify_stream,
                   vote, write_verdicts)
 from .features import extract_matrix
-from .flows import Flow, InputError, truncate_flow
+from .flows import Flow, InputError, truncate_flow, write_atomic
 from .forest import DEFAULT_N_TREES, ForestConfig, train_forest
 from .model import Model, fit_model
 
@@ -106,12 +107,11 @@ def compute_metrics(y_true: list[str], y_pred: list[str],
 
 
 def write_metrics_csv(path: str | Path, metrics: Metrics) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["class", "precision", "recall", "f1"])
-        for lbl in sorted(metrics.per_class):
-            m = metrics.per_class[lbl]
-            writer.writerow([lbl, repr(m.precision), repr(m.recall), repr(m.f1)])
+    fh = io.StringIO()
+    csv.writer(fh).writerows([["class", "precision", "recall", "f1"]] + [
+        [lbl, repr(m.precision), repr(m.recall), repr(m.f1)]
+        for lbl, m in sorted(metrics.per_class.items())])
+    write_atomic(path, fh.getvalue())
 
 
 @dataclass
@@ -236,7 +236,6 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
                         forest_oob=forest.oob_score)
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(out / "metrics_cbr.csv", metrics_cbr)
         write_metrics_csv(out / "metrics_forest.csv", metrics_forest)
         write_metrics_csv(out / "metrics_ensemble.csv", metrics_ensemble)
@@ -255,9 +254,7 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
             "theta_new": model.thresholds.theta_new,
             "theta_ood": model.thresholds.theta_ood,
         }
-        with open(out / "summary.json", "w") as fh:
-            json.dump(summary, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_atomic(out / "summary.json", json.dumps(summary, sort_keys=True, indent=2) + "\n")
     return report
 
 
@@ -285,12 +282,8 @@ def packet_sweep(flows: list[Flow], packet_counts: list[int],
         correct = sum(vote(nbrs)[0] == truth for nbrs, truth in zip(neighbors, fitted.y_test))
         points.append(SweepPoint(n_packets=n, accuracy=correct / len(fitted.y_test)))
     if out_path is not None:
-        Path(out_path).parent.mkdir(parents=True, exist_ok=True)
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["n_packets", "accuracy"])
-            for p in points:
-                writer.writerow([p.n_packets, repr(p.accuracy)])
+        write_atomic(out_path, "n_packets,accuracy\r\n" + "".join(
+            f"{p.n_packets},{p.accuracy!r}\r\n" for p in points))
     return points
 
 
@@ -394,7 +387,6 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     )
     if out_dir is not None:
         out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
         write_metrics_csv(out / "metrics_before.csv", metrics_before)
         write_metrics_csv(out / "metrics_after.csv", metrics_after)
         doc = {
@@ -404,7 +396,5 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
             "registered_label": registered_label,
             "samples_consumed": samples_consumed,
         }
-        with open(out / "new_class.json", "w") as fh:
-            json.dump(doc, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        write_atomic(out / "new_class.json", json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return report

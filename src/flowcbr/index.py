@@ -144,7 +144,10 @@ class NNIndex:
         lo, hi = self._bounds[:-1], self._bounds[1:]
         with np.errstate(over="ignore", invalid="ignore"):
             self._centroids = np.add.reduceat(matrix, lo) / (hi - lo)[:, None]
-            self._radii = np.array([row_distances(matrix[a:b], c).max()
+            # Radii by slices of SLICE_BYTES; np.max keeps a NaN, max() would not.
+            step = max(1, SLICE_BYTES // (8 * matrix.shape[1] or 1))
+            self._radii = np.array([np.max([row_distances(matrix[s:min(s + step, b)], c).max()
+                                            for s in range(a, b, step)])
                                     for a, b, c in zip(lo, hi, self._centroids)])
         self._csq = _squared_norms(self._centroids)
 

@@ -5,8 +5,8 @@ min-max normalizer and the five thresholds around them. A model directory
 holds exactly ``vectors.npy``, the rows as float64 in ``np.save`` format,
 and ``model.json``: the format and schema versions, the normalizer's mins
 and maxs, the thresholds, one label per row, the row count and the crc32
-of ``vectors.npy``. Each file is written under a temporary name and moved
-into place with ``os.replace``, vectors first; a ``model.json`` left from an
+of ``vectors.npy``. Each file goes out whole or not at all through
+``flows.write_atomic``, vectors first; a ``model.json`` left from an
 earlier model then fails the crc32 check against the new vectors. The check
 is there to catch a torn or mismatched pair of files, not tampering, and a
 crc32 catches every burst of up to 32 flipped bits. A loaded model's
@@ -18,7 +18,6 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
-import os
 import zlib
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -29,7 +28,7 @@ import numpy as np
 
 from .cbr import ClassRegistry, Thresholds, calibrate_thresholds
 from .features import SCHEMA, FeatureSchema, Normalizer, fit_normalizer
-from .flows import InputError
+from .flows import InputError, write_atomic
 from .index import NNIndex
 
 if TYPE_CHECKING:
@@ -92,11 +91,9 @@ def save_model(directory: str | Path, model: Model) -> None:
            "thresholds": dataclasses.asdict(model.thresholds),
            "labels": model.labels, "rows": len(model.labels),
            "vectors_crc32": _crc32(buf.getvalue())}
-    text = json.dumps(doc, sort_keys=True, allow_nan=False) + "\n"
-    out = Path(directory)
-    for name, data in (("vectors.npy", buf.getvalue()), ("model.json", text.encode())):
-        (out / f"{name}.tmp").write_bytes(data)
-        os.replace(out / f"{name}.tmp", out / name)
+    write_atomic(Path(directory) / "vectors.npy", buf.getvalue())
+    write_atomic(Path(directory) / "model.json",
+                 json.dumps(doc, sort_keys=True, allow_nan=False) + "\n")
 
 
 def _crc32(data: bytes) -> str:

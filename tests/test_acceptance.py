@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from flowcbr.cbr import VerdictKind
-from flowcbr.features import SCHEMA, extract_features, extract_matrix
+from flowcbr.features import SCHEMA, extract_matrix
 from flowcbr.forest import ForestConfig, RandomForest, train_forest
 from flowcbr.harness import (
     OOD_LABEL,
@@ -122,7 +122,7 @@ def test_criterion_02_spectrum_matches_naive_dft(capsys):
         signal = (sizes * signs).astype(np.float64)
         flow = _flow_with_signal(signal)
         start, stop = SCHEMA.slot_range("wavelet")
-        got = extract_features(flow)[start:stop]
+        got = extract_matrix([flow])[0][start:stop]
         want = naive_dft_magnitudes(signal)
         worst_rel = max(worst_rel, float(np.max(np.abs(got - want) / np.abs(want))))
         energy_freq = float(np.sum(got ** 2))

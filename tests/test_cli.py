@@ -6,7 +6,9 @@ import hashlib
 import io
 import json
 import os
+import resource
 import shutil
+import signal
 import struct
 import subprocess
 import sys
@@ -1066,16 +1068,17 @@ def test_settings_survive_random_config_values(data_dir, config, command):
 _MAIN = "import sys; from flowcbr.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _run_subprocess(argv, flowcbr_log, code=_MAIN):
+def _run_subprocess(argv, flowcbr_log, code=_MAIN, preexec_fn=None):
     """Run main(), or ``code`` given argv, in a fresh interpreter with
-    FLOWCBR_LOG set or unset.
+    FLOWCBR_LOG set or unset, calling ``preexec_fn`` in the child first.
 
     In process, logging.basicConfig does nothing once pytest has put its
     handlers on the root logger, so only a child process shows the level.
     The child inherits the environment, with the directory holding the
-    imported flowcbr package first on PYTHONPATH.
+    imported flowcbr package first on PYTHONPATH, and writes no bytecode,
+    so that only its outputs meet a file-size limit.
     """
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(flowcbr.__file__).resolve().parents[1])]
         + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
@@ -1083,7 +1086,7 @@ def _run_subprocess(argv, flowcbr_log, code=_MAIN):
     if flowcbr_log is not None:
         env["FLOWCBR_LOG"] = flowcbr_log
     return subprocess.run([sys.executable, "-c", code, *argv],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
 
 def test_classify_does_not_load_openssl(data_dir, shared_model, tmp_path):
@@ -1133,3 +1136,66 @@ def test_calibration_warning_is_logged(tmp_path):
     quiet = _run_subprocess(argv, "ERROR")
     assert quiet.returncode == 0, quiet.stderr
     assert quiet.stderr == ""
+
+
+def _limited(fsize, sigxfsz, argv):
+    """Run main() on argv in a child whose files may not grow past
+    ``fsize`` bytes (RLIMIT_FSIZE, set in the child only). Python ignores
+    SIGXFSZ, so a write past the limit raises EFBIG; with ``sigxfsz`` set
+    to "SIG_DFL" the signal kills the child there instead, as it would a
+    process that had not ignored it."""
+    code = (f"import signal, sys; signal.signal(signal.SIGXFSZ, signal.{sigxfsz}); "
+            "from flowcbr.cli import main; sys.exit(main(sys.argv[1:]))")
+    return _run_subprocess(argv, None, code, preexec_fn=lambda: resource.setrlimit(
+        resource.RLIMIT_FSIZE, (fsize, fsize)))
+
+
+@pytest.mark.parametrize("command,left", [
+    ("extract", []),
+    ("eval", ["metrics_cbr.csv", "metrics_ensemble.csv", "metrics_forest.csv"]),
+])
+def test_a_write_past_a_file_size_limit_exits_one(data_dir, tmp_path, command, left):
+    """Files may not grow past 200 bytes here. extract's features.csv and
+    eval's verdicts.jsonl are larger, so that write fails: the command
+    exits 1, as the input is not at fault, and leaves only the outputs it
+    wrote before, whole, with no cut file and no temporary."""
+    out = tmp_path / "out"
+    done = _limited(200, "SIG_IGN", ["--out", str(out), command, str(data_dir / "flows.csv")])
+    assert done.returncode == 1, done.stderr
+    assert "error: [Errno 27] File too large" in done.stderr
+    assert sorted(p.name for p in out.iterdir()) == left
+
+
+def test_extract_killed_mid_write_leaves_no_features_csv(data_dir, tmp_path):
+    """Killed by SIGXFSZ part way through features.csv, extract leaves no
+    features.csv: what it wrote is under the temporary name."""
+    out = tmp_path / "out"
+    done = _limited(10_000, "SIG_DFL", ["--out", str(out), "extract",
+                                        str(data_dir / "flows.csv")])
+    assert done.returncode == -signal.SIGXFSZ, done.stderr
+    assert not (out / "features.csv").exists()
+
+
+@pytest.mark.parametrize("sigxfsz", ["SIG_IGN", "SIG_DFL"])
+def test_index_stopped_mid_write_keeps_the_earlier_model(data_dir, shared_model, tmp_path,
+                                                         sigxfsz):
+    """index rewriting a directory that holds an earlier model, stopped
+    part way through the new vectors.npy (an error, or a kill), leaves a
+    directory that classify loads as the earlier model, never a cut one.
+    An error leaves no temporary file; a kill cannot remove it."""
+    model, features = tmp_path / "model", tmp_path / "more.csv"
+    shutil.copytree(shared_model, model)
+    matrix, ids, labels = load_matrix_csv(data_dir / "features.csv")
+    save_matrix_csv(features, np.vstack([matrix, matrix * 1.5]), ids + [f"x{i}" for i in ids],
+                    labels * 2)
+    limit = (model / "vectors.npy").stat().st_size  # the new one is twice as large
+    done = _limited(limit, sigxfsz, ["--out", str(model), "index", str(features)])
+    assert done.returncode == (1 if sigxfsz == "SIG_IGN" else -signal.SIGXFSZ), done.stderr
+    left = sorted(p.name for p in model.iterdir())
+    assert left == ["model.json", "vectors.npy"] + ["vectors.npy.tmp"] * (sigxfsz == "SIG_DFL")
+    for name in ("model.json", "vectors.npy"):
+        assert (model / name).read_bytes() == (shared_model / name).read_bytes()
+    verdicts = tmp_path / "v"
+    assert run("--out", str(verdicts), "classify", str(model),
+               "--features", str(data_dir / "features.csv")) == 0
+    assert len((verdicts / "verdicts.jsonl").read_text().splitlines()) == 12

@@ -23,7 +23,6 @@ from flowcbr.features import (
     beaconing_windows,
     big_requests,
     bits_per_peak,
-    extract_features,
     extract_matrix,
     first_packet_sizes,
     fit_normalizer,
@@ -181,7 +180,7 @@ def test_packets_per_second_without_a_finite_rate():
     zero-duration flow does, instead of an infinite rate."""
     f = flow([(0.0, F, 60), (5e-324, B, 60)])
     assert packets_per_second(f).tolist() == [0.0, 0.0]
-    assert np.isfinite(extract_features(f)).all()
+    assert np.isfinite(extract_matrix([f])[0]).all()
 
 
 def test_inter_arrival_hand_case():
@@ -276,11 +275,11 @@ def test_extract_equals_concatenated_groups():
              bandwidth_windows(f), packet_size_stats(f), size_delta_stats(f),
              packets_per_second(f), inter_arrival_stats(f), silence_windows(f),
              ack_count(f), big_requests(f), wavelet_coeffs(f)]
-    np.testing.assert_array_equal(extract_features(f), np.concatenate(parts))
+    np.testing.assert_array_equal(extract_matrix([f])[0], np.concatenate(parts))
 
 
 def test_extract_single_packet_flow_is_finite():
-    vec = extract_features(flow([(0.0, F, 60)]))
+    vec = extract_matrix([flow([(0.0, F, 60)])])[0]
     assert vec.shape == (183,)
     assert np.all(np.isfinite(vec))
 
@@ -295,7 +294,7 @@ def test_extract_single_packet_flow_is_finite():
 def test_extract_always_183_finite_slots(raw):
     raw.sort(key=lambda t: t[0])
     f = flow([(ts, F if d else B, size) for ts, d, size in raw])
-    vec = extract_features(f)
+    vec = extract_matrix([f])[0]
     assert vec.shape == (183,)
     assert np.all(np.isfinite(vec))
 
@@ -304,7 +303,7 @@ def test_extract_matrix_stacks_and_handles_empty():
     flows = [flow([(0, F, 100)]), flow([(0, B, 200), (1, F, 300)])]
     m = extract_matrix(flows)
     assert m.shape == (2, 183)
-    np.testing.assert_array_equal(m[0], extract_features(flows[0]))
+    np.testing.assert_array_equal(m[0], extract_matrix([flows[0]])[0])
     assert extract_matrix([]).shape == (0, 183)
 
 

@@ -679,6 +679,25 @@ def test_inserts_allocate_only_the_tail(traced_peak):
     assert index.size == 3210 and rows_of(index)[3200:].tobytes() == extra.tobytes()
 
 
+@pytest.mark.parametrize("labels", [1, 8])
+def test_build_takes_radii_in_slices(traced_peak, labels):
+    """Building a grouped 3200 x 183 index allocates under 1 MB whatever
+    the label count: each block's radius is taken a slice of differences
+    at a time, not over the whole block at once, with the same bits as a
+    whole-block pass. A NaN row in a block's last slice still makes its
+    radius NaN."""
+    rng = np.random.default_rng(35)
+    vectors, names = grouped_rows(rng, labels=labels)
+    index, peak = traced_peak(NNIndex, vectors, names)
+    assert peak < 2 ** 20, peak
+    bounds = index._bounds
+    whole = [row_distances(vectors[a:b], c).max()
+             for a, b, c in zip(bounds[:-1], bounds[1:], index._centroids)]
+    assert index._radii.view(np.uint64).tolist() == np.array(whole).view(np.uint64).tolist()
+    vectors[-1, 0] = np.nan
+    assert np.isnan(NNIndex(vectors, names)._radii[-1])
+
+
 def test_load_model_reads_the_vectors_once(tmp_path, traced_peak):
     """Loading a 3200-row model holds under 1.3 times the vectors file at
     its peak: the vectors are a read-only view of the bytes read and
