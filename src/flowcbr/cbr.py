@@ -269,5 +269,5 @@ def verdict_to_json(flow_id: str, verdict: Verdict) -> str:
 
 
 def write_verdicts(path: str | Path, items: list[tuple[str, Verdict]]) -> None:
-    write_atomic(path, "".join(verdict_to_json(flow_id, verdict) + "\n"
-                               for flow_id, verdict in items))
+    write_atomic(path, (verdict_to_json(flow_id, verdict) + "\n"
+                        for flow_id, verdict in items))

@@ -11,6 +11,13 @@ Packets stay numpy columns from the capture bytes to the feature matrix:
 concatenates. The flow CSV reader and the synthetic generator fill the same
 columns. ``Flow.packets`` is a read-only per-packet view, built on demand.
 All functions here are pure and safe to call concurrently.
+
+``load_flows_csv`` reads a file in the form ``save_flows_csv`` writes (the
+exact header, CRLF line ends, ASCII cells with no quotes, digit-only
+integers) in bulk: blocks of whole lines are checked and converted as
+arrays (``_load_bulk``). Any other file, malformed ones included, falls
+back to the row loop over ``csv.reader`` (``_read_flow_rows``), which gives
+the same flows, or the error naming the row.
 """
 
 from __future__ import annotations
@@ -22,6 +29,7 @@ import math
 import os
 import struct
 from array import array
+from collections.abc import Iterable
 from dataclasses import dataclass, replace
 from itertools import repeat
 from pathlib import Path
@@ -62,18 +70,26 @@ class InputError(ValueError):
     ``model.json``); the command line puts the file's path in front."""
 
 
-def write_atomic(path: str | Path, data: str | bytes) -> None:
-    """The one writer of outputs: ``data``, text or bytes, goes into
-    ``<name>.tmp`` beside ``path`` (its directory made first), which then
-    replaces ``path``. On any failure the temporary file is removed, so
-    ``path`` is whole or as it was. Nothing is fsynced: this guards against
-    a failed or killed process, not a power loss."""
+def write_atomic(path: str | Path, data: str | bytes | Iterable[str]) -> None:
+    """The one writer of outputs: ``data``, text, bytes or text chunks
+    written as they come, goes into ``<name>.tmp`` beside ``path`` (its
+    directory made first), which then replaces ``path``. On any failure the
+    temporary file is removed, so ``path`` is whole or as it was; a failed
+    write that names no file (a full disk, a file-size limit) is raised
+    again naming ``path``. Nothing is fsynced: this guards against a failed
+    or killed process, not a power loss."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with (open(tmp, "wb") if isinstance(data, bytes) else open(tmp, "w", newline="")) as fh:
-            fh.write(data)
+        try:
+            with (open(tmp, "wb") if isinstance(data, bytes)
+                  else open(tmp, "w", newline="")) as fh:
+                fh.writelines((data,) if isinstance(data, (str, bytes)) else data)
+        except OSError as exc:
+            if exc.filename is not None or exc.errno is None:
+                raise
+            raise OSError(exc.errno, exc.strerror, str(path)) from exc
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -423,7 +439,14 @@ def truncate_flow(flow: Flow, n_packets: int) -> Flow:
 
 
 def save_flows_csv(flows: list[Flow], path: str | Path) -> None:
-    """Write flows in the one-packet-per-row CSV schema (keys are dropped)."""
+    """Write flows in the one-packet-per-row CSV schema (keys are dropped),
+    streamed one flow at a time."""
+    write_atomic(path, _flow_csv_text(flows))
+
+
+def _flow_csv_text(flows: list[Flow]):
+    """The text of a flow CSV: the header and the first flow's rows, then
+    each further flow's rows."""
     fh = io.StringIO()
     writer = csv.writer(fh)
     writer.writerow(FLOW_CSV_HEADER)
@@ -442,15 +465,28 @@ def save_flows_csv(flows: list[Flow], path: str | Path) -> None:
             [_FLAG_TOKENS[flags & 0x1F] for flags in flow.tcp_flags.tolist()],
             ["" if window < 0 else window for window in flow.tcp_window.tolist()],
         ))
-    write_atomic(path, fh.getvalue())
+        yield fh.getvalue()
+        fh.seek(0)
+        fh.truncate()
+    yield fh.getvalue()
 
 
 def load_flows_csv(path: str | Path) -> list[Flow]:
     """Read flows from the one-packet-per-row CSV schema.
 
     Rows must be grouped by flow_id with ascending packet_index; schema
-    violations raise InputError naming the offending row.
+    violations raise InputError naming the offending row. A file as
+    save_flows_csv writes it is read in bulk (``_load_bulk``); any other,
+    malformed files included, row by row (``_read_flow_rows``), which gives
+    the result or the error of reading any file that way.
     """
+    with open(path, "rb") as fh:
+        try:
+            flows = _load_bulk(fh)
+        except ValueError:  # a cell float() or flags_from_token refuses too
+            flows = None
+    if flows is not None:
+        return flows
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -529,8 +565,178 @@ def _read_flow_rows(reader) -> list[Flow]:
         tcp_flags.append(flags)
         tcp_window.append(-1 if window is None else window)
 
-    columns = {name: np.frombuffer(values, dtype=dtype) for (name, dtype), values in zip(
-        FLOW_COLUMNS.items(), (ts, fwd, total_length, payload_length, tcp_flags, tcp_window))}
-    sizes = np.diff(np.append(starts, len(ts))).tolist()
+    return _flows((ts, fwd, total_length, payload_length, tcp_flags, tcp_window),
+                  starts, flow_ids, labels)
+
+
+# The bulk reader takes the file in blocks of whole lines of about this
+# many bytes. A block's arrays take a few times its size, so with blocks
+# this small the reader's peak stays within two blocks of the row loop's,
+# whose columns it fills the same way.
+_BLOCK_BYTES = 1 << 17
+_HEADER_LINE = (",".join(FLOW_CSV_HEADER) + "\r\n").encode()
+# A line as save_flows_csv writes it with no quoted field: 8 commas, then
+# CR and LF.
+_LINE_ENDS = np.frombuffer(b",,,,,,,,\r\n", dtype=np.uint8)
+# packet_index, total_length, payload_length and tcp_window, read from the
+# bytes that end each cell, up to 10; blocks start with 10 bytes of padding
+# so the first line's windows stay inside them.
+_INT_FIELDS = [2, 5, 6, 8]
+_DIGITS = 10
+_PAD = b"0" * _DIGITS
+
+
+def _load_bulk(fh) -> list[Flow] | None:
+    """The flows of a flow CSV as save_flows_csv writes it, read from the
+    binary file ``fh`` in blocks of whole lines (``_read_block``): the
+    same flows as the row loop. For any other file this returns None or
+    raises ValueError, and the row loop reads it. Besides each block's
+    rules, flows must be contiguous, unique, of one label and with rising
+    packet_index; ids and labels are decoded once per flow."""
+    if fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
+        return None
+    limit = csv.field_size_limit()
+    ts, fwd = array("d"), bytearray()
+    ints = [array("q") for _ in _INT_FIELDS[1:]]
+    tcp_flags = array("q")
+    seen: set[str] = set()
+    flow_ids: list[str] = []
+    labels: list[str | None] = []
+    starts: list[int] = []
+    last_index = -1
+    carry = b""
+    while chunk := fh.read(_BLOCK_BYTES):
+        data = _PAD + carry + chunk
+        del chunk  # so a block's bytes are held once, not twice
+        size = data.rfind(b"\n") + 1
+        if size == 0:
+            return None  # a line longer than a block
+        carry = data[size:]
+        block = _read_block(np.frombuffer(data, dtype=np.uint8)[:size], limit)
+        del data
+        if block is None:
+            return None
+        ids, names, index, stamps, out, values, flags = block
+        new = np.ones(index.size, dtype=bool)
+        new[1:] = ids[1:] != ids[:-1]
+        if flow_ids and ids[0].decode() == flow_ids[-1]:
+            new[0] = False
+            if names[0].decode() != (labels[-1] or "") or index[0] <= last_index:
+                return None
+        if ((names[1:] != names[:-1]) | (index[1:] <= index[:-1]))[~new[1:]].any():
+            return None
+        first = np.flatnonzero(new)
+        for flow_id, label in zip(ids[first].tolist(), names[first].tolist()):
+            flow_id = flow_id.decode()
+            if flow_id in seen:
+                return None
+            seen.add(flow_id)
+            flow_ids.append(flow_id)
+            labels.append(label.decode() or None)
+        starts += (first + len(ts)).tolist()
+        last_index = int(index[-1])
+        ts.frombytes(stamps.tobytes())
+        fwd += out.tobytes()
+        for column, value in zip(ints, values):
+            column.frombytes(value.tobytes())
+        tcp_flags.frombytes(flags.tobytes())
+    if carry:
+        return None  # the last line has no line end
+    total_length, payload_length, tcp_window = ints
+    return _flows((ts, fwd, total_length, payload_length, tcp_flags, tcp_window),
+                  starts, flow_ids, labels)
+
+
+def _read_block(buf: np.ndarray, limit: int) -> tuple | None:
+    """The cells of the whole lines ``buf`` (after the padding) as arrays:
+    flow ids and labels as padded bytes, packet_index, timestamps, the
+    direction, the other three integers and the flags; None unless every
+    line holds 9 unquoted ASCII fields, none longer than ``limit``, and ends
+    in CRLF, its integers are 1-10 digits below 2**32 (tcp_window may be
+    empty), its direction is ``out`` or ``in`` and its timestamp, read by
+    float() as the row loop reads it, is finite. Each distinct flag token
+    goes through flags_from_token once."""
+    # Separators, quotes and NUL are all below "-"; a quote, NUL or a
+    # non-ASCII byte is only written in a quoted field.
+    if buf.max() >= 0x80:
+        return None
+    at = np.flatnonzero(buf < ord("-")).astype(np.int32)
+    below = buf[at]
+    if (below == ord('"')).any() or (below == 0).any():
+        return None
+    at = at[(below == ord(",")) | (below == ord("\r")) | (below == ord("\n"))]
+    n, rest = divmod(at.size, _LINE_ENDS.size)
+    at = at[:at.size - rest].reshape(n, _LINE_ENDS.size)
+    if rest or not (buf[at] == _LINE_ENDS).all() or not (at[:, 9] == at[:, 8] + 1).all():
+        return None
+    end = at[:, :9]
+    start = np.empty_like(end)
+    start[:, 1:] = end[:, :8] + 1
+    start[0, 0] = len(_PAD)
+    start[1:, 0] = at[:-1, 9] + 1
+    length = end - start
+    if length.max() > limit:
+        return None
+
+    values = _integers(buf, end[:, _INT_FIELDS].T, length[:, _INT_FIELDS].T)
+    if values is None:
+        return None
+    direction = _cells(buf, start[:, 3], length[:, 3])
+    out = direction == b"out"
+    if not (out | (direction == b"in")).all():
+        return None
+    stamps = np.fromiter(map(float, _cells(buf, start[:, 4], length[:, 4]).tolist()),
+                         dtype=np.float64, count=n)
+    if not np.isfinite(stamps).all():
+        return None
+    tokens, which = np.unique(_cells(buf, start[:, 7], length[:, 7]), return_inverse=True)
+    flags = np.array([flags_from_token(t.decode()) for t in tokens.tolist()],
+                     dtype=np.int64)[which]
+    return (_cells(buf, start[:, 0], length[:, 0]), _cells(buf, start[:, 1], length[:, 1]),
+            values[0], stamps, out, values[1:], flags)
+
+
+def _integers(buf: np.ndarray, end: np.ndarray, width: np.ndarray) -> np.ndarray | None:
+    """packet_index, total_length, payload_length and tcp_window as a
+    (field, row) array, from the cells of ``width`` bytes that end at
+    ``end``; an empty tcp_window is -1. None unless each cell is 1-10
+    digits (tcp_window may be empty) below 2**32. Each cell is read from a
+    right-aligned window as wide as the widest cell."""
+    wide = int(width.max())
+    if wide > _DIGITS or (width[:3] == 0).any():
+        return None
+    digits = _window(buf, wide)[end - wide] - ord("0")
+    outside = np.arange(wide) < wide - width[..., None]
+    if ((digits > 9) & ~outside).any():
+        return None
+    digits[outside] = 0
+    values = np.einsum("fri,i->fr", digits, 10 ** np.arange(wide - 1, -1, -1))
+    if (values >= _CSV_FIELD_LIMIT).any():
+        return None
+    values[3][width[3] == 0] = -1
+    return values
+
+
+def _cells(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray:
+    """The cells ``buf[start:start + length]`` as one array of NUL-padded
+    bytes (dtype ``S<widest>``). Raises ValueError when that array would
+    take more than a block."""
+    width = max(int(length.max()), 1)
+    if width * length.size > _BLOCK_BYTES:
+        raise ValueError("cells too wide to pad")
+    if int(start.max()) + width > buf.size:
+        buf = np.concatenate([buf, np.zeros(width, dtype=np.uint8)])
+    cells = _window(buf, width)[start]
+    cells[np.arange(width) >= length[:, None]] = 0
+    return cells.view(f"S{width}")[:, 0]
+
+
+def _flows(columns: tuple, starts: list[int], flow_ids: list[str],
+           labels: list[str | None]) -> list[Flow]:
+    """Flows cut from file-wide packet columns (buffers in FLOW_COLUMNS
+    order), each starting at its row in ``starts``."""
+    columns = {name: np.frombuffer(values, dtype=dtype)
+               for (name, dtype), values in zip(FLOW_COLUMNS.items(), columns)}
+    sizes = np.diff(np.append(starts, columns["timestamp"].size)).tolist()
     return [Flow(None, **cols, label=label, flow_id=flow_id)
             for flow_id, label, cols in zip(flow_ids, labels, _cut(columns, sizes))]

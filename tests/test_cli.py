@@ -1157,12 +1157,14 @@ def _limited(fsize, sigxfsz, argv):
 def test_a_write_past_a_file_size_limit_exits_one(data_dir, tmp_path, command, left):
     """Files may not grow past 200 bytes here. extract's features.csv and
     eval's verdicts.jsonl are larger, so that write fails: the command
-    exits 1, as the input is not at fault, and leaves only the outputs it
-    wrote before, whole, with no cut file and no temporary."""
+    exits 1, as the input is not at fault, names the output that did not
+    fit, and leaves only the outputs it wrote before, whole, with no cut
+    file and no temporary."""
     out = tmp_path / "out"
+    failed = out / {"extract": "features.csv", "eval": "verdicts.jsonl"}[command]
     done = _limited(200, "SIG_IGN", ["--out", str(out), command, str(data_dir / "flows.csv")])
     assert done.returncode == 1, done.stderr
-    assert "error: [Errno 27] File too large" in done.stderr
+    assert f"error: [Errno 27] File too large: '{failed}'" in done.stderr
     assert sorted(p.name for p in out.iterdir()) == left
 
 

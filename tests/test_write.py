@@ -1,5 +1,6 @@
 """Every output goes through flows.write_atomic: whole or not at all."""
 
+import errno
 import os
 
 import pytest
@@ -93,3 +94,46 @@ def test_write_atomic_removes_the_temporary_of_a_failed_write(tmp_path):
         write_atomic(path, "x" * 100_000 + "\udc80")
     assert path.read_bytes() == EARLIER
     assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+
+def test_write_atomic_writes_text_chunks_as_they_come(tmp_path):
+    """An iterable of text chunks is written in order; a generator that
+    raises part way leaves neither the output nor its .tmp."""
+    path = tmp_path / "out.txt"
+    write_atomic(path, (f"{i}\r\n" for i in range(3)))
+    assert path.read_bytes() == b"0\r\n1\r\n2\r\n"
+    path.unlink()
+
+    def chunks():
+        yield "x" * 100_000
+        raise RuntimeError("stopped")
+
+    with pytest.raises(RuntimeError, match="stopped"):
+        write_atomic(path, chunks())
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_write_that_names_no_file_names_the_output(tmp_path):
+    """An OSError with no file name from the write (a full disk) is raised
+    again naming the output, with its errno; no .tmp is left."""
+    path = tmp_path / "out.txt"
+
+    def chunks():
+        yield "x"
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    with pytest.raises(OSError) as caught:
+        write_atomic(path, chunks())
+    assert (caught.value.errno, caught.value.filename) == (errno.ENOSPC, str(path))
+    assert str(caught.value) == f"[Errno 28] No space left on device: '{path}'"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_save_flows_csv_streams(tmp_path, traced_peak):
+    """save_flows_csv writes a flow at a time: for 8 x 400 synthetic flows
+    (a file of about 12 MB) it holds well under a twentieth of the file's
+    text at once."""
+    flows = synth_generate(default_templates(8), 400, seed=1)
+    path = tmp_path / "flows.csv"
+    _, peak = traced_peak(save_flows_csv, flows, path)
+    assert peak < path.stat().st_size // 20, (peak, path.stat().st_size)
