@@ -13,7 +13,7 @@ from .cbr import (ClassRegistry, Thresholds, Verdict, VerdictKind,
 from .features import SCHEMA, FeatureSchema, Normalizer, extract_matrix, fit_normalizer
 from .flows import (Direction, Flow, FlowKey, FlowPacket, PacketColumns,
                     Protocol, TcpFlags, assemble_flows, load_flows_csv,
-                    parse_pcap, save_flows_csv, truncate_flow)
+                    parse_pcap, save_flows_csv)
 from .forest import ForestConfig, RandomForest, train_forest
 from .harness import (Metrics, PipelineConfig, compute_metrics, find_plateau,
                       new_class_protocol, packet_sweep, run_eval,
@@ -65,6 +65,5 @@ __all__ = [
     "sweep_templates",
     "synth_generate",
     "train_forest",
-    "truncate_flow",
     "vote",
 ]

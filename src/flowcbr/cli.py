@@ -23,7 +23,7 @@ from pathlib import Path
 
 from . import flows as flows_mod
 from .cbr import VerdictKind, classify_stream, write_verdicts
-from .features import extract_matrix, load_matrix_csv, save_matrix_csv
+from .features import extract_rows, load_matrix_csv, save_matrix_csv
 from .flows import InputError, load_flows_csv, save_flows_csv
 from .harness import (PipelineConfig, find_plateau, new_class_protocol,
                       packet_sweep, run_eval)
@@ -60,7 +60,7 @@ def _load_config_file(path: str | None) -> dict:
         return {}
     with _input(path):
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = json.load(fh)
         except ValueError as exc:  # a file that does not decode too
             raise InputError(f"not valid JSON: {exc}") from None
@@ -145,16 +145,12 @@ def _is_flow_csv(path: str) -> bool:
 
 
 def _read_flows(path: str, s: dict) -> tuple:
-    """(feature rows, flow ids, labels) of the flows in ``path``, a flow CSV
-    if it ends in ``.csv`` and a capture otherwise, each cut to
-    ``n_packets``: what load_matrix_csv gives for a features CSV."""
+    """extract_rows of the flows in ``path``, a flow CSV if it ends in
+    ``.csv`` and a capture otherwise, each cut to ``n_packets``."""
     # The capture's packet columns are freed before extraction.
     flows = (load_flows_csv(path) if _is_flow_csv(path)
              else _read_capture(path, s["idle_timeout"]))
-    if s["n_packets"] is not None:
-        flows = [flows_mod.truncate_flow(f, s["n_packets"]) for f in flows]
-    return (extract_matrix(flows), [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)],
-            [f.label or "" for f in flows])
+    return extract_rows(flows, s["n_packets"])
 
 
 def cmd_extract(args: argparse.Namespace) -> int:

@@ -19,7 +19,8 @@ Slot groups, in order:
 Sizes are signed by direction where noted: initiator-to-responder positive,
 responder-to-initiator negative.
 
-``extract_matrix`` reads the packets of all its flows once into flat columns
+``extract_matrix`` reads the packets of all its flows once into flat columns,
+cut to each flow's first ``n_packets`` by one mask over packet positions,
 and computes each group for the whole batch with one kernel. A row does not
 depend on the other flows of its batch: integer-valued sums (below 2**53)
 are exact in any order, and every other float reduction runs the same numpy
@@ -57,21 +58,6 @@ class FeatureSchema:
     @property
     def width(self) -> int:
         return sum(w for _, w in self.groups)
-
-    def slot_range(self, group: str) -> tuple[int, int]:
-        """Half-open [start, stop) slot range of a group."""
-        start = 0
-        for name, width in self.groups:
-            if name == group:
-                return (start, start + width)
-            start += width
-        raise KeyError(f"unknown feature group: {group}")
-
-    def slot_names(self) -> list[str]:
-        names = []
-        for group, width in self.groups:
-            names.extend(f"{group}[{i}]" for i in range(width))
-        return names
 
 
 SCHEMA = FeatureSchema(
@@ -119,15 +105,21 @@ class _Batch:
         return self.lengths.size
 
 
-def _batch(flows: list[Flow]) -> _Batch:
-    """Concatenate the packet columns of ``flows``; timestamps must be finite."""
+def _batch(flows: list[Flow], n_packets: int | None = None) -> _Batch:
+    """Concatenate the packet columns of ``flows``, each cut to its first
+    ``n_packets`` packets (all of them if None); the kept timestamps must
+    be finite."""
     lengths = np.array([f.timestamp.size for f in flows], dtype=np.int64)
     n = int(lengths.sum())
     flow = np.repeat(np.arange(lengths.size), lengths)
     pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    keep = slice(None)  # a view: no copy when no flow is cut
+    if n_packets is not None and n_packets < int(lengths.max()):
+        keep = pos < n_packets
+        lengths, flow, pos = np.minimum(lengths, n_packets), flow[keep], pos[keep]
 
     def column(name):
-        return np.concatenate([getattr(f, name) for f in flows])
+        return np.concatenate([getattr(f, name) for f in flows])[keep]
 
     ts = column("timestamp")
     with np.errstate(over="ignore"):  # an overflow gives inf, rejected here
@@ -369,16 +361,19 @@ big_requests = _per_flow("big_requests")
 wavelet_coeffs = _per_flow("wavelet")
 
 
-def extract_matrix(flows: list[Flow]) -> np.ndarray:
-    """Feature vectors of a batch of flows, one row per flow. Flows whose
-    features are not finite (such as timestamps too far apart to subtract)
-    are an InputError."""
+def extract_matrix(flows: list[Flow], n_packets: int | None = None) -> np.ndarray:
+    """Feature vectors of a batch of flows, one row per flow, each flow cut
+    to its first ``n_packets`` packets (all of them if None; it must be at
+    least 1). Flows whose features are not finite (such as kept timestamps
+    too far apart to subtract) are an InputError."""
+    if n_packets is not None and n_packets < 1:
+        raise ValueError("n_packets must be >= 1")
     if not flows:
         return np.zeros((0, SCHEMA.width))
     # Allocated before the group temporaries, so that the result, which
     # outlives them, does not split the free heap they leave behind.
     out = np.empty((len(flows), SCHEMA.width))
-    batch = _batch(flows)
+    batch = _batch(flows, n_packets)
     start = 0
     # Finite timestamps can still be far enough apart, or close enough, for
     # a rate or a sum to overflow; the check below rejects such rows.
@@ -389,6 +384,17 @@ def extract_matrix(flows: list[Flow]) -> np.ndarray:
     if not np.isfinite(out).all():
         raise InputError("feature vector contains non-finite values")
     return out
+
+
+def extract_rows(flows: list[Flow], n_packets: int | None = None
+                 ) -> tuple[np.ndarray, list[str], list[str]]:
+    """(feature rows, flow ids, labels) of ``flows`` cut to ``n_packets``,
+    as load_matrix_csv gives them for a features CSV. A flow with no id is
+    named ``f<position:06d>``, as assemble_flows names captured flows; one
+    with no label gets the empty label."""
+    return (extract_matrix(flows, n_packets),
+            [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)],
+            [f.label or "" for f in flows])
 
 
 @dataclass
@@ -412,18 +418,18 @@ class Normalizer:
         return np.clip(scaled, 0.0, 1.0)
 
 
-def fit_normalizer(matrix: np.ndarray, schema: FeatureSchema = SCHEMA) -> Normalizer:
+def fit_normalizer(matrix: np.ndarray) -> Normalizer:
     if matrix.shape[0] == 0:
         raise InputError("no rows to index")
-    if matrix.shape[1] != schema.width:
-        raise InputError(f"has {matrix.shape[1]} feature columns, the schema has {schema.width}")
+    if matrix.shape[1] != SCHEMA.width:
+        raise InputError(f"has {matrix.shape[1]} feature columns, the schema has {SCHEMA.width}")
     mins, maxs = matrix.min(axis=0), matrix.max(axis=0)
     with np.errstate(over="ignore"):
         wide = np.flatnonzero(~np.isfinite(maxs - mins))
     if wide.size:  # load_model would refuse such a normalizer
         raise InputError(f"f{wide[0]:03d} spans more than the largest float; "
                          "min-max scaling needs a finite max - min")
-    return Normalizer(schema.version, mins, maxs)
+    return Normalizer(SCHEMA.version, mins, maxs)
 
 
 class _Line:
@@ -492,7 +498,7 @@ def _load_bulk(text: str) -> tuple[np.ndarray, list[str], list[str]] | None:
 
 def _load_rows(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]:
     """A features CSV read row by row with csv and float."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
         if header is None or header[:2] != ["flow_id", "label"]:
@@ -517,7 +523,7 @@ def load_matrix_csv(path: str | Path) -> tuple[np.ndarray, list[str], list[str]]
     else, malformed files included, row by row (``_load_rows``), which
     gives the result or the error of reading any file that way."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             loaded = _load_bulk(fh.read())
     except ValueError:  # an undecodable file too: the row loop says where
         loaded = None

@@ -13,7 +13,7 @@ columns. ``Flow.packets`` is a read-only per-packet view, built on demand.
 All functions here are pure and safe to call concurrently.
 
 ``load_flows_csv`` reads a file in the form ``save_flows_csv`` writes (the
-exact header, CRLF line ends, ASCII cells with no quotes, digit-only
+exact header, CRLF line ends, UTF-8 cells with no quotes, digit-only
 integers) in bulk: blocks of whole lines are checked and converted as
 arrays (``_load_bulk``). Any other file, malformed ones included, falls
 back to the row loop over ``csv.reader`` (``_read_flow_rows``), which gives
@@ -30,7 +30,7 @@ import os
 import struct
 from array import array
 from collections.abc import Iterable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
 
@@ -84,7 +84,7 @@ def write_atomic(path: str | Path, data: str | bytes | Iterable[str]) -> None:
     try:
         try:
             with (open(tmp, "wb") if isinstance(data, bytes)
-                  else open(tmp, "w", newline="")) as fh:
+                  else open(tmp, "w", newline="", encoding="utf-8")) as fh:
                 fh.writelines((data,) if isinstance(data, (str, bytes)) else data)
         except OSError as exc:
             if exc.filename is not None or exc.errno is None:
@@ -431,13 +431,6 @@ def assemble_flows(records: PacketColumns,
             for i, (key, cols) in enumerate(zip(keys, _cut(columns, sizes.tolist())))]
 
 
-def truncate_flow(flow: Flow, n_packets: int) -> Flow:
-    """Return a copy keeping only the first ``n_packets`` packets."""
-    if n_packets < 1:
-        raise ValueError("n_packets must be >= 1")
-    return replace(flow, **{name: getattr(flow, name)[:n_packets] for name in FLOW_COLUMNS})
-
-
 def save_flows_csv(flows: list[Flow], path: str | Path) -> None:
     """Write flows in the one-packet-per-row CSV schema (keys are dropped),
     streamed one flow at a time."""
@@ -487,7 +480,7 @@ def load_flows_csv(path: str | Path) -> list[Flow]:
             flows = None
     if flows is not None:
         return flows
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             return _read_flow_rows(reader)
@@ -592,7 +585,7 @@ def _load_bulk(fh) -> list[Flow] | None:
     same flows as the row loop. For any other file this returns None or
     raises ValueError, and the row loop reads it. Besides each block's
     rules, flows must be contiguous, unique, of one label and with rising
-    packet_index; ids and labels are decoded once per flow."""
+    packet_index; ids and labels are decoded from UTF-8 once per flow."""
     if fh.read(len(_HEADER_LINE)) != _HEADER_LINE:
         return None
     limit = csv.field_size_limit()
@@ -651,15 +644,14 @@ def _read_block(buf: np.ndarray, limit: int) -> tuple | None:
     """The cells of the whole lines ``buf`` (after the padding) as arrays:
     flow ids and labels as padded bytes, packet_index, timestamps, the
     direction, the other three integers and the flags; None unless every
-    line holds 9 unquoted ASCII fields, none longer than ``limit``, and ends
+    line holds 9 unquoted fields, none longer than ``limit`` bytes, and ends
     in CRLF, its integers are 1-10 digits below 2**32 (tcp_window may be
     empty), its direction is ``out`` or ``in`` and its timestamp, read by
     float() as the row loop reads it, is finite. Each distinct flag token
     goes through flags_from_token once."""
-    # Separators, quotes and NUL are all below "-"; a quote, NUL or a
-    # non-ASCII byte is only written in a quoted field.
-    if buf.max() >= 0x80:
-        return None
+    # Separators, quotes and NUL are all below "-", and every byte of a
+    # UTF-8 multi-byte character is above it. A line holding a quote or NUL
+    # goes to the row loop.
     at = np.flatnonzero(buf < ord("-")).astype(np.int32)
     below = buf[at]
     if (below == ord('"')).any() or (below == 0).any():

@@ -177,8 +177,8 @@ class RandomForest:
     def load(cls, path: str | Path) -> RandomForest:
         """Read what ``save`` wrote; anything else is a ValueError naming ``path``."""
         try:
-            doc = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as exc:
+            doc = json.loads(Path(path).read_text(encoding="utf-8"))
+        except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"corrupt forest snapshot {path}: {exc}") from None
         if (not isinstance(doc, dict) or doc.get("format_version") != SNAPSHOT_VERSION
                 or doc.keys() != {"format_version", "config", "classes", "oob_score", "trees"}):

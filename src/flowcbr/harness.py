@@ -18,8 +18,8 @@ import numpy as np
 from .cbr import (DEFAULT_C_MIN, DEFAULT_K, DEFAULT_OOD_MARGIN, DEFAULT_QUANTILE_NEW,
                   DEFAULT_QUANTILE_OOD, Thresholds, Verdict, VerdictKind, classify_stream,
                   vote, write_verdicts)
-from .features import extract_matrix
-from .flows import Flow, InputError, truncate_flow, write_atomic
+from .features import extract_rows
+from .flows import Flow, InputError, write_atomic
 from .forest import DEFAULT_N_TREES, ForestConfig, train_forest
 from .model import Model, fit_model
 
@@ -140,37 +140,35 @@ class FittedPipeline:
     test_ids: list[str]
 
 
-def _labels(flows: list[Flow]) -> list[str]:
-    """The flows' labels; training and scoring need flows, each with a label."""
+def _rows(flows: list[Flow], config: PipelineConfig
+          ) -> tuple[np.ndarray, list[str], list[str]]:
+    """extract_rows of the flows cut to ``config.n_packets``; training and
+    scoring need flows, each with a label."""
     if not flows:
         raise InputError("no flows to train on")
-    for f in flows:
-        if not f.label:
-            raise InputError(f"flow {f.flow_id} has no label, and every flow needs one "
+    X, ids, labels = extract_rows(flows, config.n_packets)
+    for flow_id, label in zip(ids, labels):
+        if not label:
+            raise InputError(f"flow {flow_id} has no label, and every flow needs one "
                              "to train and score")
-    return [f.label for f in flows]
+    return X, ids, labels
 
 
-def _split_rows(flows: list[Flow], config: PipelineConfig
-                ) -> tuple[np.ndarray, list[str], np.ndarray, np.ndarray]:
-    """(raw feature rows, labels, train indices, test indices) of the flows
-    cut to ``config.n_packets``."""
-    labels = _labels(flows)
-    if config.n_packets is not None:
-        flows = [truncate_flow(f, config.n_packets) for f in flows]
-    return (extract_matrix(flows), labels,
-            *stratified_split(labels, config.train_fraction, config.seed))
-
-
-def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
-    """Extract, split, normalize, index, and calibrate; nothing is classified."""
-    X, labels, train_idx, test_idx = _split_rows(flows, config)
+def _fit(X: np.ndarray, ids: list[str], labels: list[str],
+         config: PipelineConfig) -> FittedPipeline:
+    """Split the rows, then normalize, index and calibrate the training split."""
+    train_idx, test_idx = stratified_split(labels, config.train_fraction, config.seed)
     model = fit_model(X[train_idx], [labels[i] for i in train_idx], config)
     if not test_idx.size:
         raise InputError(f"train_fraction {config.train_fraction} leaves no test rows")
     return FittedPipeline(model=model, X_test=model.normalizer.transform(X[test_idx]),
                           y_test=[labels[i] for i in test_idx],
-                          test_ids=[flows[i].flow_id or f"t{i}" for i in test_idx])
+                          test_ids=[ids[i] for i in test_idx])
+
+
+def fit_pipeline(flows: list[Flow], config: PipelineConfig) -> FittedPipeline:
+    """Extract, split, normalize, index, and calibrate; nothing is classified."""
+    return _fit(*_rows(flows, config), config)
 
 
 def verdict_label(verdict: Verdict) -> str:
@@ -335,17 +333,20 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     report compares pre-existing-class F1 across the two passes and measures
     recall on held-out samples that arrive after registration.
     """
-    labels = set(_labels(flows))
-    if held_out_class not in labels:
+    X, ids, labels = _rows(flows, config)
+    held = np.array(labels) == held_out_class
+    if not held.any():
         raise InputError(f"held-out class {held_out_class!r} is not present")
-    if labels == {held_out_class}:
+    if held.all():
         raise InputError(f"every flow is {held_out_class}, so holding it out leaves "
                        f"no rows to train on")
-    fitted = fit_pipeline([f for f in flows if f.label != held_out_class], config)
+    base = np.flatnonzero(~held)
+    fitted = _fit(X[base], [ids[i] for i in base], [labels[i] for i in base], config)
     model = fitted.model
     # The held-out test rows, chosen with the same split rule.
-    X_held, _, _, held_test = _split_rows([f for f in flows if f.label == held_out_class],
-                                          config)
+    X_held = X[held]
+    _, held_test = stratified_split([held_out_class] * len(X_held), config.train_fraction,
+                                    config.seed)
     if not held_test.size:
         raise InputError(f"train_fraction {config.train_fraction} leaves no test rows "
                        f"of the held-out class {held_out_class}")

@@ -113,6 +113,10 @@ def test_criterion_02_spectrum_matches_naive_dft(capsys):
             out[f] = np.hypot(re, im)
         return out
 
+    # The wavelet slots, from the schema's ordered (group, width) pairs.
+    names, widths = zip(*SCHEMA.groups)
+    start = sum(widths[:names.index("wavelet")])
+    wavelet = slice(start, start + widths[names.index("wavelet")])
     rng = np.random.default_rng(2)
     worst_rel = 0.0
     worst_parseval = 0.0
@@ -121,8 +125,7 @@ def test_criterion_02_spectrum_matches_naive_dft(capsys):
         signs = rng.choice([-1, 1], size=90)
         signal = (sizes * signs).astype(np.float64)
         flow = _flow_with_signal(signal)
-        start, stop = SCHEMA.slot_range("wavelet")
-        got = extract_matrix([flow])[0][start:stop]
+        got = extract_matrix([flow])[0][wavelet]
         want = naive_dft_magnitudes(signal)
         worst_rel = max(worst_rel, float(np.max(np.abs(got - want) / np.abs(want))))
         energy_freq = float(np.sum(got ** 2))

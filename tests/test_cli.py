@@ -25,7 +25,8 @@ from hypothesis import strategies as st
 import flowcbr
 from flowcbr.cli import DEFAULTS, main
 from flowcbr.features import extract_matrix, load_matrix_csv, save_matrix_csv
-from flowcbr.flows import FLOW_CSV_HEADER, load_flows_csv, save_flows_csv, truncate_flow
+from flowcbr.flows import FLOW_CSV_HEADER, load_flows_csv, save_flows_csv
+from flowcbr.harness import stratified_split
 from flowcbr.model import load_model
 from flowcbr.synth import default_templates, synth_generate
 
@@ -47,6 +48,34 @@ def test_synth_writes_flow_csv(flows_csv):
     flows = load_flows_csv(flows_csv)
     assert len(flows) == 12
     assert {f.label for f in flows} == {"class-a", "class-b"}
+
+
+def test_a_flow_with_no_id_has_one_name_in_every_output(tmp_path):
+    """The first flow of a flow CSV has an empty id. extract, classify
+    --input and eval each name it f000000, as assemble_flows names the
+    first flow of a capture."""
+    flows = synth_generate(default_templates(2), 6, seed=1)
+    flows[0].flow_id = ""
+    path = tmp_path / "flows.csv"
+    save_flows_csv(flows, path)
+    # A seed whose split tests the first flow, so that eval gives it a verdict.
+    seed = next(s for s in range(100)
+                if 0 in stratified_split([f.label for f in flows], 0.5, s)[1])
+    features = tmp_path / "x" / "features.csv"
+    assert run("--out", str(features.parent), "extract", str(path)) == 0
+    assert run("--out", str(tmp_path / "m"), "index", str(features)) == 0
+    assert run("--out", str(tmp_path / "c"), "classify", str(tmp_path / "m"),
+               "--input", str(path)) == 0
+    assert run("--seed", str(seed), "--out", str(tmp_path / "e"), "eval", str(path),
+               "--train-fraction", "0.5") == 0
+
+    def verdict_ids(out):
+        return [json.loads(line)["flow_id"]
+                for line in (out / "verdicts.jsonl").read_text().splitlines()]
+
+    assert load_matrix_csv(features)[1][0] == "f000000"
+    assert verdict_ids(tmp_path / "c")[0] == "f000000"
+    assert "f000000" in verdict_ids(tmp_path / "e")
 
 
 def test_synth_seed_changes_output(tmp_path):
@@ -772,9 +801,16 @@ def _tiny_pcap() -> tuple[bytes, list[int]]:
     return out, offsets
 
 
+def _four_packet_flows(per_class: int) -> list:
+    """Synthetic flows of four packets each, ``per_class`` of each of two
+    classes."""
+    templates = [replace(t, min_packets=4, max_packets=4) for t in default_templates(2)]
+    return synth_generate(templates, per_class, seed=2)
+
+
 @functools.cache
 def _tiny_flow_csv() -> str:
-    flows = [truncate_flow(f, 4) for f in synth_generate(default_templates(2), 1, seed=2)]
+    flows = _four_packet_flows(1)
     with tempfile.TemporaryDirectory() as d:
         save_flows_csv(flows, Path(d) / "flows.csv")
         return (Path(d) / "flows.csv").read_text()
@@ -783,7 +819,7 @@ def _tiny_flow_csv() -> str:
 @functools.cache
 def _tiny_features_csv() -> str:
     """The features of two flows of each of two classes, as extract writes them."""
-    flows = [truncate_flow(f, 4) for f in synth_generate(default_templates(2), 2, seed=2)]
+    flows = _four_packet_flows(2)
     with tempfile.TemporaryDirectory() as d:
         save_matrix_csv(Path(d) / "features.csv", extract_matrix(flows),
                         [f.flow_id for f in flows], [f.label for f in flows])
@@ -1068,9 +1104,10 @@ def test_settings_survive_random_config_values(data_dir, config, command):
 _MAIN = "import sys; from flowcbr.cli import main; sys.exit(main(sys.argv[1:]))"
 
 
-def _run_subprocess(argv, flowcbr_log, code=_MAIN, preexec_fn=None):
+def _run_subprocess(argv, flowcbr_log, code=_MAIN, preexec_fn=None, **environ):
     """Run main(), or ``code`` given argv, in a fresh interpreter with
-    FLOWCBR_LOG set or unset, calling ``preexec_fn`` in the child first.
+    FLOWCBR_LOG set or unset and the variables ``environ`` set, calling
+    ``preexec_fn`` in the child first.
 
     In process, logging.basicConfig does nothing once pytest has put its
     handlers on the root logger, so only a child process shows the level.
@@ -1085,6 +1122,7 @@ def _run_subprocess(argv, flowcbr_log, code=_MAIN, preexec_fn=None):
     env.pop("FLOWCBR_LOG", None)
     if flowcbr_log is not None:
         env["FLOWCBR_LOG"] = flowcbr_log
+    env.update(environ)
     return subprocess.run([sys.executable, "-c", code, *argv],
                           capture_output=True, text=True, env=env, preexec_fn=preexec_fn)
 
@@ -1100,6 +1138,33 @@ def test_classify_does_not_load_openssl(data_dir, shared_model, tmp_path):
     done = _run_subprocess(argv, None, code)
     assert done.returncode == 0, done.stderr
     assert done.stdout.splitlines()[-1] == "False"
+
+
+# An ASCII locale that Python neither coerces to C.UTF-8 nor overrides with
+# its UTF-8 mode.
+_ASCII_LOCALE = {"LC_ALL": "C", "PYTHONUTF8": "0", "PYTHONCOERCECLOCALE": "0"}
+
+
+def test_text_is_utf8_whatever_the_locale(tmp_path):
+    """extract and eval on a flow CSV with non-ASCII labels and ids run
+    under an ASCII locale as in UTF-8 mode, to the same bytes."""
+    flows = synth_generate(default_templates(2), 6, seed=4)
+    for flow in flows:
+        flow.label = {"class-a": "café", "class-b": "naïve €"}[flow.label]
+    flows[0].flow_id = "flux-été"
+    path = tmp_path / "flows.csv"
+    save_flows_csv(flows, path)
+    outputs = {}
+    for name, environ in (("ascii", _ASCII_LOCALE), ("utf8", {"PYTHONUTF8": "1"})):
+        for command in ("extract", "eval"):
+            out = tmp_path / name / command
+            done = _run_subprocess(["--out", str(out), command, str(path)], None, **environ)
+            assert done.returncode == 0, done.stderr
+        outputs[name] = {p.relative_to(tmp_path / name): p.read_bytes()
+                         for p in (tmp_path / name).rglob("*") if p.is_file()}
+    assert outputs["ascii"] == outputs["utf8"]
+    assert len(outputs["ascii"]) == 6
+    assert "flux-été,café".encode() in outputs["ascii"][Path("extract/features.csv")]
 
 
 def test_log_level_env_var(flows_csv, tmp_path):

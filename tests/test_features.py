@@ -36,7 +36,7 @@ from flowcbr.features import (
     wavelet_coeffs,
 )
 from flowcbr.cbr import Thresholds
-from flowcbr.flows import Direction, FlowPacket, InputError, TcpFlags
+from flowcbr.flows import FLOW_COLUMNS, Direction, Flow, FlowPacket, InputError, TcpFlags
 from flowcbr.harness import PipelineConfig
 from flowcbr.model import Model, fit_model, load_model, save_model
 
@@ -62,18 +62,6 @@ def test_schema_widths():
     assert widths == (3, 30, 20, 20, 4, 2, 2, 9, 1, 1, 1, 90)
     assert SCHEMA.width == 183
     assert SCHEMA.version == SCHEMA_VERSION
-
-
-def test_schema_slot_ranges_tile_the_vector():
-    stop = 0
-    for group, width in SCHEMA.groups:
-        rng = SCHEMA.slot_range(group)
-        assert rng == (stop, stop + width)
-        stop = rng[1]
-    assert stop == 183
-    assert len(SCHEMA.slot_names()) == 183
-    with pytest.raises(KeyError):
-        SCHEMA.slot_range("nope")
 
 
 def test_bits_per_peak_hand_case():
@@ -311,12 +299,12 @@ LENGTHS = (1, 2, 3, 7, 8, 9, 17, 64, 129, 200)
 
 
 @st.composite
-def random_flow(draw):
-    """A flow of one of LENGTHS packets. The drawn modes cover sorted, tied
+def random_flow(draw, lengths=st.sampled_from(LENGTHS)):
+    """A flow of ``lengths`` packets, one of LENGTHS by default. The drawn modes cover sorted, tied
     and unsorted timestamps; gaps from milliseconds to past the 100 s the
     window groups read; all-forward and all-backward flows; TCP windows
     absent, present or mixed; and payloads either side of 200 bytes."""
-    n = draw(st.sampled_from(LENGTHS))
+    n = draw(lengths)
     order = draw(st.sampled_from(("sorted", "tied", "unsorted")))
     mean_gap = draw(st.sampled_from((0.001, 0.4, 3.0, 40.0)))
     start = draw(st.sampled_from((0.0, 1.7e9 + 0.123456)))
@@ -363,6 +351,33 @@ def test_rows_do_not_depend_on_the_rest_of_the_batch(flows):
     for i, f in enumerate(flows):
         np.testing.assert_array_equal(m[i].view(np.uint64),
                                       extract_matrix([f])[0].view(np.uint64))
+
+
+def sliced(f, n):
+    """``f`` with every column cut to its first ``n`` packets by hand."""
+    return Flow(f.key, **{name: getattr(f, name)[:n] for name in FLOW_COLUMNS},
+                label=f.label, flow_id=f.flow_id)
+
+
+@settings(deadline=None)
+@given(st.lists(random_flow(st.integers(1, 60)), min_size=1, max_size=8), st.data())
+def test_the_cut_extracts_the_flows_sliced_by_hand(flows, data):
+    """extract_matrix(flows, n) is extract_matrix of the flows sliced to n
+    packets, bit for bit, for every n up to two past the longest flow. A
+    flow whose cut-off tail lies too far from its first packet to subtract
+    extracts once cut; n = 0 is refused."""
+    n = data.draw(st.integers(1, max(f.timestamp.size for f in flows) + 2), label="n")
+    far = flow([(-1e308, F, 60)] * n + [(1.7e308, B, 60)], flow_id="far")
+    with pytest.raises(InputError, match="finite"):
+        extract_matrix([far])
+    at = data.draw(st.integers(0, len(flows)), label="at")
+    flows = flows[:at] + [far] + flows[at:]
+    want = extract_matrix([sliced(f, n) for f in flows])
+    got = extract_matrix(flows, n)
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+    with pytest.raises(ValueError):
+        extract_matrix(flows, 0)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])

@@ -26,9 +26,10 @@ STAMPS = st.one_of(
     st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e308,
                      -1.7976931348623157e308, 1699999999.123456789, 0.1, 1 / 3]),
     st.floats(allow_nan=False, allow_infinity=False))
-# What save_flows_csv writes without quotes: ASCII, no comma, quote or line
-# end; tabs, spaces and other control characters stay.
-NAMES = st.text(st.sampled_from("abz09 -_.|#'\t\x0b\x1f~"), max_size=5)
+# What save_flows_csv writes without quotes: no comma, quote or line end;
+# tabs, spaces, other control characters and characters of two to four
+# UTF-8 bytes (café) stay.
+NAMES = st.text(st.sampled_from("abz09 -_.|#'\t\x0b\x1f~é€😀"), max_size=5)
 
 
 @st.composite

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pcap_oracle import flow_from_packets
 
+from flowcbr.features import extract_matrix
 from flowcbr.flows import (
     DEFAULT_IDLE_TIMEOUT,
     FLOW_COLUMNS,
@@ -32,7 +33,6 @@ from flowcbr.flows import (
     load_flows_csv,
     parse_pcap,
     save_flows_csv,
-    truncate_flow,
 )
 
 
@@ -439,15 +439,19 @@ def make_flow(n, label=None, flow_id="f0"):
 
 @given(st.integers(min_value=1, max_value=40), st.integers(min_value=1, max_value=40))
 def test_truncate_is_prefix(n, keep):
-    flow = make_flow(n)
-    cut = truncate_flow(flow, keep)
-    assert cut.packets == flow.packets[:keep]
-    assert cut.label == flow.label and cut.flow_id == flow.flow_id
+    """A flow cut to ``keep`` packets extracts as the flow of its first
+    ``keep`` packets, and the cut leaves the flow itself whole."""
+    flow = make_flow(n, label="web")
+    prefix = flow_from_packets(flow.packets[:keep], label=flow.label, flow_id=flow.flow_id)
+    got = extract_matrix([flow], keep)
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  extract_matrix([prefix]).view(np.uint64))
+    assert flow.timestamp.size == n
 
 
 def test_truncate_rejects_zero():
     with pytest.raises(ValueError):
-        truncate_flow(make_flow(3), 0)
+        extract_matrix([make_flow(3)], 0)
 
 
 def test_flags_token_round_trip():

@@ -291,9 +291,10 @@ def test_snapshot_round_trip_query_identical(tmp_path):
 
 def test_snapshot_rejects_corrupt_and_wrong_version(tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("]{")
-    with pytest.raises(ValueError, match="corrupt"):
-        RandomForest.load(bad)
+    for data in (b"]{", b"\xff{}"):  # not JSON; not UTF-8
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match="corrupt forest snapshot"):
+            RandomForest.load(bad)
     versioned = tmp_path / "versioned.json"
     versioned.write_text(json.dumps({"format_version": 42}))
     with pytest.raises(ValueError, match="version"):
