@@ -1,10 +1,20 @@
 """Random-forest baseline, built from scratch on CART trees.
 
 Trees grow on bootstrap samples with Gini-impurity splits over a random
-subset of feature slots per node (ceil(sqrt(d)) by default). Each slot is
-sorted once per forest; a node scores its distinct rows in that order, each
-weighted by its bootstrap multiplicity. Everything is seeded: the same
-config and data always produce the same forest.
+subset of feature slots per node (ceil(sqrt(d)) by default). Everything is
+seeded: the same config and data always produce the same forest.
+
+The split search tries every split point and counts in integers. Each slot
+is sorted once per forest, into a table of rows by value and its inverse,
+each row's rank. A node collects its u distinct rows in value order by
+sorting their ranks in each candidate slot, so the work per slot follows u,
+not the training rows; it then scores every split point from class-count
+cumsums, each row weighted by its bootstrap multiplicity. Every count in a
+node of n positions is at most 2 n^2, so the search counts in int32 while
+2 n^2 < 2^31 (n <= 32767) and in int64 above. A slot that holds one value
+on every training row (±0.0 and inf included) has no split point, so the
+forest drops it from every node's candidates after drawing them; NaN
+equals nothing, so a NaN slot stays.
 
 A tree has one form, which the JSON snapshot also stores as it is: a list
 of node dicts, root first, in pre-order. A leaf is ``{"counts": [...]}``, one
@@ -44,30 +54,38 @@ class ForestConfig:
             raise ValueError("min_samples_leaf must be >= 1")
 
 
-def _best_split(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: np.ndarray,
-                candidates: np.ndarray, counts: np.ndarray,
+def _best_split(X: np.ndarray, codes: np.ndarray, order: np.ndarray, rank: np.ndarray,
+                positions: np.ndarray, candidates: np.ndarray, counts: np.ndarray,
                 min_samples_leaf: int) -> tuple[float, int, float] | None:
     """Best (score, slot, threshold) over candidate slots, or None.
 
     The score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right;
     maximizing it minimizes the weighted Gini impurity of the children.
     All slots are scored in one pass of exact integer cumsums over the node's
-    distinct rows in ``order`` (X's rows by value, per slot), weighted by their
-    counts in ``positions``. Ties go to the first slot, then its first split.
+    distinct rows in value order, weighted by their counts in ``positions``.
+    ``order`` lists X's rows by value per slot and ``rank`` is its inverse.
+    Ties go to the first slot, then its first split.
     """
-    mult = np.bincount(positions, minlength=X.shape[0])
-    rows = order[candidates]
-    rows = np.compress(mult.take(rows).ravel() > 0, rows).reshape(candidates.size, -1)  # (m, u)
-    if rows.shape[1] < 2:  # one distinct row has no split point
+    n = positions.size  # every count below is at most 2 n^2 in magnitude
+    dtype = np.int32 if 2 * n * n < 2 ** 31 else np.int64
+    mult = np.bincount(positions, minlength=X.shape[0]).astype(dtype)
+    distinct = np.flatnonzero(mult)
+    if distinct.size < 2:  # one distinct row has no split point
         return None
+    at = np.multiply(candidates, X.shape[0], dtype=np.intp)[:, None]
+    ranks = rank.take(at + distinct)  # (m, u)
+    ranks.sort(axis=1)
+    rows = order.take(at + ranks)  # the node's distinct rows by value, per slot
     vals = X.take(np.multiply(rows, X.shape[1], dtype=np.intp) + candidates[:, None])
     w, row_codes = mult.take(rows[:, :-1]), codes.take(rows[:, :-1])
-    left_n = np.cumsum(w, axis=1)
+    left_n = np.cumsum(w, axis=1, dtype=dtype)
     left = (row_codes == np.flatnonzero(counts)[:, None, None]) * w  # (classes, m, u - 1)
     np.cumsum(left, axis=2, out=left)  # in place: one such block alive at a time
-    left_sq = np.einsum("cij,cij->ij", left, left)
-    right_sq = counts @ counts - 2 * np.cumsum(w * counts.take(row_codes), axis=1) + left_sq
-    right_n = positions.size - left_n
+    left_sq = np.square(left, out=left).sum(axis=0, dtype=dtype)
+    counts = counts.astype(dtype)
+    right_sq = counts @ counts - 2 * np.cumsum(w * counts.take(row_codes), axis=1, dtype=dtype)
+    right_sq += left_sq
+    right_n = n - left_n
     valid = ((vals[:, :-1] < vals[:, 1:])
              & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
     score = np.where(valid, left_sq / left_n + right_sq / right_n, -np.inf)
@@ -81,9 +99,10 @@ def _best_split(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: 
     return float(score[j, col]), int(candidates[j]), float(threshold)
 
 
-def _grow(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: np.ndarray,
-          n_classes: int, config: ForestConfig, fps: int,
-          rng: np.random.Generator, depth: int, nodes: list[dict]) -> int:
+def _grow(X: np.ndarray, codes: np.ndarray, order: np.ndarray, rank: np.ndarray,
+          splittable: np.ndarray, positions: np.ndarray, n_classes: int,
+          config: ForestConfig, fps: int, rng: np.random.Generator, depth: int,
+          nodes: list[dict]) -> int:
     """Append the subtree of ``positions`` to ``nodes`` in pre-order; return its root's position."""
     at = len(nodes)
     counts = np.bincount(codes[positions], minlength=n_classes)
@@ -94,7 +113,9 @@ def _grow(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: np.nda
             or (config.max_depth is not None and depth >= config.max_depth)):
         return at
     candidates = np.sort(rng.choice(X.shape[1], size=fps, replace=False))
-    best = _best_split(X, codes, order, positions, candidates, counts, config.min_samples_leaf)
+    candidates = candidates[splittable.take(candidates)]
+    best = (_best_split(X, codes, order, rank, positions, candidates, counts,
+                        config.min_samples_leaf) if candidates.size else None)
     if best is None:
         return at
     score, slot, threshold = best
@@ -102,16 +123,18 @@ def _grow(X: np.ndarray, codes: np.ndarray, order: np.ndarray, positions: np.nda
     if (score - parent_score) / n <= MIN_IMPROVEMENT:
         return at
     mask = X[positions, slot] <= threshold
-    left = _grow(X, codes, order, positions[mask], n_classes, config, fps, rng, depth + 1, nodes)
-    right = _grow(X, codes, order, positions[~mask], n_classes, config, fps, rng, depth + 1, nodes)
+    args = (X, codes, order, rank, splittable)
+    left = _grow(*args, positions[mask], n_classes, config, fps, rng, depth + 1, nodes)
+    right = _grow(*args, positions[~mask], n_classes, config, fps, rng, depth + 1, nodes)
     nodes[at] = {"slot": slot, "value": threshold, "left": left, "right": right}
     return at
 
 
-def _tree_votes(nodes: list[dict], X: np.ndarray) -> np.ndarray:
-    """Per-row class code voted by this tree (leaf majority, first on ties)."""
+def _tree_votes(nodes: list[dict], X: np.ndarray, rows: np.ndarray | None = None) -> np.ndarray:
+    """Class code voted by this tree (leaf majority, first on ties) for each
+    of X's ``rows``, every row by default."""
     out = np.empty(X.shape[0], dtype=np.int64)
-    stack = [(0, np.arange(X.shape[0]))]  # (node, the rows that reach it)
+    stack = [(0, np.arange(X.shape[0]) if rows is None else rows)]  # (node, rows that reach it)
     while stack:
         at, idx = stack.pop()
         node = nodes[at]
@@ -120,7 +143,7 @@ def _tree_votes(nodes: list[dict], X: np.ndarray) -> np.ndarray:
         elif idx.size:
             mask = X[idx, node["slot"]] <= node["value"]
             stack += [(node["left"], idx[mask]), (node["right"], idx[~mask])]
-    return out
+    return out if rows is None else out[rows]
 
 
 def _well_formed(nodes: object, n_classes: int) -> bool:
@@ -214,7 +237,12 @@ def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
     if not 1 <= fps <= d:
         raise ValueError(f"features_per_split must be in [1, {d}]")
 
-    order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)  # (d, n): rows by value
+    # (d, n) each: the rows by value per slot, and each row's place there;
+    # C order, so that take gathers from them with no copy
+    order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32, order="C")
+    rank = np.empty_like(order)
+    np.put_along_axis(rank, order, np.arange(n, dtype=np.int32)[None, :], axis=1)
+    splittable = ~(X == X[0]).all(axis=0)  # NaN != NaN, so a NaN slot stays
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.n_trees)]
     trees: list[list[dict]] = []
     oob_tally = np.zeros((n, classes.size), dtype=np.int64)
@@ -222,8 +250,9 @@ def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
         sample = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
         oob = np.flatnonzero(np.bincount(sample, minlength=n) == 0)
         trees.append([])
-        _grow(X, codes, order, sample, classes.size, config, fps, rng, 0, trees[-1])
-        oob_tally[oob, _tree_votes(trees[-1], X[oob])] += 1
+        _grow(X, codes, order, rank, splittable, sample, classes.size, config, fps, rng, 0,
+              trees[-1])
+        oob_tally[oob, _tree_votes(trees[-1], X, oob)] += 1
 
     covered = oob_tally.sum(axis=1) > 0
     hits = oob_tally[covered].argmax(axis=1) == codes[covered]

@@ -65,6 +65,13 @@ def ref_best_split(X, codes, positions, n_classes, msl):
     return best
 
 
+def sort_tables(X):
+    """``order`` (X's rows by value, per slot) and its inverse ``rank``, as
+    train_forest builds them for _best_split."""
+    order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32, order="C")
+    return order, np.argsort(order, axis=1).astype(np.int32)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.integers(min_value=2, max_value=60),
@@ -102,14 +109,30 @@ def test_best_split_matches_reference_on_candidate_subset(seed, n, d, n_classes,
     m = data.draw(st.integers(min_value=1, max_value=d))
     candidates = np.sort(rng.choice(d, size=m, replace=False))
     counts = np.bincount(codes[positions], minlength=n_classes)
-    order = np.argsort(X, axis=0, kind="stable").T.astype(np.int32)
-
-    got = forest_mod._best_split(X, codes, order, positions, candidates, counts, msl)
+    got = forest_mod._best_split(X, codes, *sort_tables(X), positions, candidates, counts, msl)
     want = ref_best_split(X[:, candidates], codes, positions, n_classes, msl)
     if want is None:
         assert got is None
     else:
         score, slot, threshold = want
+        assert got == (score, int(candidates[slot]), threshold)
+
+
+@pytest.mark.parametrize("n", [32767, 40000, 50000])
+def test_best_split_matches_reference_in_both_integer_widths(n):
+    """A node of up to 32767 bootstrap positions counts in int32, a larger
+    one in int64. At 50000 positions, 95% of one class, the best split of
+    slot 0 cuts off the other classes; the squared count of its side passes
+    2**31, so an int32 count would wrap there."""
+    rng = np.random.default_rng(n)
+    codes = np.where(rng.random(300) < 0.95, 0, rng.integers(1, 3, size=300))
+    X = rng.integers(0, 4, size=(300, 2)) * 0.25  # few values: tied split points
+    X[codes > 0, 0] += 1.0
+    positions = rng.integers(0, 300, size=n)
+    counts = np.bincount(codes[positions], minlength=3)
+    for candidates in (np.array([1]), np.array([0, 1])):
+        got = forest_mod._best_split(X, codes, *sort_tables(X), positions, candidates, counts, 1)
+        score, slot, threshold = ref_best_split(X[:, candidates], codes, positions, 3, 1)
         assert got == (score, int(candidates[slot]), threshold)
 
 
@@ -423,10 +446,34 @@ def test_eval_shape_forest_saves_the_oracle_bytes(seed, tmp_path):
             == hashlib.sha256((tmp_path / "want.json").read_bytes()).hexdigest())
 
 
+def test_constant_slots_never_reach_the_split_search(tmp_path, monkeypatch):
+    """A slot that holds one value on every training row can never split, so
+    train_forest drops it from every node's candidates; ±0.0 and inf count
+    as one value, while NaN equals nothing, so a NaN slot stays a candidate.
+    The trees are still the oracle's."""
+    X, y = blobs(3, n=80, d=4)
+    rng = np.random.default_rng(3)
+    constant = {4: np.full(80, 2.5), 5: rng.choice([0.0, -0.0], size=80), 6: np.full(80, np.inf)}
+    X = np.column_stack([X, *constant.values(), np.full(80, np.nan)])
+    config = ForestConfig(n_trees=6, features_per_split=X.shape[1], seed=3)
+    seen = []
+
+    def recording(X, codes, order, rank, positions, candidates, *rest):
+        seen.extend(candidates.tolist())
+        return best_split(X, codes, order, rank, positions, candidates, *rest)
+
+    best_split = forest_mod._best_split
+    monkeypatch.setattr(forest_mod, "_best_split", recording)
+    got = saved_bytes(train_forest, X, y, config, tmp_path / "got.json")
+    assert seen and not set(seen) & set(constant)
+    assert 7 in seen
+    assert got == saved_bytes(oracle.train_forest, X, y, config, tmp_path / "want.json")
+
+
 def test_tree_votes_keeps_no_reference_to_its_rows():
     """Its rows die as soon as the caller drops them, with the cyclic
-    garbage collector off: no reference cycle holds them, so train_forest
-    frees each tree's out-of-bag copy at once."""
+    garbage collector off: no reference cycle holds them, so predict_batch
+    keeps no caller's matrix alive."""
     X, y = blobs(0)
     tree = train_forest(X, y, ForestConfig(n_trees=1, seed=0)).trees[0]
     rows = X.copy()
