@@ -211,6 +211,9 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 def cmd_eval(args: argparse.Namespace) -> int:
     config, out = _pipeline_config(_settings(args)), Path(args.out or ".")
+    if args.held_out and args.n_trees is not None:
+        raise InputError("--n-trees sizes the forest, and the --held-out protocol "
+                         "trains none")
     with _input(args.flows):
         flows = load_flows_csv(args.flows)
         if args.held_out:

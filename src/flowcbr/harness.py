@@ -201,7 +201,6 @@ class EvalReport:
     ensemble_labels: list[str]
     n_train: int
     n_test: int
-    forest_oob: float | None
 
 
 def run_eval(flows: list[Flow], config: PipelineConfig,
@@ -230,8 +229,7 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
                         metrics_ensemble=metrics_ensemble, thresholds=model.thresholds,
                         verdicts=list(zip(fitted.test_ids, verdicts)),
                         ensemble_labels=ensemble_labels,
-                        n_train=len(model.labels), n_test=len(fitted.y_test),
-                        forest_oob=forest.oob_score)
+                        n_train=len(model.labels), n_test=len(fitted.y_test))
     if out_dir is not None:
         out = Path(out_dir)
         write_metrics_csv(out / "metrics_cbr.csv", metrics_cbr)
@@ -285,10 +283,10 @@ def packet_sweep(flows: list[Flow], packet_counts: list[int],
     return points
 
 
-def find_plateau(points: list[SweepPoint], eps: float = PLATEAU_EPS) -> int | None:
-    """First count whose gain over the previous count falls below eps."""
+def find_plateau(points: list[SweepPoint]) -> int | None:
+    """First count whose gain over the previous count falls below PLATEAU_EPS."""
     for prev, cur in zip(points, points[1:]):
-        if cur.accuracy - prev.accuracy < eps:
+        if cur.accuracy - prev.accuracy < PLATEAU_EPS:
             return cur.n_packets
     return None
 
@@ -302,12 +300,6 @@ class NewClassReport:
     n_post_registration: int
     metrics_before: Metrics
     metrics_after: Metrics
-
-    def f1_drops(self) -> dict[str, float]:
-        """Per pre-existing class: F1 before minus F1 after (positive = worse)."""
-        return {lbl: self.metrics_before.per_class[lbl].f1 - m.f1
-                for lbl, m in self.metrics_after.per_class.items()
-                if lbl in self.metrics_before.per_class}
 
 
 def _interleave(n_base: int, n_held: int) -> np.ndarray:

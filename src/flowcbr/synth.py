@@ -1,12 +1,12 @@
 """Seeded synthetic flow generation for evaluation.
 
 Each class template describes packet-size distributions per direction,
-lognormal inter-arrival gaps, a direction ratio, a flow-length range, and a
-TCP window random walk. Flows open with a fixed two-packet handshake so the
-very start of every flow looks alike. Templates can confine their class
-signal to a prefix of the flow: past ``signal_packets`` packets are drawn
-from shared tail parameters common to all templates, which makes accuracy
-as a function of packet count flatten once the prefix is covered.
+lognormal inter-arrival gaps, a burst pattern of directions, a flow-length
+range, and a TCP window random walk. Flows open with a fixed two-packet
+handshake so the very start of every flow looks alike. Templates can confine
+their class signal to a prefix of the flow: past ``signal_packets`` packets
+are drawn from shared tail parameters common to all templates, which makes
+accuracy as a function of packet count flatten once the prefix is covered.
 
 Generation is reproducible per flow: the random stream depends only on
 (seed, class index, flow index), never on generation order.
@@ -26,6 +26,7 @@ MAX_PACKET = 1500
 HEADER_BYTES = 40
 TAIL_SIZE_MEAN = 700.0
 TAIL_SIZE_STD = 280.0
+SWEEP_SIGNAL_PACKETS = 10
 
 
 @dataclass(frozen=True)
@@ -33,8 +34,7 @@ class ClassTemplate:
     """Traffic-class recipe.
 
     Directions follow ``burst_pattern`` = (requests, responses): that many
-    consecutive forward packets, then that many backward, repeating. With no
-    pattern each packet is forward with probability ``fwd_ratio`` instead.
+    consecutive forward packets, then that many backward, repeating.
     """
 
     name: str
@@ -44,22 +44,19 @@ class ClassTemplate:
     bwd_size_std: float
     gap_median: float
     gap_sigma: float
-    fwd_ratio: float
     min_packets: int
     max_packets: int
+    burst_pattern: tuple[int, int]
     window_base: int = 16384
     window_step_std: float = 400.0
-    burst_pattern: tuple[int, int] | None = None
     signal_packets: int | None = None
 
     def __post_init__(self) -> None:
-        if not 0 < self.fwd_ratio < 1:
-            raise ValueError("fwd_ratio must be in (0, 1)")
         if self.min_packets < 2 or self.max_packets < self.min_packets:
             raise ValueError("need max_packets >= min_packets >= 2")
         if self.gap_median <= 0:
             raise ValueError("gap_median must be positive")
-        if self.burst_pattern is not None and min(self.burst_pattern) < 1:
+        if min(self.burst_pattern) < 1:
             raise ValueError("burst_pattern counts must be >= 1")
 
 
@@ -73,6 +70,7 @@ def _synth_flow(template: ClassTemplate, seed: int, class_idx: int,
     rng = np.random.default_rng([seed, class_idx, flow_idx])
     n = int(rng.integers(template.min_packets, template.max_packets + 1))
     mu = math.log(template.gap_median)
+    req, resp = template.burst_pattern
 
     def gap() -> float:
         return float(min(max(rng.lognormal(mu, template.gap_sigma), 1e-4), 30.0))
@@ -88,11 +86,7 @@ def _synth_flow(template: ClassTemplate, seed: int, class_idx: int,
         window = float(min(max(window + rng.normal(0.0, template.window_step_std), 1024), 65535))
         in_signal = template.signal_packets is None or i < template.signal_packets
         if in_signal:
-            if template.burst_pattern is not None:
-                req, resp = template.burst_pattern
-                fwd = (i - 2) % (req + resp) < req
-            else:
-                fwd = rng.random() < template.fwd_ratio
+            fwd = (i - 2) % (req + resp) < req
             size = _draw_size(rng,
                               template.fwd_size_mean if fwd else template.bwd_size_mean,
                               template.fwd_size_std if fwd else template.bwd_size_std)
@@ -143,7 +137,6 @@ def default_templates(n_classes: int = 5) -> list[ClassTemplate]:
             bwd_size_std=70.0,
             gap_median=0.02 * (1.6 ** i),
             gap_sigma=0.5,
-            fwd_ratio=req / (req + resp),
             min_packets=40,
             max_packets=70,
             window_base=12288 + 4096 * i,
@@ -153,7 +146,7 @@ def default_templates(n_classes: int = 5) -> list[ClassTemplate]:
     return out
 
 
-def sweep_templates(n_classes: int = 5, signal_packets: int = 10) -> list[ClassTemplate]:
+def sweep_templates(n_classes: int = 5) -> list[ClassTemplate]:
     """Templates whose class signal lives only in the first packets.
 
     Everything outside the signal prefix (lengths, gaps, windows, tail sizes)
@@ -172,41 +165,11 @@ def sweep_templates(n_classes: int = 5, signal_packets: int = 10) -> list[ClassT
             bwd_size_std=20.0,
             gap_median=0.05,
             gap_sigma=0.3,
-            fwd_ratio=0.5,
             min_packets=45,
             max_packets=60,
             window_base=16384,
             window_step_std=300.0,
             burst_pattern=_BURSTS[i],
-            signal_packets=signal_packets,
+            signal_packets=SWEEP_SIGNAL_PACKETS,
         ))
-    return out
-
-
-def fewshot_templates(n_base: int = 5) -> list[ClassTemplate]:
-    """Base classes plus one tight satellite class for registration runs.
-
-    The extra class ("class-x") reuses the first base class's direction
-    pattern and timing but shifts both size means, which places it past the
-    new-class distance threshold of every base class while staying well
-    under the rejection threshold. Its spreads are kept small and its length
-    fixed so a handful of founding samples covers the whole class.
-    """
-    out = default_templates(n_base)
-    a = out[0]
-    out.append(ClassTemplate(
-        name="class-x",
-        fwd_size_mean=a.fwd_size_mean + 180.0,
-        fwd_size_std=6.0,
-        bwd_size_mean=a.bwd_size_mean - 200.0,
-        bwd_size_std=10.0,
-        gap_median=a.gap_median,
-        gap_sigma=0.10,
-        fwd_ratio=a.fwd_ratio,
-        min_packets=52,
-        max_packets=52,
-        window_base=a.window_base,
-        window_step_std=100.0,
-        burst_pattern=a.burst_pattern,
-    ))
     return out

