@@ -78,11 +78,11 @@ class Verdict:
 class ClassRegistry:
     """The pending buffer of would-be new-class samples, and two counters.
 
-    ``pending`` views the used rows, oldest first, of one float64 matrix
-    that starts with one row on the first in-between sample and doubles when
-    full, up to PENDING_CAPACITY rows. A buffer of PENDING_CAPACITY rows
-    drops its oldest row to take a new one; ``evictions`` counts the drops.
-    A registry lives in memory only: a loaded model starts empty.
+    ``pending`` views the used rows, oldest first, of one float64 matrix of
+    PENDING_CAPACITY rows, allocated on the first in-between sample; its
+    pages take memory only as rows are written. A full buffer drops its
+    oldest row to take a new one; ``evictions`` counts the drops. A
+    registry lives in memory only: a loaded model starts empty.
     """
 
     def __init__(self) -> None:
@@ -96,17 +96,13 @@ class ClassRegistry:
         return self._rows[:self._used]
 
     def add_pending(self, q: np.ndarray) -> None:
-        """Buffer q as the newest row; a buffer at capacity first drops its
-        oldest, a smaller full one doubles."""
+        """Buffer q as the newest row; a full buffer first drops its oldest."""
+        if not len(self._rows):
+            self._rows = np.empty((PENDING_CAPACITY, len(q)))
         if self._used == PENDING_CAPACITY:
             self.evictions += 1
             self._rows[:-1] = self._rows[1:]
             self._used -= 1
-        elif self._used == len(self._rows):
-            grown = np.empty((min(2 * self._used, PENDING_CAPACITY) or 1, len(q)))
-            if self._used:
-                grown[:self._used] = self._rows
-            self._rows = grown
         self._rows[self._used] = q
         self._used += 1
 

@@ -220,14 +220,17 @@ def cmd_eval(args: argparse.Namespace) -> int:
             report = new_class_protocol(flows, args.held_out, config, out_dir=out)
         else:
             report = run_eval(flows, config, out_dir=out)
-    if args.held_out:
+    if args.held_out and report.registered_label is None:
+        print(f"held-out {args.held_out}: no class registered after "
+              f"{report.n_held_out} held-out samples")
+    elif args.held_out:
         print(f"held-out {args.held_out}: registered as {report.registered_label} "
               f"after {report.samples_consumed} samples, "
               f"recall {report.held_out_recall:.3f} on {report.n_post_registration} later samples")
-        return 0
-    print(f"macro-F1 retrieval {report.metrics_cbr.macro_f1():.3f}, "
-          f"forest {report.metrics_forest.macro_f1():.3f}, "
-          f"combined {report.metrics_ensemble.macro_f1():.3f} -> {out}")
+    else:
+        print(f"macro-F1 retrieval {report.metrics_cbr.macro_f1():.3f}, "
+              f"forest {report.metrics_forest.macro_f1():.3f}, "
+              f"combined {report.metrics_ensemble.macro_f1():.3f} -> {out}")
     return 0
 
 

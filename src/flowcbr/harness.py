@@ -294,9 +294,11 @@ def find_plateau(points: list[SweepPoint]) -> int | None:
 @dataclass
 class NewClassReport:
     held_out_class: str
+    n_held_out: int  # held-out test samples streamed
     registered_label: str | None
-    samples_consumed: int
-    held_out_recall: float
+    # Both None when no class registered.
+    samples_consumed: int | None
+    held_out_recall: float | None
     n_post_registration: int
     metrics_before: Metrics
     metrics_after: Metrics
@@ -352,7 +354,8 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     order = _interleave(len(fitted.y_test), held_test.size)
 
     registered_label: str | None = None
-    samples_consumed = held_seen = post_total = post_hits = 0
+    samples_consumed: int | None = None
+    held_seen = post_total = post_hits = 0
     base_true: list[str] = []
     base_pred: list[str] = []
     for truth, verdict in zip([truths[i] for i in order],
@@ -371,9 +374,11 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
     metrics_after = compute_metrics(base_true, base_pred, class_set)
     report = NewClassReport(
         held_out_class=held_out_class,
+        n_held_out=held_test.size,
         registered_label=registered_label,
         samples_consumed=samples_consumed,
-        held_out_recall=(post_hits / post_total) if post_total else 0.0,
+        held_out_recall=(None if registered_label is None
+                         else post_hits / post_total if post_total else 0.0),
         n_post_registration=post_total,
         metrics_before=metrics_before,
         metrics_after=metrics_after,

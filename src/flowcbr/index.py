@@ -6,10 +6,11 @@ id is its row in the order the index was made from, then inserted rows in
 insertion order. Rows can be inserted one at a time (new classes register
 without a rebuild). The index never copies or writes the rows it was made
 from: inserted rows go into a buffer of their own that doubles when it is
-full, so n inserts copy the inserted rows about log2(n) times, not n. A
-clone shares the fitted rows and copies the inserted ones, so it grows
-independently. Saving and loading belong to the model directory
-(``flowcbr.model``).
+full, so n inserts copy the inserted rows about log2(n) times, not n, and
+grow nothing else but the labels: an inserted row's entry id is its
+position, and the screen takes its norm from the row. A clone shares the
+fitted rows and copies the inserted ones, so it grows independently.
+Saving and loading belong to the model directory (``flowcbr.model``).
 
 The index keeps its rows in blocks, one per label, in the order each label
 first appears; rows that already come grouped so are not copied. Each
@@ -96,14 +97,6 @@ def _lower(approx: np.ndarray, s: np.ndarray, d: int) -> np.ndarray:
     return approx
 
 
-def _doubled(a: np.ndarray) -> np.ndarray:
-    """A buffer of twice a's rows (one row when a has none), a's rows
-    first. The new half stays unwritten, so its pages take no memory yet."""
-    out = np.empty((max(1, 2 * len(a)),) + a.shape[1:], dtype=a.dtype)
-    out[:len(a)] = a
-    return out
-
-
 class Neighbor(NamedTuple):
     entry_id: int
     label: str
@@ -130,14 +123,14 @@ class NNIndex:
         if (np.diff(block) < 0).any():
             matrix = matrix[ids]
         # _matrix holds the fitted rows, which are never written: the
-        # caller's matrix itself when it comes grouped. _tail views the
-        # used rows of _tail_buf, the inserted rows, at positions from
-        # len(_matrix) on. _sq and _ids view the used rows of _sq_buf and
-        # _id_buf, one entry per position; _ids holds its entry id.
+        # caller's matrix itself when it comes grouped. _sq and _ids hold
+        # one entry per fitted row, its squared norm and its entry id, and
+        # are never written either. _tail views the used rows of _tail_buf,
+        # the inserted rows, at positions from len(_matrix) on; an inserted
+        # row's entry id is its position.
         self._matrix = matrix
+        self._sq, self._ids = _squared_norms(matrix), ids
         self._tail_buf = self._tail = np.empty((0, matrix.shape[1]))
-        self._sq_buf = self._sq = _squared_norms(matrix)
-        self._id_buf = self._ids = ids
         # Block b holds positions _bounds[b]:_bounds[b + 1]; the tail starts
         # at _bounds[-1].
         self._bounds = np.concatenate([[0], np.cumsum(np.bincount(block))])
@@ -153,7 +146,7 @@ class NNIndex:
 
     @property
     def size(self) -> int:
-        return len(self._ids)
+        return len(self._labels)
 
     @property
     def dimension(self) -> int:
@@ -166,9 +159,7 @@ class NNIndex:
         """An index that shares the fitted rows, which neither writes, and
         has its own copy of everything inserts change."""
         other = copy.copy(self)
-        other._tail_buf, other._sq_buf, other._id_buf = (
-            a.copy() for a in (self._tail, self._sq, self._ids))
-        other._tail, other._sq, other._ids = other._tail_buf, other._sq_buf, other._id_buf
+        other._tail_buf = other._tail = self._tail.copy()
         other._labels = list(self._labels)
         return other
 
@@ -177,14 +168,14 @@ class NNIndex:
         v = np.asarray(vector, dtype=np.float64)
         if v.shape != (self.dimension,):
             raise ValueError(f"row has dimension {v.shape}, expected ({self.dimension},)")
-        n, t = self.size, len(self._tail)
+        t = len(self._tail)
         if t == len(self._tail_buf):
-            self._tail_buf = _doubled(self._tail)
-        if n == len(self._sq_buf):
-            self._sq_buf, self._id_buf = _doubled(self._sq), _doubled(self._ids)
-        self._tail_buf[t], self._sq_buf[n], self._id_buf[n] = v, _squared_norms(v[None, :])[0], n
-        self._tail, self._sq, self._ids = (
-            self._tail_buf[:t + 1], self._sq_buf[:n + 1], self._id_buf[:n + 1])
+            # Twice the rows, the used ones first; the new half stays
+            # unwritten, so its pages take no memory yet.
+            self._tail_buf = np.empty((max(1, 2 * t), self.dimension))
+            self._tail_buf[:t] = self._tail
+        self._tail_buf[t] = v
+        self._tail = self._tail_buf[:t + 1]
         self._labels.append(label)
 
     def _span(self, lo: int, hi: int) -> np.ndarray:
@@ -274,7 +265,8 @@ class NNIndex:
         step = max(1, SLICE_BYTES // (8 * self.dimension))
         for s in range(0, len(rows), step):
             dists[s:s + step] = row_distances(self._take(rows[s:s + step]), B[qi[s:s + step]])
-        ids = self._ids[rows]
+        # A fitted position maps to its entry id, an inserted one to itself.
+        ids = np.where(rows < len(self._matrix), self._ids.take(rows, mode="clip"), rows)
         order = np.lexsort((ids, dists, qi))
         counts = np.bincount(qi, minlength=len(B))
         top = order[(np.cumsum(counts) - counts)[:, None] + np.arange(min(k, self.size))]
@@ -398,11 +390,12 @@ class NNIndex:
         home block of qs: the k rows of least approx set t[qs] first, and
         are kept."""
         d, rows = self.dimension, self._span(lo, hi)
+        sq = self._sq[lo:hi] if hi <= len(self._matrix) else _squared_norms(rows)
         product = (B if len(qs) == len(B) else B[qs]) @ rows.T
         step, pairs = max(1, SLICE_BYTES // (8 * (hi - lo))), []
         for s in range(0, len(qs), step):
             q = qs[s:s + step]
-            approx, sums = _approx(product[s:s + step], qq[q], self._sq[lo:hi])
+            approx, sums = _approx(product[s:s + step], qq[q], sq)
             if k:
                 first = np.argpartition(approx, k - 1, axis=1)[:, :k]
                 dist = row_distances(rows[first.ravel()], np.repeat(B[q], k, axis=0))

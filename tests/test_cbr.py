@@ -158,10 +158,11 @@ def test_ood_is_never_buffered():
 
 
 def test_known_verdicts_allocate_no_buffer():
-    """The pending buffer starts on the first in-between sample with one row,
-    so a stream of Known and OOD verdicts allocates nothing beside the
-    queries, and the first Pending one allocates far less than a full
-    buffer."""
+    """The pending buffer is allocated on the first in-between sample, so a
+    stream of Known and OOD verdicts allocates nothing beside the queries,
+    and the first Pending one allocates the one PENDING_CAPACITY-row
+    matrix and little else. Its pages take memory only as rows are
+    written, which tracemalloc does not see: it counts bytes allocated."""
     d = 183
     buffer_bytes = PENDING_CAPACITY * d * 8
     index = NNIndex(np.zeros((1, d)), ["base"])
@@ -178,20 +179,30 @@ def test_known_verdicts_allocate_no_buffer():
     finally:
         tracemalloc.stop()
     assert peak_known < buffer_bytes / 10
-    assert peak_pending < buffer_bytes / 10
-    assert registry.pending.shape == (1, d)
+    assert buffer_bytes <= peak_pending < 1.1 * buffer_bytes
+    assert registry.pending.shape == (1, d) and registry._rows.shape == (PENDING_CAPACITY, d)
 
 
-def test_pending_buffer_grows_by_doubling():
-    """The buffer matrix holds 1, 2, 4, ... rows, the next power of two at
-    or above the rows buffered, up to PENDING_CAPACITY; each growth keeps the
-    rows in their order."""
+def test_pending_buffer_is_allocated_once():
+    """The first buffered row allocates a PENDING_CAPACITY-row matrix, and
+    every later row is written into that same matrix, in order: up to
+    capacity, after dropping rows, and once full, where the oldest row
+    makes way."""
     reg = ClassRegistry()
-    for m in range(1, PENDING_CAPACITY + 1):
+    reg.add_pending(np.array([1.0, -1.0]))
+    rows = reg._rows
+    assert rows.shape == (PENDING_CAPACITY, 2)
+    for m in range(2, PENDING_CAPACITY + 1):
         reg.add_pending(np.array([float(m), -float(m)]))
-        assert reg._rows.shape == (min(1 << (m - 1).bit_length(), PENDING_CAPACITY), 2)
+    assert reg._rows is rows and reg.evictions == 0
     assert reg.pending[:, 0].tolist() == [float(m) for m in range(1, PENDING_CAPACITY + 1)]
-    assert reg.evictions == 0
+    reg.drop_pending([0, 5])
+    reg.add_pending(np.array([0.5, -0.5]))
+    reg.add_pending(np.array([0.25, -0.25]))
+    reg.add_pending(np.array([0.125, -0.125]))
+    assert reg._rows is rows and reg.evictions == 1
+    assert reg.pending[:, 0].tolist() == (
+        [float(m) for m in range(3, PENDING_CAPACITY + 1) if m != 6] + [0.5, 0.25, 0.125])
 
 
 def test_scripted_registration_scenario():

@@ -169,6 +169,21 @@ def test_eval_writes_reports(tmp_path, capsys):
     assert summary["n_train"] + summary["n_test"] == 30
 
 
+def test_held_out_run_that_registers_nothing_reports_null(tmp_path, capsys):
+    """A held-out class that never forms a cohort registers nothing: the
+    report's count and recall are null, not 0, and the line printed says
+    how many held-out samples went by."""
+    data, out = tmp_path / "data", tmp_path / "eval"
+    run("--seed", "0", "--out", str(data), "synth", "--classes", "4", "--flows-per-class", "40")
+    capsys.readouterr()
+    assert run("--out", str(out), "eval", str(data / "flows.csv"), "--held-out", "class-b") == 0
+    assert capsys.readouterr().out == (
+        "held-out class-b: no class registered after 12 held-out samples\n")
+    assert json.loads((out / "new_class.json").read_text()) == {
+        "held_out_class": "class-b", "held_out_recall": None, "n_post_registration": 0,
+        "registered_label": None, "samples_consumed": None}
+
+
 def test_sweep_reports_points(tmp_path, flows_csv, capsys):
     out = tmp_path / "sweep"
     assert run("--out", str(out), "sweep", str(flows_csv),

@@ -133,7 +133,8 @@ def test_metrics_csv_layout(tmp_path):
     m = compute_metrics(["b", "a"], ["b", "a"])
     path = tmp_path / "m.csv"
     write_metrics_csv(path, m)
-    rows = list(csv.reader(open(path)))
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["class", "precision", "recall", "f1"]
     assert [r[0] for r in rows[1:]] == ["a", "b"]
     assert rows[1][1:] == ["1.0", "1.0", "1.0"]
@@ -288,7 +289,8 @@ def test_packet_sweep_csv_and_range(tmp_path):
     points = packet_sweep(flows, [2, 6], PipelineConfig(seed=0), out_path=path)
     assert [p.n_packets for p in points] == [2, 6]
     assert all(0.0 <= p.accuracy <= 1.0 for p in points)
-    rows = list(csv.reader(open(path)))
+    with open(path, newline="") as f:
+        rows = list(csv.reader(f))
     assert rows[0] == ["n_packets", "accuracy"]
     assert [r[0] for r in rows[1:]] == ["2", "6"]
     assert float(rows[1][1]) == points[0].accuracy

@@ -626,28 +626,31 @@ def rows_of(index):
 
 
 def test_insert_grows_a_buffer_and_clone_stays_independent():
-    """Inserts fill a tail buffer of their own that doubles when full: the
-    rows seen are always the fitted ones and then the used inserted ones,
-    in order; the caller's matrix is the index's fitted rows and is never
-    written; and a clone taken between inserts shares the fitted rows and
-    keeps its own inserted ones."""
+    """Inserts fill one tail buffer of their own that doubles when full,
+    and grow nothing else but the labels: the rows seen are always the
+    fitted ones and then the used inserted ones, in order; the caller's
+    matrix is the index's fitted rows and is never written, nor are the
+    fitted rows' norms and entry ids; and a clone taken between inserts
+    shares all three and keeps its own inserted rows."""
     rng = np.random.default_rng(28)
     vectors, labels = make_rows(rng, 3, 4)
     given = vectors.copy()
     index = NNIndex(vectors, labels)
+    sq, ids = index._sq, index._ids
+    assert sq.tobytes() == np.einsum("ij,ij->i", given, given).tobytes()
     extra = rng.normal(size=(9, 4))
     clones = []
     for i, v in enumerate(extra):
         index.insert(v, f"n{i}")
         clones.append((index.clone(), index.size))
-        assert index._matrix is vectors
+        assert index._matrix is vectors and index._sq is sq and index._ids is ids
         assert rows_of(index).tobytes() == np.vstack([given, extra[:i + 1]]).tobytes()
-        assert index._sq.tobytes() == np.einsum("ij,ij->i", rows_of(index),
-                                                rows_of(index)).tobytes()
     assert vectors.tobytes() == given.tobytes()
-    assert (len(index._tail_buf), len(index._sq_buf), len(index._id_buf)) == (16, 12, 12)
+    assert sq.tobytes() == np.einsum("ij,ij->i", given, given).tobytes()
+    assert ids.tolist() == [0, 1, 2] and len(index._tail_buf) == 16
     for clone, size in clones:
         assert clone.size == size and clone._matrix is vectors
+        assert clone._sq is sq and clone._ids is ids
         assert rows_of(clone).tobytes() == np.vstack([given, extra])[:size].tobytes()
         clone.insert(np.zeros(4), "z")
     assert rows_of(index).tobytes() == np.vstack([given, extra]).tobytes()
@@ -663,7 +666,7 @@ def grouped_rows(rng, n=3200, labels=8):
 def test_inserts_allocate_only_the_tail(traced_peak):
     """Ten inserts into a grouped 3200 x 183 index allocate under 1 MB in
     all: the fitted rows stay the caller's matrix, and only the inserted
-    rows, norms and ids are copied as their buffers double."""
+    rows are copied as their buffer doubles."""
     rng = np.random.default_rng(32)
     vectors, labels = grouped_rows(rng)
     index = NNIndex(vectors, labels)
