@@ -142,7 +142,7 @@ def _neighbor_votes(neighbors: list[Neighbor]) -> dict[str, int]:
 
 
 def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
-             th: Thresholds, neighbors: list[Neighbor] | None = None) -> Verdict:
+             th: Thresholds, neighbors: list[Neighbor]) -> Verdict:
     """One retrieval decision; may buffer the sample or register a class.
 
     The nearest distance d1 picks the regime: at most theta_new means a known
@@ -150,12 +150,9 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     and the sample is not buffered; in between the sample joins the pending
     buffer, and once c_min buffered samples sit pairwise within r_cohesion a
     new class is registered from them and inserted into the index.
-    ``neighbors``, when given, are q's k nearest in the index as it stands
-    (``classify_stream`` takes them from ``NNIndex.knn``); else they are queried.
+    ``neighbors`` are q's k nearest in the index as it stands, which
+    ``classify_stream`` takes from ``NNIndex.knn``.
     """
-    q = np.asarray(q, dtype=np.float64)
-    if neighbors is None:
-        neighbors = index.query_knn(q, th.k)
     d1 = neighbors[0].distance
     votes = _neighbor_votes(neighbors)
     if d1 <= th.theta_new:

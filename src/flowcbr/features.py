@@ -25,8 +25,8 @@ and computes each group for the whole batch with one kernel. A row does not
 depend on the other flows of its batch: integer-valued sums (below 2**53)
 are exact in any order, and every other float reduction runs the same numpy
 call on each row as the per-flow definition, so each slot has the same bits
-as extracting the flow alone. The per-group extractors (``bits_per_peak``
-... ``wavelet_coeffs``) run their group's kernel on a batch of one.
+as extracting the flow alone. ``extract_matrix`` is the one way in: a
+group's slots are its columns at the ``SCHEMA`` offsets.
 """
 
 from __future__ import annotations
@@ -336,31 +336,6 @@ _KERNELS = {
 }
 
 
-def _per_flow(group: str):
-    """The extractor of one group for one flow: its kernel on a batch of one."""
-    kernel = _KERNELS[group]
-
-    def extractor(flow: Flow) -> np.ndarray:
-        return kernel(_batch([flow]))[0]
-
-    extractor.__doc__ = kernel.__doc__
-    return extractor
-
-
-bits_per_peak = _per_flow("bits_per_peak")
-first_packet_sizes = _per_flow("first_packet_sizes")
-beaconing_windows = _per_flow("beaconing")
-bandwidth_windows = _per_flow("bandwidth")
-packet_size_stats = _per_flow("packet_size_stats")
-size_delta_stats = _per_flow("size_delta_stats")
-packets_per_second = _per_flow("packets_per_second")
-inter_arrival_stats = _per_flow("inter_arrival")
-silence_windows = _per_flow("silence_windows")
-ack_count = _per_flow("ack_count")
-big_requests = _per_flow("big_requests")
-wavelet_coeffs = _per_flow("wavelet")
-
-
 def extract_matrix(flows: list[Flow], n_packets: int | None = None) -> np.ndarray:
     """Feature vectors of a batch of flows, one row per flow, each flow cut
     to its first ``n_packets`` packets (all of them if None; it must be at
@@ -484,7 +459,9 @@ def _load_bulk(text: str) -> tuple[np.ndarray, list[str], list[str]] | None:
         fields += row.group(1, 2)
         cells.append(row.group(3))
     limit = csv.field_size_limit()  # csv rejects a longer field
-    if any(c.count(",") != width - 1 for c in cells) \
+    # A blank cell of a one-column file is a blank line to np.loadtxt, which
+    # skips it, and warns when every line is blank; the row loop reports it.
+    if any(c.count(",") != width - 1 for c in cells) or "" in cells \
             or any(len(f) > limit for f in fields + cells):
         return None
     fields = [f[1:-1].replace('""', '"') if f.startswith('"') else f for f in fields]

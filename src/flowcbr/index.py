@@ -41,8 +41,7 @@ row's distance has the same bits whether it is computed alone, with the
 whole matrix or paired with other queries' rows. ``knn`` yields one
 query's neighbors at a time, against the index as it stands then: the k
 found at the screen are merged with every row inserted since
-(``cbr.classify_stream`` registers classes mid-stream). ``query_knn`` is
-the stream of one.
+(``cbr.classify_stream`` registers classes mid-stream).
 """
 
 from __future__ import annotations
@@ -194,13 +193,6 @@ class NNIndex:
         out[~late] = self._matrix[positions[~late]]
         out[late] = self._tail[positions[late] - n]
         return out
-
-    def query_knn(self, q: np.ndarray, k: int) -> list[Neighbor]:
-        """The k nearest rows to q: the stream of one."""
-        q = np.asarray(q, dtype=np.float64)
-        if q.shape != (self.dimension,):
-            raise ValueError(f"query has dimension {q.shape}, expected ({self.dimension},)")
-        return next(self.knn(q[None, :], k))
 
     def knn(self, Q: np.ndarray, k: int) -> Iterator[list[Neighbor]]:
         """The k nearest rows to each row of Q, in order. A chunk holds the

@@ -27,6 +27,7 @@ from flowcbr.harness import (
 from flowcbr.index import NNIndex, row_distances
 from flowcbr.model import fit_model, load_model, save_model
 from flowcbr.synth import default_templates, sweep_templates, synth_generate
+from knn_helpers import classify_one, knn_one
 from registration_fixtures import f1_drops, fewshot_templates
 
 
@@ -89,7 +90,7 @@ def test_criterion_01_index_matches_exhaustive_scan(capsys):
         index = NNIndex(vectors, [f"c{i % 5}" for i in range(n)])
         for k in (1, 5, 10):
             for q in queries:
-                got = [(nb.entry_id, nb.distance) for nb in index.query_knn(q, k)]
+                got = [(nb.entry_id, nb.distance) for nb in knn_one(index, q, k)]
                 assert got == exhaustive_knn(vectors, q, k), \
                     f"index diverged at seed={seed} n={n} d={d} k={k}"
                 checked += 1
@@ -191,9 +192,7 @@ def test_criterion_05_few_shot_registration(capsys):
 def test_criterion_06_distance_threshold_rejection(capsys, fitted5, far_samples):
     index = fitted5.model.index.clone()
     registry = fitted5.model.registry.clone()
-    from flowcbr.cbr import classify
-
-    flagged = sum(classify(index, registry, row, fitted5.model.thresholds).kind
+    flagged = sum(classify_one(index, registry, row, fitted5.model.thresholds).kind
                   is VerdictKind.OOD for row in far_samples)
     far_rate = flagged / len(far_samples)
 
@@ -220,8 +219,6 @@ def test_criterion_08_rejected_samples_never_get_forest_labels(capsys, fitted5,
                                                                far_samples):
     """Run the plain retrieval pass and the combined pass side by side on
     identical state; whatever the first rejects, the second must too."""
-    from flowcbr.cbr import classify
-
     model = fitted5.model
     forest = train_forest(model.vectors, model.labels,
                           ForestConfig(n_trees=30, seed=42))
@@ -231,8 +228,8 @@ def test_criterion_08_rejected_samples_never_get_forest_labels(capsys, fitted5,
     ood_total = 0
     violations = 0
     for row in stream:
-        solo = classify(idx_solo, reg_solo, row, model.thresholds)
-        combined = combined_label(classify(idx_both, reg_both, row, model.thresholds),
+        solo = classify_one(idx_solo, reg_solo, row, model.thresholds)
+        combined = combined_label(classify_one(idx_both, reg_both, row, model.thresholds),
                                   forest.predict_batch(row[None])[0][0])
         if solo.kind is VerdictKind.OOD:
             ood_total += 1
@@ -261,8 +258,8 @@ def test_criterion_09_determinism_and_snapshots(capsys, tmp_path):
     restored = load_model(tmp_path)
     queries = rng.random((100, SCHEMA.width))
     index_ok = restored.vectors.tobytes() == model.vectors.tobytes() and all(
-        [(nb.entry_id, nb.distance) for nb in model.index.query_knn(q, 5)]
-        == [(nb.entry_id, nb.distance) for nb in restored.index.query_knn(q, 5)]
+        [(nb.entry_id, nb.distance) for nb in knn_one(model.index, q, 5)]
+        == [(nb.entry_id, nb.distance) for nb in knn_one(restored.index, q, 5)]
         for q in queries)
 
     X = rng.random((300, 20))
@@ -292,8 +289,7 @@ def test_criterion_10_exact_knn_report(capsys):
     index = NNIndex(vectors, labels)
     build_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    results = [[(nb.entry_id, nb.distance) for nb in index.query_knn(q, k)]
-               for q in queries]
+    results = [[(nb.entry_id, nb.distance) for nb in nbrs] for nbrs in index.knn(queries, k)]
     query_s = time.perf_counter() - t0
     exact = all(got == exhaustive_knn(vectors, q, k) for got, q in zip(results, queries))
     report(capsys, 10, exact,

@@ -21,7 +21,6 @@ from flowcbr.cbr import (
     Verdict,
     VerdictKind,
     calibrate_thresholds,
-    classify,
     classify_stream,
     verdict_to_json,
     vote,
@@ -31,6 +30,7 @@ from flowcbr.features import SCHEMA, Normalizer
 from flowcbr.harness import PipelineConfig
 from flowcbr.index import Neighbor, NNIndex, row_distances
 from flowcbr.model import Model, fit_model, load_model, save_model
+from knn_helpers import classify_one, knn_one
 
 
 def nb(label, distance, entry_id=0):
@@ -108,7 +108,7 @@ def one_point_setup(theta_new=1.0, theta_ood=2.0, **kw):
 ])
 def test_verdict_partition_along_the_line(x, kind):
     index, registry, th = one_point_setup(c_min=5)
-    verdict = classify(index, registry, np.array([x]), th)
+    verdict = classify_one(index, registry, np.array([x]), th)
     assert verdict.kind is kind
     assert verdict.min_distance == pytest.approx(abs(x))
 
@@ -116,7 +116,7 @@ def test_verdict_partition_along_the_line(x, kind):
 def test_exactly_one_regime_fires():
     index, registry, th = one_point_setup(c_min=99)
     for x in np.linspace(0.0, 3.0, 61):
-        verdict = classify(index, registry, np.array([x]), th)
+        verdict = classify_one(index, registry, np.array([x]), th)
         expected = (VerdictKind.KNOWN if x <= 1.0
                     else VerdictKind.OOD if x > 2.0
                     else VerdictKind.PENDING)
@@ -125,7 +125,7 @@ def test_exactly_one_regime_fires():
 
 def test_known_verdict_carries_vote_and_votes_dict():
     index, registry, th = one_point_setup()
-    verdict = classify(index, registry, np.array([0.2]), th)
+    verdict = classify_one(index, registry, np.array([0.2]), th)
     assert verdict.label == "base"
     assert verdict.votes == {"base": 1}
 
@@ -150,7 +150,7 @@ def test_classify_tallies_a_known_row_once(monkeypatch):
 def test_ood_is_never_buffered():
     index, registry, th = one_point_setup()
     for x in (5.0, 6.0, 7.0, 8.0, 9.0):
-        verdict = classify(index, registry, np.array([x]), th)
+        verdict = classify_one(index, registry, np.array([x]), th)
         assert verdict.kind is VerdictKind.OOD
         assert verdict.label is None
     assert len(registry.pending) == 0
@@ -171,10 +171,10 @@ def test_known_verdicts_allocate_no_buffer():
     tracemalloc.start()
     try:
         for x in (0.1, 0.5, 0.9, 5.0):
-            classify(index, registry, np.full(d, x / np.sqrt(d)), th)
+            classify_one(index, registry, np.full(d, x / np.sqrt(d)), th)
         _, peak_known = tracemalloc.get_traced_memory()
-        assert classify(index, registry, np.full(d, 1.5 / np.sqrt(d)),
-                        th).kind is VerdictKind.PENDING
+        assert classify_one(index, registry, np.full(d, 1.5 / np.sqrt(d)),
+                            th).kind is VerdictKind.PENDING
         _, peak_pending = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -212,12 +212,12 @@ def test_scripted_registration_scenario():
     cluster = [np.array([1.5 + 0.001 * i]) for i in range(5)]
     kinds = []
     for v in cluster:
-        kinds.append(classify(index, registry, v, th).kind)
+        kinds.append(classify_one(index, registry, v, th).kind)
     assert kinds == [VerdictKind.PENDING] * 4 + [VerdictKind.REGISTERED]
     assert index.size == 6
     assert len(registry.pending) == 0
 
-    follow_up = classify(index, registry, np.array([1.5002]), th)
+    follow_up = classify_one(index, registry, np.array([1.5002]), th)
     assert follow_up.kind is VerdictKind.KNOWN
     assert follow_up.label == "novel-1"
 
@@ -238,12 +238,12 @@ def test_founders_take_the_next_ids_in_insertion_order():
     index, registry, th = model.index, model.registry, model.thresholds
     n_train = index.size
     for p, row in enumerate(model.vectors):
-        assert index.query_knn(row, 1)[0].entry_id == p
+        assert knn_one(index, row, 1)[0].entry_id == p
     founders = [np.full(SCHEMA.width, 0.5) + 0.001 * i for i in range(3)]
-    kinds = [classify(index, registry, v, th).kind for v in founders]
+    kinds = [classify_one(index, registry, v, th).kind for v in founders]
     assert kinds == [VerdictKind.PENDING] * 2 + [VerdictKind.REGISTERED]
     inserted = [founders[2], founders[0], founders[1]]
-    got = [index.query_knn(v, 1)[0] for v in inserted]
+    got = [knn_one(index, v, 1)[0] for v in inserted]
     assert [(nb.entry_id, nb.label, nb.distance) for nb in got] == [
         (n_train + i, "novel-1", 0.0) for i in range(3)]
 
@@ -252,7 +252,7 @@ def test_registration_counts_step_by_step():
     index, registry, th = one_point_setup(c_min=3)
     sizes = []
     for i in range(3):
-        classify(index, registry, np.array([1.4 + 0.001 * i]), th)
+        classify_one(index, registry, np.array([1.4 + 0.001 * i]), th)
         sizes.append((index.size, len(registry.pending)))
     assert sizes == [(1, 1), (1, 2), (4, 0)]
 
@@ -262,15 +262,15 @@ def test_cohort_requires_mutual_cohesion():
     index, registry, th = one_point_setup(theta_new=0.1, theta_ood=100.0,
                                           c_min=3, r_cohesion=1.0)
     for x in (10.0, 20.0, 30.0, 40.0):
-        verdict = classify(index, registry, np.array([x]), th)
+        verdict = classify_one(index, registry, np.array([x]), th)
         assert verdict.kind is VerdictKind.PENDING
     assert len(registry.pending) == 4
 
     # now three samples within r_cohesion of each other register, and the
     # stragglers between them stay buffered, in their order
     for x in (50.0, 60.0, 50.1, 70.0):
-        assert classify(index, registry, np.array([x]), th).kind is VerdictKind.PENDING
-    verdict = classify(index, registry, np.array([50.2]), th)
+        assert classify_one(index, registry, np.array([x]), th).kind is VerdictKind.PENDING
+    verdict = classify_one(index, registry, np.array([50.2]), th)
     assert verdict.kind is VerdictKind.REGISTERED
     assert registry.pending[:, 0].tolist() == [10.0, 20.0, 30.0, 40.0, 60.0, 70.0]
     assert index.size == 4
@@ -279,11 +279,11 @@ def test_cohort_requires_mutual_cohesion():
 def test_second_registration_increments_label():
     index, registry, th = one_point_setup(c_min=2, r_cohesion=0.5)
     for x in (1.5, 1.51):
-        classify(index, registry, np.array([x]), th)
+        classify_one(index, registry, np.array([x]), th)
     # a second, disjoint cluster in the band
     index2_query = None
     for x in (1.9, 1.91):
-        index2_query = classify(index, registry, np.array([-x]), th)
+        index2_query = classify_one(index, registry, np.array([-x]), th)
     assert index2_query.kind is VerdictKind.REGISTERED
     assert index2_query.label == "novel-2"
     assert registry.novel_count == 2
@@ -296,11 +296,11 @@ def test_new_class_label_skips_trained_labels():
     index = NNIndex(np.array([[0.0], [0.1]]), ["novel-1", "novel-1"])
     th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1, c_min=3)
     registry = ClassRegistry()
-    verdicts = [classify(index, registry, np.array([1.5 + 0.001 * i]), th)
+    verdicts = [classify_one(index, registry, np.array([1.5 + 0.001 * i]), th)
                 for i in range(3)]
     assert verdicts[-1].kind is VerdictKind.REGISTERED
     assert verdicts[-1].label == "novel-2"
-    assert [n.label for n in index.query_knn(np.array([1.5]), 3)] == ["novel-2"] * 3
+    assert [n.label for n in knn_one(index, np.array([1.5]), 3)] == ["novel-2"] * 3
 
 
 def greedy_cohort_oracle(pending, r_cohesion):
@@ -375,7 +375,7 @@ def test_cohort_search_cost_is_bounded(monkeypatch, radius):
         return row_distances(matrix, q)
 
     monkeypatch.setattr(cbr_mod, "row_distances", counting_row_distances)
-    verdict = classify(index, registry, centre, th)
+    verdict = classify_one(index, registry, centre, th)
     assert verdict.kind is VerdictKind.PENDING
     assert len(calls) <= th.c_min, calls
     assert registry.evictions == 1
@@ -387,10 +387,10 @@ def test_full_buffer_counts_evictions():
                                           c_min=3, r_cohesion=1.0)
     for t in range(PENDING_CAPACITY - 1):
         registry.add_pending(np.array([10.0 * (t + 1)]))
-    classify(index, registry, np.array([-10.0]), th)  # fills the last slot
+    classify_one(index, registry, np.array([-10.0]), th)  # fills the last slot
     assert registry.evictions == 0
     for x in (-20.0, -30.0, -40.0):
-        assert classify(index, registry, np.array([x]), th).kind is VerdictKind.PENDING
+        assert classify_one(index, registry, np.array([x]), th).kind is VerdictKind.PENDING
     assert len(registry.pending) == PENDING_CAPACITY
     assert registry.evictions == 3
     # the three oldest went; the others kept their order, the newest last
@@ -577,7 +577,7 @@ def stream_and_loop(base, X, th, capacity, chunk_rows, groups=2):
     chunks of ``chunk_rows`` rows at the start."""
     out = []
     for run in (lambda i, r: classify_stream(i, r, X, th),
-                lambda i, r: [classify(i, r, q, th) for q in X]):
+                lambda i, r: [classify_one(i, r, q, th) for q in X]):
         index = NNIndex(base, [f"c{i % groups}" for i in range(len(base))])
         registry = ClassRegistry()
         with mock.patch.object(cbr_mod, "PENDING_CAPACITY", capacity), \
@@ -604,7 +604,8 @@ def assert_same_runs(stream, loop):
 def test_classify_stream_matches_the_classify_loop(seed, d, n, m, lattice, k, c_min,
                                                    capacity, chunk_rows, groups):
     """classify_stream gives the verdicts, the grown index and the registry
-    of one classify call per row, on streams that register classes partway
+    of one classify call per row, each given its neighbors by a stream of
+    that row alone (``classify_one``), on streams that register classes partway
     through a chunk and evict from a small pending buffer, over an index of
     one to five interleaved labels; the chunk and the buffer are cut small
     here."""

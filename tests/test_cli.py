@@ -685,6 +685,24 @@ def test_index_malformed_features_exit_two(tmp_path, capsys, width, cell, fragme
     assert not (tmp_path / "model").exists()
 
 
+@pytest.mark.parametrize("warnings", ["", "error"], ids=["default", "warnings-as-errors"])
+def test_a_one_column_csv_of_blank_cells_gives_one_error_line(shared_model, tmp_path,
+                                                               warnings):
+    """Every row of a one-column features CSV has a blank cell, which
+    np.loadtxt would read as a blank line and warn that it got no data.
+    index and classify --features print one error line and exit 2, also
+    with warnings raised as errors."""
+    path = tmp_path / "w1.csv"
+    path.write_bytes(b"flow_id,label,f000\r\na,b,\r\n")
+    for argv in (["index", str(path)], ["classify", str(shared_model), "--features", str(path)]):
+        out = tmp_path / argv[0]
+        done = _run_subprocess(["--out", str(out), *argv], None, PYTHONWARNINGS=warnings)
+        assert done.returncode == 2, done.stderr
+        assert done.stderr.splitlines() == [f"error: {path}: could not convert string "
+                                            f"to float: ''"]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("stamp", ["inf", "nan", "1e400"])
 @pytest.mark.parametrize("command", ["extract", "eval"])
 def test_non_finite_timestamp_exits_two(data_dir, tmp_path, capsys, command, stamp):

@@ -1,9 +1,9 @@
 """Feature extraction tests.
 
-Group extractors are checked against values computed by hand on tiny flows,
-the spectrum slots against a naive O(n^2) DFT written independently of
-numpy's FFT, and whole batches bit for bit against the per-flow extractors
-kept in ``feature_oracle``.
+Each group's slots of an ``extract_matrix`` row are checked against values
+computed by hand on tiny flows, the spectrum slots against a naive O(n^2)
+DFT written independently of numpy's FFT, and whole batches bit for bit
+against the per-flow extractors kept in ``feature_oracle``.
 """
 
 import feature_oracle
@@ -18,22 +18,10 @@ from flowcbr.features import (
     SCHEMA,
     SCHEMA_VERSION,
     Normalizer,
-    ack_count,
-    bandwidth_windows,
-    beaconing_windows,
-    big_requests,
-    bits_per_peak,
     extract_matrix,
-    first_packet_sizes,
     fit_normalizer,
-    inter_arrival_stats,
     load_matrix_csv,
-    packet_size_stats,
-    packets_per_second,
     save_matrix_csv,
-    silence_windows,
-    size_delta_stats,
-    wavelet_coeffs,
 )
 from flowcbr.cbr import Thresholds
 from flowcbr.flows import FLOW_COLUMNS, Direction, Flow, FlowPacket, InputError, TcpFlags
@@ -57,6 +45,16 @@ def flow(spec, flow_id="f0", label=None):
     return flow_from_packets(pkts, label=label, flow_id=flow_id)
 
 
+def slots(group, f):
+    """The slots of ``group`` in f's feature vector, at its SCHEMA offset."""
+    start = 0
+    for name, width in SCHEMA.groups:
+        if name == group:
+            return extract_matrix([f])[0][start:start + width]
+        start += width
+    raise KeyError(group)
+
+
 def test_schema_widths():
     widths = tuple(w for _, w in SCHEMA.groups)
     assert widths == (3, 30, 20, 20, 4, 2, 2, 9, 1, 1, 1, 90)
@@ -67,17 +65,17 @@ def test_schema_widths():
 def test_bits_per_peak_hand_case():
     # backward runs: 200+300 = 500 bytes, then 400 bytes
     f = flow([(0, F, 100), (1, B, 200), (2, B, 300), (3, F, 150), (4, B, 400)])
-    assert bits_per_peak(f).tolist() == [500 * 8.0, 400 * 8.0, 0.0]
+    assert slots("bits_per_peak", f).tolist() == [500 * 8.0, 400 * 8.0, 0.0]
 
 
 def test_bits_per_peak_no_backward_traffic():
     f = flow([(0, F, 100), (1, F, 200)])
-    assert bits_per_peak(f).tolist() == [0.0, 0.0, 0.0]
+    assert slots("bits_per_peak", f).tolist() == [0.0, 0.0, 0.0]
 
 
 def test_first_packet_sizes_signed_and_padded():
     f = flow([(0, F, 100), (1, B, 200), (2, F, 50)])
-    vec = first_packet_sizes(f)
+    vec = slots("first_packet_sizes", f)
     assert vec.shape == (30,)
     assert vec[:3].tolist() == [100.0, -200.0, 50.0]
     assert not vec[3:].any()
@@ -85,7 +83,7 @@ def test_first_packet_sizes_signed_and_padded():
 
 def test_first_packet_sizes_truncates_at_30():
     f = flow([(i, F, 60 + i) for i in range(40)])
-    vec = first_packet_sizes(f)
+    vec = slots("first_packet_sizes", f)
     assert vec[-1] == 60.0 + 29
 
 
@@ -98,7 +96,7 @@ def test_beaconing_windows_hand_case():
         (5.0, F, 400), (6.0, B, 500),
         (15.1, B, 600),
     ])
-    vec = beaconing_windows(f)
+    vec = slots("beaconing", f)
     assert vec[0] == 600.0
     assert vec[1] == 0.0
     assert vec[3] == 0.0
@@ -107,7 +105,7 @@ def test_beaconing_windows_hand_case():
 
 def test_beaconing_windows_anchored_at_first_packet():
     shifted = flow([(1000.0, F, 100), (1001.0, F, 80)])
-    assert beaconing_windows(shifted)[0] == 180.0
+    assert slots("beaconing", shifted)[0] == 180.0
 
 
 def test_bandwidth_windows_hand_case():
@@ -119,7 +117,7 @@ def test_bandwidth_windows_hand_case():
         (2.0, F, 60, 0, TcpFlags.ACK, 1100),
         (6.0, F, 60, 0, TcpFlags.ACK, 9999),
     ])
-    vec = bandwidth_windows(f)
+    vec = slots("bandwidth", f)
     assert (vec[0], vec[1]) == (-300.0, 400.0)
     assert (vec[2], vec[3]) == (0.0, 0.0)
 
@@ -130,7 +128,7 @@ def test_bandwidth_ignores_packets_without_tcp_window():
         (0.5, F, 60),
         (1.0, F, 60, 0, TcpFlags.ACK, 2600),
     ])
-    vec = bandwidth_windows(f)
+    vec = slots("bandwidth", f)
     assert (vec[0], vec[1]) == (600.0, 600.0)
 
 
@@ -141,39 +139,39 @@ def test_bandwidth_deltas_do_not_cross_window_edges():
         (6.0, F, 60, 0, TcpFlags.ACK, 5000),
         (12.0, F, 60, 0, TcpFlags.ACK, 9000),
     ])
-    assert not bandwidth_windows(f).any()
+    assert not slots("bandwidth", f).any()
 
 
 def test_packet_size_stats_hand_case():
     f = flow([(0, F, 100), (1, B, 200), (2, F, 300)])
     expect = [100.0, 300.0, 200.0, np.std([100, 200, 300])]
-    assert packet_size_stats(f).tolist() == pytest.approx(expect)
+    assert slots("packet_size_stats", f).tolist() == pytest.approx(expect)
 
 
 def test_size_delta_stats_hand_case():
     f = flow([(0, F, 100), (1, B, 250), (2, F, 150)])
     # deltas: +150, -100 -> mean 25, population std 125
-    assert size_delta_stats(f).tolist() == pytest.approx([25.0, 125.0])
-    assert size_delta_stats(flow([(0, F, 100)])).tolist() == [0.0, 0.0]
+    assert slots("size_delta_stats", f).tolist() == pytest.approx([25.0, 125.0])
+    assert slots("size_delta_stats", flow([(0, F, 100)])).tolist() == [0.0, 0.0]
 
 
 def test_packets_per_second_hand_case():
     f = flow([(0.0, F, 60), (1.0, F, 60), (2.0, B, 60)])
-    assert packets_per_second(f).tolist() == [1.0, 0.5]
-    assert packets_per_second(flow([(5.0, F, 60)])).tolist() == [0.0, 0.0]
+    assert slots("packets_per_second", f).tolist() == [1.0, 0.5]
+    assert slots("packets_per_second", flow([(5.0, F, 60)])).tolist() == [0.0, 0.0]
 
 
 def test_packets_per_second_without_a_finite_rate():
     """A flow lasting a subnormal number of seconds reports (0, 0), as a
     zero-duration flow does, instead of an infinite rate."""
     f = flow([(0.0, F, 60), (5e-324, B, 60)])
-    assert packets_per_second(f).tolist() == [0.0, 0.0]
+    assert slots("packets_per_second", f).tolist() == [0.0, 0.0]
     assert np.isfinite(extract_matrix([f])[0]).all()
 
 
 def test_inter_arrival_hand_case():
     f = flow([(0.0, F, 60), (1.0, B, 60), (3.0, F, 60), (4.0, F, 60)])
-    vec = inter_arrival_stats(f)
+    vec = slots("inter_arrival", f)
     assert vec[0:3].tolist() == pytest.approx([1.0, 2.0, 4.0 / 3.0])  # both
     assert vec[3:6].tolist() == pytest.approx([1.0, 3.0, 2.0])        # fwd gaps 3, 1
     assert vec[6:9].tolist() == [0.0, 0.0, 0.0]                       # single bwd
@@ -182,7 +180,7 @@ def test_inter_arrival_hand_case():
 def test_silence_windows_counts_long_gaps():
     f = flow([(0.0, F, 60), (0.5, F, 60), (1.5, F, 60), (4.0, F, 60)])
     # gaps 0.5, 1.0, 2.5 -> two at or above one second
-    assert silence_windows(f).tolist() == [2.0]
+    assert slots("silence_windows", f).tolist() == [2.0]
 
 
 def test_ack_count_hand_case():
@@ -191,7 +189,7 @@ def test_ack_count_hand_case():
         (1, B, 60, 0, TcpFlags.SYN | TcpFlags.ACK),
         (2, F, 60, 0, TcpFlags.ACK),
     ])
-    assert ack_count(f).tolist() == [2.0]
+    assert slots("ack_count", f).tolist() == [2.0]
 
 
 def test_big_requests_needs_payload_and_follow_up():
@@ -202,8 +200,8 @@ def test_big_requests_needs_payload_and_follow_up():
         (3, F, 300, 200),   # not above threshold
         (4, F, 400, 350),   # big but nothing follows
     ])
-    assert big_requests(f).tolist() == [2.0]
-    assert big_requests(flow([(0, B, 300, 250)])).tolist() == [0.0]
+    assert slots("big_requests", f).tolist() == [2.0]
+    assert slots("big_requests", flow([(0, B, 300, 250)])).tolist() == [0.0]
 
 
 def naive_dft_magnitudes(signal):
@@ -222,14 +220,14 @@ def test_wavelet_matches_naive_dft():
     dirs = rng.integers(0, 2, size=90)
     f = flow([(i * 0.01, F if d else B, int(s)) for i, (s, d) in enumerate(zip(sizes, dirs))])
     signal = np.where(dirs, sizes, -sizes).astype(float)
-    got = wavelet_coeffs(f)
+    got = slots("wavelet", f)
     want = naive_dft_magnitudes(signal)
     np.testing.assert_allclose(got, want, rtol=1e-9, atol=1e-6)
 
 
 def test_wavelet_pads_short_flows():
     f = flow([(0, F, 100), (1, B, 200)])
-    vec = wavelet_coeffs(f)
+    vec = slots("wavelet", f)
     assert vec.shape == (N_SPECTRUM,)
     padded = np.zeros(90)
     padded[:2] = [100.0, -200.0]
@@ -242,28 +240,12 @@ def test_wavelet_parseval(values):
     """Total spectral energy equals 90x the signal energy."""
     f = flow([(i * 0.01, F if v >= 0 else B, abs(v) or 1)
               for i, v in enumerate(values)])
-    spec = wavelet_coeffs(f)
+    spec = slots("wavelet", f)
     signal = np.array([p.total_length if p.direction == F else -p.total_length
                        for p in f.packets], dtype=float)
     lhs = np.sum(spec ** 2)
     rhs = 90.0 * np.sum(signal ** 2)
     assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-6)
-
-
-def test_extract_equals_concatenated_groups():
-    """The monolithic vector is exactly the group extractors, in order."""
-    f = flow([
-        (0.0, F, 100, 50, TcpFlags.SYN, 1000),
-        (0.1, B, 1200, 1100, TcpFlags.SYN | TcpFlags.ACK, 2000),
-        (0.2, F, 400, 350, TcpFlags.ACK, 1500),
-        (1.5, B, 900, 850, TcpFlags.ACK, 1800),
-        (7.0, F, 300, 250, TcpFlags.ACK, 2200),
-    ])
-    parts = [bits_per_peak(f), first_packet_sizes(f), beaconing_windows(f),
-             bandwidth_windows(f), packet_size_stats(f), size_delta_stats(f),
-             packets_per_second(f), inter_arrival_stats(f), silence_windows(f),
-             ack_count(f), big_requests(f), wavelet_coeffs(f)]
-    np.testing.assert_array_equal(extract_matrix([f])[0], np.concatenate(parts))
 
 
 def test_extract_single_packet_flow_is_finite():

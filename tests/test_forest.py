@@ -20,12 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcbr import forest as forest_mod
-from flowcbr.cbr import PENDING_CAPACITY, ClassRegistry, Thresholds, VerdictKind, classify
+from flowcbr.cbr import PENDING_CAPACITY, ClassRegistry, Thresholds, VerdictKind
 from flowcbr.features import extract_matrix, fit_normalizer
 from flowcbr.forest import ForestConfig, RandomForest, train_forest
 from flowcbr.harness import OOD_LABEL, PENDING_LABEL, combined_label
 from flowcbr.index import NNIndex
 from flowcbr.synth import default_templates, synth_generate
+from knn_helpers import classify_one
 
 MIN_IMPROVEMENT = 1e-12
 
@@ -513,7 +514,7 @@ def test_predict_batch_rejects_a_slot_past_the_row_width(tmp_path):
 def ensemble_classify(index, registry, forest, q, th):
     """The combined stage on one sample: (retrieval verdict, combined label);
     only a Known verdict takes the forest's label."""
-    verdict = classify(index, registry, q, th)
+    verdict = classify_one(index, registry, q, th)
     return verdict, combined_label(verdict, forest.predict_batch(q[None])[0][0])
 
 

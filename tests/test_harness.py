@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from flowcbr.cbr import Verdict, VerdictKind, classify
+from flowcbr.cbr import Verdict, VerdictKind
 from flowcbr.features import extract_matrix, fit_normalizer
 from flowcbr.flows import InputError
 from flowcbr.forest import ForestConfig, train_forest
@@ -31,6 +31,7 @@ from flowcbr.harness import (
     write_metrics_csv,
 )
 from flowcbr.synth import default_templates, synth_generate
+from knn_helpers import classify_one
 from registration_fixtures import f1_drops, fewshot_templates
 
 
@@ -239,7 +240,7 @@ def per_row_ensemble_oracle(flows, config):
                           ForestConfig(n_trees=config.n_trees, max_depth=config.max_depth,
                                        seed=config.seed))
     index, registry = model.index.clone(), model.registry.clone()
-    labels = [combined_label(classify(index, registry, row, model.thresholds),
+    labels = [combined_label(classify_one(index, registry, row, model.thresholds),
                              forest.predict_batch(row[None])[0][0])
               for row in fitted.X_test]
     return labels, compute_metrics(fitted.y_test, labels, sorted(set(model.labels)))

@@ -24,6 +24,7 @@ from flowcbr.features import FeatureSchema, Normalizer
 from flowcbr.flows import InputError
 from flowcbr.index import NNIndex, row_distances
 from flowcbr.model import Model, load_model, save_model
+from knn_helpers import knn_one
 
 
 def reference_knn(vectors, q, k):
@@ -50,7 +51,7 @@ def make_rows(rng, n, d):
 
 
 def pairs(index, q, k):
-    return [(nb.distance, nb.entry_id) for nb in index.query_knn(q, k)]
+    return [(nb.distance, nb.entry_id) for nb in knn_one(index, q, k)]
 
 
 def screened_blocks(blocks):
@@ -144,26 +145,26 @@ def test_duplicate_points_tie_break_by_id(backend, tmp_path):
     index = NNIndex(vectors, labels)
     loaded = rebuilt(vectors, labels, backend, tmp_path)
     q = np.array(point)
-    got = [(nb.entry_id, nb.distance) for nb in index.query_knn(q, 3)]
+    got = [(nb.entry_id, nb.distance) for nb in knn_one(index, q, 3)]
     assert got == [(1, 0.0), (2, 0.0), (4, 0.0)]
-    assert [(nb.entry_id, nb.distance) for nb in loaded.query_knn(q, 3)] == got
+    assert [(nb.entry_id, nb.distance) for nb in knn_one(loaded, q, 3)] == got
 
 
 def test_query_k_clamps_to_size():
     rng = np.random.default_rng(1)
     vectors, labels = make_rows(rng, 4, 3)
     index = NNIndex(vectors, labels)
-    assert len(index.query_knn(vectors[0], 10)) == 4
+    assert len(knn_one(index, vectors[0], 10)) == 4
 
 
 def test_query_validation_errors():
     rng = np.random.default_rng(2)
     vectors, labels = make_rows(rng, 5, 3)
     index = NNIndex(vectors, labels)
-    with pytest.raises(ValueError):
-        index.query_knn(vectors[0], 0)
-    with pytest.raises(ValueError):
-        index.query_knn(np.zeros(7), 1)
+    with pytest.raises(ValueError, match="k must be"):
+        knn_one(index, vectors[0], 0)
+    with pytest.raises(ValueError, match="queries have shape"):
+        knn_one(index, np.zeros(7), 1)
 
 
 @pytest.mark.parametrize("backend", LEGACY_BACKENDS)
@@ -194,7 +195,7 @@ def test_insert_rejects_duplicates_and_bad_shape():
         index.insert(np.zeros(4), "x")
     assert index.size == 5
     index.insert(vectors[0], "again")
-    assert [(nb.entry_id, nb.label) for nb in index.query_knn(vectors[0], 2)] == [
+    assert [(nb.entry_id, nb.label) for nb in knn_one(index, vectors[0], 2)] == [
         (0, "c0"), (5, "again")]
 
 
@@ -206,7 +207,7 @@ def test_next_id_follows_max():
     for new_id, v in enumerate((np.full(2, 2.0), np.full(2, 3.0)), start=2):
         index.insert(v, "c")
         assert index.size == new_id + 1
-        assert index.query_knn(v, 1)[0].entry_id == new_id
+        assert knn_one(index, v, 1)[0].entry_id == new_id
     assert labels == ["a", "b"]
 
 
@@ -218,16 +219,16 @@ def test_clone_is_independent():
     index = NNIndex(vectors, labels)
     copy = index.clone()
     q = np.zeros(3)
-    assert copy.query_knn(q, 6) == index.query_knn(q, 6)
+    assert knn_one(copy, q, 6) == knn_one(index, q, 6)
     copy.insert(q, "later")
     assert copy.size == 7 and index.size == 6
-    assert copy.query_knn(q, 1)[0].label == "later"
-    assert index.query_knn(q, 1)[0].label != "later"
+    assert knn_one(copy, q, 1)[0].label == "later"
+    assert knn_one(index, q, 1)[0].label != "later"
 
 
 def test_labels_travel_with_neighbors():
     index = NNIndex(np.array([[0.0], [9.0]]), ["near", "far"])
-    got = index.query_knn(np.array([1.0]), 2)
+    got = knn_one(index, np.array([1.0]), 2)
     assert [nb.label for nb in got] == ["near", "far"]
 
 
@@ -251,9 +252,9 @@ def test_snapshot_round_trip_query_identical(backend, tmp_path):
     back = load_model(again, schema_of(7)).index
     assert back.dimension == 7
     for q in rng.normal(size=(20, 7)):
-        a = [(nb.distance, nb.entry_id, nb.label) for nb in index.query_knn(q, 5)]
+        a = [(nb.distance, nb.entry_id, nb.label) for nb in knn_one(index, q, 5)]
         for other in (loaded_index, back):
-            b = [(nb.distance, nb.entry_id, nb.label) for nb in other.query_knn(q, 5)]
+            b = [(nb.distance, nb.entry_id, nb.label) for nb in knn_one(other, q, 5)]
             assert a == b
 
 
@@ -350,7 +351,7 @@ def case_queries(rng, stored, d):
 @settings(deadline=None)
 @given(knn_case())
 def test_screened_query_matches_full_scan_bit_for_bit(case):
-    """query_knn against the scan of every row, for every k up to the index
+    """A one-row knn against the scan of every row, for every k up to the index
     size, with rows inserted between query rounds: same ids (rows), labels
     and distance bits. Where no distance is NaN it also matches the sorted
     reference. Rows near 1e160 overflow the exact kernel too, so its
@@ -363,7 +364,7 @@ def test_screened_query_matches_full_scan_bit_for_bit(case):
         stored = vectors[:size]
         for q, k in itertools.product(case_queries(rng, stored, d), range(1, size + 1)):
             with np.errstate(over="ignore", invalid="ignore"):
-                got = index.query_knn(q, k)
+                got = knn_one(index, q, k)
                 want = full_scan_knn(stored, q, k)
                 reference = reference_knn(stored, q, k) if not np.isnan(q).any() else None
             assert [(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in got] == want
@@ -517,7 +518,7 @@ def test_a_block_with_a_row_at_the_bound_is_screened(scale, d):
     index = NNIndex(vectors, ["b", "b", "a", "a"])
     q = np.zeros(d)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = [(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in index.query_knn(q, 2)]
+        got = [(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in knn_one(index, q, 2)]
         assert got == full_scan_knn(vectors, q, 2)
     assert [p for _, p in got] == [0, 2]
 
@@ -546,7 +547,7 @@ def test_grouped_rows_stay_in_place_and_interleaved_rows_are_grouped():
     assert index._ids.tolist() == [0, 2, 1, 4, 5, 3]
     assert index._matrix.tobytes() == vectors[[0, 2, 1, 4, 5, 3]].tobytes()
     for q in rng.normal(size=(10, 3)):
-        got = index.query_knn(q, 6)
+        got = knn_one(index, q, 6)
         assert [(nb.distance, nb.entry_id) for nb in got] == reference_knn(vectors, q, 6)
         assert [nb.label for nb in got] == [labels[nb.entry_id] for nb in got]
 
@@ -654,7 +655,7 @@ def test_insert_grows_a_buffer_and_clone_stays_independent():
         assert rows_of(clone).tobytes() == np.vstack([given, extra])[:size].tobytes()
         clone.insert(np.zeros(4), "z")
     assert rows_of(index).tobytes() == np.vstack([given, extra]).tobytes()
-    assert [nb.entry_id for nb in index.query_knn(extra[-1], 1)] == [11]
+    assert [nb.entry_id for nb in knn_one(index, extra[-1], 1)] == [11]
 
 
 def grouped_rows(rng, n=3200, labels=8):
@@ -736,4 +737,4 @@ def test_a_fortran_order_vectors_file_loads_the_same_values(tmp_path):
     assert got.vectors.tobytes() == np.load(io.BytesIO(buf.getvalue())).tobytes()
     assert got.vectors.tobytes() == vectors.tobytes()
     for q in rng.normal(size=(5, 5)):
-        assert got.index.query_knn(q, 3) == want.index.query_knn(q, 3)
+        assert knn_one(got.index, q, 3) == knn_one(want.index, q, 3)
