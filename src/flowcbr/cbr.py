@@ -17,18 +17,19 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .flows import write_atomic
 from .index import Neighbor, NNIndex, row_distances
 
+if TYPE_CHECKING:
+    from .harness import PipelineConfig
+
 PENDING_CAPACITY = 1000
 DEFAULT_K = 5
 DEFAULT_C_MIN = 5
-DEFAULT_QUANTILE_NEW = 0.99
-DEFAULT_QUANTILE_OOD = 0.999
-DEFAULT_OOD_MARGIN = 1.5
 THETA_EPS = 1e-9
 
 
@@ -50,6 +51,8 @@ class Thresholds:
     def __post_init__(self) -> None:
         if type(self.k) is not int or type(self.c_min) is not int:
             raise ValueError("thresholds k and c_min must be integers")
+        if bool in (type(self.theta_new), type(self.theta_ood), type(self.r_cohesion)):
+            raise ValueError("thresholds theta_new, theta_ood and r_cohesion must be numbers")
         if self.k < 1:
             raise ValueError("k must be >= 1")
         # Range tests are written so NaN fails them.
@@ -228,26 +231,21 @@ def _loo_nn_distances(X: np.ndarray, y: list[str] | np.ndarray) -> list[float]:
 
 
 def calibrate_thresholds(X: np.ndarray, y: list[str] | np.ndarray,
-                         quantile_new: float = DEFAULT_QUANTILE_NEW,
-                         quantile_ood: float = DEFAULT_QUANTILE_OOD,
-                         ood_margin: float = DEFAULT_OOD_MARGIN,
-                         k: int = DEFAULT_K,
-                         c_min: int = DEFAULT_C_MIN,
-                         r_cohesion: float | None = None) -> Thresholds:
+                         config: PipelineConfig) -> Thresholds:
     """Set thresholds from leave-one-out same-class nearest-neighbor distances.
 
-    theta_new is the quantile_new quantile of that distribution (floored at a
-    tiny epsilon), theta_ood the quantile_ood quantile scaled by ood_margin.
-    Classes with a single sample are skipped with a warning.
+    theta_new is the config's quantile_new quantile of that distribution
+    (floored at a tiny epsilon), theta_ood its quantile_ood quantile scaled by
+    ood_margin. Classes with a single sample are skipped with a warning.
     """
     nn_dists = _loo_nn_distances(X, y)
     if not nn_dists:
         raise ValueError("calibration needs at least one class with >= 2 samples")
     arr = np.array(nn_dists)
-    theta_new = max(float(np.quantile(arr, quantile_new)), THETA_EPS)
-    theta_ood = max(theta_new, float(np.quantile(arr, quantile_ood)) * ood_margin)
-    return Thresholds(theta_new=theta_new, theta_ood=theta_ood, k=k,
-                      c_min=c_min, r_cohesion=r_cohesion)
+    theta_new = max(float(np.quantile(arr, config.quantile_new)), THETA_EPS)
+    theta_ood = max(theta_new, float(np.quantile(arr, config.quantile_ood)) * config.ood_margin)
+    return Thresholds(theta_new=theta_new, theta_ood=theta_ood, k=config.k,
+                      c_min=config.c_min, r_cohesion=config.r_cohesion)
 
 
 def verdict_to_json(flow_id: str, verdict: Verdict) -> str:

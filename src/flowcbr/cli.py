@@ -32,8 +32,7 @@ from .synth import default_templates, sweep_templates, synth_generate
 
 log = logging.getLogger("flowcbr")
 
-DEFAULTS = {**dataclasses.asdict(PipelineConfig()),
-            "idle_timeout": flows_mod.DEFAULT_IDLE_TIMEOUT}
+DEFAULTS = dataclasses.asdict(PipelineConfig())
 
 SWEEP_DEFAULT_COUNTS = "2,4,6,8,10,15,20,30"
 
@@ -72,64 +71,13 @@ def _load_config_file(path: str | None) -> dict:
     return doc
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
-def _is_real(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _int_ge_1(v) -> bool:
-    return _is_int(v) and v >= 1
-
-
-def _positive(v) -> bool:
-    return _is_real(v) and v > 0
-
-
-def _quantile(v) -> bool:
-    return _is_real(v) and 0 < v <= 1
-
-
-# Setting -> (check, what it must be). Range tests are written so NaN fails.
-_CHECKS = {
-    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
-    "k": (_int_ge_1, "an integer >= 1"),
-    "c_min": (_int_ge_1, "an integer >= 1"),
-    "n_trees": (_int_ge_1, "an integer >= 1"),
-    "n_packets": (lambda v: v is None or _int_ge_1(v), "null or an integer >= 1"),
-    "max_depth": (lambda v: v is None or _int_ge_1(v), "null or an integer >= 1"),
-    "r_cohesion": (lambda v: v is None or _positive(v), "null or a number > 0"),
-    "quantile_new": (_quantile, "a number in (0, 1]"),
-    "quantile_ood": (_quantile, "a number in (0, 1]"),
-    "ood_margin": (_positive, "a number > 0"),
-    "train_fraction": (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
-    "idle_timeout": (_positive, "a number > 0"),
-}
-
-
-def _settings(args: argparse.Namespace) -> dict:
-    """Resolve effective settings: flags > config file > defaults.
-
-    Every merged value is checked for type and range, so a bad flag or
-    config entry is an InputError (exit 2), not a failure deep inside
-    the pipeline.
-    """
-    merged = dict(DEFAULTS)
-    merged.update(_load_config_file(args.config))
-    for key in DEFAULTS:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            merged[key] = flag
-    for key, (allowed, description) in _CHECKS.items():
-        if not allowed(merged[key]):
-            raise InputError(f"setting {key}={merged[key]!r} must be {description}")
-    return merged
-
-
-def _pipeline_config(s: dict) -> PipelineConfig:
-    return PipelineConfig(**{f.name: s[f.name] for f in dataclasses.fields(PipelineConfig)})
+def _settings(args: argparse.Namespace) -> PipelineConfig:
+    """Resolve effective settings: flags > config file > defaults. PipelineConfig
+    checks them, so a bad one is an InputError (exit 2), not a failure deep inside."""
+    merged = _load_config_file(args.config)
+    merged.update((key, getattr(args, key)) for key in DEFAULTS
+                  if getattr(args, key, None) is not None)
+    return PipelineConfig(**merged)
 
 
 def _read_capture(path: str, idle_timeout: float) -> list:
@@ -144,13 +92,13 @@ def _is_flow_csv(path: str) -> bool:
     return Path(path).suffix.lower() == ".csv"
 
 
-def _read_flows(path: str, s: dict) -> tuple:
+def _read_flows(path: str, s: PipelineConfig) -> tuple:
     """extract_rows of the flows in ``path``, a flow CSV if it ends in
     ``.csv`` and a capture otherwise, each cut to ``n_packets``."""
     # The capture's packet columns are freed before extraction.
     flows = (load_flows_csv(path) if _is_flow_csv(path)
-             else _read_capture(path, s["idle_timeout"]))
-    return extract_rows(flows, s["n_packets"])
+             else _read_capture(path, s.idle_timeout))
+    return extract_rows(flows, s.n_packets)
 
 
 def cmd_extract(args: argparse.Namespace) -> int:
@@ -173,7 +121,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     s = _settings(args)
     with _input(args.features):
         matrix, _, labels = load_matrix_csv(args.features)
-        model = fit_model(matrix, labels, _pipeline_config(s))
+        model = fit_model(matrix, labels, s)
     out = Path(args.out or ".")
     save_model(out, model)
     log.info("indexed %d vectors into %s", len(labels), out)
@@ -210,7 +158,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    config, out = _pipeline_config(_settings(args)), Path(args.out or ".")
+    config, out = _settings(args), Path(args.out or ".")
     if args.held_out and args.n_trees is not None:
         raise InputError("--n-trees sizes the forest, and the --held-out protocol "
                          "trains none")
@@ -247,7 +195,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     if counts[0] < 1:
         raise InputError(f"--counts {args.counts} must hold packet counts >= 1")
     with _input(args.flows):
-        points = packet_sweep(load_flows_csv(args.flows), counts, _pipeline_config(s),
+        points = packet_sweep(load_flows_csv(args.flows), counts, s,
                               out_path=Path(args.out or ".") / "sweep.csv")
     plateau = find_plateau(points)
     for p in points:
@@ -266,7 +214,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
         templates = default_templates(args.classes)
     else:
         templates = sweep_templates(args.classes)
-    flows = synth_generate(templates, args.flows_per_class, seed=s["seed"])
+    flows = synth_generate(templates, args.flows_per_class, seed=s.seed)
     out = Path(args.out or ".") / "flows.csv"
     save_flows_csv(flows, out)
     print(f"{len(flows)} flows ({args.classes} classes) -> {out}")

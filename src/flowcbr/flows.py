@@ -252,7 +252,8 @@ class PcapParseResult:
 def parse_pcap(data: bytes) -> PcapParseResult:
     """Parse a classic capture file into packet columns.
 
-    Non-IPv4 and non-TCP/UDP frames are skipped and counted. A record header
+    Non-IPv4 and non-TCP/UDP frames, and IPv4 fragments past the first
+    (nothing is reassembled), are skipped and counted. A record header
     promising more bytes than remain stops parsing with ``truncated`` set.
     Raises InputError for a bad magic, a nanosecond-resolution capture,
     a short global header, or a non-Ethernet link type.
@@ -333,7 +334,9 @@ def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
     f = f[(ethertype[f] == ETHERTYPE_IPV4) & (ip[f] + 20 <= end[f])]
     first, proto = buf[ip[f]], buf[ip[f] + 9]
     ihl = (first & 0x0F).astype(np.int64) * 4
+    # A fragment past the first holds payload bytes where the ports would be.
     keep = ((first >> 4 == 4) & (ihl >= 20) & (ip[f] + ihl <= end[f])
+            & (_be(buf, ip[f] + 6, 2) & 0x1FFF == 0)
             & ((proto == Protocol.TCP) | (proto == Protocol.UDP)))
     f, ihl, tcp = f[keep], ihl[keep], proto[keep] == Protocol.TCP
     l4 = ip[f] + ihl

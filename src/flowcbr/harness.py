@@ -15,18 +15,16 @@ from pathlib import Path
 
 import numpy as np
 
-from .cbr import (DEFAULT_C_MIN, DEFAULT_K, DEFAULT_OOD_MARGIN, DEFAULT_QUANTILE_NEW,
-                  DEFAULT_QUANTILE_OOD, Thresholds, Verdict, VerdictKind, classify_stream,
-                  vote, write_verdicts)
+from .cbr import (DEFAULT_C_MIN, DEFAULT_K, Thresholds, Verdict, VerdictKind,
+                  classify_stream, vote, write_verdicts)
 from .features import extract_rows
-from .flows import Flow, InputError, write_atomic
+from .flows import DEFAULT_IDLE_TIMEOUT, Flow, InputError, write_atomic
 from .forest import DEFAULT_N_TREES, ForestConfig, train_forest
 from .model import Model, fit_model
 
 OOD_LABEL = "__ood__"
 PENDING_LABEL = "__pending__"
 PLATEAU_EPS = 0.005
-DEFAULT_TRAIN_FRACTION = 0.70
 
 
 def _train_count(n: int, fraction: float) -> int:
@@ -114,19 +112,63 @@ def write_metrics_csv(path: str | Path, metrics: Metrics) -> None:
     write_atomic(path, fh.getvalue())
 
 
-@dataclass
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _int_ge_1(v) -> bool:
+    return _is_int(v) and v >= 1
+
+
+def _positive(v) -> bool:
+    return _is_real(v) and v > 0
+
+
+# Setting -> (check, what it must be), checked in this order, so that of two
+# bad settings the same one is named. Range tests are written so NaN fails.
+_CHECKS = {
+    "seed": (lambda v: _is_int(v) and v >= 0, "an integer >= 0"),
+    "k": (_int_ge_1, "an integer >= 1"),
+    "c_min": (_int_ge_1, "an integer >= 1"),
+    "n_trees": (_int_ge_1, "an integer >= 1"),
+    "n_packets": (lambda v: v is None or _int_ge_1(v), "null or an integer >= 1"),
+    "max_depth": (lambda v: v is None or _int_ge_1(v), "null or an integer >= 1"),
+    "r_cohesion": (lambda v: v is None or _positive(v), "null or a number > 0"),
+    "quantile_new": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "quantile_ood": (lambda v: _is_real(v) and 0 < v <= 1, "a number in (0, 1]"),
+    "ood_margin": (_positive, "a number > 0"),
+    "train_fraction": (lambda v: _is_real(v) and 0 < v < 1, "a number in (0, 1)"),
+    "idle_timeout": (_positive, "a number > 0"),
+}
+
+
+@dataclass(frozen=True)
 class PipelineConfig:
+    """Every setting and its default. A bad value is an InputError on
+    construction and on ``dataclasses.replace``, as the CLI reports it."""
+
     n_packets: int | None = None
     k: int = DEFAULT_K
-    quantile_new: float = DEFAULT_QUANTILE_NEW
-    quantile_ood: float = DEFAULT_QUANTILE_OOD
-    ood_margin: float = DEFAULT_OOD_MARGIN
+    quantile_new: float = 0.99
+    quantile_ood: float = 0.999
+    ood_margin: float = 1.5
     c_min: int = DEFAULT_C_MIN
     r_cohesion: float | None = None
-    train_fraction: float = DEFAULT_TRAIN_FRACTION
+    train_fraction: float = 0.70
     seed: int = 0
     n_trees: int = DEFAULT_N_TREES
     max_depth: int | None = None
+    idle_timeout: float = DEFAULT_IDLE_TIMEOUT
+
+    def __post_init__(self) -> None:
+        for key, (allowed, what) in _CHECKS.items():
+            value = getattr(self, key)
+            if not allowed(value):
+                raise InputError(f"setting {key}={value!r} must be {what}")
 
 
 @dataclass

@@ -71,10 +71,7 @@ def fit_model(X: np.ndarray, labels: list[str], config: PipelineConfig) -> Model
                          "needs a class with at least two")
     vectors = normalizer.transform(X)
     try:
-        thresholds = calibrate_thresholds(
-            vectors, labels, quantile_new=config.quantile_new,
-            quantile_ood=config.quantile_ood, ood_margin=config.ood_margin, k=config.k,
-            c_min=config.c_min, r_cohesion=config.r_cohesion)
+        thresholds = calibrate_thresholds(vectors, labels, config)
     except ValueError as exc:
         raise InputError(f"the settings give unusable thresholds: {exc}") from None
     return Model(normalizer, thresholds, vectors, list(labels))
@@ -117,7 +114,10 @@ def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
         for key, want in (("format_version", FORMAT_VERSION), ("schema_version", schema.version)):
             if doc[key] != want:
                 raise ValueError(f"{key} {doc[key]!r} is not {want!r}; {REBUILD}")
-        mins, maxs = (np.array(doc[key], dtype=np.float64) for key in ("mins", "maxs"))
+        raw = [doc["mins"], doc["maxs"]]
+        if not all(isinstance(r, list) and all(type(v) in (int, float) for v in r) for r in raw):
+            raise ValueError("mins and maxs must be lists of JSON numbers")
+        mins, maxs = (np.array(r, dtype=np.float64) for r in raw)
         if not (mins.shape == maxs.shape == (schema.width,) and np.isfinite(mins).all()
                 and np.isfinite(maxs).all()):
             raise ValueError(f"mins and maxs must each hold {schema.width} finite numbers")

@@ -4,8 +4,9 @@
 are the definitions ``flowcbr.flows`` used before it decoded every frame
 at once and assembled flows from packet columns, kept verbatim: one
 ``PacketRecord`` per packet, one ``FlowPacket`` per flow packet. The one
-change is the last line of ``_finish_segment``, which builds its Flow with
-``flow_from_packets``. The tests compare the columnar code with them.
+changes are the last line of ``_finish_segment``, which builds its Flow with
+``flow_from_packets``, and the skip of IPv4 fragments past the first in
+``_parse_frame``. The tests compare the columnar code with them.
 """
 
 from __future__ import annotations
@@ -132,6 +133,8 @@ def _parse_frame(frame: bytes, timestamp: float) -> PacketRecord | None:
         return None
     ihl = (ip[0] & 0x0F) * 4
     if ihl < 20 or len(ip) < ihl:
+        return None
+    if int.from_bytes(ip[6:8], "big") & 0x1FFF:  # a fragment past the first
         return None
     total_length = int.from_bytes(ip[2:4], "big")
     proto = ip[9]

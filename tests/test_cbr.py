@@ -417,7 +417,7 @@ def loo_same_class_nn(X, y):
 def test_calibration_matches_hand_quantiles():
     X = np.array([[0.0], [1.0], [3.0], [10.0], [10.5]])
     y = ["a", "a", "a", "b", "b"]
-    th = calibrate_thresholds(X, y)
+    th = calibrate_thresholds(X, y, PipelineConfig())
     dists = loo_same_class_nn(X, y)  # 1, 1, 2, 0.5, 0.5
     assert sorted(dists) == [0.5, 0.5, 1.0, 1.0, 2.0]
     assert th.theta_new == pytest.approx(float(np.quantile(dists, 0.99)))
@@ -469,8 +469,8 @@ def test_calibration_margin_and_quantiles_are_knobs():
     rng = np.random.default_rng(0)
     X = rng.normal(size=(60, 4))
     y = ["a"] * 30 + ["b"] * 30
-    loose = calibrate_thresholds(X, y, quantile_new=0.5, ood_margin=4.0)
-    tight = calibrate_thresholds(X, y, quantile_new=0.5, ood_margin=1.0)
+    loose = calibrate_thresholds(X, y, PipelineConfig(quantile_new=0.5, ood_margin=4.0))
+    tight = calibrate_thresholds(X, y, PipelineConfig(quantile_new=0.5, ood_margin=1.0))
     assert loose.theta_ood > tight.theta_ood
     assert loose.theta_new == tight.theta_new
 
@@ -478,7 +478,7 @@ def test_calibration_margin_and_quantiles_are_knobs():
 def test_calibration_skips_singleton_classes_with_warning(caplog):
     X = np.array([[0.0], [1.0], [99.0]])
     y = ["a", "a", "lonely"]
-    th = calibrate_thresholds(X, y)
+    th = calibrate_thresholds(X, y, PipelineConfig())
     assert any(r.levelname == "WARNING" and "lonely" in r.getMessage()
                for r in caplog.records)
     assert th.theta_new >= 1.0 - 1e-9
@@ -488,14 +488,14 @@ def test_calibration_fails_when_every_class_is_singleton(caplog):
     X = np.array([[0.0], [1.0]])
     y = ["a", "b"]
     with pytest.raises(ValueError):
-        calibrate_thresholds(X, y)
+        calibrate_thresholds(X, y, PipelineConfig())
     assert any(r.levelname == "WARNING" for r in caplog.records)
 
 
 def test_calibration_floors_zero_distances():
     X = np.zeros((4, 2))
     y = ["a", "a", "b", "b"]
-    th = calibrate_thresholds(X, y)
+    th = calibrate_thresholds(X, y, PipelineConfig())
     assert th.theta_new > 0
 
 

@@ -23,10 +23,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import flowcbr
-from flowcbr.cli import DEFAULTS, main
+from flowcbr.cli import DEFAULTS, build_parser, main
 from flowcbr.features import extract_matrix, load_matrix_csv, save_matrix_csv
-from flowcbr.flows import FLOW_CSV_HEADER, load_flows_csv, save_flows_csv
-from flowcbr.harness import stratified_split
+from flowcbr.flows import FLOW_CSV_HEADER, InputError, load_flows_csv, save_flows_csv
+from flowcbr.harness import PipelineConfig, stratified_split
 from flowcbr.model import load_model
 from flowcbr.synth import default_templates, synth_generate
 
@@ -267,7 +267,7 @@ def data_dir(tmp_path_factory):
     return root
 
 
-@pytest.mark.parametrize("argv,config,key", [
+BAD_SETTINGS = [
     (["extract", "{flows}", "--n-packets", "0"], None, "n_packets"),
     (["extract", "{flows}", "--idle-timeout", "0"], None, "idle_timeout"),
     (["index", "{features}", "--k", "0"], None, "k"),
@@ -290,7 +290,10 @@ def data_dir(tmp_path_factory):
     (["index", "{features}"], {"n_packets": 2.5}, "n_packets"),
     (["--seed", "-1", "eval", "{flows}"], None, "seed"),
     (["--seed", "-1", "synth"], None, "seed"),
-])
+]
+
+
+@pytest.mark.parametrize("argv,config,key", BAD_SETTINGS)
 def test_bad_settings_exit_two(data_dir, tmp_path, capsys, argv, config, key):
     argv = [a.format(flows=data_dir / "flows.csv", features=data_dir / "features.csv")
             for a in argv]
@@ -308,6 +311,48 @@ def test_bad_settings_exit_two(data_dir, tmp_path, capsys, argv, config, key):
     else:
         assert f"error: {tmp_path / 'cfg.json'}: unknown config keys: ['{key}']" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv,config,key",
+                         [case for case in BAD_SETTINGS if case[2] in DEFAULTS])
+def test_pipeline_config_refuses_a_setting_as_the_cli_does(data_dir, tmp_path, capsys,
+                                                          argv, config, key):
+    """PipelineConfig, given the one bad value of each case, raises the
+    InputError whose text the CLI prints for it, word for word: library
+    callers get the CLI's refusal."""
+    argv = [a.format(flows=data_dir / "flows.csv", features=data_dir / "features.csv")
+            for a in argv]
+    head = ["--out", str(tmp_path / "out")]
+    if config is not None:
+        value = config[key]
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        head += ["--config", str(tmp_path / "cfg.json")]
+    else:
+        value = getattr(build_parser().parse_args(argv), key)
+    assert run(*head, *argv) == 2
+    err = capsys.readouterr().err
+    with pytest.raises(InputError) as refused:
+        PipelineConfig(**{key: value})
+    assert err == f"error: {refused.value}\n"
+    assert str(refused.value).startswith(f"setting {key}={value!r} must be ")
+
+
+def test_the_first_bad_setting_in_rule_order_is_named(data_dir, tmp_path, capsys):
+    """Of two bad settings, the one earlier in the rule order (seed, k,
+    c_min, n_trees, n_packets, max_depth, r_cohesion, quantile_new,
+    quantile_ood, ood_margin, train_fraction, idle_timeout) is named, by
+    the library and the CLI alike, whatever order they are given in."""
+    with pytest.raises(InputError, match=r"^setting seed=-1 must be an integer >= 0$"):
+        PipelineConfig(idle_timeout=0, seed=-1)
+    with pytest.raises(InputError, match=r"^setting k=0 must be an integer >= 1$"):
+        PipelineConfig(train_fraction=1.0, k=0)
+    with pytest.raises(InputError, match=r"^setting quantile_ood=0 must be a number in"):
+        PipelineConfig(ood_margin=-1.0, quantile_ood=0)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train_fraction": 2, "max_depth": 0}))
+    assert run("--config", str(cfg), "--out", str(tmp_path / "out"),
+               "eval", str(data_dir / "flows.csv"), "--k", "0") == 2
+    assert capsys.readouterr().err == "error: setting k=0 must be an integer >= 1\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -609,6 +654,12 @@ _BAD_INPUTS = {
         mins=lambda doc: [1e308] * len(doc["mins"]),
         maxs=lambda doc: [-1e308] * len(doc["maxs"])),
         "every min must be <= its max, with a finite max - min"),
+    "normalizer-strings": ("model.json", _edit_model_json(
+        mins=lambda doc: [str(v) for v in doc["mins"]]),
+        "mins and maxs must be lists of JSON numbers"),
+    "thresholds-bool": ("model.json", _edit_model_json(
+        thresholds=lambda doc: {**doc["thresholds"], "theta_new": True, "r_cohesion": True}),
+        "thresholds theta_new, theta_ood and r_cohesion must be numbers"),
     "thresholds-c-min": ("model.json", _edit_model_json(
         thresholds=lambda doc: {**doc["thresholds"], "c_min": 1001}),
         "c_min must be >= 1 and <= 1000"),
@@ -657,7 +708,7 @@ def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys,
     err = capsys.readouterr().err
     source = features if name == "features.csv" else model_dir
     assert err.startswith(f"error: {source}: ") and name in err and fragment in err
-    assert "Traceback" not in err
+    assert err.count("\n") == 1 and "Traceback" not in err
     assert not (tmp_path / "v").exists()
 
 

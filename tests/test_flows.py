@@ -41,14 +41,15 @@ def ip_value(dotted):
     return int.from_bytes(bytes(int(x) for x in dotted.split(".")), "big")
 
 
-def ipv4_header(src, dst, proto, total_length, ihl_words=5, version=4):
+def ipv4_header(src, dst, proto, total_length, ihl_words=5, version=4, fragment=0):
+    """``fragment`` is IP bytes 6-7: the flags and the offset in 8-byte units."""
     header = struct.pack(
         ">BBHHHBBH4s4s",
         (version << 4) | ihl_words,
         0,
         total_length,
         0x1234,
-        0,
+        fragment,
         64,
         proto,
         0,
@@ -180,6 +181,24 @@ def test_non_ipv4_frames_are_counted_not_raised():
     assert len(result.records) == 1
 
 
+def test_fragments_past_the_first_are_skipped():
+    """One TCP segment in two IPv4 fragments. The first (MF set, offset 0)
+    holds the TCP header and is kept; the second (offset 6, 48 bytes on)
+    holds payload bytes only, so it is counted as skipped and makes no
+    flow of its own, although its first bytes would decode as ports."""
+    more_fragments = 0x2000
+    tcp = tcp_header(1234, 80, TcpFlags.PSH | TcpFlags.ACK, 8192) + b"x" * 28
+    rest = b"\xde\xad\xbe\xef" + b"\x50" * 8 + b"\x50\x10\x50\x50" + b"\x00" * 4
+    first = ether(ipv4_header("10.0.0.1", "10.0.0.2", 6, 20 + len(tcp),
+                              fragment=more_fragments) + tcp)
+    second = ether(ipv4_header("10.0.0.1", "10.0.0.2", 6, 20 + len(rest), fragment=6) + rest)
+    result = parse_pcap(pcap([(1, 0, first), (1, 10, second)]))
+    assert (len(result.records), result.skipped, result.truncated) == (1, 1, 0)
+    flows = assemble_flows(result.records)
+    assert len(flows) == 1
+    assert (flows[0].key.src_port, flows[0].key.dst_port) == (1234, 80)
+
+
 def test_icmp_is_skipped():
     ip = ipv4_header("10.0.0.1", "10.0.0.2", 1, 28) + b"\x00" * 8
     result = parse_pcap(pcap([(1, 0, ether(ip))]))
@@ -245,7 +264,7 @@ FLAG_CHOICES = [TcpFlags.SYN, TcpFlags.SYN | TcpFlags.ACK, TcpFlags.ACK,
 # Most frames are valid TCP or UDP; the rest break one rule each.
 FAULTS = [None] * 10 + ["short", "bytes", "ethertype", "version", "ihl", "ip-options",
                         "protocol", "tcp-offset", "tcp-options", "udp-length", "total",
-                        "cut", "cut-tag"]
+                        "cut", "cut-tag", "fragment"]
 
 
 @st.composite
@@ -254,8 +273,9 @@ def capture_frame(draw):
 
     Endpoints come from three connections, one of them talking to itself,
     in either direction. A fault, if drawn, sets a header field past its
-    valid range, cuts the frame anywhere (inside a VLAN tag too), or
-    replaces the frame with bytes that are no Ethernet frame at all.
+    valid range, cuts the frame anywhere (inside a VLAN tag too), replaces
+    the frame with bytes that are no Ethernet frame at all, or sets the IP
+    fragment flags and offset to any value (offset 0 is a first fragment).
     """
     fault = draw(st.sampled_from(FAULTS))
     if fault == "short":
@@ -285,7 +305,9 @@ def capture_frame(draw):
         total = draw(st.integers(0, 0xFFFF))
     ethertype = draw(st.sampled_from([0x86DD, 0x0806, 0x8100])) if fault == "ethertype" else 0x0800
     tags = draw(st.sampled_from([0, 0, 1, 2, 3]))
-    frame = ether(ipv4_header(src, dst, proto, total, ihl_words, version) + l4, ethertype, tags)
+    fragment = draw(st.integers(0, 0xFFFF)) if fault == "fragment" else 0
+    frame = ether(ipv4_header(src, dst, proto, total, ihl_words, version, fragment) + l4,
+                  ethertype, tags)
     if fault == "cut":
         frame = frame[:draw(st.integers(0, len(frame)))]
     elif fault == "cut-tag":

@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import json
+import re
 from collections import Counter
 
 import numpy as np
@@ -201,6 +202,28 @@ def test_fit_pipeline_truncation_changes_features():
     cut = fit_pipeline(flows, PipelineConfig(seed=0, n_packets=4))
     assert cut.model.vectors.shape == full.model.vectors.shape
     assert not np.array_equal(cut.model.vectors, full.model.vectors)
+
+
+@pytest.mark.parametrize("key,value", [("max_depth", -1), ("ood_margin", -1.0),
+                                       ("quantile_ood", 0.0), ("seed", True)])
+def test_library_callers_get_the_settings_refusal(tmp_path, key, value):
+    """A setting the CLI refuses is refused when a library caller builds the
+    config, so nothing runs and nothing is written. Unchecked, max_depth=-1
+    trains a forest of stumps, and the other three run to the end."""
+    with pytest.raises(InputError, match=re.escape(f"setting {key}={value!r} must be ")):
+        run_eval(flows_small(), PipelineConfig(**{key: value}), out_dir=tmp_path)
+    assert not any(tmp_path.iterdir())
+
+
+def test_replace_checks_the_settings_again():
+    """``dataclasses.replace`` builds a new config, so it checks every value
+    again; a config cannot be changed in place."""
+    config = PipelineConfig(seed=3)
+    assert dataclasses.replace(config, n_packets=4) == PipelineConfig(seed=3, n_packets=4)
+    with pytest.raises(InputError, match=r"^setting n_packets=0 must be null or an integer >= 1$"):
+        dataclasses.replace(config, n_packets=0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        config.k = 0
 
 
 def test_run_cbr_stream_leaves_fitted_state_alone():
