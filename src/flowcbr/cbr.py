@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .flows import write_atomic
-from .index import Neighbor, NNIndex, row_distances
+from .index import Neighbor, NNIndex, within
 
 if TYPE_CHECKING:
     from .harness import PipelineConfig
@@ -81,39 +81,70 @@ class Verdict:
 class ClassRegistry:
     """The pending buffer of would-be new-class samples, and two counters.
 
-    ``pending`` views the used rows, oldest first, of one float64 matrix of
-    PENDING_CAPACITY rows, allocated on the first in-between sample; its
-    pages take memory only as rows are written. A full buffer drops its
-    oldest row to take a new one; ``evictions`` counts the drops. A
-    registry lives in memory only: a loaded model starts empty.
+    The buffer is a ring of PENDING_CAPACITY slots, allocated on the first
+    in-between sample: each slot holds a row and its squared norm, and a
+    pair table says of every two distinct used slots whether their rows
+    lie within r_cohesion of each other, as ``row_distances`` puts them. A
+    new row fills its slot's norm and its row and column of the table with
+    one screened distance pass (``within``); one pass fills both, as the
+    kernel is symmetric bit for bit (fl(a - b) = -fl(b - a)). The table's
+    pages take memory only as its used slots are written. A full buffer
+    drops its oldest row by reusing its slot and moving the ring's start
+    on, so nothing is shifted; ``evictions`` counts the drops. ``pending``
+    gives the used rows oldest first. A registry lives in memory only: a
+    loaded model starts empty.
     """
 
     def __init__(self) -> None:
         self.novel_count = 0
         self.evictions = 0
-        self._rows = np.empty((0, 0))
-        self._used = 0
+        self._r_cohesion: float | None = None
+        self._rows = self._near = np.empty((0, 0))
+        self._sq = np.empty(0)
+        # The used slots are _start, _start + 1, ... modulo the capacity,
+        # oldest first. The ring wraps only when full, so they are always
+        # the slots below _used.
+        self._start = self._used = 0
 
     @property
     def pending(self) -> np.ndarray:
-        return self._rows[:self._used]
+        return self._rows[self._slots()] if self._start else self._rows[:self._used]
 
-    def add_pending(self, q: np.ndarray) -> None:
-        """Buffer q as the newest row; a full buffer first drops its oldest."""
-        if not len(self._rows):
+    def _slots(self) -> np.ndarray:
+        """The used slots, oldest first."""
+        return np.arange(self._start, self._start + self._used) % len(self._rows)
+
+    def add_pending(self, q: np.ndarray, r_cohesion: float) -> None:
+        """Buffer q as the newest row, and pair it with every buffered row
+        within r_cohesion; a full buffer first drops its oldest row. Every
+        row of a buffer is paired at one r_cohesion."""
+        if self._r_cohesion is None:
+            self._r_cohesion = r_cohesion
             self._rows = np.empty((PENDING_CAPACITY, len(q)))
-        if self._used == PENDING_CAPACITY:
+            self._sq = np.empty(PENDING_CAPACITY)
+            self._near = np.zeros((PENDING_CAPACITY, PENDING_CAPACITY), dtype=bool)
+        elif r_cohesion != self._r_cohesion:
+            raise ValueError(f"the pending buffer pairs rows within r_cohesion "
+                             f"{self._r_cohesion}, not {r_cohesion}")
+        if self._used == len(self._rows):
             self.evictions += 1
-            self._rows[:-1] = self._rows[1:]
+            self._start = (self._start + 1) % len(self._rows)
             self._used -= 1
-        self._rows[self._used] = q
+        slot = (self._start + self._used) % len(self._rows)
         self._used += 1
+        self._rows[slot] = q
+        near = within(self._rows[:self._used], self._sq[:self._used], slot, r_cohesion)
+        self._near[slot, :self._used] = near
+        self._near[:self._used, slot] = near
 
     def drop_pending(self, rows: list[int]) -> None:
-        """Remove the given rows; the others move up in their order."""
-        kept = np.delete(self.pending, rows, axis=0)
-        self._rows[:len(kept)] = kept
-        self._used = len(kept)
+        """Remove the rows at the given positions; the others move up in
+        their order, to the first slots."""
+        kept = np.delete(self._slots(), rows)
+        self._rows[:len(kept)] = self._rows[kept]
+        self._sq[:len(kept)] = self._sq[kept]
+        self._near[:len(kept), :len(kept)] = self._near[np.ix_(kept, kept)]
+        self._start, self._used = 0, len(kept)
 
     def next_novel_label(self) -> str:
         self.novel_count += 1
@@ -163,8 +194,8 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     if d1 > th.theta_ood:
         return Verdict(VerdictKind.OOD, None, votes, d1)
 
-    registry.add_pending(q)
-    cohort = _cohesive_cohort(registry.pending, th.r_cohesion)
+    registry.add_pending(q, th.r_cohesion)
+    cohort = _cohesive_cohort(registry)
     if len(cohort) < th.c_min:
         return Verdict(VerdictKind.PENDING, None, votes, d1)
 
@@ -185,7 +216,7 @@ def classify_stream(index: NNIndex, registry: ClassRegistry, X: np.ndarray,
     return [classify(index, registry, q, th, nbrs) for q, nbrs in zip(X, index.knn(X, th.k))]
 
 
-def _cohesive_cohort(pending: np.ndarray, r_cohesion: float) -> list[int]:
+def _cohesive_cohort(registry: ClassRegistry) -> list[int]:
     """Greedy pairwise-close subset of the buffer, as row positions: the
     newest row (the anchor) first, then the kept rows oldest first.
 
@@ -193,21 +224,18 @@ def _cohesive_cohort(pending: np.ndarray, r_cohesion: float) -> list[int]:
     of every row already kept, which guarantees the returned set is mutually
     cohesive. The anchor always belongs.
 
-    A row farther than r_cohesion from any kept row can never join, so one
-    distance call per kept row prunes the surviving candidates: the cost is
-    the cohort size in kernel calls, not the buffer size.
+    The walk reads the registry's pair table and computes no distance: a
+    row not paired with a kept row can never join, so each kept row prunes
+    the surviving candidates with one row of the table.
     """
-    anchor = len(pending) - 1
-    kept = [anchor]
-    if not anchor:
-        return kept
-    candidates = np.flatnonzero(row_distances(pending[:anchor], pending[anchor])
-                                <= r_cohesion)
+    slots, near = registry._slots(), registry._near
+    kept = [slots[-1]]
+    candidates = slots[:-1][near[slots[-1], slots[:-1]]]
     while candidates.size:
         first, rest = candidates[0], candidates[1:]
-        kept.append(int(first))
-        candidates = rest[row_distances(pending[rest], pending[first]) <= r_cohesion]
-    return kept
+        kept.append(first)
+        candidates = rest[near[first, rest]]
+    return [int(slot - registry._start) % len(near) for slot in kept]
 
 
 def _loo_nn_distances(X: np.ndarray, y: list[str] | np.ndarray) -> list[float]:

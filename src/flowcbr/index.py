@@ -42,6 +42,10 @@ whole matrix or paired with other queries' rows. ``knn`` yields one
 query's neighbors at a time, against the index as it stands then: the k
 found at the screen are merged with every row inserted since
 (``cbr.classify_stream`` registers classes mid-stream).
+
+``within`` reuses the screen's drop test with T = r to say which rows of a
+matrix lie within r of one of them, with the bits ``row_distances`` gives;
+the pending buffer (``cbr.ClassRegistry``) fills its pair table with it.
 """
 
 from __future__ import annotations
@@ -67,6 +71,28 @@ def row_distances(matrix: np.ndarray, q: np.ndarray) -> np.ndarray:
     of q when q has matrix's shape."""
     diff = matrix - q
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def within(matrix: np.ndarray, sq: np.ndarray, i: int, r: float) -> np.ndarray:
+    """Whether each row of matrix lies within r of row i: the bits of
+    ``row_distances(matrix, matrix[i]) <= r``, except that row i itself is
+    False. sq holds the other rows' squared norms; row i's is written into
+    sq[i] here, as the product's own entry (the proof takes a norm summed
+    in any order, as it takes a product). One matrix-vector product and
+    the drop test of ``NNIndex._screen``, with T = r, rule out the rows it
+    proves farther than r; ``row_distances`` decides the rows left. A NaN
+    or an overflow fails the drop test, so its row is left."""
+    q, d = matrix[i], matrix.shape[1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        product = (matrix @ q)[None, :]
+        sq[i] = product[0, i]
+        approx, s = _approx(product, sq[i:i + 1], sq)
+        near = ~(_lower(approx, s, d)[0] > r * r * (1 + 4 * (d + 8) * U))
+    near[i] = False
+    left = np.flatnonzero(near)
+    if left.size:
+        near[left] = row_distances(matrix[left], q) <= r
+    return near
 
 
 def _squared_norms(matrix: np.ndarray) -> np.ndarray:
@@ -234,12 +260,17 @@ class NNIndex:
         merged by (distance, entry id) with every row inserted since, whose
         id is its position. The top k of the union is the top k of q's own
         top k and the inserted rows, so this is q's k nearest in the index
-        as it stands."""
+        as it stands. The merge is skipped when q has k ranked entries and
+        no inserted row is nearer than the k-th: an inserted row's id is
+        above every screened one, so a tie goes after the k-th."""
         if self.size > screened:
-            rows = np.concatenate([rows, np.arange(screened, self.size)])
-            dists = np.concatenate([dists, row_distances(self._span(screened, self.size), q)])
-            order = np.lexsort((rows, dists))[:k]
-            rows, dists = rows[order], dists[order]
+            late = row_distances(self._span(screened, self.size), q)
+            # A NaN on either side fails the test, and merges.
+            if len(rows) < k or not dists[-1] <= late.min():
+                rows = np.concatenate([rows, np.arange(screened, self.size)])
+                dists = np.concatenate([dists, late])
+                order = np.lexsort((rows, dists))[:k]
+                rows, dists = rows[order], dists[order]
         labels = self._labels
         return [Neighbor(p, labels[p], d) for p, d in zip(rows.tolist(), dists.tolist())]
 

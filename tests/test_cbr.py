@@ -160,11 +160,12 @@ def test_ood_is_never_buffered():
 def test_known_verdicts_allocate_no_buffer():
     """The pending buffer is allocated on the first in-between sample, so a
     stream of Known and OOD verdicts allocates nothing beside the queries,
-    and the first Pending one allocates the one PENDING_CAPACITY-row
-    matrix and little else. Its pages take memory only as rows are
-    written, which tracemalloc does not see: it counts bytes allocated."""
+    and the first Pending one allocates the PENDING_CAPACITY rows, their
+    squared norms and the PENDING_CAPACITY² pair table, and little else.
+    Their pages take memory only as slots are written, which tracemalloc
+    does not see: it counts bytes allocated."""
     d = 183
-    buffer_bytes = PENDING_CAPACITY * d * 8
+    buffer_bytes = PENDING_CAPACITY * (d * 8 + 8 + PENDING_CAPACITY)
     index = NNIndex(np.zeros((1, d)), ["base"])
     registry = ClassRegistry()
     th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1)
@@ -181,6 +182,7 @@ def test_known_verdicts_allocate_no_buffer():
     assert peak_known < buffer_bytes / 10
     assert buffer_bytes <= peak_pending < 1.1 * buffer_bytes
     assert registry.pending.shape == (1, d) and registry._rows.shape == (PENDING_CAPACITY, d)
+    assert registry._near.shape == (PENDING_CAPACITY, PENDING_CAPACITY)
 
 
 def test_pending_buffer_is_allocated_once():
@@ -189,17 +191,17 @@ def test_pending_buffer_is_allocated_once():
     capacity, after dropping rows, and once full, where the oldest row
     makes way."""
     reg = ClassRegistry()
-    reg.add_pending(np.array([1.0, -1.0]))
+    reg.add_pending(np.array([1.0, -1.0]), 1.0)
     rows = reg._rows
     assert rows.shape == (PENDING_CAPACITY, 2)
     for m in range(2, PENDING_CAPACITY + 1):
-        reg.add_pending(np.array([float(m), -float(m)]))
+        reg.add_pending(np.array([float(m), -float(m)]), 1.0)
     assert reg._rows is rows and reg.evictions == 0
     assert reg.pending[:, 0].tolist() == [float(m) for m in range(1, PENDING_CAPACITY + 1)]
     reg.drop_pending([0, 5])
-    reg.add_pending(np.array([0.5, -0.5]))
-    reg.add_pending(np.array([0.25, -0.25]))
-    reg.add_pending(np.array([0.125, -0.125]))
+    reg.add_pending(np.array([0.5, -0.5]), 1.0)
+    reg.add_pending(np.array([0.25, -0.25]), 1.0)
+    reg.add_pending(np.array([0.125, -0.125]), 1.0)
     assert reg._rows is rows and reg.evictions == 1
     assert reg.pending[:, 0].tolist() == (
         [float(m) for m in range(3, PENDING_CAPACITY + 1) if m != 6] + [0.5, 0.25, 0.125])
@@ -313,80 +315,137 @@ def greedy_cohort_oracle(pending, r_cohesion):
     return kept
 
 
+def cohort_pool(rng, kind, n_distinct, d):
+    """n_distinct rows to buffer: normal ones at one of five scales, or
+    lattice points, which tie many distances, or rows whose squared norms
+    overflow to inf (a shared offset near 1e155, spread near 1e151, so
+    their distances stay finite), or rows whose squared norms and
+    distances are subnormal (near 1e-160)."""
+    if kind == "lattice":
+        return rng.integers(0, 3, size=(n_distinct, d)) * 0.25
+    if kind == "overflow":
+        return rng.normal(size=d) * 1e155 + rng.normal(size=(n_distinct, d)) * 1e151
+    if kind == "subnormal":
+        return rng.normal(size=(n_distinct, d)) * 1e-160
+    return rng.normal(size=(n_distinct, d)) * 10.0 ** rng.integers(-2, 3)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(min_value=0, max_value=2 ** 32 - 1),
        st.sampled_from([1, 2, 8, 183]),
        st.integers(min_value=1, max_value=300),
        st.integers(min_value=1, max_value=300),
-       st.booleans(),
+       st.sampled_from(["normal", "lattice", "overflow", "subnormal"]),
        st.sampled_from([0.5, 1.0, 1.0, 2.0]),
+       st.one_of(st.integers(min_value=1, max_value=12), st.just(PENDING_CAPACITY)),
        st.data())
-def test_cohort_search_matches_greedy_oracle(seed, d, n, n_distinct, lattice,
-                                             scale, data):
-    """Same rows in the same order, by position. Drawing from fewer
-    distinct vectors than samples gives duplicates; lattice points give
-    many tied distances; scale 1.0 puts r_cohesion exactly on a realised
-    pairwise distance."""
+def test_cohort_search_matches_greedy_oracle(seed, d, n, n_distinct, kind, scale,
+                                             capacity, data):
+    """Same rows in the same order, by position, and a pair table equal to
+    the exact distances' off its diagonal, after each sample of a buffer
+    of ``capacity`` rows, filled through ``add_pending``: a small buffer
+    wraps, and rows are dropped between fills. Drawing from fewer distinct vectors than
+    samples gives duplicates; scale 1.0 puts r_cohesion exactly on a
+    realised pairwise distance. A buffer too large to check at every
+    sample is checked while small and at the end."""
     rng = np.random.default_rng(seed)
     n_distinct = min(n_distinct, n)
-    if lattice:
-        pool = rng.integers(0, 3, size=(n_distinct, d)) * 0.25
-    else:
-        pool = rng.normal(size=(n_distinct, d)) * 10.0 ** rng.integers(-2, 3)
-    registry = ClassRegistry()
-    for _ in range(n):
-        registry.add_pending(pool[rng.integers(n_distinct)])
-    pending = registry.pending
-    i = data.draw(st.integers(min_value=0, max_value=n - 1))
-    j = data.draw(st.integers(min_value=0, max_value=n - 1))
-    r_cohesion = scale * float(row_distances(pending[i][None, :], pending[j])[0])
+    pool = cohort_pool(rng, kind, n_distinct, d)
+    i = data.draw(st.integers(min_value=0, max_value=n_distinct - 1))
+    j = data.draw(st.integers(min_value=0, max_value=n_distinct - 1))
+    r_cohesion = scale * float(row_distances(pool[i][None, :], pool[j])[0])
+    registry, rows = ClassRegistry(), []
+    with mock.patch.object(cbr_mod, "PENDING_CAPACITY", capacity):
+        for step in range(n):
+            rows = (rows[1:] if len(rows) == capacity else rows) + [pool[rng.integers(n_distinct)]]
+            registry.add_pending(rows[-1], r_cohesion)
+            pending = registry.pending
+            assert pending.tobytes() == np.array(rows).tobytes()
+            got = cbr_mod._cohesive_cohort(registry)
+            if len(rows) <= 32 or step == n - 1:
+                assert got == greedy_cohort_oracle(pending, r_cohesion)
+                slots = registry._slots()
+                exact = np.array([row_distances(pending, row) <= r_cohesion for row in pending])
+                np.fill_diagonal(exact, False)  # a row is not paired with itself
+                assert np.array_equal(registry._near[np.ix_(slots, slots)], exact)
+            if rng.random() < 0.15:
+                drop = got if rng.random() < 0.5 else rng.choice(
+                    len(rows), size=rng.integers(1, len(rows) + 1), replace=False).tolist()
+                registry.drop_pending(drop)
+                rows = [row for p, row in enumerate(rows) if p not in drop]
 
-    got = cbr_mod._cohesive_cohort(pending, r_cohesion)
-    assert got == greedy_cohort_oracle(pending, r_cohesion)
+
+def test_pending_buffer_pairs_rows_at_one_radius():
+    """The pair table holds one r_cohesion, so a second one is refused."""
+    registry = ClassRegistry()
+    registry.add_pending(np.array([0.0]), 1.0)
+    registry.add_pending(np.array([0.5]), 1.0)
+    with pytest.raises(ValueError, match="r_cohesion 1.0, not 2.0"):
+        registry.add_pending(np.array([1.0]), 2.0)
+    assert registry.pending.tolist() == [[0.0], [0.5]]
 
 
 @pytest.mark.parametrize("radius", [0.95, 3.0])
 def test_cohort_search_cost_is_bounded(monkeypatch, radius):
-    """A full buffer of 1000 mutually non-cohesive samples, each at `radius`
-    from the newest one (inside r_cohesion at 0.95, outside at 3.0): one
-    more Pending sample costs at most c_min distance calls, not one per
-    buffered sample."""
+    """Samples mutually beyond r_cohesion, each at ``radius`` from a centre
+    (inside r_cohesion at 0.95, outside at 3.0). Each in-between sample
+    makes one screened pass (``within``), and at most one ``row_distances``
+    call, over only the other rows within r_cohesion: while the buffer
+    fills, once it is full and evicting, and just after ``drop_pending``.
+    The cohort walk makes neither."""
     d = 183
     rng = np.random.default_rng(7)
     centre = np.zeros(d)
     centre[0] = 10.0
-    dirs = rng.normal(size=(PENDING_CAPACITY, d))
+    dirs = rng.normal(size=(PENDING_CAPACITY + 6, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     cos = dirs @ dirs.T
     np.fill_diagonal(cos, -1.0)
     assert radius * np.sqrt(2.0 - 2.0 * cos.max()) > 1.05  # pairwise beyond r_cohesion
+    samples = centre + radius * dirs
+    r_cohesion = 1.0
 
-    index = NNIndex(np.zeros((1, d)), ["base"])
-    registry = ClassRegistry()
-    th = Thresholds(theta_new=1.0, theta_ood=100.0, k=1, c_min=5, r_cohesion=1.0)
-    buffered = centre + radius * dirs
-    for v in buffered:
-        registry.add_pending(v)
+    calls, screened, exact = [], index_mod.within, index_mod.row_distances
+    monkeypatch.setattr(cbr_mod, "within",
+                        lambda *args: calls.append("within") or screened(*args))
+    monkeypatch.setattr(index_mod, "row_distances",
+                        lambda matrix, q: calls.append(len(matrix)) or exact(matrix, q))
+    registry, rows = ClassRegistry(), []
 
-    calls = []
+    def sample(v):
+        nonlocal rows
+        rows = (rows[1:] if len(rows) == PENDING_CAPACITY else rows) + [v]
+        calls.clear()
+        registry.add_pending(v, r_cohesion)
+        close = int((exact(np.array(rows[:-1]).reshape(-1, d), v) <= r_cohesion).sum())
+        assert calls == ["within"] + [close] * (close > 0), calls
+        calls.clear()
+        cohort = cbr_mod._cohesive_cohort(registry)
+        assert calls == []
+        return cohort
 
-    def counting_row_distances(matrix, q):
-        calls.append(matrix.shape[0])
-        return row_distances(matrix, q)
-
-    monkeypatch.setattr(cbr_mod, "row_distances", counting_row_distances)
-    verdict = classify_one(index, registry, centre, th)
-    assert verdict.kind is VerdictKind.PENDING
-    assert len(calls) <= th.c_min, calls
-    assert registry.evictions == 1
-    assert np.array_equal(registry.pending, np.vstack([buffered[1:], centre]))
+    for v in samples[:PENDING_CAPACITY]:  # filling
+        assert sample(v) == [len(rows) - 1]
+    assert registry.evictions == 0
+    cohort = sample(centre)  # full: the oldest row makes way
+    assert cohort == ([PENDING_CAPACITY - 1, 0] if radius < 1 else [PENDING_CAPACITY - 1])
+    for v in samples[PENDING_CAPACITY:PENDING_CAPACITY + 3]:
+        sample(v)
+    assert registry.evictions == 4
+    drop = [0, 5, 500, PENDING_CAPACITY - 1]
+    registry.drop_pending(drop)
+    rows = [row for p, row in enumerate(rows) if p not in drop]
+    for v in samples[PENDING_CAPACITY + 3:]:  # just compacted
+        sample(v)
+    assert registry.evictions == 4
+    assert np.array_equal(registry.pending, np.array(rows))
 
 
 def test_full_buffer_counts_evictions():
     index, registry, th = one_point_setup(theta_new=0.1, theta_ood=1e6,
                                           c_min=3, r_cohesion=1.0)
     for t in range(PENDING_CAPACITY - 1):
-        registry.add_pending(np.array([10.0 * (t + 1)]))
+        registry.add_pending(np.array([10.0 * (t + 1)]), th.r_cohesion)
     classify_one(index, registry, np.array([-10.0]), th)  # fills the last slot
     assert registry.evictions == 0
     for x in (-20.0, -30.0, -40.0):
@@ -501,9 +560,9 @@ def test_calibration_floors_zero_distances():
 
 def test_registry_clone_is_deep_for_pending():
     reg = ClassRegistry()
-    reg.add_pending(np.array([1.0]))
+    reg.add_pending(np.array([1.0]), 1.0)
     copy = reg.clone()
-    copy.add_pending(np.array([2.0]))
+    copy.add_pending(np.array([2.0]), 1.0)
     copy.pending[0, 0] = 99.0
     assert len(copy.pending) == 2
     assert reg.pending.tolist() == [[1.0]]
@@ -514,7 +573,7 @@ def test_registry_round_trip(tmp_path):
     registry has an empty buffer and every counter at zero, whatever the
     registry held before the save."""
     model = unit_model(Thresholds(theta_new=0.75, theta_ood=1.5), ["a", "b", "a"])
-    model.registry.add_pending(np.full(SCHEMA.width, 0.5))
+    model.registry.add_pending(np.full(SCHEMA.width, 0.5), 1.0)
     model.registry.novel_count = 2
     save_model(tmp_path, model)
     back = load_model(tmp_path).registry
@@ -525,7 +584,7 @@ def test_registry_round_trip(tmp_path):
 def test_pending_buffer_is_bounded():
     reg = ClassRegistry()
     for i in range(1100):
-        reg.add_pending(np.array([float(i)]))
+        reg.add_pending(np.array([float(i)]), 1.0)
     assert len(reg.pending) == 1000
     assert reg.evictions == 100
     # the oldest rows fell off; the rest kept their order
