@@ -172,9 +172,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         print(f"held-out {args.held_out}: no class registered after "
               f"{report.n_held_out} held-out samples")
     elif args.held_out:
+        later = report.n_post_registration
         print(f"held-out {args.held_out}: registered as {report.registered_label} "
               f"after {report.samples_consumed} samples, "
-              f"recall {report.held_out_recall:.3f} on {report.n_post_registration} later samples")
+              + (f"recall {report.held_out_recall:.3f} on {later} later sample{'s' * (later != 1)}"
+                 if later else "no later held-out samples to score"))
     else:
         print(f"macro-F1 retrieval {report.metrics_cbr.macro_f1():.3f}, "
               f"forest {report.metrics_forest.macro_f1():.3f}, "

@@ -1,8 +1,10 @@
 """Random-forest baseline, built from scratch on CART trees.
 
-Trees grow on bootstrap samples with Gini-impurity splits over a random
-subset of feature slots per node (ceil(sqrt(d)) by default). Everything is
-seeded: the same config and data always produce the same forest.
+Each tree grows on a bootstrap sample of the rows, with Gini-impurity
+splits over ceil(sqrt(d)) feature slots drawn at random per node, until a
+node is pure, has no split that lowers its impurity, or reaches the
+config's ``max_depth``. Everything is seeded: the same config and data
+always produce the same forest.
 
 The split search tries every split point and counts in integers. Each slot
 is sorted once per forest, into a table of rows by value and its inverse,
@@ -26,37 +28,24 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .flows import write_atomic
 
-SNAPSHOT_VERSION = 1
+if TYPE_CHECKING:
+    from .harness import PipelineConfig
+
+SNAPSHOT_VERSION = 2
 MIN_IMPROVEMENT = 1e-12
-DEFAULT_N_TREES = 100
-
-
-@dataclass
-class ForestConfig:
-    n_trees: int = DEFAULT_N_TREES
-    max_depth: int | None = None
-    min_samples_leaf: int = 1
-    features_per_split: int | None = None
-    bootstrap: bool = True
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.n_trees < 1:
-            raise ValueError("n_trees must be >= 1")
-        if self.min_samples_leaf < 1:
-            raise ValueError("min_samples_leaf must be >= 1")
 
 
 def _best_split(X: np.ndarray, codes: np.ndarray, order: np.ndarray, rank: np.ndarray,
-                positions: np.ndarray, candidates: np.ndarray, counts: np.ndarray,
-                min_samples_leaf: int) -> tuple[float, int, float] | None:
+                positions: np.ndarray, candidates: np.ndarray,
+                counts: np.ndarray) -> tuple[float, int, float] | None:
     """Best (score, slot, threshold) over candidate slots, or None.
 
     The score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right;
@@ -85,10 +74,9 @@ def _best_split(X: np.ndarray, codes: np.ndarray, order: np.ndarray, rank: np.nd
     counts = counts.astype(dtype)
     right_sq = counts @ counts - 2 * np.cumsum(w * counts.take(row_codes), axis=1, dtype=dtype)
     right_sq += left_sq
-    right_n = n - left_n
-    valid = ((vals[:, :-1] < vals[:, 1:])
-             & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
-    score = np.where(valid, left_sq / left_n + right_sq / right_n, -np.inf)
+    # every side holds a row: the last distinct row is never on the left
+    score = np.where(vals[:, :-1] < vals[:, 1:], left_sq / left_n + right_sq / (n - left_n),
+                     -np.inf)
     j, col = np.unravel_index(score.argmax(), score.shape)  # first max, row-major
     if score[j, col] == -np.inf:
         return None
@@ -101,21 +89,19 @@ def _best_split(X: np.ndarray, codes: np.ndarray, order: np.ndarray, rank: np.nd
 
 def _grow(X: np.ndarray, codes: np.ndarray, order: np.ndarray, rank: np.ndarray,
           splittable: np.ndarray, positions: np.ndarray, n_classes: int,
-          config: ForestConfig, fps: int, rng: np.random.Generator, depth: int,
+          max_depth: int | None, fps: int, rng: np.random.Generator, depth: int,
           nodes: list[dict]) -> int:
     """Append the subtree of ``positions`` to ``nodes`` in pre-order; return its root's position."""
     at = len(nodes)
     counts = np.bincount(codes[positions], minlength=n_classes)
     nodes.append({"counts": counts.tolist()})
     n = positions.size
-    if (np.count_nonzero(counts) == 1
-            or n < 2 * config.min_samples_leaf
-            or (config.max_depth is not None and depth >= config.max_depth)):
+    if np.count_nonzero(counts) == 1 or (max_depth is not None and depth >= max_depth):
         return at
     candidates = np.sort(rng.choice(X.shape[1], size=fps, replace=False))
     candidates = candidates[splittable.take(candidates)]
-    best = (_best_split(X, codes, order, rank, positions, candidates, counts,
-                        config.min_samples_leaf) if candidates.size else None)
+    best = (_best_split(X, codes, order, rank, positions, candidates, counts)
+            if candidates.size else None)
     if best is None:
         return at
     score, slot, threshold = best
@@ -124,8 +110,8 @@ def _grow(X: np.ndarray, codes: np.ndarray, order: np.ndarray, rank: np.ndarray,
         return at
     mask = X[positions, slot] <= threshold
     args = (X, codes, order, rank, splittable)
-    left = _grow(*args, positions[mask], n_classes, config, fps, rng, depth + 1, nodes)
-    right = _grow(*args, positions[~mask], n_classes, config, fps, rng, depth + 1, nodes)
+    left = _grow(*args, positions[mask], n_classes, max_depth, fps, rng, depth + 1, nodes)
+    right = _grow(*args, positions[~mask], n_classes, max_depth, fps, rng, depth + 1, nodes)
     nodes[at] = {"slot": slot, "value": threshold, "left": left, "right": right}
     return at
 
@@ -170,7 +156,6 @@ def _well_formed(nodes: object, n_classes: int) -> bool:
 
 @dataclass(eq=False)
 class RandomForest:
-    config: ForestConfig
     classes: np.ndarray
     trees: list[list[dict]]  # node lists, see the module docstring
     oob_score: float | None = None
@@ -191,9 +176,8 @@ class RandomForest:
         return [str(self.classes[w]) for w in winners], fractions
 
     def save(self, path: str | Path) -> None:
-        doc = {"format_version": SNAPSHOT_VERSION, "config": asdict(self.config),
-               "classes": [str(c) for c in self.classes], "oob_score": self.oob_score,
-               "trees": self.trees}
+        doc = {"format_version": SNAPSHOT_VERSION, "classes": [str(c) for c in self.classes],
+               "oob_score": self.oob_score, "trees": self.trees}
         write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
 
     @classmethod
@@ -204,26 +188,24 @@ class RandomForest:
         except ValueError as exc:  # not JSON, or not UTF-8
             raise ValueError(f"corrupt forest snapshot {path}: {exc}") from None
         if (not isinstance(doc, dict) or doc.get("format_version") != SNAPSHOT_VERSION
-                or doc.keys() != {"format_version", "config", "classes", "oob_score", "trees"}):
+                or doc.keys() != {"format_version", "classes", "oob_score", "trees"}):
             raise ValueError(f"{path}: not a version {SNAPSHOT_VERSION} forest snapshot")
-        try:
-            config = ForestConfig(**doc["config"])
-        except (TypeError, ValueError) as exc:
-            raise ValueError(f"{path}: bad forest config: {exc}") from None
         classes, trees, oob_score = doc["classes"], doc["trees"], doc["oob_score"]
         if not (isinstance(classes, list) and classes and all(type(c) is str for c in classes)
                 and (oob_score is None or type(oob_score) in (int, float))
-                and isinstance(trees, list) and len(trees) == config.n_trees
+                and isinstance(trees, list) and trees
                 and all(_well_formed(t, len(classes)) for t in trees)):
             raise ValueError(f"{path}: want class names, a numeric or null oob_score and "
-                             f"{config.n_trees} trees of well-formed nodes")
-        return cls(config, np.array(classes), trees, oob_score)
+                             "a non-empty list of trees of well-formed nodes")
+        return cls(np.array(classes), trees, oob_score)
 
 
 def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
-                 config: ForestConfig) -> RandomForest:
+                 config: PipelineConfig) -> RandomForest:
+    """Grow ``config.n_trees`` trees of at most ``config.max_depth`` levels,
+    seeded by ``config.seed``."""
     X = np.ascontiguousarray(X, dtype=np.float64)  # _best_split gathers by flat index
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or X.size == 0:  # no rows, or no slots to split on
         raise ValueError("training needs a non-empty 2-D matrix")
     if np.shape(y) != X.shape[:1]:
         raise ValueError(f"training needs one label per row: {np.size(y)} labels, {X.shape[0]} rows")
@@ -231,11 +213,7 @@ def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
     if classes.size < 2:
         raise ValueError("training needs at least 2 classes")
     n, d = X.shape
-    fps = config.features_per_split
-    if fps is None:
-        fps = math.ceil(math.sqrt(d))
-    if not 1 <= fps <= d:
-        raise ValueError(f"features_per_split must be in [1, {d}]")
+    fps = math.ceil(math.sqrt(d))  # candidate slots per node
 
     # (d, n) each: the rows by value per slot, and each row's place there;
     # C order, so that take gathers from them with no copy
@@ -247,14 +225,14 @@ def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
     trees: list[list[dict]] = []
     oob_tally = np.zeros((n, classes.size), dtype=np.int64)
     for rng in rngs:
-        sample = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        sample = rng.integers(0, n, size=n)
         oob = np.flatnonzero(np.bincount(sample, minlength=n) == 0)
         trees.append([])
-        _grow(X, codes, order, rank, splittable, sample, classes.size, config, fps, rng, 0,
-              trees[-1])
+        _grow(X, codes, order, rank, splittable, sample, classes.size, config.max_depth, fps,
+              rng, 0, trees[-1])
         oob_tally[oob, _tree_votes(trees[-1], X, oob)] += 1
 
     covered = oob_tally.sum(axis=1) > 0
     hits = oob_tally[covered].argmax(axis=1) == codes[covered]
     oob_score = float(hits.mean()) if covered.any() else None
-    return RandomForest(config, classes, trees, oob_score)
+    return RandomForest(classes, trees, oob_score)

@@ -19,7 +19,7 @@ from .cbr import (DEFAULT_C_MIN, DEFAULT_K, Thresholds, Verdict, VerdictKind,
                   classify_stream, vote, write_verdicts)
 from .features import extract_rows
 from .flows import DEFAULT_IDLE_TIMEOUT, Flow, InputError, write_atomic
-from .forest import DEFAULT_N_TREES, ForestConfig, train_forest
+from .forest import train_forest
 from .model import Model, fit_model
 
 OOD_LABEL = "__ood__"
@@ -160,7 +160,7 @@ class PipelineConfig:
     r_cohesion: float | None = None
     train_fraction: float = 0.70
     seed: int = 0
-    n_trees: int = DEFAULT_N_TREES
+    n_trees: int = 100
     max_depth: int | None = None
     idle_timeout: float = DEFAULT_IDLE_TIMEOUT
 
@@ -258,9 +258,7 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
     cbr_preds = [verdict_label(v) for v in verdicts]
     metrics_cbr = compute_metrics(fitted.y_test, cbr_preds, class_set)
 
-    forest = train_forest(model.vectors, model.labels,
-                          ForestConfig(n_trees=config.n_trees, max_depth=config.max_depth,
-                                       seed=config.seed))
+    forest = train_forest(model.vectors, model.labels, config)
     forest_preds, _ = forest.predict_batch(fitted.X_test)
     metrics_forest = compute_metrics(fitted.y_test, forest_preds, class_set)
 
@@ -338,8 +336,8 @@ class NewClassReport:
     held_out_class: str
     n_held_out: int  # held-out test samples streamed
     registered_label: str | None
-    # Both None when no class registered.
-    samples_consumed: int | None
+    samples_consumed: int | None  # None when no class registered
+    # None also when no held-out sample came after the registration
     held_out_recall: float | None
     n_post_registration: int
     metrics_before: Metrics
@@ -419,8 +417,7 @@ def new_class_protocol(flows: list[Flow], held_out_class: str,
         n_held_out=held_test.size,
         registered_label=registered_label,
         samples_consumed=samples_consumed,
-        held_out_recall=(None if registered_label is None
-                         else post_hits / post_total if post_total else 0.0),
+        held_out_recall=post_hits / post_total if post_total else None,
         n_post_registration=post_total,
         metrics_before=metrics_before,
         metrics_after=metrics_after,

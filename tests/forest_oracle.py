@@ -3,7 +3,8 @@
 Every node argsorts its candidate slots over its bootstrap positions from
 scratch and scores every position, duplicates included. ``flowcbr.forest``
 must grow the same trees: ``RandomForest.save`` writes the same bytes for
-the same rows, labels and config.
+the same rows, labels and config (its ``n_trees``, ``max_depth`` and
+``seed``).
 """
 
 from __future__ import annotations
@@ -12,12 +13,12 @@ import math
 
 import numpy as np
 
-from flowcbr.forest import MIN_IMPROVEMENT, ForestConfig, RandomForest, _tree_votes
+from flowcbr.forest import MIN_IMPROVEMENT, RandomForest, _tree_votes
+from flowcbr.harness import PipelineConfig
 
 
 def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
-                candidates: np.ndarray, counts: np.ndarray,
-                min_samples_leaf: int) -> tuple[float, int, float] | None:
+                candidates: np.ndarray, counts: np.ndarray) -> tuple[float, int, float] | None:
     """Best (score, slot, threshold) over candidate slots, or None.
 
     The score is sum(left_counts^2)/n_left + sum(right_counts^2)/n_right;
@@ -40,9 +41,8 @@ def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
         right_sq += right * right
     left_n = np.arange(1, n, dtype=np.float64)
     right_n = n - left_n
-    valid = ((sorted_vals[:, :-1] < sorted_vals[:, 1:])
-             & (left_n >= min_samples_leaf) & (right_n >= min_samples_leaf))
-    score = np.where(valid, left_sq / left_n + right_sq / right_n, -np.inf)
+    score = np.where(sorted_vals[:, :-1] < sorted_vals[:, 1:],
+                     left_sq / left_n + right_sq / right_n, -np.inf)
     cols = score.argmax(axis=1)
     slot_best = score[np.arange(candidates.size), cols]
     j = int(np.argmax(slot_best))
@@ -56,19 +56,17 @@ def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
 
 
 def _grow(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
-          n_classes: int, config: ForestConfig, fps: int,
+          n_classes: int, max_depth: int | None, fps: int,
           rng: np.random.Generator, depth: int, nodes: list[dict]) -> int:
     """Append the subtree of ``positions`` to ``nodes`` in pre-order; return its root's position."""
     at = len(nodes)
     counts = np.bincount(codes[positions], minlength=n_classes)
     nodes.append({"counts": counts.tolist()})
     n = positions.size
-    if (np.count_nonzero(counts) == 1
-            or n < 2 * config.min_samples_leaf
-            or (config.max_depth is not None and depth >= config.max_depth)):
+    if np.count_nonzero(counts) == 1 or (max_depth is not None and depth >= max_depth):
         return at
     candidates = np.sort(rng.choice(X.shape[1], size=fps, replace=False))
-    best = _best_split(X, codes, positions, candidates, counts, config.min_samples_leaf)
+    best = _best_split(X, codes, positions, candidates, counts)
     if best is None:
         return at
     score, slot, threshold = best
@@ -76,39 +74,35 @@ def _grow(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,
     if (score - parent_score) / n <= MIN_IMPROVEMENT:
         return at
     mask = X[positions, slot] <= threshold
-    left = _grow(X, codes, positions[mask], n_classes, config, fps, rng, depth + 1, nodes)
-    right = _grow(X, codes, positions[~mask], n_classes, config, fps, rng, depth + 1, nodes)
+    left = _grow(X, codes, positions[mask], n_classes, max_depth, fps, rng, depth + 1, nodes)
+    right = _grow(X, codes, positions[~mask], n_classes, max_depth, fps, rng, depth + 1, nodes)
     nodes[at] = {"slot": slot, "value": threshold, "left": left, "right": right}
     return at
 
 
 def train_forest(X: np.ndarray, y: list[str] | np.ndarray,
-                 config: ForestConfig) -> RandomForest:
+                 config: PipelineConfig) -> RandomForest:
     X = np.asarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] == 0:
+    if X.ndim != 2 or X.size == 0:
         raise ValueError("training needs a non-empty 2-D matrix")
     classes, codes = np.unique(np.asarray(y), return_inverse=True)
     if classes.size < 2:
         raise ValueError("training needs at least 2 classes")
     n, d = X.shape
-    fps = config.features_per_split
-    if fps is None:
-        fps = math.ceil(math.sqrt(d))
-    if not 1 <= fps <= d:
-        raise ValueError(f"features_per_split must be in [1, {d}]")
+    fps = math.ceil(math.sqrt(d))
 
     rngs = [np.random.default_rng(s) for s in np.random.SeedSequence(config.seed).spawn(config.n_trees)]
     trees: list[list[dict]] = []
     oob_tally = np.zeros((n, classes.size), dtype=np.int64)
     for rng in rngs:
-        sample = rng.integers(0, n, size=n) if config.bootstrap else np.arange(n)
+        sample = rng.integers(0, n, size=n)
         oob = np.setdiff1d(np.arange(n), sample)
         trees.append([])
-        _grow(X, codes, sample, classes.size, config, fps, rng, 0, trees[-1])
+        _grow(X, codes, sample, classes.size, config.max_depth, fps, rng, 0, trees[-1])
         if oob.size:
             oob_tally[oob, _tree_votes(trees[-1], X[oob])] += 1
 
     covered = oob_tally.sum(axis=1) > 0
     hits = oob_tally[covered].argmax(axis=1) == codes[covered]
     oob_score = float(hits.mean()) if covered.any() else None
-    return RandomForest(config, classes, trees, oob_score)
+    return RandomForest(classes, trees, oob_score)

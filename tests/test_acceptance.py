@@ -12,7 +12,7 @@ import pytest
 
 from flowcbr.cbr import VerdictKind
 from flowcbr.features import SCHEMA, extract_matrix
-from flowcbr.forest import ForestConfig, RandomForest, train_forest
+from flowcbr.forest import RandomForest, train_forest
 from flowcbr.harness import (
     OOD_LABEL,
     PipelineConfig,
@@ -220,8 +220,7 @@ def test_criterion_08_rejected_samples_never_get_forest_labels(capsys, fitted5,
     """Run the plain retrieval pass and the combined pass side by side on
     identical state; whatever the first rejects, the second must too."""
     model = fitted5.model
-    forest = train_forest(model.vectors, model.labels,
-                          ForestConfig(n_trees=30, seed=42))
+    forest = train_forest(model.vectors, model.labels, PipelineConfig(n_trees=30, seed=42))
     idx_solo, reg_solo = model.index.clone(), model.registry.clone()
     idx_both, reg_both = model.index.clone(), model.registry.clone()
     stream = np.vstack([fitted5.X_test, far_samples])
@@ -264,7 +263,7 @@ def test_criterion_09_determinism_and_snapshots(capsys, tmp_path):
 
     X = rng.random((300, 20))
     y = [f"lab{i % 4}" for i in rng.integers(0, 4, size=300)]
-    forest = train_forest(X, np.array(y), ForestConfig(n_trees=25, seed=3))
+    forest = train_forest(X, np.array(y), PipelineConfig(n_trees=25, seed=3))
     forest.save(tmp_path / "forest.json")
     restored = RandomForest.load(tmp_path / "forest.json")
     probes = rng.random((100, 20))

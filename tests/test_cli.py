@@ -184,6 +184,28 @@ def test_held_out_run_that_registers_nothing_reports_null(tmp_path, capsys):
         "registered_label": None, "samples_consumed": None}
 
 
+@pytest.mark.parametrize("c_min,recall,line", [
+    pytest.param(5, 1.0, "recall 1.000 on 1 later sample", id="one-later"),
+    pytest.param(6, None, "no later held-out samples to score", id="none-later"),
+])
+def test_held_out_recall_is_null_with_no_later_samples(tmp_path, capsys, c_min, recall, line):
+    """class-a's 6 held-out samples register a class after c_min of them. A
+    recall over the samples left is undefined when none is left: null in
+    new_class.json, and the line printed says so."""
+    data, out, config = tmp_path / "data", tmp_path / "eval", tmp_path / "c.json"
+    run("--seed", "5", "--out", str(data), "synth", "--classes", "5", "--flows-per-class", "20")
+    config.write_text(json.dumps({"c_min": c_min, "ood_margin": 5.0}))
+    capsys.readouterr()
+    assert run("--config", str(config), "--out", str(out), "eval", str(data / "flows.csv"),
+               "--held-out", "class-a") == 0
+    assert capsys.readouterr().out == (
+        f"held-out class-a: registered as novel-1 after {c_min} samples, {line}\n")
+    assert json.loads((out / "new_class.json").read_text()) == {
+        "held_out_class": "class-a", "held_out_recall": recall,
+        "n_post_registration": 6 - c_min, "registered_label": "novel-1",
+        "samples_consumed": c_min}
+
+
 def test_sweep_reports_points(tmp_path, flows_csv, capsys):
     out = tmp_path / "sweep"
     assert run("--out", str(out), "sweep", str(flows_csv),

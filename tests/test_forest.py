@@ -1,14 +1,15 @@
 """Random-forest tests.
 
-A reference CART builder written with plain scalar loops grows the same
-deterministic tree (no bootstrap, all slots considered) and must agree with
-the package's vectorized one node for node, threshold for threshold. The
+A reference CART builder written with plain scalar loops must grow the tree
+the package's vectorized ``_grow`` grows on every row once with every slot a
+candidate at every node, node for node, threshold for threshold. The
 forest build as first written, which sorted every node from scratch, is kept
 in ``forest_oracle``; the package must save the same bytes as it.
 """
 
 import gc
 import hashlib
+import itertools
 import json
 import re
 import weakref
@@ -22,8 +23,8 @@ from hypothesis import strategies as st
 from flowcbr import forest as forest_mod
 from flowcbr.cbr import PENDING_CAPACITY, ClassRegistry, Thresholds, VerdictKind
 from flowcbr.features import extract_matrix, fit_normalizer
-from flowcbr.forest import ForestConfig, RandomForest, train_forest
-from flowcbr.harness import OOD_LABEL, PENDING_LABEL, combined_label
+from flowcbr.forest import RandomForest, train_forest
+from flowcbr.harness import OOD_LABEL, PENDING_LABEL, PipelineConfig, combined_label
 from flowcbr.index import NNIndex
 from flowcbr.synth import default_templates, synth_generate
 from knn_helpers import classify_one
@@ -31,7 +32,7 @@ from knn_helpers import classify_one
 MIN_IMPROVEMENT = 1e-12
 
 
-def ref_best_split(X, codes, positions, n_classes, msl):
+def ref_best_split(X, codes, positions, n_classes):
     """Exhaustive split search, one candidate threshold at a time."""
     n = len(positions)
     best = None
@@ -49,7 +50,7 @@ def ref_best_split(X, codes, positions, n_classes, msl):
             left[cds[i]] += 1
             left_n = i + 1
             right_n = n - left_n
-            if not (vals[i] < vals[i + 1] and left_n >= msl and right_n >= msl):
+            if not vals[i] < vals[i + 1]:
                 continue
             score = (sum(c * c for c in left) / left_n
                      + sum((t - l) ** 2 for t, l in zip(total, left)) / right_n)
@@ -79,18 +80,16 @@ def sort_tables(X):
        st.integers(min_value=1, max_value=12),
        st.integers(min_value=2, max_value=5),
        st.sampled_from([None, 1, 2, 4]),
-       st.integers(min_value=1, max_value=8),
        st.data())
 def test_best_split_matches_reference_on_candidate_subset(seed, n, d, n_classes,
-                                                          n_values, msl, data):
+                                                          n_values, data):
     """The vectorized search over a random candidate subset equals the
     exhaustive reference run on those slots alone. Positions are drawn with
     replacement, as a bootstrap draws them, so rows come with multiplicities.
     Few distinct values (n_values) make tied split points, None draws
     continuous values; duplicated columns make slots tie, mirrored codes
-    make split points of one slot tie; constant columns, large
-    min_samples_leaf and a draw of one row leave slots, or the whole node,
-    without a valid split."""
+    make split points of one slot tie; constant columns and a draw of one
+    row leave slots, or the whole node, without a valid split."""
     rng = np.random.default_rng(seed)
     if n_values is None:
         X = rng.normal(size=(n, d))
@@ -110,8 +109,8 @@ def test_best_split_matches_reference_on_candidate_subset(seed, n, d, n_classes,
     m = data.draw(st.integers(min_value=1, max_value=d))
     candidates = np.sort(rng.choice(d, size=m, replace=False))
     counts = np.bincount(codes[positions], minlength=n_classes)
-    got = forest_mod._best_split(X, codes, *sort_tables(X), positions, candidates, counts, msl)
-    want = ref_best_split(X[:, candidates], codes, positions, n_classes, msl)
+    got = forest_mod._best_split(X, codes, *sort_tables(X), positions, candidates, counts)
+    want = ref_best_split(X[:, candidates], codes, positions, n_classes)
     if want is None:
         assert got is None
     else:
@@ -132,20 +131,20 @@ def test_best_split_matches_reference_in_both_integer_widths(n):
     positions = rng.integers(0, 300, size=n)
     counts = np.bincount(codes[positions], minlength=3)
     for candidates in (np.array([1]), np.array([0, 1])):
-        got = forest_mod._best_split(X, codes, *sort_tables(X), positions, candidates, counts, 1)
-        score, slot, threshold = ref_best_split(X[:, candidates], codes, positions, 3, 1)
+        got = forest_mod._best_split(X, codes, *sort_tables(X), positions, candidates, counts)
+        score, slot, threshold = ref_best_split(X[:, candidates], codes, positions, 3)
         assert got == (score, int(candidates[slot]), threshold)
 
 
-def ref_build_tree(X, codes, positions, n_classes, msl, max_depth, depth=0):
+def ref_build_tree(X, codes, positions, n_classes, max_depth, depth=0):
     counts = [0] * n_classes
     for p in positions:
         counts[codes[p]] += 1
     n = len(positions)
     pure = sum(1 for c in counts if c) == 1
-    if pure or n < 2 * msl or (max_depth is not None and depth >= max_depth):
+    if pure or (max_depth is not None and depth >= max_depth):
         return {"counts": counts}
-    best = ref_best_split(X, codes, positions, n_classes, msl)
+    best = ref_best_split(X, codes, positions, n_classes)
     if best is None:
         return {"counts": counts}
     score, slot, threshold = best
@@ -156,16 +155,22 @@ def ref_build_tree(X, codes, positions, n_classes, msl, max_depth, depth=0):
     right = [p for p in positions if X[p, slot] > threshold]
     return {
         "slot": slot, "value": threshold,
-        "left": ref_build_tree(X, codes, left, n_classes, msl, max_depth, depth + 1),
-        "right": ref_build_tree(X, codes, right, n_classes, msl, max_depth, depth + 1),
+        "left": ref_build_tree(X, codes, left, n_classes, max_depth, depth + 1),
+        "right": ref_build_tree(X, codes, right, n_classes, max_depth, depth + 1),
     }
 
 
-def load_saved_tree(forest, tmp_path, which=0):
-    path = tmp_path / "forest.json"
-    forest.save(path)
-    doc = json.loads(path.read_text())
-    nodes = doc["trees"][which]
+def grow_exhaustive(X, codes, n_classes, max_depth, seed):
+    """The node list _grow builds on every row once, with all d slots drawn
+    as candidates at every node."""
+    nodes = []
+    forest_mod._grow(X, codes, *sort_tables(X), ~(X == X[0]).all(axis=0), np.arange(len(X)),
+                     n_classes, max_depth, X.shape[1], np.random.default_rng(seed), 0, nodes)
+    return nodes
+
+
+def nested(nodes):
+    """A pre-order node list as nested dicts, the form ref_build_tree returns."""
 
     def expand(i):
         node = nodes[i]
@@ -198,17 +203,12 @@ def blobs(seed, n=90, d=6, k=3, spread=1.0):
     return X, y
 
 
-@pytest.mark.parametrize("seed,msl,max_depth", [
-    (0, 1, None), (1, 1, 3), (2, 5, None), (3, 2, 2),
-])
-def test_single_tree_matches_reference_cart(seed, msl, max_depth, tmp_path):
+@pytest.mark.parametrize("seed,max_depth", [(0, None), (1, 3), (2, None), (3, 2)])
+def test_single_tree_matches_reference_cart(seed, max_depth):
     X, y = blobs(seed, n=60, d=4)
     classes, codes = np.unique(y, return_inverse=True)
-    config = ForestConfig(n_trees=1, bootstrap=False, features_per_split=X.shape[1],
-                          min_samples_leaf=msl, max_depth=max_depth, seed=seed)
-    forest = train_forest(X, y, config)
-    want = ref_build_tree(X, codes, list(range(len(y))), classes.size, msl, max_depth)
-    got = load_saved_tree(forest, tmp_path)
+    got = nested(grow_exhaustive(X, codes, classes.size, max_depth, seed))
+    want = ref_build_tree(X, codes, list(range(len(y))), classes.size, max_depth)
     assert_same_tree(got, want)
 
 
@@ -222,9 +222,8 @@ def ref_predict(tree, x, classes):
 def test_single_tree_predictions_match_reference():
     X, y = blobs(7, n=80, d=5)
     classes, codes = np.unique(y, return_inverse=True)
-    config = ForestConfig(n_trees=1, bootstrap=False, features_per_split=5, seed=7)
-    forest = train_forest(X, y, config)
-    ref = ref_build_tree(X, codes, list(range(len(y))), classes.size, 1, None)
+    forest = RandomForest(classes, [grow_exhaustive(X, codes, classes.size, None, 7)])
+    ref = ref_build_tree(X, codes, list(range(len(y))), classes.size, None)
     rng = np.random.default_rng(70)
     probes = np.vstack([X, rng.normal(size=(40, 5)) * 3])
     got, _ = forest.predict_batch(probes)
@@ -234,8 +233,8 @@ def test_single_tree_predictions_match_reference():
 
 def test_training_is_deterministic(tmp_path):
     X, y = blobs(4)
-    a = train_forest(X, y, ForestConfig(n_trees=12, seed=5))
-    b = train_forest(X, y, ForestConfig(n_trees=12, seed=5))
+    a = train_forest(X, y, PipelineConfig(n_trees=12, seed=5))
+    b = train_forest(X, y, PipelineConfig(n_trees=12, seed=5))
     pa = tmp_path / "a.json"
     pb = tmp_path / "b.json"
     a.save(pa)
@@ -245,46 +244,48 @@ def test_training_is_deterministic(tmp_path):
 
 def test_forest_fits_separable_blobs():
     X, y = blobs(9, n=120, spread=0.5)
-    forest = train_forest(X, y, ForestConfig(n_trees=25, seed=0))
+    forest = train_forest(X, y, PipelineConfig(n_trees=25, seed=0))
     labels, fractions = forest.predict_batch(X)
     assert np.mean(np.array(labels) == y) >= 0.99
     assert fractions.min() > 0.0 and fractions.max() <= 1.0
     assert forest.oob_score is not None and 0.0 <= forest.oob_score <= 1.0
 
 
-def test_no_bootstrap_means_no_oob():
-    X, y = blobs(2)
-    forest = train_forest(X, y, ForestConfig(n_trees=3, bootstrap=False))
+def draws_every_row(n):
+    """A one-tree config whose bootstrap draws each of n rows once: the
+    first seed whose tree's first draw, as train_forest makes it, does."""
+    for seed in itertools.count():
+        rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        if np.unique(rng.integers(0, n, size=n)).size == n:
+            return PipelineConfig(n_trees=1, seed=seed)
+
+
+def test_a_bootstrap_that_draws_every_row_leaves_no_oob():
+    """No row is out of bag, so no row has an out-of-bag vote to score."""
+    X, y = blobs(2, n=6, d=3)
+    forest = train_forest(X, y, draws_every_row(6))
+    leaves = [node["counts"] for node in forest.trees[0] if "counts" in node]
+    assert np.sum(leaves, axis=0).tolist() == [2, 2, 2]  # the tree saw each row once
     assert forest.oob_score is None
 
 
 def test_classes_sorted_and_ties_go_first():
-    # depth-0 trees vote the majority of their sample; on an exactly balanced
-    # set with no bootstrap every tree ties, and the first class code wins
-    X = np.arange(8.0).reshape(4, 2)
-    y = ["zeta", "alpha", "zeta", "alpha"]
-    forest = train_forest(X, y, ForestConfig(n_trees=5, bootstrap=False, max_depth=0))
+    """Classes are sorted by name. A leaf votes its first most counted class,
+    and the forest the first class most trees voted for."""
+    forest = train_forest(np.arange(8.0).reshape(4, 2), ["zeta", "alpha", "zeta", "alpha"],
+                          PipelineConfig(n_trees=5))
     assert list(forest.classes) == ["alpha", "zeta"]
-    labels, fractions = forest.predict_batch(np.array([[1.0, 2.0]]))
-    assert labels == ["alpha"]
-    assert fractions.tolist() == [1.0]
-
-
-def test_min_samples_leaf_respected_in_saved_trees(tmp_path):
-    X, y = blobs(3, n=50)
-    forest = train_forest(X, y, ForestConfig(n_trees=4, min_samples_leaf=7, seed=1))
-    path = tmp_path / "forest.json"
-    forest.save(path)
-    doc = json.loads(path.read_text())
-    for tree in doc["trees"]:
-        for node in tree:
-            if "counts" in node:
-                assert sum(node["counts"]) >= 7
+    row = np.array([[1.0, 2.0]])
+    labels, fractions = RandomForest(forest.classes, [[{"counts": [2, 2]}]] * 5).predict_batch(row)
+    assert labels == ["alpha"] and fractions.tolist() == [1.0]
+    tied_vote = RandomForest(forest.classes, [[{"counts": [1, 0]}], [{"counts": [0, 3]}]])
+    labels, fractions = tied_vote.predict_batch(row)
+    assert labels == ["alpha"] and fractions.tolist() == [0.5]
 
 
 def test_max_depth_respected_in_saved_trees(tmp_path):
     X, y = blobs(6, n=100)
-    forest = train_forest(X, y, ForestConfig(n_trees=4, max_depth=2, seed=2))
+    forest = train_forest(X, y, PipelineConfig(n_trees=4, max_depth=2, seed=2))
     path = tmp_path / "forest.json"
     forest.save(path)
     doc = json.loads(path.read_text())
@@ -299,7 +300,7 @@ def test_max_depth_respected_in_saved_trees(tmp_path):
 
 def test_snapshot_round_trip_query_identical(tmp_path):
     X, y = blobs(8, n=70, d=4)
-    forest = train_forest(X, y, ForestConfig(n_trees=10, seed=3))
+    forest = train_forest(X, y, PipelineConfig(n_trees=10, seed=3))
     path = tmp_path / "forest.json"
     forest.save(path)
     back = RandomForest.load(path)
@@ -328,7 +329,7 @@ def test_snapshot_rejects_corrupt_and_wrong_version(tmp_path):
 def test_snapshot_save_load_save_is_byte_identical(tmp_path):
     X, y = blobs(5, n=80, d=5)
     first, second = tmp_path / "first.json", tmp_path / "second.json"
-    train_forest(X, y, ForestConfig(n_trees=7, seed=4)).save(first)
+    train_forest(X, y, PipelineConfig(n_trees=7, seed=4)).save(first)
     RandomForest.load(first).save(second)
     assert first.read_bytes() == second.read_bytes()
 
@@ -337,11 +338,16 @@ def _without(mapping, key):
     del mapping[key]
 
 
+# A version 1 snapshot also held the settings of its training run.
+VERSION_1_CONFIG = {"n_trees": 3, "max_depth": 3, "min_samples_leaf": 1,
+                    "features_per_split": None, "bootstrap": True, "seed": 1}
+
+
 @pytest.mark.parametrize("edit", [
     pytest.param(lambda doc, tree: [doc], id="json-list"),
-    pytest.param(lambda doc, tree: _without(doc, "config"), id="no-config"),
+    pytest.param(lambda doc, tree: doc.update(format_version=1, config=VERSION_1_CONFIG),
+                 id="version-1"),
     pytest.param(lambda doc, tree: _without(doc, "trees"), id="no-trees"),
-    pytest.param(lambda doc, tree: doc["config"].update(depth=3), id="unknown-config-key"),
     pytest.param(lambda doc, tree: _without(tree[0], "value"), id="split-without-value"),
     pytest.param(lambda doc, tree: tree[0].update(left=0), id="child-is-itself"),
     pytest.param(lambda doc, tree: tree[0].update(right=len(tree)), id="child-past-end"),
@@ -357,7 +363,7 @@ def test_snapshot_load_rejects_malformed(tmp_path, edit):
     document to write instead."""
     X, y = blobs(2, n=60, d=4)
     path = tmp_path / "forest.json"
-    train_forest(X, y, ForestConfig(n_trees=3, max_depth=3, seed=1)).save(path)
+    train_forest(X, y, PipelineConfig(n_trees=3, max_depth=3, seed=1)).save(path)
     doc = json.loads(path.read_text())
     tree = doc["trees"][0]
     assert "slot" in tree[0] and "counts" in tree[-1]
@@ -369,19 +375,15 @@ def test_snapshot_load_rejects_malformed(tmp_path, edit):
 def test_training_validation_errors():
     X = np.zeros((4, 3))
     with pytest.raises(ValueError, match="2 classes"):
-        train_forest(X, ["a"] * 4, ForestConfig())
+        train_forest(X, ["a"] * 4, PipelineConfig())
     with pytest.raises(ValueError):
-        train_forest(np.zeros((0, 3)), [], ForestConfig())
-    with pytest.raises(ValueError, match="features_per_split"):
-        train_forest(X, ["a", "a", "b", "b"], ForestConfig(features_per_split=9))
+        train_forest(np.zeros((0, 3)), [], PipelineConfig())
     with pytest.raises(ValueError, match="4 labels, 6 rows"):
-        train_forest(np.zeros((6, 3)), ["a", "b"] * 2, ForestConfig())
+        train_forest(np.zeros((6, 3)), ["a", "b"] * 2, PipelineConfig())
     with pytest.raises(ValueError, match="8 labels, 6 rows"):
-        train_forest(np.zeros((6, 3)), ["a", "b"] * 4, ForestConfig())
-    with pytest.raises(ValueError):
-        ForestConfig(n_trees=0)
-    with pytest.raises(ValueError):
-        ForestConfig(min_samples_leaf=0)
+        train_forest(np.zeros((6, 3)), ["a", "b"] * 4, PipelineConfig())
+    with pytest.raises(ValueError, match="non-empty 2-D matrix"):  # no slot to split on
+        train_forest(np.zeros((4, 0)), ["a", "a", "b", "b"], PipelineConfig())
 
 
 # Tie-heavy grids: a case draws its cells from a few of these, so slots tie
@@ -396,17 +398,16 @@ GRID = [0.0, -0.0, np.nan, 5e-324, -5e-324, 2.2250738585072014e-308, 0.5, 1.0, -
 
 @st.composite
 def forest_cases(draw):
-    """(X, labels, config) of up to 30 rows, 5 slots and 4 classes."""
+    """(X, labels, config) of up to 30 rows, 5 slots and 4 classes; the
+    config draws the tree count, the depth and the seed."""
     n, d = draw(st.integers(2, 30)), draw(st.integers(1, 5))
     pool = draw(st.lists(st.sampled_from(GRID), min_size=1, max_size=4))
     X = np.array(draw(st.lists(st.sampled_from(pool), min_size=n * d, max_size=n * d)))
     codes = draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
     codes[:2] = [0, 1]
-    config = ForestConfig(n_trees=draw(st.integers(1, 4)), bootstrap=draw(st.booleans()),
-                          min_samples_leaf=draw(st.integers(1, 3)),
-                          max_depth=draw(st.sampled_from([None, 0, 1, 3])),
-                          features_per_split=draw(st.integers(1, d)),
-                          seed=draw(st.integers(0, 2 ** 32 - 1)))
+    config = PipelineConfig(n_trees=draw(st.integers(1, 4)),
+                            max_depth=draw(st.sampled_from([None, 1, 3])),
+                            seed=draw(st.integers(0, 2 ** 32 - 1)))
     return X.reshape(n, d), [f"c{c}" for c in codes], config
 
 
@@ -417,15 +418,13 @@ def saved_bytes(train, X, y, config, path):
     return path.read_bytes()
 
 
-ONE_TREE = ForestConfig(n_trees=1, bootstrap=False)
-
-
 @settings(deadline=None)
 @given(forest_cases())
-@example(case=(np.array([[-5e-324], [0.0]]), ["c0", "c1"], ONE_TREE))  # midpoint rounds to hi
-@example(case=(np.array([[1e308], [1.7976931348623157e308]]), ["c0", "c1"], ONE_TREE))
+# the midpoint rounds to hi; overflows to inf; overflows to -inf
+@example(case=(np.array([[-5e-324], [0.0]]), ["c0", "c1"], draws_every_row(2)))
+@example(case=(np.array([[1e308], [1.7976931348623157e308]]), ["c0", "c1"], draws_every_row(2)))
 @example(case=(np.array([[-1.7976931348623157e308], [-1e308], [-1e308], [0.0]]),
-               ["c0", "c1", "c0", "c1"], ONE_TREE))
+               ["c0", "c1", "c0", "c1"], draws_every_row(4)))
 def test_forest_saves_the_oracle_bytes(tmp_path_factory, case):
     out = tmp_path_factory.mktemp("forest")
     want = saved_bytes(oracle.train_forest, *case, out / "want.json")
@@ -440,7 +439,7 @@ def test_eval_shape_forest_saves_the_oracle_bytes(seed, tmp_path):
     X = extract_matrix(flows)
     X = fit_normalizer(X).transform(X)
     y = [f.label for f in flows]
-    config = ForestConfig(n_trees=100, seed=seed)
+    config = PipelineConfig(seed=seed)
     oracle.train_forest(X, y, config).save(tmp_path / "want.json")
     train_forest(X, y, config).save(tmp_path / "got.json")
     assert (hashlib.sha256((tmp_path / "got.json").read_bytes()).hexdigest()
@@ -456,7 +455,7 @@ def test_constant_slots_never_reach_the_split_search(tmp_path, monkeypatch):
     rng = np.random.default_rng(3)
     constant = {4: np.full(80, 2.5), 5: rng.choice([0.0, -0.0], size=80), 6: np.full(80, np.inf)}
     X = np.column_stack([X, *constant.values(), np.full(80, np.nan)])
-    config = ForestConfig(n_trees=6, features_per_split=X.shape[1], seed=3)
+    config = PipelineConfig(n_trees=6, seed=3)
     seen = []
 
     def recording(X, codes, order, rank, positions, candidates, *rest):
@@ -476,7 +475,7 @@ def test_tree_votes_keeps_no_reference_to_its_rows():
     garbage collector off: no reference cycle holds them, so predict_batch
     keeps no caller's matrix alive."""
     X, y = blobs(0)
-    tree = train_forest(X, y, ForestConfig(n_trees=1, seed=0)).trees[0]
+    tree = train_forest(X, y, PipelineConfig(n_trees=1, seed=0)).trees[0]
     rows = X.copy()
     alive = weakref.ref(rows)
     gc.disable()
@@ -490,7 +489,7 @@ def test_tree_votes_keeps_no_reference_to_its_rows():
 
 def test_predict_batch_requires_matrix():
     X, y = blobs(1)
-    forest = train_forest(X, y, ForestConfig(n_trees=2))
+    forest = train_forest(X, y, PipelineConfig(n_trees=2))
     with pytest.raises(ValueError):
         forest.predict_batch(X[0])
 
@@ -501,7 +500,7 @@ def test_predict_batch_rejects_a_slot_past_the_row_width(tmp_path):
     slot and the width, not an IndexError from the walk."""
     X, y = blobs(2, n=60, d=4)
     path = tmp_path / "forest.json"
-    train_forest(X, y, ForestConfig(n_trees=3, max_depth=3, seed=1)).save(path)
+    train_forest(X, y, PipelineConfig(n_trees=3, max_depth=3, seed=1)).save(path)
     doc = json.loads(path.read_text())
     assert "slot" in doc["trees"][0][0]
     doc["trees"][0][0]["slot"] = 99
@@ -525,7 +524,7 @@ def ensemble_setup():
     th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1)
     Xf = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])
     yf = ["low", "low", "low", "high", "high", "high"]
-    forest = train_forest(Xf, yf, ForestConfig(n_trees=9, seed=0))
+    forest = train_forest(Xf, yf, PipelineConfig(n_trees=9, seed=0))
     return index, registry, forest, th
 
 

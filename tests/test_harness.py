@@ -12,7 +12,7 @@ import pytest
 from flowcbr.cbr import Verdict, VerdictKind
 from flowcbr.features import extract_matrix, fit_normalizer
 from flowcbr.flows import InputError
-from flowcbr.forest import ForestConfig, train_forest
+from flowcbr.forest import train_forest
 from flowcbr.harness import (
     OOD_LABEL,
     PENDING_LABEL,
@@ -259,9 +259,7 @@ def per_row_ensemble_oracle(flows, config):
     forest prediction, combined by the ensemble rule."""
     fitted = fit_pipeline(flows, config)
     model = fitted.model
-    forest = train_forest(model.vectors, model.labels,
-                          ForestConfig(n_trees=config.n_trees, max_depth=config.max_depth,
-                                       seed=config.seed))
+    forest = train_forest(model.vectors, model.labels, config)
     index, registry = model.index.clone(), model.registry.clone()
     labels = [combined_label(classify_one(index, registry, row, model.thresholds),
                              forest.predict_batch(row[None])[0][0])

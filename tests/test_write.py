@@ -8,7 +8,7 @@ import pytest
 from flowcbr.cbr import classify_stream, write_verdicts
 from flowcbr.features import extract_matrix, save_matrix_csv
 from flowcbr.flows import save_flows_csv, write_atomic
-from flowcbr.forest import ForestConfig, train_forest
+from flowcbr.forest import train_forest
 from flowcbr.harness import (PipelineConfig, compute_metrics, new_class_protocol,
                              packet_sweep, run_eval, write_metrics_csv)
 from flowcbr.model import fit_model, save_model
@@ -27,7 +27,7 @@ def parts():
     model = fit_model(X, labels, CONFIG)
     verdicts = classify_stream(model.index.clone(), model.registry,
                                model.normalizer.transform(X), model.thresholds)
-    forest = train_forest(X, labels, ForestConfig(n_trees=3, seed=1))
+    forest = train_forest(X, labels, CONFIG)
     return dict(flows=flows, X=X, labels=labels, ids=ids, model=model,
                 items=list(zip(ids, verdicts)), forest=forest,
                 metrics=compute_metrics(labels, labels, sorted(set(labels))))
