@@ -14,7 +14,6 @@ import enum
 import json
 import logging
 import math
-from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -31,6 +30,8 @@ PENDING_CAPACITY = 1000
 DEFAULT_K = 5
 DEFAULT_C_MIN = 5
 THETA_EPS = 1e-9
+# The encoder json.dumps(doc, sort_keys=True) would build for each line.
+_ENCODER = json.JSONEncoder(sort_keys=True)
 
 
 class VerdictKind(enum.Enum):
@@ -165,6 +166,8 @@ def vote(neighbors: list[Neighbor]) -> tuple[str, int]:
 
 def _majority(neighbors: list[Neighbor], counts: dict[str, int]) -> str:
     """``vote``'s winner, given the neighbors' label counts."""
+    if len(counts) == 1:
+        return next(iter(counts))
     sums: dict[str, float] = {}
     for n in neighbors:
         sums[n.label] = sums.get(n.label, 0.0) + n.distance
@@ -172,7 +175,10 @@ def _majority(neighbors: list[Neighbor], counts: dict[str, int]) -> str:
 
 
 def _neighbor_votes(neighbors: list[Neighbor]) -> dict[str, int]:
-    return dict(Counter(n.label for n in neighbors))
+    votes: dict[str, int] = {}
+    for n in neighbors:
+        votes[n.label] = votes.get(n.label, 0) + 1
+    return votes
 
 
 def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
@@ -277,14 +283,13 @@ def calibrate_thresholds(X: np.ndarray, y: list[str] | np.ndarray,
 
 
 def verdict_to_json(flow_id: str, verdict: Verdict) -> str:
-    doc = {
+    return _ENCODER.encode({
         "flow_id": flow_id,
         "kind": verdict.kind.value,
         "label": verdict.label,
         "min_distance": verdict.min_distance,
         "votes": verdict.votes,
-    }
-    return json.dumps(doc, sort_keys=True)
+    })
 
 
 def write_verdicts(path: str | Path, items: list[tuple[str, Verdict]]) -> None:

@@ -22,11 +22,14 @@ responder-to-initiator negative.
 ``extract_matrix`` reads the packets of all its flows once into flat columns,
 cut to each flow's first ``n_packets`` by one mask over packet positions,
 and computes each group for the whole batch with one kernel. A row does not
-depend on the other flows of its batch: integer-valued sums (below 2**53)
-are exact in any order, and every other float reduction runs the same numpy
-call on each row as the per-flow definition, so each slot has the same bits
-as extracting the flow alone. ``extract_matrix`` is the one way in: a
-group's slots are its columns at the ``SCHEMA`` offsets.
+depend on the other flows of its batch: each slot has the same bits as
+extracting the flow alone. Mins and maxes (``reduceat``) and sums of
+integer values below 2**53 (``bincount``) are exact in any order, so they
+are taken for every flow at once. The stds and the inter-arrival means
+sum floats that round, in an order numpy picks, so they run the per-flow
+definition's numpy call on blocks of rows of one length (``_row_blocks``).
+``extract_matrix`` is the one way in: a group's slots are its columns at
+the ``SCHEMA`` offsets.
 """
 
 from __future__ import annotations
@@ -159,12 +162,26 @@ def _row_blocks(values: np.ndarray, lengths: np.ndarray):
         yield rows, values[starts[rows, None] + np.arange(length)]
 
 
-def _gaps(b: _Batch, values: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gaps(b: _Batch, values: np.ndarray, mask: np.ndarray
+          ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Differences of consecutive masked values within each flow, flow
-    after flow, and how many each flow has."""
+    after flow, the flow of each, and how many each flow has."""
     v, f = values[mask], b.flow[mask]
     same = f[1:] == f[:-1]
-    return (v[1:] - v[:-1])[same], np.bincount(f[1:][same], minlength=b.n_flows)
+    f = f[1:][same]
+    return (v[1:] - v[:-1])[same], f, np.bincount(f, minlength=b.n_flows)
+
+
+def _min_max(values: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Per-row (min, max) of the rows held back to back in ``values``, as
+    (rows, 2); a row of length 0 gives (0, 0). Each is one of the row's
+    values, so it does not depend on the order the row is reduced in."""
+    out = np.zeros((lengths.size, 2))
+    rows = np.flatnonzero(lengths)
+    starts = (np.cumsum(lengths) - lengths)[rows]
+    out[rows, 0] = np.minimum.reduceat(values, starts)
+    out[rows, 1] = np.maximum.reduceat(values, starts)
+    return out
 
 
 def _bits_per_peak(b: _Batch) -> np.ndarray:
@@ -240,20 +257,23 @@ def _bandwidth(b: _Batch) -> np.ndarray:
 
 def _packet_size_stats(b: _Batch) -> np.ndarray:
     """(min, max, mean, population std) of sizes over all packets."""
+    sizes = b.size.astype(np.float64)
     out = np.zeros((b.n_flows, 4))
-    for rows, sizes in _row_blocks(b.size.astype(np.float64), b.lengths):
-        out[rows] = np.stack(
-            [sizes.min(axis=1), sizes.max(axis=1), sizes.mean(axis=1), sizes.std(axis=1)],
-            axis=1)
+    out[:, :2] = _min_max(sizes, b.lengths)
+    out[:, 2] = np.bincount(b.flow, weights=sizes) / b.lengths
+    for rows, block in _row_blocks(sizes, b.lengths):
+        out[rows, 3] = block.std(axis=1)
     return out
 
 
 def _size_delta_stats(b: _Batch) -> np.ndarray:
     """Mean and population std of consecutive size differences."""
     out = np.zeros((b.n_flows, 2))
-    deltas, lengths = _gaps(b, b.size.astype(np.float64), np.ones_like(b.fwd))
+    deltas, flow, lengths = _gaps(b, b.size.astype(np.float64), np.ones_like(b.fwd))
+    np.divide(np.bincount(flow, weights=deltas, minlength=b.n_flows), lengths,
+              out=out[:, 0], where=lengths > 0)
     for rows, block in _row_blocks(deltas, lengths):
-        out[rows] = np.stack([block.mean(axis=1), block.std(axis=1)], axis=1)
+        out[rows, 1] = block.std(axis=1)
     return out
 
 
@@ -280,10 +300,10 @@ def _inter_arrival(b: _Batch) -> np.ndarray:
     """
     out = np.zeros((b.n_flows, 9))
     for i, mask in enumerate((np.ones_like(b.fwd), b.fwd, ~b.fwd)):
-        gaps, lengths = _gaps(b, b.ts, mask)
+        gaps, _, lengths = _gaps(b, b.ts, mask)
+        out[:, 3 * i:3 * i + 2] = _min_max(gaps, lengths)
         for rows, block in _row_blocks(gaps, lengths):
-            out[rows, 3 * i:3 * i + 3] = np.stack(
-                [block.min(axis=1), block.max(axis=1), block.mean(axis=1)], axis=1)
+            out[rows, 3 * i + 2] = block.mean(axis=1)
     return out
 
 

@@ -273,30 +273,32 @@ def parse_pcap(data: bytes) -> PcapParseResult:
     if network != LINKTYPE_ETHERNET:
         raise InputError(f"unsupported link type {network} (only Ethernet/1)")
 
-    # Each record starts where the one before ends, so this loop reads only
-    # the captured lengths; the frames are decoded all at once below.
+    # Each record starts where the one before ends, so this walk reads only
+    # the captured lengths; the frames are decoded all at once below. Only
+    # the last record can end past the data or leave a cut header behind
+    # it, so where the walk stops decides truncation.
     incl_len = struct.Struct(endian + "I").unpack_from
-    starts = array("q")
-    offset, total, truncated = 24, len(data), 0
-    while offset < total:
-        if total - offset < 16:
-            truncated = 1
-            break
+    ends = array("q")
+    append = ends.append
+    offset, last = 24, len(data) - 16
+    while offset <= last:
         (length,) = incl_len(data, offset + 8)
-        offset += 16
-        if total - offset < length:
-            truncated = 1
-            break
-        starts.append(offset)
-        offset += length
+        offset += 16 + length
+        append(offset)
+    end = np.frombuffer(ends, dtype=np.int64)
+    if offset > len(data):
+        end = end[:-1]
 
     buf = np.frombuffer(data, dtype=np.uint8)
-    start = np.frombuffer(starts, dtype=np.int64)
-    header = _window(buf, 16)[start - 16].view(endian + "u4")
+    start = np.empty_like(end)
+    start[:1] = 24 + 16
+    start[1:] = end[:-1] + 16
+    word = _at(buf, endian + "u4")
     # The same float operations as ts_sec + ts_usec * 1e-6 on Python numbers.
-    ts = header[:, 0].astype(np.float64) + header[:, 1].astype(np.float64) * 1e-6
-    records = _decode_frames(buf, start, start + header[:, 2].astype(np.int64), ts)
-    return PcapParseResult(records, skipped=start.size - len(records), truncated=truncated)
+    ts = word[start - 16].astype(np.float64) + word[start - 12].astype(np.float64) * 1e-6
+    records = _decode_frames(buf, start, end, ts)
+    return PcapParseResult(records, skipped=start.size - len(records),
+                           truncated=int(offset != len(data)))
 
 
 def _window(buf: np.ndarray, width: int) -> np.ndarray:
@@ -305,10 +307,18 @@ def _window(buf: np.ndarray, width: int) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(buf, width)
 
 
+def _at(buf: np.ndarray, dtype: str) -> np.ndarray:
+    """Item i is the ``dtype`` value held in buf[i:], a 1-D view with a
+    stride of one byte: indexing it by offsets gathers their values in one
+    step."""
+    width = np.dtype(dtype).itemsize
+    return np.ndarray((buf.size - width + 1,), dtype, buf, strides=(1,))
+
+
 def _be(buf: np.ndarray, at: np.ndarray, width: int) -> np.ndarray:
     """The big-endian unsigned integers of ``width`` (2 or 4) bytes at
     offsets ``at``."""
-    return _window(buf, width)[at].view(f">u{width}")[:, 0].astype(np.int64)
+    return _at(buf, f">u{width}")[at].astype(np.int64)
 
 
 def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray,

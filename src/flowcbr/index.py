@@ -33,12 +33,14 @@ bound puts it beyond T. Both proofs hold entry by entry, whatever order
 the GEMM sums in. One product per block serves every query of the chunk
 that screens the block, so it reads the block once per chunk, and the
 screen works through it in slices of SLICE_BYTES, a few queries each,
-which stay in cache and keep its temporaries small. The (query, row)
-pairs left are ranked together by ``row_distances`` and one lexsort by
-(distance, entry id) exactly as a scan of every row would rank them
-(``NNIndex._rank``). ``row_distances`` reduces each row on its own, so a
-row's distance has the same bits whether it is computed alone, with the
-whole matrix or paired with other queries' rows. ``knn`` yields one
+which stay in cache and keep its temporaries small. The screen measures
+each query's k home candidates with ``row_distances`` to set T and hands
+those distances to the rank (``NNIndex._rank``), which measures only the
+other (query, row) pairs left, so no pair is measured twice, and ranks
+them all with one lexsort by (distance, entry id) exactly as a scan of
+every row would rank them. ``row_distances`` reduces each row on its
+own, so a row's distance has the same bits whether it is computed alone,
+with the whole matrix or paired with other queries' rows. ``knn`` yields one
 query's neighbors at a time, against the index as it stands then: the k
 found at the screen are merged with every row inserted since
 (``cbr.classify_stream`` registers classes mid-stream).
@@ -274,19 +276,23 @@ class NNIndex:
         labels = self._labels
         return [Neighbor(p, labels[p], d) for p, d in zip(rows.tolist(), dists.tolist())]
 
-    def _rank(self, B: np.ndarray, qi: np.ndarray, rows: np.ndarray,
+    def _rank(self, B: np.ndarray, qi: np.ndarray, rows: np.ndarray, dists: np.ndarray,
               k: int) -> tuple[np.ndarray, np.ndarray]:
         """The k nearest of each query's survivors, as two (queries x k)
         arrays of entry ids and distances (fewer than k columns when the
-        index is smaller). ``row_distances`` takes the (query qi, position
-        rows) pairs stacked, a slice of at most SLICE_BYTES of differences
-        at a time, whatever the screen left. One lexsort by (query,
-        distance, entry id) then gives ties to the lower id and puts NaN
-        last, as a scan of every row ranks them; the screen leaves every
-        query at least k pairs."""
-        dists = np.empty(len(rows))
+        index is smaller). The (query qi, position rows) pairs come from
+        ``_screen``, whose ``dists`` are the distances of the first
+        len(dists) of them, the home candidates it measured to set T; they
+        are taken as they are. ``row_distances`` measures the other pairs
+        stacked, a slice of at most SLICE_BYTES of differences at a time,
+        whatever the screen left, so no pair is measured twice. One lexsort
+        by (query, distance, entry id) then gives ties to the lower id and
+        puts NaN last, as a scan of every row ranks them; the screen leaves
+        every query at least k pairs."""
+        measured = len(dists)
+        dists = np.concatenate([dists, np.empty(len(rows) - measured)])
         step = max(1, SLICE_BYTES // (8 * self.dimension))
-        for s in range(0, len(rows), step):
+        for s in range(measured, len(rows), step):
             dists[s:s + step] = row_distances(self._take(rows[s:s + step]), B[qi[s:s + step]])
         # A fitted position maps to its entry id, an inserted one to itself.
         ids = np.where(rows < len(self._matrix), self._ids.take(rows, mode="clip"), rows)
@@ -295,10 +301,13 @@ class NNIndex:
         top = order[(np.cumsum(counts) - counts)[:, None] + np.arange(min(k, self.size))]
         return ids[top], dists[top]
 
-    def _screen(self, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    def _screen(self, B: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The (query, position) pairs, as the arrays (qi, rows), that may be
         among a query of B's k nearest: every row except those proved
-        farther than k rows already are. ``knn`` passes one chunk.
+        farther than k rows already are; and ``dists``, the distances of the
+        first len(dists) pairs, a query's k home candidates, which set its
+        T and are measured by ``row_distances`` here, once (none when every
+        pair is kept unscreened). ``knn`` passes one chunk.
 
         The drop test. For a query q and a row x let a = |x|^2, b = |q|^2
         and D = a + b - 2 x.q, the exact squared distance. The screen
@@ -369,7 +378,7 @@ class NNIndex:
         bounds = self._blocks(k)
         big = np.flatnonzero(np.diff(bounds) >= k)
         if k >= n or not big.size:
-            return np.repeat(np.arange(m), n), np.tile(np.arange(n), m)
+            return np.repeat(np.arange(m), n), np.tile(np.arange(n), m), np.empty(0)
         slack = 4 * (d + 8) * U
         qq, t, pairs = _squared_norms(B), np.empty(m), []
         home = np.zeros(m, dtype=np.intp)
@@ -401,17 +410,21 @@ class NNIndex:
             for b in np.flatnonzero(keep.any(axis=1)):
                 pairs += self._block_pairs(B, qq, np.flatnonzero(keep[b]),
                                            edges[b], edges[b + 1], t)
-        return np.concatenate([qi for qi, _ in pairs]), np.concatenate([r for _, r in pairs])
+        # The measured pairs first, in their order.
+        pairs.sort(key=lambda pair: pair[2] is None)
+        qi, rows, dists = zip(*pairs)
+        return (np.concatenate(qi), np.concatenate(rows),
+                np.concatenate([d for d in dists if d is not None]))
 
     def _block_pairs(self, B: np.ndarray, qq: np.ndarray, qs: np.ndarray, lo: int, hi: int,
-                     t: np.ndarray, k: int = 0) -> list[tuple[np.ndarray, np.ndarray]]:
+                     t: np.ndarray, k: int = 0) -> list[tuple]:
         """The (query, position) pairs of queries qs of B and the rows lo:hi
-        that the drop test of ``_screen`` keeps, one (qi, rows) per slice.
-        One product ``B[qs] @ M[lo:hi].T`` serves them all; the steps run
-        on a slice of its rows at a time, in place where they can, so
+        that the drop test of ``_screen`` keeps, as (qi, rows, None) per
+        slice. One product ``B[qs] @ M[lo:hi].T`` serves them all; the steps
+        run on a slice of its rows at a time, in place where they can, so
         nothing else held is larger than SLICE_BYTES. With k, this is the
         home block of qs: the k rows of least approx set t[qs] first, and
-        are kept."""
+        are kept, as (qi, rows, dists) with the distances that set t."""
         d, rows = self.dimension, self._span(lo, hi)
         sq = self._sq[lo:hi] if hi <= len(self._matrix) else _squared_norms(rows)
         product = (B if len(qs) == len(B) else B[qs]) @ rows.T
@@ -425,7 +438,8 @@ class NNIndex:
                 t[q] = dist.reshape(-1, k).max(axis=1)
             keep = ~(_lower(approx, sums, d) > (t[q] * t[q] * (1 + 4 * (d + 8) * U))[:, None])
             if k:
-                keep[np.arange(len(q))[:, None], first] = True
+                keep[np.arange(len(q))[:, None], first] = False
+                pairs.append((np.repeat(q, k), first.ravel() + lo, dist))
             i, kept = np.nonzero(keep)
-            pairs.append((q[i], kept + lo))
+            pairs.append((q[i], kept + lo, None))
         return pairs

@@ -706,9 +706,9 @@ def test_classify_stream_rank_sets_stay_bounded(monkeypatch):
 
     def counting_screen(self, Q, k):
         blocks.append(len(Q))
-        qi, rows = screen(self, Q, k)
+        qi, rows, dists = screen(self, Q, k)
         survivors.extend(np.bincount(qi, minlength=len(Q)).tolist())
-        return qi, rows
+        return qi, rows, dists
 
     def counting_neighbors(self, q, rows, dists, screened, k):
         ranked.append(survivors[len(ranked)] + self.size - screened)

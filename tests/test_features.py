@@ -6,6 +6,8 @@ DFT written independently of numpy's FFT, and whole batches bit for bit
 against the per-flow extractors kept in ``feature_oracle``.
 """
 
+import itertools
+
 import feature_oracle
 import numpy as np
 import pytest
@@ -24,7 +26,8 @@ from flowcbr.features import (
     save_matrix_csv,
 )
 from flowcbr.cbr import Thresholds
-from flowcbr.flows import FLOW_COLUMNS, Direction, Flow, FlowPacket, InputError, TcpFlags
+from flowcbr.flows import (FLOW_COLUMNS, Direction, Flow, FlowPacket, InputError, TcpFlags,
+                           load_flows_csv, save_flows_csv)
 from flowcbr.harness import PipelineConfig
 from flowcbr.model import Model, fit_model, load_model, save_model
 
@@ -323,6 +326,28 @@ def test_extract_matrix_is_bit_identical_to_per_flow_oracle(flows):
     want = np.stack([feature_oracle.extract(f) for f in flows])
     got = extract_matrix(flows)
     assert got.shape == want.shape
+    np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_signed_zero_gaps_match_the_per_flow_oracle(tmp_path):
+    """A flow CSV whose timestamps are -0.0 and 0.0 in every order of two
+    to five packets, in both directions, so that the gaps hold zeros of
+    both signs (-0.0 - 0.0 is -0.0): every slot of every row has the
+    oracle's bits, its sign bit included, whatever order the min, max and
+    mean of a row's gaps are reduced in."""
+    specs = [[(ts, d, 60 + 10 * i) for i, (ts, d) in enumerate(zip(stamps, dirs))]
+             for n in range(2, 6)
+             for stamps in itertools.product((0.0, -0.0), repeat=n)
+             for dirs in ([F] * n, [F, B] * 3, [B, B, F, F, B])]
+    path = tmp_path / "zeros.csv"
+    save_flows_csv([flow(spec, flow_id=f"z{i}") for i, spec in enumerate(specs)], path)
+    flows = load_flows_csv(path)
+    gaps = np.concatenate([np.diff(f.timestamp) for f in flows])
+    assert (np.signbit(gaps) & (gaps == 0)).any() and (~np.signbit(gaps) & (gaps == 0)).any()
+    want = np.stack([feature_oracle.extract(f) for f in flows])
+    got = extract_matrix(flows)
+    assert ((want == 0) & np.signbit(want)).any()
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(want))
     np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
 
 

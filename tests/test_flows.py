@@ -12,7 +12,7 @@ import struct
 import numpy as np
 import pcap_oracle
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from pcap_oracle import flow_from_packets
 
@@ -342,11 +342,38 @@ def dotted(value):
     return ".".join(str(b) for b in int(value).to_bytes(4, "big"))
 
 
+def walk_edges():
+    """Captures whose record walk ends at each of its edges, in both byte
+    orders: exactly at a record end, after a zero-length last record,
+    inside a record header cut after 1-15 bytes, inside a frame one byte
+    short, and at a record whose incl_len is 2**32 - 1."""
+    for little in (True, False):
+        endian = "<" if little else ">"
+        whole = pcap([(1, 0, tcp_frame()), (2, 500000, udp_frame())], little)
+        frame = tcp_frame(sport=4321)
+        header = struct.pack(endian + "IIII", 3, 0, len(frame), len(frame))
+        yield whole
+        yield whole + struct.pack(endian + "IIII", 3, 0, 0, 0)
+        for cut in range(1, 16):
+            yield whole + header[:cut]
+        yield whole + header + frame[:-1]
+        yield whole + struct.pack(endian + "IIII", 3, 0, 2 ** 32 - 1, len(frame)) + frame
+
+
+def with_walk_edges(test):
+    """``test`` with every capture of ``walk_edges`` as an explicit example."""
+    for data in walk_edges():
+        test = example((data, DEFAULT_IDLE_TIMEOUT))(test)
+    return test
+
+
 @settings(deadline=None)
 @given(capture())
+@with_walk_edges
 def test_columns_match_per_frame_oracle(case):
     """Parsing and assembly agree with the per-frame oracle on every field,
-    count, flow id, key, packet column and direction."""
+    count, flow id, key, packet column and direction, on generated
+    captures and on every edge of the record walk."""
     data, idle_timeout = case
     want = pcap_oracle.parse_pcap(data)
     got = parse_pcap(data)

@@ -505,6 +505,58 @@ def test_screen_multiplies_one_block_per_query_on_labeled_clusters():
         for q in queries]
 
 
+@pytest.mark.parametrize("labeled", [True, False], ids=["eight-blocks", "one-block"])
+def test_rank_measures_only_the_survivors_the_screen_did_not(monkeypatch, labeled):
+    """The 8-cluster fixture of 3200 x 183 rows and 100 queries, labeled
+    by cluster (one chunk) or all alike (three chunks), k = 5. The screen
+    measures each query's k home candidates to set its bound and hands
+    their distances on; the rank measures exactly the other survivors. So
+    in each chunk row_distances sees each surviving (query, row) pair
+    once, and no other pair; every query matches the full scan."""
+    rng = np.random.default_rng(29)
+    n, d, k = 3200, 183, 5
+    centres = rng.normal(size=(8, d)) * 10
+    which = rng.integers(0, 8, size=n)
+    vectors = centres[which] + rng.normal(size=(n, d))
+    index = NNIndex(vectors, [f"c{c}" if labeled else "x" for c in which])
+    queries = centres[rng.integers(0, 8, size=100)] + rng.normal(size=(100, d))
+    chunks, measured = [], []
+    screen, rank = NNIndex._screen, NNIndex._rank
+
+    def recording_screen(self, Q, k):
+        qi, rows, dists = screen(self, Q, k)
+        survivors = [(Q[i].tobytes(), row.tobytes()) for i, row in zip(qi, self._take(rows))]
+        chunks.append({"Q": len(Q), "survivors": survivors, "given": len(dists),
+                       "measured": list(measured)})
+        measured.clear()
+        return qi, rows, dists
+
+    def recording_rank(self, B, qi, rows, dists, k):
+        out = rank(self, B, qi, rows, dists, k)
+        chunks[-1]["ranked"] = list(measured)
+        measured.clear()
+        return out
+
+    def recording_row_distances(matrix, q):
+        measured.extend((p.tobytes(), row.tobytes())
+                        for p, row in zip(np.broadcast_to(q, matrix.shape), matrix))
+        return row_distances(matrix, q)
+
+    monkeypatch.setattr(NNIndex, "_screen", recording_screen)
+    monkeypatch.setattr(NNIndex, "_rank", recording_rank)
+    monkeypatch.setattr(index_mod, "row_distances", recording_row_distances)
+    got = list(index.knn(queries, k))
+    assert [c["Q"] for c in chunks] == ([100] if labeled else [40, 40, 20])
+    for c in chunks:
+        # The screen's own pairs are the first ``given`` survivors.
+        assert c["given"] == k * c["Q"] and c["measured"] == c["survivors"][:c["given"]]
+        assert len(c["ranked"]) == len(c["survivors"]) - c["given"]
+        assert sorted(c["measured"] + c["ranked"]) == sorted(c["survivors"])
+        assert len(set(c["survivors"])) == len(c["survivors"])
+    assert [[(nb.distance, nb.entry_id) for nb in nbrs] for nbrs in got] == [
+        reference_knn(vectors, q, k) for q in queries]
+
+
 @pytest.mark.parametrize("scale", [1.0, 1e-160, 2.0 ** -500, 1e150, 2.0 ** 500])
 @pytest.mark.parametrize("d", [1, 183])
 def test_a_block_with_a_row_at_the_bound_is_screened(scale, d):
@@ -604,9 +656,9 @@ def test_rank_bounds_the_pair_block_on_a_degenerate_index(monkeypatch, points):
     screen = NNIndex._screen
 
     def counting_screen(self, Q, k):
-        qi, rows = screen(self, Q, k)
+        qi, rows, dists = screen(self, Q, k)
         survivors.append(len(rows) / len(Q))
-        return qi, rows
+        return qi, rows, dists
 
     def counting_row_distances(matrix, q):
         blocks.append(matrix.nbytes)
