@@ -94,13 +94,12 @@ class _Batch:
     lengths: np.ndarray     # packets per flow
     flow: np.ndarray        # flow index of each packet
     pos: np.ndarray         # position of each packet in its flow
-    ts: np.ndarray
+    ts: np.ndarray          # timestamp
     size: np.ndarray        # total_length
     fwd: np.ndarray         # sent by the initiator
-    payload: np.ndarray
-    flags: np.ndarray
-    tcp_window: np.ndarray  # 0 where the packet has none
-    has_tcp_window: np.ndarray
+    payload: np.ndarray     # payload_length
+    flags: np.ndarray       # tcp_flags
+    tcp_window: np.ndarray  # as read: -1 where the packet carries none
     window: np.ndarray
 
     @property
@@ -129,16 +128,13 @@ def _batch(flows: list[Flow], n_packets: int | None = None) -> _Batch:
         since = (ts - ts[pos == 0][flow]) / WINDOW_SECONDS
     if not np.isfinite(since).all():
         raise InputError("flow timestamps must be finite")
-    tcp_window = column("tcp_window")
-    has_tcp_window = tcp_window >= 0
     return _Batch(
         lengths=lengths, flow=flow, pos=pos, ts=ts,
         size=column("total_length"),
         fwd=column("fwd"),
         payload=column("payload_length"),
         flags=column("tcp_flags"),
-        tcp_window=np.where(has_tcp_window, tcp_window, 0),
-        has_tcp_window=has_tcp_window,
+        tcp_window=column("tcp_window"),
         window=np.clip(since, -1.0, 20.0).astype(np.int64),
     )
 
@@ -236,23 +232,18 @@ def _beaconing(b: _Batch) -> np.ndarray:
 def _bandwidth(b: _Batch) -> np.ndarray:
     """(min, max) TCP window delta per 5 s window, 10 windows, interleaved.
 
-    Deltas are between consecutive TCP packets that fall inside the same
-    window, in arrival order, both directions mixed. Windows holding fewer
-    than two TCP packets emit (0, 0).
+    Deltas are between consecutive packets with a TCP window (>= 0) inside
+    the same window, in arrival order, both directions mixed. Windows
+    holding fewer than two such packets emit (0, 0).
     """
-    inside = b.has_tcp_window & (b.window >= 0) & (b.window < 10)
+    inside = (b.tcp_window >= 0) & (b.window >= 0) & (b.window < 10)
     key = (b.flow * 10 + b.window)[inside]
     order = np.argsort(key, kind="stable")
     key = key[order]
     values = b.tcp_window[inside][order].astype(np.float64)
     same = key[1:] == key[:-1]
     deltas, key = (values[1:] - values[:-1])[same], key[1:][same]
-    out = np.zeros((b.n_flows * 10, 2))
-    if deltas.size:
-        starts = np.flatnonzero(np.r_[True, key[1:] != key[:-1]])
-        out[key[starts], 0] = np.minimum.reduceat(deltas, starts)
-        out[key[starts], 1] = np.maximum.reduceat(deltas, starts)
-    return out.reshape(b.n_flows, 20)
+    return _min_max(deltas, np.bincount(key, minlength=b.n_flows * 10)).reshape(b.n_flows, 20)
 
 
 def _packet_size_stats(b: _Batch) -> np.ndarray:
@@ -385,11 +376,17 @@ def extract_rows(flows: list[Flow], n_packets: int | None = None
                  ) -> tuple[np.ndarray, list[str], list[str]]:
     """(feature rows, flow ids, labels) of ``flows`` cut to ``n_packets``,
     as load_matrix_csv gives them for a features CSV. A flow with no id is
-    named ``f<position:06d>``, as assemble_flows names captured flows; one
-    with no label gets the empty label."""
-    return (extract_matrix(flows, n_packets),
-            [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)],
-            [f.label or "" for f in flows])
+    named ``f<position:06d>``, as assemble_flows names captured flows, and
+    one with no label gets the empty label. When that name is another
+    flow's id, two rows would share it: that is an InputError, raised
+    before any flow is extracted."""
+    ids = [f.flow_id or f"f{i:06d}" for i, f in enumerate(flows)]
+    given = {f.flow_id for f in flows}
+    for i, f in enumerate(flows):
+        if not f.flow_id and ids[i] in given:
+            raise InputError(f"the flow at position {i} has no flow_id, and its name by "
+                             f"position, {ids[i]!r}, is another flow's flow_id")
+    return extract_matrix(flows, n_packets), ids, [f.label or "" for f in flows]
 
 
 @dataclass

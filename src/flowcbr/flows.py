@@ -6,10 +6,13 @@ is parsed; everything else is skipped and counted.
 
 Packets stay numpy columns from the capture bytes to the feature matrix:
 ``parse_pcap`` decodes every frame at once into a ``PacketColumns`` table,
-``assemble_flows`` groups that table by connection with one sort, and each
-``Flow`` holds one array per packet field, which feature extraction
-concatenates. The flow CSV reader and the synthetic generator fill the same
-columns. ``Flow.packets`` is a read-only per-packet view, built on demand.
+and ``assemble_flows`` groups that table by connection with one sort.
+Every packet reader (``assemble_flows`` and both flow CSV readers) builds
+file-wide columns that hold each flow's packets together, and ``_flows``
+cuts them into flows: each ``Flow`` holds one view per packet field, and
+feature extraction concatenates the views again. The synthetic generator
+fills the same columns flow by flow. ``Flow.packets`` is a read-only
+per-packet view, built on demand.
 All functions here are pure and safe to call concurrently.
 
 ``load_flows_csv`` reads a file in the form ``save_flows_csv`` writes (the
@@ -210,15 +213,6 @@ class Flow:
             FlowPacket(ts, Direction.FWD if fwd else Direction.BWD, total, payload,
                        TcpFlags(flags), None if window < 0 else window)
             for ts, fwd, total, payload, flags, window in rows)
-
-
-def _cut(columns: dict[str, np.ndarray], sizes: list[int]):
-    """Yield the columns of each flow, from columns that hold flows of
-    ``sizes`` packets back to back."""
-    start = 0
-    for n in sizes:
-        yield {name: col[start:start + n] for name, col in columns.items()}
-        start += n
 
 
 @dataclass(frozen=True, eq=False)
@@ -430,9 +424,8 @@ def assemble_flows(records: PacketColumns,
     rank[by_start] = np.arange(by_start.size)
     in_flow_order = np.argsort(rank[seg], kind="stable")
     take = order[in_flow_order]
-    columns = {name: getattr(r, name)[take]
-               for name in FLOW_COLUMNS if name != "fwd"}
-    columns["fwd"] = fwd[in_flow_order]
+    columns = [fwd[in_flow_order] if name == "fwd" else getattr(r, name)[take]
+               for name in FLOW_COLUMNS]
 
     sizes = np.diff(np.append(first, order.size))[by_start]
     first = first[by_start]
@@ -440,8 +433,8 @@ def assemble_flows(records: PacketColumns,
     others = np.where(ends == lo[first], hi[first], lo[first])
     keys = [FlowKey(_dotted(a >> 16), _dotted(b >> 16), Protocol(p), a & 0xFFFF, b & 0xFFFF)
             for a, b, p in zip(ends.tolist(), others.tolist(), proto[first].tolist())]
-    return [Flow(key, **cols, flow_id=f"f{i:06d}")
-            for i, (key, cols) in enumerate(zip(keys, _cut(columns, sizes.tolist())))]
+    return _flows(columns, np.cumsum(sizes) - sizes, [f"f{i:06d}" for i in range(sizes.size)],
+                  repeat(None), keys)
 
 
 def save_flows_csv(flows: list[Flow], path: str | Path) -> None:
@@ -736,12 +729,18 @@ def _cells(buf: np.ndarray, start: np.ndarray, length: np.ndarray) -> np.ndarray
     return cells.view(f"S{width}")[:, 0]
 
 
-def _flows(columns: tuple, starts: list[int], flow_ids: list[str],
-           labels: list[str | None]) -> list[Flow]:
-    """Flows cut from file-wide packet columns (buffers in FLOW_COLUMNS
-    order), each starting at its row in ``starts``."""
-    columns = {name: np.frombuffer(values, dtype=dtype)
-               for (name, dtype), values in zip(FLOW_COLUMNS.items(), columns)}
-    sizes = np.diff(np.append(starts, columns["timestamp"].size)).tolist()
-    return [Flow(None, **cols, label=label, flow_id=flow_id)
-            for flow_id, label, cols in zip(flow_ids, labels, _cut(columns, sizes))]
+def _flows(columns, starts, flow_ids: list[str], labels: Iterable[str | None],
+           keys: list[FlowKey] | None = None) -> list[Flow]:
+    """The one cut of file-wide packet columns into flows, which every
+    packet reader returns through. ``columns`` are buffers in FLOW_COLUMNS
+    order, each holding its column's dtype; flow i is a view of the rows
+    from ``starts[i]`` to the next start, with the i-th id, label and key
+    (None without ``keys``)."""
+    ts, fwd, total, payload, flags, window = (
+        np.frombuffer(values, dtype=dtype)
+        for dtype, values in zip(FLOW_COLUMNS.values(), columns))
+    bounds = np.append(starts, ts.size).tolist()
+    return [Flow(key, ts[a:b], fwd[a:b], total[a:b], payload[a:b], flags[a:b], window[a:b],
+                 label, flow_id)
+            for key, flow_id, label, a, b in zip(keys or repeat(None), flow_ids, labels,
+                                                 bounds, bounds[1:])]

@@ -78,6 +78,32 @@ def test_a_flow_with_no_id_has_one_name_in_every_output(tmp_path):
     assert "f000000" in verdict_ids(tmp_path / "e")
 
 
+def test_a_flow_with_no_id_may_not_take_another_flows_id(tmp_path, capsys):
+    """The first flow of a flow CSV has an empty id and a later flow is
+    named f000000, the name the first would get by position. extract,
+    classify --input and eval each exit 2 with one error line naming both,
+    and write nothing: two rows or verdicts never share an id."""
+    flows = synth_generate(default_templates(2), 6, seed=1)
+    good = tmp_path / "good.csv"
+    save_flows_csv(flows, good)
+    assert run("--out", str(tmp_path / "x"), "extract", str(good)) == 0
+    assert run("--out", str(tmp_path / "m"), "index", str(tmp_path / "x" / "features.csv")) == 0
+    flows[0].flow_id = ""
+    flows[4].flow_id = "f000000"
+    path = tmp_path / "flows.csv"
+    save_flows_csv(flows, path)
+    capsys.readouterr()
+    for argv in (["extract", str(path)],
+                 ["classify", str(tmp_path / "m"), "--input", str(path)],
+                 ["eval", str(path)]):
+        out = tmp_path / argv[0]
+        assert run("--out", str(out), *argv) == 2
+        assert capsys.readouterr().err.splitlines() == [
+            f"error: {path}: the flow at position 0 has no flow_id, and its name by "
+            "position, 'f000000', is another flow's flow_id"]
+        assert not out.exists()
+
+
 def test_synth_seed_changes_output(tmp_path):
     for seed in ("1", "2"):
         run("--seed", seed, "--out", str(tmp_path / seed), "synth",

@@ -135,6 +135,17 @@ def test_bandwidth_ignores_packets_without_tcp_window():
     assert (vec[0], vec[1]) == (600.0, 600.0)
 
 
+def test_bandwidth_counts_a_zero_tcp_window():
+    # a window of 0 is a TCP window (a full receive buffer), not a missing one
+    f = flow([
+        (0.0, F, 60, 0, TcpFlags.ACK, 2000),
+        (0.5, B, 60, 0, TcpFlags.ACK, 0),
+        (1.0, F, 60, 0, TcpFlags.ACK, 2600),
+    ])
+    vec = slots("bandwidth", f)
+    assert (vec[0], vec[1]) == (-2000.0, 2600.0)
+
+
 def test_bandwidth_deltas_do_not_cross_window_edges():
     # consecutive tcp packets land in different 5 s windows: no deltas at all
     f = flow([

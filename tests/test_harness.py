@@ -383,3 +383,23 @@ def test_new_class_protocol_end_to_end(tmp_path):
     assert doc["registered_label"] == report.registered_label
     assert (tmp_path / "metrics_before.csv").exists()
     assert (tmp_path / "metrics_after.csv").exists()
+
+
+@pytest.fixture(scope="module")
+def five_default_classes():
+    return synth_generate(default_templates(5), 100, seed=5)
+
+
+@pytest.mark.parametrize("held_out", ["class-a", "class-b", "class-c", "class-d", "class-e"])
+def test_a_held_out_default_class_registers_only_past_the_default_ood_limit(
+        five_default_classes, held_out):
+    """On the default synthetic classes, a held-out class lies beyond
+    theta_ood at the default settings, so every sample of it is OOD and
+    nothing registers. With a wider OOD margin its samples wait as pending,
+    and with c_min=3 it registers as novel-1 after exactly 3 of them."""
+    default = new_class_protocol(five_default_classes, held_out, PipelineConfig())
+    assert (default.registered_label, default.samples_consumed) == (None, None)
+    assert default.n_held_out == 30
+    loose = new_class_protocol(five_default_classes, held_out,
+                               PipelineConfig(c_min=3, ood_margin=3.0))
+    assert (loose.registered_label, loose.samples_consumed) == ("novel-1", 3)
