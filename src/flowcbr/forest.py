@@ -18,28 +18,23 @@ on every training row (±0.0 and inf included) has no split point, so the
 forest drops it from every node's candidates after drawing them; NaN
 equals nothing, so a NaN slot stays.
 
-A tree has one form, which the JSON snapshot also stores as it is: a list
-of node dicts, root first, in pre-order. A leaf is ``{"counts": [...]}``, one
-count per class; a split is ``{"slot", "value", "left", "right"}``, where
-rows with ``row[slot] <= value`` go to ``left``, a position in the list.
+A tree is one list of node dicts, root first, in pre-order. A leaf is
+``{"counts": [...]}``, one count per class; a split is ``{"slot", "value",
+"left", "right"}``, where rows with ``row[slot] <= value`` go to ``left``,
+a position in the list.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flows import write_atomic
-
 if TYPE_CHECKING:
     from .harness import PipelineConfig
 
-SNAPSHOT_VERSION = 2
 MIN_IMPROVEMENT = 1e-12
 
 
@@ -132,72 +127,21 @@ def _tree_votes(nodes: list[dict], X: np.ndarray, rows: np.ndarray | None = None
     return out if rows is None else out[rows]
 
 
-def _well_formed(nodes: object, n_classes: int) -> bool:
-    """Whether ``nodes`` is a non-empty node list whose leaves count
-    ``n_classes`` classes and whose every child lies after its parent and
-    inside the list; that rule also makes every walk end."""
-    if not isinstance(nodes, list) or not nodes:
-        return False
-    for at, node in enumerate(nodes):
-        keys = node.keys() if isinstance(node, dict) else set()
-        if keys == {"counts"}:
-            ints, width = node["counts"], n_classes
-        elif keys == {"slot", "value", "left", "right"} and type(node["value"]) in (int, float):
-            ints, width = [node["slot"], node["left"], node["right"]], 3
-        else:
-            return False
-        if not (isinstance(ints, list) and len(ints) == width
-                and all(type(i) is int and i >= 0 for i in ints)):
-            return False
-        if "slot" in node and not at < min(ints[1:]) <= max(ints[1:]) < len(nodes):
-            return False
-    return True
-
-
 @dataclass(eq=False)
 class RandomForest:
     classes: np.ndarray
     trees: list[list[dict]]  # node lists, see the module docstring
     oob_score: float | None = None
 
-    def predict_batch(self, X: np.ndarray) -> tuple[list[str], np.ndarray]:
-        """(labels, vote fractions) for each row by majority over trees."""
+    def predict_batch(self, X: np.ndarray) -> list[str]:
+        """The label of each row of X: the class most trees vote for, the
+        first class on ties. X has the width of the training rows."""
         if X.ndim != 2:
             raise ValueError("predict_batch expects a 2-D matrix")
-        top = max((node["slot"] for tree in self.trees for node in tree if "slot" in node),
-                  default=-1)
-        if top >= X.shape[1]:
-            raise ValueError(f"a split reads slot {top}, but the rows have {X.shape[1]} slots")
         tally = np.zeros((X.shape[0], self.classes.size), dtype=np.int64)
         for tree in self.trees:
             tally[np.arange(X.shape[0]), _tree_votes(tree, X)] += 1
-        winners = tally.argmax(axis=1)
-        fractions = tally[np.arange(X.shape[0]), winners] / len(self.trees)
-        return [str(self.classes[w]) for w in winners], fractions
-
-    def save(self, path: str | Path) -> None:
-        doc = {"format_version": SNAPSHOT_VERSION, "classes": [str(c) for c in self.classes],
-               "oob_score": self.oob_score, "trees": self.trees}
-        write_atomic(path, json.dumps(doc, sort_keys=True) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> RandomForest:
-        """Read what ``save`` wrote; anything else is a ValueError naming ``path``."""
-        try:
-            doc = json.loads(Path(path).read_text(encoding="utf-8"))
-        except ValueError as exc:  # not JSON, or not UTF-8
-            raise ValueError(f"corrupt forest snapshot {path}: {exc}") from None
-        if (not isinstance(doc, dict) or doc.get("format_version") != SNAPSHOT_VERSION
-                or doc.keys() != {"format_version", "classes", "oob_score", "trees"}):
-            raise ValueError(f"{path}: not a version {SNAPSHOT_VERSION} forest snapshot")
-        classes, trees, oob_score = doc["classes"], doc["trees"], doc["oob_score"]
-        if not (isinstance(classes, list) and classes and all(type(c) is str for c in classes)
-                and (oob_score is None or type(oob_score) in (int, float))
-                and isinstance(trees, list) and trees
-                and all(_well_formed(t, len(classes)) for t in trees)):
-            raise ValueError(f"{path}: want class names, a numeric or null oob_score and "
-                             "a non-empty list of trees of well-formed nodes")
-        return cls(np.array(classes), trees, oob_score)
+        return [str(self.classes[w]) for w in tally.argmax(axis=1)]
 
 
 def train_forest(X: np.ndarray, y: list[str] | np.ndarray,

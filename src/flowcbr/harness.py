@@ -259,7 +259,7 @@ def run_eval(flows: list[Flow], config: PipelineConfig,
     metrics_cbr = compute_metrics(fitted.y_test, cbr_preds, class_set)
 
     forest = train_forest(model.vectors, model.labels, config)
-    forest_preds, _ = forest.predict_batch(fitted.X_test)
+    forest_preds = forest.predict_batch(fitted.X_test)
     metrics_forest = compute_metrics(fitted.y_test, forest_preds, class_set)
 
     ensemble_labels = [combined_label(v, label) for v, label in zip(verdicts, forest_preds)]

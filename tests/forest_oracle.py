@@ -2,19 +2,27 @@
 
 Every node argsorts its candidate slots over its bootstrap positions from
 scratch and scores every position, duplicates included. ``flowcbr.forest``
-must grow the same trees: ``RandomForest.save`` writes the same bytes for
-the same rows, labels and config (its ``n_trees``, ``max_depth`` and
-``seed``).
+must grow the same trees: ``forest_text`` gives the same text for the same
+rows, labels and config (its ``n_trees``, ``max_depth`` and ``seed``).
 """
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
 
 from flowcbr.forest import MIN_IMPROVEMENT, RandomForest, _tree_votes
 from flowcbr.harness import PipelineConfig
+
+
+def forest_text(forest: RandomForest) -> str:
+    """Everything ``forest`` holds as one JSON text: its classes, its
+    out-of-bag score and its node lists, NaN and infinite split values
+    included, so two forests are the same exactly when their texts are."""
+    return json.dumps({"classes": [str(c) for c in forest.classes],
+                       "oob_score": forest.oob_score, "trees": forest.trees}, sort_keys=True)
 
 
 def _best_split(X: np.ndarray, codes: np.ndarray, positions: np.ndarray,

@@ -6,6 +6,7 @@ import json
 import re
 from collections import Counter
 
+import forest_oracle as oracle
 import numpy as np
 import pytest
 
@@ -262,7 +263,7 @@ def per_row_ensemble_oracle(flows, config):
     forest = train_forest(model.vectors, model.labels, config)
     index, registry = model.index.clone(), model.registry.clone()
     labels = [combined_label(classify_one(index, registry, row, model.thresholds),
-                             forest.predict_batch(row[None])[0][0])
+                             forest.predict_batch(row[None])[0])
               for row in fitted.X_test]
     return labels, compute_metrics(fitted.y_test, labels, sorted(set(model.labels)))
 
@@ -292,6 +293,26 @@ def test_run_eval_reruns_byte_identical(tmp_path):
     for name in ("metrics_cbr.csv", "metrics_forest.csv", "metrics_ensemble.csv",
                  "verdicts.jsonl", "summary.json"):
         assert (a_dir / name).read_bytes() == (b_dir / name).read_bytes(), name
+
+
+def test_run_eval_writes_the_oracle_forests_outputs(tmp_path):
+    """At 2 packets and depth 3 the forest errs, so its outputs depend on
+    which trees grew: eval's forest metrics and out-of-bag score are those
+    of the sort-every-node oracle's forest, trained and scored on eval's
+    own split."""
+    flows = synth_generate(default_templates(8), 60, seed=3)
+    config = PipelineConfig(n_packets=2, max_depth=3)
+    report = run_eval(flows, config, out_dir=tmp_path / "eval")
+    fitted = fit_pipeline(flows, config)
+    want = oracle.train_forest(fitted.model.vectors, fitted.model.labels, config)
+    write_metrics_csv(tmp_path / "want.csv",
+                      compute_metrics(fitted.y_test, want.predict_batch(fitted.X_test),
+                                      sorted(set(fitted.model.labels))))
+    assert ((tmp_path / "eval" / "metrics_forest.csv").read_bytes()
+            == (tmp_path / "want.csv").read_bytes())
+    summary = json.loads((tmp_path / "eval" / "summary.json").read_text())
+    assert summary["forest_oob"] == want.oob_score
+    assert report.metrics_forest.macro_f1() < 1.0
 
 
 # ---------------------------------------------------------------- sweep

@@ -8,7 +8,6 @@ import pytest
 from flowcbr.cbr import classify_stream, write_verdicts
 from flowcbr.features import extract_matrix, save_matrix_csv
 from flowcbr.flows import save_flows_csv, write_atomic
-from flowcbr.forest import train_forest
 from flowcbr.harness import (PipelineConfig, compute_metrics, new_class_protocol,
                              packet_sweep, run_eval, write_metrics_csv)
 from flowcbr.model import fit_model, save_model
@@ -27,9 +26,8 @@ def parts():
     model = fit_model(X, labels, CONFIG)
     verdicts = classify_stream(model.index.clone(), model.registry,
                                model.normalizer.transform(X), model.thresholds)
-    forest = train_forest(X, labels, CONFIG)
     return dict(flows=flows, X=X, labels=labels, ids=ids, model=model,
-                items=list(zip(ids, verdicts)), forest=forest,
+                items=list(zip(ids, verdicts)),
                 metrics=compute_metrics(labels, labels, sorted(set(labels))))
 
 
@@ -40,7 +38,6 @@ WRITERS = {
     "flows.csv": lambda p, d: save_flows_csv(p["flows"], d / "flows.csv"),
     "verdicts.jsonl": lambda p, d: write_verdicts(d / "verdicts.jsonl", p["items"]),
     "metrics.csv": lambda p, d: write_metrics_csv(d / "metrics.csv", p["metrics"]),
-    "forest.json": lambda p, d: p["forest"].save(d / "forest.json"),
     "summary.json": lambda p, d: run_eval(p["flows"], CONFIG, out_dir=d),
     "sweep.csv": lambda p, d: packet_sweep(p["flows"], [2, 4], CONFIG, out_path=d / "sweep.csv"),
     "new_class.json": lambda p, d: new_class_protocol(p["flows"], p["labels"][0], CONFIG,
