@@ -27,8 +27,6 @@ if TYPE_CHECKING:
     from .harness import PipelineConfig
 
 PENDING_CAPACITY = 1000
-DEFAULT_K = 5
-DEFAULT_C_MIN = 5
 THETA_EPS = 1e-9
 # The encoder json.dumps(doc, sort_keys=True) would build for each line.
 _ENCODER = json.JSONEncoder(sort_keys=True)
@@ -43,16 +41,20 @@ class VerdictKind(enum.Enum):
 
 @dataclass(frozen=True)
 class Thresholds:
+    """The five settings a model classifies by, each given: a model.json
+    that lacks one, or holds null for one, does not load."""
+
     theta_new: float
     theta_ood: float
-    k: int = DEFAULT_K
-    c_min: int = DEFAULT_C_MIN
-    r_cohesion: float | None = None
+    k: int
+    c_min: int
+    r_cohesion: float
 
     def __post_init__(self) -> None:
         if type(self.k) is not int or type(self.c_min) is not int:
             raise ValueError("thresholds k and c_min must be integers")
-        if bool in (type(self.theta_new), type(self.theta_ood), type(self.r_cohesion)):
+        if not all(isinstance(v, (int, float)) and not isinstance(v, bool)
+                   for v in (self.theta_new, self.theta_ood, self.r_cohesion)):
             raise ValueError("thresholds theta_new, theta_ood and r_cohesion must be numbers")
         if self.k < 1:
             raise ValueError("k must be >= 1")
@@ -64,9 +66,6 @@ class Thresholds:
         if not 1 <= self.c_min <= PENDING_CAPACITY:
             raise ValueError(f"c_min must be >= 1 and <= {PENDING_CAPACITY}, "
                              f"the pending buffer's capacity")
-        if self.r_cohesion is None:
-            # Default: candidates must sit within one rejection diameter.
-            object.__setattr__(self, "r_cohesion", 2.0 * self.theta_ood)
         if not 0 < self.r_cohesion < math.inf:
             raise ValueError("r_cohesion must be positive and finite")
 
@@ -270,7 +269,9 @@ def calibrate_thresholds(X: np.ndarray, y: list[str] | np.ndarray,
 
     theta_new is the config's quantile_new quantile of that distribution
     (floored at a tiny epsilon), theta_ood its quantile_ood quantile scaled by
-    ood_margin. Classes with a single sample are skipped with a warning.
+    ood_margin. An unset r_cohesion is 2 * theta_ood: candidates must sit
+    within one rejection diameter. k and c_min are the config's. Classes
+    with a single sample are skipped with a warning.
     """
     nn_dists = _loo_nn_distances(X, y)
     if not nn_dists:
@@ -278,8 +279,9 @@ def calibrate_thresholds(X: np.ndarray, y: list[str] | np.ndarray,
     arr = np.array(nn_dists)
     theta_new = max(float(np.quantile(arr, config.quantile_new)), THETA_EPS)
     theta_ood = max(theta_new, float(np.quantile(arr, config.quantile_ood)) * config.ood_margin)
+    r_cohesion = 2.0 * theta_ood if config.r_cohesion is None else config.r_cohesion
     return Thresholds(theta_new=theta_new, theta_ood=theta_ood, k=config.k,
-                      c_min=config.c_min, r_cohesion=config.r_cohesion)
+                      c_min=config.c_min, r_cohesion=r_cohesion)
 
 
 def verdict_to_json(flow_id: str, verdict: Verdict) -> str:

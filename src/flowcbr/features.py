@@ -1,7 +1,8 @@
 """Statistical feature extraction, batched over flows.
 
-Every flow maps to one fixed 183-slot vector laid out by ``FeatureSchema``.
-Slot groups, in order:
+Every flow maps to one fixed vector of ``WIDTH`` (183) slots, in the
+layout ``SCHEMA_VERSION`` names. Slot groups, in order, as ``GROUPS`` lists
+them with their kernels:
 
     bits_per_peak        3   top-3 received-burst sizes in bits
     first_packet_sizes  30   signed sizes of the first 30 packets
@@ -28,8 +29,8 @@ integer values below 2**53 (``bincount``) are exact in any order, so they
 are taken for every flow at once. The stds and the inter-arrival means
 sum floats that round, in an order numpy picks, so they run the per-flow
 definition's numpy call on blocks of rows of one length (``_row_blocks``).
-``extract_matrix`` is the one way in: a group's slots are its columns at
-the ``SCHEMA`` offsets.
+``extract_matrix`` is the one way in: a group's slots are its columns, at
+the offsets the rows of ``GROUPS`` before it add up to.
 """
 
 from __future__ import annotations
@@ -49,37 +50,6 @@ SILENCE_GAP_SECONDS = 1.0
 N_FIRST_SIZES = 30
 N_SPECTRUM = 90
 BIG_REQUEST_PAYLOAD = 200
-
-
-@dataclass(frozen=True)
-class FeatureSchema:
-    """Slot layout of the feature vector: ordered (group, width) pairs."""
-
-    version: str
-    groups: tuple[tuple[str, int], ...]
-
-    @property
-    def width(self) -> int:
-        return sum(w for _, w in self.groups)
-
-
-SCHEMA = FeatureSchema(
-    version=SCHEMA_VERSION,
-    groups=(
-        ("bits_per_peak", 3),
-        ("first_packet_sizes", N_FIRST_SIZES),
-        ("beaconing", 20),
-        ("bandwidth", 20),
-        ("packet_size_stats", 4),
-        ("size_delta_stats", 2),
-        ("packets_per_second", 2),
-        ("inter_arrival", 9),
-        ("silence_windows", 1),
-        ("ack_count", 1),
-        ("big_requests", 1),
-        ("wavelet", N_SPECTRUM),
-    ),
-)
 
 
 @dataclass(frozen=True)
@@ -331,20 +301,22 @@ def _wavelet(b: _Batch) -> np.ndarray:
     return np.abs(np.fft.fft(_signed_prefix(b, N_SPECTRUM), axis=1))
 
 
-_KERNELS = {
-    "bits_per_peak": _bits_per_peak,
-    "first_packet_sizes": _first_packet_sizes,
-    "beaconing": _beaconing,
-    "bandwidth": _bandwidth,
-    "packet_size_stats": _packet_size_stats,
-    "size_delta_stats": _size_delta_stats,
-    "packets_per_second": _packets_per_second,
-    "inter_arrival": _inter_arrival,
-    "silence_windows": _silence_windows,
-    "ack_count": _ack_count,
-    "big_requests": _big_requests,
-    "wavelet": _wavelet,
-}
+# The 12 slot groups in slot order: (name, slots, kernel).
+GROUPS = (
+    ("bits_per_peak", 3, _bits_per_peak),
+    ("first_packet_sizes", N_FIRST_SIZES, _first_packet_sizes),
+    ("beaconing", 20, _beaconing),
+    ("bandwidth", 20, _bandwidth),
+    ("packet_size_stats", 4, _packet_size_stats),
+    ("size_delta_stats", 2, _size_delta_stats),
+    ("packets_per_second", 2, _packets_per_second),
+    ("inter_arrival", 9, _inter_arrival),
+    ("silence_windows", 1, _silence_windows),
+    ("ack_count", 1, _ack_count),
+    ("big_requests", 1, _big_requests),
+    ("wavelet", N_SPECTRUM, _wavelet),
+)
+WIDTH = sum(slots for _, slots, _ in GROUPS)
 
 
 def extract_matrix(flows: list[Flow], n_packets: int | None = None) -> np.ndarray:
@@ -355,18 +327,18 @@ def extract_matrix(flows: list[Flow], n_packets: int | None = None) -> np.ndarra
     if n_packets is not None and n_packets < 1:
         raise ValueError("n_packets must be >= 1")
     if not flows:
-        return np.zeros((0, SCHEMA.width))
+        return np.zeros((0, WIDTH))
     # Allocated before the group temporaries, so that the result, which
     # outlives them, does not split the free heap they leave behind.
-    out = np.empty((len(flows), SCHEMA.width))
+    out = np.empty((len(flows), WIDTH))
     batch = _batch(flows, n_packets)
     start = 0
     # Finite timestamps can still be far enough apart, or close enough, for
     # a rate or a sum to overflow; the check below rejects such rows.
     with np.errstate(over="ignore", invalid="ignore"):
-        for group, width in SCHEMA.groups:
-            out[:, start:start + width] = _KERNELS[group](batch)
-            start += width
+        for _, slots, kernel in GROUPS:
+            out[:, start:start + slots] = kernel(batch)
+            start += slots
     if not np.isfinite(out).all():
         raise InputError("feature vector contains non-finite values")
     return out
@@ -393,7 +365,6 @@ def extract_rows(flows: list[Flow], n_packets: int | None = None
 class Normalizer:
     """Per-slot min-max scaler with clamping, fit on training data only."""
 
-    schema_version: str
     mins: np.ndarray
     maxs: np.ndarray
 
@@ -413,15 +384,15 @@ class Normalizer:
 def fit_normalizer(matrix: np.ndarray) -> Normalizer:
     if matrix.shape[0] == 0:
         raise InputError("no rows to index")
-    if matrix.shape[1] != SCHEMA.width:
-        raise InputError(f"has {matrix.shape[1]} feature columns, the schema has {SCHEMA.width}")
+    if matrix.shape[1] != WIDTH:
+        raise InputError(f"has {matrix.shape[1]} feature columns, the schema has {WIDTH}")
     mins, maxs = matrix.min(axis=0), matrix.max(axis=0)
     with np.errstate(over="ignore"):
         wide = np.flatnonzero(~np.isfinite(maxs - mins))
     if wide.size:  # load_model would refuse such a normalizer
         raise InputError(f"f{wide[0]:03d} spans more than the largest float; "
                          "min-max scaling needs a finite max - min")
-    return Normalizer(SCHEMA.version, mins, maxs)
+    return Normalizer(mins, maxs)
 
 
 class _Line:

@@ -15,8 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .cbr import (DEFAULT_C_MIN, DEFAULT_K, Thresholds, Verdict, VerdictKind,
-                  classify_stream, vote, write_verdicts)
+from .cbr import Thresholds, Verdict, VerdictKind, classify_stream, vote, write_verdicts
 from .features import extract_rows
 from .flows import DEFAULT_IDLE_TIMEOUT, Flow, InputError, write_atomic
 from .forest import train_forest
@@ -152,11 +151,11 @@ class PipelineConfig:
     construction and on ``dataclasses.replace``, as the CLI reports it."""
 
     n_packets: int | None = None
-    k: int = DEFAULT_K
+    k: int = 5
     quantile_new: float = 0.99
     quantile_ood: float = 0.999
     ood_margin: float = 1.5
-    c_min: int = DEFAULT_C_MIN
+    c_min: int = 5
     r_cohesion: float | None = None
     train_fraction: float = 0.70
     seed: int = 0

@@ -4,8 +4,8 @@ A model is the normalized training rows (row i is index entry i) plus the
 min-max normalizer and the five thresholds around them. A model directory
 holds exactly ``vectors.npy``, the rows as float64 in ``np.save`` format,
 and ``model.json``: the format and schema versions, the normalizer's mins
-and maxs, the thresholds, one label per row, the row count and the crc32
-of ``vectors.npy``. Each file goes out whole or not at all through
+and maxs, all five thresholds, one label per row, the row count and the
+crc32 of ``vectors.npy``. Each file goes out whole or not at all through
 ``flows.write_atomic``, vectors first; a ``model.json`` left from an
 earlier model then fails the crc32 check against the new vectors. The check
 is there to catch a torn or mismatched pair of files, not tampering, and a
@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .cbr import ClassRegistry, Thresholds, calibrate_thresholds
-from .features import SCHEMA, FeatureSchema, Normalizer, fit_normalizer
+from .features import SCHEMA_VERSION, WIDTH, Normalizer, fit_normalizer
 from .flows import InputError, write_atomic
 from .index import NNIndex
 
@@ -35,11 +35,6 @@ if TYPE_CHECKING:
     from .harness import PipelineConfig
 
 FORMAT_VERSION = 3
-# Files of the layouts before model.json. The index command wrote them and
-# nothing updated them, so a rebuild from the same features restores them. A
-# slot mask may permute all 183 slots, so its model cannot be read as plain slots.
-OLD_LAYOUT = ("mask.json", "index.json", "normalizer.json", "thresholds.json",
-              "registry.json")
 REBUILD = "rebuild the model with the index command"
 
 
@@ -83,7 +78,7 @@ def save_model(directory: str | Path, model: Model) -> None:
     buf = io.BytesIO()
     np.save(buf, model.vectors)
     doc = {"format_version": FORMAT_VERSION,
-           "schema_version": model.normalizer.schema_version,
+           "schema_version": SCHEMA_VERSION,
            "mins": model.normalizer.mins.tolist(), "maxs": model.normalizer.maxs.tolist(),
            "thresholds": dataclasses.asdict(model.thresholds),
            "labels": model.labels, "rows": len(model.labels),
@@ -97,30 +92,28 @@ def _crc32(data: bytes) -> str:
     return f"{zlib.crc32(data):08x}"
 
 
-def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
-    """Read a model directory, checking every part against ``schema`` before
-    returning; every fault is an ``InputError`` naming the file in it."""
+def load_model(directory: str | Path) -> Model:
+    """Read a model directory, checking every part against this format and
+    feature layout (``FORMAT_VERSION``, ``SCHEMA_VERSION`` and ``WIDTH``
+    slots) before returning; every fault is an ``InputError`` naming the
+    file in it. Any other file in the directory is not read."""
     d = Path(directory)
     doc_path, vectors_path = d / "model.json", d / "vectors.npy"
-    old = [d / name for name in OLD_LAYOUT if (d / name).exists()]
-    if old and (old[0].name == "mask.json" or not doc_path.exists()):
-        raise InputError(f"{old[0].name} is from an old model layout, which no longer "
-                         f"loads; {REBUILD} into an empty directory")
     for part in (doc_path, vectors_path):
         if not part.exists():
             raise InputError(f"missing {part.name}")
     try:
         doc = json.loads(doc_path.read_bytes())
-        for key, want in (("format_version", FORMAT_VERSION), ("schema_version", schema.version)):
+        for key, want in (("format_version", FORMAT_VERSION), ("schema_version", SCHEMA_VERSION)):
             if doc[key] != want:
                 raise ValueError(f"{key} {doc[key]!r} is not {want!r}; {REBUILD}")
         raw = [doc["mins"], doc["maxs"]]
         if not all(isinstance(r, list) and all(type(v) in (int, float) for v in r) for r in raw):
             raise ValueError("mins and maxs must be lists of JSON numbers")
         mins, maxs = (np.array(r, dtype=np.float64) for r in raw)
-        if not (mins.shape == maxs.shape == (schema.width,) and np.isfinite(mins).all()
+        if not (mins.shape == maxs.shape == (WIDTH,) and np.isfinite(mins).all()
                 and np.isfinite(maxs).all()):
-            raise ValueError(f"mins and maxs must each hold {schema.width} finite numbers")
+            raise ValueError(f"mins and maxs must each hold {WIDTH} finite numbers")
         with np.errstate(over="ignore"):
             if not ((mins <= maxs).all() and np.isfinite(maxs - mins).all()):
                 raise ValueError("every min must be <= its max, with a finite max - min")
@@ -145,11 +138,11 @@ def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
         shape, fortran_order, dtype = read_header(fp)
     except (ValueError, TokenError) as exc:
         raise InputError(f"malformed vectors.npy: {exc}") from None
-    if dtype != np.float64 or shape != (rows, schema.width):
+    if dtype != np.float64 or shape != (rows, WIDTH):
         raise InputError(f"vectors.npy holds {dtype} {shape}, "
-                         f"expected float64 {(rows, schema.width)}")
+                         f"expected float64 {(rows, WIDTH)}")
     # The array is a view of the bytes already read, not a second copy.
-    count, offset = rows * schema.width, fp.tell()
+    count, offset = rows * WIDTH, fp.tell()
     if len(data) - offset < 8 * count:
         raise InputError(f"malformed vectors.npy: EOF: reading array data, "
                          f"expected {8 * count} bytes got {len(data) - offset}")
@@ -157,5 +150,4 @@ def load_model(directory: str | Path, schema: FeatureSchema = SCHEMA) -> Model:
         shape, order="F" if fortran_order else "C")
     if not np.isfinite(vectors).all():
         raise InputError("vectors.npy holds non-finite values")
-    return Model(Normalizer(schema.version, mins, maxs), thresholds,
-                 np.ascontiguousarray(vectors), labels)
+    return Model(Normalizer(mins, maxs), thresholds, np.ascontiguousarray(vectors), labels)

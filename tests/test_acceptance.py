@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from flowcbr.cbr import VerdictKind
-from flowcbr.features import SCHEMA, extract_matrix
+from flowcbr.features import GROUPS, WIDTH, extract_matrix
 from flowcbr.forest import train_forest
 from flowcbr.harness import (
     OOD_LABEL,
@@ -111,8 +111,8 @@ def test_criterion_02_spectrum_matches_naive_dft(capsys):
             out[f] = np.hypot(re, im)
         return out
 
-    # The wavelet slots, from the schema's ordered (group, width) pairs.
-    names, widths = zip(*SCHEMA.groups)
+    # The wavelet slots, from the ordered (group, width, kernel) rows.
+    names, widths, _ = zip(*GROUPS)
     start = sum(widths[:names.index("wavelet")])
     wavelet = slice(start, start + widths[names.index("wavelet")])
     rng = np.random.default_rng(2)
@@ -156,7 +156,7 @@ def _flow_with_signal(signal):
 
 
 def test_criterion_03_feature_vector_is_183_slots(capsys):
-    widths = tuple(w for _, w in SCHEMA.groups)
+    widths = tuple(w for _, w, _ in GROUPS)
     flow = synth_generate(default_templates(2), 1, seed=0)[0]
     vector = extract_matrix([flow])[0]
     ok = widths == (3, 30, 20, 20, 4, 2, 2, 9, 1, 1, 1, 90) and vector.shape == (183,)
@@ -252,11 +252,11 @@ def test_criterion_09_determinism_and_snapshots(capsys, tmp_path):
                     for n in names)
 
     rng = np.random.default_rng(9)
-    model = fit_model(rng.random((1000, SCHEMA.width)),
+    model = fit_model(rng.random((1000, WIDTH)),
                       [f"c{i % 4}" for i in range(1000)], PipelineConfig())
     save_model(tmp_path, model)
     restored = load_model(tmp_path)
-    queries = rng.random((100, SCHEMA.width))
+    queries = rng.random((100, WIDTH))
     index_ok = restored.vectors.tobytes() == model.vectors.tobytes() and all(
         [(nb.entry_id, nb.distance) for nb in knn_one(model.index, q, 5)]
         == [(nb.entry_id, nb.distance) for nb in knn_one(restored.index, q, 5)]

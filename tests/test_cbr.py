@@ -26,11 +26,11 @@ from flowcbr.cbr import (
     vote,
     write_verdicts,
 )
-from flowcbr.features import SCHEMA, Normalizer
+from flowcbr.features import WIDTH, Normalizer
 from flowcbr.harness import PipelineConfig
 from flowcbr.index import Neighbor, NNIndex, row_distances
 from flowcbr.model import Model, fit_model, load_model, save_model
-from knn_helpers import classify_one, knn_one
+from knn_helpers import classify_one, knn_one, thresholds
 
 
 def nb(label, distance, entry_id=0):
@@ -55,34 +55,44 @@ def test_vote_full_tie_is_lexicographic():
 
 
 def test_thresholds_validation_and_cohesion_default():
-    th = Thresholds(theta_new=1.0, theta_ood=2.0)
-    assert th.r_cohesion == 4.0
-    assert Thresholds(1.0, 2.0, r_cohesion=0.5).r_cohesion == 0.5
+    """Thresholds checks each of its five settings. calibrate_thresholds
+    sets an unset r_cohesion to 2 * theta_ood and keeps a set one."""
+    X = np.array([[0.0], [1.0], [3.0], [10.0], [12.0]])
+    y = ["a", "a", "a", "b", "b"]
+    th = calibrate_thresholds(X, y, PipelineConfig())
+    assert (th.theta_ood, th.r_cohesion) == (3.0, 6.0)
+    assert calibrate_thresholds(X, y, PipelineConfig(r_cohesion=0.5)).r_cohesion == 0.5
     with pytest.raises(ValueError):
-        Thresholds(theta_new=0.0, theta_ood=1.0)
+        thresholds(theta_new=0.0, theta_ood=1.0)
     with pytest.raises(ValueError):
-        Thresholds(theta_new=2.0, theta_ood=1.0)
+        thresholds(theta_new=2.0, theta_ood=1.0)
     with pytest.raises(ValueError):
-        Thresholds(1.0, 2.0, k=0)
+        thresholds(1.0, 2.0, k=0)
     with pytest.raises(ValueError):
-        Thresholds(1.0, 2.0, c_min=0)
-    assert Thresholds(1.0, 2.0, c_min=PENDING_CAPACITY).c_min == PENDING_CAPACITY
+        thresholds(1.0, 2.0, c_min=0)
+    assert thresholds(1.0, 2.0, c_min=PENDING_CAPACITY).c_min == PENDING_CAPACITY
     with pytest.raises(ValueError, match="pending buffer's capacity"):
-        Thresholds(1.0, 2.0, c_min=PENDING_CAPACITY + 1)
+        thresholds(1.0, 2.0, c_min=PENDING_CAPACITY + 1)
     for bad in ({"theta_new": np.nan}, {"theta_ood": np.nan}, {"theta_ood": np.inf},
                 {"theta_new": np.inf, "theta_ood": np.inf}, {"r_cohesion": np.nan},
                 {"r_cohesion": np.inf}):
         with pytest.raises(ValueError, match="finite"):
-            Thresholds(**{"theta_new": 1.0, "theta_ood": 2.0, **bad})
+            thresholds(**{"theta_new": 1.0, "theta_ood": 2.0, **bad})
     for bad in ({"k": 2.5}, {"k": True}, {"c_min": 2.0}, {"c_min": "5"}):
         with pytest.raises(ValueError, match="thresholds k and c_min must be integers"):
-            Thresholds(**{"theta_new": 1.0, "theta_ood": 2.0, **bad})
+            thresholds(**{"theta_new": 1.0, "theta_ood": 2.0, **bad})
+    for bad in ({"theta_new": None}, {"theta_ood": "2"}, {"r_cohesion": None},
+                {"r_cohesion": True}):
+        with pytest.raises(ValueError, match="r_cohesion must be numbers"):
+            thresholds(**{"theta_new": 1.0, "theta_ood": 2.0, "r_cohesion": 4.0, **bad})
+    with pytest.raises(TypeError, match="r_cohesion"):
+        Thresholds(1.0, 2.0, 5, 5)
 
 
 def unit_model(th, labels):
     """A model holding ``th`` and one zero row per label."""
-    normalizer = Normalizer(SCHEMA.version, np.zeros(SCHEMA.width), np.ones(SCHEMA.width))
-    return Model(normalizer, th, np.zeros((len(labels), SCHEMA.width)), labels)
+    normalizer = Normalizer(np.zeros(WIDTH), np.ones(WIDTH))
+    return Model(normalizer, th, np.zeros((len(labels), WIDTH)), labels)
 
 
 def test_thresholds_round_trip(tmp_path):
@@ -94,7 +104,7 @@ def test_thresholds_round_trip(tmp_path):
 def one_point_setup(theta_new=1.0, theta_ood=2.0, **kw):
     """A single training point at the origin of a 1-D line."""
     index = NNIndex(np.array([[0.0]]), ["base"])
-    th = Thresholds(theta_new=theta_new, theta_ood=theta_ood, k=1, **kw)
+    th = thresholds(theta_new=theta_new, theta_ood=theta_ood, k=1, **kw)
     return index, ClassRegistry(), th
 
 
@@ -137,7 +147,7 @@ def test_classify_tallies_a_known_row_once(monkeypatch):
     index = NNIndex(rng.integers(0, 3, size=(40, 2)).astype(float),
                     [f"c{i % 3}" for i in range(40)])
     queries = rng.integers(0, 3, size=(25, 2)).astype(float)
-    th = Thresholds(theta_new=10.0, theta_ood=20.0, k=4)
+    th = thresholds(theta_new=10.0, theta_ood=20.0, k=4)
     tally, calls = cbr_mod._neighbor_votes, []
     monkeypatch.setattr(cbr_mod, "_neighbor_votes",
                         lambda neighbors: calls.append(1) or tally(neighbors))
@@ -168,7 +178,7 @@ def test_known_verdicts_allocate_no_buffer():
     buffer_bytes = PENDING_CAPACITY * (d * 8 + 8 + PENDING_CAPACITY)
     index = NNIndex(np.zeros((1, d)), ["base"])
     registry = ClassRegistry()
-    th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1)
+    th = thresholds(theta_new=1.0, theta_ood=2.0, k=1)
     tracemalloc.start()
     try:
         for x in (0.1, 0.5, 0.9, 5.0):
@@ -230,8 +240,8 @@ def test_founders_take_the_next_ids_in_insertion_order():
     the order they are inserted: the sample that completes the cohort
     first, then the buffered ones oldest first."""
     rng = np.random.default_rng(5)
-    X = np.concatenate([rng.random((6, SCHEMA.width)) * 0.01,
-                        1 + rng.random((6, SCHEMA.width)) * 0.01])
+    X = np.concatenate([rng.random((6, WIDTH)) * 0.01,
+                        1 + rng.random((6, WIDTH)) * 0.01])
     labels = ["a"] * 6 + ["b"] * 6
     model = fit_model(X, labels, PipelineConfig())
     model = Model(model.normalizer, Thresholds(theta_new=1.0, theta_ood=100.0, k=1,
@@ -241,7 +251,7 @@ def test_founders_take_the_next_ids_in_insertion_order():
     n_train = index.size
     for p, row in enumerate(model.vectors):
         assert knn_one(index, row, 1)[0].entry_id == p
-    founders = [np.full(SCHEMA.width, 0.5) + 0.001 * i for i in range(3)]
+    founders = [np.full(WIDTH, 0.5) + 0.001 * i for i in range(3)]
     kinds = [classify_one(index, registry, v, th).kind for v in founders]
     assert kinds == [VerdictKind.PENDING] * 2 + [VerdictKind.REGISTERED]
     inserted = [founders[2], founders[0], founders[1]]
@@ -296,7 +306,7 @@ def test_new_class_label_skips_trained_labels():
     the next number no row of the index holds, so its founders never merge
     into that class."""
     index = NNIndex(np.array([[0.0], [0.1]]), ["novel-1", "novel-1"])
-    th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1, c_min=3)
+    th = thresholds(theta_new=1.0, theta_ood=2.0, k=1, c_min=3)
     registry = ClassRegistry()
     verdicts = [classify_one(index, registry, np.array([1.5 + 0.001 * i]), th)
                 for i in range(3)]
@@ -572,8 +582,8 @@ def test_registry_round_trip(tmp_path):
     """A model saves its training rows, not its registry: the loaded
     registry has an empty buffer and every counter at zero, whatever the
     registry held before the save."""
-    model = unit_model(Thresholds(theta_new=0.75, theta_ood=1.5), ["a", "b", "a"])
-    model.registry.add_pending(np.full(SCHEMA.width, 0.5), 1.0)
+    model = unit_model(thresholds(theta_new=0.75, theta_ood=1.5), ["a", "b", "a"])
+    model.registry.add_pending(np.full(WIDTH, 0.5), 1.0)
     model.registry.novel_count = 2
     save_model(tmp_path, model)
     back = load_model(tmp_path).registry
@@ -699,7 +709,7 @@ def test_classify_stream_rank_sets_stay_bounded(monkeypatch):
     dirs = rng.normal(size=(200, d))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     X = centres[rng.integers(0, 8, size=200)] + 30 * dirs
-    th = Thresholds(theta_new=20.0, theta_ood=33.0, k=k, c_min=1)
+    th = thresholds(theta_new=20.0, theta_ood=33.0, k=k, c_min=1)
     index = NNIndex(vectors, ["x"] * n)
     blocks, survivors, ranked = [], [], []
     screen, neighbors = NNIndex._screen, NNIndex._neighbors

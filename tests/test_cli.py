@@ -665,21 +665,22 @@ def _format_2(model):
 
 
 def _old_layout(model):
-    """The four JSON files the index command wrote before model.json."""
+    """The four JSON files the index command wrote before model.json, which
+    load_model does not read."""
     for name in ("model.json", "vectors.npy"):
         (model / name).unlink()
     for name in ("index.json", "normalizer.json", "thresholds.json", "registry.json"):
         (model / name).write_text("{}")
 
 
-# A mask that permutes all 183 slots has the right width and the wrong order.
-_MASK = json.dumps({"schema_version": "stat183.v1", "slots": list(range(183))[::-1]})
+def _drop_threshold(key):
+    """A change to a model directory: delete one key of its thresholds."""
+    return _edit_model_json(thresholds=lambda doc: {
+        k: v for k, v in doc["thresholds"].items() if k != key})
 
 
-_OLD = "is from an old model layout, which no longer loads; rebuild the model"
 _BAD_INPUTS = {
-    "mask": ("mask.json", _MASK, _OLD),
-    "index": ("index.json", _old_layout, _OLD),
+    "index": ("model.json", _old_layout, "missing model.json"),
     "model-json": ("model.json", "{", "malformed"),
     "format-version": ("model.json", _edit_model_json(format_version=1),
                        "format_version 1 is not 3"),
@@ -711,6 +712,13 @@ _BAD_INPUTS = {
     "thresholds-c-min": ("model.json", _edit_model_json(
         thresholds=lambda doc: {**doc["thresholds"], "c_min": 1001}),
         "c_min must be >= 1 and <= 1000"),
+    "thresholds-no-r-cohesion": ("model.json", _drop_threshold("r_cohesion"),
+                                 "missing 1 required positional argument: 'r_cohesion'"),
+    "thresholds-no-k": ("model.json", _drop_threshold("k"),
+                        "missing 1 required positional argument: 'k'"),
+    "thresholds-null": ("model.json", _edit_model_json(
+        thresholds=lambda doc: {**doc["thresholds"], "r_cohesion": None}),
+        "thresholds theta_new, theta_ood and r_cohesion must be numbers"),
     "registry": ("model.json", _edit_model_json(labels=lambda doc: doc["labels"][1:]),
                  "labels must be 12 non-empty strings, one per row"),
     "index-width": ("vectors.npy", _replace_vectors(lambda v: _npy(v[:, :178])),
@@ -738,9 +746,11 @@ _BAD_INPUTS = {
 
 @pytest.mark.parametrize("case", list(_BAD_INPUTS))
 def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys, case):
-    """Each malformed or old-layout model directory, a leftover slot mask,
-    and an input feature CSV of the wrong width or with a bad cell is named
-    in an error line and exits 2 before any verdict is written."""
+    """Each malformed or incomplete model directory (one from before
+    model.json among them, and thresholds that lack a setting or hold null
+    for one), and an input feature CSV of the wrong width or with a bad
+    cell, is named in an error line and exits 2 before any verdict is
+    written."""
     name, change, fragment = _BAD_INPUTS[case]
     features = data_dir / "features.csv"
     if name == "features.csv":

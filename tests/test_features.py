@@ -7,6 +7,7 @@ against the per-flow extractors kept in ``feature_oracle``.
 """
 
 import itertools
+import json
 
 import feature_oracle
 import numpy as np
@@ -16,20 +17,19 @@ from hypothesis import strategies as st
 from pcap_oracle import flow_from_packets
 
 from flowcbr.features import (
+    GROUPS,
     N_SPECTRUM,
-    SCHEMA,
-    SCHEMA_VERSION,
+    WIDTH,
     Normalizer,
     extract_matrix,
     fit_normalizer,
     load_matrix_csv,
     save_matrix_csv,
 )
-from flowcbr.cbr import Thresholds
 from flowcbr.flows import (FLOW_COLUMNS, Direction, Flow, FlowPacket, InputError, TcpFlags,
                            load_flows_csv, save_flows_csv)
 from flowcbr.harness import PipelineConfig
-from flowcbr.model import Model, fit_model, load_model, save_model
+from flowcbr.model import fit_model, load_model, save_model
 
 F = Direction.FWD
 B = Direction.BWD
@@ -49,9 +49,9 @@ def flow(spec, flow_id="f0", label=None):
 
 
 def slots(group, f):
-    """The slots of ``group`` in f's feature vector, at its SCHEMA offset."""
+    """The slots of ``group`` in f's feature vector, at its GROUPS offset."""
     start = 0
-    for name, width in SCHEMA.groups:
+    for name, width, _ in GROUPS:
         if name == group:
             return extract_matrix([f])[0][start:start + width]
         start += width
@@ -59,10 +59,9 @@ def slots(group, f):
 
 
 def test_schema_widths():
-    widths = tuple(w for _, w in SCHEMA.groups)
+    widths = tuple(w for _, w, _ in GROUPS)
     assert widths == (3, 30, 20, 20, 4, 2, 2, 9, 1, 1, 1, 90)
-    assert SCHEMA.width == 183
-    assert SCHEMA.version == SCHEMA_VERSION
+    assert WIDTH == 183
 
 
 def test_bits_per_peak_hand_case():
@@ -406,7 +405,7 @@ def test_extract_rejects_non_finite_timestamps(bad):
 
 def test_normalizer_scales_clamps_and_zeroes_constants():
     train = np.array([[0.0, 10.0, 7.0], [10.0, 20.0, 7.0]])
-    norm = Normalizer("v", train.min(axis=0), train.max(axis=0))
+    norm = Normalizer(train.min(axis=0), train.max(axis=0))
     out = norm.transform(np.array([[5.0, 25.0, 7.0], [-5.0, 10.0, 9.0]]))
     np.testing.assert_array_equal(out, [[0.5, 1.0, 0.0], [0.0, 0.0, 0.0]])
 
@@ -418,7 +417,7 @@ def test_normalizer_output_always_in_unit_box(rows, cols, seed):
     rng = np.random.default_rng(seed)
     train = rng.normal(size=(rows, cols)) * 100
     other = rng.normal(size=(7, cols)) * 200
-    norm = Normalizer("v", train.min(axis=0), train.max(axis=0))
+    norm = Normalizer(train.min(axis=0), train.max(axis=0))
     out = norm.transform(other)
     assert out.min() >= 0.0 and out.max() <= 1.0
     fitted = norm.transform(train)
@@ -439,9 +438,11 @@ def test_fit_normalizer_round_trips_through_json(tmp_path):
 
 
 def test_normalizer_load_rejects_wrong_version(tmp_path):
-    norm = Normalizer("someone.else", np.zeros(183), np.ones(183))
-    save_model(tmp_path, Model(norm, Thresholds(1.0, 2.0), np.zeros((1, 183)), ["a"]))
-    with pytest.raises(InputError, match="schema"):
+    """A model.json of another feature layout does not load."""
+    save_model(tmp_path, fit_model(np.zeros((2, WIDTH)), ["a", "a"], PipelineConfig()))
+    doc = json.loads((tmp_path / "model.json").read_text())
+    (tmp_path / "model.json").write_text(json.dumps({**doc, "schema_version": "someone.else"}))
+    with pytest.raises(InputError, match="schema_version 'someone.else' is not 'stat183.v1'"):
         load_model(tmp_path)
 
 

@@ -20,13 +20,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from flowcbr import forest as forest_mod
-from flowcbr.cbr import PENDING_CAPACITY, ClassRegistry, Thresholds, VerdictKind
+from flowcbr.cbr import PENDING_CAPACITY, ClassRegistry, VerdictKind
 from flowcbr.features import extract_matrix, fit_normalizer
 from flowcbr.forest import RandomForest, train_forest
 from flowcbr.harness import OOD_LABEL, PENDING_LABEL, PipelineConfig, combined_label
 from flowcbr.index import NNIndex
 from flowcbr.synth import default_templates, synth_generate
-from knn_helpers import classify_one
+from knn_helpers import classify_one, thresholds
 
 MIN_IMPROVEMENT = 1e-12
 
@@ -420,7 +420,7 @@ def ensemble_setup():
     """1-D world: retrieval point at 0, forest trained on two blobs."""
     index = NNIndex(np.array([[0.0]]), ["base"])
     registry = ClassRegistry()
-    th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1)
+    th = thresholds(theta_new=1.0, theta_ood=2.0, k=1)
     Xf = np.array([[0.0], [0.1], [0.2], [5.0], [5.1], [5.2]])
     yf = ["low", "low", "low", "high", "high", "high"]
     forest = train_forest(Xf, yf, PipelineConfig(n_trees=9, seed=0))
@@ -450,7 +450,7 @@ def test_ensemble_never_forest_labels_an_ood_sample():
     # stays frozen and distance from the origin remains the ground truth for
     # the whole stream
     index, registry, forest, _ = ensemble_setup()
-    th = Thresholds(theta_new=1.0, theta_ood=2.0, k=1, c_min=PENDING_CAPACITY)
+    th = thresholds(theta_new=1.0, theta_ood=2.0, k=1, c_min=PENDING_CAPACITY)
     rng = np.random.default_rng(0)
     for _ in range(200):
         q = np.array([rng.uniform(-10, 10)])

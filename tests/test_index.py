@@ -19,12 +19,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flowcbr.index as index_mod
-from flowcbr.cbr import Thresholds
-from flowcbr.features import FeatureSchema, Normalizer
+from flowcbr.features import WIDTH, Normalizer
 from flowcbr.flows import InputError
 from flowcbr.index import NNIndex, row_distances
 from flowcbr.model import Model, load_model, save_model
-from knn_helpers import knn_one
+from knn_helpers import knn_one, thresholds
 
 
 def reference_knn(vectors, q, k):
@@ -66,56 +65,39 @@ def screened_blocks(blocks):
     return mock.patch.object(NNIndex, "_screen", counting_screen)
 
 
-# Every backend a version-1 index snapshot could name. A directory holding
-# such a snapshot is in the old layout and no longer loads, whichever backend
-# it names; its rows are rebuilt into a model directory instead.
-LEGACY_BACKENDS = ("brute", "kdtree", "balltree")
-
-
-def schema_of(d):
-    return FeatureSchema(version=f"test{d}.v1", groups=(("x", d),))
+def pad(a):
+    """``a`` with zero slots added to its last axis up to WIDTH, the one
+    row width a model directory holds."""
+    a = np.asarray(a)
+    return np.pad(a, [(0, 0)] * (a.ndim - 1) + [(0, WIDTH - a.shape[-1])])
 
 
 def save_test_model(directory, vectors, labels):
-    """Save rows of any width as a model directory, row i as entry i."""
-    d = vectors.shape[1]
-    normalizer = Normalizer(schema_of(d).version, np.zeros(d), np.ones(d))
-    save_model(directory, Model(normalizer, Thresholds(1.0, 2.0), vectors, labels))
+    """Save rows of any width, padded with zero slots, as a model
+    directory, row i as entry i."""
+    normalizer = Normalizer(np.zeros(WIDTH), np.ones(WIDTH))
+    save_model(directory, Model(normalizer, thresholds(1.0, 2.0), pad(vectors), labels))
 
 
-def rebuilt(vectors, labels, backend, tmp_path):
-    """Refuse a version-1 directory whose ``index.json`` names ``backend``,
-    then save the same rows as a model and return the index loaded from it."""
-    old = tmp_path / "v1"
-    old.mkdir()
-    (old / "index.json").write_text(json.dumps({
-        "format_version": 1,
-        "config": {"backend": backend, "dimension": vectors.shape[1], "leaf_size": 8},
-        "entries": [{"id": i, "label": lbl, "vector": v.tolist()}
-                    for i, (v, lbl) in enumerate(zip(vectors, labels))],
-    }))
-    with pytest.raises(InputError, match="old model layout, which no longer loads"):
-        load_model(old)
+def loaded(vectors, labels, tmp_path):
+    """The index loaded from ``vectors``, padded, saved as a model."""
     model_dir = tmp_path / "model"
     model_dir.mkdir()
     save_test_model(model_dir, vectors, labels)
-    return load_model(model_dir, schema_of(vectors.shape[1])).index
+    return load_model(model_dir).index
 
 
-@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
 @pytest.mark.parametrize("n,d,k", [(1, 3, 1), (17, 2, 5), (100, 11, 10), (300, 20, 3)])
-def test_backends_match_reference_exactly(backend, n, d, k, tmp_path):
-    """The built index, and the index rebuilt from a version-1 directory
-    naming ``backend`` into a model directory, both match the reference
-    scan exactly."""
+def test_backends_match_reference_exactly(n, d, k, tmp_path):
+    """The built index, and the index loaded from the same rows saved as
+    a model directory, both match the reference scan exactly."""
     rng = np.random.default_rng(n * 100 + d)
     vectors, labels = make_rows(rng, n, d)
     index = NNIndex(vectors, labels)
-    loaded = rebuilt(vectors, labels, backend, tmp_path)
+    back = loaded(vectors, labels, tmp_path)
     for q in rng.normal(size=(25, d)):
-        want = reference_knn(vectors, q, k)
-        assert pairs(index, q, k) == want
-        assert pairs(loaded, q, k) == want
+        assert pairs(index, q, k) == reference_knn(vectors, q, k)
+        assert pairs(back, pad(q), k) == reference_knn(pad(vectors), pad(q), k)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -134,20 +116,18 @@ def test_ties_across_the_kth_distance_go_to_lower_ids(seed):
             assert pairs(index, q, k) == reference_knn(vectors, q, k), k
 
 
-@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
-def test_duplicate_points_tie_break_by_id(backend, tmp_path):
+def test_duplicate_points_tie_break_by_id(tmp_path):
     """Several rows at the same point: the earliest rows (lowest ids) win
-    the tie, also in the model rebuilt from a version-1 directory naming
-    ``backend``."""
+    the tie, also in the index loaded from a model directory."""
     point, far = [1.0, 2.0], [50.0, 50.0]
     vectors = np.array([far, point, point, far, point, point])
     labels = ["y", "x", "x", "y", "x", "x"]
     index = NNIndex(vectors, labels)
-    loaded = rebuilt(vectors, labels, backend, tmp_path)
+    back = loaded(vectors, labels, tmp_path)
     q = np.array(point)
     got = [(nb.entry_id, nb.distance) for nb in knn_one(index, q, 3)]
     assert got == [(1, 0.0), (2, 0.0), (4, 0.0)]
-    assert [(nb.entry_id, nb.distance) for nb in knn_one(loaded, q, 3)] == got
+    assert [(nb.entry_id, nb.distance) for nb in knn_one(back, pad(q), 3)] == got
 
 
 def test_query_k_clamps_to_size():
@@ -167,20 +147,19 @@ def test_query_validation_errors():
         knn_one(index, np.zeros(7), 1)
 
 
-@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
-def test_insert_stays_exact(backend, tmp_path):
-    """Rebuild a version-1 directory naming ``backend`` into a model, load
-    it, and grow its index to 2.5x its size, checking after every insert
-    that queries still match the reference scan."""
+def test_insert_stays_exact(tmp_path):
+    """Load an index from a model directory and grow it to 2.5x its size,
+    checking after every insert that queries still match the reference
+    scan."""
     rng = np.random.default_rng(7)
     vectors, labels = make_rows(rng, 20, 5)
-    index = rebuilt(vectors, labels, backend, tmp_path)
-    vectors = list(vectors)
+    index = loaded(vectors, labels, tmp_path)
+    vectors = list(pad(vectors))
     for step in range(30):
-        v = rng.normal(size=5)
+        v = pad(rng.normal(size=5))
         index.insert(v, "new")
         vectors.append(v)
-        q = rng.normal(size=5)
+        q = pad(rng.normal(size=5))
         assert pairs(index, q, 5) == reference_knn(np.stack(vectors), q, 5), f"step {step}"
     assert index.size == 50
 
@@ -232,26 +211,25 @@ def test_labels_travel_with_neighbors():
     assert [nb.label for nb in got] == ["near", "far"]
 
 
-@pytest.mark.parametrize("backend", LEGACY_BACKENDS)
-def test_snapshot_round_trip_query_identical(backend, tmp_path):
-    """The rows of a version-1 directory naming ``backend``, rebuilt into a
-    model directory, load back with bit-identical vectors; saved again,
-    they give the same bytes, and every copy answers like the original
-    index."""
+def test_snapshot_round_trip_query_identical(tmp_path):
+    """Rows saved as a model directory load back with bit-identical
+    vectors; saved again, they give the same bytes, and every copy answers
+    like the index built from the rows."""
     rng = np.random.default_rng(11)
     vectors, labels = make_rows(rng, 60, 7)
+    vectors = pad(vectors)
     index = NNIndex(vectors, labels)
-    loaded_index = rebuilt(vectors, labels, backend, tmp_path)
-    model = load_model(tmp_path / "model", schema_of(7))
+    loaded_index = loaded(vectors, labels, tmp_path)
+    model = load_model(tmp_path / "model")
     assert model.vectors.tobytes() == vectors.tobytes() and model.labels == labels
     again = tmp_path / "again"
     again.mkdir()
     save_model(again, model)
     for name in ("model.json", "vectors.npy"):
         assert (again / name).read_bytes() == (tmp_path / "model" / name).read_bytes()
-    back = load_model(again, schema_of(7)).index
-    assert back.dimension == 7
-    for q in rng.normal(size=(20, 7)):
+    back = load_model(again).index
+    assert back.dimension == WIDTH
+    for q in pad(rng.normal(size=(20, 7))):
         a = [(nb.distance, nb.entry_id, nb.label) for nb in knn_one(index, q, 5)]
         for other in (loaded_index, back):
             b = [(nb.distance, nb.entry_id, nb.label) for nb in knn_one(other, q, 5)]
@@ -269,21 +247,21 @@ def test_snapshot_rejects_corrupt_and_mismatched(tmp_path):
 
     (tmp_path / "model.json").write_text("{not json")
     with pytest.raises(InputError, match="malformed"):
-        load_model(tmp_path, schema_of(3))
+        load_model(tmp_path)
 
     (tmp_path / "model.json").write_text(json.dumps({**doc, "format_version": 99}))
     with pytest.raises(InputError, match="format_version 99"):
-        load_model(tmp_path, schema_of(3))
+        load_model(tmp_path)
 
     (tmp_path / "model.json").write_text(good)
-    assert load_model(tmp_path, schema_of(3)).index.size == 4
+    assert load_model(tmp_path).index.size == 4
     buf = io.BytesIO()
-    np.save(buf, vectors[:, :2])
+    np.save(buf, pad(vectors)[:, :-1])
     (tmp_path / "vectors.npy").write_bytes(buf.getvalue())
     doc["vectors_crc32"] = f"{zlib.crc32(buf.getvalue()):08x}"
     (tmp_path / "model.json").write_text(json.dumps(doc))
-    with pytest.raises(InputError, match=r"expected float64 \(4, 3\)"):
-        load_model(tmp_path, schema_of(3))
+    with pytest.raises(InputError, match=r"float64 \(4, 182\), expected float64 \(4, 183\)"):
+        load_model(tmp_path)
 
 
 def test_row_distances_matches_norm():
@@ -762,7 +740,7 @@ def test_load_model_reads_the_vectors_once(tmp_path, traced_peak):
     vectors, labels = grouped_rows(rng)
     save_test_model(tmp_path, vectors, labels)
     size = (tmp_path / "vectors.npy").stat().st_size
-    model, peak = traced_peak(load_model, tmp_path, schema_of(183))
+    model, peak = traced_peak(load_model, tmp_path)
     assert peak < 1.3 * size, (peak, size)
     assert model.vectors.tobytes() == vectors.tobytes()
     assert not model.vectors.flags.writeable
@@ -776,17 +754,17 @@ def test_a_fortran_order_vectors_file_loads_the_same_values(tmp_path):
     rng = np.random.default_rng(34)
     vectors, labels = make_rows(rng, 9, 5)
     save_test_model(tmp_path, vectors, labels)
-    want = load_model(tmp_path, schema_of(5))
+    want = load_model(tmp_path)
     buf = io.BytesIO()
-    np.save(buf, np.asfortranarray(vectors))
+    np.save(buf, np.asfortranarray(pad(vectors)))
     assert b"'fortran_order': True" in buf.getvalue()[:128]
     (tmp_path / "vectors.npy").write_bytes(buf.getvalue())
     doc = json.loads((tmp_path / "model.json").read_text())
     doc["vectors_crc32"] = f"{zlib.crc32(buf.getvalue()):08x}"
     (tmp_path / "model.json").write_text(json.dumps(doc))
-    got = load_model(tmp_path, schema_of(5))
+    got = load_model(tmp_path)
     assert got.vectors.flags.c_contiguous
     assert got.vectors.tobytes() == np.load(io.BytesIO(buf.getvalue())).tobytes()
-    assert got.vectors.tobytes() == vectors.tobytes()
-    for q in rng.normal(size=(5, 5)):
+    assert got.vectors.tobytes() == pad(vectors).tobytes()
+    for q in pad(rng.normal(size=(5, 5))):
         assert knn_one(got.index, q, 3) == knn_one(want.index, q, 3)
