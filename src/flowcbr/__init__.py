@@ -8,8 +8,9 @@ from-scratch random forest serves as the comparison baseline and as the
 second stage of the combined pipeline.
 """
 
-# flowbench/tests/test_bench.py reads these two names; they go once that
-# test stops reading them (ROADMAP item 3).
+# Only flowbench/tests/test_bench.py reads these two names, and it alone
+# keeps cbr.vote and cbr.Neighbor, which no command calls; all four go once
+# that test stops reading them (ROADMAP item 3).
 from . import harness
 from .cbr import vote
 

@@ -11,25 +11,26 @@ from __future__ import annotations
 
 import copy
 import enum
-import json
 import logging
 import math
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_str
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
 
 from .flows import write_atomic
-from .index import Neighbor, NNIndex, within
+from .index import NNIndex, within
 
 if TYPE_CHECKING:
     from .harness import PipelineConfig
 
 PENDING_CAPACITY = 1000
 THETA_EPS = 1e-9
-# The encoder json.dumps(doc, sort_keys=True) would build for each line.
-_ENCODER = json.JSONEncoder(sort_keys=True)
+# JSON's spelling of the floats that have no number literal, as
+# json.JSONEncoder writes them.
+_NON_FINITE = {math.inf: "Infinity", -math.inf: "-Infinity"}
 
 
 class VerdictKind(enum.Enum):
@@ -42,7 +43,7 @@ class VerdictKind(enum.Enum):
 @dataclass(frozen=True)
 class Thresholds:
     """The five settings a model classifies by, each given: a model.json
-    that lacks one, or holds null for one, does not load."""
+    that lacks one, holds null for one or holds another key does not load."""
 
     theta_new: float
     theta_ood: float
@@ -70,12 +71,19 @@ class Thresholds:
             raise ValueError("r_cohesion must be positive and finite")
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     kind: VerdictKind
     label: str | None
     votes: dict[str, int]
     min_distance: float
+
+
+class Neighbor(NamedTuple):
+    """One k-NN neighbor, for ``vote``; ``NNIndex.knn`` yields lists."""
+
+    entry_id: int
+    label: str
+    distance: float
 
 
 class ClassRegistry:
@@ -155,33 +163,36 @@ class ClassRegistry:
 
 
 def vote(neighbors: list[Neighbor]) -> tuple[str, int]:
-    """Majority label; ties go to the smaller summed distance, then name."""
+    """Majority label; ties go to the smaller summed distance, then name.
+    ``_majority`` on a list of ``Neighbor``s."""
     if not neighbors:
         raise ValueError("vote needs at least one neighbor")
-    counts = _neighbor_votes(neighbors)
-    winner = _majority(neighbors, counts)
+    labels = [n.label for n in neighbors]
+    counts = _neighbor_votes(labels)
+    winner = _majority(labels, [n.distance for n in neighbors], counts)
     return winner, counts[winner]
 
 
-def _majority(neighbors: list[Neighbor], counts: dict[str, int]) -> str:
-    """``vote``'s winner, given the neighbors' label counts."""
+def _majority(labels: list[str], distances: list[float], counts: dict[str, int]) -> str:
+    """The majority label of a k-NN row, given its label counts; ties go
+    to the smaller distance summed in neighbor order, then the name."""
     if len(counts) == 1:
-        return next(iter(counts))
+        return labels[0]
     sums: dict[str, float] = {}
-    for n in neighbors:
-        sums[n.label] = sums.get(n.label, 0.0) + n.distance
+    for label, distance in zip(labels, distances):
+        sums[label] = sums.get(label, 0.0) + distance
     return min(counts, key=lambda lbl: (-counts[lbl], sums[lbl], lbl))
 
 
-def _neighbor_votes(neighbors: list[Neighbor]) -> dict[str, int]:
+def _neighbor_votes(labels: list[str]) -> dict[str, int]:
     votes: dict[str, int] = {}
-    for n in neighbors:
-        votes[n.label] = votes.get(n.label, 0) + 1
+    for label in labels:
+        votes[label] = votes.get(label, 0) + 1
     return votes
 
 
 def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
-             th: Thresholds, neighbors: list[Neighbor]) -> Verdict:
+             th: Thresholds, neighbors: tuple[list[int], list[float]]) -> Verdict:
     """One retrieval decision; may buffer the sample or register a class.
 
     The nearest distance d1 picks the regime: at most theta_new means a known
@@ -189,13 +200,16 @@ def classify(index: NNIndex, registry: ClassRegistry, q: np.ndarray,
     and the sample is not buffered; in between the sample joins the pending
     buffer, and once c_min buffered samples sit pairwise within r_cohesion a
     new class is registered from them and inserted into the index.
-    ``neighbors`` are q's k nearest in the index as it stands, which
-    ``classify_stream`` takes from ``NNIndex.knn``.
+    ``neighbors`` are q's k nearest in the index as it stands, as the entry
+    ids and distances ``NNIndex.knn`` yields for q, from which
+    ``classify_stream`` takes them; their labels are read from the index.
     """
-    d1 = neighbors[0].distance
-    votes = _neighbor_votes(neighbors)
+    ids, distances = neighbors
+    labels = index.labels_of(ids)
+    d1 = distances[0]
+    votes = _neighbor_votes(labels)
     if d1 <= th.theta_new:
-        return Verdict(VerdictKind.KNOWN, _majority(neighbors, votes), votes, d1)
+        return Verdict(VerdictKind.KNOWN, _majority(labels, distances, votes), votes, d1)
     if d1 > th.theta_ood:
         return Verdict(VerdictKind.OOD, None, votes, d1)
 
@@ -256,7 +270,7 @@ def _loo_nn_distances(X: np.ndarray, y: list[str] | np.ndarray) -> list[float]:
             skipped.append(str(label))
             continue
         index = NNIndex(block, [str(label)] * block.shape[0])
-        nn_dists.extend(two[1].distance for two in index.knn(block, 2))
+        nn_dists.extend(distances[1] for _, distances in index.knn(block, 2))
     if skipped:
         logging.getLogger("flowcbr").warning(
             "classes with one sample skipped in calibration: %s", skipped)
@@ -285,13 +299,17 @@ def calibrate_thresholds(X: np.ndarray, y: list[str] | np.ndarray,
 
 
 def verdict_to_json(flow_id: str, verdict: Verdict) -> str:
-    return _ENCODER.encode({
-        "flow_id": flow_id,
-        "kind": verdict.kind.value,
-        "label": verdict.label,
-        "min_distance": verdict.min_distance,
-        "votes": verdict.votes,
-    })
+    """The verdict's JSON line, written out directly with the bytes
+    ``json.dumps(doc, sort_keys=True)`` gives: ASCII-escaped strings, and a
+    float as ``float.__repr__`` spells it (a numpy float too), or as NaN,
+    Infinity or -Infinity."""
+    kind, label, votes, d = verdict
+    number = float.__repr__(d) if math.isfinite(d) else _NON_FINITE.get(d, "NaN")
+    return (f'{{"flow_id": {_json_str(flow_id)}, "kind": {_json_str(kind.value)}, '
+            f'"label": {"null" if label is None else _json_str(label)}, '
+            f'"min_distance": {number}, "votes": {{'
+            + ", ".join([f"{_json_str(name)}: {count}" for name, count in sorted(votes.items())])
+            + "}}")
 
 
 def write_verdicts(path: str | Path, items: list[tuple[str, Verdict]]) -> None:

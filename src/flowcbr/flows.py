@@ -36,6 +36,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import repeat
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -145,8 +146,7 @@ _DIRECTION_TO_TOKEN = {True: "out", False: "in"}
 _FLAG_TOKENS = [flags_to_token(TcpFlags(bits)) for bits in range(32)]
 
 
-@dataclass(frozen=True)
-class FlowKey:
+class FlowKey(NamedTuple):
     """Connection 5-tuple, stored initiator side first."""
 
     src_ip: str
@@ -372,8 +372,13 @@ def _decode_frames(buf: np.ndarray, start: np.ndarray, end: np.ndarray,
     )
 
 
-def _dotted(ip: int) -> str:
-    return f"{ip >> 24}.{ip >> 16 & 0xFF}.{ip >> 8 & 0xFF}.{ip & 0xFF}"
+def _dotted(ips: np.ndarray) -> list[str]:
+    """Each IPv4 address of ips in dotted form."""
+    return list(map("{}.{}.{}.{}".format, *((ips >> shift & 0xFF).tolist()
+                                              for shift in (24, 16, 8, 0))))
+
+
+_PROTOCOLS = {int(p): p for p in Protocol}
 
 
 def assemble_flows(records: PacketColumns,
@@ -392,18 +397,19 @@ def assemble_flows(records: PacketColumns,
     r = records
     if len(r) == 0:
         return []
-    # An endpoint is ip << 16 | port; a connection is its protocol and its
-    # two endpoints, lower first.
+    # An endpoint is ip << 16 | port, 48 bits; a connection is its protocol
+    # and its two endpoints, lower first, held as two keys: side, which is
+    # proto << 48 | lower, and the higher endpoint.
     src = (r.src_ip.astype(np.int64) << 16) | r.src_port
     dst = (r.dst_ip.astype(np.int64) << 16) | r.dst_port
-    lo, hi = np.minimum(src, dst), np.maximum(src, dst)
+    side, hi = np.minimum(src, dst), np.maximum(src, dst)
+    side |= r.protocol.astype(np.int64, copy=False) << 48
     # lexsort is stable: packets of one connection with equal timestamps
     # keep their capture order.
-    order = np.lexsort((r.timestamp, hi, lo, r.protocol))
-    proto, lo, hi, src, ts, flags = (
-        a[order] for a in (r.protocol, lo, hi, src, r.timestamp, r.tcp_flags))
+    order = np.lexsort((r.timestamp, hi, side))
+    side, hi, src, ts, flags = (a[order] for a in (side, hi, src, r.timestamp, r.tcp_flags))
     new = np.ones(order.size, dtype=bool)
-    new[1:] = ((proto[1:] != proto[:-1]) | (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
+    new[1:] = ((side[1:] != side[:-1]) | (hi[1:] != hi[:-1])
                | (ts[1:] - ts[:-1] >= idle_timeout))
     seg = np.cumsum(new) - 1
     first = np.flatnonzero(new)
@@ -411,7 +417,7 @@ def assemble_flows(records: PacketColumns,
     # The initiator of a segment is the sender of its first bare SYN, else
     # of its first packet.
     initiator = src[first]
-    bare_syn = np.flatnonzero((proto == Protocol.TCP) & (flags & TcpFlags.SYN != 0)
+    bare_syn = np.flatnonzero((side >> 48 == Protocol.TCP) & (flags & TcpFlags.SYN != 0)
                               & (flags & TcpFlags.ACK == 0))
     with_syn, at = np.unique(seg[bare_syn], return_index=True)
     initiator[with_syn] = src[bare_syn[at]]
@@ -429,10 +435,11 @@ def assemble_flows(records: PacketColumns,
 
     sizes = np.diff(np.append(first, order.size))[by_start]
     first = first[by_start]
-    ends = initiator[by_start]
-    others = np.where(ends == lo[first], hi[first], lo[first])
-    keys = [FlowKey(_dotted(a >> 16), _dotted(b >> 16), Protocol(p), a & 0xFFFF, b & 0xFFFF)
-            for a, b, p in zip(ends.tolist(), others.tolist(), proto[first].tolist())]
+    ends, lo = initiator[by_start], side[first] & ((1 << 48) - 1)
+    others = np.where(ends == lo, hi[first], lo)
+    keys = list(map(FlowKey, _dotted(ends >> 16), _dotted(others >> 16),
+                    map(_PROTOCOLS.__getitem__, (side[first] >> 48).tolist()),
+                    (ends & 0xFFFF).tolist(), (others & 0xFFFF).tolist()))
     return _flows(columns, np.cumsum(sizes) - sizes, [f"f{i:06d}" for i in range(sizes.size)],
                   repeat(None), keys)
 

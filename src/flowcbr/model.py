@@ -117,7 +117,14 @@ def load_model(directory: str | Path) -> Model:
         with np.errstate(over="ignore"):
             if not ((mins <= maxs).all() and np.isfinite(maxs - mins).all()):
                 raise ValueError("every min must be <= its max, with a finite max - min")
-        thresholds = Thresholds(**doc["thresholds"])
+        given, fields = doc["thresholds"], [f.name for f in dataclasses.fields(Thresholds)]
+        if not isinstance(given, dict):
+            raise ValueError("thresholds must be an object")
+        if lacking := [name for name in fields if name not in given]:
+            raise ValueError(f"thresholds lack {', '.join(lacking)}")
+        if unknown := sorted(set(given) - set(fields)):
+            raise ValueError(f"thresholds hold unknown keys {unknown}")
+        thresholds = Thresholds(**given)
         labels, rows, crc32 = doc["labels"], doc["rows"], doc["vectors_crc32"]
         if not (isinstance(labels, list) and labels and len(labels) == rows
                 and all(isinstance(lbl, str) and lbl for lbl in labels)):

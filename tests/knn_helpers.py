@@ -10,19 +10,30 @@ from __future__ import annotations
 
 import numpy as np
 
-from flowcbr.cbr import ClassRegistry, Thresholds, Verdict, classify
+from flowcbr.cbr import ClassRegistry, Neighbor, Thresholds, Verdict, classify
 from flowcbr.harness import PipelineConfig
-from flowcbr.index import Neighbor, NNIndex
+from flowcbr.index import NNIndex
+
+
+def knn_row(index: NNIndex, q, k: int) -> tuple[list[int], list[float]]:
+    """q's k nearest rows as ``knn`` yields them: a one-row stream."""
+    return next(index.knn(np.asarray(q, dtype=np.float64)[None, :], k))
+
+
+def as_neighbors(index: NNIndex, row: tuple[list[int], list[float]]) -> list[Neighbor]:
+    """A ``knn`` row as ``Neighbor``s, with each entry's label."""
+    ids, distances = row
+    return [Neighbor(*n) for n in zip(ids, index.labels_of(ids), distances)]
 
 
 def knn_one(index: NNIndex, q, k: int) -> list[Neighbor]:
-    """The k nearest rows to q: a one-row ``knn`` stream."""
-    return next(index.knn(np.asarray(q, dtype=np.float64)[None, :], k))
+    """The k nearest rows to q, as ``Neighbor``s."""
+    return as_neighbors(index, knn_row(index, q, k))
 
 
 def classify_one(index: NNIndex, registry: ClassRegistry, q, th: Thresholds) -> Verdict:
     """``classify`` with q's neighbors from a one-row stream."""
-    return classify(index, registry, q, th, knn_one(index, q, th.k))
+    return classify(index, registry, q, th, knn_row(index, q, th.k))
 
 
 def thresholds(theta_new, theta_ood, **given) -> Thresholds:

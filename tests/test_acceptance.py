@@ -287,7 +287,7 @@ def test_criterion_10_exact_knn_report(capsys):
     index = NNIndex(vectors, labels)
     build_s = time.perf_counter() - t0
     t0 = time.perf_counter()
-    results = [[(nb.entry_id, nb.distance) for nb in nbrs] for nbrs in index.knn(queries, k)]
+    results = [list(zip(ids, distances)) for ids, distances in index.knn(queries, k)]
     query_s = time.perf_counter() - t0
     exact = all(got == exhaustive_knn(vectors, q, k) for got, q in zip(results, queries))
     report(capsys, 10, exact,

@@ -17,6 +17,7 @@ import flowcbr.index as index_mod
 from flowcbr.cbr import (
     PENDING_CAPACITY,
     ClassRegistry,
+    Neighbor,
     Thresholds,
     Verdict,
     VerdictKind,
@@ -28,9 +29,9 @@ from flowcbr.cbr import (
 )
 from flowcbr.features import WIDTH, Normalizer
 from flowcbr.harness import PipelineConfig
-from flowcbr.index import Neighbor, NNIndex, row_distances
+from flowcbr.index import NNIndex, row_distances
 from flowcbr.model import Model, fit_model, load_model, save_model
-from knn_helpers import classify_one, knn_one, thresholds
+from knn_helpers import as_neighbors, classify_one, knn_one, thresholds
 
 
 def nb(label, distance, entry_id=0):
@@ -154,7 +155,8 @@ def test_classify_tallies_a_known_row_once(monkeypatch):
     verdicts = classify_stream(index, ClassRegistry(), queries, th)
     assert len(calls) == 25
     assert all(v.kind is VerdictKind.KNOWN for v in verdicts)
-    assert [v.label for v in verdicts] == [vote(n)[0] for n in index.knn(queries, th.k)]
+    assert [v.label for v in verdicts] == [vote(as_neighbors(index, row))[0]
+                                           for row in index.knn(queries, th.k)]
 
 
 def test_ood_is_never_buffered():
@@ -618,6 +620,35 @@ def test_verdict_json_shape_and_jsonl(tmp_path):
     assert json.loads(lines[1])["label"] is None
 
 
+# Text with JSON's hard cases: quotes, backslashes, control characters,
+# non-ASCII and non-BMP characters, and lone surrogates.
+_JSON_TEXT = st.text(st.one_of(st.sampled_from('"\\/\x00\x1f\x7f\u2028é€😀'),
+                               st.characters(exclude_categories=())), max_size=12)
+# Distances with JSON's hard cases: signed zeros, subnormals, 1e16 and its
+# neighbours (where repr switches to an exponent), inf and nan.
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e16,
+                float(np.nextafter(1e16, 0)), float(np.nextafter(1e16, np.inf)), 1e-5, 1e-4,
+                float("inf"), float("-inf"), float("nan")]
+
+
+@given(_JSON_TEXT, st.sampled_from(list(VerdictKind)), st.none() | _JSON_TEXT,
+       st.dictionaries(_JSON_TEXT, st.integers(1, 10 ** 6), max_size=5),
+       st.sampled_from(_EDGE_FLOATS) | st.floats(), st.booleans())
+def test_verdict_line_matches_the_json_encoder(flow_id, kind, label, votes, distance,
+                                               numpy_float):
+    """verdict_to_json, which writes the line out directly, gives the bytes
+    of json.JSONEncoder(sort_keys=True) on the same document, for any
+    strings, a null label, any float, and a numpy.float64 distance, whose
+    repr is not a JSON number."""
+    import json
+
+    d = np.float64(distance) if numpy_float else distance
+    doc = {"flow_id": flow_id, "kind": kind.value, "label": label, "min_distance": d,
+           "votes": votes}
+    got = verdict_to_json(flow_id, Verdict(kind, label, votes, d))
+    assert got == json.JSONEncoder(sort_keys=True).encode(doc)
+
+
 def mixed_stream(rng, d, n, m, lattice):
     """n training rows near the origin and a stream of m rows: Known ones
     near training rows, OOD ones far out, and in-between ones in tight
@@ -701,7 +732,7 @@ def test_classify_stream_rank_sets_stay_bounded(monkeypatch):
     row: each row is ranked over its survivors and the rows its chunk
     inserted before it, at most 2k + one chunk, never the whole stream. The
     chunk's rank counts each row's survivors; ``_neighbors`` merges the
-    inserted rows as each row is yielded."""
+    inserted rows as it yields each row of the chunk."""
     rng = np.random.default_rng(25)
     n, d, k = 3200, 183, 5
     centres = rng.normal(size=(8, d)) * 10
@@ -720,9 +751,10 @@ def test_classify_stream_rank_sets_stay_bounded(monkeypatch):
         survivors.extend(np.bincount(qi, minlength=len(Q)).tolist())
         return qi, rows, dists
 
-    def counting_neighbors(self, q, rows, dists, screened, k):
-        ranked.append(survivors[len(ranked)] + self.size - screened)
-        return neighbors(self, q, rows, dists, screened, k)
+    def counting_neighbors(self, B, ids, dists, screened, k):
+        for row in neighbors(self, B, ids, dists, screened, k):
+            ranked.append(survivors[len(ranked)] + self.size - screened)
+            yield row
 
     monkeypatch.setattr(NNIndex, "_screen", counting_screen)
     monkeypatch.setattr(NNIndex, "_neighbors", counting_neighbors)

@@ -713,9 +713,18 @@ _BAD_INPUTS = {
         thresholds=lambda doc: {**doc["thresholds"], "c_min": 1001}),
         "c_min must be >= 1 and <= 1000"),
     "thresholds-no-r-cohesion": ("model.json", _drop_threshold("r_cohesion"),
-                                 "missing 1 required positional argument: 'r_cohesion'"),
+                                 "malformed model.json: ValueError('thresholds lack r_cohesion')"),
     "thresholds-no-k": ("model.json", _drop_threshold("k"),
-                        "missing 1 required positional argument: 'k'"),
+                        "malformed model.json: ValueError('thresholds lack k')"),
+    "thresholds-no-r-cohesion-extra": ("model.json", _edit_model_json(thresholds=lambda doc: {
+        **{k: v for k, v in doc["thresholds"].items() if k != "r_cohesion"}, "extra": 1.0}),
+        "malformed model.json: ValueError('thresholds lack r_cohesion')"),
+    "thresholds-extra": ("model.json", _edit_model_json(
+        thresholds=lambda doc: {**doc["thresholds"], "extra": 1.0}),
+        "malformed model.json: ValueError(\"thresholds hold unknown keys ['extra']\")"),
+    "thresholds-list": ("model.json", _edit_model_json(
+        thresholds=lambda doc: list(doc["thresholds"].values())),
+        "malformed model.json: ValueError('thresholds must be an object')"),
     "thresholds-null": ("model.json", _edit_model_json(
         thresholds=lambda doc: {**doc["thresholds"], "r_cohesion": None}),
         "thresholds theta_new, theta_ood and r_cohesion must be numbers"),
@@ -747,10 +756,10 @@ _BAD_INPUTS = {
 @pytest.mark.parametrize("case", list(_BAD_INPUTS))
 def test_classify_bad_model_dir_exits_two(data_dir, model_dir, tmp_path, capsys, case):
     """Each malformed or incomplete model directory (one from before
-    model.json among them, and thresholds that lack a setting or hold null
-    for one), and an input feature CSV of the wrong width or with a bad
-    cell, is named in an error line and exits 2 before any verdict is
-    written."""
+    model.json among them, and thresholds that are not an object, lack a
+    setting, hold a key that is not a setting, or hold null for one), and an
+    input feature CSV of the wrong width or with a bad cell, is named in an
+    error line and exits 2 before any verdict is written."""
     name, change, fragment = _BAD_INPUTS[case]
     features = data_dir / "features.csv"
     if name == "features.csv":

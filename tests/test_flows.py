@@ -397,6 +397,49 @@ def test_columns_match_per_frame_oracle(case):
         assert g.packets == w.packets
 
 
+def test_tcp_and_udp_on_the_same_ports_are_two_flows():
+    """A TCP and a UDP connection between the same two endpoints, their
+    packets interleaved at equal timestamps, the UDP one first in the
+    capture, and one packet of each captured after later ones: the sort on
+    (protocol and lower endpoint, higher endpoint, timestamp) gives two
+    flows, in the order and with the ids, keys and packet order of the
+    per-frame oracle."""
+    a, b = ("10.0.0.9", 5000), ("10.0.0.2", 443)
+
+    def frame(proto, src, dst, flags=TcpFlags.ACK, payload=b""):
+        if proto is Protocol.UDP:
+            return udp_frame(src[0], dst[0], src[1], dst[1], payload=payload)
+        return tcp_frame(src[0], dst[0], src[1], dst[1], flags=flags, payload=payload)
+
+    frames = [(1, 0, frame(Protocol.UDP, a, b, payload=b"u1")),
+              (1, 0, frame(Protocol.TCP, a, b, flags=TcpFlags.SYN)),
+              (1, 0, frame(Protocol.UDP, b, a, payload=b"u22")),
+              (1, 0, frame(Protocol.TCP, b, a, flags=TcpFlags.SYN | TcpFlags.ACK)),
+              (1, 0, frame(Protocol.UDP, a, b, payload=b"u333")),
+              (1, 500_000, frame(Protocol.TCP, a, b, payload=b"t1")),
+              (1, 500_000, frame(Protocol.UDP, b, a)),
+              (1, 200_000, frame(Protocol.TCP, a, b, payload=b"t22")),
+              (0, 900_000, frame(Protocol.UDP, a, b, payload=b"u55555"))]
+    data = pcap(frames)
+    got = assemble_flows(parse_pcap(data).records)
+    want = pcap_oracle.assemble_flows(pcap_oracle.parse_pcap(data).records)
+    assert [f.flow_id for f in got] == [f.flow_id for f in want] == ["f000000", "f000001"]
+    assert [g.key for g in got] == [w.key for w in want] == [
+        ("10.0.0.9", "10.0.0.2", Protocol.UDP, 5000, 443),
+        ("10.0.0.9", "10.0.0.2", Protocol.TCP, 5000, 443)]
+    assert all(g.key.protocol is w.key.protocol for g, w in zip(got, want))
+    for g, w in zip(got, want):
+        assert same_columns(g, w, FLOW_COLUMNS)
+        assert g.packets == w.packets
+    assert [p.payload_length for p in got[0].packets] == [6, 2, 3, 4, 0]
+    assert [p.direction for p in got[0].packets] == [
+        Direction.FWD, Direction.FWD, Direction.BWD, Direction.FWD, Direction.BWD]
+    assert [p.payload_length for p in got[1].packets] == [0, 0, 3, 2]
+    assert [p.tcp_flags for p in got[1].packets] == [
+        TcpFlags.SYN, TcpFlags.SYN | TcpFlags.ACK, TcpFlags.ACK, TcpFlags.ACK]
+    assert [p.timestamp for p in got[1].packets] == [1.0, 1.0, 1.2, 1.5]
+
+
 def rec(ts, src, dst, sport, dport, flags=TcpFlags.ACK, proto=Protocol.TCP):
     """One packet as a tuple of RECORD_COLUMNS values."""
     return (ts, ip_value(src), ip_value(dst), sport, dport, proto, 60, 0, flags, 1024)

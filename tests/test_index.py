@@ -23,7 +23,7 @@ from flowcbr.features import WIDTH, Normalizer
 from flowcbr.flows import InputError
 from flowcbr.index import NNIndex, row_distances
 from flowcbr.model import Model, load_model, save_model
-from knn_helpers import knn_one, thresholds
+from knn_helpers import as_neighbors, knn_one, thresholds
 
 
 def reference_knn(vectors, q, k):
@@ -209,6 +209,21 @@ def test_labels_travel_with_neighbors():
     index = NNIndex(np.array([[0.0], [9.0]]), ["near", "far"])
     got = knn_one(index, np.array([1.0]), 2)
     assert [nb.label for nb in got] == ["near", "far"]
+
+
+def test_knn_rows_are_plain_lists():
+    """Each row knn yields is two Python lists, entry ids and distances,
+    nearest first, both before and after a merge with inserted rows."""
+    index = NNIndex(np.array([[0.0], [9.0], [4.0]]), ["a", "b", "a"])
+    steps = index.knn(np.array([[1.0], [8.0]]), 2)
+    rows = [next(steps)]
+    index.insert(np.array([8.5]), "c")
+    rows.append(next(steps))
+    assert rows == [([0, 2], [1.0, 3.0]), ([3, 1], [0.5, 1.0])]
+    for ids, distances in rows:
+        assert type(ids) is list and type(distances) is list
+        assert all(type(i) is int for i in ids) and all(type(d) is float for d in distances)
+    assert index.labels_of([3, 0, 3]) == ["c", "a", "c"]
 
 
 def test_snapshot_round_trip_query_identical(tmp_path):
@@ -399,7 +414,7 @@ def test_batched_query_matches_full_scan_bit_for_bit(case, chunk_rows):
             blocks = []
             with mock.patch.object(index_mod, "CHUNK_BYTES", 8 * index._width(k) * chunk_rows), \
                     np.errstate(over="ignore", invalid="ignore"), screened_blocks(blocks):
-                got = list(index.knn(queries, k))
+                got = [as_neighbors(index, row) for row in index.knn(queries, k)]
                 want = [full_scan_knn(stored, q, k) for q in queries]
             assert blocks == cuts
             assert [[(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in nbrs]
@@ -417,7 +432,7 @@ def test_batch_covers_several_chunks_at_the_real_chunk_size():
     queries = centres[rng.integers(0, 8, size=100)] + rng.normal(size=(100, d))
     blocks = []
     with screened_blocks(blocks):
-        got = list(index.knn(queries, k))
+        got = [as_neighbors(index, row) for row in index.knn(queries, k)]
     assert blocks == [40, 40, 20] and 40 * n * 8 <= index_mod.CHUNK_BYTES
     assert [[(nb.distance, nb.entry_id) for nb in nbrs] for nbrs in got] == [
         reference_knn(vectors, q, k) for q in queries]
@@ -441,7 +456,7 @@ def test_batch_prunes_to_2k_distance_rows_per_query(monkeypatch):
         return row_distances(matrix, q)
 
     monkeypatch.setattr(index_mod, "row_distances", counting_row_distances)
-    got = list(index.knn(queries, k))
+    got = [as_neighbors(index, row) for row in index.knn(queries, k)]
     assert len(rows) == len(queries)
     assert max(rows.values()) <= 2 * k, sorted(rows.values())[-5:]
     assert [[(nb.distance, nb.entry_id) for nb in nbrs] for nbrs in got] == [
@@ -475,7 +490,7 @@ def test_screen_multiplies_one_block_per_query_on_labeled_clusters():
 
     with mock.patch.object(NNIndex, "_screen", counting_screen), \
             mock.patch.object(NNIndex, "_block_pairs", counting_block_pairs):
-        got = list(index.knn(queries, k))
+        got = [as_neighbors(index, row) for row in index.knn(queries, k)]
     assert len(work) == 1
     assert work[0].tolist() == np.bincount(which, minlength=8)[near].tolist()
     assert [[(nb.distance, nb.entry_id, nb.label) for nb in nbrs] for nbrs in got] == [
@@ -523,7 +538,7 @@ def test_rank_measures_only_the_survivors_the_screen_did_not(monkeypatch, labele
     monkeypatch.setattr(NNIndex, "_screen", recording_screen)
     monkeypatch.setattr(NNIndex, "_rank", recording_rank)
     monkeypatch.setattr(index_mod, "row_distances", recording_row_distances)
-    got = list(index.knn(queries, k))
+    got = [as_neighbors(index, row) for row in index.knn(queries, k)]
     assert [c["Q"] for c in chunks] == ([100] if labeled else [40, 40, 20])
     for c in chunks:
         # The screen's own pairs are the first ``given`` survivors.
@@ -612,9 +627,10 @@ def test_knn_ranks_rows_inserted_between_steps():
         second = next(steps)
     assert blocks == [2, 2]
     assert first == before[0]
-    assert (second[0].entry_id, second[0].label, second[0].distance) == (20, "copy", 0.0)
-    assert second[1:] == before[1][:2]
-    assert all(nb.entry_id != 20 for nbrs in before for nb in nbrs)
+    (ids, distances), (ids_before, distances_before) = second, before[1]
+    assert (ids[0], index.labels_of(ids[:1]), distances[0]) == (20, ["copy"], 0.0)
+    assert (ids[1:], distances[1:]) == (ids_before[:2], distances_before[:2])
+    assert all(20 not in ids for ids, _ in before)
 
 
 @pytest.mark.parametrize("points", [1, 2], ids=["equal-rows", "two-points"])
@@ -644,7 +660,7 @@ def test_rank_bounds_the_pair_block_on_a_degenerate_index(monkeypatch, points):
 
     monkeypatch.setattr(NNIndex, "_screen", counting_screen)
     monkeypatch.setattr(index_mod, "row_distances", counting_row_distances)
-    got = list(index.knn(queries, k))
+    got = [as_neighbors(index, row) for row in index.knn(queries, k)]
     assert min(survivors) >= n / 3 and (points == 2 or min(survivors) == n), survivors
     assert max(blocks) <= index_mod.SLICE_BYTES, max(blocks)
     assert [[(np.float64(nb.distance).tobytes(), nb.entry_id) for nb in nbrs]
